@@ -22,47 +22,20 @@ type ConvCode struct {
 	gens []uint32 // generator polynomials, MSB = current input bit
 
 	tr     convTrellis // precomputed successor/output tables
-	vsPool sync.Pool   // *viterbiScratch, shared by concurrent decoders
+	vbPool sync.Pool   // *viterbiBuf, shared by concurrent decoders
 }
 
 // convTrellis holds the flat per-(state, input) successor and packed
 // output-pattern tables, indexed by state<<1|input. Patterns pack the n
 // coded bits little-endian (output j in bit j) and index the per-step
-// pattern-metric table in viterbi.
+// pattern-metric table in viterbi. bfly[j] = pat[(2j)<<1] is the pattern
+// of butterfly j's branch from its even predecessor on input 0, the one
+// table the decoder's inner loop reads.
 type convTrellis struct {
-	to  []int32
-	pat []uint8
+	to   []int32
+	pat  []uint8
+	bfly []uint8
 }
-
-// trellis returns the precomputed tables (built in NewConvCode).
-func (c *ConvCode) trellis() *convTrellis { return &c.tr }
-
-// viterbiScratch is the pooled working set of one Viterbi decode: path
-// metric double buffer plus the flat survivor matrix.
-type viterbiScratch struct {
-	pm, next []float64
-	sv       []int32
-}
-
-// getViterbiScratch leases a scratch sized for the given step count.
-func (c *ConvCode) getViterbiScratch(steps int) *viterbiScratch {
-	states := c.NumStates()
-	vs, _ := c.vsPool.Get().(*viterbiScratch)
-	if vs == nil {
-		vs = &viterbiScratch{
-			pm:   make([]float64, states),
-			next: make([]float64, states),
-		}
-	}
-	if need := steps * states; cap(vs.sv) < need {
-		vs.sv = make([]int32, need)
-	} else {
-		vs.sv = vs.sv[:need]
-	}
-	return vs
-}
-
-func (c *ConvCode) putViterbiScratch(vs *viterbiScratch) { c.vsPool.Put(vs) }
 
 // NewConvCode builds a code from a constraint length and generator
 // polynomials given in octal-as-integer form (e.g. 0o561).
@@ -100,6 +73,10 @@ func NewConvCode(name string, constraintLen int, gens ...uint32) *ConvCode {
 			c.tr.to[s<<1|b] = int32(reg >> 1)
 			c.tr.pat[s<<1|b] = pat
 		}
+	}
+	c.tr.bfly = make([]uint8, states/2)
+	for j := range c.tr.bfly {
+		c.tr.bfly[j] = c.tr.pat[4*j]
 	}
 	return c
 }
@@ -178,17 +155,24 @@ func (c *ConvCode) AppendEncode(dst []byte, info []byte) []byte {
 	return dst
 }
 
+// CheckDecodeLen implements DecodeLenChecker: a whole number of trellis
+// steps, at least the K-1 of the tail.
+func (c *ConvCode) CheckDecodeLen(n int) error {
+	if n%len(c.gens) != 0 {
+		return fmt.Errorf("fec: %s decode length %d not a multiple of the %d outputs per step", c.name, n, len(c.gens))
+	}
+	if n/len(c.gens) < c.k-1 {
+		return fmt.Errorf("fec: %s decode length %d shorter than the %d-step tail", c.name, n, c.k-1)
+	}
+	return nil
+}
+
 // Decode implements Codec using soft-decision Viterbi decoding over LLRs
-// (positive ⇒ bit 0). The decoder assumes zero termination.
+// (positive ⇒ bit 0). The decoder assumes zero termination. It panics on a
+// length CheckDecodeLen rejects.
 func (c *ConvCode) Decode(llr []float64) []byte {
-	n := len(c.gens)
-	if len(llr)%n != 0 {
-		panic("fec: Decode LLR length not a multiple of the output count")
+	if err := c.CheckDecodeLen(len(llr)); err != nil {
+		panic(err)
 	}
-	steps := len(llr) / n
-	k := steps - (c.k - 1)
-	if k < 0 {
-		panic("fec: Decode input shorter than the tail")
-	}
-	return viterbi(c, llr, steps)[:k]
+	return viterbi(c, llr, len(llr)/len(c.gens)-(c.k-1))
 }

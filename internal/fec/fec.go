@@ -47,6 +47,25 @@ func AppendEncode(c Codec, dst, info []byte) []byte {
 	return append(dst, c.Encode(info)...)
 }
 
+// DecodeLenChecker is implemented by codecs whose Decode accepts only some
+// input lengths and panics on the rest.
+type DecodeLenChecker interface {
+	// CheckDecodeLen returns nil if Decode accepts n soft values, else an
+	// error naming the constraint n breaks.
+	CheckDecodeLen(n int) error
+}
+
+// CheckDecodeLen reports whether c.Decode accepts n soft values. Callers
+// decoding received data check first, so a burst of the wrong length is an
+// error of that burst and not a panic inside the decoder; a codec without
+// length constraints accepts every n.
+func CheckDecodeLen(c Codec, n int) error {
+	if lc, ok := c.(DecodeLenChecker); ok {
+		return lc.CheckDecodeLen(n)
+	}
+	return nil
+}
+
 // Uncoded is the pass-through scheme ("some transmissions can accept a
 // non-coded mode", §2.3).
 type Uncoded struct{}

@@ -128,6 +128,12 @@ func (c *PuncturedCode) Encode(info []byte) []byte {
 	return Puncture(c.mother.Encode(info), c.pattern)
 }
 
+// CheckDecodeLen implements DecodeLenChecker: the reconstructed
+// mother-code length must cover the mother code's tail.
+func (c *PuncturedCode) CheckDecodeLen(n int) error {
+	return c.mother.CheckDecodeLen(c.motherLenFor(n))
+}
+
 // Decode implements Codec. The caller must pass exactly EncodedLen(k)
 // soft values for some k; the mother-code length is reconstructed from
 // the pattern.

@@ -1,8 +1,10 @@
 package fec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Turbo coding per the UMTS scheme the paper cites for high-QoS traffic
@@ -84,6 +86,18 @@ func (il *Interleaver) InterleaveBits(in []byte) []byte {
 // TurboCode is the UMTS-style PCCC codec.
 type TurboCode struct {
 	iterations int
+	ils        sync.Map // block length → *Interleaver, built on first use
+}
+
+// interleaver returns the internal interleaver for block length n. An
+// Interleaver is immutable and a function of n alone, so encoder, decoder
+// and concurrent callers share one instance per length.
+func (t *TurboCode) interleaver(n int) *Interleaver {
+	if il, ok := t.ils.Load(n); ok {
+		return il.(*Interleaver)
+	}
+	il, _ := t.ils.LoadOrStore(n, NewRandomInterleaver(n))
+	return il.(*Interleaver)
 }
 
 // NewTurbo creates a turbo codec running the given number of decoder
@@ -133,7 +147,7 @@ func rscEncode(in []byte) (par []byte, tailSys, tailPar []byte) {
 //	[xB0 zB0 xB1 zB1 xB2 zB2]          encoder-2 termination (6 bits)
 func (t *TurboCode) Encode(info []byte) []byte {
 	n := len(info)
-	il := NewRandomInterleaver(n)
+	il := t.interleaver(n)
 	interleaved := il.InterleaveBits(info)
 
 	p1, t1sys, t1par := rscEncode(info)
@@ -152,13 +166,23 @@ func (t *TurboCode) Encode(info []byte) []byte {
 	return out
 }
 
-// Decode implements Codec with iterative max-log-MAP decoding.
+// CheckDecodeLen implements DecodeLenChecker: 3k data values plus the 12
+// of the two terminations.
+func (t *TurboCode) CheckDecodeLen(n int) error {
+	if n < 12 || (n-12)%3 != 0 {
+		return fmt.Errorf("fec: turbo decode length %d is not 3k+12", n)
+	}
+	return nil
+}
+
+// Decode implements Codec with iterative max-log-MAP decoding. It panics
+// on a length CheckDecodeLen rejects.
 func (t *TurboCode) Decode(llr []float64) []byte {
-	if (len(llr)-12)%3 != 0 || len(llr) < 12 {
-		panic("fec: turbo Decode length must be 3k+12")
+	if err := t.CheckDecodeLen(len(llr)); err != nil {
+		panic(err)
 	}
 	n := (len(llr) - 12) / 3
-	il := NewRandomInterleaver(n)
+	il := t.interleaver(n)
 
 	sys := make([]float64, n)
 	par1 := make([]float64, n)

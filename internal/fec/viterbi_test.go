@@ -1,0 +1,242 @@
+package fec
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// pathMetric is the float correlation of llr with the codeword c.Encode
+// produces for info: the quantity both decoders maximise.
+func pathMetric(c *ConvCode, llr []float64, info []byte) float64 {
+	var m float64
+	for i, b := range c.Encode(info) {
+		if b == 0 {
+			m += llr[i]
+		} else {
+			m -= llr[i]
+		}
+	}
+	return m
+}
+
+// checkAgainstRef decodes llr with the kernel and the float64 reference.
+// With exact set the info bits must be identical. Otherwise a difference
+// is accepted only when the kernel's path is maximum-likelihood to within
+// the quantisation error (each of len(llr) values is off by at most half a
+// step of peak/quantMax, on each of the two paths); it reports whether the
+// bits differed.
+func checkAgainstRef(t *testing.T, c *ConvCode, llr []float64, exact bool) (differed bool) {
+	t.Helper()
+	got, want := c.Decode(llr), refDecode(c, llr)
+	if bytes.Equal(got, want) {
+		return false
+	}
+	if exact {
+		t.Fatalf("%s: %d info bits differ from the float64 reference", c.Name(), CountBitErrors(got, want))
+	}
+	var peak float64
+	for _, x := range llr {
+		peak = math.Max(peak, math.Abs(x))
+	}
+	tol := float64(len(llr)) * peak / float64(quantMaxFor(len(llr)))
+	if gap := pathMetric(c, llr, want) - pathMetric(c, llr, got); gap > tol {
+		t.Fatalf("%s: kernel path is %g below the reference's, beyond the quantisation tolerance %g", c.Name(), gap, tol)
+	}
+	return true
+}
+
+// oddCodes are non-UMTS trellises: generators without the MSB (current
+// input) or LSB (oldest bit) tap, so a butterfly's four branch outputs are
+// not the complementary pairs of the UMTS codes; K below and above one
+// decision word per half; the full four outputs per step.
+func oddCodes() []*ConvCode {
+	return []*ConvCode{
+		NewConvCode("k2", 2, 0o1, 0o3),
+		NewConvCode("k3-no-msb-lsb", 3, 0o3, 0o6),
+		NewConvCode("k7-no-msb-lsb", 7, 0o066, 0o133),
+		NewConvCode("k7-r1/3", 7, 0o133, 0o171, 0o052),
+		NewConvCode("k11-r1/4", 11, 0o2327, 0o1156, 0o3372, 0o0635),
+	}
+}
+
+func TestViterbiMatchesReferenceOverEbN0(t *testing.T) {
+	// E12's range. Differences are near-ties the quantisation resolves the
+	// other way: ML-equivalent, and rare even at 0 dB.
+	rng := rand.New(rand.NewSource(21))
+	const k, trials = 248, 25
+	punctured := UMTSConvTwoThirds()
+	var words, differed int
+	for ebn0 := 0.0; ebn0 <= 12; ebn0 += 2 {
+		for _, c := range []*ConvCode{UMTSConvHalf(), UMTSConvThird()} {
+			for tr := 0; tr < trials; tr++ {
+				llr := noisyLLR(rng, c.Encode(randBits(rng, k)), ebn0, c.Rate())
+				words++
+				if checkAgainstRef(t, c, llr, false) {
+					differed++
+				}
+			}
+		}
+		for tr := 0; tr < trials; tr++ {
+			// The wrapper de-punctures (zero LLRs at the deleted
+			// positions) and rides on the mother code's kernel.
+			llr := noisyLLR(rng, punctured.Encode(randBits(rng, k)), ebn0, punctured.Rate())
+			full := Depuncture(llr, punctured.pattern, punctured.motherLenFor(len(llr)))
+			want := refDecode(punctured.mother, full)
+			words++
+			if got := punctured.Decode(llr); !bytes.Equal(got, want) {
+				differed++
+				checkAgainstRef(t, punctured.mother, full, false)
+			}
+		}
+	}
+	if differed*100 > words {
+		t.Fatalf("%d of %d codewords differ from the reference", differed, words)
+	}
+}
+
+func TestViterbiMatchesReferenceOnOddCodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, c := range oddCodes() {
+		for tr := 0; tr < 20; tr++ {
+			llr := noisyLLR(rng, c.Encode(randBits(rng, 70)), 3, c.Rate())
+			checkAgainstRef(t, c, llr, false)
+		}
+	}
+}
+
+func TestViterbiTieRule(t *testing.T) {
+	// Equal-magnitude LLRs make path-metric ties exact in both arithmetics,
+	// so the kernel must reproduce the reference bit for bit: ties keep the
+	// even predecessor.
+	rng := rand.New(rand.NewSource(23))
+	codes := append(oddCodes(), UMTSConvHalf(), UMTSConvThird())
+	for _, c := range codes {
+		for _, flipPct := range []int{0, 2, 10, 30, 50} {
+			for tr := 0; tr < 6; tr++ {
+				coded := c.Encode(randBits(rng, 90))
+				for i := range coded {
+					if rng.Intn(100) < flipPct {
+						coded[i] ^= 1
+					}
+				}
+				checkAgainstRef(t, c, HardLLR(coded), true)
+			}
+		}
+		zeros := make([]float64, c.EncodedLen(40))
+		checkAgainstRef(t, c, zeros, true)
+		for _, b := range c.Decode(zeros) {
+			if b != 0 {
+				t.Fatalf("%s: all-erasure input must decode to the all-zero path", c.Name())
+			}
+		}
+	}
+}
+
+func TestViterbiLongBlockShrinksScale(t *testing.T) {
+	// Past maxPathMetric/llrQuantMax LLRs the quantised peak must shrink so
+	// that the widest compare-select difference, 4·len·qmax+1, stays in
+	// int32. Saturated input (every |q| = qmax) is the worst case for
+	// metric growth; an overflow would wrap a metric and break the match.
+	c := UMTSConvThird()
+	const k = 5600
+	n := c.EncodedLen(k)
+	qmax := quantMaxFor(n)
+	if qmax >= llrQuantMax {
+		t.Fatalf("%d LLRs: quantised peak %d did not shrink", n, qmax)
+	}
+	for _, l := range []int{1, 608, maxPathMetric / llrQuantMax, n, 1 << 20, maxPathMetric, math.MaxInt32} {
+		if span := 4*int64(l)*int64(quantMaxFor(l)) + 1; span > math.MaxInt32 {
+			t.Fatalf("%d LLRs: metric span %d overflows int32", l, span)
+		}
+	}
+	rng := rand.New(rand.NewSource(24))
+	info := randBits(rng, k)
+	coded := c.Encode(info)
+	for i := 0; i < len(coded); i += 37 {
+		coded[i] ^= 1
+	}
+	llr := HardLLR(coded)
+	checkAgainstRef(t, c, llr, true)
+	if errs := CountBitErrors(info, c.Decode(llr)); errs != 0 {
+		t.Fatalf("long block: %d bit errors", errs)
+	}
+}
+
+func TestQuantizeLLRNonFinite(t *testing.T) {
+	in := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 2, -1, 5e-324, math.MaxFloat64}
+	q := make([]int32, len(in))
+	quantizeLLR(q, in, 1000)
+	if want := []int32{0, 1000, -1000, 0, 0, 0, 0, 1000}; !slices.Equal(q, want) {
+		t.Fatalf("quantised %v, want %v", q, want)
+	}
+	quantizeLLR(q[:6], in[:6], 1000)
+	if want := []int32{0, 1000, -1000, 0, 1000, -500}; !slices.Equal(q[:6], want) {
+		t.Fatalf("quantised %v, want %v", q[:6], want)
+	}
+	sub := []float64{5e-324, -5e-324, math.NaN(), math.Inf(-1)}
+	quantizeLLR(q[:4], sub, 7)
+	if want := []int32{7, -7, 0, -7}; !slices.Equal(q[:4], want) {
+		t.Fatalf("subnormal peak: quantised %v, want %v", q[:4], want)
+	}
+}
+
+func TestCheckDecodeLen(t *testing.T) {
+	for _, tc := range []struct {
+		c    Codec
+		n    int
+		fits bool
+	}{
+		{UMTSConvHalf(), 16, true}, {UMTSConvHalf(), 14, false}, {UMTSConvHalf(), 17, false},
+		{UMTSConvThird(), 24, true}, {UMTSConvThird(), 25, false}, {UMTSConvThird(), 0, false},
+		{NewTurbo(2), 12, true}, {NewTurbo(2), 15, true}, {NewTurbo(2), 14, false}, {NewTurbo(2), 9, false},
+		{UMTSConvTwoThirds(), 12, true}, {UMTSConvTwoThirds(), 11, false},
+		{Uncoded{}, 0, true}, {Uncoded{}, 5, true},
+	} {
+		if err := CheckDecodeLen(tc.c, tc.n); (err == nil) != tc.fits {
+			t.Errorf("%s, %d soft values: fits = %v, err = %v", tc.c.Name(), tc.n, tc.fits, err)
+		}
+	}
+}
+
+// fuzzCodes are the codes FuzzConvDecode picks from by its first argument.
+func fuzzCodes() []*ConvCode {
+	return append(oddCodes(), UMTSConvHalf(), UMTSConvThird())
+}
+
+// FuzzConvDecode: any valid-length LLR vector — NaN, ±Inf, subnormals and
+// all-zero included — decodes without panicking to exactly k bits in
+// {0, 1}. raw is read as little-endian float64s and trimmed to a whole
+// number of trellis steps (padded with erasures up to the tail).
+func FuzzConvDecode(f *testing.F) {
+	// The seed corpus proper is testdata/fuzz/FuzzConvDecode: Gaussian,
+	// NaN/±Inf-salted, all-Inf, all-zero, extreme-magnitude and
+	// shorter-than-tail vectors across the codes.
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(6), bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f}, 33)) // NaNs
+
+	f.Fuzz(func(t *testing.T, pick uint8, raw []byte) {
+		codes := fuzzCodes()
+		c := codes[int(pick)%len(codes)]
+		n := len(c.gens)
+		steps := max(len(raw)/8/n, c.k-1)
+		llr := make([]float64, steps*n)
+		for i := range llr {
+			if 8*i+8 <= len(raw) {
+				llr[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+			}
+		}
+		got := c.Decode(llr)
+		if want := steps - (c.k - 1); len(got) != want {
+			t.Fatalf("%s: %d LLRs decoded to %d bits, want %d", c.Name(), len(llr), len(got), want)
+		}
+		for i, b := range got {
+			if b > 1 {
+				t.Fatalf("%s: bit %d = %d", c.Name(), i, b)
+			}
+		}
+	})
+}

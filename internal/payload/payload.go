@@ -401,6 +401,8 @@ func (p *Payload) demodulate(rx dsp.Vec) ([]float64, SyncInfo, error) {
 }
 
 // Decode runs the active decoder over soft bits and returns info bits.
+// A soft-bit count the active codec cannot decode is an error, not a
+// panic: the count comes from received data.
 func (p *Payload) Decode(soft []float64) ([]byte, error) {
 	if !p.cs.FunctionHealthy(FuncDecod) {
 		return nil, ErrServiceDown
@@ -408,6 +410,9 @@ func (p *Payload) Decode(soft []float64) ([]byte, error) {
 	codec, err := p.Codec()
 	if err != nil {
 		return nil, err
+	}
+	if err := fec.CheckDecodeLen(codec, len(soft)); err != nil {
+		return nil, fmt.Errorf("payload: %w", err)
 	}
 	return codec.Decode(soft), nil
 }

@@ -308,6 +308,44 @@ func TestPayloadDecoderSwapChangesBehaviour(t *testing.T) {
 	}
 }
 
+// TestPayloadDecodeRejectsUndecodableLength: the soft-bit count comes from
+// received data, so a count the active codec cannot take is an error of
+// that burst (and an uplink loss to the frame pipeline), never a panic
+// inside fec.
+func TestPayloadDecodeRejectsUndecodableLength(t *testing.T) {
+	p, _ := New(DefaultConfig())
+	for _, tc := range []struct {
+		codec string
+		bad   []int
+		good  int
+	}{
+		{"conv-r1/2-k9", []int{0, 7, 14, 101}, 100},
+		{"conv-r1/3-k9", []int{0, 21, 100}, 99},
+		{"conv-r2/3-k9p", []int{0, 5, 11}, 60},
+		{"turbo-r1/3", []int{0, 11, 13, 100}, 102},
+		{"uncoded", nil, 7},
+	} {
+		if err := p.SetCodec(tc.codec); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range tc.bad {
+			if bits, err := p.Decode(make([]float64, n)); err == nil {
+				t.Errorf("%s: %d soft bits decoded to %d bits, want an error", tc.codec, n, len(bits))
+			}
+		}
+		if _, err := p.Decode(make([]float64, tc.good)); err != nil {
+			t.Errorf("%s: %d soft bits: %v", tc.codec, tc.good, err)
+		}
+	}
+	// The burst path trims to the configured codeword first; a codeword
+	// length the codec cannot take must fail there the same way.
+	p.SetCodec("turbo-r1/3")
+	p.SetBurstCodedBits(100)
+	if _, err := p.decodeBurst(make([]float64, 128)); err == nil {
+		t.Error("decodeBurst: 100-bit turbo codeword must be an error")
+	}
+}
+
 func TestPartitioningStrings(t *testing.T) {
 	if SingleChip.String() != "single-chip" || PerFunction.String() != "per-function" {
 		t.Fatal("names")

@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -8,37 +10,71 @@ import (
 
 // TestEngineFrameAllocBudget pins the steady-state allocation budget of
 // one closed-loop frame (DAMA, encode + modulate into the composer,
-// channel, demod + decode + switch, downlink grid transmit). The frame
-// plan — pooled modulators/demodulators/channels, flat info-bit backing,
-// scratch composers and encode buffers — brought the loop from ~6000
-// allocations per frame to a few dozen; the bound holds the line with
-// slack for runtime noise (map growth, pool repopulation after a GC).
+// channel, demod + decode + switch, downlink grid transmit, and with
+// verify the ground receiver's demux + demod + decode), in allocations
+// and in bytes. The frame plan — pooled modulators/demodulators/channels,
+// flat info-bit backing, scratch composers and encode buffers — brought
+// the loop from ~6000 allocations per frame to a few dozen; the count
+// bound holds that line with slack for runtime noise (map growth, pool
+// repopulation after a GC). The byte bound is tighter, about 1.3x the
+// measured 16.5 / 29.8 KiB of this 4-burst frame, because bytes are what
+// crept unnoticed under the count bound: a per-burst slice that grows
+// fits the same allocation count.
 func TestEngineFrameAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	cfg := DefaultConfig()
-	cfg.Frame = smallFrame(2, 2)
-	cfg.EbN0dB = 9
-	eng := newEngine(t, cfg, []Terminal{
-		{ID: "t0", Beam: 0, Model: CBR{Cells: 2}},
-		{ID: "t1", Beam: 1, Model: CBR{Cells: 2}},
-	}, "conv-r1/2-k9")
-	// Warm every pool and scratch buffer.
-	if err := eng.RunFrames(3); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := eng.RunFrames(1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	const budget = 200
-	if allocs > budget {
-		t.Fatalf("frame loop allocates %v per frame, budget %d", allocs, budget)
-	}
-	if rep := eng.Report(); rep.UplinkBitErrs != 0 {
-		t.Fatalf("%d uplink bit errors", rep.UplinkBitErrs)
+	for _, tc := range []struct {
+		name        string
+		verify      bool
+		budget      float64
+		budgetBytes uint64
+	}{
+		{"uplink", false, 200, 22 << 10},
+		{"verify", true, 200, 38 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Frame = smallFrame(2, 2)
+			cfg.EbN0dB = 9
+			cfg.Verify = tc.verify
+			eng := newEngine(t, cfg, []Terminal{
+				{ID: "t0", Beam: 0, Model: CBR{Cells: 2}},
+				{ID: "t1", Beam: 1, Model: CBR{Cells: 2}},
+			}, "conv-r1/2-k9")
+			// Warm every pool and scratch buffer.
+			if err := eng.RunFrames(3); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if err := eng.RunFrames(1); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > tc.budget {
+				t.Fatalf("frame loop allocates %v per frame, budget %v", allocs, tc.budget)
+			}
+			// The cheapest of several windows: a GC inside a window empties
+			// the pools, and refilling them (demodulators, composers) costs
+			// more than the whole steady-state frame.
+			const windows, frames = 5, 8
+			perFrame := uint64(math.MaxUint64)
+			for w := 0; w < windows; w++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if err := eng.RunFrames(frames); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				perFrame = min(perFrame, (after.TotalAlloc-before.TotalAlloc)/frames)
+			}
+			if perFrame > tc.budgetBytes {
+				t.Fatalf("frame loop allocates %d bytes per frame, budget %d", perFrame, tc.budgetBytes)
+			}
+			if rep := eng.Report(); rep.UplinkBitErrs != 0 || rep.DownlinkBitErrs != 0 || rep.DownlinkLost != 0 {
+				t.Fatalf("%d uplink bit errors, %d downlink bit errors, %d downlink bursts lost", rep.UplinkBitErrs, rep.DownlinkBitErrs, rep.DownlinkLost)
+			}
+		})
 	}
 }
 

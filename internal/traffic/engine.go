@@ -210,6 +210,7 @@ type Engine struct {
 	encBufs sync.Pool // *[]byte encode scratch, padded to the burst budget
 	gdemux  *frontend.Demux
 	gdems   sync.Pool // ground-side burst demodulators
+	gllrs   sync.Pool // *[]float64 sign-sliced LLRs of one verified burst
 
 	// scratch reused across frames. fc, room and aggBits are single
 	// buffers because every stage that touches them runs on the control
@@ -422,6 +423,10 @@ func NewPopulations(pl *payload.Payload, cfg Config, terminals []Terminal, pops 
 		e.gdemux = frontend.NewDemux(plan, 95)
 		e.gdems.New = func() any {
 			return modem.NewBurstDemodulator(pl.BurstFormat(), 0.35, plan.Decim, 10, modem.TimingOerderMeyr)
+		}
+		e.gllrs.New = func() any {
+			l := make([]float64, pl.BurstFormat().PayloadBits())
+			return &l
 		}
 	}
 	return e, nil
@@ -1307,9 +1312,20 @@ func (e *Engine) verify(wide dsp.Vec, codec fec.Codec, g *egressGen) egressDelta
 			outs[i] = outcome{lost: true}
 			return
 		}
+		// The ground receiver decodes hard decisions: slice the signs
+		// into the saturated ±10 LLRs fec.HardLLR(modem.HardBits(soft))
+		// would build, without the two intermediate slices.
 		bits := sc.pkt.Bits
-		hard := modem.HardBits(res.Soft)
-		dec := codec.Decode(fec.HardLLR(hard)[:codec.EncodedLen(len(bits))])
+		pl := e.gllrs.Get().(*[]float64)
+		llr := (*pl)[:codec.EncodedLen(len(bits))]
+		for j, s := range res.Soft[:len(llr)] {
+			llr[j] = 10
+			if s < 0 {
+				llr[j] = -10
+			}
+		}
+		dec := codec.Decode(llr)
+		e.gllrs.Put(pl)
 		outs[i] = outcome{bitErrs: fec.CountBitErrors(bits, dec[:len(bits)])}
 	})
 	var d egressDelta
