@@ -283,6 +283,9 @@ func BenchmarkTransmitFrameGrid(b *testing.B) {
 // BenchmarkTrafficEngine measures one full closed-loop frame of the
 // traffic engine (DAMA, uplink modulate + demod + decode + switch,
 // queue drain, downlink grid transmit) at a moderately loaded 3x4 grid.
+// The frames run in one RunFrames call, so at GOMAXPROCS > 1 each
+// frame's egress overlaps the next frame's ingest: the width-2 over
+// width-1 ratio prices the cross-frame overlap plus the fan-outs.
 func BenchmarkTrafficEngine(b *testing.B) {
 	cfg := payload.DefaultConfig()
 	cfg.Carriers = 3
@@ -309,61 +312,10 @@ func BenchmarkTrafficEngine(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eng.RunFrames(1); err != nil {
-			b.Fatal(err)
-		}
+	if err := eng.RunFrames(b.N); err != nil {
+		b.Fatal(err)
 	}
 	b.StopTimer()
-	rep := eng.Report()
-	if rep.UplinkBitErrs != 0 {
-		b.Fatalf("%d uplink bit errors", rep.UplinkBitErrs)
-	}
-}
-
-// BenchmarkTrafficEnginePipelined is BenchmarkTrafficEngine stepped
-// through the cross-frame PipelinedRunner: frame N's downlink transmit
-// runs concurrently with frame N+1's uplink while staying bit-identical
-// to sequential stepping. The delta to BenchmarkTrafficEngine at
-// GOMAXPROCS=NumCPU is the pipeline win (the CI vs-gate holds it at or
-// above 1.0x); at width 1 it prices the worker handoff instead.
-func BenchmarkTrafficEnginePipelined(b *testing.B) {
-	cfg := payload.DefaultConfig()
-	cfg.Carriers = 3
-	pl, err := payload.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := pl.SetWaveform(payload.ModeTDMA); err != nil {
-		b.Fatal(err)
-	}
-	if err := pl.SetCodec("conv-r1/2-k9"); err != nil {
-		b.Fatal(err)
-	}
-	tcfg := traffic.DefaultConfig()
-	tcfg.Frame = modem.FrameConfig{Carriers: 3, Slots: 4, SlotSymbols: 320, GuardSymbols: 16}
-	tcfg.EbN0dB = 9
-	eng, err := traffic.New(pl, tcfg, []traffic.Terminal{
-		{ID: "t0", Beam: 0, Model: traffic.CBR{Cells: 2}},
-		{ID: "t1", Beam: 1, Model: traffic.CBR{Cells: 2}},
-		{ID: "t2", Beam: 2, Model: traffic.OnOff{On: 2, Off: 1, Cells: 2}},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := traffic.NewPipelinedRunner(eng)
-	defer r.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := r.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := r.Drain(); err != nil {
-		b.Fatal(err)
-	}
 	rep := eng.Report()
 	if rep.UplinkBitErrs != 0 {
 		b.Fatalf("%d uplink bit errors", rep.UplinkBitErrs)
@@ -407,7 +359,7 @@ func BenchmarkTrafficEngineTelemetry(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := eng.RunFrames(1); err != nil {
+		if err := eng.Step(); err != nil {
 			b.Fatal(err)
 		}
 		if (i+1)%16 == 0 {
@@ -417,6 +369,9 @@ func BenchmarkTrafficEngineTelemetry(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	if err := eng.Drain(); err != nil {
+		b.Fatal(err)
+	}
 	rep := eng.Report()
 	if rep.UplinkBitErrs != 0 {
 		b.Fatalf("%d uplink bit errors", rep.UplinkBitErrs)
@@ -461,10 +416,8 @@ func BenchmarkTrafficEngineImpaired(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eng.RunFrames(1); err != nil {
-			b.Fatal(err)
-		}
+	if err := eng.RunFrames(b.N); err != nil {
+		b.Fatal(err)
 	}
 	b.StopTimer()
 	rep := eng.Report()
@@ -525,10 +478,8 @@ func BenchmarkTrafficEngineMegapop(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eng.RunFrames(1); err != nil {
-			b.Fatal(err)
-		}
+	if err := eng.RunFrames(b.N); err != nil {
+		b.Fatal(err)
 	}
 	b.StopTimer()
 	rep := eng.Report()

@@ -100,8 +100,6 @@ func main() {
 	speedupGate := flag.String("speedup-gate", "", "benchmark name regexp whose widest-width speedup over width 1 must clear -min-speedup")
 	minSpeedup := flag.Float64("min-speedup", 1.0, "minimum (ns/op at width 1) / (ns/op at widest width) ratio for -speedup-gate benchmarks")
 	baseline := flag.String("baseline", "", "print per-benchmark ns/op, B/op, allocs/op deltas against a previously recorded BENCH_PRn.json")
-	vsGate := flag.String("vs-gate", "", "CHALLENGER:BASELINE benchmark-name pair; at the widest width ns/op(BASELINE)/ns/op(CHALLENGER) must clear -min-vs")
-	minVs := flag.Float64("min-vs", 1.0, "minimum baseline/challenger speedup for -vs-gate")
 	flag.Parse()
 
 	widths, err := parseWidths(*widthsFlag)
@@ -154,11 +152,6 @@ func main() {
 	}
 	if *speedupGate != "" {
 		if err := checkSpeedup(file, *speedupGate, *minSpeedup); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *vsGate != "" {
-		if err := checkVsGate(file, *vsGate, *minVs); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -233,64 +226,6 @@ func pctDelta(old, cur float64) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%+.1f%%", (cur-old)/old*100)
-}
-
-// checkVsGate enforces a cross-benchmark gate at the widest measured
-// width: for "CHALLENGER:BASELINE" (exact benchmark names), the
-// baseline's ns/op divided by the challenger's must clear min — how CI
-// asserts the pipelined engine step beats (or at least matches) the
-// sequential one at GOMAXPROCS=NumCPU. A single-width sweep on a
-// 1-core host has no parallelism for the challenger to win with and
-// passes with a note, mirroring checkSpeedup.
-func checkVsGate(file File, spec string, min float64) error {
-	chal, base, ok := strings.Cut(spec, ":")
-	if !ok || chal == "" || base == "" {
-		return fmt.Errorf("bad -vs-gate %q, want CHALLENGER:BASELINE", spec)
-	}
-	widest := 0
-	for _, r := range file.Results {
-		if r.GOMAXPROCS > widest {
-			widest = r.GOMAXPROCS
-		}
-	}
-	if widest <= 1 {
-		fmt.Printf("vs gate: single width %d, nothing to compare\n", widest)
-		return nil
-	}
-	lookup := func(name string) (float64, error) {
-		var ns float64
-		found := false
-		for _, r := range file.Results {
-			if r.Name != name || r.GOMAXPROCS != widest {
-				continue
-			}
-			if found {
-				return 0, fmt.Errorf("vs gate: benchmark %s is ambiguous at width %d (multiple packages)", name, widest)
-			}
-			ns, found = r.NsPerOp, true
-		}
-		if !found {
-			return 0, fmt.Errorf("vs gate: benchmark %s has no result at width %d", name, widest)
-		}
-		return ns, nil
-	}
-	chalNs, err := lookup(chal)
-	if err != nil {
-		return err
-	}
-	baseNs, err := lookup(base)
-	if err != nil {
-		return err
-	}
-	if chalNs == 0 {
-		return fmt.Errorf("vs gate: %s measured 0 ns/op at width %d", chal, widest)
-	}
-	speedup := baseNs / chalNs
-	fmt.Printf("vs gate: %s vs %s at GOMAXPROCS=%d = %.2fx (min %.2f)\n", chal, base, widest, speedup, min)
-	if speedup < min {
-		return fmt.Errorf("vs gate: %s at GOMAXPROCS=%d is %.2fx the %s rate, below the %.2f floor", chal, widest, speedup, base, min)
-	}
-	return nil
 }
 
 // checkSpeedup enforces the concurrency acceptance gate: for every

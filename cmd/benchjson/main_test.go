@@ -66,68 +66,12 @@ func TestDiffBaselineDistinguishesPackages(t *testing.T) {
 	}
 }
 
-func TestCheckVsGate(t *testing.T) {
-	multi := File{Results: []Result{
-		res(".", "BenchmarkSeq", 1, 1000, 0, 0),
-		res(".", "BenchmarkSeq", 4, 960, 0, 0),
-		res(".", "BenchmarkPipe", 1, 1010, 0, 0),
-		res(".", "BenchmarkPipe", 4, 600, 0, 0),
-	}}
-
-	// 960/600 = 1.6x at the widest width: clears 1.0 and 1.5, not 1.7.
-	if err := checkVsGate(multi, "BenchmarkPipe:BenchmarkSeq", 1.0); err != nil {
-		t.Errorf("1.6x speedup failed min 1.0: %v", err)
-	}
-	if err := checkVsGate(multi, "BenchmarkPipe:BenchmarkSeq", 1.5); err != nil {
-		t.Errorf("1.6x speedup failed min 1.5: %v", err)
-	}
-	if err := checkVsGate(multi, "BenchmarkPipe:BenchmarkSeq", 1.7); err == nil {
-		t.Error("1.6x speedup cleared min 1.7")
-	}
-
-	// Width-1 figures must not leak into the comparison: the inverted
-	// direction fails even though the challenger wins at width 1.
-	if err := checkVsGate(multi, "BenchmarkSeq:BenchmarkPipe", 1.0); err == nil {
-		t.Error("inverted gate passed; widest-width figures not used")
-	}
-
-	if err := checkVsGate(multi, "BenchmarkPipe", 1.0); err == nil {
-		t.Error("spec without colon accepted")
-	}
-	if err := checkVsGate(multi, ":BenchmarkSeq", 1.0); err == nil {
-		t.Error("empty challenger accepted")
-	}
-	if err := checkVsGate(multi, "BenchmarkPipe:BenchmarkMissing", 1.0); err == nil {
-		t.Error("missing baseline benchmark accepted")
-	}
-
-	// A single-width sweep (1-core host) has nothing to compare: pass.
-	single := File{Results: []Result{
-		res(".", "BenchmarkSeq", 1, 1000, 0, 0),
-		res(".", "BenchmarkPipe", 1, 1010, 0, 0),
-	}}
-	if err := checkVsGate(single, "BenchmarkPipe:BenchmarkSeq", 1.2); err != nil {
-		t.Errorf("single-width sweep should pass with a note: %v", err)
-	}
-
-	// The same benchmark name in two packages at the widest width is
-	// ambiguous, not silently first-match.
-	ambig := File{Results: []Result{
-		res("./a", "BenchmarkPipe", 2, 500, 0, 0),
-		res("./b", "BenchmarkPipe", 2, 700, 0, 0),
-		res(".", "BenchmarkSeq", 2, 1000, 0, 0),
-	}}
-	if err := checkVsGate(ambig, "BenchmarkPipe:BenchmarkSeq", 1.0); err == nil {
-		t.Error("ambiguous challenger accepted")
-	}
-}
-
 func TestBenchLineParsing(t *testing.T) {
-	m := benchLine.FindStringSubmatch("BenchmarkTrafficEnginePipelined-8   	      85	  13580000 ns/op	 1234 B/op	  56 allocs/op")
+	m := benchLine.FindStringSubmatch("BenchmarkTrafficEngineMegapop-8   	      85	  13580000 ns/op	 1234 B/op	  56 allocs/op")
 	if m == nil {
 		t.Fatal("bench line did not parse")
 	}
-	if m[1] != "BenchmarkTrafficEnginePipelined" || m[3] != "13580000" {
+	if m[1] != "BenchmarkTrafficEngineMegapop" || m[3] != "13580000" {
 		t.Fatalf("parsed %q ns/op %q", m[1], m[3])
 	}
 }

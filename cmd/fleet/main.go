@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/pipeline"
-	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
 
@@ -55,7 +54,6 @@ func main() {
 	out := flag.String("out", "", "artifact path (default CAMPAIGN_<name>.json)")
 	telemetryOut := flag.String("telemetry", "", "stream telemetry flush lines to a file (- for stdout)")
 	flushEvery := flag.Int("flush-every", 8, "finished runs per telemetry flush")
-	pipelineMode := flag.String("pipeline", "", "cross-frame pipelined stepping for every run: auto, on or off (empty keeps each run's spec)")
 	flag.Parse()
 
 	if *listPresets {
@@ -127,19 +125,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var sessOpts []scenario.Option
-	if *pipelineMode != "" {
-		mode, err := scenario.ParsePipelineMode(*pipelineMode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sessOpts = append(sessOpts, scenario.WithPipeline(mode))
-	}
-
 	finished := 0
 	cfg := campaign.Config{
-		Workers:        *workers,
-		SessionOptions: sessOpts,
+		Workers: *workers,
 		OnRun: func(o campaign.RunOutcome) {
 			if reg == nil {
 				return

@@ -68,10 +68,9 @@ func main() {
 	beFloor := flag.Int("be-floor", 0, "best-effort slot floor per beam per frame (strict scheduler)")
 	drrWeights := flag.String("drr-weights", "4,2,1", "DRR class weights as ef,af,be (drr scheduler)")
 	class := flag.String("class", "", "traffic class for the built population: be, af, ef or mix (rotates ef/af/be)")
-	ebn0 := flag.Float64("ebn0", 9, "uplink Eb/N0 in dB (0 = noiseless)")
+	ebn0 := flag.Float64("ebn0", 9, "uplink Eb/N0 in dB (0 = noiseless, negative is rejected)")
 	verify := flag.Bool("verify", false, "ground-demodulate the downlink and check every bit")
 	seed := flag.Int64("seed", 1, "random seed")
-	pipelineMode := flag.String("pipeline", "auto", "cross-frame pipelined stepping: auto (on when GOMAXPROCS>1), on or off")
 	cfoMax := flag.Float64("cfo", 0, "spread per-terminal carrier frequency offsets across ±cfo cycles/symbol (acquisition range ±0.1)")
 	drift := flag.Float64("drift", 0, "Doppler ramp on the last terminal, cycles/symbol per frame")
 	timingSpread := flag.Bool("timing-spread", false, "spread per-terminal fractional timing offsets across [0, 1)")
@@ -133,8 +132,10 @@ func main() {
 	if use("seed") {
 		spec.Traffic.Seed = *seed
 	}
-	if use("pipeline") {
-		spec.Traffic.Pipeline = *pipelineMode
+	// Everything below derives from the layered grid, so it must be
+	// sound first (the full Validate runs once the spec is complete).
+	if err := spec.ValidateShape(); err != nil {
+		log.Fatal(err)
 	}
 	// Population flags rebuild the terminal set; a bare -carriers
 	// override keeps a preset's population (and its impairments) and
@@ -290,13 +291,9 @@ func main() {
 	if members > len(spec.Terminals) {
 		popDesc = fmt.Sprintf("%d entries / %d modeled members (%d traced)", len(spec.Terminals), members, traced)
 	}
-	stepping := "sequential"
-	if sess.Pipelined() {
-		stepping = "pipelined"
-	}
-	fmt.Printf("trafficsim: scenario %q, %d frames, %dx%d grid, codec=%s, %s, queue=%d (%s), Eb/N0=%.1f dB, %d scripted events, %s stepping\n",
+	fmt.Printf("trafficsim: scenario %q, %d frames, %dx%d grid, codec=%s, %s, queue=%d (%s), Eb/N0=%.1f dB, %d scripted events\n",
 		name, spec.Frames, spec.Traffic.Carriers, spec.Traffic.Slots, spec.System.Codec,
-		popDesc, spec.Traffic.QueueDepth, spec.Traffic.Policy, spec.Traffic.EbN0dB, len(spec.Events), stepping)
+		popDesc, spec.Traffic.QueueDepth, spec.Traffic.Policy, spec.Traffic.EbN0dB, len(spec.Events))
 
 	rep, err := sess.Run(context.Background())
 	if err != nil {

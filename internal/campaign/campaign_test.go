@@ -105,6 +105,14 @@ func gridRuns(sp *Spec) int {
 }
 
 func TestExpand(t *testing.T) {
+	// Every grid point is re-validated as a scenario: the ebn0 axis
+	// cannot smuggle in the negative Eb/N0 a plain spec would refuse.
+	bad := validSpec()
+	bad.Axes[0].Values = []any{6.0, -1.0}
+	if _, err := bad.Expand(); err == nil || !strings.Contains(err.Error(), "ebn0_db -1") {
+		t.Fatalf("negative ebn0 grid point: %v", err)
+	}
+
 	sp := validSpec()
 	ex, err := sp.Expand()
 	if err != nil {

@@ -36,12 +36,6 @@ type Config struct {
 	// serialized by the runner; the callback must not retain Report
 	// past its return if it mutates anything.
 	OnRun func(RunOutcome)
-	// SessionOptions are appended to every run's session construction —
-	// the fleet's hook for run-wide scenario options (e.g.
-	// scenario.WithPipeline to force or forbid cross-frame pipelined
-	// stepping). Options must be safe to reuse across concurrent
-	// sessions.
-	SessionOptions []scenario.Option
 }
 
 // Execute expands the campaign and runs it: every expanded run in its
@@ -79,7 +73,7 @@ func Execute(ctx context.Context, sp *Spec, cfg Config) (*Artifact, error) {
 			out.Cancelled = true
 		} else {
 			start := time.Now()
-			out.Report, out.Err = executeRun(ctx, run, cfg.SessionOptions)
+			out.Report, out.Err = executeRun(ctx, run)
 			out.Duration = time.Since(start)
 			if out.Err == nil && out.Report == nil {
 				out.Cancelled = true
@@ -99,15 +93,11 @@ func Execute(ctx context.Context, sp *Spec, cfg Config) (*Artifact, error) {
 // executeRun runs one expanded campaign run in a fresh session. A nil
 // report with a nil error means the context cancelled the session at a
 // frame boundary before it finished.
-func executeRun(ctx context.Context, run Run, opts []scenario.Option) (*traffic.Report, error) {
-	sess, err := scenario.NewSession(run.Spec, opts...)
+func executeRun(ctx context.Context, run Run) (*traffic.Report, error) {
+	sess, err := scenario.NewSession(run.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("run %d (%s): %w", run.Index, run.Spec.Name, err)
 	}
-	// Run closes a pipelined session's worker itself at the scripted
-	// finish line; the deferred Close covers cancelled and failed runs,
-	// so a long campaign never accumulates parked pipeline goroutines.
-	defer sess.Close()
 	rep, err := sess.Run(ctx)
 	if err != nil {
 		if ctx.Err() != nil {

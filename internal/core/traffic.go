@@ -91,10 +91,6 @@ func (sys *System) NewTrafficEngine(sc TrafficScenario) (*traffic.Engine, error)
 		scenario.SpecFromConfig(sc.Config, sc.Frames),
 		scenario.WithPopulation(sc.Terminals),
 		scenario.WithTrafficConfig(sc.Config),
-		// The session is discarded and the caller steps the engine
-		// directly, so a pipelined runner would have no driver (and its
-		// worker goroutine no owner to close it).
-		scenario.WithPipeline(scenario.PipelineOff),
 	)
 	if err != nil {
 		return nil, err

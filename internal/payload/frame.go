@@ -1,7 +1,6 @@
 package payload
 
 import (
-	"repro/internal/fec"
 	"repro/internal/modem"
 	"repro/internal/pipeline"
 	"repro/internal/switchfab"
@@ -9,38 +8,33 @@ import (
 
 // Frame-level MF-TDMA reception: the return link of Fig 2 is organized
 // in frames of (carrier, slot) cells; terminals transmit one burst per
-// assigned cell. ReceiveFrame demodulates every assigned cell of a
-// composed frame and reports per-burst outcomes — the payload-side view
-// of the MF-TDMA time plan.
+// assigned cell. ReceiveFrameAndRouteQoS demodulates, decodes and
+// routes every assigned cell of a composed frame and reports per-burst
+// outcomes — the payload-side view of the MF-TDMA time plan.
 
 // BurstReceipt is the outcome of one (carrier, slot) cell.
 type BurstReceipt struct {
 	Assignment modem.SlotAssignment
 	Found      bool
 	Soft       []float64
-	// UWMetric mirrors Sync.UWMetric — the field predates SyncInfo and
-	// is kept for callers of the original receipt shape.
-	UWMetric float64
 	// Sync carries the burst-synchronization diagnostics (UW metric, CFO
 	// estimate, timing offset, carrier phase) of the demodulation stage,
 	// populated for found and missed bursts alike so callers can study
 	// acquisition behaviour under channel impairments.
 	Sync SyncInfo
-	// Bits holds the decoded info bits when the receiving call also ran
-	// the DECOD stage (ReceiveFrameAndRoute); nil otherwise. On the QoS
-	// route path the slice is shared with the packet queued in the
+	// Bits holds the decoded info bits of a routed burst, nil when the
+	// cell failed. The slice is shared with the packet queued in the
 	// switching fabric — callers may read it but must not mutate it.
 	Bits []byte
 	Err  error
 }
 
 // RouteMeta describes where and how one decoded burst enters the
-// switching fabric on the QoS route path: the destination beam, the
-// traffic class the downlink scheduler keys on, an opaque terminal
-// token for delivery attribution, and the ingress frame stamp for
-// latency accounting. InfoBits > 0 trims the decoded bits to the
-// codeword's info length before routing (the engine's k); 0 routes
-// every decoded bit.
+// switching fabric: the destination beam, the traffic class the
+// downlink scheduler keys on, an opaque terminal token for delivery
+// attribution, and the ingress frame stamp for latency accounting.
+// InfoBits > 0 trims the decoded bits to the codeword's info length
+// before routing (the engine's k); 0 routes every decoded bit.
 type RouteMeta struct {
 	Beam     int
 	Class    switchfab.Class
@@ -49,114 +43,44 @@ type RouteMeta struct {
 	InfoBits int
 }
 
-// ReceiveFrame demodulates the assigned cells of an MF-TDMA frame. The
-// composer must have been built at the payload's TDMA oversampling
-// (4 samples/symbol). Unassigned cells are not touched. Cells fan out
-// across the pipeline worker pool — several bursts on the same carrier
-// are fine, since each worker draws its own demodulator instance — and
-// every cell writes only its own receipt, so the result is
-// bit-identical to a sequential loop over the assignments.
-func (p *Payload) ReceiveFrame(fc *modem.FrameComposer, assignments []modem.SlotAssignment) []BurstReceipt {
-	out := make([]BurstReceipt, len(assignments))
-	pipeline.ForEach(len(assignments), func(i int) {
-		a := assignments[i]
-		r := BurstReceipt{Assignment: a}
-		soft, info, err := p.demodulateCarrier(a.Carrier, fc.SlotWaveform(a))
-		r.Sync = info
-		r.UWMetric = info.UWMetric
-		if err != nil {
-			r.Err = err
-		} else {
-			r.Found = true
-			r.Soft = soft
-		}
-		out[i] = r
-	})
-	return out
-}
-
-// receiveFrameDecode runs the DEMOD and DECOD stages over the assigned
-// cells concurrently on the pipeline worker pool — the shared core of
-// both routing variants. Routing happens afterwards, in the caller,
-// strictly in assignment order: the fabric is safe under concurrent
-// routers, but in-frame routing stays post-barrier so queue contents
-// are deterministic (schedule-independent), exactly like the rest of
-// the pipeline contract.
-func (p *Payload) receiveFrameDecode(fc *modem.FrameComposer, assignments []modem.SlotAssignment) []BurstReceipt {
-	out := make([]BurstReceipt, len(assignments))
-	pipeline.ForEach(len(assignments), func(i int) {
-		a := assignments[i]
-		r := BurstReceipt{Assignment: a}
-		soft, info, err := p.demodulateCarrier(a.Carrier, fc.SlotWaveform(a))
-		r.Sync = info
-		r.UWMetric = info.UWMetric
-		if err != nil {
-			r.Err = err
-			out[i] = r
-			return
-		}
-		r.Found = true
-		r.Soft = soft
-		bits, err := p.decodeBurst(soft)
-		if err != nil {
-			r.Err = err
-			out[i] = r
-			return
-		}
-		r.Bits = bits
-		out[i] = r
-	})
-	return out
-}
-
-// ReceiveFrameAndRoute runs the full regenerative receive path over the
-// assigned cells of an MF-TDMA frame: every cell is demodulated and
-// decoded concurrently on the pipeline worker pool (same ownership
-// contract as ReceiveFrame), then the decoded packets are routed to
-// beams[i] — packed, unmarked (best effort) — strictly in assignment
-// order after the barrier, so fabric contents are deterministic and
-// bit-identical to a sequential loop. Failed cells (burst not found,
-// service down mid-reconfiguration, short codeword) carry their error
-// in the receipt and route nothing. QoS callers use
-// ReceiveFrameAndRouteQoS instead.
-func (p *Payload) ReceiveFrameAndRoute(fc *modem.FrameComposer, assignments []modem.SlotAssignment, beams []int) []BurstReceipt {
-	if len(beams) != len(assignments) {
-		panic("payload: one destination beam per assignment required")
-	}
-	out := p.receiveFrameDecode(fc, assignments)
-	for i := range out {
-		if out[i].Bits == nil {
-			continue
-		}
-		if !p.cs.FunctionHealthy(FuncSwitch) {
-			out[i].Bits = nil
-			out[i].Err = ErrServiceDown
-			continue
-		}
-		if err := p.checkBeam(beams[i]); err != nil {
-			out[i].Bits = nil
-			out[i].Err = err
-			continue
-		}
-		p.sw.Route(beams[i], fec.PackBits(out[i].Bits))
-	}
-	return out
-}
-
-// ReceiveFrameAndRouteQoS is ReceiveFrameAndRoute with full routing
-// metadata: each decoded burst enters the switching fabric as a typed
-// packet carrying its traffic class, terminal token and ingress frame,
-// trimmed to metas[i].InfoBits info bits and routed un-packed (the
-// downlink scheduler hands the very same bit slice to the transmit
-// grid, so there is no pack/unpack round trip on the sustained-load hot
-// path). Routing order and failure semantics match ReceiveFrameAndRoute;
-// a packet tail-dropped by a full class queue is counted by the fabric,
-// not reflected in the receipt (the burst itself was received fine).
+// ReceiveFrameAndRouteQoS runs the full regenerative receive path over
+// the assigned cells of an MF-TDMA frame. The composer must have been
+// built at the payload's TDMA oversampling (4 samples/symbol);
+// unassigned cells are not touched. Every cell is demodulated and
+// decoded concurrently on the pipeline worker pool — several bursts on
+// the same carrier are fine, since each worker draws its own
+// demodulator instance, and every cell writes only its own receipt.
+// Routing happens after the barrier, strictly in assignment order: the
+// fabric is safe under concurrent routers, but queue contents must be
+// schedule-independent, so the call is bit-identical to a sequential
+// loop. Each decoded burst enters the fabric as a typed packet carrying
+// its traffic class, terminal token and ingress frame, trimmed to
+// metas[i].InfoBits info bits and routed un-packed (the downlink
+// scheduler hands the very same bit slice to the transmit grid).
+// Failed cells (burst not found, service down mid-reconfiguration,
+// short codeword, beam outside the fabric) carry their error in the
+// receipt and route nothing; a packet tail-dropped by a full class
+// queue is counted by the fabric, not reflected in the receipt (the
+// burst itself was received fine).
 func (p *Payload) ReceiveFrameAndRouteQoS(fc *modem.FrameComposer, assignments []modem.SlotAssignment, metas []RouteMeta) []BurstReceipt {
 	if len(metas) != len(assignments) {
 		panic("payload: one route meta per assignment required")
 	}
-	out := p.receiveFrameDecode(fc, assignments)
+	out := make([]BurstReceipt, len(assignments))
+	pipeline.ForEach(len(assignments), func(i int) {
+		a := assignments[i]
+		r := &out[i]
+		r.Assignment = a
+		soft, info, err := p.demodulateCarrier(a.Carrier, fc.SlotWaveform(a))
+		r.Sync = info
+		if err != nil {
+			r.Err = err
+			return
+		}
+		r.Found = true
+		r.Soft = soft
+		r.Bits, r.Err = p.decodeBurst(soft)
+	})
 	for i := range out {
 		if out[i].Bits == nil {
 			continue

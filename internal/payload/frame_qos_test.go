@@ -1,6 +1,7 @@
 package payload
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -38,7 +39,7 @@ func composeQoSFrame(t *testing.T, pl *Payload, codec fec.Codec, infoLen int, se
 
 // The QoS route path must enqueue typed packets: class, terminal token
 // and ingress stamp preserved, bits trimmed to the codeword's info
-// length and bit-identical to the legacy packed path.
+// length.
 func TestReceiveFrameAndRouteQoSMetadata(t *testing.T) {
 	const infoLen = 180
 	pl, codec := newTDMAPayload(t, 3, "conv-r1/2-k9", infoLen)
@@ -94,11 +95,11 @@ func TestRouteRejectsBeamOutsideFabric(t *testing.T) {
 	if _, err := pl.ProcessFrame(3, rx); err == nil {
 		t.Fatal("ProcessFrame accepted beam 3 on a 3-beam fabric")
 	}
-	if _, err := pl.ReceiveAndRoute(0, rx[0], -1); err == nil {
-		t.Fatal("ReceiveAndRoute accepted a negative beam")
+	if _, err := pl.ProcessFrame(-1, rx); err == nil {
+		t.Fatal("ProcessFrame accepted a negative beam")
 	}
 	fc, asgs, _ := composeQoSFrame(t, pl, codec, infoLen, 41)
-	receipts := pl.ReceiveFrameAndRoute(fc, asgs, []int{0, 1, 9})
+	receipts := pl.ReceiveFrameAndRouteQoS(fc, asgs, []RouteMeta{{Beam: 0}, {Beam: 1}, {Beam: 9}})
 	if receipts[2].Err == nil || receipts[2].Bits != nil {
 		t.Fatalf("misrouted cell not surfaced: %+v", receipts[2])
 	}
@@ -107,6 +108,28 @@ func TestRouteRejectsBeamOutsideFabric(t *testing.T) {
 	}
 	if pl.Switch().Misrouted() != 0 {
 		t.Fatal("validated route path still hit the fabric misroute counter")
+	}
+}
+
+// With the switch function down mid-reconfiguration every decoded cell
+// carries ErrServiceDown in its receipt and nothing reaches the fabric.
+func TestReceiveFrameAndRouteQoSServiceDown(t *testing.T) {
+	const infoLen = 180
+	pl, codec := newTDMAPayload(t, 3, "conv-r1/2-k9", infoLen)
+	fc, asgs, _ := composeQoSFrame(t, pl, codec, infoLen, 5)
+	var dev string
+	for _, d := range pl.Chipset().DevicesFor(FuncSwitch) {
+		dev = d
+	}
+	d, _ := pl.Chipset().Device(dev)
+	d.PowerOff()
+	for _, r := range pl.ReceiveFrameAndRouteQoS(fc, asgs, make([]RouteMeta, len(asgs))) {
+		if !errors.Is(r.Err, ErrServiceDown) || r.Bits != nil {
+			t.Fatalf("cell %v with the switch down: bits %v, err %v", r.Assignment, r.Bits != nil, r.Err)
+		}
+	}
+	if pl.Switch().Routed() != 0 {
+		t.Fatal("packets routed with the switch function down")
 	}
 }
 

@@ -40,7 +40,11 @@ func TestReceiveMFTDMAFrame(t *testing.T) {
 		fc.PlaceBurst(a, ch.Apply(wave))
 	}
 
-	receipts := pl.ReceiveFrame(fc, assignments)
+	metas := make([]RouteMeta, len(assignments))
+	for i, a := range assignments {
+		metas[i].Beam = a.Carrier
+	}
+	receipts := pl.ReceiveFrameAndRouteQoS(fc, assignments, metas)
 	if len(receipts) != 3 {
 		t.Fatalf("receipts %d", len(receipts))
 	}
@@ -61,8 +65,8 @@ func TestReceiveMFTDMAFrame(t *testing.T) {
 	}
 
 	// An empty cell must report not-found, not a false burst.
-	empty := pl.ReceiveFrame(fc, []modem.SlotAssignment{{Carrier: 0, Slot: 1}})
-	if empty[0].Found {
+	empty := pl.ReceiveFrameAndRouteQoS(fc, []modem.SlotAssignment{{Carrier: 0, Slot: 1}}, metas[:1])
+	if empty[0].Found || empty[0].Err == nil {
 		t.Fatal("false detection in an empty slot")
 	}
 }

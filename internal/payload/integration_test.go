@@ -93,12 +93,13 @@ func TestFig2WidebandRegenerativeLoop(t *testing.T) {
 
 	// Transmit section: drain the switch and downlink each beam.
 	tx := NewTransmitter(pl, plan)
-	perBeam := map[int][]byte{}
+	grid := make([][][]byte, plan.Carriers)
 	for _, beam := range pl.Switch().Beams() {
 		pkts := pl.Switch().Drain(beam)
-		perBeam[beam] = PackInfoBits(pkts[0], infoLen)
+		grid[beam] = [][]byte{fec.UnpackBits(pkts[0], infoLen)}
 	}
-	downWide, err := tx.TransmitFrame(perBeam)
+	downCfg := modem.FrameConfig{Carriers: plan.Carriers, Slots: 1, SlotSymbols: 512, GuardSymbols: 16}
+	downWide, err := tx.TransmitFrameGrid(downCfg, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,8 @@ func TestTransmitterServiceGating(t *testing.T) {
 	if _, err := tx.EncodeBurst(make([]byte, 8)); err != ErrServiceDown {
 		t.Fatalf("want ErrServiceDown, got %v", err)
 	}
-	if _, err := tx.TransmitFrame(map[int][]byte{0: make([]byte, 8)}); err != ErrServiceDown {
+	oneSlot := modem.FrameConfig{Carriers: 2, Slots: 1, SlotSymbols: 512, GuardSymbols: 16}
+	if _, err := tx.TransmitFrameGrid(oneSlot, [][][]byte{{make([]byte, 8)}, nil}); err != ErrServiceDown {
 		t.Fatalf("want ErrServiceDown, got %v", err)
 	}
 	d.PowerOn()
@@ -156,16 +158,17 @@ func TestTransmitterOversizedBurst(t *testing.T) {
 	}
 }
 
-// TestTransmitterEmptyFrame: an all-idle frame is legal and yields a
-// silent wideband block (see tx_test.go for the shape assertions) — a
-// streaming engine must be able to transmit silence without
-// special-casing it.
+// TestTransmitterEmptyFrame: an all-idle frame is legal even as a grid
+// of nil carrier rows and yields a wideband block (see tx_test.go for
+// the shape assertions) — a streaming engine must be able to transmit
+// silence without special-casing it.
 func TestTransmitterEmptyFrame(t *testing.T) {
 	pl, _ := New(DefaultConfig())
 	pl.SetWaveform(ModeTDMA)
 	pl.SetCodec("uncoded")
 	tx := NewTransmitter(pl, frontend.CarrierPlan{Carriers: 2, Spacing: 0.2, Decim: 4})
-	wide, err := tx.TransmitFrame(map[int][]byte{})
+	cfg := modem.FrameConfig{Carriers: 2, Slots: 2, SlotSymbols: 512, GuardSymbols: 16}
+	wide, err := tx.TransmitFrameGrid(cfg, make([][][]byte, 2))
 	if err != nil {
 		t.Fatalf("idle frame must be legal: %v", err)
 	}

@@ -418,8 +418,8 @@ func (p *Payload) Decode(soft []float64) ([]byte, error) {
 }
 
 // decodeBurst trims a burst's soft bits to the configured codeword
-// length and decodes them — the DECOD stage shared by the sequential
-// wrappers and the frame pipeline. A burst that came up short (e.g. a
+// length and decodes them — the DECOD stage shared by ProcessFrame and
+// the frame pipeline. A burst that came up short (e.g. a
 // CDMA misacquisition eating the first chips) cannot carry the
 // codeword and is rejected rather than fed truncated to the decoder.
 func (p *Payload) decodeBurst(soft []float64) ([]byte, error) {
@@ -441,28 +441,4 @@ func (p *Payload) checkBeam(beam int) error {
 		return fmt.Errorf("payload: beam %d outside the %d-beam switching fabric", beam, p.sw.NumBeams())
 	}
 	return nil
-}
-
-// ReceiveAndRoute demodulates a carrier, decodes, and routes the
-// resulting packet to the given downlink beam — one full regenerative
-// hop through the payload. It is the thin single-carrier wrapper over
-// the same DEMOD/DECOD/switch stages ProcessFrame fans out per carrier.
-func (p *Payload) ReceiveAndRoute(carrier int, rx dsp.Vec, beam int) ([]byte, error) {
-	if err := p.checkBeam(beam); err != nil {
-		return nil, err
-	}
-	soft, err := p.DemodulateCarrier(carrier, rx)
-	if err != nil {
-		return nil, err
-	}
-	bits, err := p.decodeBurst(soft)
-	if err != nil {
-		return nil, err
-	}
-	if !p.cs.FunctionHealthy(FuncSwitch) {
-		return nil, ErrServiceDown
-	}
-	pkt := fec.PackBits(bits)
-	p.sw.Route(beam, pkt)
-	return bits, nil
 }

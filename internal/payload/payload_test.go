@@ -171,11 +171,11 @@ func TestPayloadCDMAEndToEnd(t *testing.T) {
 	ch := dsp.NewChannel(2)
 	ch.AWGN(rx, 0.1)
 
-	got, err := p.ReceiveAndRoute(0, rx, 3)
+	got, err := p.ProcessFrame(3, []dsp.Vec{rx})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fec.CountBitErrors(bits, got[:len(bits)]) != 0 {
+	if fec.CountBitErrors(bits, got[0][:len(bits)]) != 0 {
 		t.Fatal("CDMA payload path corrupted data")
 	}
 	if p.Switch().QueueDepth(3) != 1 {
@@ -209,11 +209,11 @@ func TestPayloadTDMAEndToEnd(t *testing.T) {
 	ch.SPS = 4
 	rx := ch.Apply(tx)
 
-	got, err := p.ReceiveAndRoute(2, rx, 1)
+	got, err := p.ProcessFrame(1, []dsp.Vec{rx})
 	if err != nil {
 		t.Fatal(err)
 	}
-	errs := fec.CountBitErrors(payloadBits, got[:len(payloadBits)])
+	errs := fec.CountBitErrors(payloadBits, got[0][:len(payloadBits)])
 	if errs > 2 {
 		t.Fatalf("%d bit errors through TDMA path", errs)
 	}

@@ -10,9 +10,8 @@ import (
 )
 
 // ProcessFrame demodulates, decodes and routes every carrier of one
-// MF-TDMA frame — the batch counterpart of ReceiveAndRoute, modelling
-// the payload's bank of identical per-carrier chains running in
-// parallel. rx[c] is carrier c's baseband block (at most
+// MF-TDMA frame, modelling the payload's bank of identical per-carrier
+// chains running in parallel. rx[c] is carrier c's baseband block (at most
 // Config.Carriers blocks); successfully decoded packets are routed to
 // beam strictly in carrier order, so switch contents are deterministic
 // and the whole call is bit-identical to a sequential per-carrier loop.

@@ -236,6 +236,9 @@ func TestReceiveFrameConcurrentMatchesSequential(t *testing.T) {
 	if err := pl.SetWaveform(ModeTDMA); err != nil {
 		t.Fatal(err)
 	}
+	if err := pl.SetCodec("uncoded"); err != nil {
+		t.Fatal(err)
+	}
 	f := pl.BurstFormat()
 	fcCfg := modem.FrameConfig{Carriers: 2, Slots: 3, SlotSymbols: f.TotalSymbols() + 30}
 	fc := modem.NewFrameComposer(fcCfg, 4)
@@ -254,7 +257,7 @@ func TestReceiveFrameConcurrentMatchesSequential(t *testing.T) {
 		}
 	}
 
-	got := pl.ReceiveFrame(fc, assignments)
+	got := pl.ReceiveFrameAndRouteQoS(fc, assignments, make([]RouteMeta, len(assignments)))
 
 	for i, a := range assignments {
 		want, err := pl.DemodulateCarrier(a.Carrier, fc.SlotWaveform(a))

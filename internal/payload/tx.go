@@ -110,53 +110,6 @@ func (t *Transmitter) encodeBurstInto(dst []byte, info []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// TransmitFrame drains queued packets for the given beams (one burst per
-// beam, in beam order), modulates each onto its own downlink carrier and
-// returns the stacked wideband block after the DAC. Beams without
-// traffic contribute an empty carrier; an all-idle frame is legal and
-// emits the empty-carrier wideband block, so streaming engines need not
-// special-case silence.
-func (t *Transmitter) TransmitFrame(infoBitsPerBeam map[int][]byte) (dsp.Vec, error) {
-	if !t.pl.Chipset().FunctionHealthy(FuncSwitch) {
-		return nil, ErrServiceDown
-	}
-	carriers := make([]dsp.Vec, t.plan.Carriers)
-	mod := t.mods.Get().(*modem.BurstModulator)
-	var burstLen int
-	for beam := 0; beam < t.plan.Carriers; beam++ {
-		info, ok := infoBitsPerBeam[beam]
-		if !ok {
-			continue
-		}
-		payloadBits, err := t.EncodeBurst(info)
-		if err != nil {
-			t.mods.Put(mod)
-			return nil, err
-		}
-		wave := mod.Modulate(payloadBits)
-		carriers[beam] = wave
-		if len(wave) > burstLen {
-			burstLen = len(wave)
-		}
-	}
-	t.mods.Put(mod)
-	if burstLen == 0 {
-		// Idle frame: keep the nominal burst length so the wideband
-		// block has the same shape as a loaded frame.
-		burstLen = t.waveLen
-	}
-	burstLen += TxTailMargin
-	for i := range carriers {
-		if carriers[i] == nil {
-			carriers[i] = dsp.NewVec(burstLen)
-		} else if len(carriers[i]) < burstLen {
-			carriers[i] = append(carriers[i], dsp.NewVec(burstLen-len(carriers[i]))...)
-		}
-	}
-	wide := t.mux.Process(carriers)
-	return t.dac.ConvertInto(wide, wide), nil
-}
-
 // TransmitFrameGrid modulates a full (carrier, slot) downlink frame:
 // grid[c][s] holds the info bits of the burst for cell (carrier c, slot
 // s), nil meaning an idle cell (an all-idle grid is legal and yields the
@@ -222,10 +175,4 @@ func (t *Transmitter) TransmitFrameGrid(cfg modem.FrameConfig, grid [][][]byte) 
 	}
 	wide := t.mux.ProcessInto(dsp.GetVec(t.mux.OutLen(carrierLen)), t.carrierBufs)
 	return t.dac.ConvertInto(wide, wide), nil
-}
-
-// PackInfoBits converts a drained switch packet back into the info-bit
-// slice it was routed with (inverse of fec.PackBits up to padding).
-func PackInfoBits(pkt []byte, nbits int) []byte {
-	return fec.UnpackBits(pkt, nbits)
 }

@@ -119,26 +119,18 @@ func TestTransmitFrameGridValidation(t *testing.T) {
 	if _, err := tx.TransmitFrameGrid(tiny, make([][][]byte, 2)); err == nil {
 		t.Fatal("no error on burst exceeding the slot")
 	}
+	// A codeword must fit the burst payload.
+	over := [][][]byte{{make([]byte, 1000)}, nil}
+	if _, err := tx.TransmitFrameGrid(cfg, over); err == nil {
+		t.Fatal("no error on a codeword exceeding the burst payload")
+	}
 }
 
-// An all-idle frame is legal on both transmit APIs and yields a silent
-// wideband block of the nominal shape — a streaming engine must not have
-// to special-case silence.
+// An all-idle frame is legal and yields a silent wideband block of the
+// nominal shape — a streaming engine must not have to special-case
+// silence.
 func TestTransmitIdleFrames(t *testing.T) {
-	pl, tx, _ := txTestRig(t, 2, "uncoded", 64)
-	_ = pl
-
-	wide, err := tx.TransmitFrame(map[int][]byte{})
-	if err != nil {
-		t.Fatalf("idle TransmitFrame: %v", err)
-	}
-	if want := (tx.BurstWaveformLen() + TxTailMargin) * tx.Plan().Decim; len(wide) != want {
-		t.Fatalf("idle frame wideband length %d, want %d", len(wide), want)
-	}
-	if e := wide.Energy(); e != 0 {
-		t.Fatalf("idle frame carries energy %g", e)
-	}
-
+	_, tx, _ := txTestRig(t, 2, "uncoded", 64)
 	cfg := modem.FrameConfig{Carriers: 2, Slots: 3, SlotSymbols: 512, GuardSymbols: 16}
 	grid := make([][][]byte, 2)
 	for c := range grid {
@@ -200,8 +192,9 @@ func TestTransmitFrameGridLoopback(t *testing.T) {
 	}
 }
 
-// ReceiveFrameAndRoute must agree bit-for-bit with the sequential
-// single-cell path and route in deterministic assignment order.
+// ReceiveFrameAndRouteQoS must decode every cell of a frame carrying
+// several bursts per carrier bit-exactly and route in deterministic
+// assignment order.
 func TestReceiveFrameAndRouteMatchesSequential(t *testing.T) {
 	const infoLen = 180
 	pl, codec := newTDMAPayload(t, 3, "conv-r1/2-k9", infoLen)
@@ -210,7 +203,7 @@ func TestReceiveFrameAndRouteMatchesSequential(t *testing.T) {
 	mod := modem.NewBurstModulator(pl.BurstFormat(), 0.35, 4, 10)
 	rng := rand.New(rand.NewSource(17))
 	var asgs []modem.SlotAssignment
-	var beams []int
+	var metas []RouteMeta
 	var infos [][]byte
 	for c := 0; c < cfg.Carriers; c++ {
 		for s := 0; s < cfg.Slots; s += 2 {
@@ -224,11 +217,11 @@ func TestReceiveFrameAndRouteMatchesSequential(t *testing.T) {
 			a := modem.SlotAssignment{Carrier: c, Slot: s}
 			fc.PlaceBurst(a, mod.Modulate(padded))
 			asgs = append(asgs, a)
-			beams = append(beams, c)
+			metas = append(metas, RouteMeta{Beam: c, InfoBits: infoLen})
 			infos = append(infos, info)
 		}
 	}
-	receipts := pl.ReceiveFrameAndRoute(fc, asgs, beams)
+	receipts := pl.ReceiveFrameAndRouteQoS(fc, asgs, metas)
 	if len(receipts) != len(asgs) {
 		t.Fatalf("%d receipts for %d assignments", len(receipts), len(asgs))
 	}
@@ -248,11 +241,10 @@ func TestReceiveFrameAndRouteMatchesSequential(t *testing.T) {
 		}
 		k := 0
 		for i := range asgs {
-			if beams[i] != c {
+			if metas[i].Beam != c {
 				continue
 			}
-			got := PackInfoBits(pkts[k], infoLen)
-			if fec.CountBitErrors(infos[i], got) != 0 {
+			if fec.CountBitErrors(infos[i], pkts[k]) != 0 {
 				t.Fatalf("beam %d packet %d does not match assignment order", c, k)
 			}
 			k++
@@ -266,8 +258,8 @@ func TestReceiveFrameAndRouteRequiresBeams(t *testing.T) {
 	fc := modem.NewFrameComposer(cfg, 4)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("no panic on beams/assignments mismatch")
+			t.Fatal("no panic on metas/assignments mismatch")
 		}
 	}()
-	pl.ReceiveFrameAndRoute(fc, []modem.SlotAssignment{{Carrier: 0, Slot: 0}}, nil)
+	pl.ReceiveFrameAndRouteQoS(fc, []modem.SlotAssignment{{Carrier: 0, Slot: 0}}, nil)
 }

@@ -91,6 +91,9 @@ func PopulationSpec(model string, n, cells, beams int) ([]TerminalSpec, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("scenario: population of %d terminals", n)
 	}
+	if beams < 1 {
+		return nil, fmt.Errorf("scenario: population over %d beams", beams)
+	}
 	out := make([]TerminalSpec, n)
 	for i := range out {
 		var m ModelSpec

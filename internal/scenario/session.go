@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/payload"
@@ -104,17 +103,6 @@ type Session struct {
 	verify    bool
 	verifySet bool
 
-	// pr, when non-nil, is the cross-frame pipelined runner the session
-	// steps through (resolved from the spec's pipeline switch or
-	// WithPipeline at construction). Event frames drain it and fall
-	// back to one sequential engine step; pipeFrames/seqFrames count
-	// the two paths.
-	pr         *traffic.PipelinedRunner
-	pmode      PipelineMode
-	pmodeSet   bool
-	pipeFrames int
-	seqFrames  int
-
 	events []Event // sorted stable by frame
 	next   int
 	log    []EventRecord
@@ -163,11 +151,6 @@ func WithPopulation(terms []traffic.Terminal) Option {
 // TrafficSpec does not model).
 func WithTrafficConfig(cfg traffic.Config) Option {
 	return func(s *Session) { c := cfg; s.cfg = &c }
-}
-
-// WithPipeline overrides the spec's cross-frame pipeline switch.
-func WithPipeline(m PipelineMode) Option {
-	return func(s *Session) { s.pmode, s.pmodeSet = m, true }
 }
 
 // NewSession resolves and validates a Spec into a runnable Session.
@@ -257,13 +240,6 @@ func NewSession(spec Spec, opts ...Option) (*Session, error) {
 		return nil, err
 	}
 	s.eng = eng
-	if !s.pmodeSet {
-		// Validation already vetted the spec string; parse cannot fail.
-		s.pmode, _ = ParsePipelineMode(s.spec.Traffic.Pipeline)
-	}
-	if s.pmode == PipelineOn || (s.pmode == PipelineAuto && runtime.GOMAXPROCS(0) > 1) {
-		s.pr = traffic.NewPipelinedRunner(eng)
-	}
 	s.events = append([]Event(nil), s.spec.Events...)
 	sort.SliceStable(s.events, func(i, j int) bool { return s.events[i].Frame < s.events[j].Frame })
 	s.prev = eng.Metrics()
@@ -295,47 +271,18 @@ func (s *Session) Payload() *payload.Payload { return s.pl }
 // Frame returns the number of frames completed.
 func (s *Session) Frame() int { return s.eng.Frame() }
 
-// Pipelined reports whether the session steps through the cross-frame
-// pipelined runner (spec "on", or "auto" with GOMAXPROCS > 1).
-func (s *Session) Pipelined() bool { return s.pr != nil }
-
-// PipelineFrames returns how many frames stepped through the pipelined
-// runner and how many fell back to sequential stepping (event frames);
-// both stay zero on a sequential session.
-func (s *Session) PipelineFrames() (pipelined, sequential int) {
-	return s.pipeFrames, s.seqFrames
-}
-
-// SetPipelineTimers attaches the engine.pipeline.* occupancy timers to
-// the runner; a no-op on a sequential session. Attach between frames.
-func (s *Session) SetPipelineTimers(pt *traffic.PipelineTimers) {
-	if s.pr != nil {
-		s.pr.SetTimers(pt)
-	}
-}
-
-// Report snapshots the cumulative run metrics. On a pipelined session
-// it first drains the in-flight frame so the snapshot includes every
-// ground-verify counter; a drain failure surfaces on the next Step.
+// Report snapshots the cumulative run metrics exactly: it first drains
+// the engine, so the snapshot includes the last frame's ground-verify
+// counters (the per-frame observer snapshot does not, and may lag them
+// by one frame).
 func (s *Session) Report() *traffic.Report {
-	if s.pr != nil {
-		_ = s.pr.Drain()
-	}
+	_ = s.eng.Drain() // sticky: the next Step or Close reports it
 	return s.eng.Report()
 }
 
-// Close drains and releases the session's pipelined runner, if any —
-// without it the runner's parked worker goroutine outlives the session,
-// which matters to long-lived processes building many sessions (the
-// campaign fleet). Run closes the runner itself when it reaches the
-// scripted frame count; Close after that is a no-op, and a closed
-// session keeps working with plain sequential stepping.
-func (s *Session) Close() error {
-	if s.pr == nil {
-		return nil
-	}
-	return s.pr.Close()
-}
+// Close joins the last frame's egress and surfaces its error; the
+// drained engine owns no goroutine, and the session keeps working.
+func (s *Session) Close() error { return s.eng.Drain() }
 
 // EventLog returns the events executed so far, in execution order.
 func (s *Session) EventLog() []EventRecord { return append([]EventRecord(nil), s.log...) }
@@ -351,12 +298,10 @@ func (s *Session) Step() (FrameStats, error) {
 	}
 	f := s.eng.Frame()
 	st := FrameStats{Frame: f}
-	hasEvents := s.next < len(s.events) && s.events[s.next].Frame <= f
-	if hasEvents && s.pr != nil {
-		// Events mutate the engine and payload at the frame boundary;
-		// the in-flight egress must finish first, and the event frame
-		// itself steps sequentially — the pipelined fallback contract.
-		if err := s.pr.Drain(); err != nil {
+	if s.next < len(s.events) && s.events[s.next].Frame <= f {
+		// Events mutate the engine and — out of its sight — the payload;
+		// the in-flight egress must finish first.
+		if err := s.eng.Drain(); err != nil {
 			return st, err
 		}
 	}
@@ -370,17 +315,7 @@ func (s *Session) Step() (FrameStats, error) {
 			return st, fmt.Errorf("scenario: frame %d event %s: %w", f, ev.Action, rec.Err)
 		}
 	}
-	var err error
-	if s.pr != nil && !hasEvents {
-		err = s.pr.Step()
-		s.pipeFrames++
-	} else {
-		err = s.eng.Step()
-		if s.pr != nil {
-			s.seqFrames++
-		}
-	}
-	if err != nil {
+	if err := s.eng.Step(); err != nil {
 		return st, err
 	}
 	cur := s.eng.Metrics()
@@ -421,16 +356,8 @@ func (s *Session) Run(ctx context.Context) (*traffic.Report, error) {
 			return s.Report(), err
 		}
 	}
-	if s.pr != nil {
-		// The scripted run is complete: release the pipeline worker so
-		// run-and-discard callers (RunScenario, experiments) do not leak
-		// a goroutine per session. Extra free-run Steps keep working,
-		// sequentially.
-		if err := s.pr.Close(); err != nil {
-			return s.eng.Report(), err
-		}
-	}
-	return s.eng.Report(), nil
+	err := s.eng.Drain()
+	return s.eng.Report(), err
 }
 
 // apply executes one scripted event against the live run.

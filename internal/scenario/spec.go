@@ -86,12 +86,6 @@ type TrafficSpec struct {
 	// Scheduler selects the downlink scheduler over the switching
 	// fabric's class queues; nil is FIFO (arrival order).
 	Scheduler *SchedulerSpec `json:"scheduler,omitempty"`
-	// Pipeline selects cross-frame pipelined stepping — frame N's
-	// egress overlapping frame N+1's ingest, bit-identical to
-	// sequential: "auto" (default; pipelined when GOMAXPROCS > 1),
-	// "on", or "off". Frames carrying scripted events always step
-	// sequentially, whatever the mode.
-	Pipeline string `json:"pipeline,omitempty"`
 }
 
 // SchedulerSpec is the declarative downlink scheduler: Kind selects
@@ -286,36 +280,6 @@ func ParsePolicy(s string) (traffic.DropPolicy, error) {
 		return traffic.Backpressure, nil
 	default:
 		return 0, fmt.Errorf("scenario: unknown queue policy %q (drop-tail or backpressure)", s)
-	}
-}
-
-// PipelineMode selects whether a session steps its engine through the
-// cross-frame traffic.PipelinedRunner (frame N's egress overlapping
-// frame N+1's ingest, bit-identical to sequential) or sequentially.
-type PipelineMode int
-
-const (
-	// PipelineAuto pipelines when GOMAXPROCS > 1 — the overlap costs a
-	// worker handoff per frame and wins nothing on a single CPU.
-	PipelineAuto PipelineMode = iota
-	// PipelineOn forces pipelined stepping regardless of GOMAXPROCS
-	// (how the bit-identity tests exercise the runner on any host).
-	PipelineOn
-	// PipelineOff forces sequential stepping.
-	PipelineOff
-)
-
-// ParsePipelineMode maps the spec-level pipeline switch to its mode.
-func ParsePipelineMode(s string) (PipelineMode, error) {
-	switch s {
-	case "", "auto":
-		return PipelineAuto, nil
-	case "on":
-		return PipelineOn, nil
-	case "off":
-		return PipelineOff, nil
-	default:
-		return 0, fmt.Errorf("scenario: unknown pipeline mode %q (auto, on or off)", s)
 	}
 }
 
@@ -584,6 +548,11 @@ func (sp Spec) burstFormat() modem.BurstFormat {
 // that are not in the population at that frame).
 func (sp Spec) Validate() error { return sp.validate(false) }
 
+// ValidateShape checks the traffic shape and system sizing alone — what
+// must hold before a tool derives a population or beam map from a spec
+// whose terminal list is still to be built.
+func (sp Spec) ValidateShape() error { return sp.validate(true) }
+
 // validate is Validate with a loose mode for sessions whose population
 // is supplied out-of-band (WithPopulation): the terminal list, the
 // events' terminal references and the run length are then the caller's
@@ -605,8 +574,8 @@ func (sp Spec) validate(loose bool) error {
 	if _, err := ParsePolicy(t.Policy); err != nil {
 		return err
 	}
-	if _, err := ParsePipelineMode(t.Pipeline); err != nil {
-		return err
+	if !(t.EbN0dB >= 0) {
+		return fmt.Errorf("scenario: ebn0_db %g, must not be negative (0 leaves the uplink noiseless)", t.EbN0dB)
 	}
 	if _, err := t.Scheduler.Build(); err != nil {
 		return err
@@ -624,6 +593,12 @@ func (sp Spec) validate(loose bool) error {
 		}
 	}
 	if !loose {
+		// A spec always runs on the default carrier plan (custom plans
+		// come in through WithTrafficConfig, with their own population).
+		if s := traffic.DefaultPlan(t.Carriers).Spacing; s < traffic.BurstBandwidth {
+			return fmt.Errorf("scenario: %d carriers sit %.4f cycles/sample apart on the default carrier plan, closer than the %.4f a burst occupies",
+				t.Carriers, s, traffic.BurstBandwidth)
+		}
 		if sp.Frames < 1 {
 			return fmt.Errorf("scenario: run of %d frames", sp.Frames)
 		}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -109,6 +110,12 @@ func TestValidateRejections(t *testing.T) {
 		{"payload under frame", func(sp *Spec) { sp.System.Carriers = 2 }, "payload serves"},
 		{"queue depth", func(sp *Spec) { sp.Traffic.QueueDepth = 0 }, "queue depth"},
 		{"bad policy", func(sp *Spec) { sp.Traffic.Policy = "drop-everything" }, "policy"},
+		{"negative ebn0", func(sp *Spec) { sp.Traffic.EbN0dB = -1 }, "ebn0_db -1"},
+		{"nan ebn0", func(sp *Spec) { sp.Traffic.EbN0dB = math.NaN() }, "ebn0_db NaN"},
+		{"carriers overlap on the default plan", func(sp *Spec) {
+			sp.Traffic.Carriers = 10 // 0.08 cycles/sample apart, a burst occupies 0.0844
+		}, "closer than"},
+		{"64 carriers", func(sp *Spec) { sp.Traffic.Carriers = 64 }, "closer than"},
 		{"missing codec", func(sp *Spec) { sp.System.Codec = "" }, "codec"},
 		{"unknown codec", func(sp *Spec) { sp.System.Codec = "ldpc-r1/2" }, "unknown codec"},
 		{"codeword over budget", func(sp *Spec) {
@@ -244,6 +251,31 @@ func TestValidateRejections(t *testing.T) {
 				t.Fatalf("error %q does not name the problem (%q)", err, tc.want)
 			}
 		})
+	}
+}
+
+// The bounds above are tight: the widest grid the default carrier plan
+// can space (9 carriers) and the documented noiseless Eb/N0 of 0 pass,
+// and PopulationSpec refuses to spread terminals over no beams instead
+// of dividing by zero.
+func TestValidateBoundsAreTight(t *testing.T) {
+	sp, err := Preset("clean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Traffic.Carriers = 9
+	sp.Traffic.EbN0dB = 0
+	if err := sp.Validate(); err != nil {
+		t.Fatalf("9 carriers at Eb/N0 0 rejected: %v", err)
+	}
+	for _, beams := range []int{0, -2} {
+		if _, err := PopulationSpec("mix", 4, 1, beams); err == nil || !strings.Contains(err.Error(), "beams") {
+			t.Fatalf("PopulationSpec over %d beams: %v", beams, err)
+		}
+	}
+	sp.Traffic.Carriers = 0
+	if err := sp.ValidateShape(); err == nil {
+		t.Fatal("ValidateShape accepted a grid without carriers")
 	}
 }
 

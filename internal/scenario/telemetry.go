@@ -135,11 +135,6 @@ func (t *TelemetryObserver) Registry() *telemetry.Registry { return t.reg }
 func (t *TelemetryObserver) Attach(sess *Session) {
 	t.eng = sess.Engine()
 	t.eng.SetStageTimers(traffic.NewStageTimers(t.reg))
-	if sess.Pipelined() {
-		// Pipelined sessions additionally report the cross-frame
-		// overlap/stall occupancy under engine.pipeline.*.
-		sess.SetPipelineTimers(traffic.NewPipelineTimers(t.reg))
-	}
 	beams := t.eng.Config().Frame.Carriers
 	t.queueDepth = make([]*telemetry.Gauge, beams)
 	for b := 0; b < beams; b++ {

@@ -207,7 +207,11 @@ func (t *Timer) Observe(v float64) {
 func (t *Timer) ObserveDuration(d time.Duration) { t.Observe(float64(d.Nanoseconds())) }
 
 // Count returns the cumulative observation count over the run.
-func (t *Timer) Count() int64 { return t.count }
+func (t *Timer) Count() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.count
+}
 
 // drain swaps the timer's interval state into scratch and resets it for
 // the next interval. The returned slice is the timer's former backing

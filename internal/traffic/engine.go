@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"time"
 
@@ -79,6 +80,13 @@ func DefaultConfig() Config {
 	}
 }
 
+// BurstBandwidth is the bandwidth one downlink burst occupies, in
+// cycles per wideband sample: (1+α) symbol rates at the RRC roll-off
+// 0.35, 4 samples/symbol and DefaultPlan's 4× interpolation. Carriers
+// spaced closer than this overlap, and the ground verifier loses bits
+// on a clean channel.
+const BurstBandwidth = 1.35 / 16
+
 // DefaultPlan returns a downlink carrier plan at the payload's 4
 // samples/symbol with the carriers spread evenly inside Nyquist.
 func DefaultPlan(carriers int) frontend.CarrierPlan {
@@ -113,14 +121,11 @@ type sentCell struct {
 	cell modem.SlotAssignment
 }
 
-// ingestPlan is one generation of the ingest-side frame plan: the flat
-// info-bit backing, the granted-cell list sub-slicing it, and the
-// receive-path assignment/meta slices. The engine alternates between
-// two generations by frame parity so a pipelined run's ingest of frame
-// N+1 never rewrites a buffer that frame N's still-running egress could
-// reference (packets decoded from these cells carry fresh bit slices,
-// but the plan metadata itself must survive until the frame's report
-// accounting is done).
+// ingestPlan is the ingest-side frame scratch: the flat info-bit
+// backing, the granted-cell list sub-slicing it, and the receive-path
+// assignment/meta slices. Only ingest touches it (egress and verify
+// read the egressGen alone; decoded packets carry fresh bit slices), so
+// one plan serves every frame.
 type ingestPlan struct {
 	infoBuf []byte
 	cells   []uplinkCell
@@ -131,8 +136,8 @@ type ingestPlan struct {
 // egressGen is one generation of the egress-side frame state: the
 // downlink transmit grid and the sent-cell list the ground verifier
 // walks. Two generations alternate by frame parity, so the scheduler
-// fill of frame N+1 (control thread, at the handoff) writes its
-// generation while frame N's egress worker still reads the other.
+// fill of frame N+1 (control thread) writes its generation while frame
+// N's in-flight egress still reads the other.
 type egressGen struct {
 	grid [][][]byte
 	sent []sentCell
@@ -141,26 +146,32 @@ type egressGen struct {
 // framePrep is the per-frame plan handed from beginFrame through
 // ingest, fill and egress: the frame index, the codec in force and the
 // burst's info-bit budget resolved once in the frame prologue, plus the
-// parity-selected scratch generations. A pipelined run ships it to the
-// egress worker, so egress never re-reads engine fields the next
-// frame's prologue may rewrite.
+// parity-selected egress generation. It travels by value to the egress
+// worker, so egress never re-reads engine fields the next frame's
+// prologue may rewrite.
 type framePrep struct {
 	f     int
 	k     int
 	codec fec.Codec
 	t0    time.Time
-	plan  *ingestPlan
 	gen   *egressGen
 }
 
 // egressDelta is the ground-verify outcome of one frame's egress,
-// returned to the caller instead of written to the shared report so a
-// concurrent ingest never races the verify counters; foldVerify merges
-// it — immediately after egress on the sequential path, at the next
-// join or drain on the pipelined one.
+// returned instead of written to the shared report so a concurrent
+// ingest never races the verify counters; join folds it.
 type egressDelta struct {
 	lost    int
 	bitErrs int
+}
+
+// egressOutcome is what an overlapped egress hands back at the join:
+// the verify delta to fold, the egress wall time (for the overlap/stall
+// split) and the transmit error, if any.
+type egressOutcome struct {
+	d   egressDelta
+	dur time.Duration
+	err error
 }
 
 // clsAccum collects engine-side per-class delivery statistics; the
@@ -212,24 +223,17 @@ type Engine struct {
 	gdems   sync.Pool // ground-side burst demodulators
 	gllrs   sync.Pool // *[]float64 sign-sliced LLRs of one verified burst
 
-	// scratch reused across frames. fc, room and aggBits are single
-	// buffers because every stage that touches them runs on the control
-	// thread (ingest and fill); the per-frame plan and grid state below
-	// is double-buffered so a pipelined run's egress of frame N can keep
-	// reading its generation while frame N+1's ingest writes the other.
+	// scratch reused across frames. fc, room, aggBits and plan are
+	// single buffers because every stage that touches them runs on the
+	// control thread (ingest and fill); gens — transmit grid plus the
+	// sent-cell list the ground verifier walks — is double-buffered by
+	// frame parity (beginFrame), so the fill of frame N+1 never rewrites
+	// what frame N's in-flight egress still reads (DESIGN §12).
 	fc      *modem.FrameComposer
 	room    [][switchfab.NumClasses]int
 	aggBits []byte // shared k-bit payload stand-in for aggregate packets
-
-	// plans are the ingest-side frame plans — flat info-bit backing,
-	// granted-cell list over it, receive-path assignment/meta slices —
-	// and gens the egress-side frame state — transmit grid plus the
-	// sent-cell list the ground verifier walks. Frame parity picks the
-	// generation (beginFrame), which is the double-buffer half of the
-	// stage-ownership contract (DESIGN §12): no buffer is rewritten by
-	// ingest while a still-running egress could read it.
-	plans [2]ingestPlan
-	gens  [2]egressGen
+	plan    ingestPlan
+	gens    [2]egressGen
 
 	// fill is the frame-scoped state every beam's fill task reads while
 	// the downlink scheduler pops packets into the transmit grid; it is
@@ -255,9 +259,18 @@ type Engine struct {
 	wall   time.Duration
 
 	// stages, when attached, receives one per-stage duration sample per
-	// frame (see StageTimers). Nil means the untimed hot path: no clock
-	// reads at all.
+	// frame (see StageTimers). Nil means the untimed hot path: no
+	// per-stage clock reads at all.
 	stages *StageTimers
+
+	// Cross-frame overlap (DESIGN §12). jobs and outs are the egress
+	// worker's channels, non-nil exactly while its goroutine exists;
+	// inflight marks a dispatched egress not yet joined; err is the
+	// sticky failure of an egress, returned by every later Step/Drain.
+	jobs     chan framePrep
+	outs     chan egressOutcome
+	inflight bool
+	err      error
 }
 
 // termState is one terminal's live engine state: the terminal itself,
@@ -558,12 +571,14 @@ func (e *Engine) resolveSyncConfig() {
 }
 
 // AddTerminal joins a terminal to the live population. Call it only at
-// a frame boundary (between Step calls); the terminal issues its first
-// DAMA request on the next frame, with demand evaluated at the absolute
-// frame number. The join re-resolves the payload sync chain, so an
-// impaired newcomer switches an until-now clean population onto the
-// full burst synchronization chain.
+// a frame boundary (between Step calls) — like every exported mutator
+// it drains the engine first, so it never races an in-flight egress.
+// The terminal issues its first DAMA request on the next frame, with
+// demand evaluated at the absolute frame number. The join re-resolves
+// the payload sync chain, so an impaired newcomer switches an until-now
+// clean population onto the full burst synchronization chain.
 func (e *Engine) AddTerminal(t Terminal) error {
+	e.drain()
 	if err := e.admit(t); err != nil {
 		return err
 	}
@@ -576,6 +591,7 @@ func (e *Engine) AddTerminal(t Terminal) error {
 // the downlink queues still drain (and still count toward its stats).
 // The departed terminal keeps its row in Report.PerTerminal.
 func (e *Engine) RemoveTerminal(id string) error {
+	e.drain()
 	ts, err := e.lookup(id)
 	if err != nil {
 		return err
@@ -596,6 +612,7 @@ func (e *Engine) RemoveTerminal(id string) error {
 // bank onto the full chain and the last clearing one restores the
 // legacy chain.
 func (e *Engine) SetTerminalChannel(id string, p *ChannelProfile) error {
+	e.drain()
 	ts, err := e.lookup(id)
 	if err != nil {
 		return err
@@ -614,13 +631,17 @@ func (e *Engine) SetQueueDepth(depth int) error {
 	if depth < 1 {
 		return fmt.Errorf("traffic: queue depth %d, must be at least 1", depth)
 	}
+	e.drain()
 	e.cfg.QueueDepth = depth
 	e.fab.SetDepth(depth)
 	return nil
 }
 
 // SetQueuePolicy switches the overload policy at a frame boundary.
-func (e *Engine) SetQueuePolicy(p DropPolicy) { e.cfg.Policy = p }
+func (e *Engine) SetQueuePolicy(p DropPolicy) {
+	e.drain()
+	e.cfg.Policy = p
+}
 
 // SetScheduler swaps the downlink scheduler at a frame boundary — the
 // set-scheduler scenario event. Queued packets stay queued; only the
@@ -630,6 +651,7 @@ func (e *Engine) SetScheduler(s switchfab.Scheduler) error {
 	if s == nil {
 		return errors.New("traffic: nil downlink scheduler")
 	}
+	e.drain()
 	e.dlsched = s
 	e.cfg.Scheduler = s
 	return nil
@@ -643,6 +665,7 @@ func (e *Engine) SetTerminalClass(id string, c switchfab.Class) error {
 	if c >= switchfab.NumClasses {
 		return fmt.Errorf("traffic: unknown traffic class %d", c)
 	}
+	e.drain()
 	ts, err := e.lookup(id)
 	if err != nil {
 		return err
@@ -701,56 +724,125 @@ func (e *Engine) QueueDepth(beam int) int {
 // Scheduler returns the downlink scheduler in force.
 func (e *Engine) Scheduler() switchfab.Scheduler { return e.dlsched }
 
-// RunFrames advances the closed loop by n consecutive frames. It may be
-// called repeatedly — e.g. around a ground-initiated reconfiguration —
-// with queues, scheduler state and metrics carrying over. A
-// non-positive n is an explicit error rather than a silent no-op.
+// RunFrames advances the closed loop by n consecutive frames and
+// returns drained. It may be called repeatedly — e.g. around a
+// ground-initiated reconfiguration — with queues, scheduler state and
+// metrics carrying over. A non-positive n is an explicit error rather
+// than a silent no-op.
 func (e *Engine) RunFrames(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("traffic: RunFrames(%d): frame count must be positive", n)
 	}
 	for i := 0; i < n; i++ {
-		if err := e.Step(); err != nil {
-			return err
+		if e.Step() != nil {
+			break // sticky: Drain returns it
 		}
 	}
-	return nil
+	return e.Drain()
 }
 
 // Step advances the closed loop by exactly one frame — the unit the
-// scenario runtime schedules events and snapshots metrics around.
+// scenario runtime schedules events and snapshots metrics around:
+// prologue, the ingest half-frame, the scheduler fill at the fabric
+// handoff, a join of the previous frame's egress, then this frame's
+// egress half-frame. With more than one CPU (GOMAXPROCS > 1, the only
+// selector) the egress goes to the engine's worker and overlaps the
+// next Step's ingest and fill; on one CPU it runs inline. Both orders
+// are bit-identical (DESIGN §12 gives the ownership argument); the one
+// visible artifact is that an overlapped frame's ground-verify counters
+// and egress error reach the report one join later — Drain catches up.
 func (e *Engine) Step() error {
+	if e.err != nil {
+		return e.err
+	}
 	start := time.Now()
 	defer func() { e.wall += time.Since(start) }()
-	return e.step()
-}
-
-// step runs one frame through the loop: prologue, the ingest
-// half-frame, the scheduler fill at the fabric handoff, then the egress
-// half-frame with its verify outcome folded immediately. The
-// PipelinedRunner drives exactly the same four stages, overlapping the
-// previous frame's egress with this frame's ingest and fill; the stage
-// boundaries and ownership rules are documented in DESIGN §12.
-func (e *Engine) step() error {
 	pf, ok := e.beginFrame()
 	if !ok {
+		// Outage frame: no stage runs; a previous egress stays in flight.
 		return nil
 	}
-	if err := e.ingest(&pf); err != nil {
-		return err
-	}
+	e.ingest(&pf)
 	e.fillFrame(&pf)
-	d, err := e.egress(&pf)
+	e.join()
+	if e.err != nil {
+		return e.err
+	}
+	if runtime.GOMAXPROCS(0) > 1 {
+		if e.jobs == nil {
+			e.jobs, e.outs = make(chan framePrep), make(chan egressOutcome)
+			go e.egressWorker(e.jobs, e.outs)
+		}
+		e.jobs <- pf
+		e.inflight = true
+		return nil
+	}
+	var d egressDelta
+	d, e.err = e.egress(&pf)
 	e.foldVerify(d)
-	return err
+	return e.err
 }
 
-// beginFrame is the frame prologue shared by the sequential and
-// pipelined step paths: it advances the frame clock, checks the payload
-// can carry traffic (a mid-reconfiguration frame counts as an outage
-// and runs no stage), resolves the codec and info-bit budget, and picks
-// the frame's scratch generations by parity. ok=false means the frame
-// is already fully accounted (outage) and no stage must run.
+// egressWorker runs dispatched egresses until drain closes jobs, and
+// closes outs on its way out. It takes its channels by value: drain
+// clears the engine's fields.
+func (e *Engine) egressWorker(jobs <-chan framePrep, outs chan<- egressOutcome) {
+	defer close(outs)
+	for pf := range jobs {
+		start := time.Now()
+		d, err := e.egress(&pf)
+		outs <- egressOutcome{d: d, dur: time.Since(start), err: err}
+	}
+}
+
+// join blocks until the in-flight egress (if any) finishes, folds its
+// verify delta into the report and records the occupancy timers: stall
+// is the time spent blocked here, overlap the rest of the egress — the
+// part that ran under this frame's control-thread work.
+func (e *Engine) join() {
+	if !e.inflight {
+		return
+	}
+	start := time.Now()
+	out := <-e.outs
+	e.inflight = false
+	stall := time.Since(start)
+	e.foldVerify(out.d)
+	e.err = out.err
+	if e.stages != nil {
+		observeTimer(e.stages.Stall, stall.Nanoseconds())
+		observeTimer(e.stages.Overlap, max(out.dur-stall, 0).Nanoseconds())
+	}
+}
+
+// Drain joins the in-flight frame, folds its verify delta, stops the
+// egress worker (returning once it has exited) and reports the engine's
+// sticky error: a drained engine is fully caught up, owns no goroutine
+// and is safe to mutate, snapshot exactly or abandon; stepping may
+// resume afterwards.
+func (e *Engine) Drain() error {
+	e.drain()
+	return e.err
+}
+
+// drain is Drain for the mutators, which leave a failed egress for the
+// next Step to report.
+func (e *Engine) drain() {
+	start := time.Now()
+	e.join()
+	if e.jobs != nil {
+		close(e.jobs)
+		<-e.outs
+		e.jobs, e.outs = nil, nil
+	}
+	e.wall += time.Since(start)
+}
+
+// beginFrame is the frame prologue: it advances the frame clock, checks
+// the payload can carry traffic (a mid-reconfiguration frame counts as
+// an outage and runs no stage), resolves the codec and info-bit budget,
+// and picks the frame's egress generation by parity. ok=false means the
+// frame is already fully accounted (outage) and no stage must run.
 func (e *Engine) beginFrame() (framePrep, bool) {
 	f := e.frame
 	e.frame++
@@ -768,7 +860,7 @@ func (e *Engine) beginFrame() (framePrep, bool) {
 	k := InfoBitsFor(codec, budget)
 	e.pl.SetBurstCodedBits(codec.EncodedLen(k))
 
-	pf := framePrep{f: f, k: k, codec: codec, plan: &e.plans[f&1], gen: &e.gens[f&1]}
+	pf := framePrep{f: f, k: k, codec: codec, gen: &e.gens[f&1]}
 	if e.stages != nil {
 		pf.t0 = time.Now()
 	}
@@ -780,15 +872,14 @@ func (e *Engine) beginFrame() (framePrep, bool) {
 // engine's control thread only: it owns the terminal states, the slot
 // scheduler, the frame composer and the fabric's route side, none of
 // which the concurrent egress of the previous frame touches.
-func (e *Engine) ingest(pf *framePrep) error {
-	cells := e.dama(pf)
-	return e.uplink(pf, cells)
+func (e *Engine) ingest(pf *framePrep) {
+	e.uplink(pf, e.dama(pf))
 }
 
-// foldVerify merges a frame's deferred ground-verify outcome into the
-// run report. The sequential step folds right after egress; a pipelined
-// run folds at the join, so mid-run Metrics snapshots may lag the
-// verify counters by the one in-flight frame until the runner drains.
+// foldVerify merges a frame's ground-verify outcome into the run
+// report: right after an inline egress, at the join of an overlapped
+// one — so mid-run Metrics snapshots may lag the two verify counters by
+// the one in-flight frame until the engine drains.
 func (e *Engine) foldVerify(d egressDelta) {
 	e.met.DownlinkLost += d.lost
 	e.met.DownlinkBitErrs += d.bitErrs
@@ -801,7 +892,7 @@ func (e *Engine) foldVerify(d egressDelta) {
 // control is class-aware, so a best-effort backlog throttles only
 // best-effort sources).
 func (e *Engine) dama(pf *framePrep) []uplinkCell {
-	f, k, plan := pf.f, pf.k, pf.plan
+	f, k, plan := pf.f, pf.k, &e.plan
 	for _, ts := range e.terms {
 		if ts.active {
 			e.sched.Release(ts.term.ID)
@@ -990,7 +1081,7 @@ func (e *Engine) routeAggregates(f, k int) {
 // modulation fan-out, and the receive stage covers the payload pipeline
 // plus receipt accounting — one observation each per frame, idle frames
 // included, so per-stage sample counts line up with the frame count.
-func (e *Engine) uplink(pf *framePrep, cells []uplinkCell) error {
+func (e *Engine) uplink(pf *framePrep, cells []uplinkCell) {
 	f, k, codec := pf.f, pf.k, pf.codec
 	if len(cells) == 0 {
 		if e.stages != nil {
@@ -1004,7 +1095,7 @@ func (e *Engine) uplink(pf *framePrep, cells []uplinkCell) error {
 		if e.stages != nil {
 			observeTimer(e.stages.Receive, time.Since(tRecv).Nanoseconds())
 		}
-		return nil
+		return
 	}
 	if e.fc == nil {
 		e.fc = modem.NewFrameComposer(e.cfg.Frame, 4)
@@ -1012,10 +1103,10 @@ func (e *Engine) uplink(pf *framePrep, cells []uplinkCell) error {
 		e.fc.Reset()
 	}
 	fc := e.fc
-	if cap(pf.plan.asgs) < len(cells) {
-		pf.plan.asgs = make([]modem.SlotAssignment, len(cells))
+	if cap(e.plan.asgs) < len(cells) {
+		e.plan.asgs = make([]modem.SlotAssignment, len(cells))
 	}
-	asgs := pf.plan.asgs[:len(cells)]
+	asgs := e.plan.asgs[:len(cells)]
 	noisy := e.cfg.EbN0dB > 0
 	esN0 := 0.0
 	if noisy {
@@ -1023,7 +1114,7 @@ func (e *Engine) uplink(pf *framePrep, cells []uplinkCell) error {
 	}
 	budget := e.pl.BurstFormat().PayloadBits()
 	const uplinkSPS = 4
-	metas := pf.plan.metas[:0]
+	metas := e.plan.metas[:0]
 	for _, c := range cells {
 		metas = append(metas, payload.RouteMeta{
 			Beam:     c.term.term.Beam,
@@ -1033,7 +1124,7 @@ func (e *Engine) uplink(pf *framePrep, cells []uplinkCell) error {
 			InfoBits: k,
 		})
 	}
-	pf.plan.metas = metas
+	e.plan.metas = metas
 	pipeline.ForEach(len(cells), func(i int) {
 		c := cells[i]
 		asgs[i] = c.asg
@@ -1140,7 +1231,6 @@ func (e *Engine) uplink(pf *framePrep, cells []uplinkCell) error {
 	if e.stages != nil {
 		observeTimer(e.stages.Receive, time.Since(tRecv).Nanoseconds())
 	}
-	return nil
 }
 
 // fillFrame is the ownership handoff at the fabric boundary: the
@@ -1154,7 +1244,7 @@ func (e *Engine) uplink(pf *framePrep, cells []uplinkCell) error {
 // ingest, because backpressure admission (dama) reads the post-fill
 // queue depths. After fillFrame returns, every report counter of the
 // frame except the deferred ground-verify outcome is final — that is
-// the handoff snapshot a pipelined run's per-frame observers read.
+// the snapshot the per-frame observers read.
 func (e *Engine) fillFrame(pf *framePrep) {
 	var t time.Time
 	if e.stages != nil {
@@ -1210,9 +1300,9 @@ func (e *Engine) fillFrame(pf *framePrep) {
 // filled grid generation and the optional ground verify. It reads only
 // the framePrep, its egress generation, the transmitter's own buffers
 // and the concurrency-safe demod pools, and writes nothing the control
-// thread shares, so a PipelinedRunner may run it on a worker while the
-// control thread ingests the next frame; the verify outcome comes back
-// as a delta for the caller to fold (foldVerify) rather than racing the
+// thread shares, so it may run on the egress worker while the control
+// thread ingests the next frame; the verify outcome comes back as a
+// delta for the caller to fold (foldVerify) rather than racing the
 // shared report.
 func (e *Engine) egress(pf *framePrep) (egressDelta, error) {
 	var t time.Time
@@ -1286,7 +1376,7 @@ func (e *Engine) emitPacket(bs *beamState, p switchfab.Packet) bool {
 // verify demodulates the transmitted wideband block on a ground receiver
 // (DDC bank plus burst demodulators) and compares every delivered packet
 // bit for bit — the loopback contract of the regenerative loop. It runs
-// inside egress (possibly on the pipeline worker), so it touches only
+// inside egress (possibly on the egress worker), so it touches only
 // the frame's generation and the egress-owned demux/demod pools and
 // returns its counters as a delta instead of writing the shared report.
 func (e *Engine) verify(wide dsp.Vec, codec fec.Codec, g *egressGen) egressDelta {

@@ -13,19 +13,28 @@ import "repro/internal/telemetry"
 //	Transmit  — wideband DUC/MUX/DAC transmit
 //	Verify    — ground demodulation check (only when Config.Verify)
 //
+// and, once per joined frame whose egress overlapped the next frame
+// (GOMAXPROCS > 1; never on one CPU), the cross-frame occupancy pair:
+//
+//	Overlap — the part of the egress that ran under the next frame's
+//	          ingest+fill (hidden latency)
+//	Stall   — the time the control thread blocked at the join waiting
+//	          for that egress to finish (exposed latency)
+//
 // Individual timers may be nil; the engine skips them. An engine with
-// no StageTimers attached takes no timestamps at all, so the untimed
-// hot path is byte-for-byte the pre-telemetry one.
+// no StageTimers attached takes no per-stage timestamps at all.
 type StageTimers struct {
 	Synthesis *telemetry.Timer
 	Receive   *telemetry.Timer
 	Schedule  *telemetry.Timer
 	Transmit  *telemetry.Timer
 	Verify    *telemetry.Timer
+	Overlap   *telemetry.Timer
+	Stall     *telemetry.Timer
 }
 
-// NewStageTimers registers the engine stage timer set on reg under the
-// engine.stage.* keys.
+// NewStageTimers registers the engine timer set on reg under the
+// engine.stage.* and engine.pipeline.* keys.
 func NewStageTimers(reg *telemetry.Registry) *StageTimers {
 	return &StageTimers{
 		Synthesis: reg.Timer("engine.stage.synthesis_ns"),
@@ -33,51 +42,29 @@ func NewStageTimers(reg *telemetry.Registry) *StageTimers {
 		Schedule:  reg.Timer("engine.stage.schedule_ns"),
 		Transmit:  reg.Timer("engine.stage.transmit_ns"),
 		Verify:    reg.Timer("engine.stage.verify_ns"),
+		Overlap:   reg.Timer("engine.pipeline.overlap_ns"),
+		Stall:     reg.Timer("engine.pipeline.stall_ns"),
 	}
 }
 
 // SetStageTimers attaches (or, with nil, detaches) the per-stage frame
-// timers at a frame boundary. The record path is allocation-free:
-// timing adds two monotonic clock reads per stage and one bounded
-// sample append per timer, nothing else.
-func (e *Engine) SetStageTimers(st *StageTimers) { e.stages = st }
+// timers at a frame boundary, draining the engine first like every
+// mutator. The record path is allocation-free: timing adds two
+// monotonic clock reads per stage and one bounded sample append per
+// timer, nothing else.
+func (e *Engine) SetStageTimers(st *StageTimers) {
+	e.drain()
+	e.stages = st
+}
 
 // StageTimers returns the attached per-stage timers (nil when untimed).
 func (e *Engine) StageTimers() *StageTimers { return e.stages }
 
-// observeTimer records ns into tm when the timer is present — the
-// nil-tolerant record helper shared by the engine's stage and pipeline
-// instrumentation. (A StageTimers set may carry nil entries for stages
-// a caller does not watch; previously this was a StageTimers method
-// that never used its receiver.)
+// observeTimer records ns into tm when the timer is present: a
+// StageTimers set may carry nil entries for stages a caller does not
+// watch.
 func observeTimer(tm *telemetry.Timer, ns int64) {
 	if tm != nil {
 		tm.Observe(float64(ns))
-	}
-}
-
-// PipelineTimers carries the cross-frame pipeline occupancy timers a
-// PipelinedRunner records once per joined frame (in nanoseconds):
-//
-//	Overlap — the part of a frame's egress that ran concurrently with
-//	          the next frame's ingest+fill (hidden latency)
-//	Stall   — the time the control thread blocked at the join waiting
-//	          for the in-flight egress to finish (exposed latency)
-//
-// A frame whose egress finishes before the next frame's control-thread
-// work does records stall ≈ 0 and overlap ≈ the whole egress; a frame
-// that leaves the control thread waiting records the remainder as
-// stall. Either timer may be nil and is skipped.
-type PipelineTimers struct {
-	Overlap *telemetry.Timer
-	Stall   *telemetry.Timer
-}
-
-// NewPipelineTimers registers the pipeline occupancy timer pair on reg
-// under the engine.pipeline.* keys.
-func NewPipelineTimers(reg *telemetry.Registry) *PipelineTimers {
-	return &PipelineTimers{
-		Overlap: reg.Timer("engine.pipeline.overlap_ns"),
-		Stall:   reg.Timer("engine.pipeline.stall_ns"),
 	}
 }
