@@ -692,68 +692,6 @@ func BenchmarkE10_FramePipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkFFT prices the radix-2 transform at the plan sizes the
-// fast-convolution filter banks and the spectral CFO search draw
-// (overlap-save blocks, zero-padded periodograms). The 0 B/op column
-// documents that warm plans transform without touching the heap.
-func BenchmarkFFT(b *testing.B) {
-	for _, n := range []int{256, 1024, 4096} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			src := dsp.NewVec(n)
-			for i := range src {
-				src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			}
-			dst := dsp.NewVec(n)
-			dsp.FFTForward(dst, src) // warm the plan cache
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dsp.FFTForward(dst, src)
-			}
-		})
-	}
-}
-
-// BenchmarkFastFIRvsScalar sweeps tap count x block length across the
-// direct and overlap-save convolution paths, bracketing the automatic
-// crossover (32 taps, 256-sample blocks): below it the two paths price
-// identically because the fast path falls back to the scalar loop, above
-// it the FFT path pulls ahead roughly as taps/log2(nfft).
-func BenchmarkFastFIRvsScalar(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	for _, taps := range []int{15, 33, 95, 127} {
-		h := make([]float64, taps)
-		for i := range h {
-			h[i] = rng.NormFloat64() / float64(taps)
-		}
-		for _, block := range []int{128, 512, 2048} {
-			in := dsp.NewVec(block)
-			for i := range in {
-				in[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			}
-			out := dsp.NewVec(block)
-			for _, mode := range []struct {
-				name string
-				fast bool
-			}{{"scalar", false}, {"fast", true}} {
-				b.Run(fmt.Sprintf("%s-taps%d-block%d", mode.name, taps, block), func(b *testing.B) {
-					prev := dsp.SetFastConvolution(mode.fast)
-					defer dsp.SetFastConvolution(prev)
-					f := dsp.NewFIR(h)
-					f.ProcessInto(out, in) // warm per-instance state
-					f.Reset()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						f.ProcessInto(out, in)
-					}
-				})
-			}
-		}
-	}
-}
-
 // Ablation benches for the design choices called out in DESIGN.md §8.
 
 func BenchmarkAblation_TimingRecovery(b *testing.B) {

@@ -9,8 +9,8 @@
 // engine benches), the switching fabric (sharded vs single-lock
 // routing under concurrent workers, plus the per-scheduler slot-fill
 // cost whose 0 B/op column pins the allocation-free fill path), the
-// fast-convolution core (FFT plan sizes, overlap-save vs scalar FIR
-// across the crossover), and the Monte Carlo campaign fleet (an N-run
+// dsp kernels under the MUX/DEMUX (scalar FIR, polyphase DUC/DDC, NCO
+// mixer, in internal/dsp), and the Monte Carlo campaign fleet (an N-run
 // campaign sequential vs across the worker pool — the conc/seq ratio
 // prices the fleet scale-out).
 //
@@ -90,8 +90,8 @@ func gitCommit() string {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 func main() {
-	pattern := flag.String("bench", "BenchmarkProcessFrame|BenchmarkTransmitFrameGrid|BenchmarkTrafficEngine|BenchmarkScenarioSession|BenchmarkSwitchFabric|BenchmarkSchedulerFill|BenchmarkFFT|BenchmarkFastFIRvsScalar|ProcessInto|BenchmarkE10|BenchmarkCampaign",
-		"benchmark regexp (the pipeline + traffic + scenario + switch-fabric + fast-convolution + campaign set by default)")
+	pattern := flag.String("bench", "BenchmarkProcessFrame|BenchmarkTransmitFrameGrid|BenchmarkTrafficEngine|BenchmarkScenarioSession|BenchmarkSwitchFabric|BenchmarkSchedulerFill|BenchmarkFIR|BenchmarkDUC|BenchmarkDDC|BenchmarkNCOMixInto|ProcessInto|BenchmarkE10|BenchmarkCampaign",
+		"benchmark regexp (the pipeline + traffic + scenario + switch-fabric + dsp kernel + campaign set by default)")
 	benchtime := flag.String("benchtime", "", "go test -benchtime value (e.g. 1x for a smoke run)")
 	pkgs := flag.String("pkgs", ".,./internal/dsp", "comma-separated packages to bench")
 	widthsFlag := flag.String("gomaxprocs", "", "comma-separated GOMAXPROCS widths (default: 1 and NumCPU)")

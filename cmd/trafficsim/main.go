@@ -20,6 +20,12 @@
 // internal/telemetry backbone, and -report-json writes the end-of-run
 // traffic.Report as JSON for campaign tooling.
 //
+// Exit status: 0 on a completed run, 1 on a bad spec or flag, a failed
+// run, or — with -verify — any burst the ground receiver lost or decoded
+// with bit errors. The downlink it listens to is noiseless whatever the
+// uplink Eb/N0, so a verify loss is a defect, not weather; uplink losses
+// on a noisy channel are the experiment and stay exit 0.
+//
 // Usage:
 //
 //	trafficsim -list-presets
@@ -38,7 +44,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -47,54 +53,66 @@ import (
 	"repro/internal/traffic"
 )
 
-func main() {
-	scenarioFile := flag.String("scenario", "", "run a scenario spec from a JSON file")
-	preset := flag.String("preset", "", "run a registered preset scenario")
-	listPresets := flag.Bool("list-presets", false, "list registered presets and exit")
-	events := flag.Bool("events", true, "log scripted events as they fire")
-	frames := flag.Int("frames", 100, "frames to run")
-	carriers := flag.Int("carriers", 3, "MF-TDMA carriers (= downlink beams)")
-	slots := flag.Int("slots", 4, "slots per carrier per frame")
-	slotSymbols := flag.Int("slot-symbols", 320, "symbols per slot including guard")
-	codec := flag.String("codec", "conv-r1/2-k9", "decoder: uncoded, conv-r1/2-k9, conv-r1/3-k9, turbo-r1/3")
-	model := flag.String("model", "mix", "population model: cbr, onoff, hotspot or mix")
-	terminals := flag.Int("terminals", 4, "terminal count")
-	cells := flag.Int("cells", 1, "cells per frame a terminal demands (cbr/onoff/hotspot base)")
-	count := flag.Int("count", 0, "lift each population entry to an aggregate of this many members spanning all beams (two-tier model)")
-	tracers := flag.Int("tracers", 4, "members per aggregate population kept on the full per-terminal path (with -count)")
-	queue := flag.Int("queue", 16, "per-(beam, class) downlink queue depth (packets)")
-	policy := flag.String("policy", "drop-tail", "overload policy: drop-tail or backpressure")
-	scheduler := flag.String("scheduler", "fifo", "downlink scheduler: fifo, strict or drr")
-	beFloor := flag.Int("be-floor", 0, "best-effort slot floor per beam per frame (strict scheduler)")
-	drrWeights := flag.String("drr-weights", "4,2,1", "DRR class weights as ef,af,be (drr scheduler)")
-	class := flag.String("class", "", "traffic class for the built population: be, af, ef or mix (rotates ef/af/be)")
-	ebn0 := flag.Float64("ebn0", 9, "uplink Eb/N0 in dB (0 = noiseless, negative is rejected)")
-	verify := flag.Bool("verify", false, "ground-demodulate the downlink and check every bit")
-	seed := flag.Int64("seed", 1, "random seed")
-	cfoMax := flag.Float64("cfo", 0, "spread per-terminal carrier frequency offsets across ±cfo cycles/symbol (acquisition range ±0.1)")
-	drift := flag.Float64("drift", 0, "Doppler ramp on the last terminal, cycles/symbol per frame")
-	timingSpread := flag.Bool("timing-spread", false, "spread per-terminal fractional timing offsets across [0, 1)")
-	phaseSpread := flag.Bool("phase-spread", false, "spread per-terminal carrier phase offsets across (-pi, pi]")
-	telemetryOut := flag.String("telemetry", "", "stream telemetry flush lines to a file (- for stdout)")
-	flushEvery := flag.Int("flush-every", 10, "frames per telemetry flush (0 with -flush-interval for interval-only flushing)")
-	flushInterval := flag.Duration("flush-interval", 0, "also flush when this much wall-clock time has passed (0 disables)")
-	telemetryFormat := flag.String("telemetry-format", "json", "telemetry wire form: json or graphite")
-	reportJSON := flag.String("report-json", "", "write the end-of-run report as JSON to a file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its environment passed in: it returns the process
+// exit status instead of exiting, so tests can drive it.
+func run(args []string, stdout, stderr io.Writer) int {
+	fatal := func(v ...any) int {
+		fmt.Fprintln(stderr, append([]any{"trafficsim:"}, v...)...)
+		return 1
+	}
+	fs := flag.NewFlagSet("trafficsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scenarioFile := fs.String("scenario", "", "run a scenario spec from a JSON file")
+	preset := fs.String("preset", "", "run a registered preset scenario")
+	listPresets := fs.Bool("list-presets", false, "list registered presets and exit")
+	events := fs.Bool("events", true, "log scripted events as they fire")
+	frames := fs.Int("frames", 100, "frames to run")
+	carriers := fs.Int("carriers", 3, "MF-TDMA carriers (= downlink beams)")
+	slots := fs.Int("slots", 4, "slots per carrier per frame")
+	slotSymbols := fs.Int("slot-symbols", 320, "symbols per slot including guard")
+	codec := fs.String("codec", "conv-r1/2-k9", "decoder: uncoded, conv-r1/2-k9, conv-r1/3-k9, turbo-r1/3")
+	model := fs.String("model", "mix", "population model: cbr, onoff, hotspot or mix")
+	terminals := fs.Int("terminals", 4, "terminal count")
+	cells := fs.Int("cells", 1, "cells per frame a terminal demands (cbr/onoff/hotspot base)")
+	count := fs.Int("count", 0, "lift each population entry to an aggregate of this many members spanning all beams (two-tier model)")
+	tracers := fs.Int("tracers", 4, "members per aggregate population kept on the full per-terminal path (with -count)")
+	queue := fs.Int("queue", 16, "per-(beam, class) downlink queue depth (packets)")
+	policy := fs.String("policy", "drop-tail", "overload policy: drop-tail or backpressure")
+	scheduler := fs.String("scheduler", "fifo", "downlink scheduler: fifo, strict or drr")
+	beFloor := fs.Int("be-floor", 0, "best-effort slot floor per beam per frame (strict scheduler)")
+	drrWeights := fs.String("drr-weights", "4,2,1", "DRR class weights as ef,af,be (drr scheduler)")
+	class := fs.String("class", "", "traffic class for the built population: be, af, ef or mix (rotates ef/af/be)")
+	ebn0 := fs.Float64("ebn0", 9, "uplink Eb/N0 in dB (0 = noiseless, negative is rejected)")
+	verify := fs.Bool("verify", false, "ground-demodulate the downlink and check every bit")
+	seed := fs.Int64("seed", 1, "random seed")
+	cfoMax := fs.Float64("cfo", 0, "spread per-terminal carrier frequency offsets across ±cfo cycles/symbol (acquisition range ±0.1)")
+	drift := fs.Float64("drift", 0, "Doppler ramp on the last terminal, cycles/symbol per frame")
+	timingSpread := fs.Bool("timing-spread", false, "spread per-terminal fractional timing offsets across [0, 1)")
+	phaseSpread := fs.Bool("phase-spread", false, "spread per-terminal carrier phase offsets across (-pi, pi]")
+	telemetryOut := fs.String("telemetry", "", "stream telemetry flush lines to a file (- for stdout)")
+	flushEvery := fs.Int("flush-every", 10, "frames per telemetry flush (0 with -flush-interval for interval-only flushing)")
+	flushInterval := fs.Duration("flush-interval", 0, "also flush when this much wall-clock time has passed (0 disables)")
+	telemetryFormat := fs.String("telemetry-format", "json", "telemetry wire form: json or graphite")
+	reportJSON := fs.String("report-json", "", "write the end-of-run report as JSON to a file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *listPresets {
 		for _, n := range scenario.PresetNames() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return 0
 	}
 
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	spec, err := resolveSpec(*scenarioFile, *preset)
 	if err != nil {
-		log.Fatal(err)
+		return fatal(err)
 	}
 	fromFlags := *scenarioFile == "" && *preset == ""
 
@@ -135,7 +153,7 @@ func main() {
 	// Everything below derives from the layered grid, so it must be
 	// sound first (the full Validate runs once the spec is complete).
 	if err := spec.ValidateShape(); err != nil {
-		log.Fatal(err)
+		return fatal(err)
 	}
 	// Population flags rebuild the terminal set; a bare -carriers
 	// override keeps a preset's population (and its impairments) and
@@ -144,7 +162,7 @@ func main() {
 	if fromFlags || set["model"] || set["terminals"] || set["cells"] {
 		terms, err := scenario.PopulationSpec(*model, *terminals, *cells, spec.Traffic.Carriers)
 		if err != nil {
-			log.Fatal(err)
+			return fatal(err)
 		}
 		spec.Terminals = terms
 	} else if set["carriers"] {
@@ -179,7 +197,7 @@ func main() {
 			ss.BEFloor = *beFloor
 		case "drr":
 			if _, err := fmt.Sscanf(*drrWeights, "%d,%d,%d", &ss.WeightEF, &ss.WeightAF, &ss.WeightBE); err != nil {
-				log.Fatalf("trafficsim: -drr-weights %q: want ef,af,be integers", *drrWeights)
+				return fatal(fmt.Sprintf("-drr-weights %q: want ef,af,be integers", *drrWeights))
 			}
 		}
 		spec.Traffic.Scheduler = ss
@@ -214,7 +232,7 @@ func main() {
 	// A truncated run must not strand scripted events past the horizon
 	// in the banner; they simply never fire.
 	if err := spec.Validate(); err != nil {
-		log.Fatal(err)
+		return fatal(err)
 	}
 
 	sysCfg := core.DefaultSystemConfig()
@@ -228,7 +246,7 @@ func main() {
 	}
 	sys, err := core.NewSystem(sysCfg)
 	if err != nil {
-		log.Fatal(err)
+		return fatal(err)
 	}
 	sys.RunUntil(2)
 
@@ -236,24 +254,24 @@ func main() {
 	if *events {
 		opts = append(opts, scenario.WithObserver(func(st scenario.FrameStats, _ func() *traffic.Report) {
 			for _, rec := range st.Events {
-				fmt.Println("event:", rec)
+				fmt.Fprintln(stdout, "event:", rec)
 			}
 		}))
 	}
 	sess, err := sys.NewSession(spec, opts...)
 	if err != nil {
-		log.Fatal(err)
+		return fatal(err)
 	}
 	defer sess.Close()
 
 	var tel *scenario.TelemetryObserver
 	var telFile *os.File
 	if *telemetryOut != "" {
-		w := os.Stdout
+		w := stdout
 		if *telemetryOut != "-" {
 			f, err := os.Create(*telemetryOut)
 			if err != nil {
-				log.Fatal(err)
+				return fatal(err)
 			}
 			telFile, w = f, f
 		}
@@ -263,7 +281,7 @@ func main() {
 		case "graphite":
 			format = telemetry.FormatGraphite
 		default:
-			log.Fatalf("trafficsim: unknown -telemetry-format %q (json or graphite)", *telemetryFormat)
+			return fatal(fmt.Sprintf("unknown -telemetry-format %q (json or graphite)", *telemetryFormat))
 		}
 		tel = scenario.NewTelemetryObserver(w, scenario.TelemetryConfig{
 			FlushEvery:    *flushEvery,
@@ -291,34 +309,48 @@ func main() {
 	if members > len(spec.Terminals) {
 		popDesc = fmt.Sprintf("%d entries / %d modeled members (%d traced)", len(spec.Terminals), members, traced)
 	}
-	fmt.Printf("trafficsim: scenario %q, %d frames, %dx%d grid, codec=%s, %s, queue=%d (%s), Eb/N0=%.1f dB, %d scripted events\n",
+	fmt.Fprintf(stdout, "trafficsim: scenario %q, %d frames, %dx%d grid, codec=%s, %s, queue=%d (%s), Eb/N0=%.1f dB, %d scripted events\n",
 		name, spec.Frames, spec.Traffic.Carriers, spec.Traffic.Slots, spec.System.Codec,
 		popDesc, spec.Traffic.QueueDepth, spec.Traffic.Policy, spec.Traffic.EbN0dB, len(spec.Events))
 
 	rep, err := sess.Run(context.Background())
 	if err != nil {
-		log.Fatal(err)
+		return fatal(err)
 	}
 	if tel != nil {
 		if err := tel.Close(); err != nil {
-			log.Fatalf("trafficsim: telemetry stream: %v", err)
+			return fatal("telemetry stream:", err)
 		}
 		if telFile != nil {
 			if err := telFile.Close(); err != nil {
-				log.Fatal(err)
+				return fatal(err)
 			}
 		}
 	}
 	if *reportJSON != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			log.Fatal(err)
+			return fatal(err)
 		}
 		if err := os.WriteFile(*reportJSON, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
+			return fatal(err)
 		}
 	}
-	fmt.Print(rep)
+	return finish(rep, stdout, stderr)
+}
+
+// finish prints the end-of-run report and turns it into the exit
+// status: 1, with the counts on stderr, when ground verification caught
+// the regenerated downlink losing or corrupting a burst (with -verify
+// off the two counters stay zero).
+func finish(rep *traffic.Report, stdout, stderr io.Writer) int {
+	fmt.Fprint(stdout, rep)
+	if rep.DownlinkLost == 0 && rep.DownlinkBitErrs == 0 {
+		return 0
+	}
+	fmt.Fprintf(stderr, "trafficsim: ground verify failed on a noiseless downlink: %d of %d bursts lost, %d bit errors\n",
+		rep.DownlinkLost, rep.DeliveredPackets, rep.DownlinkBitErrs)
+	return 1
 }
 
 // resolveSpec picks the base spec: a file, a preset, or the flag-built

@@ -540,10 +540,3 @@ func TestPropertyUpsampleEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

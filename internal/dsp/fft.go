@@ -5,14 +5,11 @@ import (
 	"sync"
 )
 
-// Iterative radix-2 complex FFT with precomputed per-size plans. The
-// payload's filter banks evaluate long convolutions as frequency-domain
-// products (overlap-save, see fastfir.go), the same trick Büssow uses to
-// evaluate Morlet wavelet filters as FFT products instead of dense
-// time-domain loops; this file supplies the transform those products run
-// on. Plans are immutable after construction and shared process-wide, so
-// any number of concurrent filter instances transform without locking or
-// allocating.
+// Iterative radix-2 complex FFT with precomputed per-size plans, the
+// transform under the demodulator's spectral frequency search
+// (modem.EstimateFrequencyQPSK's zero-padded periodogram). Plans are
+// immutable after construction and shared process-wide, so any number
+// of concurrent callers transform without locking or allocating.
 
 // fftPlan holds the precomputed tables for one transform size: the
 // bit-reversal permutation and the forward twiddle factors e^{-2πik/n}

@@ -133,84 +133,6 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
-func TestFastFIRMatchesScalarOneShot(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, ntaps := range []int{33, 41, 95, 128} {
-		taps := LowpassTaps(0.2, ntaps)
-		in := randVec(rng, 2000)
-		ref := NewFIR(taps)
-		prev := SetFastConvolution(false)
-		want := ref.Process(in)
-		SetFastConvolution(prev)
-		got := NewFastFIR(taps).Process(in)
-		if d := rmsDiff(got, want); d > 1e-9 {
-			t.Fatalf("ntaps=%d RMS %g", ntaps, d)
-		}
-	}
-}
-
-func TestFastFIRMatchesScalarChunked(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	taps := LowpassTaps(0.15, 95)
-	in := randVec(rng, 3000)
-	ref := NewFIR(taps)
-	prev := SetFastConvolution(false)
-	want := ref.Process(in)
-	SetFastConvolution(prev)
-	ff := NewFastFIR(taps)
-	var got Vec
-	for _, sz := range []int{7, 500, 13, 1200, 29, 950, 301} {
-		end := len(got) + sz
-		if end > len(in) {
-			end = len(in)
-		}
-		got = append(got, ff.Process(in[len(got):end])...)
-		if len(got) == len(in) {
-			break
-		}
-	}
-	if len(got) < len(in) {
-		got = append(got, ff.Process(in[len(got):])...)
-	}
-	if d := rmsDiff(got, want); d > 1e-9 {
-		t.Fatalf("chunked RMS %g", d)
-	}
-}
-
-func TestFIRFastPathDispatchMatchesScalar(t *testing.T) {
-	// Above the crossover the streaming FIR routes through overlap-save;
-	// pinning the toggle must reproduce the scalar loop within 1e-9 RMS,
-	// including across chunk boundaries that straddle the heuristic.
-	rng := rand.New(rand.NewSource(8))
-	taps := LowpassTaps(0.1, 95)
-	in := randVec(rng, 4096)
-
-	prev := SetFastConvolution(false)
-	want := NewFIR(taps).Process(in)
-	SetFastConvolution(true)
-	fast := NewFIR(taps)
-	var got Vec
-	// Mix blocks below and above fastFIRMinBlock so the stream switches
-	// between scalar and FFT paths mid-flight.
-	for _, sz := range []int{100, 1024, 50, 2048, 300} {
-		end := len(got) + sz
-		if end > len(in) {
-			end = len(in)
-		}
-		got = append(got, fast.Process(in[len(got):end])...)
-		if len(got) == len(in) {
-			break
-		}
-	}
-	if len(got) < len(in) {
-		got = append(got, fast.Process(in[len(got):])...)
-	}
-	SetFastConvolution(prev)
-	if d := rmsDiff(got, want); d > 1e-9 {
-		t.Fatalf("dispatch RMS %g", d)
-	}
-}
-
 func TestFFTZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -224,22 +146,5 @@ func TestFFTZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("FFT allocates %v per run", allocs)
-	}
-}
-
-func TestFastFIRZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not stable under the race detector")
-	}
-	taps := LowpassTaps(0.2, 95)
-	f := NewFastFIR(taps)
-	in := randVec(rand.New(rand.NewSource(10)), 2048)
-	dst := NewVec(len(in))
-	f.ProcessInto(dst, in) // warm scratch
-	allocs := testing.AllocsPerRun(20, func() {
-		f.ProcessInto(dst, in)
-	})
-	if allocs != 0 {
-		t.Fatalf("FastFIR allocates %v per run", allocs)
 	}
 }

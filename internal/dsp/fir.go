@@ -7,14 +7,7 @@ import "math"
 // calls so that arbitrarily chunked streams produce identical output to a
 // single-shot call.
 type FIR struct {
-	taps []float64
-	hist Vec // most recent len(taps)-1 inputs, oldest first
-	ext  Vec // scratch: history ++ input, reused across calls
-
-	// fast holds the lazily built overlap-save state (fastfir.go) used
-	// when the taps and block length clear the crossover heuristic. Like
-	// hist/ext it serves one stream at a time.
-	fast *fastFIRState
+	ip *interpolator // by 1: one branch, the filter itself
 }
 
 // NewFIR builds a streaming filter from taps. The taps slice is copied.
@@ -22,78 +15,155 @@ func NewFIR(taps []float64) *FIR {
 	if len(taps) == 0 {
 		panic("dsp: NewFIR requires at least one tap")
 	}
-	t := make([]float64, len(taps))
-	copy(t, taps)
-	return &FIR{taps: t, hist: NewVec(len(taps) - 1)}
+	return &FIR{ip: newInterpolator(taps, 1, 1)}
 }
 
 // Taps returns a copy of the filter taps.
-func (f *FIR) Taps() []float64 {
-	t := make([]float64, len(f.taps))
-	copy(t, f.taps)
-	return t
-}
+func (f *FIR) Taps() []float64 { return reversed(f.ip.br) }
 
 // Reset clears the filter history.
-func (f *FIR) Reset() {
-	for i := range f.hist {
-		f.hist[i] = 0
-	}
-}
+func (f *FIR) Reset() { f.ip.reset() }
 
 // Process filters the block in and returns len(in) output samples
 // (the steady-state causal output; group delay is (len(taps)-1)/2 samples).
-func (f *FIR) Process(in Vec) Vec {
-	return f.ProcessInto(NewVec(len(in)), in)
-}
+func (f *FIR) Process(in Vec) Vec { return f.ProcessInto(NewVec(len(in)), in) }
 
 // ProcessInto is the allocation-free variant of Process: it writes the
 // len(in) output samples into dst (which must be at least that long,
 // and must not alias in) and returns dst[:len(in)]. A FIR carries
-// stream history, so it serves one stream at a time; the internal
-// scratch buffer reuse is safe under that same constraint.
+// stream history, so it serves one stream at a time.
 func (f *FIR) ProcessInto(dst, in Vec) Vec {
-	n := len(f.taps)
 	if len(dst) < len(in) {
 		panic("dsp: FIR.ProcessInto dst too short")
 	}
-	// Build the extended buffer: history then input.
-	need := len(f.hist) + len(in)
-	if cap(f.ext) < need {
-		f.ext = make(Vec, need)
-	}
-	ext := f.ext[:need]
-	copy(ext, f.hist)
-	copy(ext[len(f.hist):], in)
+	return f.ip.processInto(dst, in)
+}
 
-	dst = dst[:len(in)]
-	if n >= fastFIRMinTaps && len(in) >= fastFIRMinBlock && fastConvolution.Load() {
-		// Long filter on a long block: evaluate as frequency-domain
-		// products (overlap-save) instead of the dense scalar loop.
-		if f.fast == nil {
-			f.fast = newFastFIRState(f.taps)
-		}
-		f.fast.processOverlapSave(dst, ext, n)
-	} else {
-		for i := range in {
-			// Output sample i uses ext[i .. i+n-1]; taps reversed.
-			var acc complex128
-			base := i
-			for j := 0; j < n; j++ {
-				acc += ext[base+j] * complex(f.taps[n-1-j], 0)
-			}
-			dst[i] = acc
-		}
+// dotReal returns Σ w[j]·t[j] over len(t) samples, the inner product
+// every filter here reduces to. Complex samples times real taps are two
+// real multiplies each, not a complex one.
+func dotReal(w Vec, t []float64) complex128 {
+	w = w[:len(t)]
+	var r, i float64
+	for j, c := range t {
+		r += real(w[j]) * c
+		i += imag(w[j]) * c
 	}
-	// Save new history.
-	if len(ext) >= n-1 {
-		copy(f.hist, ext[len(ext)-(n-1):])
+	return complex(r, i)
+}
+
+// dot4 is dotReal over the four windows of w that start at 0, s, 2s and
+// 3s: the outputs share every tap load and run as eight independent
+// accumulator chains, about half dotReal's instructions per product.
+// Each output sums in dotReal's order, so which kernel produced a sample
+// does not show in its value.
+func dot4(w Vec, s int, t []float64) (y0, y1, y2, y3 complex128) {
+	n := len(t)
+	w0, w1, w2, w3 := w[:n], w[s:][:n], w[2*s:][:n], w[3*s:][:n]
+	var r0, i0, r1, i1, r2, i2, r3, i3 float64
+	for j, c := range t {
+		a, b := w0[j], w1[j]
+		r0 += real(a) * c
+		i0 += imag(a) * c
+		r1 += real(b) * c
+		i1 += imag(b) * c
+		a, b = w2[j], w3[j]
+		r2 += real(a) * c
+		i2 += imag(a) * c
+		r3 += real(b) * c
+		i3 += imag(b) * c
 	}
+	return complex(r0, i0), complex(r1, i1), complex(r2, i2), complex(r3, i3)
+}
+
+// filterInto writes dst[k*ds] = dotReal(x[k*xs:], t) for k < n, four
+// outputs at a time: a filter whose input advances xs samples and whose
+// output advances ds per step (a plain FIR is 1 and 1, a decimator by D
+// is D and 1, one branch of an interpolator by L is 1 and L).
+func filterInto(dst Vec, ds int, x Vec, xs int, t []float64, n int) {
+	k := 0
+	for ; k+4 <= n; k += 4 {
+		o := dst[k*ds:]
+		o[0], o[ds], o[2*ds], o[3*ds] = dot4(x[k*xs:], xs, t)
+	}
+	for ; k < n; k++ {
+		dst[k*ds] = dotReal(x[k*xs:], t)
+	}
+}
+
+// interpolator is a streaming polyphase interpolator by l over a real
+// prototype filter: output l·m+p is branch p of the prototype (taps p,
+// p+l, p+2l, …) applied to the inputs up to m — the nonzero products of
+// zero-stuffing by l and filtering at the high rate, same output and
+// group delay, at len(taps)/l multiplies per output and no scratch.
+type interpolator struct {
+	l, j int       // interpolation factor; taps per branch
+	br   []float64 // branch p reversed at br[p*j:(p+1)*j], zero-padded to j
+	ext  Vec       // j-1 samples of history, then room for a block's first j-1
+	idle bool      // the history is all zero
+}
+
+// newInterpolator splits taps (scaled by gain) into l branches.
+func newInterpolator(taps []float64, l int, gain float64) *interpolator {
+	j := (len(taps) + l - 1) / l
+	ip := &interpolator{l: l, j: j, br: make([]float64, l*j), ext: NewVec(2 * (j - 1)), idle: true}
+	for k, t := range taps {
+		ip.br[(k%l)*j+j-1-k/l] = gain * t
+	}
+	return ip
+}
+
+// processInto writes the l·len(in) interpolated samples into dst (at
+// least that long, not aliasing in) and returns the filled prefix.
+func (ip *interpolator) processInto(dst, in Vec) Vec {
+	h := ip.j - 1
+	dst = dst[:len(in)*ip.l]
+	// Only the first h inputs' windows reach into the history; the rest
+	// are read straight from in.
+	head := min(len(in), h)
+	ext := ip.ext[:h+head]
+	copy(ext[h:], in[:head])
+	ip.run(dst, ext)
+	ip.run(dst[head*ip.l:], in)
+	copy(ext, ext[head:])
+	if len(in) > h {
+		copy(ext, in[len(in)-h:])
+	}
+	ip.idle = allZero(ext[:h])
 	return dst
 }
 
+// run writes the l outputs of every full window x[m:m+j] into dst.
+func (ip *interpolator) run(dst, x Vec) {
+	for p := 0; p < ip.l && len(x) >= ip.j; p++ {
+		filterInto(dst[p:], ip.l, x, 1, ip.br[p*ip.j:(p+1)*ip.j], len(x)-ip.j+1)
+	}
+}
+
+func (ip *interpolator) reset() {
+	clear(ip.ext)
+	ip.idle = true
+}
+
+func allZero(v Vec) bool {
+	for _, s := range v {
+		if s != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func reversed(t []float64) []float64 {
+	r := make([]float64, len(t))
+	for i, v := range t {
+		r[len(t)-1-i] = v
+	}
+	return r
+}
+
 // GroupDelay returns the filter group delay in samples for symmetric taps.
-func (f *FIR) GroupDelay() float64 { return float64(len(f.taps)-1) / 2 }
+func (f *FIR) GroupDelay() float64 { return float64(f.ip.j-1) / 2 }
 
 // LowpassTaps designs a windowed-sinc linear-phase lowpass FIR with the
 // given normalized cutoff (cycles/sample, 0 < cutoff < 0.5) and ntaps taps

@@ -216,30 +216,7 @@ func TestVecPoolRecycles(t *testing.T) {
 }
 
 // Benchmarks documenting the allocs/op drop of the in-place hot loops
-// versus the allocating originals (see CHANGES.md for baselines).
-func BenchmarkFIRProcess(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	f := NewFIR(LowpassTaps(0.2, 63))
-	in := randVec(rng, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Process(in)
-	}
-}
-
-func BenchmarkFIRProcessInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	f := NewFIR(LowpassTaps(0.2, 63))
-	in, dst := randVec(rng, 1024), NewVec(1024)
-	f.ProcessInto(dst, in)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.ProcessInto(dst, in)
-	}
-}
-
+// versus the allocating originals (the FIR's are in bench_test.go).
 func BenchmarkHalfBandProcess(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	d := NewHalfBandDecimator(21)

@@ -5,83 +5,118 @@ import "math"
 // NCO is a numerically controlled oscillator producing exp(j 2 pi f n + phi).
 // It is the digital local oscillator used by the payload's down-conversion
 // (DDC) and up-conversion stages (LO1, LO2a/b in Fig 2 of the paper).
+//
+// The phase is not accumulated sample by sample: the oscillator keeps an
+// anchor phase and a sample counter and derives everything from those. A
+// block is mixed by one complex multiply per sample — a phasor advanced
+// by exp(j 2 pi f) and re-anchored from the counter every ncoAnchor
+// samples, so neither its modulus nor its phase drifts however long the
+// stream runs.
 type NCO struct {
 	freq  float64 // cycles per sample
-	phase float64 // current phase in radians
+	phase float64 // radians at the anchor sample (n == 0)
+	n     int64   // samples produced since the anchor
 }
+
+// ncoAnchor is how many samples the phasor recurrence runs between exact
+// re-anchors (one math.Sincos each): rounding grows by ~1e-16 a step, so
+// a few hundred steps stay ~1e-14 from the closed form.
+const ncoAnchor = 256
 
 // NewNCO creates an oscillator at normalized frequency freq (cycles/sample)
 // with initial phase radians.
-func NewNCO(freq, phase float64) *NCO {
-	return &NCO{freq: freq, phase: phase}
-}
-
-// Freq returns the current frequency in cycles/sample.
-func (o *NCO) Freq() float64 { return o.freq }
+func NewNCO(freq, phase float64) *NCO { return &NCO{freq: freq, phase: phase} }
 
 // SetFreq retunes the oscillator without a phase discontinuity.
-func (o *NCO) SetFreq(freq float64) { o.freq = freq }
+func (o *NCO) SetFreq(freq float64) { o.phase, o.n, o.freq = o.Phase(), 0, freq }
 
 // Phase returns the current phase in radians.
-func (o *NCO) Phase() float64 { return o.phase }
+func (o *NCO) Phase() float64 { return wrapPhase(o.phaseAt(o.n)) }
+
+// phaseAt returns the phase of sample n. The cycle count freq·n is
+// reduced to its fractional part before it is scaled: hi − round(hi) is
+// exact and the FMA recovers what rounding the product to hi lost, so
+// the error does not grow with n.
+func (o *NCO) phaseAt(n int64) float64 {
+	x := float64(n)
+	hi := o.freq * x
+	return o.phase + 2*math.Pi*(hi-math.Round(hi)+math.FMA(o.freq, x, -hi))
+}
 
 // AdjustPhase adds dp radians to the accumulator (used by tracking loops).
-func (o *NCO) AdjustPhase(dp float64) {
-	o.phase = wrapPhase(o.phase + dp)
-}
+func (o *NCO) AdjustPhase(dp float64) { o.phase = wrapPhase(o.phase + dp) }
 
 // Next returns the next oscillator sample and advances the accumulator.
 func (o *NCO) Next() complex128 {
-	s := complex(math.Cos(o.phase), math.Sin(o.phase))
-	o.phase = wrapPhase(o.phase + 2*math.Pi*o.freq)
-	return s
+	s, c := math.Sincos(o.phaseAt(o.n))
+	o.n++
+	return complex(c, s)
 }
 
 // Block produces n oscillator samples.
 func (o *NCO) Block(n int) Vec {
 	out := NewVec(n)
 	for i := range out {
-		out[i] = o.Next()
+		out[i] = 1
 	}
-	return out
+	return o.MixInto(out, out)
 }
 
 // Mix multiplies the input block by the oscillator (frequency translation).
-func (o *NCO) Mix(in Vec) Vec {
-	return o.MixInto(NewVec(len(in)), in)
-}
+func (o *NCO) Mix(in Vec) Vec { return o.MixInto(NewVec(len(in)), in) }
 
 // MixInto is the allocation-free variant of Mix: it writes the mixed
 // block into dst (at least len(in) long; dst == in is allowed) and
 // returns dst[:len(in)].
 func (o *NCO) MixInto(dst, in Vec) Vec {
 	dst = dst[:len(in)]
-	for i, s := range in {
-		dst[i] = s * o.Next()
-	}
+	o.mixAt(dst, in, o.n)
+	o.n += int64(len(in))
 	return dst
 }
 
-func wrapPhase(p float64) float64 {
-	for p > math.Pi {
-		p -= 2 * math.Pi
+// mixAt mixes in as samples n, n+1, … of the oscillator's stream into
+// dst without touching the counter, so it may run concurrently with
+// itself on one oscillator.
+func (o *NCO) mixAt(dst, in Vec, n int64) {
+	s, c := math.Sincos(2 * math.Pi * o.freq)
+	rot := complex(c, s)
+	for len(in) > 0 {
+		m := min(len(in), ncoAnchor)
+		s, c := math.Sincos(o.phaseAt(n))
+		p := complex(c, s)
+		d := dst[:m]
+		for i, x := range in[:m] {
+			d[i] = x * p
+			p *= rot
+		}
+		in, dst, n = in[m:], dst[m:], n+int64(m)
 	}
-	for p < -math.Pi {
-		p += 2 * math.Pi
-	}
-	return p
 }
 
+// wrapPhase reduces p to [-pi, pi].
+func wrapPhase(p float64) float64 { return math.Remainder(p, 2*math.Pi) }
+
+// ddcTile is how many input samples a DDC mixes before it filters them:
+// the mixed tile and the taps stay in the L1 cache.
+const ddcTile = 1024
+
 // DDC is a digital down-converter: an NCO mixer followed by a lowpass FIR
-// and a decimator. One DDC per carrier implements the payload DEMUX for a
-// multi-frequency (MF-TDMA) uplink.
+// evaluated only at the samples the decimator keeps. One DDC per carrier
+// implements the payload DEMUX for a multi-frequency (MF-TDMA) uplink.
 type DDC struct {
-	nco    *NCO
-	lp     *FIR
-	decim  int
-	dPhase int
-	mixed  Vec // scratch: mixer output, reused across calls
-	filt   Vec // scratch: channel-filter output, reused across calls
+	nco   NCO       // mixer frequency; the sample counter lives in ddcState
+	taps  []float64 // channel filter, reversed
+	decim int
+	st    ddcState // the stream ProcessInto serves
+}
+
+// ddcState is where a conversion stands in its stream.
+type ddcState struct {
+	ext   Vec   // len(taps)-1 mixed samples of history, then one mixed tile
+	n     int64 // stream index of the next input sample
+	first int   // offset from the next input sample to the next kept output
+	quiet bool  // the history is all zero
 }
 
 // NewDDC builds a down-converter that translates a carrier at normalized
@@ -92,9 +127,10 @@ func NewDDC(freq, cutoff float64, ntaps, decim int) *DDC {
 		panic("dsp: NewDDC decim must be >= 1")
 	}
 	return &DDC{
-		nco:   NewNCO(-freq, 0),
-		lp:    NewFIR(LowpassTaps(cutoff, ntaps)),
+		nco:   NCO{freq: -freq},
+		taps:  reversed(LowpassTaps(cutoff, ntaps)),
 		decim: decim,
+		st:    ddcState{ext: NewVec(ntaps - 1 + ddcTile), quiet: true},
 	}
 }
 
@@ -103,15 +139,10 @@ func (d *DDC) Decimation() int { return d.decim }
 
 // OutLen returns how many samples the next Process call will emit for a
 // block of n input samples, given the current decimation phase.
-func (d *DDC) OutLen(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	if d.decim == 1 {
-		return n
-	}
-	// Count of i in [0, n) with (dPhase+i) ≡ 0 (mod decim).
-	first := (d.decim - d.dPhase%d.decim) % d.decim
+func (d *DDC) OutLen(n int) int { return d.kept(d.st.first, n) }
+
+// kept counts the outputs at offsets first, first+decim, … below n.
+func (d *DDC) kept(first, n int) int {
 	if first >= n {
 		return 0
 	}
@@ -119,46 +150,68 @@ func (d *DDC) OutLen(n int) int {
 }
 
 // Process translates, filters and decimates a block.
-func (d *DDC) Process(in Vec) Vec {
-	return d.ProcessInto(NewVec(d.OutLen(len(in))), in)
-}
+func (d *DDC) Process(in Vec) Vec { return d.ProcessInto(NewVec(d.OutLen(len(in))), in) }
 
-// ProcessInto is the allocation-free variant of Process: mixer and
-// channel-filter outputs land in DDC-owned scratch buffers and the
-// decimated baseband is written into dst (at least OutLen(len(in))
-// long, not aliasing in). Like the FIR it wraps, a DDC serves one
-// stream at a time.
-func (d *DDC) ProcessInto(dst, in Vec) Vec {
-	if cap(d.mixed) < len(in) {
-		d.mixed = make(Vec, len(in))
+// ProcessInto is the allocation-free variant of Process: the decimated
+// baseband is written into dst (at least OutLen(len(in)) long, not
+// aliasing in). A DDC carries stream state, so it serves one stream at
+// a time.
+func (d *DDC) ProcessInto(dst, in Vec) Vec { return dst[:d.convert(&d.st, dst, in)] }
+
+// ProcessWindowInto writes into dst outputs lo..hi-1 of what a DDC in
+// its initial state emits for block (0 <= lo <= hi <= its OutLen), at
+// the cost of those outputs plus one filter length of input. It reads
+// and writes no stream state, so windows of a block may be converted
+// concurrently; one spanning the block costs what ProcessInto does.
+func (d *DDC) ProcessWindowInto(dst, block Vec, lo, hi int) Vec {
+	if hi <= lo {
+		return dst[:0]
 	}
-	mixed := d.nco.MixInto(d.mixed[:len(in)], in)
-	if d.decim == 1 {
-		return d.lp.ProcessInto(dst, mixed)
-	}
-	if cap(d.filt) < len(in) {
-		d.filt = make(Vec, len(in))
-	}
-	filtered := d.lp.ProcessInto(d.filt[:len(in)], mixed)
-	k := 0
-	for i := range filtered {
-		if (d.dPhase+i)%d.decim == 0 {
-			dst[k] = filtered[i]
-			k++
-		}
-	}
-	d.dPhase = (d.dPhase + len(in)) % d.decim
+	h := len(d.taps) - 1
+	from := max(lo*d.decim-h, 0)
+	st := ddcState{ext: GetVec(h + ddcTile), n: int64(from), first: lo*d.decim - from, quiet: true}
+	clear(st.ext[:h])
+	k := d.convert(&st, dst[:hi-lo], block[from:(hi-1)*d.decim+1])
+	PutVec(st.ext)
 	return dst[:k]
 }
 
-// DUC is a digital up-converter: zero-stuff interpolation, image-reject
-// lowpass, then NCO mixing to the carrier. It is the transmit-side dual of
-// DDC, used by the payload Tx section.
+// convert advances st over in a tile at a time: mix, then evaluate the
+// channel filter at the only outputs the decimator keeps. A tile of
+// zeros behind a history of zeros is not mixed or filtered — its outputs
+// would be sums of zero products — so an idle stretch of the band costs
+// a scan.
+func (d *DDC) convert(st *ddcState, dst, in Vec) int {
+	h := len(d.taps) - 1
+	k := 0
+	for len(in) > 0 {
+		m := min(len(in), ddcTile)
+		out := dst[k : k+d.kept(st.first, m)]
+		if st.quiet && allZero(in[:m]) {
+			clear(out)
+		} else {
+			e := st.ext[:h+m]
+			d.nco.mixAt(e[h:], in[:m], st.n)
+			if len(out) > 0 {
+				filterInto(out, 1, e[st.first:], d.decim, d.taps, len(out))
+			}
+			copy(e, e[m:])
+			st.quiet = allZero(e[:h])
+		}
+		k += len(out)
+		st.first += len(out)*d.decim - m
+		st.n += int64(m)
+		in = in[m:]
+	}
+	return k
+}
+
+// DUC is a digital up-converter: polyphase interpolation through the
+// image-reject lowpass, then NCO mixing to the carrier. It is the
+// transmit-side dual of DDC, used by the payload Tx section.
 type DUC struct {
-	nco    *NCO
-	lp     *FIR
-	interp int
-	up     Vec // scratch: zero-stuffed input, reused across calls
+	nco *NCO
+	ip  *interpolator
 }
 
 // NewDUC builds an up-converter interpolating by interp and translating
@@ -168,41 +221,50 @@ func NewDUC(freq, cutoff float64, ntaps, interp int) *DUC {
 		panic("dsp: NewDUC interp must be >= 1")
 	}
 	return &DUC{
-		nco:    NewNCO(freq, 0),
-		lp:     NewFIR(LowpassTaps(cutoff, ntaps)),
-		interp: interp,
+		nco: NewNCO(freq, 0),
+		ip:  newInterpolator(LowpassTaps(cutoff, ntaps), interp, float64(interp)),
 	}
 }
-
-// Interpolation returns the interpolation factor.
-func (u *DUC) Interpolation() int { return u.interp }
 
 // OutLen returns how many samples Process/ProcessInto emit for a block
 // of n input samples.
-func (u *DUC) OutLen(n int) int { return n * u.interp }
+func (u *DUC) OutLen(n int) int { return n * u.ip.l }
 
 // Process interpolates, filters and up-converts a baseband block.
-func (u *DUC) Process(in Vec) Vec {
-	return u.ProcessInto(NewVec(u.OutLen(len(in))), in)
+func (u *DUC) Process(in Vec) Vec { return u.ProcessInto(NewVec(u.OutLen(len(in))), in) }
+
+// ducTile is how many input samples a DUC interpolates before it mixes
+// their outputs, while they are still in the L1 cache.
+const ducTile = 256
+
+// ProcessInto is the allocation-free variant of Process: the
+// up-converted output is written into dst (at least OutLen(len(in))
+// long, not aliasing in). A DUC carries stream state, so it serves one
+// stream at a time. Idle stretches — zeros in behind a filter history of
+// zeros — come out as the zeros the filter would have produced, for the
+// cost of a scan: only the oscillator moves.
+func (u *DUC) ProcessInto(dst, in Vec) Vec {
+	dst = dst[:u.OutLen(len(in))]
+	for off := 0; off < len(in); off += ducTile {
+		end := min(off+ducTile, len(in))
+		o := dst[off*u.ip.l : end*u.ip.l]
+		if u.SkipIdle(in[off:end]) {
+			clear(o)
+		} else {
+			u.nco.MixInto(o, u.ip.processInto(o, in[off:end]))
+		}
+	}
+	return dst
 }
 
-// ProcessInto is the allocation-free variant of Process: the zero-stuffed
-// input lands in a DUC-owned scratch buffer and the up-converted output
-// is written into dst (at least OutLen(len(in)) long, not aliasing in).
-// Like the FIR it wraps, a DUC serves one stream at a time.
-func (u *DUC) ProcessInto(dst, in Vec) Vec {
-	n := u.OutLen(len(in))
-	if cap(u.up) < n {
-		u.up = make(Vec, n)
+// SkipIdle reports whether ProcessInto(in) would emit nothing but zeros
+// — in and the filter's retained history are all zero, never otherwise —
+// and, if so, advances the oscillator past the block, so a caller
+// summing carriers may leave this one out.
+func (u *DUC) SkipIdle(in Vec) bool {
+	if !u.ip.idle || !allZero(in) {
+		return false
 	}
-	up := u.up[:n]
-	for i := range up {
-		up[i] = 0
-	}
-	g := complex(float64(u.interp), 0)
-	for i, s := range in {
-		up[i*u.interp] = s * g
-	}
-	filtered := u.lp.ProcessInto(dst[:n], up)
-	return u.nco.MixInto(filtered, filtered)
+	u.nco.n += int64(u.OutLen(len(in)))
+	return true
 }

@@ -1,44 +1,57 @@
 package dsp
 
-import "sync"
-
-// Block allocator for sample vectors. The per-carrier receive pipeline
-// processes one baseband block per burst per carrier; recycling those
-// blocks through a sync.Pool keeps the steady-state hot path (mix,
-// filter, decimate) allocation-free regardless of how many carriers are
-// in flight. Blocks cycle between two pools: vecPool holds boxes with a
-// buffer attached, boxPool holds empty boxes, so neither Get nor Put
-// allocates once warm.
-
-type vecBox struct{ v Vec }
-
-var (
-	vecPool = sync.Pool{New: func() any { return &vecBox{} }}
-	boxPool = sync.Pool{New: func() any { return &vecBox{} }}
+import (
+	"math/bits"
+	"sync"
 )
 
-// GetVec returns a length-n block from the pool, growing a recycled
-// buffer if needed. Contents are unspecified; callers must overwrite
+// Block allocator for sample vectors: recycling per-burst and per-frame
+// blocks keeps the hot path (mix, filter, decimate) allocation-free
+// however many carriers are in flight. Blocks are kept by size class
+// (the bit length of their capacity), so a wideband block and a burst's
+// worth of symbols never answer each other's requests, on a short free
+// list rather than in a sync.Pool: every collection empties a sync.Pool,
+// and a frame that makes several collections' worth of garbage elsewhere
+// (the turbo decoder's 6 MB) would buy its blocks anew every frame.
+type vecClass struct {
+	mu   sync.Mutex
+	free []Vec // at most vecClassKeep; blocks beyond go to the collector
+}
+
+const vecClassKeep = 16
+
+var vecClasses [bits.UintSize + 1]vecClass
+
+// GetVec returns a length-n block, recycled when its size class has one
+// that is large enough. Contents are unspecified; callers must overwrite
 // every sample (all pipeline stages do).
 func GetVec(n int) Vec {
-	box := vecPool.Get().(*vecBox)
-	v := box.v
-	box.v = nil
-	boxPool.Put(box)
-	if cap(v) < n {
-		return make(Vec, n)
+	c := &vecClasses[bits.Len(uint(n))]
+	c.mu.Lock()
+	for i := len(c.free) - 1; i >= 0; i-- { // newest first: warmest in cache
+		if v := c.free[i]; cap(v) >= n {
+			last := len(c.free) - 1
+			c.free[i], c.free[last] = c.free[last], nil
+			c.free = c.free[:last]
+			c.mu.Unlock()
+			return v[:n]
+		}
 	}
-	return v[:n]
+	c.mu.Unlock()
+	return make(Vec, n)
 }
 
 // PutVec recycles a block obtained from GetVec (or anywhere else — the
-// pool does not care about provenance). The caller must not use v after
-// the call.
+// allocator does not care about provenance). The caller must not use v
+// after the call.
 func PutVec(v Vec) {
 	if cap(v) == 0 {
 		return
 	}
-	box := boxPool.Get().(*vecBox)
-	box.v = v[:0]
-	vecPool.Put(box)
+	c := &vecClasses[bits.Len(uint(cap(v)))]
+	c.mu.Lock()
+	if len(c.free) < vecClassKeep {
+		c.free = append(c.free, v[:0])
+	}
+	c.mu.Unlock()
 }

@@ -100,62 +100,45 @@ func rrcPoint(t, beta float64) float64 {
 }
 
 // PulseShaper upsamples a symbol stream by sps and filters it with an RRC
-// pulse, producing a transmit baseband waveform. Streaming-safe.
+// pulse, producing a transmit baseband waveform. Streaming-safe. It is
+// the polyphase interpolator the DUC uses, over the RRC taps.
 type PulseShaper struct {
-	fir *FIR
-	sps int
-	up  Vec // scratch: zero-stuffed symbols, reused across calls
+	ip    *interpolator
+	delay float64
 }
 
 // NewPulseShaper builds a transmit shaper with the given RRC parameters.
 func NewPulseShaper(beta float64, sps, span int) *PulseShaper {
-	return &PulseShaper{fir: NewFIR(RRCTaps(beta, sps, span)), sps: sps}
+	taps := RRCTaps(beta, sps, span)
+	return &PulseShaper{ip: newInterpolator(taps, sps, 1), delay: float64(len(taps)-1) / 2}
 }
 
-// SPS returns the samples-per-symbol factor.
-func (p *PulseShaper) SPS() int { return p.sps }
-
 // GroupDelay returns the shaping filter delay in samples.
-func (p *PulseShaper) GroupDelay() float64 { return p.fir.GroupDelay() }
+func (p *PulseShaper) GroupDelay() float64 { return p.delay }
 
 // Process shapes a block of symbols into sps*len(symbols) samples.
 // Because the taps have unit energy, the shaper + matched filter cascade
 // has unity gain at the decision instant.
 func (p *PulseShaper) Process(symbols Vec) Vec {
-	up := Upsample(symbols, p.sps)
-	return p.fir.Process(up)
+	return p.ProcessInto(NewVec(len(symbols)*p.ip.l), symbols)
 }
 
 // ProcessInto is the allocation-free variant of Process: it writes the
 // sps*len(symbols) shaped samples into dst (at least that long, not
 // aliasing symbols) and returns the filled prefix.
 func (p *PulseShaper) ProcessInto(dst, symbols Vec) Vec {
-	n := len(symbols) * p.sps
-	if cap(p.up) < n {
-		p.up = make(Vec, n)
-	}
-	up := p.up[:n]
-	for i := range up {
-		up[i] = 0
-	}
-	for i, s := range symbols {
-		up[i*p.sps] = s
-	}
-	return p.fir.ProcessInto(dst, up)
+	return p.ip.processInto(dst, symbols)
 }
 
 // Reset clears the shaper state.
-func (p *PulseShaper) Reset() { p.fir.Reset() }
+func (p *PulseShaper) Reset() { p.ip.reset() }
 
 // MatchedFilter is the receive-side RRC filter paired with PulseShaper.
-type MatchedFilter struct {
-	fir *FIR
-	sps int
-}
+type MatchedFilter struct{ fir *FIR }
 
 // NewMatchedFilter builds the receive matched filter.
 func NewMatchedFilter(beta float64, sps, span int) *MatchedFilter {
-	return &MatchedFilter{fir: NewFIR(RRCTaps(beta, sps, span)), sps: sps}
+	return &MatchedFilter{fir: NewFIR(RRCTaps(beta, sps, span))}
 }
 
 // Process filters a received block at sample rate.
@@ -168,9 +151,6 @@ func (m *MatchedFilter) ProcessInto(dst, in Vec) Vec { return m.fir.ProcessInto(
 
 // GroupDelay returns the filter delay in samples.
 func (m *MatchedFilter) GroupDelay() float64 { return m.fir.GroupDelay() }
-
-// SPS returns the samples-per-symbol factor the filter was designed for.
-func (m *MatchedFilter) SPS() int { return m.sps }
 
 // Reset clears the filter state.
 func (m *MatchedFilter) Reset() { m.fir.Reset() }

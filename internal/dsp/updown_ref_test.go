@@ -1,0 +1,384 @@
+package dsp
+
+import (
+	"math"
+	"math/cmplx"
+	"math/rand"
+	"testing"
+)
+
+// The kernels the polyphase banks and the recurrence oscillator replaced,
+// kept as references: a per-sample Sin/Cos phase accumulator, zero-stuff
+// + full-rate FIR + mix, and mix + full-rate FIR + discard. The tests
+// below hold the production kernels to them sample for sample.
+
+type refNCO struct{ freq, phase float64 }
+
+func (o *refNCO) next() complex128 {
+	s := complex(math.Cos(o.phase), math.Sin(o.phase))
+	o.phase = wrapPhase(o.phase + 2*math.Pi*o.freq)
+	return s
+}
+
+// refFIR is the dense streaming filter: history ++ input, one full
+// convolution sum per input sample.
+type refFIR struct {
+	taps []float64
+	hist Vec
+}
+
+func newRefFIR(taps []float64) *refFIR {
+	return &refFIR{taps: taps, hist: NewVec(len(taps) - 1)}
+}
+
+func (f *refFIR) process(in Vec) Vec {
+	n := len(f.taps)
+	ext := append(f.hist.Clone(), in...)
+	out := NewVec(len(in))
+	for i := range in {
+		for j := 0; j < n; j++ {
+			out[i] += ext[i+j] * complex(f.taps[n-1-j], 0)
+		}
+	}
+	copy(f.hist, ext[len(ext)-(n-1):])
+	return out
+}
+
+type refDUC struct {
+	nco    refNCO
+	lp     *refFIR
+	interp int
+}
+
+func newRefDUC(freq, cutoff float64, ntaps, interp int) *refDUC {
+	return &refDUC{nco: refNCO{freq: freq}, lp: newRefFIR(LowpassTaps(cutoff, ntaps)), interp: interp}
+}
+
+func (u *refDUC) process(in Vec) Vec {
+	up := NewVec(len(in) * u.interp)
+	for i, s := range in {
+		up[i*u.interp] = s * complex(float64(u.interp), 0)
+	}
+	out := u.lp.process(up)
+	for i := range out {
+		out[i] *= u.nco.next()
+	}
+	return out
+}
+
+type refDDC struct {
+	nco           refNCO
+	lp            *refFIR
+	decim, dPhase int
+}
+
+func newRefDDC(freq, cutoff float64, ntaps, decim int) *refDDC {
+	return &refDDC{nco: refNCO{freq: -freq}, lp: newRefFIR(LowpassTaps(cutoff, ntaps)), decim: decim}
+}
+
+func (d *refDDC) process(in Vec) Vec {
+	mixed := NewVec(len(in))
+	for i, s := range in {
+		mixed[i] = s * d.nco.next()
+	}
+	filtered := d.lp.process(mixed)
+	var out Vec
+	for i, s := range filtered {
+		if (d.dPhase+i)%d.decim == 0 {
+			out = append(out, s)
+		}
+	}
+	d.dPhase = (d.dPhase + len(in)) % d.decim
+	return out
+}
+
+// unitVec is complex Gaussian noise of unit mean power.
+func unitVec(rng *rand.Rand, n int) Vec {
+	v := NewVec(n)
+	for i := range v {
+		v[i] = complex(rng.NormFloat64(), rng.NormFloat64()) * complex(math.Sqrt(0.5), 0)
+	}
+	return v
+}
+
+// chunks splits n into the given lengths, cycling, so streams are fed in
+// pieces that are not multiples of any rate-change factor.
+func chunks(n int, sizes ...int) []int {
+	var out []int
+	for i := 0; n > 0; i++ {
+		c := min(sizes[i%len(sizes)], n)
+		out = append(out, c)
+		n -= c
+	}
+	return out
+}
+
+// The engine's bank shape first, then shapes that exercise ragged branch
+// lengths, an even tap count, and no rate change at all.
+var bankShapes = []struct{ ntaps, l int }{{95, 4}, {63, 2}, {64, 3}, {31, 5}, {33, 1}, {3, 4}}
+
+func TestDUCMatchesZeroStuffReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, sh := range bankShapes {
+		in := unitVec(rng, 1500)
+		want := newRefDUC(0.17, 0.09, sh.ntaps, sh.l).process(in)
+
+		oneShot := NewDUC(0.17, 0.09, sh.ntaps, sh.l).Process(in)
+		if d := rmsDiff(oneShot, want); d > 1e-9 {
+			t.Fatalf("%d taps x%d: one-shot RMS %g from the reference", sh.ntaps, sh.l, d)
+		}
+		// Chunked, through ProcessInto, against the allocating one-shot.
+		u := NewDUC(0.17, 0.09, sh.ntaps, sh.l)
+		var got Vec
+		dst := NewVec(u.OutLen(len(in)))
+		off := 0
+		for _, c := range chunks(len(in), 7, 301, 1, 23, 258, 5) {
+			got = append(got, u.ProcessInto(dst, in[off:off+c])...)
+			off += c
+		}
+		if d := rmsDiff(got, oneShot); d > 1e-12 {
+			t.Fatalf("%d taps x%d: chunked RMS %g from one-shot", sh.ntaps, sh.l, d)
+		}
+	}
+}
+
+func TestDDCMatchesFilterDiscardReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, sh := range bankShapes {
+		in := unitVec(rng, 5000)
+		want := newRefDDC(0.17, 0.09, sh.ntaps, sh.l).process(in)
+
+		oneShot := NewDDC(0.17, 0.09, sh.ntaps, sh.l).Process(in)
+		if d := rmsDiff(oneShot, want); d > 1e-9 {
+			t.Fatalf("%d taps /%d: one-shot RMS %g from the reference", sh.ntaps, sh.l, d)
+		}
+		// Chunk lengths that are not multiples of the decimation walk the
+		// decimation phase through every residue.
+		d, ref := NewDDC(0.17, 0.09, sh.ntaps, sh.l), newRefDDC(0.17, 0.09, sh.ntaps, sh.l)
+		var got Vec
+		dst := NewVec(len(in))
+		off := 0
+		for _, c := range chunks(len(in), 7, 1301, 1, 23, 1024, 5, 2) {
+			n := d.OutLen(c)
+			out := d.ProcessInto(dst, in[off:off+c])
+			if len(out) != n || len(out) != len(ref.process(in[off:off+c])) {
+				t.Fatalf("%d taps /%d: chunk of %d emitted %d, OutLen said %d", sh.ntaps, sh.l, c, len(out), n)
+			}
+			got = append(got, out...)
+			off += c
+		}
+		if d := rmsDiff(got, oneShot); d > 1e-12 {
+			t.Fatalf("%d taps /%d: chunked RMS %g from one-shot", sh.ntaps, sh.l, d)
+		}
+	}
+}
+
+// A window is the matching slice of a fresh converter's whole-block
+// output, wherever it starts, and leaves the converter's stream alone.
+func TestDDCWindowMatchesWholeBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, sh := range bankShapes {
+		in := unitVec(rng, 4099)
+		whole := NewDDC(-0.21, 0.09, sh.ntaps, sh.l).Process(in)
+		d := NewDDC(-0.21, 0.09, sh.ntaps, sh.l)
+		d.Process(in[:77]) // stream state a window must neither read nor move
+		before := d.OutLen(100)
+		dst := NewVec(len(whole))
+		for _, w := range [][2]int{{0, len(whole)}, {0, 1}, {3, 40}, {len(whole) / 2, len(whole)/2 + 300}, {len(whole) - 1, len(whole)}, {5, 5}} {
+			got := d.ProcessWindowInto(dst, in, w[0], w[1])
+			if len(got) != w[1]-w[0] {
+				t.Fatalf("%d taps /%d: window %v has %d samples", sh.ntaps, sh.l, w, len(got))
+			}
+			if diff := rmsDiff(got, whole[w[0]:w[1]]); diff > 1e-12 {
+				t.Fatalf("%d taps /%d: window %v RMS %g from the whole block", sh.ntaps, sh.l, w, diff)
+			}
+		}
+		if d.OutLen(100) != before {
+			t.Fatalf("%d taps /%d: a window moved the decimation phase", sh.ntaps, sh.l)
+		}
+	}
+}
+
+func TestPulseShaperMatchesZeroStuffReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	syms := unitVec(rng, 400)
+	want := newRefFIR(RRCTaps(0.35, 4, 10)).process(Upsample(syms, 4))
+	sh := NewPulseShaper(0.35, 4, 10)
+	var got Vec
+	off := 0
+	for _, c := range chunks(len(syms), 3, 50, 1, 11) {
+		got = append(got, sh.Process(syms[off:off+c])...)
+		off += c
+	}
+	if d := rmsDiff(got, want); d > 1e-12 {
+		t.Fatalf("shaper RMS %g from zero-stuff + FIR", d)
+	}
+	sh.Reset()
+	if d := rmsDiff(sh.Process(syms), want); d > 1e-12 {
+		t.Fatalf("after Reset: RMS %g", d)
+	}
+}
+
+// An idle DUC emits exact zeros and keeps its oscillator running: a busy
+// block after any number of skipped ones is what an unskipped stream
+// would have produced.
+func TestDUCSkipIdleKeepsTailAndPhase(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	busy, idle := unitVec(rng, 300), NewVec(300)
+	seq := []Vec{busy, idle, idle, busy, idle}
+	u, ref := NewDUC(0.13, 0.09, 95, 4), newRefDUC(0.13, 0.09, 95, 4)
+	for i, in := range seq {
+		skipped := u.SkipIdle(in)
+		// The block right after a busy one still carries the filter tail.
+		if want := i == 2; skipped != want {
+			t.Fatalf("block %d: skipped=%v, want %v", i, skipped, want)
+		}
+		want := ref.process(in)
+		if skipped {
+			if !allZero(want) {
+				t.Fatalf("block %d: skipped a block the reference filter makes nonzero", i)
+			}
+			continue
+		}
+		if d := rmsDiff(u.Process(in), want); d > 1e-9 {
+			t.Fatalf("block %d: RMS %g from the unskipped reference", i, d)
+		}
+	}
+}
+
+// Tiles of zeros behind a zero history are skipped inside a block too, on
+// both banks: a mostly idle stream is the reference's sample for sample,
+// filter tails and oscillator phase included.
+func TestSparseStreamsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	sparse := func(n int, bursts ...[2]int) Vec {
+		v := NewVec(n)
+		for _, b := range bursts {
+			copy(v[b[0]:b[1]], unitVec(rng, b[1]-b[0]))
+		}
+		return v
+	}
+	base := sparse(6000, [2]int{700, 1100}, [2]int{1101, 1130}, [2]int{4000, 4001})
+	u, refU := NewDUC(0.13, 0.09, 95, 4), newRefDUC(0.13, 0.09, 95, 4)
+	wide := sparse(24000, [2]int{2500, 4100}, [2]int{9000, 9003}, [2]int{23990, 24000})
+	d, refD := NewDDC(0.13, 0.09, 95, 4), newRefDDC(0.13, 0.09, 95, 4)
+	for round := 0; round < 3; round++ { // the last block's tail crosses into the next
+		if diff := rmsDiff(u.Process(base), refU.process(base)); diff > 1e-9 {
+			t.Fatalf("round %d: sparse DUC RMS %g from the reference", round, diff)
+		}
+		if diff := rmsDiff(d.Process(wide), refD.process(wide)); diff > 1e-9 {
+			t.Fatalf("round %d: sparse DDC RMS %g from the reference", round, diff)
+		}
+	}
+}
+
+// The skips are exact: over a busy, idle, busy, idle sequence both banks
+// emit, sample for sample, the value the same kernels produce when
+// nothing is skipped (compared with ==, under which the sign of a zero
+// does not count). Block lengths are whole tiles so the unskipped
+// composition re-anchors its oscillator at the same samples.
+func TestIdleSkipIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	const blocks = 6
+	t.Run("DUC", func(t *testing.T) {
+		const n = 4 * ducTile
+		u, ref := NewDUC(0.13, 0.09, 95, 4), NewDUC(0.13, 0.09, 95, 4)
+		got, want := NewVec(4*n), NewVec(4*n)
+		for b := 0; b < blocks; b++ {
+			in := NewVec(n)
+			if b%2 == 0 || b == 3 {
+				copy(in[n/3:], unitVec(rng, n/2))
+			}
+			u.ProcessInto(got, in)
+			ref.nco.MixInto(want, ref.ip.processInto(want, in))
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("block %d sample %d: %v, unskipped %v", b, i, got[i], want[i])
+				}
+			}
+		}
+	})
+	t.Run("DDC", func(t *testing.T) {
+		const n = 4 * ddcTile
+		d := NewDDC(0.13, 0.09, 95, 4)
+		var whole, got Vec
+		for b := 0; b < blocks; b++ {
+			in := NewVec(n)
+			if b%2 == 0 || b == 3 {
+				copy(in[n/3:], unitVec(rng, n/2))
+			}
+			whole = append(whole, in...)
+			got = append(got, d.Process(in)...)
+		}
+		h := len(d.taps) - 1
+		ext := NewVec(h + len(whole))
+		d.nco.mixAt(ext[h:], whole, 0)
+		want := NewVec(len(whole) / 4)
+		filterInto(want, 1, ext, 4, d.taps, len(want))
+		if len(got) != len(want) {
+			t.Fatalf("%d outputs, unskipped %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("sample %d: %v, unskipped %v", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+func TestNCOMatchesSinCosReference(t *testing.T) {
+	o, ref := NewNCO(0.1234, 0.7), refNCO{freq: 0.1234, phase: 0.7}
+	in := NewVec(3000)
+	for i := range in {
+		in[i] = 1
+	}
+	// Next and MixInto interleave on one stream.
+	got := Vec{o.Next(), o.Next()}
+	got = append(got, o.MixInto(NewVec(2998), in[:2998])...)
+	for i, g := range got {
+		if w := ref.next(); cmplx.Abs(g-w) > 1e-9 {
+			t.Fatalf("sample %d: %v, reference %v", i, g, w)
+		}
+	}
+	// Retune and phase step mid-stream: no discontinuity, same meaning.
+	o.SetFreq(-0.031)
+	ref.freq = -0.031
+	o.AdjustPhase(1.1)
+	ref.phase = wrapPhase(ref.phase + 1.1)
+	if d := math.Abs(wrapPhase(o.Phase() - ref.phase)); d > 1e-9 {
+		t.Fatalf("phase after SetFreq/AdjustPhase off by %g", d)
+	}
+	for i := 0; i < 1000; i++ {
+		if g, w := o.Next(), ref.next(); cmplx.Abs(g-w) > 1e-9 {
+			t.Fatalf("retuned sample %d: %v, reference %v", i, g, w)
+		}
+	}
+}
+
+// Ten million samples through the recurrence: the phasor stays on the
+// unit circle and on the closed-form phase. The closed form is evaluated
+// in exact integer arithmetic (freq = k/2^20 cycles/sample).
+func TestNCOLongRunStaysOnClosedForm(t *testing.T) {
+	const (
+		k     = 130477 // freq = k / 2^20 ≈ 0.1244
+		total = 10_000_000
+		block = 20736
+	)
+	o := NewNCO(float64(k)/(1<<20), 0)
+	in, out := NewVec(block), NewVec(block)
+	for i := range in {
+		in[i] = 1
+	}
+	var worstMod, worstPhase float64
+	for n := 0; n < total; n += block {
+		o.MixInto(out, in)
+		for i, p := range out {
+			worstMod = math.Max(worstMod, math.Abs(cmplx.Abs(p)-1))
+			turns := float64((int64(n+i)*k)%(1<<20)) / (1 << 20)
+			worstPhase = math.Max(worstPhase, math.Abs(wrapPhase(cmplx.Phase(p)-2*math.Pi*turns)))
+		}
+	}
+	if worstMod > 1e-9 || worstPhase > 1e-9 {
+		t.Fatalf("after %d samples: |phasor|-1 up to %g, phase error up to %g", total, worstMod, worstPhase)
+	}
+}

@@ -46,7 +46,19 @@ type Transmitter struct {
 
 	// carrierBufs holds the per-carrier downlink waveforms of the frame
 	// under construction; each grid worker touches only its own carrier.
+	// dirty marks the buffers a burst was written into, the only ones a
+	// later frame has to clear.
 	carrierBufs []dsp.Vec
+	dirty       []bool
+
+	// modulate is the per-busy-carrier worker body, built once so a
+	// frame allocates neither a closure nor the error slots; busy, errs
+	// and cur* are its per-call arguments.
+	modulate   func(int)
+	busy       []int
+	errs       []error
+	curSlotLen int
+	curGrid    [][][]byte
 }
 
 // NewTransmitter builds the Tx section for the given downlink carrier
@@ -59,7 +71,11 @@ func NewTransmitter(pl *Payload, plan frontend.CarrierPlan) *Transmitter {
 		dac:         frontend.NewDAC(12, 4),
 		sps:         plan.Decim,
 		carrierBufs: make([]dsp.Vec, plan.Carriers),
+		dirty:       make([]bool, plan.Carriers),
+		busy:        make([]int, 0, plan.Carriers),
+		errs:        make([]error, plan.Carriers),
 	}
+	t.modulate = t.modulateCarrier
 	t.mods.New = func() any {
 		return modem.NewBurstModulator(pl.BurstFormat(), 0.35, plan.Decim, 10)
 	}
@@ -113,12 +129,14 @@ func (t *Transmitter) encodeBurstInto(dst []byte, info []byte) ([]byte, error) {
 // TransmitFrameGrid modulates a full (carrier, slot) downlink frame:
 // grid[c][s] holds the info bits of the burst for cell (carrier c, slot
 // s), nil meaning an idle cell (an all-idle grid is legal and yields the
-// empty-carrier wideband block). Carriers fan out across the pipeline
-// worker pool — each worker draws its own modulator from the pool and
-// writes only its own carrier buffer — so the frame is modulated
-// concurrently yet bit-identical to a sequential carrier-by-carrier
-// loop. The stacked wideband block after the DAC is drawn from the dsp
-// block pool; callers done with it may dsp.PutVec it.
+// empty-carrier wideband block). Work follows occupancy: only carriers
+// with a burst this frame are modulated — fanned out across the
+// pipeline worker pool, inline when at most one is busy, each worker
+// drawing its own modulator from the pool and writing only its own
+// carrier buffer — and the MUX up-converts only those, so the frame is
+// bit-identical to a sequential carrier-by-carrier loop whatever the
+// worker count. The stacked wideband block after the DAC is drawn from
+// the dsp block pool; callers done with it may dsp.PutVec it.
 //
 // cfg supplies the slot geometry; cfg.Carriers must match the downlink
 // carrier plan and one modulated burst must fit a slot.
@@ -137,42 +155,59 @@ func (t *Transmitter) TransmitFrameGrid(cfg modem.FrameConfig, grid [][][]byte) 
 		return nil, ErrServiceDown
 	}
 	carrierLen := cfg.Slots*slotLen + TxTailMargin
-	for c := range t.carrierBufs {
-		if cap(t.carrierBufs[c]) < carrierLen {
-			t.carrierBufs[c] = dsp.NewVec(carrierLen)
+	t.busy = t.busy[:0]
+	for c, slots := range grid {
+		if len(slots) > cfg.Slots {
+			return nil, fmt.Errorf("carrier %d: %d slots exceed the %d-slot frame", c, len(slots), cfg.Slots)
 		}
-	}
-	errs := make([]error, t.plan.Carriers)
-	pipeline.ForEach(t.plan.Carriers, func(c int) {
-		buf := t.carrierBufs[c][:carrierLen]
-		for i := range buf {
-			buf[i] = 0
+		buf := t.carrierBufs[c]
+		if len(buf) != carrierLen {
+			buf, t.dirty[c] = dsp.NewVec(carrierLen), false
+			t.carrierBufs[c] = buf
 		}
-		t.carrierBufs[c] = buf
-		if len(grid[c]) > cfg.Slots {
-			errs[c] = fmt.Errorf("carrier %d: %d slots exceed the %d-slot frame", c, len(grid[c]), cfg.Slots)
-			return
+		if t.dirty[c] {
+			clear(buf)
+			t.dirty[c] = false
 		}
-		mod := t.mods.Get().(*modem.BurstModulator)
-		pb := t.encBufs.Get().(*[]byte)
-		for s, info := range grid[c] {
-			if info == nil {
-				continue
-			}
-			payloadBits, err := t.encodeBurstInto(*pb, info)
-			if err != nil {
-				errs[c] = fmt.Errorf("carrier %d slot %d: %w", c, s, err)
+		for _, info := range slots {
+			if info != nil {
+				t.busy = append(t.busy, c)
 				break
 			}
-			*pb = payloadBits
-			mod.ModulateInto(buf[s*slotLen:], payloadBits)
 		}
-		t.encBufs.Put(pb)
-		t.mods.Put(mod)
-	})
-	if err := errors.Join(errs...); err != nil {
+	}
+	t.curSlotLen, t.curGrid = slotLen, grid
+	pipeline.ForEach(len(t.busy), t.modulate)
+	t.curGrid = nil
+	err := errors.Join(t.errs[:len(t.busy)]...)
+	clear(t.errs)
+	if err != nil {
 		return nil, err
 	}
 	wide := t.mux.ProcessInto(dsp.GetVec(t.mux.OutLen(carrierLen)), t.carrierBufs)
 	return t.dac.ConvertInto(wide, wide), nil
+}
+
+// modulateCarrier encodes and modulates the bursts of the i-th busy
+// carrier into its (cleared) buffer.
+func (t *Transmitter) modulateCarrier(i int) {
+	c := t.busy[i]
+	buf := t.carrierBufs[c]
+	t.dirty[c] = true
+	mod := t.mods.Get().(*modem.BurstModulator)
+	pb := t.encBufs.Get().(*[]byte)
+	for s, info := range t.curGrid[c] {
+		if info == nil {
+			continue
+		}
+		payloadBits, err := t.encodeBurstInto(*pb, info)
+		if err != nil {
+			t.errs[i] = fmt.Errorf("carrier %d slot %d: %w", c, s, err)
+			break
+		}
+		*pb = payloadBits
+		mod.ModulateInto(buf[s*t.curSlotLen:], payloadBits)
+	}
+	t.encBufs.Put(pb)
+	t.mods.Put(mod)
 }

@@ -222,6 +222,7 @@ type Engine struct {
 	gdemux  *frontend.Demux
 	gdems   sync.Pool // ground-side burst demodulators
 	gllrs   sync.Pool // *[]float64 sign-sliced LLRs of one verified burst
+	ver     verifyScratch
 
 	// scratch reused across frames. fc, room, aggBits and plan are
 	// single buffers because every stage that touches them runs on the
@@ -441,6 +442,7 @@ func NewPopulations(pl *payload.Payload, cfg Config, terminals []Terminal, pops 
 			l := make([]float64, pl.BurstFormat().PayloadBits())
 			return &l
 		}
+		e.ver.downconvert, e.ver.check = e.verifyRun, e.verifyBurst
 	}
 	return e, nil
 }
@@ -1373,63 +1375,126 @@ func (e *Engine) emitPacket(bs *beamState, p switchfab.Packet) bool {
 	return true
 }
 
+// verifySlack is how far past its slot a verified burst's window runs
+// (carrier-rate samples): room for the DUC/DDC group delays.
+const verifySlack = 160
+
+// verifyRun is one stretch of a carrier the ground receiver
+// down-converts: the windows of consecutive sent slots, merged.
+type verifyRun struct {
+	carrier, lo, hi int     // carrier-rate samples lo..hi-1 of the frame
+	base            dsp.Vec // the down-converted stretch (pooled)
+}
+
+// verifyOutcome is one sent burst's verdict.
+type verifyOutcome struct {
+	lost    bool
+	bitErrs int
+}
+
+// verifyScratch is verify's per-frame state, owned by the engine so a
+// frame allocates neither the slices nor the two worker closures. Only
+// one egress is ever in flight, so one copy serves every frame.
+type verifyScratch struct {
+	runs  []verifyRun
+	runOf []int // sent burst -> index of the run holding its window
+	outs  []verifyOutcome
+
+	downconvert, check func(int)
+	// per-call arguments of the two worker bodies
+	wide    dsp.Vec
+	codec   fec.Codec
+	sent    []sentCell
+	slotLen int
+}
+
 // verify demodulates the transmitted wideband block on a ground receiver
 // (DDC bank plus burst demodulators) and compares every delivered packet
-// bit for bit — the loopback contract of the regenerative loop. It runs
-// inside egress (possibly on the egress worker), so it touches only
-// the frame's generation and the egress-owned demux/demod pools and
-// returns its counters as a delta instead of writing the shared report.
+// bit for bit — the loopback contract of the regenerative loop. The
+// receiver knows the burst time plan, so it down-converts only the
+// carriers that carried a sent burst and only the runs of slots that
+// did (Demux.ProcessWindowInto): a full grid costs what whole-carrier
+// demultiplexing does, an idle one nothing. It runs inside egress
+// (possibly on the egress worker), so it touches only the frame's
+// generation and the egress-owned scratch and demod pools and returns
+// its counters as a delta instead of writing the shared report.
 func (e *Engine) verify(wide dsp.Vec, codec fec.Codec, g *egressGen) egressDelta {
-	split := e.gdemux.Process(wide)
-	slotLen := e.cfg.Frame.SlotSymbols * e.cfg.Plan.Decim
-	type outcome struct {
-		lost    bool
-		bitErrs int
+	v := &e.ver
+	decim := e.cfg.Plan.Decim
+	v.slotLen = e.cfg.Frame.SlotSymbols * decim
+	carrierLen := (len(wide) + decim - 1) / decim
+	v.runs, v.runOf = v.runs[:0], v.runOf[:0]
+	// g.sent is in carrier order, slots ascending within a carrier, so
+	// overlapping windows are neighbours.
+	for _, sc := range g.sent {
+		lo := sc.cell.Slot * v.slotLen
+		hi := min(lo+v.slotLen+verifySlack, carrierLen)
+		if n := len(v.runs); n > 0 && v.runs[n-1].carrier == sc.cell.Carrier && lo <= v.runs[n-1].hi {
+			v.runs[n-1].hi = hi
+		} else {
+			v.runs = append(v.runs, verifyRun{carrier: sc.cell.Carrier, lo: lo, hi: hi})
+		}
+		v.runOf = append(v.runOf, len(v.runs)-1)
 	}
-	outs := make([]outcome, len(g.sent))
-	pipeline.ForEach(len(g.sent), func(i int) {
-		sc := g.sent[i]
-		base := split[sc.cell.Carrier]
-		start := sc.cell.Slot * slotLen
-		end := start + slotLen + 160 // slack for the DUC/DDC group delays
-		if end > len(base) {
-			end = len(base)
-		}
-		dem := e.gdems.Get().(*modem.BurstDemodulator)
-		res := dem.Demodulate(base[start:end])
-		e.gdems.Put(dem)
-		if !res.Found {
-			outs[i] = outcome{lost: true}
-			return
-		}
-		// The ground receiver decodes hard decisions: slice the signs
-		// into the saturated ±10 LLRs fec.HardLLR(modem.HardBits(soft))
-		// would build, without the two intermediate slices.
-		bits := sc.pkt.Bits
-		pl := e.gllrs.Get().(*[]float64)
-		llr := (*pl)[:codec.EncodedLen(len(bits))]
-		for j, s := range res.Soft[:len(llr)] {
-			llr[j] = 10
-			if s < 0 {
-				llr[j] = -10
-			}
-		}
-		dec := codec.Decode(llr)
-		e.gllrs.Put(pl)
-		outs[i] = outcome{bitErrs: fec.CountBitErrors(bits, dec[:len(bits)])}
-	})
+	if cap(v.outs) < len(g.sent) {
+		v.outs = make([]verifyOutcome, len(g.sent))
+	}
+	v.outs = v.outs[:len(g.sent)]
+	v.wide, v.codec, v.sent = wide, codec, g.sent
+	pipeline.ForEach(len(v.runs), v.downconvert)
+	pipeline.ForEach(len(g.sent), v.check)
+	v.wide, v.codec, v.sent = nil, nil, nil
 	var d egressDelta
-	for _, o := range outs {
+	for _, o := range v.outs {
 		if o.lost {
 			d.lost++
 		} else {
 			d.bitErrs += o.bitErrs
 		}
 	}
-	for _, v := range split {
-		dsp.PutVec(v)
+	for i := range v.runs {
+		dsp.PutVec(v.runs[i].base)
+		v.runs[i].base = nil
 	}
 	return d
+}
+
+// verifyRun down-converts run i of the frame under verification.
+func (e *Engine) verifyRun(i int) {
+	r := &e.ver.runs[i]
+	r.base = e.gdemux.ProcessWindowInto(dsp.GetVec(r.hi-r.lo), e.ver.wide, r.carrier, r.lo, r.hi)
+}
+
+// verifyBurst demodulates and decodes sent burst i out of its run and
+// records the verdict.
+func (e *Engine) verifyBurst(i int) {
+	v := &e.ver
+	sc := v.sent[i]
+	r := &v.runs[v.runOf[i]]
+	start := sc.cell.Slot*v.slotLen - r.lo
+	end := min(start+v.slotLen+verifySlack, len(r.base))
+	dem := e.gdems.Get().(*modem.BurstDemodulator)
+	res := dem.Demodulate(r.base[start:end])
+	e.gdems.Put(dem)
+	if !res.Found {
+		v.outs[i] = verifyOutcome{lost: true}
+		return
+	}
+	// The ground receiver decodes hard decisions: slice the signs
+	// into the saturated ±10 LLRs fec.HardLLR(modem.HardBits(soft))
+	// would build, without the two intermediate slices.
+	bits := sc.pkt.Bits
+	pl := e.gllrs.Get().(*[]float64)
+	llr := (*pl)[:v.codec.EncodedLen(len(bits))]
+	for j, s := range res.Soft[:len(llr)] {
+		llr[j] = 10
+		if s < 0 {
+			llr[j] = -10
+		}
+	}
+	dec := v.codec.Decode(llr)
+	e.gllrs.Put(pl)
+	v.outs[i] = verifyOutcome{bitErrs: fec.CountBitErrors(bits, dec[:len(bits)])}
 }
 
 // snapshotQueues folds the fabric-side accounting into a report
