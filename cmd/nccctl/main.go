@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ncc"
 	"repro/internal/payload"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -30,9 +31,25 @@ func main() {
 	ipsec := flag.Bool("ipsec", false, "enable the IPsec (ESP) layer")
 	flag.Parse()
 
-	proto := ncc.ProtoSCPSFP
-	if *protoName == "tftp" {
+	var proto ncc.Protocol
+	switch *protoName {
+	case "scps-fp":
+		proto = ncc.ProtoSCPSFP
+	case "tftp":
 		proto = ncc.ProtoTFTP
+	default:
+		log.Fatalf("unknown protocol %q (tftp or scps-fp)", *protoName)
+	}
+	var mode payload.WaveformMode
+	switch *action {
+	case "waveform":
+		var err error
+		if mode, err = scenario.ParseWaveform(*target); err != nil {
+			log.Fatal(err)
+		}
+	case "decoder":
+	default:
+		log.Fatalf("unknown action %q (waveform or decoder)", *action)
 	}
 
 	cfg := core.DefaultSystemConfig()
@@ -45,17 +62,10 @@ func main() {
 	sys.RunUntil(2) // COPS session establishment
 
 	var reports []core.ReconfigReport
-	switch *action {
-	case "waveform":
-		mode := payload.ModeTDMA
-		if *target == "cdma" {
-			mode = payload.ModeCDMA
-		}
+	if *action == "waveform" {
 		reports = sys.MigrateWaveform(mode, proto, *window)
-	case "decoder":
+	} else {
 		reports = sys.SwapDecoder(*target, proto, *window)
-	default:
-		log.Fatalf("unknown action %q", *action)
 	}
 
 	fmt.Println("reconfiguration reports:")

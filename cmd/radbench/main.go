@@ -23,6 +23,12 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
 
+	switch *sweep {
+	case "environment", "scrubbing", "availability", "all":
+	default:
+		fmt.Fprintf(os.Stderr, "radbench: unknown sweep %q (environment, scrubbing, availability or all)\n", *sweep)
+		os.Exit(2)
+	}
 	want := func(s string) bool { return *sweep == "all" || *sweep == s }
 
 	if want("environment") {

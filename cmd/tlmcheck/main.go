@@ -1,5 +1,5 @@
 // Command tlmcheck validates a streaming-telemetry feed — the JSONL
-// flush lines trafficsim -telemetry (and benchjson -telemetry) emit —
+// flush lines trafficsim -telemetry and fleet -telemetry emit —
 // against the schema contract, and optionally reconciles its cumulative
 // counters against an end-of-run report. CI runs it over every scenario
 // preset's smoke run, so a schema drift or a counter that diverges from

@@ -10,9 +10,8 @@
 // architecture of the concurrent per-carrier receive and transmit
 // pipelines plus the sustained-load traffic engine, and the declarative
 // scenario runtime (specs, presets, sessions and scripted events) that
-// drives missions over the closed loop. The root-level benchmarks
-// (bench_test.go) regenerate every table and figure; the same code is
-// runnable via cmd/experiments, scripted runs via cmd/trafficsim
-// (-scenario/-preset), and cmd/benchjson writes the pipeline/traffic/
-// scenario numbers to BENCH_PR4.json for perf tracking.
+// drives missions over the closed loop. cmd/experiments regenerates every
+// table and figure, cmd/trafficsim runs scripted missions
+// (-scenario/-preset), and the repo benchmark (bench/, BENCHMARK.json)
+// measures the whole loop end to end and layer by layer.
 package repro

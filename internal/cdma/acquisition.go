@@ -88,14 +88,3 @@ func (a *Acquirer) Search(rx dsp.Vec, maxOffset int) AcquisitionResult {
 	best.Detected = best.Metric >= a.threshold && best.Offset >= 0
 	return best
 }
-
-// MeanAcquisitionTimeChips estimates the average serial-search time in
-// chip periods for a code of length l, dwell window w and single-dwell
-// detection probability pd (textbook serial-search expression, used by the
-// complexity experiment): T ≈ (2 + (2-pd)(l-1)) w / (2 pd).
-func MeanAcquisitionTimeChips(l, w int, pd float64) float64 {
-	if pd <= 0 || pd > 1 {
-		panic("cdma: detection probability out of range")
-	}
-	return (2 + (2-pd)*float64(l-1)) * float64(w) / (2 * pd)
-}

@@ -18,8 +18,6 @@ type DLL struct {
 	phase  float64 // fractional timing estimate in samples, in [0, spc)
 	locked bool
 	farrow dsp.Farrow
-
-	lastErr float64
 }
 
 // NewDLL creates a tracking loop for spc samples/chip with the given
@@ -39,9 +37,6 @@ func (d *DLL) Phase() float64 { return d.phase }
 
 // SetPhase seeds the loop (e.g. from acquisition).
 func (d *DLL) SetPhase(samples float64) { d.phase = samples }
-
-// LastError returns the most recent timing error discriminant.
-func (d *DLL) LastError() float64 { return d.lastErr }
 
 // Track processes a block of received samples (spc per chip) and returns
 // the on-time chip stream. The code slice gives the composite spreading
@@ -70,7 +65,6 @@ func (d *DLL) Track(rx dsp.Vec, code []int8) dsp.Vec {
 		// Positive when the correlation peak lies later than the current
 		// estimate, so the phase must advance.
 		errTiming := cmplx.Abs(l)*cmplx.Abs(l) - cmplx.Abs(e)*cmplx.Abs(e)
-		d.lastErr = errTiming
 		d.phase += d.gain * errTiming
 		// Keep the phase in a sane window.
 		if d.phase > float64(d.spc) {

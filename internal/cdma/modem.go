@@ -112,9 +112,6 @@ type Demodulator struct {
 	acq *Acquirer
 	dsp *Despreader
 	dll *DLL
-
-	acquired   bool
-	lastResult AcquisitionResult
 }
 
 // NewDemodulator builds the receive side. The acquisition window is
@@ -132,12 +129,6 @@ func NewDemodulator(cfg Config) *Demodulator {
 	return d
 }
 
-// Acquired reports whether code acquisition has succeeded.
-func (d *Demodulator) Acquired() bool { return d.acquired }
-
-// LastAcquisition returns the most recent search outcome.
-func (d *Demodulator) LastAcquisition() AcquisitionResult { return d.lastResult }
-
 // Demodulate processes a received block (aligned or with an unknown chip
 // offset up to maxOffset) and returns soft bit values (positive ⇒ 0).
 // It returns nil if acquisition fails.
@@ -147,12 +138,9 @@ func (d *Demodulator) Demodulate(rx dsp.Vec, maxOffset int) []float64 {
 		chips = d.integrate(rx)
 	}
 	res := d.acq.Search(chips, maxOffset)
-	d.lastResult = res
 	if !res.Detected {
-		d.acquired = false
 		return nil
 	}
-	d.acquired = true
 	aligned := chips[res.Offset:]
 	usable := len(aligned) / d.cfg.SF * d.cfg.SF
 	d.dsp.Reset()

@@ -55,12 +55,6 @@ func (d *Despreader) SF() int { return len(d.ovsf) }
 // Reset rewinds the scrambling phase.
 func (d *Despreader) Reset() { d.chipIdx = 0 }
 
-// SetChipPhase sets the scrambling-sequence phase (used after acquisition
-// aligns the local code with the received signal).
-func (d *Despreader) SetChipPhase(phase int) {
-	d.chipIdx = ((phase % GoldLength) + GoldLength) % GoldLength
-}
-
 // Despread integrates chips into symbols; len(chips) must be a multiple of
 // the spreading factor. The output is normalized by sf so a unit-power
 // input yields unit symbols.

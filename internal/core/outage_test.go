@@ -130,10 +130,12 @@ func TestMemoryLibraryEviction(t *testing.T) {
 	store.Put("b.bit", make([]byte, 4000))
 	store.Get("a.bit") // refresh a
 	store.Put("c.bit", make([]byte, 4000))
-	if store.Has("b.bit") {
+	if _, ok := store.Get("b.bit"); ok {
 		t.Fatal("LRU not evicted")
 	}
-	if !store.Has("a.bit") || !store.Has("c.bit") {
+	_, okA := store.Get("a.bit")
+	_, okC := store.Get("c.bit")
+	if !okA || !okC {
 		t.Fatal("wrong eviction")
 	}
 }

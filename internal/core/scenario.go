@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/dsp"
 	"repro/internal/fpga"
 	"repro/internal/ftp"
 	"repro/internal/ncc"
@@ -109,19 +108,6 @@ func (sys *System) SwapDecoder(codecName string, proto ncc.Protocol, window int)
 		out = append(out, sys.GroundReconfigure(dev, bs, proto, window, true))
 	}
 	return out
-}
-
-// ServeFrame passes one MF-TDMA uplink frame through the regenerative
-// payload while the control plane stays live: every carrier is
-// demodulated, decoded and switched concurrently on the pipeline batch
-// path, exactly as the per-carrier FPGA chains would run in parallel.
-// rx[c] is carrier c's baseband block; decoded packets land on the
-// given downlink beam of the packet switch. During a reconfiguration or
-// after an unscrubbed SEU the affected carriers fail individually, so
-// the returned per-carrier slice shows the service interruption the E4
-// and E7 experiments measure.
-func (sys *System) ServeFrame(beam int, rx []dsp.Vec) ([][]byte, error) {
-	return sys.Payload.ProcessFrame(beam, rx)
 }
 
 // String renders a compact human-readable report.

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/modem"
 	"repro/internal/payload"
 	"repro/internal/scenario"
 	"repro/internal/traffic"
@@ -77,45 +76,47 @@ func TestSessionScriptedSwapThroughControlPlane(t *testing.T) {
 	}
 }
 
-// The legacy RunTraffic wrapper must stay bit-identical to a direct
-// engine run on the same system configuration — it is now a thin layer
-// over the scenario session.
-func TestRunTrafficWrapperMatchesEngine(t *testing.T) {
+// A session on the assembled system (attached payload, live control
+// plane) must stay bit-identical to an engine built directly on the
+// system's payload from the same configuration.
+func TestSessionOnSystemMatchesEngine(t *testing.T) {
 	mk := func() *System {
 		sys, err := NewSystem(DefaultSystemConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		sys.RunUntil(2)
-		if err := sys.Payload.SetWaveform(payload.ModeTDMA); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Payload.SetCodec("conv-r1/2-k9"); err != nil {
-			t.Fatal(err)
-		}
 		return sys
 	}
-	cfg := traffic.DefaultConfig()
-	cfg.Frame = modem.FrameConfig{Carriers: 2, Slots: 2, SlotSymbols: 320, GuardSymbols: 16}
-	cfg.Verify = true
-	cfg.Seed = 13
-	terms := func() []traffic.Terminal {
-		return []traffic.Terminal{
-			{ID: "t0", Beam: 0, Model: traffic.CBR{Cells: 1}},
-			{ID: "t1", Beam: 1, Model: traffic.CBR{Cells: 1}},
-		}
-	}
+	spec := miniSwapSpec()
+	spec.Events = nil
+	spec.Frames = 4
 
-	// The silent-no-op path is closed on the wrapper too.
-	if _, err := mk().RunTraffic(TrafficScenario{Config: cfg, Terminals: terms()}); err == nil {
-		t.Fatal("RunTraffic accepted a zero frame count")
-	}
-
-	viaWrapper, err := mk().RunTraffic(TrafficScenario{Config: cfg, Terminals: terms(), Frames: 4})
+	sess, err := mk().NewSession(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := traffic.New(mk().Payload, cfg, terms())
+	viaSession, err := sess.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sys := mk()
+	if err := sys.Payload.SetWaveform(payload.ModeTDMA); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Payload.SetCodec(spec.System.Codec); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := spec.TrafficConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms, _, err := spec.Populations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := traffic.New(sys.Payload, cfg, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +124,8 @@ func TestRunTrafficWrapperMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := eng.Report()
-	viaWrapper.WallSeconds, direct.WallSeconds = 0, 0
-	if !reflect.DeepEqual(viaWrapper, direct) {
-		t.Fatalf("RunTraffic diverged from the direct engine:\nwrapper %+v\ndirect  %+v", viaWrapper, direct)
+	viaSession.WallSeconds, direct.WallSeconds = 0, 0
+	if !reflect.DeepEqual(viaSession, direct) {
+		t.Fatalf("session diverged from the direct engine:\nsession %+v\ndirect  %+v", viaSession, direct)
 	}
 }

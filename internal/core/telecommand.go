@@ -74,13 +74,3 @@ func (sys *System) wireTelecommands() {
 	sys.Control.FARM.Deliver = handle
 	sys.Control.FARM.DeliverExpress = handle
 }
-
-// SendTelecommand issues a raw telecommand from the NCC over the
-// controlled (AD) mode; express selects the BD mode instead.
-func (sys *System) SendTelecommand(cmd string, express bool) {
-	if express {
-		sys.Control.FOP.SendExpress([]byte(cmd))
-		return
-	}
-	sys.Control.FOP.SendData([]byte(cmd))
-}

@@ -11,7 +11,7 @@ func TestTelecommandPing(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.RunUntil(2)
-	sys.SendTelecommand("ping", true)
+	sys.Control.FOP.SendExpress([]byte("ping"))
 	sys.Run()
 	if len(sys.GroundTMLog) == 0 || sys.GroundTMLog[len(sys.GroundTMLog)-1] != "pong" {
 		t.Fatalf("TM log %v", sys.GroundTMLog)
@@ -24,7 +24,7 @@ func TestTelecommandValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.RunUntil(2)
-	sys.SendTelecommand("validate demod-fpga", false)
+	sys.Control.FOP.SendData([]byte("validate demod-fpga"))
 	sys.Run()
 	found := false
 	for _, l := range sys.GroundTMLog {
@@ -48,12 +48,12 @@ func TestTelecommandPowerCycle(t *testing.T) {
 	}
 	sys.RunUntil(2)
 	d, _ := sys.Payload.Chipset().Device("demod-fpga")
-	sys.SendTelecommand("power demod-fpga off", true)
+	sys.Control.FOP.SendExpress([]byte("power demod-fpga off"))
 	sys.Run()
 	if d.Powered() {
 		t.Fatal("device not powered off by telecommand")
 	}
-	sys.SendTelecommand("power demod-fpga on", true)
+	sys.Control.FOP.SendExpress([]byte("power demod-fpga on"))
 	sys.Run()
 	if !d.Powered() {
 		t.Fatal("device not powered on by telecommand")
@@ -67,7 +67,7 @@ func TestTelecommandErrors(t *testing.T) {
 	}
 	sys.RunUntil(2)
 	for _, cmd := range []string{"frobnicate", "validate ghost", "power ghost on", "power demod-fpga sideways"} {
-		sys.SendTelecommand(cmd, true)
+		sys.Control.FOP.SendExpress([]byte(cmd))
 	}
 	sys.Run()
 	errs := 0

@@ -1,26 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/ncc"
 	"repro/internal/payload"
 	"repro/internal/scenario"
-	"repro/internal/traffic"
 )
-
-// TrafficScenario describes a sustained-load run on the assembled
-// system: the engine configuration, the terminal population and how many
-// frames to push through the closed regenerative loop. It predates the
-// declarative scenario layer; new code should build a scenario.Spec
-// (or preset) and use NewSession / RunScenario, which add event scripts,
-// observers and cancellation on top of the same engine.
-type TrafficScenario struct {
-	Config    traffic.Config
-	Terminals []traffic.Terminal
-	Frames    int
-}
 
 // scenarioControl adapts the system's ground-initiated reconfiguration
 // procedures to scenario.ControlPlane, so scripted swap-decoder /
@@ -69,49 +55,4 @@ func (sys *System) NewSession(spec scenario.Spec, opts ...scenario.Option) (*sce
 		scenario.WithControlPlane(sys.ScenarioControl(ncc.ProtoSCPSFP, 32)),
 	}
 	return scenario.NewSession(spec, append(base, opts...)...)
-}
-
-// RunScenario executes a spec (or preset) against the assembled system
-// and returns the run metrics.
-func (sys *System) RunScenario(spec scenario.Spec, opts ...scenario.Option) (*traffic.Report, error) {
-	sess, err := sys.NewSession(spec, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return sess.Run(context.Background())
-}
-
-// NewTrafficEngine builds a traffic engine around the assembled system's
-// payload — a thin wrapper over the scenario session layer. The engine
-// runs next to the live control plane, so callers can interleave
-// RunFrames with reconfiguration scenarios (SwapDecoder,
-// MigrateWaveform) and observe the service impact in the run metrics.
-func (sys *System) NewTrafficEngine(sc TrafficScenario) (*traffic.Engine, error) {
-	sess, err := sys.NewSession(
-		scenario.SpecFromConfig(sc.Config, sc.Frames),
-		scenario.WithPopulation(sc.Terminals),
-		scenario.WithTrafficConfig(sc.Config),
-	)
-	if err != nil {
-		return nil, err
-	}
-	return sess.Engine(), nil
-}
-
-// RunTraffic pushes the scenario's frames through the closed loop in one
-// go and returns the run metrics. A non-positive frame count is an
-// explicit error, matching Engine.RunFrames.
-func (sys *System) RunTraffic(sc TrafficScenario) (*traffic.Report, error) {
-	if sc.Frames <= 0 {
-		return nil, fmt.Errorf("core: RunTraffic over %d frames: frame count must be positive", sc.Frames)
-	}
-	sess, err := sys.NewSession(
-		scenario.SpecFromConfig(sc.Config, sc.Frames),
-		scenario.WithPopulation(sc.Terminals),
-		scenario.WithTrafficConfig(sc.Config),
-	)
-	if err != nil {
-		return nil, err
-	}
-	return sess.Run(context.Background())
 }

@@ -11,9 +11,9 @@ import (
 	"repro/internal/traffic"
 )
 
-// TestRunTrafficOnAssembledSystem drives sustained MF-TDMA load through
+// TestEngineOnAssembledSystem drives sustained MF-TDMA load through
 // the assembled system's payload with the control plane wired up.
-func TestRunTrafficOnAssembledSystem(t *testing.T) {
+func TestEngineOnAssembledSystem(t *testing.T) {
 	sys, err := NewSystem(DefaultSystemConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -29,17 +29,17 @@ func TestRunTrafficOnAssembledSystem(t *testing.T) {
 	cfg.Frame = modem.FrameConfig{Carriers: 2, Slots: 2, SlotSymbols: 320, GuardSymbols: 16}
 	cfg.Verify = true
 	cfg.Seed = 13
-	rep, err := sys.RunTraffic(TrafficScenario{
-		Config: cfg,
-		Terminals: []traffic.Terminal{
-			{ID: "t0", Beam: 0, Model: traffic.CBR{Cells: 1}},
-			{ID: "t1", Beam: 1, Model: traffic.CBR{Cells: 1}},
-		},
-		Frames: 4,
+	eng, err := traffic.New(sys.Payload, cfg, []traffic.Terminal{
+		{ID: "t0", Beam: 0, Model: traffic.CBR{Cells: 1}},
+		{ID: "t1", Beam: 1, Model: traffic.CBR{Cells: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := eng.RunFrames(4); err != nil {
+		t.Fatal(err)
+	}
+	rep := eng.Report()
 	if rep.Frames != 4 || rep.OutageFrames != 0 {
 		t.Fatalf("ran %d frames with %d outages", rep.Frames, rep.OutageFrames)
 	}
@@ -51,12 +51,12 @@ func TestRunTrafficOnAssembledSystem(t *testing.T) {
 	}
 }
 
-// TestTrafficEngineInterleavedWithSwap steps a NewTrafficEngine engine
-// directly, with more than one CPU so every frame's egress overlaps the
-// next frame, and swaps the decoder through the ground procedure
-// between RunFrames calls. RunFrames returns drained, so the swap never
-// races an in-flight egress (the race job proves it) and the outcome is
-// the one-CPU outcome, downlink verify counters included.
+// TestTrafficEngineInterleavedWithSwap steps an engine on the system's
+// payload directly, with more than one CPU so every frame's egress
+// overlaps the next frame, and swaps the decoder through the ground
+// procedure between RunFrames calls. RunFrames returns drained, so the
+// swap never races an in-flight egress (the race job proves it) and the
+// outcome is the one-CPU outcome, downlink verify counters included.
 func TestTrafficEngineInterleavedWithSwap(t *testing.T) {
 	run := func(procs int) *traffic.Report {
 		t.Helper()
@@ -76,12 +76,12 @@ func TestTrafficEngineInterleavedWithSwap(t *testing.T) {
 		cfg.Verify = true
 		cfg.EbN0dB = 9
 		cfg.Seed = 13
-		eng, err := sys.NewTrafficEngine(TrafficScenario{
-			Config: cfg,
-			Terminals: []traffic.Terminal{
-				{ID: "t0", Beam: 0, Model: traffic.CBR{Cells: 1}},
-				{ID: "t1", Beam: 1, Model: traffic.CBR{Cells: 2}},
-			},
+		if err := sys.Payload.SetWaveform(payload.ModeTDMA); err != nil {
+			t.Fatal(err)
+		}
+		eng, err := traffic.New(sys.Payload, cfg, []traffic.Terminal{
+			{ID: "t0", Beam: 0, Model: traffic.CBR{Cells: 1}},
+			{ID: "t1", Beam: 1, Model: traffic.CBR{Cells: 2}},
 		})
 		if err != nil {
 			t.Fatal(err)

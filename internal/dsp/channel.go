@@ -162,20 +162,3 @@ func (c *Channel) fractionalDelayInPlace(v Vec, mu float64) {
 		v[i] = f.Interp(idx(base-1), idx(base), idx(base+1), idx(base+2), frac)
 	}
 }
-
-// EbN0ToEsN0 converts Eb/N0 (dB) to Es/N0 (dB) for bitsPerSymbol and code
-// rate r (use r=1 for uncoded).
-func EbN0ToEsN0(ebn0dB float64, bitsPerSymbol int, r float64) float64 {
-	return ebn0dB + DB(float64(bitsPerSymbol)*r)
-}
-
-// QFunc is the Gaussian tail integral Q(x), used for theoretical BER curves.
-func QFunc(x float64) float64 {
-	return 0.5 * math.Erfc(x/math.Sqrt2)
-}
-
-// TheoreticalBPSKBER returns the uncoded BPSK/QPSK bit error rate at the
-// given Eb/N0 in dB: Q(sqrt(2 Eb/N0)).
-func TheoreticalBPSKBER(ebn0dB float64) float64 {
-	return QFunc(math.Sqrt(2 * FromDB(ebn0dB)))
-}

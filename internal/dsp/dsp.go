@@ -64,17 +64,6 @@ func (v Vec) Power() float64 {
 	return v.Energy() / float64(len(v))
 }
 
-// MaxAbs returns the maximum sample magnitude.
-func (v Vec) MaxAbs() float64 {
-	var m float64
-	for _, s := range v {
-		if a := cmplx.Abs(s); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Conj conjugates v in place and returns v.
 func (v Vec) Conj() Vec {
 	for i := range v {
@@ -82,72 +71,6 @@ func (v Vec) Conj() Vec {
 	}
 	return v
 }
-
-// Dot returns the correlation sum v[i] * conj(w[i]) over the shorter length.
-func Dot(v, w Vec) complex128 {
-	n := len(v)
-	if len(w) < n {
-		n = len(w)
-	}
-	var acc complex128
-	for i := 0; i < n; i++ {
-		acc += v[i] * cmplx.Conj(w[i])
-	}
-	return acc
-}
-
-// Convolve returns the full linear convolution of x and h
-// (length len(x)+len(h)-1).
-func Convolve(x, h Vec) Vec {
-	if len(x) == 0 || len(h) == 0 {
-		return Vec{}
-	}
-	out := NewVec(len(x) + len(h) - 1)
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		for j, hv := range h {
-			out[i+j] += xv * hv
-		}
-	}
-	return out
-}
-
-// Upsample inserts factor-1 zeros after every sample of x.
-func Upsample(x Vec, factor int) Vec {
-	if factor < 1 {
-		panic("dsp: Upsample factor must be >= 1")
-	}
-	out := NewVec(len(x) * factor)
-	for i, s := range x {
-		out[i*factor] = s
-	}
-	return out
-}
-
-// Downsample keeps every factor-th sample of x starting at phase.
-func Downsample(x Vec, factor, phase int) Vec {
-	if factor < 1 {
-		panic("dsp: Downsample factor must be >= 1")
-	}
-	if phase < 0 || phase >= factor {
-		panic("dsp: Downsample phase out of range")
-	}
-	n := 0
-	for i := phase; i < len(x); i += factor {
-		n++
-	}
-	out := NewVec(0)
-	for i := phase; i < len(x); i += factor {
-		out = append(out, x[i])
-	}
-	_ = n
-	return out
-}
-
-// DB converts a linear power ratio to decibels.
-func DB(lin float64) float64 { return 10 * math.Log10(lin) }
 
 // FromDB converts decibels to a linear power ratio.
 func FromDB(db float64) float64 { return math.Pow(10, db/10) }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
-	"testing/quick"
 )
 
 func approx(t *testing.T, got, want, tol float64, msg string) {
@@ -47,55 +46,9 @@ func TestVecAddPanicsOnMismatch(t *testing.T) {
 	Vec{1}.Add(Vec{1, 2})
 }
 
-func TestDot(t *testing.T) {
-	v := Vec{1, 1i}
-	w := Vec{1, 1i}
-	if got := Dot(v, w); got != 2 {
-		t.Fatalf("Dot: %v", got)
-	}
-}
-
-func TestConvolveImpulse(t *testing.T) {
-	h := Vec{1, 2, 3}
-	y := Convolve(Vec{1}, h)
-	if len(y) != 3 {
-		t.Fatalf("len %d", len(y))
-	}
-	for i := range h {
-		if y[i] != h[i] {
-			t.Fatalf("impulse response mismatch at %d", i)
-		}
-	}
-}
-
-func TestConvolveCommutative(t *testing.T) {
-	x := Vec{1, 2i, 3}
-	h := Vec{0.5, -1}
-	a, b := Convolve(x, h), Convolve(h, x)
-	for i := range a {
-		if cmplx.Abs(a[i]-b[i]) > 1e-12 {
-			t.Fatalf("not commutative at %d", i)
-		}
-	}
-}
-
-func TestUpsampleDownsampleRoundTrip(t *testing.T) {
-	x := Vec{1, 2, 3, 4}
-	u := Upsample(x, 3)
-	if len(u) != 12 {
-		t.Fatalf("upsample len %d", len(u))
-	}
-	d := Downsample(u, 3, 0)
-	for i := range x {
-		if d[i] != x[i] {
-			t.Fatalf("round trip mismatch at %d", i)
-		}
-	}
-}
-
 func TestDBRoundTrip(t *testing.T) {
-	approx(t, FromDB(DB(42)), 42, 1e-9, "db round trip")
-	approx(t, DB(10), 10, 1e-12, "10 lin = 10 dB")
+	approx(t, FromDB(10), 10, 1e-12, "10 dB = 10 lin")
+	approx(t, FromDB(-3), 0.5, 2e-3, "-3 dB = half power")
 }
 
 func TestSinc(t *testing.T) {
@@ -187,18 +140,17 @@ func TestFIRResetAndTaps(t *testing.T) {
 	if out[0] != 1 {
 		t.Fatalf("history not cleared: %v", out[0])
 	}
-	tp := f.Taps()
-	tp[0] = 99
-	if f.Taps()[0] == 99 {
-		t.Fatal("Taps must return a copy")
-	}
 }
 
 func TestLowpassTapsDCGainAndRejection(t *testing.T) {
-	taps := LowpassTaps(0.1, 63)
-	approx(t, FrequencyResponseMag(taps, 0), 1, 1e-9, "DC gain")
-	if FrequencyResponseMag(taps, 0.4) > 0.01 {
-		t.Fatalf("stopband rejection too weak: %g", FrequencyResponseMag(taps, 0.4))
+	// Steady-state gain of the filter on a tone, past the 63-tap transient.
+	gain := func(f float64) float64 {
+		out := NewFIR(LowpassTaps(0.1, 63)).Process(NewNCO(f, 0).Block(128))
+		return cmplx.Abs(out[127])
+	}
+	approx(t, gain(0), 1, 1e-9, "DC gain")
+	if g := gain(0.4); g > 0.01 {
+		t.Fatalf("stopband rejection too weak: %g", g)
 	}
 }
 
@@ -210,7 +162,6 @@ func TestHalfBandStructuralZeros(t *testing.T) {
 			t.Fatalf("tap %d should be structurally zero", i)
 		}
 	}
-	approx(t, FrequencyResponseMag(taps, 0), 1, 1e-9, "half-band DC gain")
 	// Half-band amplitude complementarity: A(f) + A(0.5-f) ~ 1, where A is
 	// the zero-phase amplitude response.
 	amp := func(f float64) float64 {
@@ -220,6 +171,7 @@ func TestHalfBandStructuralZeros(t *testing.T) {
 		}
 		return a
 	}
+	approx(t, amp(0), 1, 1e-9, "half-band DC gain")
 	for _, f := range []float64{0.05, 0.1, 0.2} {
 		approx(t, amp(f)+amp(0.5-f), 1, 0.05, "half-band amplitude complementarity")
 	}
@@ -283,11 +235,11 @@ func TestRRCMatchedPairIsNyquist(t *testing.T) {
 	// the symbol period (ISI-free raised cosine).
 	sps := 4
 	taps := RRCTaps(0.35, sps, 10)
-	tv := make(Vec, len(taps))
+	tv := NewVec(2*len(taps) - 1) // the taps, zero-padded to the full convolution
 	for i, v := range taps {
 		tv[i] = complex(v, 0)
 	}
-	rc := Convolve(tv, tv)
+	rc := NewFIR(taps).Process(tv)
 	centre := (len(rc) - 1) / 2
 	peak := real(rc[centre])
 	if peak <= 0 {
@@ -333,32 +285,23 @@ func TestPulseShaperMatchedFilterEndToEnd(t *testing.T) {
 }
 
 func TestNCOFrequencyAndPhase(t *testing.T) {
-	o := NewNCO(0.25, 0)
-	s0, s1, s2 := o.Next(), o.Next(), o.Next()
-	approx(t, real(s0), 1, 1e-12, "cos(0)")
-	approx(t, imag(s1), 1, 1e-12, "quarter turn")
-	approx(t, real(s2), -1, 1e-12, "half turn")
-	o2 := NewNCO(0, math.Pi/2)
-	approx(t, imag(o2.Next()), 1, 1e-12, "initial phase")
+	s := NewNCO(0.25, 0).Block(3)
+	approx(t, real(s[0]), 1, 1e-12, "cos(0)")
+	approx(t, imag(s[1]), 1, 1e-12, "quarter turn")
+	approx(t, real(s[2]), -1, 1e-12, "half turn")
+	approx(t, imag(NewNCO(0, math.Pi/2).Block(1)[0]), 1, 1e-12, "initial phase")
 }
 
 func TestNCOMixInverts(t *testing.T) {
 	up := NewNCO(0.1, 0)
 	down := NewNCO(-0.1, 0)
 	in := Vec{1, 1, 1, 1, 1}
-	out := down.Mix(up.Mix(in))
+	out := NewVec(len(in))
+	down.MixInto(out, up.MixInto(out, in))
 	for i := range in {
 		if cmplx.Abs(out[i]-in[i]) > 1e-12 {
 			t.Fatalf("mix round trip at %d", i)
 		}
-	}
-}
-
-func TestNCOAdjustPhaseWraps(t *testing.T) {
-	o := NewNCO(0, 3)
-	o.AdjustPhase(3) // 6 > pi, wraps
-	if p := o.Phase(); p > math.Pi || p < -math.Pi {
-		t.Fatalf("unwrapped phase %g", p)
 	}
 }
 
@@ -377,9 +320,6 @@ func TestDDCRecoversBasebandTone(t *testing.T) {
 
 func TestDDCDecimation(t *testing.T) {
 	ddc := NewDDC(0.2, 0.05, 31, 4)
-	if ddc.Decimation() != 4 {
-		t.Fatal("decimation factor")
-	}
 	out := ddc.Process(NewVec(100))
 	if len(out) != 25 {
 		t.Fatalf("output length %d", len(out))
@@ -470,26 +410,6 @@ func TestChannelPhaseOffset(t *testing.T) {
 	}
 }
 
-func TestEbN0Conversion(t *testing.T) {
-	// QPSK (2 bits/sym), rate 1/2: Es/N0 = Eb/N0 + 10log10(1) = Eb/N0.
-	approx(t, EbN0ToEsN0(4, 2, 0.5), 4, 1e-12, "qpsk r=1/2")
-	// BPSK uncoded: identical.
-	approx(t, EbN0ToEsN0(4, 1, 1), 4, 1e-12, "bpsk uncoded")
-	// QPSK uncoded: +3.01 dB.
-	approx(t, EbN0ToEsN0(4, 2, 1), 4+DB(2), 1e-12, "qpsk uncoded")
-}
-
-func TestTheoreticalBER(t *testing.T) {
-	// Known value: BPSK at 9.6 dB ~ 1e-5.
-	ber := TheoreticalBPSKBER(9.6)
-	if ber < 0.5e-5 || ber > 2e-5 {
-		t.Fatalf("BPSK 9.6dB BER %g", ber)
-	}
-	if QFunc(0) != 0.5 {
-		t.Fatal("Q(0) must be 0.5")
-	}
-}
-
 func TestAGCConverges(t *testing.T) {
 	a := NewAGC(1, 0.01)
 	in := NewVec(4000)
@@ -502,41 +422,5 @@ func TestAGCConverges(t *testing.T) {
 	a.Reset()
 	if a.Gain() != 1 {
 		t.Fatal("reset gain")
-	}
-}
-
-func TestPropertyConvolutionLinearity(t *testing.T) {
-	f := func(a, b float64) bool {
-		a, b = math.Mod(a, 100), math.Mod(b, 100)
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		x := Vec{complex(a, b), complex(b, -a), 1}
-		h := Vec{0.5, 0.25}
-		y1 := Convolve(x.Clone().Scale(2), h)
-		y2 := Convolve(x, h).Scale(2)
-		for i := range y1 {
-			if cmplx.Abs(y1[i]-y2[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyUpsampleEnergy(t *testing.T) {
-	f := func(a, b, c float64) bool {
-		a, b, c = math.Mod(a, 100), math.Mod(b, 100), math.Mod(c, 100)
-		if math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(c) {
-			return true
-		}
-		x := Vec{complex(a, 0), complex(b, 0), complex(c, 0)}
-		return math.Abs(Upsample(x, 4).Energy()-x.Energy()) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // fftPlan holds the precomputed tables for one transform size: the
 // bit-reversal permutation and the forward twiddle factors e^{-2πik/n}
-// for k in [0, n/2). The inverse transform conjugates on the fly.
+// for k in [0, n/2).
 type fftPlan struct {
 	n   int
 	rev []int32 // bit-reversal permutation
@@ -62,17 +62,6 @@ func NextPow2(n int) int {
 // power-of-two length n; dst may alias src). It allocates nothing beyond
 // the shared per-size plan built on first use.
 func FFTForward(dst, src Vec) {
-	fftTransform(dst, src, false)
-}
-
-// FFTInverse computes the inverse DFT of src into dst (both of
-// power-of-two length n; dst may alias src), scaling by 1/n so that
-// FFTInverse∘FFTForward is the identity.
-func FFTInverse(dst, src Vec) {
-	fftTransform(dst, src, true)
-}
-
-func fftTransform(dst, src Vec, inverse bool) {
 	n := len(src)
 	if len(dst) != n {
 		panic("dsp: FFT dst/src length mismatch")
@@ -92,29 +81,19 @@ func fftTransform(dst, src Vec, inverse bool) {
 		}
 	}
 	// Iterative Cooley-Tukey butterflies. Twiddle for butterfly j at
-	// stage size is tw[j*(n/size)], conjugated for the inverse.
+	// stage size is tw[j*(n/size)].
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
 		step := n / size
 		for base := 0; base < n; base += size {
 			tk := 0
 			for j := base; j < base+half; j++ {
-				w := p.tw[tk]
-				if inverse {
-					w = complex(real(w), -imag(w))
-				}
-				t := w * dst[j+half]
+				t := p.tw[tk] * dst[j+half]
 				u := dst[j]
 				dst[j] = u + t
 				dst[j+half] = u - t
 				tk += step
 			}
-		}
-	}
-	if inverse {
-		inv := complex(1/float64(n), 0)
-		for i := range dst {
-			dst[i] *= inv
 		}
 	}
 }

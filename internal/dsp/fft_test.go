@@ -28,14 +28,16 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
+// The forward transform inverts itself up to conjugation and scale:
+// x = conj(FFT(conj(FFT(x)))) / n.
 func TestFFTRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 4, 8, 64, 256, 1024} {
 		x := randVec(rng, n)
-		y := NewVec(n)
-		FFTForward(y, x)
 		z := NewVec(n)
-		FFTInverse(z, y)
+		FFTForward(z, x)
+		FFTForward(z, z.Conj())
+		z.Conj().Scale(complex(1/float64(n), 0))
 		if d := rmsDiff(z, x); d > 1e-12 {
 			t.Fatalf("n=%d round-trip RMS %g", n, d)
 		}
@@ -51,10 +53,6 @@ func TestFFTInPlaceMatchesOutOfPlace(t *testing.T) {
 	FFTForward(inplace, inplace)
 	if d := rmsDiff(inplace, out); d != 0 {
 		t.Fatalf("in-place forward differs, RMS %g", d)
-	}
-	FFTInverse(inplace, inplace)
-	if d := rmsDiff(inplace, x); d > 1e-12 {
-		t.Fatalf("in-place inverse RMS %g", d)
 	}
 }
 
@@ -142,7 +140,6 @@ func TestFFTZeroAlloc(t *testing.T) {
 	FFTForward(y, x) // warm the plan cache
 	allocs := testing.AllocsPerRun(50, func() {
 		FFTForward(y, x)
-		FFTInverse(y, y)
 	})
 	if allocs != 0 {
 		t.Fatalf("FFT allocates %v per run", allocs)

@@ -1,7 +1,5 @@
 package dsp
 
-import "math"
-
 // FIR is a streaming finite impulse response filter over complex samples
 // with real-valued taps. It keeps len(taps)-1 samples of history between
 // calls so that arbitrarily chunked streams produce identical output to a
@@ -17,9 +15,6 @@ func NewFIR(taps []float64) *FIR {
 	}
 	return &FIR{ip: newInterpolator(taps, 1, 1)}
 }
-
-// Taps returns a copy of the filter taps.
-func (f *FIR) Taps() []float64 { return reversed(f.ip.br) }
 
 // Reset clears the filter history.
 func (f *FIR) Reset() { f.ip.reset() }
@@ -200,15 +195,4 @@ func designLowpassTaps(cutoff float64, ntaps int) []float64 {
 		taps[i] /= sum
 	}
 	return taps
-}
-
-// FrequencyResponseMag returns |H(f)| of taps at normalized frequency f.
-func FrequencyResponseMag(taps []float64, f float64) float64 {
-	var re, im float64
-	for k, t := range taps {
-		ph := -2 * math.Pi * f * float64(k)
-		re += t * math.Cos(ph)
-		im += t * math.Sin(ph)
-	}
-	return math.Hypot(re, im)
 }

@@ -27,9 +27,6 @@ const ncoAnchor = 256
 // with initial phase radians.
 func NewNCO(freq, phase float64) *NCO { return &NCO{freq: freq, phase: phase} }
 
-// SetFreq retunes the oscillator without a phase discontinuity.
-func (o *NCO) SetFreq(freq float64) { o.phase, o.n, o.freq = o.Phase(), 0, freq }
-
 // Phase returns the current phase in radians.
 func (o *NCO) Phase() float64 { return wrapPhase(o.phaseAt(o.n)) }
 
@@ -43,16 +40,6 @@ func (o *NCO) phaseAt(n int64) float64 {
 	return o.phase + 2*math.Pi*(hi-math.Round(hi)+math.FMA(o.freq, x, -hi))
 }
 
-// AdjustPhase adds dp radians to the accumulator (used by tracking loops).
-func (o *NCO) AdjustPhase(dp float64) { o.phase = wrapPhase(o.phase + dp) }
-
-// Next returns the next oscillator sample and advances the accumulator.
-func (o *NCO) Next() complex128 {
-	s, c := math.Sincos(o.phaseAt(o.n))
-	o.n++
-	return complex(c, s)
-}
-
 // Block produces n oscillator samples.
 func (o *NCO) Block(n int) Vec {
 	out := NewVec(n)
@@ -62,12 +49,9 @@ func (o *NCO) Block(n int) Vec {
 	return o.MixInto(out, out)
 }
 
-// Mix multiplies the input block by the oscillator (frequency translation).
-func (o *NCO) Mix(in Vec) Vec { return o.MixInto(NewVec(len(in)), in) }
-
-// MixInto is the allocation-free variant of Mix: it writes the mixed
-// block into dst (at least len(in) long; dst == in is allowed) and
-// returns dst[:len(in)].
+// MixInto multiplies the input block by the oscillator (frequency
+// translation): it writes the mixed block into dst (at least len(in)
+// long; dst == in is allowed) and returns dst[:len(in)].
 func (o *NCO) MixInto(dst, in Vec) Vec {
 	dst = dst[:len(in)]
 	o.mixAt(dst, in, o.n)
@@ -133,9 +117,6 @@ func NewDDC(freq, cutoff float64, ntaps, decim int) *DDC {
 		st:    ddcState{ext: NewVec(ntaps - 1 + ddcTile), quiet: true},
 	}
 }
-
-// Decimation returns the decimation factor.
-func (d *DDC) Decimation() int { return d.decim }
 
 // OutLen returns how many samples the next Process call will emit for a
 // block of n input samples, given the current decimation phase.

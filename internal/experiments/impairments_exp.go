@@ -129,7 +129,7 @@ func E12Impairments(cfg E12Config) *E12Result {
 		tcfg.EbN0dB = ebn0
 		tcfg.Verify = true
 		tcfg.Seed = cfg.Seed
-		eng, err := sys.NewTrafficEngine(core.TrafficScenario{Config: tcfg, Terminals: terms})
+		eng, err := traffic.New(sys.Payload, tcfg, terms)
 		if err != nil {
 			panic(err)
 		}

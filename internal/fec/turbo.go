@@ -115,9 +115,6 @@ func (t *TurboCode) Name() string { return "turbo-r1/3" }
 // Rate implements Codec (nominal, ignoring tails).
 func (t *TurboCode) Rate() float64 { return 1.0 / 3.0 }
 
-// Iterations returns the configured decoder iteration count.
-func (t *TurboCode) Iterations() int { return t.iterations }
-
 // EncodedLen implements Codec: 3k data bits plus 12 tail bits.
 func (t *TurboCode) EncodedLen(k int) int { return 3*k + 12 }
 

@@ -52,9 +52,6 @@ func (n *Netlist) Inputs() int { return n.nInputs }
 // NumGates returns the gate count.
 func (n *Netlist) NumGates() int { return len(n.gates) }
 
-// Outputs returns the output net indices.
-func (n *Netlist) Outputs() []int { return append([]int{}, n.outputs...) }
-
 // AddGate appends a LUT gate reading nets a and b and returns the index
 // of the net it drives.
 func (n *Netlist) AddGate(lut uint8, a, b int) int {

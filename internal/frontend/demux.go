@@ -19,12 +19,6 @@ type CarrierPlan struct {
 	Decim    int // per-carrier decimation from wideband to carrier rate
 }
 
-// DefaultCarrierPlan returns the 6-carrier plan matching the gate-count
-// example of §2.3 (timing recovery for MF-TDMA with 6 carriers).
-func DefaultCarrierPlan() CarrierPlan {
-	return CarrierPlan{Carriers: 6, Spacing: 0.125, Decim: 8}
-}
-
 // Freq returns the normalized centre frequency of carrier c.
 func (p CarrierPlan) Freq(c int) float64 {
 	return (float64(c) - float64(p.Carriers-1)/2) * p.Spacing

@@ -185,7 +185,7 @@ func TestDBFNValidation(t *testing.T) {
 }
 
 func TestCarrierPlanFrequencies(t *testing.T) {
-	p := DefaultCarrierPlan()
+	p := CarrierPlan{Carriers: 6, Spacing: 0.125, Decim: 8}
 	// Symmetric around DC.
 	for c := 0; c < p.Carriers; c++ {
 		if math.Abs(p.Freq(c)+p.Freq(p.Carriers-1-c)) > 1e-12 {

@@ -127,7 +127,8 @@ func TestPresetsWindowedVerifyMatchesWholeCarrier(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := scenario.NewSession(spec, scenario.WithVerification(false))
+			spec.Traffic.Verify = false
+			sess, err := scenario.NewSession(spec)
 			if err != nil {
 				t.Fatal(err)
 			}

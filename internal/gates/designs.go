@@ -111,10 +111,3 @@ func TurboDecoder(blockLen int) *Design {
 	d.Add("control & sequencing", 1, 5000)
 	return d
 }
-
-// UncodedPassthrough sizes the trivial no-decoder configuration.
-func UncodedPassthrough() *Design {
-	d := &Design{Name: "uncoded-passthrough"}
-	d.Add("hard slicer", 1, Comparator(DatapathWidth)+Register(2))
-	return d
-}

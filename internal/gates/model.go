@@ -41,10 +41,6 @@ func Multiplier(w1, w2 int) int { return w1 * w2 * gatesPerFullAdder }
 // width w (4 real multipliers and 2 adders).
 func ComplexMultiplier(w int) int { return 4*Multiplier(w, w) + 2*Adder(w) }
 
-// MAC returns a multiply-accumulate stage: multiplier, adder with growth
-// margin, accumulator register.
-func MAC(w int) int { return Multiplier(w, w) + Adder(w+4) + Register(w+8) }
-
 // Mux returns a w-bit 2:1 multiplexer.
 func Mux(w int) int { return w * gatesPerMux2 }
 
@@ -94,12 +90,6 @@ func (d *Design) TotalGates() int {
 		t += b.Total()
 	}
 	return t
-}
-
-// FitsDevice reports whether the design fits a device of the given gate
-// capacity with the given utilization ceiling (e.g. 0.8 for 80%).
-func (d *Design) FitsDevice(capacity int, utilization float64) bool {
-	return float64(d.TotalGates()) <= float64(capacity)*utilization
 }
 
 // Report renders a human-readable breakdown, largest blocks first.

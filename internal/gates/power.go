@@ -71,11 +71,3 @@ func EstimatePower(d *Design, tech Technology, clockHz, activity float64, config
 		ConfigW:    float64(configBits) * tech.ConfigStaticPerBit,
 	}
 }
-
-// PowerRatio returns FPGA/ASIC total power for the same design and
-// operating point — the §4.4 "constraint" quantified.
-func PowerRatio(d *Design, clockHz, activity float64, configBits int) float64 {
-	asic := EstimatePower(d, ASIC180(), clockHz, activity, 0)
-	fpga := EstimatePower(d, FPGA180(), clockHz, activity, configBits)
-	return fpga.TotalW() / asic.TotalW()
-}

@@ -5,7 +5,9 @@ import "testing"
 func TestPowerFPGAExceedsASIC(t *testing.T) {
 	d := TDMATimingRecovery(6)
 	clock := 32.768e6 // 16x the 2.048 Mcps chip rate
-	ratio := PowerRatio(d, clock, 0.15, d.TotalGates()*4)
+	asic := EstimatePower(d, ASIC180(), clock, 0.15, 0)
+	fpga := EstimatePower(d, FPGA180(), clock, 0.15, d.TotalGates()*4)
+	ratio := fpga.TotalW() / asic.TotalW()
 	if ratio <= 3 {
 		t.Fatalf("FPGA/ASIC power ratio %.1f implausibly low", ratio)
 	}

@@ -214,7 +214,7 @@ func TestTCPListenerRequired(t *testing.T) {
 	conn := ncc.DialTCP(sat.Addr(), 40000, 2121)
 	conn.Send([]byte("x"))
 	s.Run()
-	if conn.Established() {
+	if conn.established {
 		t.Fatal("connected without a listener")
 	}
 }

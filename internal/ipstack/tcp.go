@@ -130,18 +130,6 @@ func (n *Node) newConn(remote Addr, localPort, remotePort uint16) *TCPConn {
 	}
 }
 
-// Established reports whether the handshake completed.
-func (c *TCPConn) Established() bool { return c.established }
-
-// QueuedBytes returns the un-acknowledged byte count.
-func (c *TCPConn) QueuedBytes() int {
-	t := 0
-	for _, s := range c.sendQueue {
-		t += len(s)
-	}
-	return t
-}
-
 // Send queues data on the connection (segments of MSS bytes).
 func (c *TCPConn) Send(data []byte) {
 	for len(data) > 0 {

@@ -58,17 +58,6 @@ func (f BurstFormat) preambleSymbols() dsp.Vec {
 	return out
 }
 
-// Symbols assembles the full burst symbol sequence for the payload bits.
-func (f BurstFormat) Symbols(payload []byte) dsp.Vec {
-	if len(payload) != f.PayloadBits() {
-		panic("modem: payload bit count does not match the burst format")
-	}
-	out := f.preambleSymbols()
-	out = append(out, f.UWSymbols()...)
-	out = append(out, f.Mod.Map(payload)...)
-	return out
-}
-
 // BurstModulator shapes burst symbols into a transmit waveform.
 type BurstModulator struct {
 	fmt    BurstFormat

@@ -36,7 +36,8 @@ func TestFrequencyAcquisitionBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	syms := QPSK.Map(randBits(rng, 2*512))
 	for _, f := range []float64{0.115, 0.124, -0.115, -0.124} {
-		rot := CorrectFrequency(syms, -f)
+		rot := dsp.NewVec(len(syms))
+		correctFrequencyInto(rot, syms, -f)
 		got := EstimateFrequencyQPSK(rot)
 		if math.Abs(got-f) > 1e-3 {
 			t.Fatalf("f=%g: estimate %g", f, got)
@@ -51,7 +52,8 @@ func TestFrequencyAliasingBeyondRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	syms := QPSK.Map(randBits(rng, 2*512))
 	for _, f := range []float64{0.15, -0.14} {
-		rot := CorrectFrequency(syms, -f)
+		rot := dsp.NewVec(len(syms))
+		correctFrequencyInto(rot, syms, -f)
 		got := EstimateFrequencyQPSK(rot)
 		alias := f - math.Copysign(0.25, f)
 		if math.Abs(got-alias) > 1e-3 {
@@ -169,11 +171,11 @@ func TestTrackPhaseFollowsResidualCFO(t *testing.T) {
 	for i, s := range syms {
 		rot[i] = s * cexp(anchor+2*math.Pi*residual*float64(i))
 	}
-	tracked := HardBits(QPSK.Demap(TrackPhaseQPSK(rot, anchor), 1))
+	tracked := HardBits(QPSK.Demap(TrackPhaseQPSKInto(dsp.NewVec(len(rot)), rot, anchor), 1))
 	if !reflect.DeepEqual(tracked, bits) {
 		t.Fatal("tracker lost lock under residual CFO")
 	}
-	static := HardBits(QPSK.Demap(Derotate(rot, anchor), 1))
+	static := HardBits(QPSK.Demap(DerotateInto(dsp.NewVec(len(rot)), rot, anchor), 1))
 	errs := 0
 	for i := range bits {
 		if static[i] != bits[i] {

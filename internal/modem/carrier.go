@@ -7,36 +7,14 @@ import (
 	"repro/internal/dsp"
 )
 
-// Carrier recovery for the TDMA burst demodulator. Two schemes are
-// provided: a feedforward fourth-power (Viterbi&Viterbi-style) block
-// estimator suited to short bursts, and a decision-directed phase-locked
-// loop for continuous operation.
+// Carrier recovery for the TDMA burst demodulator: a constant-phase
+// derotator for short bursts (the blockwise feedforward tracker is
+// TrackPhaseQPSKInto) and a decision-directed phase-locked loop for
+// continuous operation.
 
-// FourthPowerPhase estimates the common carrier phase of a QPSK symbol
-// block modulo pi/2 by removing the modulation with a fourth power:
-//
-//	phi = arg( sum s^4 ) / 4  -  pi/4
-//
-// The pi/4 term accounts for the QPSK constellation sitting on the
-// diagonals. The remaining pi/2 ambiguity must be resolved by a known
-// pattern (the burst unique word).
-func FourthPowerPhase(syms dsp.Vec) float64 {
-	var acc complex128
-	for _, s := range syms {
-		s2 := s * s
-		acc += s2 * s2
-	}
-	return cmplx.Phase(acc)/4 - math.Pi/4
-}
-
-// Derotate applies a constant phase correction of -phi to the block.
-func Derotate(syms dsp.Vec, phi float64) dsp.Vec {
-	return DerotateInto(dsp.NewVec(len(syms)), syms, phi)
-}
-
-// DerotateInto is the allocation-free variant of Derotate: it writes the
-// corrected block into dst (at least len(syms) long; dst == syms is
-// allowed) and returns dst[:len(syms)].
+// DerotateInto applies a constant phase correction of -phi to the block:
+// it writes the corrected block into dst (at least len(syms) long;
+// dst == syms is allowed) and returns dst[:len(syms)].
 func DerotateInto(dst, syms dsp.Vec, phi float64) dsp.Vec {
 	rot := cmplx.Exp(complex(0, -phi))
 	dst = dst[:len(syms)]
@@ -44,26 +22,6 @@ func DerotateInto(dst, syms dsp.Vec, phi float64) dsp.Vec {
 		dst[i] = s * rot
 	}
 	return dst
-}
-
-// ResolveQPSKAmbiguity finds the k in {0,1,2,3} such that rotating the
-// received unique-word symbols by k*pi/2 best matches the reference, and
-// returns that rotation in radians. rx must be at least as long as ref.
-func ResolveQPSKAmbiguity(rx, ref dsp.Vec) float64 {
-	best, bestMetric := 0.0, math.Inf(-1)
-	for k := 0; k < 4; k++ {
-		phi := float64(k) * math.Pi / 2
-		rot := cmplx.Exp(complex(0, phi))
-		var metric float64
-		for i := range ref {
-			metric += real(rx[i] * rot * cmplx.Conj(ref[i]))
-		}
-		if metric > bestMetric {
-			bestMetric = metric
-			best = phi
-		}
-	}
-	return best
 }
 
 // CostasLoop is a decision-directed QPSK phase tracking loop for

@@ -185,7 +185,7 @@ func qpow4(s complex128) complex128 {
 	return s2 * s2
 }
 
-// TrackPhaseQPSK derotates a QPSK payload with blockwise feedforward
+// TrackPhaseQPSKInto derotates a QPSK payload with blockwise feedforward
 // fourth-power (Viterbi&Viterbi) phase estimates. Each block's estimate
 // carries a pi/2 ambiguity, resolved by unwrapping toward the previous
 // block's phase, with anchor seeding the chain — for a burst, the
@@ -197,12 +197,8 @@ func qpow4(s complex128) complex128 {
 // the unwrap chains through blocks, so a block that bad rotates the
 // remainder of the payload a quadrant off, which is why the chain is
 // only specified down to the coded-regime Es/N0.
-func TrackPhaseQPSK(payload dsp.Vec, anchor float64) dsp.Vec {
-	return TrackPhaseQPSKInto(dsp.NewVec(len(payload)), payload, anchor)
-}
-
-// TrackPhaseQPSKInto is the allocation-free variant of TrackPhaseQPSK:
-// it writes the derotated payload into out (at least len(payload) long;
+//
+// It writes the derotated payload into out (at least len(payload) long;
 // out == payload is allowed) and returns out[:len(payload)].
 func TrackPhaseQPSKInto(out, payload dsp.Vec, anchor float64) dsp.Vec {
 	// 32 symbols averages enough noise for a stable fourth-power
@@ -237,14 +233,6 @@ func TrackPhaseQPSKInto(out, payload dsp.Vec, anchor float64) dsp.Vec {
 		}
 		prev = th
 	}
-	return out
-}
-
-// CorrectFrequency derotates a symbol stream by the given offset in
-// cycles/symbol.
-func CorrectFrequency(syms dsp.Vec, freq float64) dsp.Vec {
-	out := dsp.NewVec(len(syms))
-	correctFrequencyInto(out, syms, freq)
 	return out
 }
 

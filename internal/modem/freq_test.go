@@ -12,7 +12,8 @@ func TestFrequencyEstimateKnownOffsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	syms := QPSK.Map(randBits(rng, 2*512))
 	for _, f := range []float64{0, 0.01, -0.02, 0.05} {
-		rot := CorrectFrequency(syms, -f) // apply +f rotation
+		rot := dsp.NewVec(len(syms)) // apply +f rotation
+		correctFrequencyInto(rot, syms, -f)
 		got := EstimateFrequencyQPSK(rot)
 		if math.Abs(got-f) > 0.002 {
 			t.Fatalf("f=%g: estimate %g", f, got)
@@ -24,7 +25,8 @@ func TestFrequencyEstimateUnderNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	syms := QPSK.Map(randBits(rng, 2*1024))
 	f := 0.03
-	rot := CorrectFrequency(syms, -f)
+	rot := dsp.NewVec(len(syms))
+	correctFrequencyInto(rot, syms, -f)
 	ch := dsp.NewChannelWith(3, 13, 1)
 	noisy := ch.Apply(rot)
 	got := EstimateFrequencyQPSK(noisy)
@@ -44,7 +46,8 @@ func TestFrequencyEstimateFFTMatchesGridSweep(t *testing.T) {
 	syms := QPSK.Map(randBits(rng, 2*n))
 	ch := dsp.NewChannelWith(7, 6, 1)
 	for f := -0.124; f <= 0.1241; f += 0.008 {
-		rot := CorrectFrequency(syms, -f)
+		rot := dsp.NewVec(len(syms))
+		correctFrequencyInto(rot, syms, -f)
 		noisy := ch.Apply(rot)
 		gotFFT := EstimateFrequencyQPSK(noisy)
 		gotGrid := estimateFrequencyQPSKGrid(noisy)
@@ -68,7 +71,8 @@ func TestFrequencyEstimateFFTAliasingPreserved(t *testing.T) {
 		{-0.20, 0.05},
 		{0.24, -0.01},
 	} {
-		rot := CorrectFrequency(syms, -c.applied)
+		rot := dsp.NewVec(len(syms))
+		correctFrequencyInto(rot, syms, -c.applied)
 		gotFFT := EstimateFrequencyQPSK(rot)
 		gotGrid := estimateFrequencyQPSKGrid(rot)
 		if math.Abs(gotFFT-c.want) > 0.002 {
@@ -98,8 +102,10 @@ func TestFrequencyEstimateZeroAlloc(t *testing.T) {
 func TestCorrectFrequencyInverts(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	syms := QPSK.Map(randBits(rng, 2*64))
-	rot := CorrectFrequency(syms, -0.04)
-	rec := CorrectFrequency(rot, 0.04)
+	rot := dsp.NewVec(len(syms))
+	correctFrequencyInto(rot, syms, -0.04)
+	rec := dsp.NewVec(len(rot))
+	correctFrequencyInto(rec, rot, 0.04)
 	for i := range syms {
 		d := rec[i] - syms[i]
 		if real(d)*real(d)+imag(d)*imag(d) > 1e-18 {
@@ -130,12 +136,14 @@ func TestEndToEndWithFrequencyCorrection(t *testing.T) {
 	// Timing recovery first (rotation-invariant), then frequency.
 	mf := dsp.NewMatchedFilter(0.35, 4, 10)
 	om := NewOerderMeyr(4)
-	syms, _ := om.Recover(mf.Process(rx))
+	filtered := mf.Process(rx)
+	syms, _ := om.RecoverInto(dsp.NewVec(om.MaxSymbols(len(filtered))), filtered)
 	est := EstimateFrequencyQPSK(syms)
 	if math.Abs(est-symbolFreq) > 0.002 {
 		t.Fatalf("frequency estimate %g want %g", est, symbolFreq)
 	}
-	corrected := CorrectFrequency(syms, est)
+	corrected := dsp.NewVec(len(syms))
+	correctFrequencyInto(corrected, syms, est)
 
 	// UW search on the corrected stream.
 	uw := f.UWSymbols()
@@ -154,7 +162,8 @@ func TestEndToEndWithFrequencyCorrection(t *testing.T) {
 		t.Fatal("UW not found")
 	}
 	phase := cphase(bestCorr)
-	data := Derotate(corrected[bestOff+len(uw):bestOff+len(uw)+f.PayloadLen], phase)
+	data := corrected[bestOff+len(uw) : bestOff+len(uw)+f.PayloadLen]
+	DerotateInto(data, data, phase)
 	got := HardBits(QPSK.Demap(data, 1))
 	errs := 0
 	for i := range payload {

@@ -21,8 +21,6 @@ type GardnerSynchronizer struct {
 	pos        float64 // next strobe position within buf
 	prevStrobe complex128
 	havePrev   bool
-	lastErr    float64
-	adj        float64 // most recent total loop correction
 }
 
 // NewGardner creates a synchronizer with the given loop gains. Typical
@@ -31,15 +29,9 @@ func NewGardner(kp, ki float64) *GardnerSynchronizer {
 	return &GardnerSynchronizer{kp: kp, ki: ki, pos: 3}
 }
 
-// LastError returns the most recent detector output.
-func (g *GardnerSynchronizer) LastError() float64 { return g.lastErr }
-
-// Correction returns the most recent per-strobe loop correction in samples.
-func (g *GardnerSynchronizer) Correction() float64 { return g.adj }
-
 // Reset clears all loop state.
 func (g *GardnerSynchronizer) Reset() {
-	g.vel, g.lastErr, g.adj = 0, 0, 0
+	g.vel = 0
 	g.buf = nil
 	g.pos = 3
 	g.havePrev = false
@@ -59,7 +51,6 @@ func (g *GardnerSynchronizer) Process(in dsp.Vec) dsp.Vec {
 			// e > 0 when the strobe lies after the symbol optimum, so
 			// the correction is subtracted from the strobe advance.
 			e := GardnerError(g.prevStrobe, mid, cur)
-			g.lastErr = e
 			g.vel += g.ki * e
 			adj := g.kp*e + g.vel
 			// Clamp to half a sample per strobe so acquisition
@@ -70,7 +61,6 @@ func (g *GardnerSynchronizer) Process(in dsp.Vec) dsp.Vec {
 			if adj < -0.5 {
 				adj = -0.5
 			}
-			g.adj = adj
 			g.pos += 2 - adj
 		} else {
 			g.pos += 2

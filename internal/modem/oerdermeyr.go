@@ -44,13 +44,7 @@ func (o *OerderMeyr) EstimateOffset(in dsp.Vec) float64 {
 	return -float64(o.sps) / (2 * math.Pi) * cmplx.Phase(c)
 }
 
-// Recover estimates the timing offset and interpolates symbol-rate strobes
-// from the block, returning the symbols and the offset used.
-func (o *OerderMeyr) Recover(in dsp.Vec) (dsp.Vec, float64) {
-	return o.RecoverInto(dsp.NewVec(o.MaxSymbols(len(in))), in)
-}
-
-// MaxSymbols bounds the symbol count Recover can emit for an n-sample
+// MaxSymbols bounds the symbol count RecoverInto can emit for an n-sample
 // block (the strobe count depends on the estimated offset; this is the
 // offset-independent upper bound callers size buffers with).
 func (o *OerderMeyr) MaxSymbols(n int) int {
@@ -60,9 +54,10 @@ func (o *OerderMeyr) MaxSymbols(n int) int {
 	return (n-1)/o.sps + 1
 }
 
-// RecoverInto is the allocation-free variant of Recover: it interpolates
-// the symbol-rate strobes into dst (at least MaxSymbols(len(in)) long)
-// and returns the filled prefix and the offset used.
+// RecoverInto estimates the timing offset and interpolates the
+// symbol-rate strobes from the block into dst (at least
+// MaxSymbols(len(in)) long), returning the filled prefix and the offset
+// used.
 func (o *OerderMeyr) RecoverInto(dst dsp.Vec, in dsp.Vec) (dsp.Vec, float64) {
 	tau := o.EstimateOffset(in)
 	start := tau

@@ -69,19 +69,3 @@ func (s *SlotScheduler) Release(terminal string) int {
 	delete(s.held, terminal)
 	return len(cells)
 }
-
-// Owner returns the terminal holding a cell ("" if free).
-func (s *SlotScheduler) Owner(a SlotAssignment) string {
-	return s.owner[a.Carrier][a.Slot]
-}
-
-// Holdings returns the cells held by a terminal.
-func (s *SlotScheduler) Holdings(terminal string) []SlotAssignment {
-	return append([]SlotAssignment{}, s.held[terminal]...)
-}
-
-// TerminalRateBps returns the information rate a terminal gets from its
-// held cells, given the burst payload bits and frame duration in seconds.
-func (s *SlotScheduler) TerminalRateBps(terminal string, payloadBits int, frameSeconds float64) float64 {
-	return float64(len(s.held[terminal])*payloadBits) / frameSeconds
-}

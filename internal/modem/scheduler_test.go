@@ -15,8 +15,8 @@ func TestSchedulerAllocateRelease(t *testing.T) {
 	if err != nil || len(a) != 2 {
 		t.Fatalf("request: %v %v", a, err)
 	}
-	if s.Owner(a[0]) != "term-1" || s.Allocated() != 2 {
-		t.Fatal("ownership")
+	if s.Allocated() != 2 {
+		t.Fatal("allocation count")
 	}
 	b, err := s.Request("term-2", 4)
 	if err != nil || len(b) != 4 {
@@ -39,18 +39,6 @@ func TestSchedulerAllocateRelease(t *testing.T) {
 	}
 	if _, err := s.Request("term-3", 2); err != nil {
 		t.Fatalf("reuse after release: %v", err)
-	}
-}
-
-func TestSchedulerRate(t *testing.T) {
-	cfg := DefaultFrameConfig()
-	s := NewSlotScheduler(cfg)
-	s.Request("t", 4)
-	frameSeconds := float64(cfg.Slots*cfg.SlotSymbols) / float64(SymbolRateTDMA)
-	rate := s.TerminalRateBps("t", 400, frameSeconds)
-	// 4 cells x 400 bits per 4 ms frame = 400 kbps.
-	if rate < 300_000 || rate > 500_000 {
-		t.Fatalf("rate %g", rate)
 	}
 }
 

@@ -28,9 +28,6 @@ func DefaultFrameConfig() FrameConfig {
 	return FrameConfig{Carriers: 6, Slots: 8, SlotSymbols: 512, GuardSymbols: 16}
 }
 
-// BurstSymbols returns the maximum burst length in symbols that fits a slot.
-func (c FrameConfig) BurstSymbols() int { return c.SlotSymbols - c.GuardSymbols }
-
 // SlotAssignment places a terminal's burst in the frame.
 type SlotAssignment struct {
 	Carrier int

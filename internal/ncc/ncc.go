@@ -80,15 +80,6 @@ func (n *NCC) Catalog(name string, data []byte) {
 	n.catalog[name] = append([]byte{}, data...)
 }
 
-// CatalogNames lists registered files.
-func (n *NCC) CatalogNames() []string {
-	out := make([]string, 0, len(n.catalog))
-	for k := range n.catalog {
-		out = append(out, k)
-	}
-	return out
-}
-
 // Upload transfers a catalogued file to the satellite's on-board memory
 // using the selected protocol. done fires when the satellite has stored
 // the file (for SCPS-FP, when the application-level record completes;
@@ -123,6 +114,3 @@ func (n *NCC) ConfirmStored(name string) {
 
 // PushPolicy sends a reconfiguration policy to the satellite PEP.
 func (n *NCC) PushPolicy(p ftp.Policy) { n.pdp.Push(p) }
-
-// TFTPRetransmissions exposes the TFTP client's retransmission count.
-func (n *NCC) TFTPRetransmissions() int { return n.tftp.Retransmissions }

@@ -28,8 +28,8 @@ func TestCatalog(t *testing.T) {
 	g, sat := pipeNodes(s)
 	n := New(s, g, sat.Addr())
 	n.Catalog("a.bit", []byte{1, 2, 3})
-	if len(n.CatalogNames()) != 1 || n.CatalogNames()[0] != "a.bit" {
-		t.Fatalf("catalog %v", n.CatalogNames())
+	if len(n.catalog) != 1 || len(n.catalog["a.bit"]) != 3 {
+		t.Fatalf("catalog %v", n.catalog)
 	}
 }
 

@@ -7,10 +7,7 @@
 // when validation fails.
 package obc
 
-import (
-	"errors"
-	"sort"
-)
+import "errors"
 
 // MemoryStore is the on-board memory holding binary configuration files.
 // With a capacity limit it behaves as the optional "binary files library"
@@ -65,26 +62,6 @@ func (m *MemoryStore) Get(name string) ([]byte, bool) {
 	m.clock++
 	f.lastUsed = m.clock
 	return f.data, true
-}
-
-// Delete unloads a file ("unload the binary file in the on-board
-// memory", §3.2 step 4).
-func (m *MemoryStore) Delete(name string) { delete(m.files, name) }
-
-// Has reports whether a file is staged.
-func (m *MemoryStore) Has(name string) bool {
-	_, ok := m.files[name]
-	return ok
-}
-
-// Names lists staged files, sorted.
-func (m *MemoryStore) Names() []string {
-	out := make([]string, 0, len(m.files))
-	for n := range m.files {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // evict removes LRU files (never the most recent) until under capacity.

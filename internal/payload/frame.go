@@ -109,10 +109,3 @@ func (p *Payload) ReceiveFrameAndRouteQoS(fc *modem.FrameComposer, assignments [
 	}
 	return out
 }
-
-// FrameThroughputBits returns the maximum information bits one frame can
-// carry at the payload's burst format and the composer's configuration:
-// carriers x slots x payload bits per burst.
-func (p *Payload) FrameThroughputBits(cfg modem.FrameConfig) int {
-	return cfg.Carriers * cfg.Slots * p.burstFormat.PayloadBits()
-}

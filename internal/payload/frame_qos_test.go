@@ -106,9 +106,6 @@ func TestRouteRejectsBeamOutsideFabric(t *testing.T) {
 	if receipts[0].Err != nil || receipts[1].Err != nil {
 		t.Fatal("valid cells failed alongside the misroute")
 	}
-	if pl.Switch().Misrouted() != 0 {
-		t.Fatal("validated route path still hit the fabric misroute counter")
-	}
 }
 
 // With the switch function down mid-reconfiguration every decoded cell

@@ -74,7 +74,7 @@ func TestReceiveMFTDMAFrame(t *testing.T) {
 func TestFrameThroughputMatchesPaperGoal(t *testing.T) {
 	pl, _ := New(DefaultConfig())
 	cfg := modem.DefaultFrameConfig()
-	bits := pl.FrameThroughputBits(cfg)
+	bits := cfg.Carriers * cfg.Slots * pl.BurstFormat().PayloadBits()
 	// 6 carriers x 8 slots x 400 payload bits = 19200 bits per frame.
 	if bits != 6*8*400 {
 		t.Fatalf("frame throughput %d", bits)

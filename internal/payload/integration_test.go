@@ -129,7 +129,7 @@ func TestTransmitterServiceGating(t *testing.T) {
 
 	d, _ := pl.Chipset().Device("decod-fpga") // hosts coding + switch
 	d.PowerOff()
-	if _, err := tx.EncodeBurst(make([]byte, 8)); err != ErrServiceDown {
+	if _, err := tx.encodeBurstInto(nil, make([]byte, 8)); err != ErrServiceDown {
 		t.Fatalf("want ErrServiceDown, got %v", err)
 	}
 	oneSlot := modem.FrameConfig{Carriers: 2, Slots: 1, SlotSymbols: 512, GuardSymbols: 16}
@@ -137,7 +137,7 @@ func TestTransmitterServiceGating(t *testing.T) {
 		t.Fatalf("want ErrServiceDown, got %v", err)
 	}
 	d.PowerOn()
-	if _, err := tx.EncodeBurst(make([]byte, 8)); err != nil {
+	if _, err := tx.encodeBurstInto(nil, make([]byte, 8)); err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
 }
@@ -150,10 +150,10 @@ func TestTransmitterOversizedBurst(t *testing.T) {
 	plan := frontend.CarrierPlan{Carriers: 2, Spacing: 0.2, Decim: 4}
 	tx := NewTransmitter(pl, plan)
 	// 200-symbol QPSK burst carries 400 bits; turbo needs 3k+12.
-	if _, err := tx.EncodeBurst(make([]byte, 200)); err == nil {
+	if _, err := tx.encodeBurstInto(nil, make([]byte, 200)); err == nil {
 		t.Fatal("oversized coded burst must be rejected")
 	}
-	if _, err := tx.EncodeBurst(make([]byte, 64)); err != nil {
+	if _, err := tx.encodeBurstInto(nil, make([]byte, 64)); err != nil {
 		t.Fatalf("64 info bits must fit: %v", err)
 	}
 }

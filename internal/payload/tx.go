@@ -92,20 +92,11 @@ func NewTransmitter(pl *Payload, plan frontend.CarrierPlan) *Transmitter {
 // Plan returns the downlink carrier plan.
 func (t *Transmitter) Plan() frontend.CarrierPlan { return t.plan }
 
-// BurstWaveformLen returns the samples one modulated downlink burst
-// occupies (including the shaping-filter flush tail).
-func (t *Transmitter) BurstWaveformLen() int { return t.waveLen }
-
-// EncodeBurst encodes info bits with the active codec and pads them into
-// one downlink burst payload. It fails when the coding function is down
-// or the coded stream does not fit the burst.
-func (t *Transmitter) EncodeBurst(info []byte) ([]byte, error) {
-	return t.encodeBurstInto(make([]byte, 0, t.pl.BurstFormat().PayloadBits()), info)
-}
-
-// encodeBurstInto is the scratch-reusing core of EncodeBurst: it encodes
-// into dst[:0] (growing it if needed), zero-pads to the burst payload
-// budget and returns the padded slice. Callers that pool their scratch
+// encodeBurstInto encodes info bits with the active codec and pads them
+// into one downlink burst payload: it encodes into dst[:0] (growing it
+// if needed), zero-pads to the burst payload budget and returns the
+// padded slice. It fails when the coding function is down or the coded
+// stream does not fit the burst. Callers that pool their scratch
 // re-encode bursts without per-burst allocations.
 func (t *Transmitter) encodeBurstInto(dst []byte, info []byte) ([]byte, error) {
 	if !t.pl.Chipset().FunctionHealthy(FuncCoding) {

@@ -65,7 +65,7 @@ func (r *seqTxRig) frameGrid(t *testing.T, tx *Transmitter, cfg modem.FrameConfi
 			if info == nil {
 				continue
 			}
-			payloadBits, err := tx.EncodeBurst(info)
+			payloadBits, err := tx.encodeBurstInto(nil, info)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func TestTransmitFrameGridMatchesSequential(t *testing.T) {
 	cfg := modem.FrameConfig{Carriers: 3, Slots: 4, SlotSymbols: 512, GuardSymbols: 16}
 	rng := rand.New(rand.NewSource(5))
 	// Separate rig for the reference so shared-pool modulators cannot
-	// hide state leakage; EncodeBurst is stateless so tx is reusable.
+	// hide state leakage; encodeBurstInto is stateless so tx is reusable.
 	ref := newSeqTxRig(pl, tx.Plan())
 	for frame := 0; frame < 3; frame++ {
 		grid := gridInfoBits(rng, cfg, infoLen, 0.7)

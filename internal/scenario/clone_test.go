@@ -53,27 +53,19 @@ func TestSpecCloneDeep(t *testing.T) {
 	}
 }
 
-// TestPresetsEnumeration checks Presets() tracks the name registry and
-// hands out independent specs.
+// TestPresetsEnumeration checks every registered preset carries its
+// registry name and validates.
 func TestPresetsEnumeration(t *testing.T) {
-	names := PresetNames()
-	specs := Presets()
-	if len(specs) != len(names) {
-		t.Fatalf("Presets() returned %d specs for %d names", len(specs), len(names))
-	}
-	for i, sp := range specs {
-		if sp.Name != names[i] {
-			t.Fatalf("preset %d: spec name %q, registry name %q", i, sp.Name, names[i])
+	for _, name := range PresetNames() {
+		sp, err := Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.Name != name {
+			t.Fatalf("spec name %q, registry name %q", sp.Name, name)
 		}
 		if err := sp.Validate(); err != nil {
-			t.Fatalf("preset %q invalid: %v", sp.Name, err)
+			t.Fatalf("preset %q invalid: %v", name, err)
 		}
-	}
-	// Fresh specs per call: mutating one enumeration must not leak into
-	// the next.
-	specs[0].Terminals[0].ID = "mutated"
-	again := Presets()
-	if again[0].Terminals[0].ID == "mutated" {
-		t.Fatal("Presets() shares terminal state across calls")
 	}
 }

@@ -110,9 +110,12 @@ func identityFrames(sp Spec) int {
 // mid-run): per-frame stat deltas, the final report (ground-verify
 // counters included) and every deterministic telemetry metric.
 func TestPipelinedBitIdenticalToSequentialAllPresets(t *testing.T) {
-	for _, sp := range Presets() {
-		sp := sp
-		t.Run(sp.Name, func(t *testing.T) {
+	for _, name := range PresetNames() {
+		t.Run(name, func(t *testing.T) {
+			sp, err := Preset(name)
+			if err != nil {
+				t.Fatal(err)
+			}
 			sp.Frames = identityFrames(sp)
 			seqFrames, seqRep, seqTel, overlapped := procsRun(t, sp, 1)
 			if overlapped != 0 {

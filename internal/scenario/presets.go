@@ -38,19 +38,6 @@ func PresetNames() []string {
 	return out
 }
 
-// Presets enumerates the registered preset specs in name order — the
-// in-process form of `trafficsim -list-presets`, so fleet, campaign
-// validation and CI drivers never shell out for the registry. Each call
-// returns fresh Specs (the builders run per call), safe to mutate.
-func Presets() []Spec {
-	names := PresetNames()
-	out := make([]Spec, len(names))
-	for i, n := range names {
-		out[i] = presets[n]()
-	}
-	return out
-}
-
 // baseTraffic is the 3-carrier × 4-slot grid the PR 2/PR 3 studies
 // standardized on, verified end to end.
 func baseTraffic(seed int64) TrafficSpec {

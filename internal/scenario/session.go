@@ -89,7 +89,6 @@ type Session struct {
 	eng  *traffic.Engine
 	ctrl ControlPlane
 	obs  []Observer
-	ctx  context.Context
 
 	// repCache/repFn implement the at-most-once-per-frame report()
 	// contract: Step clears the cache, repFn computes on first call and
@@ -97,11 +96,6 @@ type Session struct {
 	// observer path does not allocate a fresh closure every frame.
 	repCache *traffic.Report
 	repFn    func() *traffic.Report
-
-	pop       []traffic.Terminal // population override (WithPopulation)
-	cfg       *traffic.Config    // config override (WithTrafficConfig)
-	verify    bool
-	verifySet bool
 
 	events []Event // sorted stable by frame
 	next   int
@@ -119,61 +113,26 @@ func WithObserver(obs Observer) Option {
 	return func(s *Session) { s.obs = append(s.obs, obs) }
 }
 
-// WithVerification overrides the spec's ground-verification switch.
-func WithVerification(v bool) Option {
-	return func(s *Session) { s.verify, s.verifySet = v, true }
-}
-
-// WithContext installs the session's base context: Step refuses to run
-// once it is done, and Run uses it when called with a nil context.
-func WithContext(ctx context.Context) Option { return func(s *Session) { s.ctx = ctx } }
-
 // WithControlPlane routes swap-decoder / migrate-waveform events
 // through a live control plane instead of direct payload calls.
 func WithControlPlane(cp ControlPlane) Option { return func(s *Session) { s.ctrl = cp } }
 
 // WithPayload attaches the session to an existing payload (e.g. the
 // assembled system's) instead of booting one from the spec. The spec's
-// codec, when set, is still installed.
+// codec is still installed.
 func WithPayload(pl *payload.Payload) Option { return func(s *Session) { s.pl = pl } }
-
-// WithPopulation overrides the spec's terminal list with an already
-// resolved population — the bridge for callers whose traffic models
-// have no declarative form. Spec-level terminal and event-reference
-// validation is then skipped (the engine still enforces its own
-// invariants).
-func WithPopulation(terms []traffic.Terminal) Option {
-	return func(s *Session) { s.pop = terms }
-}
-
-// WithTrafficConfig overrides the resolved traffic configuration
-// wholesale (custom carrier plans and other knobs the declarative
-// TrafficSpec does not model).
-func WithTrafficConfig(cfg traffic.Config) Option {
-	return func(s *Session) { c := cfg; s.cfg = &c }
-}
 
 // NewSession resolves and validates a Spec into a runnable Session.
 func NewSession(spec Spec, opts ...Option) (*Session, error) {
-	s := &Session{spec: spec, ctx: context.Background()}
+	s := &Session{spec: spec}
 	for _, o := range opts {
 		o(s)
 	}
-	if s.verifySet {
-		s.spec.Traffic.Verify = s.verify
-		if s.cfg != nil {
-			s.cfg.Verify = s.verify
-		}
-	}
-	loose := s.pop != nil
-	if err := s.spec.validate(loose); err != nil {
+	if err := s.spec.Validate(); err != nil {
 		return nil, err
 	}
 
 	if s.pl == nil {
-		if s.spec.System.Codec == "" {
-			return nil, errors.New("scenario: booting a payload needs system.codec")
-		}
 		pcfg := payload.DefaultConfig()
 		pcfg.Carriers = s.spec.System.Carriers
 		if pcfg.Carriers == 0 {
@@ -215,25 +174,17 @@ func NewSession(spec Spec, opts ...Option) (*Session, error) {
 			return nil, fmt.Errorf("scenario: attached payload's %d-symbol burst over the %d-symbol slot budget", bf.TotalSymbols(), bs)
 		}
 	}
-	if s.spec.System.Codec != "" {
-		if err := s.pl.SetCodec(s.spec.System.Codec); err != nil {
-			return nil, err
-		}
+	if err := s.pl.SetCodec(s.spec.System.Codec); err != nil {
+		return nil, err
 	}
 
 	cfg, err := s.spec.TrafficConfig()
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg != nil {
-		cfg = *s.cfg
-	}
-	terms := s.pop
-	var pops []traffic.Population
-	if terms == nil {
-		if terms, pops, err = s.spec.Populations(); err != nil {
-			return nil, err
-		}
+	terms, pops, err := s.spec.Populations()
+	if err != nil {
+		return nil, err
 	}
 	eng, err := traffic.NewPopulations(s.pl, cfg, terms, pops)
 	if err != nil {
@@ -258,7 +209,7 @@ func NewSession(spec Spec, opts ...Option) (*Session, error) {
 // between frames, not from inside an observer.
 func (s *Session) AddObserver(obs Observer) { s.obs = append(s.obs, obs) }
 
-// Spec returns the session's (possibly option-adjusted) spec.
+// Spec returns the session's spec.
 func (s *Session) Spec() Spec { return s.spec }
 
 // Engine exposes the underlying traffic engine — the session owns its
@@ -293,9 +244,6 @@ func (s *Session) EventLog() []EventRecord { return append([]EventRecord(nil), s
 // only Run treats Spec.Frames as the finish line. A failed event aborts
 // the step with its record still in the log and in the returned stats.
 func (s *Session) Step() (FrameStats, error) {
-	if err := s.ctx.Err(); err != nil {
-		return FrameStats{}, err
-	}
 	f := s.eng.Frame()
 	st := FrameStats{Frame: f}
 	if s.next < len(s.events) && s.events[s.next].Frame <= f {
@@ -342,12 +290,8 @@ func (s *Session) Step() (FrameStats, error) {
 // Run executes the spec to its scripted length, checking the context at
 // every frame boundary — a cancelled run stops cleanly between frames
 // and returns the consistent report accumulated so far alongside the
-// context's error. A nil ctx falls back to the WithContext option (or
-// context.Background).
+// context's error.
 func (s *Session) Run(ctx context.Context) (*traffic.Report, error) {
-	if ctx == nil {
-		ctx = s.ctx
-	}
 	for s.eng.Frame() < s.spec.Frames {
 		if err := ctx.Err(); err != nil {
 			return s.Report(), err
@@ -399,17 +343,6 @@ func (s *Session) apply(ev Event) EventRecord {
 		rec.Detail = ev.Terminal
 		err = s.eng.RemoveTerminal(ev.Terminal)
 	case ActionSetQueue:
-		// Loose sessions skip spec-level event validation, so the
-		// runtime re-rejects what Validate would have: a negative depth
-		// and an event that changes nothing.
-		if ev.QueueDepth < 0 {
-			err = fmt.Errorf("queue depth %d", ev.QueueDepth)
-			break
-		}
-		if ev.QueueDepth == 0 && ev.Policy == "" {
-			err = errors.New("neither queue depth nor policy given")
-			break
-		}
 		if ev.QueueDepth > 0 {
 			rec.Detail = fmt.Sprintf("depth=%d", ev.QueueDepth)
 			err = s.eng.SetQueueDepth(ev.QueueDepth)
@@ -425,12 +358,6 @@ func (s *Session) apply(ev Event) EventRecord {
 			}
 		}
 	case ActionSetScheduler:
-		// Loose sessions skip spec-level event validation, so the
-		// runtime re-rejects a missing or malformed scheduler.
-		if ev.Scheduler == nil {
-			err = errors.New("missing scheduler")
-			break
-		}
 		var sched switchfab.Scheduler
 		if sched, err = ev.Scheduler.Build(); err == nil {
 			rec.Detail = sched.Name()

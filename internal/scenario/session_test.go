@@ -124,18 +124,19 @@ func TestRunStopsAtFrameBoundaryOnCancel(t *testing.T) {
 	}
 }
 
-// A session whose base context (WithContext) is already done refuses to
-// step.
+// Run under a context that is already done steps no frame (the name is
+// from when a session option carried the context).
 func TestWithContextGatesStep(t *testing.T) {
 	sp, _ := Preset("clean")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sess, err := NewSession(sp, WithContext(ctx))
+	sess, err := NewSession(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Step(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Step under a dead context: %v", err)
+	rep, err := sess.Run(ctx)
+	if !errors.Is(err, context.Canceled) || rep.Frames != 0 {
+		t.Fatalf("Run under a dead context: %d frames, err %v", rep.Frames, err)
 	}
 }
 
@@ -316,11 +317,13 @@ func TestAttachedPayloadCrossChecks(t *testing.T) {
 	}
 }
 
-// WithVerification overrides the spec's switch in both directions.
+// The spec's ground-verification switch reaches the engine (the name is
+// from when a session option overrode it).
 func TestWithVerificationOverride(t *testing.T) {
 	sp, _ := Preset("clean")
 	sp.Frames = 2
-	sess, err := NewSession(sp, WithVerification(false))
+	sp.Traffic.Verify = false
+	sess, err := NewSession(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

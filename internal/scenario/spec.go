@@ -509,27 +509,6 @@ func popSeed(seed int64, name string) int64 {
 	return seed ^ int64(h.Sum64())
 }
 
-// SpecFromConfig lifts an imperative engine configuration into a Spec —
-// the compatibility bridge core.RunTraffic rides (the population, which
-// may use arbitrary Model implementations, travels separately through
-// WithPopulation).
-func SpecFromConfig(cfg traffic.Config, frames int) Spec {
-	return Spec{
-		Frames: frames,
-		Traffic: TrafficSpec{
-			Carriers:     cfg.Frame.Carriers,
-			Slots:        cfg.Frame.Slots,
-			SlotSymbols:  cfg.Frame.SlotSymbols,
-			GuardSymbols: cfg.Frame.GuardSymbols,
-			QueueDepth:   cfg.QueueDepth,
-			Policy:       cfg.Policy.String(),
-			EbN0dB:       cfg.EbN0dB,
-			Verify:       cfg.Verify,
-			Seed:         cfg.Seed,
-		},
-	}
-}
-
 // burstBudget returns the burst format implied by the spec and its
 // payload bit budget.
 func (sp Spec) burstFormat() modem.BurstFormat {
@@ -553,11 +532,10 @@ func (sp Spec) Validate() error { return sp.validate(false) }
 // whose terminal list is still to be built.
 func (sp Spec) ValidateShape() error { return sp.validate(true) }
 
-// validate is Validate with a loose mode for sessions whose population
-// is supplied out-of-band (WithPopulation): the terminal list, the
-// events' terminal references and the run length are then the caller's
-// responsibility, while the traffic shape and system checks still run.
-func (sp Spec) validate(loose bool) error {
+// validate is Validate with a shape-only mode: the terminal list, the
+// events and the run length are then left unchecked, while the traffic
+// shape and system checks still run.
+func (sp Spec) validate(shapeOnly bool) error {
 	t := sp.Traffic
 	if t.Carriers < 1 || t.Slots < 1 {
 		return fmt.Errorf("scenario: frame needs at least one carrier and one slot (got %dx%d)", t.Carriers, t.Slots)
@@ -592,9 +570,8 @@ func (sp Spec) validate(loose bool) error {
 			return err
 		}
 	}
-	if !loose {
-		// A spec always runs on the default carrier plan (custom plans
-		// come in through WithTrafficConfig, with their own population).
+	if !shapeOnly {
+		// A spec always runs on the default carrier plan.
 		if s := traffic.DefaultPlan(t.Carriers).Spacing; s < traffic.BurstBandwidth {
 			return fmt.Errorf("scenario: %d carriers sit %.4f cycles/sample apart on the default carrier plan, closer than the %.4f a burst occupies",
 				t.Carriers, s, traffic.BurstBandwidth)

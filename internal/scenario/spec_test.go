@@ -8,9 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/modem"
-	"repro/internal/traffic"
 )
 
 var update = flag.Bool("update", false, "rewrite the preset golden files")
@@ -279,21 +276,22 @@ func TestValidateBoundsAreTight(t *testing.T) {
 	}
 }
 
-// Loose validation (population supplied out-of-band via
-// WithPopulation) still rejects bad traffic shapes but skips the
-// terminal list, the codec requirement and the run length.
+// Loose validation (ValidateShape, before a tool has derived the
+// population) still rejects bad traffic shapes but skips the terminal
+// list, the codec requirement and the run length.
 func TestValidateLoose(t *testing.T) {
-	cfg := traffic.DefaultConfig()
-	cfg.Frame = modem.FrameConfig{Carriers: 2, Slots: 2, SlotSymbols: 320, GuardSymbols: 16}
-	sp := SpecFromConfig(cfg, 0)
-	if err := sp.validate(true); err != nil {
+	sp := Spec{Traffic: TrafficSpec{
+		Carriers: 2, Slots: 2, SlotSymbols: 320, GuardSymbols: 16,
+		QueueDepth: 8, Policy: "drop-tail",
+	}}
+	if err := sp.ValidateShape(); err != nil {
 		t.Fatalf("loose validation rejected an engine-shaped spec: %v", err)
 	}
 	if err := sp.Validate(); err == nil {
 		t.Fatal("strict validation must still demand frames, codec and terminals")
 	}
 	sp.Traffic.QueueDepth = 0
-	if err := sp.validate(true); err == nil {
+	if err := sp.ValidateShape(); err == nil {
 		t.Fatal("loose validation must still reject a zero queue depth")
 	}
 }

@@ -153,7 +153,8 @@ func TestTelemetryCloseIdempotentOnBoundary(t *testing.T) {
 	spec.Frames = 4
 	var buf bytes.Buffer
 	tel := NewTelemetryObserver(&buf, TelemetryConfig{FlushEvery: 2})
-	sess, err := NewSession(spec, WithVerification(false))
+	spec.Traffic.Verify = false
+	sess, err := NewSession(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +187,8 @@ func TestObserverReportMemoized(t *testing.T) {
 		}
 		perFrame[f] = append(perFrame[f], report(), report())
 	}
-	sess, err := NewSession(spec, WithVerification(false),
-		WithObserver(grab), WithObserver(grab))
+	spec.Traffic.Verify = false
+	sess, err := NewSession(spec, WithObserver(grab), WithObserver(grab))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,8 @@ func TestObserverFrameStatsSafeCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var retained []FrameStats
-	sess, err := NewSession(spec, WithVerification(false),
+	spec.Traffic.Verify = false
+	sess, err := NewSession(spec,
 		WithObserver(func(stats FrameStats, _ func() *traffic.Report) {
 			retained = append(retained, stats)
 		}))

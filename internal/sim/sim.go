@@ -48,9 +48,6 @@ func New() *Simulator { return &Simulator{} }
 // Now returns the current virtual time in seconds.
 func (s *Simulator) Now() float64 { return s.now }
 
-// Processed returns the number of executed events.
-func (s *Simulator) Processed() int { return s.processed }
-
 // Schedule queues fn to run delay seconds from now. Negative delays run
 // at the current time.
 func (s *Simulator) Schedule(delay float64, fn func()) {
@@ -89,6 +86,3 @@ func (s *Simulator) RunUntil(t float64) {
 		s.now = t
 	}
 }
-
-// Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return s.queue.Len() }

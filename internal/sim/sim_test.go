@@ -51,8 +51,8 @@ func TestRunUntil(t *testing.T) {
 	s.Schedule(1, func() { count++ })
 	s.Schedule(5, func() { count++ })
 	s.RunUntil(3)
-	if count != 1 || s.Now() != 3 || s.Pending() != 1 {
-		t.Fatalf("count=%d now=%g pending=%d", count, s.Now(), s.Pending())
+	if count != 1 || s.Now() != 3 || s.queue.Len() != 1 {
+		t.Fatalf("count=%d now=%g pending=%d", count, s.Now(), s.queue.Len())
 	}
 	s.Run()
 	if count != 2 {
@@ -79,7 +79,7 @@ func TestMaxEventsGuard(t *testing.T) {
 	loop = func() { s.Schedule(1, loop) }
 	s.Schedule(0, loop)
 	s.Run()
-	if s.Processed() != 10 {
-		t.Fatalf("processed %d", s.Processed())
+	if s.processed != 10 {
+		t.Fatalf("processed %d", s.processed)
 	}
 }

@@ -23,7 +23,6 @@ package switchfab
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Packet is one switched packet: the decoded payload bytes, the traffic
@@ -122,8 +121,7 @@ type ClassCounters struct {
 
 // Fabric is the sharded switch: one shard per downlink beam.
 type Fabric struct {
-	shards    []shard
-	misrouted atomic.Int64
+	shards []shard
 }
 
 // New builds a fabric with the given number of downlink beams and
@@ -162,7 +160,6 @@ func (f *Fabric) Adopt(depth int) {
 		sh.dropped = [NumClasses]int{}
 		sh.mu.Unlock()
 	}
-	f.misrouted.Store(0)
 }
 
 // SetDepth rebounds the per-(beam, class) queues without clearing them.
@@ -177,15 +174,6 @@ func (f *Fabric) SetDepth(depth int) {
 	}
 }
 
-// Depth returns the per-(beam, class) queue bound in force (0 =
-// unbounded).
-func (f *Fabric) Depth() int {
-	sh := &f.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.depth
-}
-
 // Route enqueues an unmarked (best effort) packet for a downlink beam —
 // the pre-QoS single-class path the payload's legacy wrappers ride.
 // It reports whether the packet was queued (false: the class queue is
@@ -196,11 +184,10 @@ func (f *Fabric) Route(beam int, payload []byte) bool {
 
 // RoutePacket enqueues a typed packet for a downlink beam. A full class
 // queue tail-drops (counted per class); a beam outside the fabric is
-// counted as misrouted. Safe from any goroutine; concurrent routers
+// refused. Safe from any goroutine; concurrent routers
 // serialize only per beam.
 func (f *Fabric) RoutePacket(beam int, p Packet) bool {
 	if beam < 0 || beam >= len(f.shards) {
-		f.misrouted.Add(1)
 		return false
 	}
 	sh := &f.shards[beam]
@@ -228,7 +215,7 @@ func (f *Fabric) RoutePacket(beam int, p Packet) bool {
 
 // Drain removes and returns every packet queued for a beam in arrival
 // order — the compatibility path for single-shot payload callers
-// (ProcessFrame tests, payloadsim). Traffic engines do not drain: they
+// (ProcessFrame, E10). Traffic engines do not drain: they
 // Schedule packets straight into the transmit grid.
 func (f *Fabric) Drain(beam int) [][]byte {
 	if beam < 0 || beam >= len(f.shards) {
@@ -333,9 +320,6 @@ func (f *Fabric) Dropped() int {
 	}
 	return total
 }
-
-// Misrouted returns the packets routed to beams outside the fabric.
-func (f *Fabric) Misrouted() int { return int(f.misrouted.Load()) }
 
 // ClassCounters aggregates the per-class accounting over every shard.
 func (f *Fabric) ClassCounters() [NumClasses]ClassCounters {

@@ -15,13 +15,6 @@ type Beam struct{ sh *shard }
 // Len returns the packets queued in one class.
 func (b Beam) Len(c Class) int { return b.sh.q[c].n }
 
-// HeadSeq returns the arrival sequence number of a class's oldest
-// packet — the FIFO scheduler's cross-class ordering key.
-func (b Beam) HeadSeq(c Class) (uint64, bool) {
-	p, ok := b.sh.q[c].peek()
-	return p.seq, ok
-}
-
 // Pop dequeues a class's oldest packet.
 func (b Beam) Pop(c Class) (Packet, bool) {
 	p, ok := b.sh.q[c].pop()

@@ -25,7 +25,7 @@ const (
 // value, and timers aggregate only the samples of the flushed interval.
 // Timer values are nanoseconds by the repo-wide convention. Seq counts
 // flushes from 0 and Frame tags the frame clock position (-1 when the
-// producer has no frame clock, e.g. benchjson).
+// producer has no frame clock).
 type Line struct {
 	Seq      int64                 `json:"seq"`
 	TS       float64               `json:"ts"` // unix seconds

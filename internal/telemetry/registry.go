@@ -22,7 +22,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/stats"
 )
@@ -202,9 +201,6 @@ func (t *Timer) Observe(v float64) {
 	}
 	t.mu.Unlock()
 }
-
-// ObserveDuration records a duration in nanoseconds.
-func (t *Timer) ObserveDuration(d time.Duration) { t.Observe(float64(d.Nanoseconds())) }
 
 // Count returns the cumulative observation count over the run.
 func (t *Timer) Count() int64 {

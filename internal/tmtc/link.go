@@ -63,12 +63,6 @@ func NewGEOLink(s *sim.Simulator, uplinkBps, downlinkBps, ber float64, seed int6
 	return l
 }
 
-// SetDelay overrides the one-way propagation delay (e.g. for LEO).
-func (l *Link) SetDelay(d float64) { l.delay = d }
-
-// Delay returns the one-way propagation delay.
-func (l *Link) Delay() float64 { return l.delay }
-
 // End returns the endpoint for a side.
 func (l *Link) End(s Side) *Endpoint { return l.ends[s] }
 
@@ -110,10 +104,4 @@ func (e *Endpoint) Send(data []byte) {
 			peer.Receive(pkt)
 		}
 	})
-}
-
-// TransmissionTime returns the serialization time of n bytes at this
-// endpoint's rate.
-func (e *Endpoint) TransmissionTime(n int) float64 {
-	return float64(n*8) / e.rateBps
 }

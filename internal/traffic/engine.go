@@ -929,21 +929,9 @@ func (e *Engine) dama(pf *framePrep) []uplinkCell {
 		if d == 0 {
 			continue
 		}
-		if room != nil {
-			r := &room[t.Beam][t.Class]
-			if d > *r {
-				e.met.ThrottledCells += d - max(*r, 0)
-				d = *r
-			}
-			if d <= 0 {
-				continue
-			}
-			*r -= d
-		}
-		if free := e.sched.Capacity() - e.sched.Allocated(); d > free {
-			e.met.DeniedCells += d - free
-			d = free
-		}
+		d, throttled, denied := admit(room, t.Beam, t.Class, d, e.sched.Capacity()-e.sched.Allocated())
+		e.met.ThrottledCells += throttled
+		e.met.DeniedCells += denied
 		if d == 0 {
 			continue
 		}
@@ -967,6 +955,29 @@ func (e *Engine) dama(pf *framePrep) []uplinkCell {
 	plan.cells = cells
 	e.damaAggregates(f, k, room)
 	return cells
+}
+
+// admit is the admission rule both DAMA passes apply to a demand of d
+// cells: under backpressure (room != nil) clip it to the room left in
+// its (beam, class) queue and reserve what passes, then clip it to the
+// free cells left in the frame.
+func admit(room [][switchfab.NumClasses]int, beam int, class switchfab.Class, d, free int) (granted, throttled, denied int) {
+	if room != nil {
+		r := &room[beam][class]
+		if d > *r {
+			throttled = d - max(*r, 0)
+			d = *r
+		}
+		if d <= 0 {
+			return 0, throttled, 0
+		}
+		*r -= d
+	}
+	if d > free {
+		denied = d - free
+		d = free
+	}
+	return d, throttled, denied
 }
 
 // damaAggregates runs the aggregate side of admission control after the
@@ -1008,24 +1019,11 @@ func (e *Engine) damaAggregates(f, k int, room [][switchfab.NumClasses]int) {
 			if d == 0 {
 				continue
 			}
-			if room != nil {
-				r := &room[pb.beam][ps.def.Class]
-				if d > *r {
-					t := d - max(*r, 0)
-					e.met.ThrottledCells += t
-					ps.stat.ThrottledCells += t
-					d = *r
-				}
-				if d <= 0 {
-					continue
-				}
-				*r -= d
-			}
-			if free := e.sched.Capacity() - e.sched.Allocated() - aggAlloc; d > free {
-				e.met.DeniedCells += d - free
-				ps.stat.DeniedCells += d - free
-				d = free
-			}
+			d, throttled, denied := admit(room, pb.beam, ps.def.Class, d, e.sched.Capacity()-e.sched.Allocated()-aggAlloc)
+			e.met.ThrottledCells += throttled
+			ps.stat.ThrottledCells += throttled
+			e.met.DeniedCells += denied
+			ps.stat.DeniedCells += denied
 			if d <= 0 {
 				continue
 			}
