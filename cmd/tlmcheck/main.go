@@ -13,8 +13,12 @@
 //     (cumulative contract), and keys never disappear (persistence)
 //   - timer stats are internally consistent (count ≥ 0; when count > 0:
 //     min ≤ mean ≤ max and min ≤ p50 ≤ p90 ≤ p99 ≤ max)
-//   - with -report report.json: the final line's cumulative counters
-//     equal the report exactly, top-level and per traffic class
+//   - on every line that carries the admission counters, top level and
+//     per pop.<name>.: offered = granted + denied + throttled
+//   - with -report report.json (decoded strictly, like the lines): the
+//     final line carries every integer field of the report — top level,
+//     per class, per population; the names are the report's own JSON
+//     tags, walked by traffic.Report.Counters — with the report's value
 //   - with -campaign CAMPAIGN_*.json: the campaign artifact replays
 //     through campaign.ValidateArtifact — structural counts, derived
 //     seeds, per-point statistics recomputed from the raw rows, gate
@@ -32,8 +36,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -53,11 +59,11 @@ func main() {
 	}
 
 	if *campaignIn != "" {
-		art, err := loadArtifact(*campaignIn)
-		if err != nil {
-			log.Fatal(err)
+		var art campaign.Artifact
+		if err := decodeFile(*campaignIn, &art); err != nil {
+			log.Fatalf("tlmcheck: %v", err)
 		}
-		if err := campaign.ValidateArtifact(art); err != nil {
+		if err := campaign.ValidateArtifact(&art); err != nil {
 			log.Fatalf("tlmcheck: %s: %v", *campaignIn, err)
 		}
 		fmt.Printf("tlmcheck: %s ok (%d/%d runs, %d points, gates passed=%v)\n",
@@ -67,82 +73,95 @@ func main() {
 		return
 	}
 
-	lines, err := loadLines(*telemetryIn)
+	feed, err := os.Open(*telemetryIn)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("tlmcheck: %v", err)
 	}
-	if len(lines) == 0 {
-		log.Fatalf("tlmcheck: %s carries no flush lines", *telemetryIn)
+	defer feed.Close()
+	var report io.Reader
+	if *reportIn != "" {
+		f, err := os.Open(*reportIn)
+		if err != nil {
+			log.Fatalf("tlmcheck: %v", err)
+		}
+		defer f.Close()
+		report = f
 	}
-	if err := validate(lines); err != nil {
+	n, err := checkFeed(feed, report)
+	if err != nil {
 		log.Fatalf("tlmcheck: %s: %v", *telemetryIn, err)
 	}
-	if *reportIn != "" {
-		rep, err := loadReport(*reportIn)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := reconcile(lines[len(lines)-1], rep); err != nil {
-			log.Fatalf("tlmcheck: final flush vs %s: %v", *reportIn, err)
-		}
-	}
-	fmt.Printf("tlmcheck: %s ok (%d flush lines)\n", *telemetryIn, len(lines))
+	fmt.Printf("tlmcheck: %s ok (%d flush lines)\n", *telemetryIn, n)
 }
 
-func loadLines(path string) ([]telemetry.Line, error) {
+// checkFeed is the whole feed check — load, validate, and with a report
+// reconcile the final line against it — and returns the line count.
+func checkFeed(feed, report io.Reader) (int, error) {
+	lines, err := loadLines(feed)
+	if err != nil {
+		return 0, err
+	}
+	if len(lines) == 0 {
+		return 0, errors.New("no flush lines")
+	}
+	if err := validate(lines); err != nil {
+		return 0, err
+	}
+	if report != nil {
+		var rep traffic.Report
+		if err := decodeStrict(report, &rep); err != nil {
+			return 0, fmt.Errorf("report: %w", err)
+		}
+		if err := reconcile(lines[len(lines)-1], &rep); err != nil {
+			return 0, fmt.Errorf("final flush vs report: %w", err)
+		}
+	}
+	return len(lines), nil
+}
+
+// decodeStrict reads exactly one JSON value into v: unknown fields are
+// schema drift and trailing content is a malformed file, for flush
+// lines, reports and campaign artifacts alike.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.More() {
+		return errors.New("trailing content")
+	}
+	return nil
+}
+
+func decodeFile(path string, v any) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
+	if err := decodeStrict(f, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+func loadLines(r io.Reader) ([]telemetry.Line, error) {
 	var lines []telemetry.Line
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
-		dec := json.NewDecoder(strings.NewReader(text))
-		dec.DisallowUnknownFields()
 		var ln telemetry.Line
-		if err := dec.Decode(&ln); err != nil {
-			return nil, fmt.Errorf("%s line %d: %w", path, len(lines)+1, err)
+		if err := decodeStrict(bytes.NewReader(text), &ln); err != nil {
+			return nil, fmt.Errorf("line %d: %w", len(lines)+1, err)
 		}
 		lines = append(lines, ln)
 	}
 	return lines, sc.Err()
-}
-
-// loadArtifact reads a campaign artifact strictly: unknown fields are
-// schema drift, the same contract the telemetry lines get.
-func loadArtifact(path string) (*campaign.Artifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var art campaign.Artifact
-	if err := dec.Decode(&art); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("%s: trailing content after artifact", path)
-	}
-	return &art, nil
-}
-
-func loadReport(path string) (*traffic.Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep traffic.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
 }
 
 // validate applies the line-sequence and per-line invariants.
@@ -162,6 +181,9 @@ func validate(lines []telemetry.Line) error {
 			if err := checkTimer(k, st); err != nil {
 				return fmt.Errorf("line %d: %w", i+1, err)
 			}
+		}
+		if err := checkLedger(ln.Counters); err != nil {
+			return fmt.Errorf("line %d: %w", i+1, err)
 		}
 		if prev != nil {
 			if ln.Frame < prev.Frame {
@@ -209,37 +231,60 @@ func checkTimer(name string, st telemetry.TimerStats) error {
 	return nil
 }
 
-// reconcile checks the final flush's cumulative counters against the
-// authoritative end-of-run report, exactly.
-func reconcile(final telemetry.Line, rep *traffic.Report) error {
-	want := map[string]int{
-		"frames":            rep.Frames,
-		"outage_frames":     rep.OutageFrames,
-		"granted_cells":     rep.GrantedCells,
-		"throttled_cells":   rep.ThrottledCells,
-		"uplink_failures":   rep.UplinkFailures,
-		"uplink_bit_errs":   rep.UplinkBitErrs,
-		"delivered_packets": rep.DeliveredPackets,
-		"delivered_bits":    rep.DeliveredBits,
-		"dropped_queue":     rep.DroppedQueue,
-		"dropped_reencode":  rep.DroppedReencode,
-	}
-	for _, cs := range rep.PerClass {
-		p := "class." + cs.Class + "."
-		want[p+"routed_packets"] = cs.RoutedPackets
-		want[p+"dropped_queue"] = cs.DroppedQueue
-		want[p+"dropped_reencode"] = cs.DroppedReencode
-		want[p+"delivered_packets"] = cs.DeliveredPackets
-		want[p+"delivered_bits"] = cs.DeliveredBits
-	}
-	for k, w := range want {
-		got, ok := final.Counters[k]
-		if !ok {
-			return fmt.Errorf("counter %s missing from the final flush", k)
+// ledger is the feed names of the admission identity's terms, offered
+// first, as the report's own walk spells them: the report's JSON tags
+// stay the one list of counter names.
+var ledger = func() (names [4]string) {
+	terms := traffic.Report{OfferedCells: 1, GrantedCells: 2, DeniedCells: 3, ThrottledCells: 4}
+	terms.Counters(func(name string, v int64, _ bool) {
+		if v > 0 {
+			names[v-1] = name
 		}
-		if got != int64(w) {
-			return fmt.Errorf("counter %s = %d, report says %d", k, got, w)
+	})
+	return names
+}()
+
+// checkLedger holds one line's counters to offered = granted + denied +
+// throttled wherever the line carries an offered counter: top level and
+// under each pop.<name>. prefix (a fleet feed carries none and passes).
+func checkLedger(counters map[string]int64) error {
+	for key, offered := range counters {
+		prefix, ok := strings.CutSuffix(key, ledger[0])
+		if !ok {
+			continue
+		}
+		sum := int64(0)
+		for _, term := range ledger[1:] {
+			v, ok := counters[prefix+term]
+			if !ok {
+				return fmt.Errorf("ledger: counter %s has no %s beside it", key, prefix+term)
+			}
+			sum += v
+		}
+		if offered != sum {
+			return fmt.Errorf("ledger: %s = %d, but granted + denied + throttled = %d", key, offered, sum)
 		}
 	}
 	return nil
+}
+
+// reconcile checks the final flush against the authoritative end-of-run
+// report, exactly: every integer field the report's walk names.
+func reconcile(final telemetry.Line, rep *traffic.Report) (err error) {
+	rep.Counters(func(name string, want int64, gauge bool) {
+		got, ok := final.Counters[name]
+		if gauge {
+			var g float64
+			g, ok = final.Gauges[name]
+			got = int64(g)
+		}
+		switch {
+		case err != nil:
+		case !ok:
+			err = fmt.Errorf("%s missing from the final flush", name)
+		case got != want:
+			err = fmt.Errorf("%s = %d, report says %d", name, got, want)
+		}
+	})
+	return err
 }

@@ -14,11 +14,12 @@
 // the run; population flags rebuild the terminal set).
 //
 // A long run is observable while it runs: -telemetry <file|-> streams
-// one machine-readable flush line per -flush-every frames (cumulative
-// counters, per-class stats, queue-depth gauges, per-stage engine
-// timers with p50/p90/p99, Go runtime health) through the
-// internal/telemetry backbone, and -report-json writes the end-of-run
-// traffic.Report as JSON for campaign tooling.
+// one JSON flush line per -flush-every frames through the
+// internal/telemetry backbone — every integer field of the report as a
+// cumulative counter under its -report-json name (top level, class.<c>.*
+// and pop.<name>.*), queue-depth gauges, per-stage engine timers with
+// p50/p90/p99, Go runtime health — and -report-json writes the
+// end-of-run traffic.Report as JSON; tlmcheck reconciles the two.
 //
 // Exit status: 0 on a completed run, 1 on a bad spec or flag, a failed
 // run, or — with -verify — any burst the ground receiver lost or decoded
@@ -49,7 +50,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/scenario"
-	"repro/internal/telemetry"
 	"repro/internal/traffic"
 )
 
@@ -94,7 +94,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	telemetryOut := fs.String("telemetry", "", "stream telemetry flush lines to a file (- for stdout)")
 	flushEvery := fs.Int("flush-every", 10, "frames per telemetry flush (0 with -flush-interval for interval-only flushing)")
 	flushInterval := fs.Duration("flush-interval", 0, "also flush when this much wall-clock time has passed (0 disables)")
-	telemetryFormat := fs.String("telemetry-format", "json", "telemetry wire form: json or graphite")
 	reportJSON := fs.String("report-json", "", "write the end-of-run report as JSON to a file")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -275,18 +274,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			telFile, w = f, f
 		}
-		format := telemetry.FormatJSON
-		switch *telemetryFormat {
-		case "json":
-		case "graphite":
-			format = telemetry.FormatGraphite
-		default:
-			return fatal(fmt.Sprintf("unknown -telemetry-format %q (json or graphite)", *telemetryFormat))
-		}
 		tel = scenario.NewTelemetryObserver(w, scenario.TelemetryConfig{
 			FlushEvery:    *flushEvery,
 			FlushInterval: *flushInterval,
-			Format:        format,
 			Source:        "trafficsim",
 		})
 		tel.Attach(sess)

@@ -46,7 +46,7 @@ func main() {
 			if st.Frame%6 == 0 {
 				rep := report()
 				fmt.Printf("  frame %2d: %d cells granted, %d packets down, %d bit errors so far\n",
-					st.Frame, st.GrantedCells, st.DeliveredPackets, rep.UplinkBitErrs+rep.DownlinkBitErrs)
+					st.Frame, rep.GrantedCells, rep.DeliveredPackets, rep.UplinkBitErrs+rep.DownlinkBitErrs)
 			}
 		}))
 	if err != nil {

@@ -315,7 +315,7 @@ func (sp *Spec) Expand() (*Expansion, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := axis.Apply(&pt.Spec, v); err != nil {
+			if err := axis(&pt.Spec, v); err != nil {
 				return nil, fmt.Errorf("campaign %s: axis %q value %v: %w", sp.Name, ax.Kind, v, err)
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
@@ -190,15 +189,6 @@ func TestEffectiveReducers(t *testing.T) {
 	if got := sp.EffectiveReducers(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reducers %v, want %v", got, want)
 	}
-}
-
-func TestRegistryPanicsOnDuplicate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate axis registration did not panic")
-		}
-	}()
-	RegisterAxis(Axis{Kind: "ebn0", Apply: func(_ *scenario.Spec, _ any) error { return nil }})
 }
 
 func TestRunSeedSpread(t *testing.T) {

@@ -4,108 +4,52 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/scenario"
 	"repro/internal/traffic"
 )
 
-// Axis is one registered sweep-axis kind: Apply projects one grid value
-// onto a cloned scenario spec. New axis kinds register themselves by
-// name (gfunction style) and the expansion core never changes — an axis
-// is data to the runner, not code.
-type Axis struct {
-	Kind string
-	// Apply mutates sp (a private clone) to the grid value v, which
-	// arrives as decoded JSON: float64 for numbers, string for strings.
-	Apply func(sp *scenario.Spec, v any) error
-}
+// Axis is one sweep-axis kind: it projects one grid value onto a cloned
+// scenario spec. It mutates sp (a private clone) to the grid value v,
+// which arrives as decoded JSON: float64 for numbers, string for
+// strings. An axis is data to the runner, not code: the expansion core
+// looks kinds up by name in axes.
+type Axis func(sp *scenario.Spec, v any) error
 
-// Reducer is one registered campaign statistic: Fold extracts a single
-// scalar from one run's report; the runner summarizes the per-run
-// scalars of each grid point into min/mean/max/p50/p90/p99. Reducers
-// must be deterministic functions of the report — wall-clock figures
-// would break the byte-identical artifact contract.
-type Reducer struct {
-	Name string
-	Fold func(rep *traffic.Report) float64
-}
+// Reducer is one campaign statistic: it extracts a single scalar from
+// one run's report; the runner summarizes the per-run scalars of each
+// grid point into min/mean/max/p50/p90/p99. Reducers must be
+// deterministic functions of the report — wall-clock figures would
+// break the byte-identical artifact contract.
+type Reducer func(rep *traffic.Report) float64
 
-var (
-	regMu    sync.RWMutex
-	axes     = map[string]Axis{}
-	reducers = map[string]Reducer{}
-)
+// AxisKinds lists the sweep-axis kinds, sorted.
+func AxisKinds() []string { return sortedKeys(axes) }
 
-// RegisterAxis adds a sweep-axis kind to the registry. Registering an
-// empty or duplicate kind panics: axis kinds are program structure, and
-// a collision is a programming error, not a runtime condition.
-func RegisterAxis(a Axis) {
-	if a.Kind == "" || a.Apply == nil {
-		panic("campaign: axis needs a kind and an Apply")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := axes[a.Kind]; dup {
-		panic(fmt.Sprintf("campaign: axis %q registered twice", a.Kind))
-	}
-	axes[a.Kind] = a
-}
+// ReducerNames lists the campaign statistics, sorted.
+func ReducerNames() []string { return sortedKeys(reducers) }
 
-// RegisterReducer adds a campaign statistic to the registry; empty or
-// duplicate names panic, like RegisterAxis.
-func RegisterReducer(r Reducer) {
-	if r.Name == "" || r.Fold == nil {
-		panic("campaign: reducer needs a name and a Fold")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := reducers[r.Name]; dup {
-		panic(fmt.Sprintf("campaign: reducer %q registered twice", r.Name))
-	}
-	reducers[r.Name] = r
-}
-
-// AxisKinds lists the registered sweep-axis kinds, sorted.
-func AxisKinds() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(axes))
-	for k := range axes {
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
 		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// ReducerNames lists the registered campaign statistics, sorted.
-func ReducerNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(reducers))
-	for n := range reducers {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func axisFor(kind string) (Axis, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	a, ok := axes[kind]
 	if !ok {
-		return Axis{}, fmt.Errorf("campaign: unknown axis kind %q (one of %v)", kind, AxisKinds())
+		return nil, fmt.Errorf("campaign: unknown axis kind %q (one of %v)", kind, AxisKinds())
 	}
 	return a, nil
 }
 
 func reducerFor(name string) (Reducer, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	r, ok := reducers[name]
 	if !ok {
-		return Reducer{}, fmt.Errorf("campaign: unknown reducer %q (one of %v)", name, ReducerNames())
+		return nil, fmt.Errorf("campaign: unknown reducer %q (one of %v)", name, ReducerNames())
 	}
 	return r, nil
 }
@@ -141,35 +85,36 @@ func asString(v any) (string, error) {
 	return s, nil
 }
 
-// Built-in sweep axes. Each projects one knob of the declarative
-// scenario spec; the per-point spec is re-validated after all axes
-// apply, so out-of-range values fail at expansion, before any run.
-func init() {
-	RegisterAxis(Axis{Kind: "ebn0", Apply: func(sp *scenario.Spec, v any) error {
+// axes are the sweep-axis kinds by name. Each projects one knob of the
+// declarative scenario spec; the per-point spec is re-validated after
+// all axes apply, so out-of-range values fail at expansion, before any
+// run.
+var axes = map[string]Axis{
+	"ebn0": func(sp *scenario.Spec, v any) error {
 		f, err := asFloat(v)
 		if err != nil {
 			return err
 		}
 		sp.Traffic.EbN0dB = f
 		return nil
-	}})
-	RegisterAxis(Axis{Kind: "frames", Apply: func(sp *scenario.Spec, v any) error {
+	},
+	"frames": func(sp *scenario.Spec, v any) error {
 		n, err := asInt(v)
 		if err != nil {
 			return err
 		}
 		sp.Frames = n
 		return nil
-	}})
-	RegisterAxis(Axis{Kind: "queue", Apply: func(sp *scenario.Spec, v any) error {
+	},
+	"queue": func(sp *scenario.Spec, v any) error {
 		n, err := asInt(v)
 		if err != nil {
 			return err
 		}
 		sp.Traffic.QueueDepth = n
 		return nil
-	}})
-	RegisterAxis(Axis{Kind: "scheduler", Apply: func(sp *scenario.Spec, v any) error {
+	},
+	"scheduler": func(sp *scenario.Spec, v any) error {
 		s, err := asString(v)
 		if err != nil {
 			return err
@@ -185,12 +130,12 @@ func init() {
 			return fmt.Errorf("unknown scheduler %q (fifo, strict or drr)", s)
 		}
 		return nil
-	}})
+	},
 	// count lifts every terminal entry to a two-tier aggregate population
 	// of that many members spanning all downlink beams (the trafficsim
 	// -count shape), keeping up to 4 members per entry on the full
 	// per-terminal tracer path.
-	RegisterAxis(Axis{Kind: "count", Apply: func(sp *scenario.Spec, v any) error {
+	"count": func(sp *scenario.Spec, v any) error {
 		n, err := asInt(v)
 		if err != nil {
 			return err
@@ -212,14 +157,14 @@ func init() {
 			sp.Terminals[i].Beams = allBeams
 		}
 		return nil
-	}})
+	},
 }
 
-// Built-in reducers: the campaign-level statistics over one run's
-// report. All are deterministic; throughput uses the model clock, never
+// reducers are the campaign-level statistics over one run's report, by
+// name. All are deterministic; throughput uses the model clock, never
 // the wall clock.
-func init() {
-	RegisterReducer(Reducer{Name: "ber", Fold: func(rep *traffic.Report) float64 {
+var reducers = map[string]Reducer{
+	"ber": func(rep *traffic.Report) float64 {
 		bits := 0
 		for _, ts := range rep.PerTerminal {
 			bits += ts.UplinkBits
@@ -231,23 +176,23 @@ func init() {
 			return 0
 		}
 		return float64(rep.UplinkBitErrs) / float64(bits)
-	}})
-	RegisterReducer(Reducer{Name: "goodput", Fold: func(rep *traffic.Report) float64 {
+	},
+	"goodput": func(rep *traffic.Report) float64 {
 		return rep.ModelGoodputBps()
-	}})
-	RegisterReducer(Reducer{Name: "latency", Fold: func(rep *traffic.Report) float64 {
+	},
+	"latency": func(rep *traffic.Report) float64 {
 		return rep.LatencyMean
-	}})
-	RegisterReducer(Reducer{Name: "latency_max", Fold: func(rep *traffic.Report) float64 {
+	},
+	"latency_max": func(rep *traffic.Report) float64 {
 		return float64(rep.LatencyMax)
-	}})
-	RegisterReducer(Reducer{Name: "drops", Fold: func(rep *traffic.Report) float64 {
+	},
+	"drops": func(rep *traffic.Report) float64 {
 		return float64(rep.DroppedQueue + rep.DroppedReencode)
-	}})
-	RegisterReducer(Reducer{Name: "delivered_bits", Fold: func(rep *traffic.Report) float64 {
+	},
+	"delivered_bits": func(rep *traffic.Report) float64 {
 		return float64(rep.DeliveredBits)
-	}})
-	RegisterReducer(Reducer{Name: "uplink_failures", Fold: func(rep *traffic.Report) float64 {
+	},
+	"uplink_failures": func(rep *traffic.Report) float64 {
 		return float64(rep.UplinkFailures)
-	}})
+	},
 }

@@ -143,7 +143,7 @@ func assemble(ex *Expansion, reducerNames []string, reds []Reducer, outcomes []R
 		} else {
 			row.Metrics = make(map[string]float64, len(reds))
 			for i, r := range reds {
-				row.Metrics[reducerNames[i]] = r.Fold(out.Report)
+				row.Metrics[reducerNames[i]] = r(out.Report)
 			}
 			a.CompletedRuns++
 			perPoint[out.Run.Point] = append(perPoint[out.Run.Point], row)

@@ -1,14 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"runtime"
-	"time"
 
 	"repro/internal/dsp"
-	"repro/internal/fec"
 	"repro/internal/fpga"
 	"repro/internal/modem"
 	"repro/internal/radiation"
@@ -133,38 +129,14 @@ func AblationPipelineWorkers(workerCounts []int, carriers, frames int, seed int6
 	pl, codec, k := newFramePayload(carriers)
 	frameSet := makeTDMAFrames(pl, codec, k, carriers, frames, seed)
 
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
 	var reference [][][]byte
 	for wi, w := range workerCounts {
-		runtime.GOMAXPROCS(w)
-		exact := true
-		start := time.Now()
-		for fi, fr := range frameSet {
-			bits, err := pl.ProcessFrame(0, fr.rx)
-			if err != nil {
-				panic(err)
-			}
-			if wi == 0 {
-				reference = append(reference, bits)
-			} else {
-				for c := range bits {
-					if !bytes.Equal(bits[c], reference[fi][c]) {
-						exact = false
-					}
-				}
-			}
-			for c := range bits {
-				if fec.CountBitErrors(fr.infos[c], bits[c][:len(fr.infos[c])]) != 0 {
-					exact = false
-				}
-			}
+		bits, dt := receiveFrames(pl, frameSet, w)
+		if wi == 0 {
+			reference = bits
 		}
-		dt := time.Since(start)
-		pl.Switch().Drain(0)
 		t.Rows = append(t.Rows, Row{f("%d workers", w), []string{
-			f("%.2f", dt.Seconds()*1000/float64(len(frameSet))), f("%v", exact)}})
+			f("%.2f", dt.Seconds()*1000/float64(len(frameSet))), f("%v", framesExact(frameSet, bits, reference))}})
 	}
 	t.Notes = append(t.Notes,
 		"per-carrier state (DDCs, pooled demodulators, output slots) is owned by one index at a time, so width only changes wall-clock, never bits")

@@ -11,30 +11,24 @@ import (
 	"repro/internal/fec"
 	"repro/internal/modem"
 	"repro/internal/payload"
+	"repro/internal/traffic"
 )
 
 // E10 measures the concurrent per-carrier receive pipeline: the paper's
 // payload runs DEMUX/DEMOD/DECOD as parallel per-carrier FPGA chains,
 // and this experiment quantifies the software analogue — frame latency
-// of Payload.ProcessFrame versus the sequential per-carrier loop, for
+// of Payload.ReceiveFrameAndRouteQoS, the one receive path, on one
+// worker (GOMAXPROCS 1, which sizes the pool) versus all of them, for
 // growing carrier counts. Correctness is asserted on every frame: both
-// paths must decode the transmitted bits exactly.
+// widths must decode the transmitted bits exactly.
 
-// tdmaFrame is one synthesized MF-TDMA uplink frame: per-carrier burst
-// waveforms plus the info bits each carries.
+// tdmaFrame is one synthesized MF-TDMA uplink frame — one burst per
+// carrier, in slot 0 — plus the info bits each burst carries.
 type tdmaFrame struct {
-	rx    []dsp.Vec
+	fc    *modem.FrameComposer
+	asgs  []modem.SlotAssignment
+	metas []payload.RouteMeta // every cell to beam 0
 	infos [][]byte
-}
-
-// frameInfoBits returns the largest info size whose codeword fits the
-// burst payload.
-func frameInfoBits(c fec.Codec, budget int) int {
-	k := 16
-	for c.EncodedLen(k+8) <= budget {
-		k += 8
-	}
-	return k
 }
 
 // newFramePayload boots a TDMA payload with the given carrier count and
@@ -56,7 +50,7 @@ func newFramePayload(carriers int) (*payload.Payload, fec.Codec, int) {
 	if err != nil {
 		panic(err)
 	}
-	k := frameInfoBits(codec, pl.BurstFormat().PayloadBits())
+	k := traffic.InfoBitsFor(codec, pl.BurstFormat().PayloadBits())
 	pl.SetBurstCodedBits(codec.EncodedLen(k))
 	return pl, codec, k
 }
@@ -66,17 +60,24 @@ func newFramePayload(carriers int) (*payload.Payload, fec.Codec, int) {
 func makeTDMAFrames(pl *payload.Payload, codec fec.Codec, k, carriers, frames int, seed int64) []tdmaFrame {
 	f := pl.BurstFormat()
 	mod := modem.NewBurstModulator(f, 0.35, 4, 10)
+	cfg := modem.FrameConfig{Carriers: carriers, Slots: 1, SlotSymbols: mod.WaveformLen()/4 + 16}
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]tdmaFrame, frames)
 	for fi := range out {
-		fr := tdmaFrame{rx: make([]dsp.Vec, carriers), infos: make([][]byte, carriers)}
+		fr := tdmaFrame{
+			fc:    modem.NewFrameComposer(cfg, 4),
+			asgs:  make([]modem.SlotAssignment, carriers),
+			metas: make([]payload.RouteMeta, carriers),
+			infos: make([][]byte, carriers),
+		}
 		for c := 0; c < carriers; c++ {
 			info := randBits(rng, k)
 			coded := codec.Encode(info)
 			padded := make([]byte, f.PayloadBits())
 			copy(padded, coded)
 			ch := dsp.NewChannelWith(seed+int64(fi*carriers+c), 10+10*math.Log10(2*codec.Rate()), 4)
-			fr.rx[c] = ch.Apply(mod.Modulate(padded))
+			fr.asgs[c] = modem.SlotAssignment{Carrier: c}
+			fr.fc.PlaceBurst(fr.asgs[c], ch.Apply(mod.Modulate(padded)))
 			fr.infos[c] = info
 		}
 		out[fi] = fr
@@ -84,33 +85,39 @@ func makeTDMAFrames(pl *payload.Payload, codec fec.Codec, k, carriers, frames in
 	return out
 }
 
-// sequentialFrame is the reference path: the pre-pipeline per-carrier
-// loop (demodulate, trim, decode, route) run strictly in order.
-func sequentialFrame(pl *payload.Payload, beam int, rx []dsp.Vec, codedBits int) ([][]byte, error) {
-	bits := make([][]byte, len(rx))
-	var firstErr error
-	for c := range rx {
-		soft, err := pl.DemodulateCarrier(c, rx[c])
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+// receiveFrames runs the frame set through the payload's receive path
+// at the given worker-pool width and returns every cell's decoded bits
+// and the wall time. It panics on a lost cell: the channel is benign.
+func receiveFrames(pl *payload.Payload, frames []tdmaFrame, workers int) ([][][]byte, time.Duration) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	bits := make([][][]byte, len(frames))
+	start := time.Now()
+	for i, fr := range frames {
+		receipts := pl.ReceiveFrameAndRouteQoS(fr.fc, fr.asgs, fr.metas)
+		bits[i] = make([][]byte, len(receipts))
+		for c, r := range receipts {
+			if r.Err != nil {
+				panic(r.Err)
 			}
-			continue
+			bits[i][c] = r.Bits
 		}
-		if codedBits > 0 && len(soft) > codedBits {
-			soft = soft[:codedBits]
-		}
-		b, err := pl.Decode(soft)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		bits[c] = b
-		pl.Switch().Route(beam, fec.PackBits(b))
 	}
-	return bits, firstErr
+	dt := time.Since(start)
+	pl.Switch().Drain(0)
+	return bits, dt
+}
+
+// framesExact reports whether got matches the reference decode cell for
+// cell and carries the transmitted info bits.
+func framesExact(frames []tdmaFrame, got, ref [][][]byte) bool {
+	for i, fr := range frames {
+		for c, info := range fr.infos {
+			if !bytes.Equal(got[i][c], ref[i][c]) || fec.CountBitErrors(info, got[i][c][:len(info)]) != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // E10Result carries the pipeline study outputs.
@@ -120,57 +127,30 @@ type E10Result struct {
 	Speedup map[int]float64
 }
 
-// E10Pipeline runs framesPerPoint frames per carrier count through both
-// paths, asserting bit-exact agreement, and reports per-frame latency
-// and speedup. Wall-clock numbers depend on GOMAXPROCS; correctness
-// does not.
+// E10Pipeline runs framesPerPoint frames per carrier count through the
+// receive path on one worker and on GOMAXPROCS of them, asserting
+// bit-exact agreement, and reports per-frame latency and speedup.
+// Wall-clock numbers depend on GOMAXPROCS; correctness does not.
 func E10Pipeline(carrierCounts []int, framesPerPoint int, seed int64) *E10Result {
 	res := &E10Result{Speedup: make(map[int]float64)}
+	procs := runtime.GOMAXPROCS(0)
 	t := &Table{
-		Title: f("E10: concurrent per-carrier pipeline (GOMAXPROCS=%d)", runtime.GOMAXPROCS(0)),
+		Title: f("E10: concurrent per-carrier pipeline (GOMAXPROCS=%d)", procs),
 		Columns: []string{"sequential ms/frame", "concurrent ms/frame",
 			"speedup", "bit-exact"},
 	}
 	for _, nc := range carrierCounts {
 		pl, codec, k := newFramePayload(nc)
 		frames := makeTDMAFrames(pl, codec, k, nc, framesPerPoint, seed)
-		codedBits := codec.EncodedLen(k)
-
-		exact := true
-		start := time.Now()
-		seqBits := make([][][]byte, len(frames))
-		for i, fr := range frames {
-			b, err := sequentialFrame(pl, 0, fr.rx, codedBits)
-			if err != nil {
-				panic(err)
-			}
-			seqBits[i] = b
-		}
-		seqT := time.Since(start)
-		pl.Switch().Drain(0)
-
-		start = time.Now()
-		for i, fr := range frames {
-			b, err := pl.ProcessFrame(0, fr.rx)
-			if err != nil {
-				panic(err)
-			}
-			for c := range b {
-				if !bytes.Equal(b[c], seqBits[i][c]) ||
-					fec.CountBitErrors(fr.infos[c], b[c][:len(fr.infos[c])]) != 0 {
-					exact = false
-				}
-			}
-		}
-		concT := time.Since(start)
-		pl.Switch().Drain(0)
+		seqBits, seqT := receiveFrames(pl, frames, 1)
+		concBits, concT := receiveFrames(pl, frames, procs)
 
 		seqMS := seqT.Seconds() * 1000 / float64(len(frames))
 		concMS := concT.Seconds() * 1000 / float64(len(frames))
 		speedup := seqT.Seconds() / concT.Seconds()
 		res.Speedup[nc] = speedup
 		t.Rows = append(t.Rows, Row{f("%d carriers", nc), []string{
-			f("%.2f", seqMS), f("%.2f", concMS), f("%.2fx", speedup), f("%v", exact)}})
+			f("%.2f", seqMS), f("%.2f", concMS), f("%.2fx", speedup), f("%v", framesExact(frames, concBits, seqBits))}})
 	}
 	t.Notes = append(t.Notes,
 		"both paths share the DEMOD/DECOD stages; the concurrent one fans carriers out over the pipeline worker pool",

@@ -418,10 +418,9 @@ func (p *Payload) Decode(soft []float64) ([]byte, error) {
 }
 
 // decodeBurst trims a burst's soft bits to the configured codeword
-// length and decodes them — the DECOD stage shared by ProcessFrame and
-// the frame pipeline. A burst that came up short (e.g. a
-// CDMA misacquisition eating the first chips) cannot carry the
-// codeword and is rejected rather than fed truncated to the decoder.
+// length and decodes them — the DECOD stage of the frame pipeline. A
+// burst that came up short cannot carry the codeword and is rejected
+// rather than fed truncated to the decoder.
 func (p *Payload) decodeBurst(soft []float64) ([]byte, error) {
 	if p.codedBits > 0 {
 		if len(soft) < p.codedBits {

@@ -171,15 +171,16 @@ func TestPayloadCDMAEndToEnd(t *testing.T) {
 	ch := dsp.NewChannel(2)
 	ch.AWGN(rx, 0.1)
 
-	got, err := p.ProcessFrame(3, []dsp.Vec{rx})
+	soft, err := p.DemodulateCarrier(0, rx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fec.CountBitErrors(bits, got[0][:len(bits)]) != 0 {
-		t.Fatal("CDMA payload path corrupted data")
+	got, err := p.Decode(soft)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.Switch().QueueDepth(3) != 1 {
-		t.Fatal("packet not routed")
+	if fec.CountBitErrors(bits, got[:len(bits)]) != 0 {
+		t.Fatal("CDMA payload path corrupted data")
 	}
 }
 
@@ -209,11 +210,15 @@ func TestPayloadTDMAEndToEnd(t *testing.T) {
 	ch.SPS = 4
 	rx := ch.Apply(tx)
 
-	got, err := p.ProcessFrame(1, []dsp.Vec{rx})
+	soft, err := p.DemodulateCarrier(0, rx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	errs := fec.CountBitErrors(payloadBits, got[0][:len(payloadBits)])
+	got, err := p.Decode(soft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := fec.CountBitErrors(payloadBits, got[:len(payloadBits)])
 	if errs > 2 {
 		t.Fatalf("%d bit errors through TDMA path", errs)
 	}

@@ -1,6 +1,7 @@
 package payload
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -60,16 +61,35 @@ func makeTDMABursts(pl *Payload, codec fec.Codec, infoLen int, seed int64) ([]ds
 	return rx, infos
 }
 
-// TestProcessFrameMatchesSequential is the tentpole equivalence test:
-// the concurrent batch path must be bit-identical to the sequential
-// per-carrier loop — same decoded bits, same packets on the switch.
-func TestProcessFrameMatchesSequential(t *testing.T) {
+// receiveCarriers runs one burst per carrier — rx[c] in slot 0 of
+// carrier c — through the frame receive path, every cell routed to
+// beam with all its decoded bits.
+func receiveCarriers(pl *Payload, beam int, rx []dsp.Vec) []BurstReceipt {
+	n := 0
+	for _, v := range rx {
+		n = max(n, len(v))
+	}
+	fc := modem.NewFrameComposer(modem.FrameConfig{Carriers: len(rx), Slots: 1, SlotSymbols: (n + 3) / 4}, 4)
+	asgs := make([]modem.SlotAssignment, len(rx))
+	metas := make([]RouteMeta, len(rx))
+	for c, v := range rx {
+		asgs[c] = modem.SlotAssignment{Carrier: c}
+		metas[c] = RouteMeta{Beam: beam}
+		fc.PlaceBurst(asgs[c], v)
+	}
+	return pl.ReceiveFrameAndRouteQoS(fc, asgs, metas)
+}
+
+// TestReceiveFrameMatchesSequential is the equivalence test of the one
+// receive path: the concurrent frame receive must be bit-identical to
+// the sequential single-burst DemodulateCarrier/Decode loop — same
+// decoded bits, same packets on the switch in the same order.
+func TestReceiveFrameMatchesSequential(t *testing.T) {
 	const infoLen, seed = 180, 42
 	plSeq, codec := newTDMAPayload(t, 8, "conv-r1/2-k9", infoLen)
 	plConc, _ := newTDMAPayload(t, 8, "conv-r1/2-k9", infoLen)
 	rx, infos := makeTDMABursts(plSeq, codec, infoLen, seed)
 
-	// Sequential reference: the pre-pipeline per-carrier loop.
 	need := codec.EncodedLen(infoLen)
 	seqBits := make([][]byte, len(rx))
 	for c := range rx {
@@ -82,24 +102,17 @@ func TestProcessFrameMatchesSequential(t *testing.T) {
 			t.Fatalf("carrier %d decode: %v", c, err)
 		}
 		seqBits[c] = b
-		plSeq.Switch().Route(1, fec.PackBits(b))
+		plSeq.Switch().Route(1, b)
 	}
 
-	concBits, err := plConc.ProcessFrame(1, rx)
-	if err != nil {
-		t.Fatalf("ProcessFrame: %v", err)
-	}
-
-	for c := range rx {
-		if len(seqBits[c]) != len(concBits[c]) {
-			t.Fatalf("carrier %d: %d vs %d decoded bits", c, len(concBits[c]), len(seqBits[c]))
+	for c, r := range receiveCarriers(plConc, 1, rx) {
+		if r.Err != nil {
+			t.Fatalf("carrier %d: %v", c, r.Err)
 		}
-		for i := range seqBits[c] {
-			if seqBits[c][i] != concBits[c][i] {
-				t.Fatalf("carrier %d bit %d differs between sequential and concurrent paths", c, i)
-			}
+		if string(seqBits[c]) != string(r.Bits) {
+			t.Fatalf("carrier %d: decoded bits differ between sequential and concurrent paths", c)
 		}
-		if fec.CountBitErrors(infos[c], concBits[c][:infoLen]) != 0 {
+		if fec.CountBitErrors(infos[c], r.Bits[:infoLen]) != 0 {
 			t.Fatalf("carrier %d: decoded bits wrong", c)
 		}
 	}
@@ -116,48 +129,40 @@ func TestProcessFrameMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestProcessFrameRepeatable: repeated concurrent runs over the same
+// TestReceiveFrameRepeatable: repeated concurrent runs over the same
 // frame produce identical output (no schedule leakage via pooled
 // demodulators or scratch buffers).
-func TestProcessFrameRepeatable(t *testing.T) {
+func TestReceiveFrameRepeatable(t *testing.T) {
 	const infoLen = 180
 	pl, codec := newTDMAPayload(t, 6, "conv-r1/2-k9", infoLen)
 	rx, _ := makeTDMABursts(pl, codec, infoLen, 7)
-	first, err := pl.ProcessFrame(0, rx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := receiveCarriers(pl, 0, rx)
 	for run := 0; run < 5; run++ {
-		again, err := pl.ProcessFrame(0, rx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c := range first {
-			if string(first[c]) != string(again[c]) {
+		for c, r := range receiveCarriers(pl, 0, rx) {
+			if first[c].Err != nil || r.Err != nil {
+				t.Fatalf("run %d carrier %d: %v / %v", run, c, first[c].Err, r.Err)
+			}
+			if string(first[c].Bits) != string(r.Bits) {
 				t.Fatalf("run %d carrier %d differs", run, c)
 			}
 		}
 	}
-	pl.Switch().Drain(0)
 }
 
-// TestProcessFramePartialFailure: a carrier whose burst is missing
-// fails alone; the rest of the frame is decoded and routed.
-func TestProcessFramePartialFailure(t *testing.T) {
+// TestReceiveFramePartialFailure: a cell whose burst is missing fails
+// alone; the rest of the frame is decoded and routed.
+func TestReceiveFramePartialFailure(t *testing.T) {
 	const infoLen = 180
 	pl, codec := newTDMAPayload(t, 4, "conv-r1/2-k9", infoLen)
 	rx, infos := makeTDMABursts(pl, codec, infoLen, 3)
 	rx[2] = dsp.NewVec(len(rx[2])) // wipe carrier 2: no burst to find
 
-	bits, err := pl.ProcessFrame(3, rx)
-	if err == nil {
-		t.Fatal("missing burst must surface as an error")
-	}
-	if bits[2] != nil {
-		t.Fatal("carrier 2 must not decode")
+	receipts := receiveCarriers(pl, 3, rx)
+	if receipts[2].Err == nil || receipts[2].Bits != nil {
+		t.Fatal("missing burst must surface as an error and decode nothing")
 	}
 	for _, c := range []int{0, 1, 3} {
-		if bits[c] == nil || fec.CountBitErrors(infos[c], bits[c][:infoLen]) != 0 {
+		if receipts[c].Err != nil || fec.CountBitErrors(infos[c], receipts[c].Bits[:infoLen]) != 0 {
 			t.Fatalf("carrier %d must survive a neighbour's failure", c)
 		}
 	}
@@ -166,59 +171,44 @@ func TestProcessFramePartialFailure(t *testing.T) {
 	}
 }
 
-// TestProcessFrameServiceGating: frame processing honours device health
-// exactly like the sequential path.
-func TestProcessFrameServiceGating(t *testing.T) {
+// TestReceiveFrameServiceGating: frame reception honours device health
+// exactly like the single-burst path, and recovers with the device.
+func TestReceiveFrameServiceGating(t *testing.T) {
 	const infoLen = 180
 	pl, codec := newTDMAPayload(t, 2, "conv-r1/2-k9", infoLen)
 	rx, _ := makeTDMABursts(pl, codec, infoLen, 5)
 
 	d, _ := pl.Chipset().Device("demod-fpga")
 	d.PowerOff()
-	bits, err := pl.ProcessFrame(0, rx)
-	if err == nil {
-		t.Fatal("frame must fail with the demodulator down")
-	}
-	for c := range bits {
-		if bits[c] != nil {
-			t.Fatalf("carrier %d decoded through a powered-off demodulator", c)
+	for c, r := range receiveCarriers(pl, 0, rx) {
+		if !errors.Is(r.Err, ErrServiceDown) || r.Bits != nil {
+			t.Fatalf("carrier %d through a powered-off demodulator: bits %v, err %v", c, r.Bits != nil, r.Err)
 		}
 	}
 	d.PowerOn()
-	if _, err := pl.ProcessFrame(0, rx); err != nil {
-		t.Fatalf("service must recover: %v", err)
-	}
-	pl.Switch().Drain(0)
-}
-
-// TestProcessFrameInputValidation covers the frame-shape errors.
-func TestProcessFrameInputValidation(t *testing.T) {
-	pl, _ := newTDMAPayload(t, 2, "uncoded", 64)
-	if _, err := pl.ProcessFrame(0, nil); err == nil {
-		t.Fatal("empty frame must error")
-	}
-	if _, err := pl.ProcessFrame(0, make([]dsp.Vec, 3)); err == nil {
-		t.Fatal("more blocks than carriers must error")
+	for c, r := range receiveCarriers(pl, 0, rx) {
+		if r.Err != nil {
+			t.Fatalf("service must recover: carrier %d: %v", c, r.Err)
+		}
 	}
 }
 
-// TestProcessFrameShortBurstRejected: a burst whose soft bits come up
-// short of the configured codeword must fail that carrier cleanly, not
+// TestReceiveFrameShortBurstRejected: a burst whose soft bits come up
+// short of the configured codeword must fail that cell cleanly, not
 // feed a truncated codeword to the decoder.
-func TestProcessFrameShortBurstRejected(t *testing.T) {
+func TestReceiveFrameShortBurstRejected(t *testing.T) {
 	const infoLen = 180
 	pl, codec := newTDMAPayload(t, 2, "conv-r1/2-k9", infoLen)
 	rx, _ := makeTDMABursts(pl, codec, infoLen, 8)
 	// Demand more codeword bits than the burst payload can carry.
 	pl.SetBurstCodedBits(pl.BurstFormat().PayloadBits() + 8)
-	bits, err := pl.ProcessFrame(0, rx)
-	if err == nil {
-		t.Fatal("short soft bits must surface as an error")
-	}
-	for c := range bits {
-		if bits[c] != nil {
+	for c, r := range receiveCarriers(pl, 0, rx) {
+		if r.Err == nil || r.Bits != nil {
 			t.Fatalf("carrier %d decoded a truncated codeword", c)
 		}
+	}
+	if pl.Switch().Routed() != 0 {
+		t.Fatal("a short burst reached the switch")
 	}
 }
 

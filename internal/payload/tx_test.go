@@ -164,7 +164,7 @@ func TestTransmitFrameGridLoopback(t *testing.T) {
 		t.Run(tc.codec, func(t *testing.T) {
 			pl, tx, codec := txTestRig(t, 3, tc.codec, tc.infoLen)
 			// One burst per carrier in slot 0, so the per-carrier blocks
-			// feed straight into ProcessFrame.
+			// are the cells of a one-slot frame.
 			cfg := modem.FrameConfig{Carriers: 3, Slots: 1, SlotSymbols: 512, GuardSymbols: 16}
 			rng := rand.New(rand.NewSource(9))
 			grid := gridInfoBits(rng, cfg, tc.infoLen, 1)
@@ -175,12 +175,11 @@ func TestTransmitFrameGridLoopback(t *testing.T) {
 			fe := frontend.NewRxFrontEnd(12, 8, 0.5, 0.15, tx.Plan(), 95)
 			elements := frontend.PlaneWave(wide, 8, 0.5, 0.15)
 			split := fe.Process(elements)
-			bits, err := pl.ProcessFrame(1, split)
-			if err != nil {
-				t.Fatalf("receive pipeline: %v", err)
-			}
-			for c := range bits {
-				if errs := fec.CountBitErrors(grid[c][0], bits[c][:tc.infoLen]); errs != 0 {
+			for c, r := range receiveCarriers(pl, 1, split) {
+				if r.Err != nil {
+					t.Fatalf("receive pipeline: carrier %d: %v", c, r.Err)
+				}
+				if errs := fec.CountBitErrors(grid[c][0], r.Bits[:tc.infoLen]); errs != 0 {
 					t.Fatalf("carrier %d: %d bit errors through the closed loop", c, errs)
 				}
 			}

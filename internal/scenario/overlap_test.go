@@ -1,29 +1,33 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/switchfab"
 	"repro/internal/traffic"
 )
 
 // procsRun executes a spec to completion at the given GOMAXPROCS — the
 // engine's only step-path selector, chosen here the way users choose it
-// — with the telemetry observer attached, and returns the per-frame
-// stat sequence, the final report (wall time zeroed — the only
-// nondeterministic field), a snapshot of every deterministic telemetry
-// metric, and how many frames' egress overlapped the next frame. The
-// first three are the bit-identity surface the engine promises across
-// core counts: reports, telemetry counters, ground-verify bits (the
-// report's downlink loss/error counters).
-func procsRun(t *testing.T, sp Spec, procs int) ([]FrameStats, string, map[string]string, int64) {
+// — with the telemetry observer flushing every frame, and returns the
+// per-frame stat sequence, the final report (wall time zeroed — the
+// only nondeterministic field), every frame's feed line reduced to its
+// deterministic part, and how many frames' egress overlapped the next
+// frame. The first three are the bit-identity surface the engine
+// promises across core counts. A feed line's counters are the walk over
+// that frame's report() snapshot, so comparing lines compares every
+// counter of the report — top level, per class, per population — at
+// every frame, beside the queue-depth gauges. Timers are excluded
+// (wall-clock samples), and so are the two ground-verify counters
+// before the final line: mid-run they lag by the frame in flight, which
+// exists only with more than one CPU.
+func procsRun(t *testing.T, sp Spec, procs int) ([]FrameStats, string, []string, int64) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	var frames []FrameStats
@@ -34,7 +38,8 @@ func procsRun(t *testing.T, sp Spec, procs int) ([]FrameStats, string, map[strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := NewTelemetryObserver(io.Discard, TelemetryConfig{FlushEvery: 1, DisableRuntime: true})
+	var feed bytes.Buffer
+	tel := NewTelemetryObserver(&feed, TelemetryConfig{FlushEvery: 1, DisableRuntime: true})
 	tel.Attach(sess)
 	rep, err := sess.Run(context.Background())
 	if err != nil {
@@ -48,43 +53,17 @@ func procsRun(t *testing.T, sp Spec, procs int) ([]FrameStats, string, map[strin
 	if err != nil {
 		t.Fatal(err)
 	}
+	decoded := decodeTelemetry(t, feed.String())
+	lines := make([]string, len(decoded))
+	for i, ln := range decoded {
+		if i < len(decoded)-1 {
+			delete(ln.Counters, "downlink_lost")
+			delete(ln.Counters, "downlink_bit_errs")
+		}
+		lines[i] = fmt.Sprintf("frame %d counters %v gauges %v", ln.Frame, ln.Counters, ln.Gauges)
+	}
 	overlapped := tel.Registry().Timer("engine.pipeline.overlap_ns").Count()
-	return frames, string(data), telemetrySnapshot(sess, tel), overlapped
-}
-
-// telemetrySnapshot reads back every deterministic metric the
-// TelemetryObserver interns (cumulative counters, per-class and
-// per-population families, queue-depth gauges). Timers are excluded:
-// their samples are wall-clock durations, legitimately different
-// between runs.
-func telemetrySnapshot(sess *Session, tel *TelemetryObserver) map[string]string {
-	reg := tel.Registry()
-	out := map[string]string{}
-	names := []string{
-		"frames", "outage_frames", "granted_cells", "throttled_cells",
-		"uplink_failures", "uplink_bit_errs", "delivered_packets",
-		"delivered_bits", "dropped_queue", "dropped_reencode",
-		"events", "event_failures",
-	}
-	for _, c := range switchfab.Classes() {
-		p := "class." + c.String() + "."
-		names = append(names, p+"routed_packets", p+"dropped_queue",
-			p+"dropped_reencode", p+"delivered_packets", p+"delivered_bits")
-	}
-	for _, ps := range sess.Engine().Populations() {
-		p := "pop." + ps.Name + "."
-		names = append(names, p+"offered_cells", p+"granted_cells",
-			p+"denied_cells", p+"throttled_cells", p+"routed_packets",
-			p+"dropped_queue", p+"delivered_packets", p+"delivered_bits")
-	}
-	for _, n := range names {
-		out[n] = fmt.Sprint(reg.Counter(n).Value())
-	}
-	for b := 0; b < sess.Engine().Config().Frame.Carriers; b++ {
-		n := fmt.Sprintf("queue.beam%d.depth", b)
-		out[n] = fmt.Sprint(reg.Gauge(n).Value())
-	}
-	return out
+	return frames, string(data), lines, overlapped
 }
 
 // identityFrames shortens a preset for the table test while keeping
@@ -107,8 +86,8 @@ func identityFrames(sp Spec) int {
 // On every registered preset a run is bit-identical at GOMAXPROCS 1
 // (every egress inline), 2 and 4 (every egress overlapped with the next
 // frame, event frames included — swap-under-load swaps its decoder
-// mid-run): per-frame stat deltas, the final report (ground-verify
-// counters included) and every deterministic telemetry metric.
+// mid-run): per-frame stats, the final report (ground-verify counters
+// included) and every deterministic metric of every frame's feed line.
 func TestPipelinedBitIdenticalToSequentialAllPresets(t *testing.T) {
 	for _, name := range PresetNames() {
 		t.Run(name, func(t *testing.T) {
@@ -137,9 +116,12 @@ func TestPipelinedBitIdenticalToSequentialAllPresets(t *testing.T) {
 				if seqRep != gotRep {
 					t.Fatalf("GOMAXPROCS %d: final report diverged:\nseq: %s\ngot: %s", procs, seqRep, gotRep)
 				}
-				for k, v := range seqTel {
-					if gotTel[k] != v {
-						t.Fatalf("GOMAXPROCS %d: telemetry metric %s diverged: seq %s, got %s", procs, k, v, gotTel[k])
+				if len(seqTel) != sp.Frames || len(gotTel) != len(seqTel) {
+					t.Fatalf("GOMAXPROCS %d: %d and %d feed lines over %d frames", procs, len(seqTel), len(gotTel), sp.Frames)
+				}
+				for i := range seqTel {
+					if gotTel[i] != seqTel[i] {
+						t.Fatalf("GOMAXPROCS %d: feed line %d diverged:\nseq: %s\ngot: %s", procs, i, seqTel[i], gotTel[i])
 					}
 				}
 			}

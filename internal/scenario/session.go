@@ -42,30 +42,20 @@ func (r EventRecord) String() string {
 	return s
 }
 
-// FrameStats is the per-frame delta of the run counters, delivered to
-// observers after every frame (the cumulative view rides alongside as a
-// full Report snapshot).
+// FrameStats is what a frame itself produced, delivered to observers
+// after every frame. The run counters are not here: traffic.Report is
+// the one counter set, and report() snapshots it.
 type FrameStats struct {
-	Frame  int // frame index just completed (0-based)
-	Outage bool
-
-	GrantedCells     int
-	ThrottledCells   int
-	UplinkFailures   int
-	UplinkBitErrs    int
-	DeliveredPackets int
-	DeliveredBits    int
-	DroppedQueue     int
-	DroppedReencode  int
+	Frame int // frame index just completed (0-based)
 
 	// Events applied at this frame's boundary, in script order.
 	Events []EventRecord
 }
 
-// Observer is the per-frame hook: stats is this frame's delta, report
-// builds the live cumulative metrics on demand (the full per-terminal
-// reduction costs O(terminals) — observers that only watch deltas
-// never pay it).
+// Observer is the per-frame hook: stats is the frame just completed,
+// report builds the live cumulative metrics on demand (the snapshot
+// costs O(terminals) — a frame whose observers never call it, or a
+// session with no observer, takes none).
 //
 // The report() contract: the snapshot is computed at most once per
 // frame — repeated calls within a frame (by one observer or across the
@@ -100,7 +90,6 @@ type Session struct {
 	events []Event // sorted stable by frame
 	next   int
 	log    []EventRecord
-	prev   traffic.Report
 }
 
 // Option configures a Session at construction.
@@ -193,7 +182,6 @@ func NewSession(spec Spec, opts ...Option) (*Session, error) {
 	s.eng = eng
 	s.events = append([]Event(nil), s.spec.Events...)
 	sort.SliceStable(s.events, func(i, j int) bool { return s.events[i].Frame < s.events[j].Frame })
-	s.prev = eng.Metrics()
 	s.repFn = func() *traffic.Report {
 		if s.repCache == nil {
 			s.repCache = s.eng.Report()
@@ -224,8 +212,9 @@ func (s *Session) Frame() int { return s.eng.Frame() }
 
 // Report snapshots the cumulative run metrics exactly: it first drains
 // the engine, so the snapshot includes the last frame's ground-verify
-// counters (the per-frame observer snapshot does not, and may lag them
-// by one frame).
+// counters (the per-frame observer snapshot does not: its
+// downlink_lost and downlink_bit_errs may lag by the one frame in
+// flight).
 func (s *Session) Report() *traffic.Report {
 	_ = s.eng.Drain() // sticky: the next Step or Close reports it
 	return s.eng.Report()
@@ -239,7 +228,7 @@ func (s *Session) Close() error { return s.eng.Drain() }
 func (s *Session) EventLog() []EventRecord { return append([]EventRecord(nil), s.log...) }
 
 // Step applies the events scheduled for the upcoming frame, runs that
-// frame through the closed loop, and returns the frame's stat delta.
+// frame through the closed loop, and returns the frame's stats.
 // Stepping past Spec.Frames is legal (benchmarks free-run a session);
 // only Run treats Spec.Frames as the finish line. A failed event aborts
 // the step with its record still in the log and in the returned stats.
@@ -266,18 +255,6 @@ func (s *Session) Step() (FrameStats, error) {
 	if err := s.eng.Step(); err != nil {
 		return st, err
 	}
-	cur := s.eng.Metrics()
-	prev := s.prev
-	s.prev = cur
-	st.Outage = cur.OutageFrames > prev.OutageFrames
-	st.GrantedCells = cur.GrantedCells - prev.GrantedCells
-	st.ThrottledCells = cur.ThrottledCells - prev.ThrottledCells
-	st.UplinkFailures = cur.UplinkFailures - prev.UplinkFailures
-	st.UplinkBitErrs = cur.UplinkBitErrs - prev.UplinkBitErrs
-	st.DeliveredPackets = cur.DeliveredPackets - prev.DeliveredPackets
-	st.DeliveredBits = cur.DeliveredBits - prev.DeliveredBits
-	st.DroppedQueue = cur.DroppedQueue - prev.DroppedQueue
-	st.DroppedReencode = cur.DroppedReencode - prev.DroppedReencode
 	if len(s.obs) > 0 {
 		s.repCache = nil
 		for _, obs := range s.obs {

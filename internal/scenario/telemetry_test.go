@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/frontend"
 	"repro/internal/switchfab"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
@@ -104,7 +107,7 @@ func TestTelemetryObserverMatchesReport(t *testing.T) {
 			t.Errorf("final %s = %d, report says %d", key, got, want)
 		}
 	}
-	for _, c := range switchfab.Classes() {
+	for c := switchfab.Class(0); c < switchfab.NumClasses; c++ {
 		cs := rep.PerClass[c]
 		p := "class." + c.String() + "."
 		for key, want := range map[string]int{
@@ -362,6 +365,137 @@ func TestTelemetryPopulationCounters(t *testing.T) {
 			if got, ok := final.Gauges[key]; !ok || got != want {
 				t.Errorf("final %s = %v (present %v), want %v", key, got, ok, want)
 			}
+		}
+	}
+}
+
+// TestFeedCarriesEveryReportCounter pins the rule "the feed's counters
+// are the report's integer fields" by reflection, independently of the
+// walk the observer uses, so a field added to Report, ClassStats or
+// PopulationStats extends the test: on every preset, each integer field
+// is in the final flush line under its JSON name — bare at the top
+// level, under class.<class>. and pop.<name>. for the rows — with the
+// report's value, as a counter or (members/tracers) a gauge.
+func TestFeedCarriesEveryReportCounter(t *testing.T) {
+	for _, name := range PresetNames() {
+		t.Run(name, func(t *testing.T) {
+			spec, err := Preset(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Frames = 2
+			var buf bytes.Buffer
+			tel := NewTelemetryObserver(&buf, TelemetryConfig{FlushEvery: 1, DisableRuntime: true})
+			sess, err := NewSession(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tel.Attach(sess)
+			rep, err := sess.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tel.Close(); err != nil {
+				t.Fatal(err)
+			}
+			lines := decodeTelemetry(t, buf.String())
+			if len(lines) != 2 {
+				t.Fatalf("%d flush lines over 2 frames", len(lines))
+			}
+			final := lines[len(lines)-1]
+			checked := 0
+			check := func(prefix string, row any) {
+				v := reflect.ValueOf(row)
+				for i := 0; i < v.NumField(); i++ {
+					f := v.Type().Field(i)
+					if f.Type.Kind() != reflect.Int {
+						continue
+					}
+					key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+					key = prefix + key
+					want := v.Field(i).Int()
+					if got, ok := final.Counters[key]; ok {
+						if got != want {
+							t.Errorf("counter %s = %d, report says %d", key, got, want)
+						}
+					} else if got, ok := final.Gauges[key]; !ok {
+						t.Errorf("%s (%s) is not in the final flush line", key, f.Name)
+					} else if got != float64(want) {
+						t.Errorf("gauge %s = %v, report says %d", key, got, want)
+					}
+					checked++
+				}
+			}
+			check("", *rep)
+			for _, cs := range rep.PerClass {
+				check("class."+cs.Class+".", cs)
+			}
+			for _, ps := range rep.PerPopulation {
+				check("pop."+ps.Name+".", ps)
+			}
+			if checked < 20 || rep.GrantedCells == 0 {
+				t.Fatalf("vacuous: %d fields checked, %d cells granted", checked, rep.GrantedCells)
+			}
+		})
+	}
+}
+
+// TestTelemetryCloseBeforeSessionReconcilesVerify closes the feed before
+// the session, with a frame's egress still in flight (GOMAXPROCS 2,
+// stepping by hand — Run would drain) on a carrier plan spaced tighter
+// than a burst is wide, so ground verify counts errors on every frame:
+// the final line must carry the drained report's two ground-verify
+// counters, the in-flight frame's share included — also when the last
+// frame fell on a flush boundary and only the drain moved them.
+func TestTelemetryCloseBeforeSessionReconcilesVerify(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, flushEvery := range []int{4, 3} { // 4 frames: on and off the boundary
+		spec, err := Preset("clean")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := NewSession(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := spec.TrafficConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Plan = frontend.CarrierPlan{Carriers: cfg.Frame.Carriers, Spacing: 0.045, Decim: 4}
+		terms, pops, err := spec.Populations()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sess.eng, err = traffic.NewPopulations(sess.pl, cfg, terms, pops); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		tel := NewTelemetryObserver(&buf, TelemetryConfig{FlushEvery: flushEvery, DisableRuntime: true})
+		tel.Attach(sess)
+		for i := 0; i < 4; i++ {
+			if _, err := sess.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lagged := sess.eng.Report() // no drain: the fourth frame's verify is still out
+		if err := tel.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rep := sess.Report()
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rep.DownlinkBitErrs+rep.DownlinkLost == lagged.DownlinkBitErrs+lagged.DownlinkLost {
+			t.Fatal("the in-flight frame moved no verify counter; the test is vacuous")
+		}
+		lines := decodeTelemetry(t, buf.String())
+		final := lines[len(lines)-1]
+		if got := final.Counters["downlink_bit_errs"]; got != int64(rep.DownlinkBitErrs) {
+			t.Errorf("FlushEvery %d: final downlink_bit_errs = %d, drained report says %d", flushEvery, got, rep.DownlinkBitErrs)
+		}
+		if got := final.Counters["downlink_lost"]; got != int64(rep.DownlinkLost) {
+			t.Errorf("FlushEvery %d: final downlink_lost = %d, drained report says %d", flushEvery, got, rep.DownlinkLost)
 		}
 	}
 }

@@ -47,14 +47,6 @@ func ParseClass(s string) (Class, error) {
 	}
 }
 
-// Classes returns the dense class list, lowest priority first (the
-// PerClass row order) — the iteration order per-class exporters
-// (telemetry key interning, report rows) share, so their indices line
-// up with Report.PerClass and ClassCounters.
-func Classes() [NumClasses]Class {
-	return [NumClasses]Class{ClassBE, ClassAF, ClassEF}
-}
-
 // priorityOrder visits classes highest priority first — the strict and
 // DRR schedulers walk it.
 var priorityOrder = [NumClasses]Class{ClassEF, ClassAF, ClassBE}

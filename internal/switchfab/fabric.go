@@ -174,10 +174,10 @@ func (f *Fabric) SetDepth(depth int) {
 	}
 }
 
-// Route enqueues an unmarked (best effort) packet for a downlink beam —
-// the pre-QoS single-class path the payload's legacy wrappers ride.
-// It reports whether the packet was queued (false: the class queue is
-// full, or the beam is outside the fabric).
+// Route enqueues an unmarked (best effort) packet for a downlink beam:
+// RoutePacket for callers with nothing to mark, such as a sequential
+// reference loop. It reports whether the packet was queued (false: the
+// class queue is full, or the beam is outside the fabric).
 func (f *Fabric) Route(beam int, payload []byte) bool {
 	return f.RoutePacket(beam, Packet{Bits: payload})
 }
@@ -214,9 +214,9 @@ func (f *Fabric) RoutePacket(beam int, p Packet) bool {
 }
 
 // Drain removes and returns every packet queued for a beam in arrival
-// order — the compatibility path for single-shot payload callers
-// (ProcessFrame, E10). Traffic engines do not drain: they
-// Schedule packets straight into the transmit grid.
+// order, for callers that receive frames without a downlink (E10, the
+// receive-path tests). Traffic engines do not drain: they Schedule
+// packets straight into the transmit grid.
 func (f *Fabric) Drain(beam int) [][]byte {
 	if beam < 0 || beam >= len(f.shards) {
 		return nil

@@ -97,10 +97,9 @@ func TestAdoptAndSetDepth(t *testing.T) {
 	}
 }
 
-// The satellite contract of this PR: the fabric must be safe under the
-// race detector with concurrent routers and concurrent readers —
-// exactly the ProcessFrame-routing-vs-Drain exposure the seed switch
-// had. Counters must balance exactly.
+// The fabric must be safe under the race detector with concurrent
+// routers and concurrent readers — exactly the frame-routing-vs-Drain
+// exposure the seed switch had. Counters must balance exactly.
 func TestConcurrentRoutersAndReaders(t *testing.T) {
 	const (
 		workers = 8

@@ -2,22 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"time"
-)
-
-// Format selects the Flusher's wire form.
-type Format int
-
-const (
-	// FormatJSON writes one JSON object per flush — the schema Line
-	// documents, and the one tlmcheck and CI validate.
-	FormatJSON Format = iota
-	// FormatGraphite writes one `key value unix-ts` text line per
-	// metric per flush, the plaintext form graphite-style collectors
-	// ingest directly.
-	FormatGraphite
 )
 
 // Line is the JSON flush schema: one object per flush interval.
@@ -44,7 +30,6 @@ type Line struct {
 type Flusher struct {
 	reg     *Registry
 	w       io.Writer
-	format  Format
 	source  string
 	now     func() time.Time
 	seq     int64
@@ -53,9 +38,6 @@ type Flusher struct {
 
 // FlusherOption configures a Flusher at construction.
 type FlusherOption func(*Flusher)
-
-// WithFormat selects the wire form (default FormatJSON).
-func WithFormat(f Format) FlusherOption { return func(fl *Flusher) { fl.format = f } }
 
 // WithSource tags every line with a producer name (e.g. "trafficsim").
 func WithSource(s string) FlusherOption { return func(fl *Flusher) { fl.source = s } }
@@ -76,8 +58,8 @@ func NewFlusher(reg *Registry, w io.Writer, opts ...FlusherOption) *Flusher {
 // Seq returns the number of flushes emitted so far.
 func (fl *Flusher) Seq() int64 { return fl.seq }
 
-// Flush snapshots the registry, writes one flush (a JSON line or a
-// graphite block), and resets every timer's interval buffer. frame tags
+// Flush snapshots the registry, writes one flush line, and resets
+// every timer's interval buffer. frame tags
 // the producer's frame clock (-1 for clock-less producers). Every
 // registered key is emitted on every flush — persistent keys are the
 // contract downstream differencing relies on — including timers that
@@ -85,18 +67,13 @@ func (fl *Flusher) Seq() int64 { return fl.seq }
 func (fl *Flusher) Flush(frame int64) error {
 	line := fl.snapshot(frame)
 	fl.seq++
-	switch fl.format {
-	case FormatGraphite:
-		return fl.writeGraphite(line)
-	default:
-		data, err := json.Marshal(line)
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		_, err = fl.w.Write(data)
+	data, err := json.Marshal(line)
+	if err != nil {
 		return err
 	}
+	data = append(data, '\n')
+	_, err = fl.w.Write(data)
+	return err
 }
 
 // snapshot reduces the registry to one Line, draining timer intervals.
@@ -137,48 +114,4 @@ func (fl *Flusher) snapshot(frame int64) Line {
 		}
 	}
 	return line
-}
-
-// writeGraphite renders one flush as `key value ts` lines, keys
-// namespaced by kind (counters./gauges./timers.) under the source.
-func (fl *Flusher) writeGraphite(line Line) error {
-	ts := int64(line.TS)
-	prefix := ""
-	if line.Source != "" {
-		prefix = line.Source + "."
-	}
-	r := fl.reg
-	r.mu.Lock()
-	counterNames := append([]string(nil), r.counterNames...)
-	gaugeNames := append([]string(nil), r.gaugeNames...)
-	timerNames := append([]string(nil), r.timerNames...)
-	r.mu.Unlock()
-	for _, n := range counterNames {
-		if _, err := fmt.Fprintf(fl.w, "%scounters.%s %d %d\n", prefix, n, line.Counters[n], ts); err != nil {
-			return err
-		}
-	}
-	for _, n := range gaugeNames {
-		if _, err := fmt.Fprintf(fl.w, "%sgauges.%s %g %d\n", prefix, n, line.Gauges[n], ts); err != nil {
-			return err
-		}
-	}
-	for _, n := range timerNames {
-		st := line.Timers[n]
-		if _, err := fmt.Fprintf(fl.w, "%stimers.%s.count %d %d\n", prefix, n, st.Count, ts); err != nil {
-			return err
-		}
-		if st.Count == 0 {
-			continue
-		}
-		for _, kv := range [...]struct {
-			k string
-			v float64
-		}{{"min", st.Min}, {"mean", st.Mean}, {"max", st.Max}, {"p50", st.P50}, {"p90", st.P90}, {"p99", st.P99}} {
-			if _, err := fmt.Fprintf(fl.w, "%stimers.%s.%s %g %d\n", prefix, n, kv.k, kv.v, ts); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

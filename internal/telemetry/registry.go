@@ -1,8 +1,7 @@
 // Package telemetry is the streaming metrics backbone of the closed
 // loop: a Registry of named counters, gauges and timers whose record
 // path is allocation-free in steady state, a Flusher that reduces the
-// registry to one machine-readable line per flush interval (a JSON
-// object, or a graphite-style `key value ts` block), and a
+// registry to one machine-readable JSON line per flush interval, and a
 // RuntimeSampler that folds Go runtime health (heap, GC pauses,
 // goroutines) into the same registry.
 //

@@ -263,38 +263,6 @@ func TestCrossKindPanics(t *testing.T) {
 	reg.Gauge("x")
 }
 
-// TestGraphiteFormat smokes the text form: key value ts triples,
-// source-prefixed, kinds namespaced, zero-count timers reduced to their
-// count line.
-func TestGraphiteFormat(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("cells").Add(12)
-	reg.Gauge("depth").Set(3)
-	reg.Timer("stage").Observe(5)
-	reg.Timer("idle")
-	var buf bytes.Buffer
-	fl := NewFlusher(reg, &buf, WithFormat(FormatGraphite), WithSource("sim"),
-		WithClock(func() time.Time { return time.Unix(1700000000, 0) }))
-	if err := fl.Flush(4); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"sim.counters.cells 12 1700000000\n",
-		"sim.gauges.depth 3 1700000000\n",
-		"sim.timers.stage.count 1 1700000000\n",
-		"sim.timers.stage.p99 5 1700000000\n",
-		"sim.timers.idle.count 0 1700000000\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("graphite output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "timers.idle.min") {
-		t.Fatalf("zero-count timer emitted distribution stats:\n%s", out)
-	}
-}
-
 // TestRuntimeSampler smokes the runtime metric set: gauges populate,
 // and a forced GC shows up in the pause timer and cycle counter.
 func TestRuntimeSampler(t *testing.T) {

@@ -144,17 +144,18 @@ type egressGen struct {
 }
 
 // framePrep is the per-frame plan handed from beginFrame through
-// ingest, fill and egress: the frame index, the codec in force and the
-// burst's info-bit budget resolved once in the frame prologue, plus the
-// parity-selected egress generation. It travels by value to the egress
-// worker, so egress never re-reads engine fields the next frame's
-// prologue may rewrite.
+// ingest, fill and egress: the frame index, the codec in force, the
+// burst's coded-bit budget and the info-bit count that fits it, all
+// resolved once in the frame prologue, plus the parity-selected egress
+// generation. It travels by value to the egress worker, so egress never
+// re-reads engine fields the next frame's prologue may rewrite.
 type framePrep struct {
-	f     int
-	k     int
-	codec fec.Codec
-	t0    time.Time
-	gen   *egressGen
+	f      int
+	k      int
+	budget int
+	codec  fec.Codec
+	t0     time.Time
+	gen    *egressGen
 }
 
 // egressDelta is the ground-verify outcome of one frame's egress,
@@ -236,16 +237,11 @@ type Engine struct {
 	plan    ingestPlan
 	gens    [2]egressGen
 
-	// fill is the frame-scoped state every beam's fill task reads while
-	// the downlink scheduler pops packets into the transmit grid; it is
+	// fill is the frame plan every beam's fill task reads while the
+	// downlink scheduler pops packets into the transmit grid; it is
 	// written once per frame before the tasks fan out and read-only
 	// underneath them.
-	fill struct {
-		frame  int
-		codec  fec.Codec
-		budget int
-		gen    *egressGen
-	}
+	fill framePrep
 	// beams is the per-beam downlink fill state (slot cursor, sent
 	// cells, per-class delivery deltas, preallocated emit closure): each
 	// beam's schedule/fill runs as its own pipeline task touching only
@@ -261,7 +257,7 @@ type Engine struct {
 
 	// stages, when attached, receives one per-stage duration sample per
 	// frame (see StageTimers). Nil means the untimed hot path: no
-	// per-stage clock reads at all.
+	// per-stage clock reads at all (clock).
 	stages *StageTimers
 
 	// Cross-frame overlap (DESIGN §12). jobs and outs are the egress
@@ -696,16 +692,6 @@ func (e *Engine) Terminals() []Terminal {
 	return out
 }
 
-// Populations returns the aggregate population definitions (empty for
-// a purely per-terminal engine).
-func (e *Engine) Populations() []Population {
-	out := make([]Population, len(e.pops))
-	for i, ps := range e.pops {
-		out[i] = ps.def
-	}
-	return out
-}
-
 // Config returns the engine configuration as currently in force
 // (queue depth and policy may have changed since construction).
 func (e *Engine) Config() Config { return e.cfg }
@@ -812,8 +798,8 @@ func (e *Engine) join() {
 	e.foldVerify(out.d)
 	e.err = out.err
 	if e.stages != nil {
-		observeTimer(e.stages.Stall, stall.Nanoseconds())
-		observeTimer(e.stages.Overlap, max(out.dur-stall, 0).Nanoseconds())
+		e.stages[StageStall].Observe(float64(stall))
+		e.stages[StageOverlap].Observe(float64(max(out.dur-stall, 0)))
 	}
 }
 
@@ -862,11 +848,28 @@ func (e *Engine) beginFrame() (framePrep, bool) {
 	k := InfoBitsFor(codec, budget)
 	e.pl.SetBurstCodedBits(codec.EncodedLen(k))
 
-	pf := framePrep{f: f, k: k, codec: codec, gen: &e.gens[f&1]}
-	if e.stages != nil {
-		pf.t0 = time.Now()
+	return framePrep{f: f, k: k, budget: budget, codec: codec, t0: e.clock(), gen: &e.gens[f&1]}, true
+}
+
+// clock starts a stage timing: the time now when StageTimers are
+// attached, nothing read otherwise — the untimed hot path takes no
+// per-stage clock reads at all.
+func (e *Engine) clock() time.Time {
+	if e.stages == nil {
+		return time.Time{}
 	}
-	return pf, true
+	return time.Now()
+}
+
+// lap ends a stage timing: it records the time since `since` as stage
+// s's one observation for the frame and returns the clock reading, the
+// next stage's start. Untimed it does nothing.
+func (e *Engine) lap(s Stage, since time.Time) time.Time {
+	now := e.clock()
+	if e.stages != nil {
+		e.stages[s].Observe(float64(now.Sub(since)))
+	}
+	return now
 }
 
 // ingest is the frame's first half-stage — DAMA grant, terminal-side
@@ -874,14 +877,33 @@ func (e *Engine) beginFrame() (framePrep, bool) {
 // engine's control thread only: it owns the terminal states, the slot
 // scheduler, the frame composer and the fabric's route side, none of
 // which the concurrent egress of the previous frame touches.
+//
+// When stage timers are attached, the synthesis stage spans from the
+// prologue timestamp (taken before DAMA) through the modulation
+// fan-out, and the receive stage covers the payload pipeline, receipt
+// accounting and the aggregate routing — one observation each per
+// frame. A frame with no granted waveform cell skips the two fan-outs
+// and nothing else, so per-stage sample counts line up with the frame
+// count.
 func (e *Engine) ingest(pf *framePrep) {
-	e.uplink(pf, e.dama(pf))
+	cells := e.dama(pf)
+	if len(cells) > 0 {
+		e.synthesize(pf, cells)
+	}
+	tRecv := e.lap(StageSynthesis, pf.t0)
+	if len(cells) > 0 {
+		e.receive(pf, cells)
+	}
+	// Aggregate grants arrive behind the frame's decoded bursts: same
+	// ingress frame, deterministic per-shard order.
+	e.routeAggregates(pf.f, pf.k)
+	e.lap(StageReceive, tRecv)
 }
 
 // foldVerify merges a frame's ground-verify outcome into the run
 // report: right after an inline egress, at the join of an overlapped
-// one — so mid-run Metrics snapshots may lag the two verify counters by
-// the one in-flight frame until the engine drains.
+// one — so a mid-run Report may lag the two verify counters by the one
+// in-flight frame until the engine drains.
 func (e *Engine) foldVerify(d egressDelta) {
 	e.met.DownlinkLost += d.lost
 	e.met.DownlinkBitErrs += d.bitErrs
@@ -1071,32 +1093,13 @@ func (e *Engine) routeAggregates(f, k int) {
 	})
 }
 
-// uplink modulates the burst time plan into an MF-TDMA frame and passes
-// it through the payload's concurrent receive pipeline; decoded packets
-// enter the switching fabric's bounded class queues directly (typed
-// with class, terminal and ingress frame), so there is no second
-// engine-owned queue layer to copy into.
-// When stage timers are attached, the frame's synthesis stage spans
-// from the prologue timestamp (taken before DAMA) through the
-// modulation fan-out, and the receive stage covers the payload pipeline
-// plus receipt accounting — one observation each per frame, idle frames
-// included, so per-stage sample counts line up with the frame count.
-func (e *Engine) uplink(pf *framePrep, cells []uplinkCell) {
-	f, k, codec := pf.f, pf.k, pf.codec
-	if len(cells) == 0 {
-		if e.stages != nil {
-			observeTimer(e.stages.Synthesis, time.Since(pf.t0).Nanoseconds())
-		}
-		var tRecv time.Time
-		if e.stages != nil {
-			tRecv = time.Now()
-		}
-		e.routeAggregates(f, k)
-		if e.stages != nil {
-			observeTimer(e.stages.Receive, time.Since(tRecv).Nanoseconds())
-		}
-		return
-	}
+// synthesize modulates the frame's burst time plan into the MF-TDMA
+// frame composer, one task per granted cell: encode, pad, modulate
+// straight into the cell's slot, apply the terminal's channel. It
+// leaves the composer and the assignment/meta slices of e.plan ready
+// for receive.
+func (e *Engine) synthesize(pf *framePrep, cells []uplinkCell) {
+	f, k, codec, budget := pf.f, pf.k, pf.codec, pf.budget
 	if e.fc == nil {
 		e.fc = modem.NewFrameComposer(e.cfg.Frame, 4)
 	} else {
@@ -1112,7 +1115,6 @@ func (e *Engine) uplink(pf *framePrep, cells []uplinkCell) {
 	if noisy {
 		esN0 = e.cfg.EbN0dB + 10*math.Log10(2*codec.Rate())
 	}
-	budget := e.pl.BurstFormat().PayloadBits()
 	const uplinkSPS = 4
 	metas := e.plan.metas[:0]
 	for _, c := range cells {
@@ -1192,13 +1194,16 @@ func (e *Engine) uplink(pf *framePrep, cells []uplinkCell) {
 			fc.PlaceBurst(c.asg, wave)
 		}
 	})
+}
 
-	var tRecv time.Time
-	if e.stages != nil {
-		tRecv = time.Now()
-		observeTimer(e.stages.Synthesis, tRecv.Sub(pf.t0).Nanoseconds())
-	}
-	receipts := e.pl.ReceiveFrameAndRouteQoS(fc, asgs, metas)
+// receive passes the synthesized frame through the payload's concurrent
+// receive pipeline and accounts the receipts; decoded packets enter the
+// switching fabric's bounded class queues directly (typed with class,
+// terminal and ingress frame), so there is no second engine-owned queue
+// layer to copy into.
+func (e *Engine) receive(pf *framePrep, cells []uplinkCell) {
+	k := pf.k
+	receipts := e.pl.ReceiveFrameAndRouteQoS(e.fc, e.plan.asgs[:len(cells)], e.plan.metas)
 	for i, r := range receipts {
 		e.met.UplinkBursts++
 		// Only receipts whose demodulation actually ran carry sync
@@ -1223,13 +1228,7 @@ func (e *Engine) uplink(pf *framePrep, cells []uplinkCell) {
 		e.met.UplinkBitErrs += fec.CountBitErrors(cells[i].info, r.Bits[:k])
 		cells[i].term.stat.UplinkBits += k
 		// Queue-full tail drops happened inside the fabric, per class;
-		// Metrics folds its counters into the report.
-	}
-	// Aggregate grants arrive behind the frame's decoded bursts: same
-	// ingress frame, deterministic per-shard order.
-	e.routeAggregates(f, k)
-	if e.stages != nil {
-		observeTimer(e.stages.Receive, time.Since(tRecv).Nanoseconds())
+		// Report folds its counters in.
 	}
 }
 
@@ -1246,15 +1245,9 @@ func (e *Engine) uplink(pf *framePrep, cells []uplinkCell) {
 // frame except the deferred ground-verify outcome is final — that is
 // the snapshot the per-frame observers read.
 func (e *Engine) fillFrame(pf *framePrep) {
-	var t time.Time
-	if e.stages != nil {
-		t = time.Now()
-	}
+	t := e.clock()
 	g := pf.gen
-	e.fill.frame = pf.f
-	e.fill.codec = pf.codec
-	e.fill.budget = e.pl.BurstFormat().PayloadBits()
-	e.fill.gen = g
+	e.fill = *pf
 	pipeline.ForEach(e.cfg.Frame.Carriers, func(b int) {
 		bs := &e.beams[b]
 		bs.slot = 0
@@ -1291,9 +1284,7 @@ func (e *Engine) fillFrame(pf *framePrep) {
 			}
 		}
 	}
-	if e.stages != nil {
-		observeTimer(e.stages.Schedule, time.Since(t).Nanoseconds())
-	}
+	e.lap(StageSchedule, t)
 }
 
 // egress is the frame's second half-stage — wideband transmit of the
@@ -1305,25 +1296,16 @@ func (e *Engine) fillFrame(pf *framePrep) {
 // delta for the caller to fold (foldVerify) rather than racing the
 // shared report.
 func (e *Engine) egress(pf *framePrep) (egressDelta, error) {
-	var t time.Time
-	if e.stages != nil {
-		t = time.Now()
-	}
+	t := e.clock()
 	wide, err := e.tx.TransmitFrameGrid(e.cfg.Frame, pf.gen.grid)
 	if err != nil {
 		return egressDelta{}, fmt.Errorf("traffic: frame %d downlink: %w", pf.f, err)
 	}
-	if e.stages != nil {
-		now := time.Now()
-		observeTimer(e.stages.Transmit, now.Sub(t).Nanoseconds())
-		t = now
-	}
+	t = e.lap(StageTransmit, t)
 	var d egressDelta
 	if e.cfg.Verify {
 		d = e.verify(wide, pf.codec, pf.gen)
-		if e.stages != nil {
-			observeTimer(e.stages.Verify, time.Since(t).Nanoseconds())
-		}
+		e.lap(StageVerify, t)
 	}
 	dsp.PutVec(wide)
 	return d, nil
@@ -1344,22 +1326,20 @@ func (e *Engine) emitPacket(bs *beamState, p switchfab.Packet) bool {
 		return false
 	}
 	b, s := bs.beam, bs.slot
-	lat := e.fill.frame - p.Ingress
-	switch t := p.Term.(type) {
-	case *termState:
-		e.fill.gen.grid[b][s] = p.Bits
-		bs.sent = append(bs.sent, sentCell{pkt: p, cell: modem.SlotAssignment{Carrier: b, Slot: s}})
-		t.stat.DeliveredBits += len(p.Bits)
-	case *popBeam:
-		t.delivered++
-		t.bits += len(p.Bits)
-		t.latSum += lat
-		if lat > t.latMax {
-			t.latMax = lat
+	lat := e.fill.f - p.Ingress
+	if pb, ok := p.Term.(*popBeam); ok {
+		pb.delivered++
+		pb.bits += len(p.Bits)
+		pb.latSum += lat
+		if lat > pb.latMax {
+			pb.latMax = lat
 		}
-	default:
+	} else {
 		e.fill.gen.grid[b][s] = p.Bits
 		bs.sent = append(bs.sent, sentCell{pkt: p, cell: modem.SlotAssignment{Carrier: b, Slot: s}})
+		if ts, ok := p.Term.(*termState); ok {
+			ts.stat.DeliveredBits += len(p.Bits)
+		}
 	}
 	bs.slot++
 
@@ -1556,17 +1536,6 @@ func (e *Engine) snapshotPops(r *Report) {
 		}
 		r.PerPopulation[i] = st
 	}
-}
-
-// Metrics returns a snapshot of the raw run counters — cheap enough to
-// take every frame (no per-terminal reduction), which is how the
-// scenario runtime computes per-frame deltas for its observers.
-func (e *Engine) Metrics() Report {
-	r := e.met
-	r.LatencySum = e.latSum
-	e.snapshotQueues(&r)
-	e.snapshotPops(&r)
-	return r
 }
 
 // Report snapshots the run metrics, including the per-terminal

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	"repro/internal/modem"
@@ -38,8 +39,8 @@ type PopulationStats struct {
 	Name    string `json:"name"`
 	Model   string `json:"model"`
 	Class   string `json:"class"`
-	Members int    `json:"members"` // total modeled members (Population.Count)
-	Tracers int    `json:"tracers"` // members modeled as full terminals
+	Members int    `json:"members" feed:"gauge"` // total modeled members (Population.Count)
+	Tracers int    `json:"tracers" feed:"gauge"` // members modeled as full terminals
 
 	OfferedCells   int `json:"offered_cells"`
 	GrantedCells   int `json:"granted_cells"`
@@ -120,8 +121,8 @@ type Report struct {
 	ModelSeconds float64 `json:"model_seconds"`
 
 	// PerClass breaks the downlink queue and delivery figures down by
-	// traffic class (one row per switchfab class, BE first). Populated
-	// by Metrics and Report alike; all-BE runs concentrate in row 0.
+	// traffic class (one row per switchfab class, BE first); all-BE runs
+	// concentrate in row 0.
 	PerClass []ClassStats `json:"per_class"`
 
 	// PerPopulation carries one row per aggregate population (two-tier
@@ -130,6 +131,37 @@ type Report struct {
 	PerPopulation []PopulationStats `json:"per_population,omitempty"`
 
 	PerTerminal []TerminalStats `json:"per_terminal"`
+}
+
+// Counters visits every integer field of the report under the name the
+// telemetry feed carries it by — the field's JSON tag, top level bare,
+// each class row under "class.<class>." and each population row under
+// "pop.<name>." (per-terminal rows are not in the feed). The tags are
+// the one list of counter names: TelemetryObserver sets the feed from
+// this walk and tlmcheck reconciles a feed against a report through it,
+// so a field added to Report, ClassStats or PopulationStats is in both
+// with no further edit. Every integer field is cumulative or a
+// max-so-far, hence a never-decreasing counter, unless its tag says
+// feed:"gauge".
+func (r *Report) Counters(visit func(name string, v int64, gauge bool)) {
+	visitInts("", reflect.ValueOf(r).Elem(), visit)
+	for i := range r.PerClass {
+		visitInts("class."+r.PerClass[i].Class+".", reflect.ValueOf(&r.PerClass[i]).Elem(), visit)
+	}
+	for i := range r.PerPopulation {
+		visitInts("pop."+r.PerPopulation[i].Name+".", reflect.ValueOf(&r.PerPopulation[i]).Elem(), visit)
+	}
+}
+
+func visitInts(prefix string, row reflect.Value, visit func(name string, v int64, gauge bool)) {
+	for i, t := 0, row.Type(); i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Type.Kind() != reflect.Int {
+			continue
+		}
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		visit(prefix+name, row.Field(i).Int(), f.Tag.Get("feed") == "gauge")
+	}
 }
 
 // multiClass reports whether any priority class (AF/EF) saw traffic —

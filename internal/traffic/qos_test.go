@@ -125,7 +125,7 @@ func TestSetSchedulerAndClassMidRun(t *testing.T) {
 	if err := e.SetTerminalClass("bulk", switchfab.NumClasses); err == nil {
 		t.Fatal("out-of-range class accepted")
 	}
-	before := e.Metrics().PerClass[switchfab.ClassAF].RoutedPackets
+	before := e.Report().PerClass[switchfab.ClassAF].RoutedPackets
 	if before != 0 {
 		t.Fatalf("AF saw %d packets before the class change", before)
 	}
@@ -135,7 +135,7 @@ func TestSetSchedulerAndClassMidRun(t *testing.T) {
 	if err := e.RunFrames(4); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Metrics().PerClass[switchfab.ClassAF].RoutedPackets; got == 0 {
+	if got := e.Report().PerClass[switchfab.ClassAF].RoutedPackets; got == 0 {
 		t.Fatal("reclassified terminal still routes BE")
 	}
 }

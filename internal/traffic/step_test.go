@@ -116,11 +116,11 @@ func TestPipelinedRunnerDrainFoldsVerify(t *testing.T) {
 	if err := seq.RunFrames(frames - 1); err != nil {
 		t.Fatal(err)
 	}
-	lagged := seq.Metrics()
+	lagged := seq.Report()
 	if err := seq.RunFrames(1); err != nil {
 		t.Fatal(err)
 	}
-	final := seq.Metrics()
+	final := seq.Report()
 	if final.DownlinkLost == lagged.DownlinkLost && final.DownlinkBitErrs == lagged.DownlinkBitErrs {
 		t.Fatal("the last frame moved no verify counter; the lag would be unobservable")
 	}
@@ -132,14 +132,14 @@ func TestPipelinedRunnerDrainFoldsVerify(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m := e.Metrics(); m.DownlinkLost != lagged.DownlinkLost || m.DownlinkBitErrs != lagged.DownlinkBitErrs {
+	if m := e.Report(); m.DownlinkLost != lagged.DownlinkLost || m.DownlinkBitErrs != lagged.DownlinkBitErrs {
 		t.Fatalf("verify counters before the drain: lost/errs %d/%d, want the %d-frame figures %d/%d",
 			m.DownlinkLost, m.DownlinkBitErrs, frames-1, lagged.DownlinkLost, lagged.DownlinkBitErrs)
 	}
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if m := e.Metrics(); m.DownlinkLost != final.DownlinkLost || m.DownlinkBitErrs != final.DownlinkBitErrs {
+	if m := e.Report(); m.DownlinkLost != final.DownlinkLost || m.DownlinkBitErrs != final.DownlinkBitErrs {
 		t.Fatalf("verify counters after the drain: lost/errs %d/%d, sequential %d/%d",
 			m.DownlinkLost, m.DownlinkBitErrs, final.DownlinkLost, final.DownlinkBitErrs)
 	}
@@ -171,7 +171,7 @@ func TestPipelinedRunnerOutageFrames(t *testing.T) {
 			}
 		}
 		run(3)
-		for deadline := time.Now().Add(10 * time.Second); st.Verify.Count() < 3; {
+		for deadline := time.Now().Add(10 * time.Second); st[StageVerify].Count() < 3; {
 			if time.Now().After(deadline) {
 				t.Fatal("egress of frame 2 never finished")
 			}
@@ -215,11 +215,11 @@ func TestPipelinedRunnerTimers(t *testing.T) {
 		if procs > 1 {
 			want = frames
 		}
-		if st.Stall.Count() != want || st.Overlap.Count() != want {
+		if st[StageStall].Count() != want || st[StageOverlap].Count() != want {
 			t.Fatalf("GOMAXPROCS %d: %d stall / %d overlap observations, want %d",
-				procs, st.Stall.Count(), st.Overlap.Count(), want)
+				procs, st[StageStall].Count(), st[StageOverlap].Count(), want)
 		}
-		if got := st.Transmit.Count(); got != frames {
+		if got := st[StageTransmit].Count(); got != frames {
 			t.Fatalf("GOMAXPROCS %d: %d transmit observations, want %d", procs, got, frames)
 		}
 	}
