@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -17,86 +18,92 @@ import (
 	"repro/internal/gates"
 )
 
-func main() {
-	quick := flag.Bool("quick", false, "reduced sample sizes (~10s total)")
-	only := flag.String("only", "", "run a single experiment (E1..E13, ablations)")
-	flag.Parse()
+// sizes are the sample sizes of a run: full, or reduced under -quick.
+type sizes struct {
+	quick      bool
+	deviceDays float64
+	berBits    int
+	e6Trials   int
+	campaign   int
+}
 
-	run := func(id string) bool {
-		return *only == "" || strings.EqualFold(*only, id)
-	}
-	out := os.Stdout
-
-	// Sample sizes.
-	deviceDays := 20000.0
-	berBits := 60000
-	e6Trials := 5_000_000
-	campaign := 250
-	if *quick {
-		deviceDays, berBits, e6Trials, campaign = 2000, 6000, 500_000, 80
-	}
-
-	if run("E1") {
-		experiments.E1Table1(deviceDays, 1).Print(out)
-	}
-	if run("E2") {
+// table lists every experiment in print order: it drives both the
+// dispatch and the message that refuses an unknown -only. A run reports
+// false when the experiment's own pass criteria failed.
+var table = []struct {
+	id  string
+	run func(out io.Writer, sz sizes) bool
+}{
+	{"E1", func(out io.Writer, sz sizes) bool {
+		experiments.E1Table1(sz.deviceDays, 1).Print(out)
+		return true
+	}},
+	{"E2", func(out io.Writer, sz sizes) bool {
 		experiments.E2Complexity(8).Print(out)
 		fmt.Fprintln(out, gates.TDMATimingRecovery(6).Report())
 		fmt.Fprintln(out, gates.CDMADemodulator(1).Report())
-	}
-	if run("E3") {
-		res := experiments.E3Migration([]float64{2, 4, 6, 8}, berBits, 42)
+		return true
+	}},
+	{"E3", func(out io.Writer, sz sizes) bool {
+		res := experiments.E3Migration([]float64{2, 4, 6, 8}, sz.berBits, 42)
 		res.Table.Print(out)
 		fmt.Fprintf(out, "   max implementation loss vs theory: %.2f dB\n\n", res.MaxDegradationdB)
-	}
-	if run("E4") {
+		return true
+	}},
+	{"E4", func(out io.Writer, sz sizes) bool {
 		experiments.E4Timeline(3).Table.Print(out)
-	}
-	if run("E5") {
-		sizes := []int{4 * 1024, 64 * 1024, 512 * 1024}
-		if *quick {
-			sizes = []int{4 * 1024, 64 * 1024}
+		return true
+	}},
+	{"E5", func(out io.Writer, sz sizes) bool {
+		files := []int{4 * 1024, 64 * 1024, 512 * 1024}
+		if sz.quick {
+			files = []int{4 * 1024, 64 * 1024}
 		}
-		experiments.E5Protocols(sizes, 4).Print(out)
-	}
-	if run("E6") {
-		experiments.E6Mitigation(e6Trials, 0.01, campaign, 5).Table.Print(out)
-		experiments.E6ScrubbingSweep(campaign, []int{0, 8, 4, 2, 1}, 6).Print(out)
-	}
-	if run("E7") {
+		experiments.E5Protocols(files, 4).Print(out)
+		return true
+	}},
+	{"E6", func(out io.Writer, sz sizes) bool {
+		experiments.E6Mitigation(sz.e6Trials, 0.01, sz.campaign, 5).Table.Print(out)
+		experiments.E6ScrubbingSweep(sz.campaign, []int{0, 8, 4, 2, 1}, 6).Print(out)
+		return true
+	}},
+	{"E7", func(out io.Writer, sz sizes) bool {
 		experiments.E7Partitioning(7).Table.Print(out)
-	}
-	if run("E8") {
-		pts := []float64{1, 2, 3, 4}
-		res := experiments.E8Decoders(pts, berBits, 8)
-		res.Table.Print(out)
-	}
-	if run("E9") {
+		return true
+	}},
+	{"E8", func(out io.Writer, sz sizes) bool {
+		experiments.E8Decoders([]float64{1, 2, 3, 4}, sz.berBits, 8).Table.Print(out)
+		return true
+	}},
+	{"E9", func(out io.Writer, sz sizes) bool {
 		experiments.E9Power().Print(out)
-		experiments.E6PayloadAvailabilityComparison(campaign, 9).Print(out)
-	}
-	if run("E10") {
+		experiments.E6PayloadAvailabilityComparison(sz.campaign, 9).Print(out)
+		return true
+	}},
+	{"E10", func(out io.Writer, sz sizes) bool {
 		frames := 20
-		if *quick {
+		if sz.quick {
 			frames = 5
 		}
 		experiments.E10Pipeline([]int{1, 2, 4, 8}, frames, 11).Table.Print(out)
-	}
-	if run("E11") {
+		return true
+	}},
+	{"E11", func(out io.Writer, sz sizes) bool {
 		cfg := experiments.DefaultE11Config()
-		if *quick {
+		if sz.quick {
 			cfg.Frames = 20
 		}
 		res := experiments.E11Traffic(cfg)
 		res.Table.Print(out)
 		if !res.BitExact || !res.SwapOK {
 			fmt.Fprintf(out, "   E11 FAILED: bitExact=%v swapOK=%v\n", res.BitExact, res.SwapOK)
-			os.Exit(1)
+			return false
 		}
-	}
-	if run("E12") {
+		return true
+	}},
+	{"E12", func(out io.Writer, sz sizes) bool {
 		cfg := experiments.DefaultE12Config()
-		if *quick {
+		if sz.quick {
 			cfg.Frames = 10
 			cfg.EbN0dB = []float64{6, 9}
 		}
@@ -104,12 +111,13 @@ func main() {
 		res.Table.Print(out)
 		if !res.ZeroErrors || !res.AcqOK {
 			fmt.Fprintf(out, "   E12 FAILED: zeroErrors=%v acqOK=%v\n", res.ZeroErrors, res.AcqOK)
-			os.Exit(1)
+			return false
 		}
-	}
-	if run("E13") {
+		return true
+	}},
+	{"E13", func(out io.Writer, sz sizes) bool {
 		cfg := experiments.DefaultE13Config()
-		if *quick {
+		if sz.quick {
 			cfg.Frames = 16
 		}
 		res := experiments.E13QoS(cfg)
@@ -117,20 +125,52 @@ func main() {
 		if !res.BitExact || !res.EFProtected || !res.OverloadAbsorbed {
 			fmt.Fprintf(out, "   E13 FAILED: bitExact=%v efProtected=%v overloadAbsorbed=%v\n",
 				res.BitExact, res.EFProtected, res.OverloadAbsorbed)
-			os.Exit(1)
+			return false
 		}
-	}
-	if run("ablations") {
+		return true
+	}},
+	{"ablations", func(out io.Writer, sz sizes) bool {
 		bursts := 40
 		frames := 10
-		if *quick {
+		if sz.quick {
 			bursts = 10
 			frames = 4
 		}
 		experiments.AblationTiming([]int{64, 256, 1024}, bursts, 10, 3).Print(out)
-		experiments.AblationScrubbers(campaign, 4).Print(out)
+		experiments.AblationScrubbers(sz.campaign, 4).Print(out)
 		experiments.AblationTCModes(5).Print(out)
 		experiments.AblationPipelineWorkers([]int{1, 2, 4, 8}, 6, frames, 12).Print(out)
 		experiments.AblationTxWorkers([]int{1, 2, 4, 8}, frames, 13).Print(out)
+		return true
+	}},
+}
+
+func main() {
+	quick := flag.Bool("quick", false, "reduced sample sizes (~10s total)")
+	only := flag.String("only", "", "run a single experiment (E1..E13, ablations)")
+	flag.Parse()
+
+	sz := sizes{deviceDays: 20000, berBits: 60000, e6Trials: 5_000_000, campaign: 250}
+	if *quick {
+		sz = sizes{quick: true, deviceDays: 2000, berBits: 6000, e6Trials: 500_000, campaign: 80}
+	}
+
+	ran := false
+	for _, e := range table {
+		if *only != "" && !strings.EqualFold(*only, e.id) {
+			continue
+		}
+		ran = true
+		if !e.run(os.Stdout, sz) {
+			os.Exit(1)
+		}
+	}
+	if !ran {
+		ids := make([]string, len(table))
+		for i, e := range table {
+			ids[i] = e.id
+		}
+		fmt.Fprintf(os.Stderr, "experiments: unknown -only %q (want one of %s)\n", *only, strings.Join(ids, ", "))
+		os.Exit(2)
 	}
 }

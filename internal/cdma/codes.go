@@ -116,21 +116,3 @@ func GoldSequence(index int) []int8 {
 	}
 	return out
 }
-
-// Correlate returns the normalized cyclic correlation of two ±1 sequences
-// at the given lag: sum(a[i]*b[(i+lag) mod n]) / n.
-func Correlate(a, b []int8, lag int) float64 {
-	if len(a) != len(b) {
-		panic("cdma: Correlate length mismatch")
-	}
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	lag = ((lag % n) + n) % n
-	acc := 0
-	for i := 0; i < n; i++ {
-		acc += int(a[i]) * int(b[(i+lag)%n])
-	}
-	return float64(acc) / float64(n)
-}

@@ -14,7 +14,7 @@ type Config struct {
 	CodeIndex  int // OVSF channelization code index
 	Scrambling int // Gold scrambling code index
 	// SamplesPerChip is the oversampling of the chip waveform; 1 runs at
-	// chip rate (acquisition only), >=2 enables DLL tracking.
+	// chip rate, >=2 integrates that many samples into each chip.
 	SamplesPerChip int
 }
 
@@ -105,28 +105,22 @@ func (m *Modulator) Modulate(bits []byte) dsp.Vec {
 func (m *Modulator) Reset() { m.sp.Reset() }
 
 // Demodulator recovers data bits: serial-search acquisition aligns the
-// code epoch, optional DLL tracking recovers chip timing, despreading
-// integrates chips back to symbols.
+// code epoch, despreading integrates chips back to symbols.
 type Demodulator struct {
 	cfg Config
 	acq *Acquirer
 	dsp *Despreader
-	dll *DLL
 }
 
 // NewDemodulator builds the receive side. The acquisition window is
 // 4 symbols of chips with threshold 0.5.
 func NewDemodulator(cfg Config) *Demodulator {
 	validate(cfg)
-	d := &Demodulator{
+	return &Demodulator{
 		cfg: cfg,
 		acq: NewAcquirer(cfg.SF, cfg.CodeIndex, cfg.Scrambling, 4*cfg.SF, 0.5),
 		dsp: NewDespreader(cfg.SF, cfg.CodeIndex, cfg.Scrambling),
 	}
-	if cfg.SamplesPerChip >= 2 {
-		d.dll = NewDLL(cfg.SamplesPerChip, 0.25, 0.02)
-	}
-	return d
 }
 
 // Demodulate processes a received block (aligned or with an unknown chip
@@ -148,8 +142,9 @@ func (d *Demodulator) Demodulate(rx dsp.Vec, maxOffset int) []float64 {
 	return DemapQPSK(syms, float64(d.cfg.SF))
 }
 
-// integrate sums SamplesPerChip samples per chip (integrate-and-dump
-// matched filter for the rectangular chip pulse), using the DLL phase.
+// integrate averages SamplesPerChip samples per chip (integrate-and-dump
+// matched filter for the rectangular chip pulse) at a fixed phase: chip
+// timing is taken as aligned to the sample grid, and is not tracked.
 func (d *Demodulator) integrate(rx dsp.Vec) dsp.Vec {
 	spc := d.cfg.SamplesPerChip
 	n := len(rx) / spc
@@ -163,6 +158,3 @@ func (d *Demodulator) integrate(rx dsp.Vec) dsp.Vec {
 	}
 	return out
 }
-
-// DLL exposes the tracking loop (nil at 1 sample/chip).
-func (d *Demodulator) DLL() *DLL { return d.dll }

@@ -16,9 +16,6 @@ func NewSpreader(sf, k, scr int) *Spreader {
 	return &Spreader{ovsf: OVSF(sf, k), scramble: GoldSequence(scr)}
 }
 
-// SF returns the spreading factor.
-func (s *Spreader) SF() int { return len(s.ovsf) }
-
 // Reset rewinds the scrambling phase to the epoch.
 func (s *Spreader) Reset() { s.chipIdx = 0 }
 
@@ -48,9 +45,6 @@ type Despreader struct {
 func NewDespreader(sf, k, scr int) *Despreader {
 	return &Despreader{ovsf: OVSF(sf, k), scramble: GoldSequence(scr)}
 }
-
-// SF returns the spreading factor.
-func (d *Despreader) SF() int { return len(d.ovsf) }
 
 // Reset rewinds the scrambling phase.
 func (d *Despreader) Reset() { d.chipIdx = 0 }

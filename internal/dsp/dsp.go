@@ -1,18 +1,14 @@
 // Package dsp provides the baseband digital signal processing substrate used
 // by the software-radio payload: complex vector utilities, FIR filtering,
-// half-band decimation, root-raised-cosine pulse shaping, numerically
-// controlled oscillators, polynomial (Farrow) interpolation, automatic gain
-// control and channel impairment models.
+// root-raised-cosine pulse shaping, numerically controlled oscillators,
+// polynomial (Farrow) interpolation and channel impairment models.
 //
 // All processing is performed on complex128 baseband samples. RF and IF
 // stages of the payload are modelled as exact frequency translations; the
 // paper's software-radio argument concerns the digital functions only.
 package dsp
 
-import (
-	"math"
-	"math/cmplx"
-)
+import "math"
 
 // Vec is a block of complex baseband samples.
 type Vec []complex128
@@ -64,14 +60,6 @@ func (v Vec) Power() float64 {
 	return v.Energy() / float64(len(v))
 }
 
-// Conj conjugates v in place and returns v.
-func (v Vec) Conj() Vec {
-	for i := range v {
-		v[i] = cmplx.Conj(v[i])
-	}
-	return v
-}
-
 // FromDB converts decibels to a linear power ratio.
 func FromDB(db float64) float64 { return math.Pow(10, db/10) }
 
@@ -93,20 +81,6 @@ func Hamming(n int) []float64 {
 	}
 	for i := range w {
 		w[i] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(n-1))
-	}
-	return w
-}
-
-// Blackman returns the n-point Blackman window.
-func Blackman(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		t := 2 * math.Pi * float64(i) / float64(n-1)
-		w[i] = 0.42 - 0.5*math.Cos(t) + 0.08*math.Cos(2*t)
 	}
 	return w
 }

@@ -22,7 +22,7 @@ func TestVecEnergyPower(t *testing.T) {
 	}
 }
 
-func TestVecScaleAddConj(t *testing.T) {
+func TestVecScaleAdd(t *testing.T) {
 	v := Vec{1, 2i}.Scale(2)
 	if v[0] != 2 || v[1] != 4i {
 		t.Fatalf("scale: %v", v)
@@ -30,10 +30,6 @@ func TestVecScaleAddConj(t *testing.T) {
 	v.Add(Vec{1, 1})
 	if v[0] != 3 || v[1] != complex(1, 4) {
 		t.Fatalf("add: %v", v)
-	}
-	v = Vec{complex(1, 2)}.Conj()
-	if v[0] != complex(1, -2) {
-		t.Fatalf("conj: %v", v)
 	}
 }
 
@@ -59,18 +55,29 @@ func TestSinc(t *testing.T) {
 
 func TestWindowsEndpointsAndSymmetry(t *testing.T) {
 	for _, n := range []int{5, 16, 33} {
-		for name, w := range map[string][]float64{"hamming": Hamming(n), "blackman": Blackman(n)} {
-			for i := 0; i < n/2; i++ {
-				if math.Abs(w[i]-w[n-1-i]) > 1e-12 {
-					t.Fatalf("%s n=%d asymmetric at %d", name, n, i)
-				}
+		w := Hamming(n)
+		for i := 0; i < n/2; i++ {
+			if math.Abs(w[i]-w[n-1-i]) > 1e-12 {
+				t.Fatalf("n=%d asymmetric at %d", n, i)
 			}
 		}
 	}
-	if Hamming(1)[0] != 1 || Blackman(1)[0] != 1 {
+	if Hamming(1)[0] != 1 {
 		t.Fatal("single point window must be 1")
 	}
 }
+
+// tone returns n samples of exp(j(2 pi f k + phase)).
+func tone(f, phase float64, n int) Vec {
+	v := NewVec(n)
+	for i := range v {
+		v[i] = 1
+	}
+	return NewNCO(f, phase).MixInto(v, v)
+}
+
+// firOut runs one block through a FIR into a fresh output block.
+func firOut(f *FIR, in Vec) Vec { return f.ProcessInto(NewVec(len(in)), in) }
 
 func TestFourierCoefficientPureTone(t *testing.T) {
 	n := 64
@@ -93,7 +100,7 @@ func TestFIRImpulseResponse(t *testing.T) {
 	f := NewFIR(taps)
 	in := NewVec(8)
 	in[0] = 1
-	out := f.Process(in)
+	out := firOut(f, in)
 	for i, want := range taps {
 		approx(t, real(out[i]), want, 1e-12, "impulse tap")
 		_ = i
@@ -113,15 +120,15 @@ func TestFIRStreamingEqualsOneShot(t *testing.T) {
 	for i := range in {
 		in[i] = complex(math.Sin(float64(i)*0.3), math.Cos(float64(i)*0.17))
 	}
-	ref := one.Process(in)
+	ref := firOut(one, in)
 	var got Vec
 	for _, sz := range []int{7, 13, 1, 29, 50} {
-		got = append(got, chunked.Process(in[len(got):min(len(got)+sz, len(in))])...)
+		got = append(got, firOut(chunked, in[len(got):min(len(got)+sz, len(in))])...)
 		if len(got) >= len(in) {
 			break
 		}
 	}
-	got = append(got, chunked.Process(in[len(got):])...)
+	got = append(got, firOut(chunked, in[len(got):])...)
 	if len(got) != len(ref) {
 		t.Fatalf("length mismatch %d vs %d", len(got), len(ref))
 	}
@@ -134,9 +141,9 @@ func TestFIRStreamingEqualsOneShot(t *testing.T) {
 
 func TestFIRResetAndTaps(t *testing.T) {
 	f := NewFIR([]float64{1, 1})
-	f.Process(Vec{5})
+	firOut(f, Vec{5})
 	f.Reset()
-	out := f.Process(Vec{1})
+	out := firOut(f, Vec{1})
 	if out[0] != 1 {
 		t.Fatalf("history not cleared: %v", out[0])
 	}
@@ -145,75 +152,13 @@ func TestFIRResetAndTaps(t *testing.T) {
 func TestLowpassTapsDCGainAndRejection(t *testing.T) {
 	// Steady-state gain of the filter on a tone, past the 63-tap transient.
 	gain := func(f float64) float64 {
-		out := NewFIR(LowpassTaps(0.1, 63)).Process(NewNCO(f, 0).Block(128))
+		out := firOut(NewFIR(LowpassTaps(0.1, 63)), tone(f, 0, 128))
 		return cmplx.Abs(out[127])
 	}
 	approx(t, gain(0), 1, 1e-9, "DC gain")
 	if g := gain(0.4); g > 0.01 {
 		t.Fatalf("stopband rejection too weak: %g", g)
 	}
-}
-
-func TestHalfBandStructuralZeros(t *testing.T) {
-	taps := HalfBandTaps(21)
-	mid := len(taps) / 2
-	for i := range taps {
-		if i != mid && (i-mid)%2 == 0 && taps[i] != 0 {
-			t.Fatalf("tap %d should be structurally zero", i)
-		}
-	}
-	// Half-band amplitude complementarity: A(f) + A(0.5-f) ~ 1, where A is
-	// the zero-phase amplitude response.
-	amp := func(f float64) float64 {
-		a := taps[mid]
-		for k := 1; k <= mid; k++ {
-			a += 2 * taps[mid+k] * math.Cos(2*math.Pi*f*float64(k))
-		}
-		return a
-	}
-	approx(t, amp(0), 1, 1e-9, "half-band DC gain")
-	for _, f := range []float64{0.05, 0.1, 0.2} {
-		approx(t, amp(f)+amp(0.5-f), 1, 0.05, "half-band amplitude complementarity")
-	}
-}
-
-func TestHalfBandDecimatorRate(t *testing.T) {
-	d := NewHalfBandDecimator(21)
-	out := d.Process(NewVec(100))
-	if len(out) != 50 {
-		t.Fatalf("decimated length %d", len(out))
-	}
-}
-
-func TestHalfBandDecimatorStreaming(t *testing.T) {
-	in := NewVec(128)
-	for i := range in {
-		in[i] = complex(math.Sin(0.05*float64(i)), 0)
-	}
-	a := NewHalfBandDecimator(21)
-	ref := a.Process(in)
-	b := NewHalfBandDecimator(21)
-	got := append(b.Process(in[:37]), b.Process(in[37:])...)
-	if len(got) != len(ref) {
-		t.Fatalf("length %d vs %d", len(got), len(ref))
-	}
-	for i := range ref {
-		if cmplx.Abs(got[i]-ref[i]) > 1e-12 {
-			t.Fatalf("streaming mismatch at %d", i)
-		}
-	}
-}
-
-func TestDecimationChainFactor(t *testing.T) {
-	c := NewDecimationChain(3, 21)
-	if c.Factor() != 8 {
-		t.Fatalf("factor %d", c.Factor())
-	}
-	out := c.Process(NewVec(160))
-	if len(out) != 20 {
-		t.Fatalf("chain output length %d", len(out))
-	}
-	c.Reset()
 }
 
 func TestRRCUnitEnergyAndSymmetry(t *testing.T) {
@@ -239,7 +184,7 @@ func TestRRCMatchedPairIsNyquist(t *testing.T) {
 	for i, v := range taps {
 		tv[i] = complex(v, 0)
 	}
-	rc := NewFIR(taps).Process(tv)
+	rc := firOut(NewFIR(taps), tv)
 	centre := (len(rc) - 1) / 2
 	peak := real(rc[centre])
 	if peak <= 0 {
@@ -272,10 +217,10 @@ func TestPulseShaperMatchedFilterEndToEnd(t *testing.T) {
 	syms := Vec{1 + 1i, 1 - 1i, -1 + 1i, -1 - 1i, 1 + 1i, -1 - 1i, 1 - 1i, -1 + 1i}
 	syms.Scale(complex(1/math.Sqrt2, 0))
 	n := 40
-	tx := sh.Process(append(syms.Clone(), NewVec(n-len(syms))...))
-	rx := mf.Process(tx)
-	// Total delay = shaper + matched filter group delays.
-	delay := int(sh.GroupDelay() + mf.GroupDelay())
+	tx := sh.ProcessInto(NewVec(n*sps), append(syms.Clone(), NewVec(n-len(syms))...))
+	rx := mf.ProcessInto(NewVec(len(tx)), tx)
+	// Total delay = shaper + matched filter group delays, the same taps.
+	delay := int(2 * sh.GroupDelay())
 	for i, want := range syms {
 		got := rx[delay+i*sps]
 		if cmplx.Abs(got-want) > 0.05 {
@@ -285,11 +230,11 @@ func TestPulseShaperMatchedFilterEndToEnd(t *testing.T) {
 }
 
 func TestNCOFrequencyAndPhase(t *testing.T) {
-	s := NewNCO(0.25, 0).Block(3)
+	s := tone(0.25, 0, 3)
 	approx(t, real(s[0]), 1, 1e-12, "cos(0)")
 	approx(t, imag(s[1]), 1, 1e-12, "quarter turn")
 	approx(t, real(s[2]), -1, 1e-12, "half turn")
-	approx(t, imag(NewNCO(0, math.Pi/2).Block(1)[0]), 1, 1e-12, "initial phase")
+	approx(t, imag(tone(0, math.Pi/2, 1)[0]), 1, 1e-12, "initial phase")
 }
 
 func TestNCOMixInverts(t *testing.T) {
@@ -307,9 +252,9 @@ func TestNCOMixInverts(t *testing.T) {
 
 func TestDDCRecoversBasebandTone(t *testing.T) {
 	// A carrier at f=0.2 carrying DC should demodulate to ~constant.
-	carrier := NewNCO(0.2, 0).Block(400)
+	carrier := tone(0.2, 0, 400)
 	ddc := NewDDC(0.2, 0.05, 63, 1)
-	out := ddc.Process(carrier)
+	out := ddcOut(ddc, carrier)
 	// Skip the filter transient, then expect near-constant magnitude 1.
 	for i := 200; i < len(out); i++ {
 		if math.Abs(cmplx.Abs(out[i])-1) > 0.02 {
@@ -320,8 +265,8 @@ func TestDDCRecoversBasebandTone(t *testing.T) {
 
 func TestDDCDecimation(t *testing.T) {
 	ddc := NewDDC(0.2, 0.05, 31, 4)
-	out := ddc.Process(NewVec(100))
-	if len(out) != 25 {
+	out := ddc.ProcessInto(NewVec(25), NewVec(100))
+	if len(out) != 25 || ddc.OutLen(100) != 25 {
 		t.Fatalf("output length %d", len(out))
 	}
 }
@@ -333,7 +278,7 @@ func TestDUCDDCRoundTrip(t *testing.T) {
 	for i := range in {
 		in[i] = 1
 	}
-	rx := ddc.Process(duc.Process(in))
+	rx := ddcOut(ddc, ducOut(duc, in))
 	// After both filter transients the round trip should be ~unity.
 	last := rx[len(rx)-1]
 	if math.Abs(cmplx.Abs(last)-1) > 0.05 {
@@ -407,20 +352,5 @@ func TestChannelPhaseOffset(t *testing.T) {
 	out := c.Apply(Vec{1})
 	if cmplx.Abs(out[0]-1i) > 1e-9 {
 		t.Fatalf("phase rotation: %v", out[0])
-	}
-}
-
-func TestAGCConverges(t *testing.T) {
-	a := NewAGC(1, 0.01)
-	in := NewVec(4000)
-	for i := range in {
-		in[i] = complex(4, 0) // power 16, needs gain 0.25
-	}
-	out := a.Process(in)
-	p := real(out[len(out)-1]) * real(out[len(out)-1])
-	approx(t, p, 1, 0.05, "AGC steady-state power")
-	a.Reset()
-	if a.Gain() != 1 {
-		t.Fatal("reset gain")
 	}
 }

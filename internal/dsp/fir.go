@@ -19,14 +19,11 @@ func NewFIR(taps []float64) *FIR {
 // Reset clears the filter history.
 func (f *FIR) Reset() { f.ip.reset() }
 
-// Process filters the block in and returns len(in) output samples
-// (the steady-state causal output; group delay is (len(taps)-1)/2 samples).
-func (f *FIR) Process(in Vec) Vec { return f.ProcessInto(NewVec(len(in)), in) }
-
-// ProcessInto is the allocation-free variant of Process: it writes the
-// len(in) output samples into dst (which must be at least that long,
-// and must not alias in) and returns dst[:len(in)]. A FIR carries
-// stream history, so it serves one stream at a time.
+// ProcessInto filters the block in: it writes the len(in) output samples
+// (the steady-state causal output; group delay is (len(taps)-1)/2
+// samples) into dst (which must be at least that long, and must not
+// alias in) and returns dst[:len(in)]. A FIR carries stream history, so
+// it serves one stream at a time.
 func (f *FIR) ProcessInto(dst, in Vec) Vec {
 	if len(dst) < len(in) {
 		panic("dsp: FIR.ProcessInto dst too short")
@@ -156,9 +153,6 @@ func reversed(t []float64) []float64 {
 	}
 	return r
 }
-
-// GroupDelay returns the filter group delay in samples for symmetric taps.
-func (f *FIR) GroupDelay() float64 { return float64(f.ip.j-1) / 2 }
 
 // LowpassTaps designs a windowed-sinc linear-phase lowpass FIR with the
 // given normalized cutoff (cycles/sample, 0 < cutoff < 0.5) and ntaps taps

@@ -27,9 +27,6 @@ const ncoAnchor = 256
 // with initial phase radians.
 func NewNCO(freq, phase float64) *NCO { return &NCO{freq: freq, phase: phase} }
 
-// Phase returns the current phase in radians.
-func (o *NCO) Phase() float64 { return wrapPhase(o.phaseAt(o.n)) }
-
 // phaseAt returns the phase of sample n. The cycle count freq·n is
 // reduced to its fractional part before it is scaled: hi − round(hi) is
 // exact and the FMA recovers what rounding the product to hi lost, so
@@ -38,15 +35,6 @@ func (o *NCO) phaseAt(n int64) float64 {
 	x := float64(n)
 	hi := o.freq * x
 	return o.phase + 2*math.Pi*(hi-math.Round(hi)+math.FMA(o.freq, x, -hi))
-}
-
-// Block produces n oscillator samples.
-func (o *NCO) Block(n int) Vec {
-	out := NewVec(n)
-	for i := range out {
-		out[i] = 1
-	}
-	return o.MixInto(out, out)
 }
 
 // MixInto multiplies the input block by the oscillator (frequency
@@ -77,9 +65,6 @@ func (o *NCO) mixAt(dst, in Vec, n int64) {
 		in, dst, n = in[m:], dst[m:], n+int64(m)
 	}
 }
-
-// wrapPhase reduces p to [-pi, pi].
-func wrapPhase(p float64) float64 { return math.Remainder(p, 2*math.Pi) }
 
 // ddcTile is how many input samples a DDC mixes before it filters them:
 // the mixed tile and the taps stay in the L1 cache.
@@ -118,8 +103,8 @@ func NewDDC(freq, cutoff float64, ntaps, decim int) *DDC {
 	}
 }
 
-// OutLen returns how many samples the next Process call will emit for a
-// block of n input samples, given the current decimation phase.
+// OutLen returns how many samples the next ProcessInto call will emit
+// for a block of n input samples, given the current decimation phase.
 func (d *DDC) OutLen(n int) int { return d.kept(d.st.first, n) }
 
 // kept counts the outputs at offsets first, first+decim, … below n.
@@ -130,10 +115,7 @@ func (d *DDC) kept(first, n int) int {
 	return (n - first + d.decim - 1) / d.decim
 }
 
-// Process translates, filters and decimates a block.
-func (d *DDC) Process(in Vec) Vec { return d.ProcessInto(NewVec(d.OutLen(len(in))), in) }
-
-// ProcessInto is the allocation-free variant of Process: the decimated
+// ProcessInto translates, filters and decimates a block: the decimated
 // baseband is written into dst (at least OutLen(len(in)) long, not
 // aliasing in). A DDC carries stream state, so it serves one stream at
 // a time.
@@ -207,20 +189,17 @@ func NewDUC(freq, cutoff float64, ntaps, interp int) *DUC {
 	}
 }
 
-// OutLen returns how many samples Process/ProcessInto emit for a block
-// of n input samples.
+// OutLen returns how many samples ProcessInto emits for a block of n
+// input samples.
 func (u *DUC) OutLen(n int) int { return n * u.ip.l }
-
-// Process interpolates, filters and up-converts a baseband block.
-func (u *DUC) Process(in Vec) Vec { return u.ProcessInto(NewVec(u.OutLen(len(in))), in) }
 
 // ducTile is how many input samples a DUC interpolates before it mixes
 // their outputs, while they are still in the L1 cache.
 const ducTile = 256
 
-// ProcessInto is the allocation-free variant of Process: the
-// up-converted output is written into dst (at least OutLen(len(in))
-// long, not aliasing in). A DUC carries stream state, so it serves one
+// ProcessInto interpolates, filters and up-converts a baseband block:
+// the output is written into dst (at least OutLen(len(in)) long, not
+// aliasing in). A DUC carries stream state, so it serves one
 // stream at a time. Idle stretches — zeros in behind a filter history of
 // zeros — come out as the zeros the filter would have produced, for the
 // cost of a scan: only the oscillator moves.

@@ -116,16 +116,10 @@ func NewPulseShaper(beta float64, sps, span int) *PulseShaper {
 // GroupDelay returns the shaping filter delay in samples.
 func (p *PulseShaper) GroupDelay() float64 { return p.delay }
 
-// Process shapes a block of symbols into sps*len(symbols) samples.
-// Because the taps have unit energy, the shaper + matched filter cascade
-// has unity gain at the decision instant.
-func (p *PulseShaper) Process(symbols Vec) Vec {
-	return p.ProcessInto(NewVec(len(symbols)*p.ip.l), symbols)
-}
-
-// ProcessInto is the allocation-free variant of Process: it writes the
-// sps*len(symbols) shaped samples into dst (at least that long, not
-// aliasing symbols) and returns the filled prefix.
+// ProcessInto shapes a block of symbols: it writes the sps*len(symbols)
+// samples into dst (at least that long, not aliasing symbols) and
+// returns the filled prefix. Because the taps have unit energy, the
+// shaper + matched filter cascade has unity gain at the decision instant.
 func (p *PulseShaper) ProcessInto(dst, symbols Vec) Vec {
 	return p.ip.processInto(dst, symbols)
 }
@@ -141,16 +135,10 @@ func NewMatchedFilter(beta float64, sps, span int) *MatchedFilter {
 	return &MatchedFilter{fir: NewFIR(RRCTaps(beta, sps, span))}
 }
 
-// Process filters a received block at sample rate.
-func (m *MatchedFilter) Process(in Vec) Vec { return m.fir.Process(in) }
-
-// ProcessInto is the allocation-free variant of Process: it writes the
+// ProcessInto filters a received block at sample rate: it writes the
 // len(in) filtered samples into dst (at least that long, not aliasing
 // in) and returns the filled prefix.
 func (m *MatchedFilter) ProcessInto(dst, in Vec) Vec { return m.fir.ProcessInto(dst, in) }
-
-// GroupDelay returns the filter delay in samples.
-func (m *MatchedFilter) GroupDelay() float64 { return m.fir.GroupDelay() }
 
 // Reset clears the filter state.
 func (m *MatchedFilter) Reset() { m.fir.Reset() }

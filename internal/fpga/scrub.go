@@ -73,8 +73,6 @@ type ReadbackScrubber struct {
 	golden *Bitstream
 	mode   DetectMode
 	crcs   []uint16
-
-	detected int // lifetime corrupted-frame detections
 }
 
 // NewReadbackScrubber builds the readback-compare scheme.
@@ -99,9 +97,6 @@ func (s *ReadbackScrubber) Name() string {
 	return "readback-compare"
 }
 
-// Detected returns the lifetime count of corrupted frames found.
-func (s *ReadbackScrubber) Detected() int { return s.detected }
-
 // Scrub implements Scrubber.
 func (s *ReadbackScrubber) Scrub(d *Device) int {
 	repaired := 0
@@ -119,7 +114,6 @@ func (s *ReadbackScrubber) Scrub(d *Device) int {
 				dirty = crc != s.crcs[r*d.Cols()+c]
 			}
 			if dirty {
-				s.detected++
 				d.PartialWrite(r, c, s.golden.Frame(r, c))
 				repaired++
 			}

@@ -1,8 +1,10 @@
-// Package frontend models the digital front end of the regenerative
-// payload receive and transmit sections shown in Fig 2 of the paper: the
-// ADC behind the RF/IF chain, the digital beam-forming network (DBFN), the
-// demultiplexer that splits the 500 MHz multi-carrier uplink into
-// individual carriers, and the DAC on the transmit side.
+// Package frontend models the wideband digital front end of Fig 2 of the
+// paper as far as the reproduction runs it: the multiplexer that stacks
+// the downlink carriers onto one wideband block, the DAC behind it, and
+// the demultiplexer that splits a wideband block back into carriers (the
+// ground verify leg). The uplink enters the payload at per-carrier
+// baseband; the antenna array, receive ADC and beam-forming network are
+// not modelled (DESIGN.md §1).
 package frontend
 
 import (
@@ -12,10 +14,9 @@ import (
 )
 
 // ADC quantizes complex baseband samples to a given resolution, modelling
-// the converter between the payload's analog section and its digital
+// a converter between the payload's analog section and its digital
 // functions. Inputs beyond full scale clip, as in hardware.
 type ADC struct {
-	bits      int
 	fullScale float64
 	step      float64
 }
@@ -29,21 +30,13 @@ func NewADC(bits int, fullScale float64) *ADC {
 	if fullScale <= 0 {
 		panic("frontend: ADC full scale must be positive")
 	}
-	return &ADC{bits: bits, fullScale: fullScale, step: 2 * fullScale / float64(int64(1)<<uint(bits))}
+	return &ADC{fullScale: fullScale, step: 2 * fullScale / float64(int64(1)<<uint(bits))}
 }
 
-// Bits returns the converter resolution.
-func (a *ADC) Bits() int { return a.bits }
-
-// Convert quantizes a block.
-func (a *ADC) Convert(in dsp.Vec) dsp.Vec {
-	return a.ConvertInto(dsp.NewVec(len(in)), in)
-}
-
-// ConvertInto is the allocation-free variant of Convert: it writes the
-// quantized block into dst (at least len(in) long; dst == in is
-// allowed) and returns dst[:len(in)]. An ADC holds no per-stream state,
-// so one converter may serve many element streams concurrently.
+// ConvertInto quantizes a block: it writes the quantized samples into
+// dst (at least len(in) long; dst == in is allowed) and returns
+// dst[:len(in)]. An ADC holds no per-stream state, so one converter may
+// serve many streams concurrently.
 func (a *ADC) ConvertInto(dst, in dsp.Vec) dsp.Vec {
 	dst = dst[:len(in)]
 	for i, s := range in {
@@ -62,10 +55,6 @@ func (a *ADC) q(x float64) float64 {
 	return math.Round(x/a.step) * a.step
 }
 
-// TheoreticalSQNRdB returns the ideal quantization SNR for a full-scale
-// sine input: 6.02 b + 1.76 dB.
-func (a *ADC) TheoreticalSQNRdB() float64 { return 6.02*float64(a.bits) + 1.76 }
-
 // DAC is the transmit-side converter; in this model it is a transparent
 // quantizer at the same resolution (reconstruction filtering is part of
 // the analog section, which the simulation treats as ideal).
@@ -74,10 +63,7 @@ type DAC struct{ adc *ADC }
 // NewDAC creates the converter.
 func NewDAC(bits int, fullScale float64) *DAC { return &DAC{adc: NewADC(bits, fullScale)} }
 
-// Convert quantizes a block for output.
-func (d *DAC) Convert(in dsp.Vec) dsp.Vec { return d.adc.Convert(in) }
-
-// ConvertInto is the allocation-free variant of Convert, matching the
-// receive-side ADC: it writes the quantized block into dst (at least
-// len(in) long; dst == in is allowed) and returns dst[:len(in)].
+// ConvertInto quantizes a block for output: it writes the quantized
+// samples into dst (at least len(in) long; dst == in is allowed) and
+// returns dst[:len(in)].
 func (d *DAC) ConvertInto(dst, in dsp.Vec) dsp.Vec { return d.adc.ConvertInto(dst, in) }

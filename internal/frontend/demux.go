@@ -5,10 +5,10 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Demux is the payload demultiplexer (Fig 2): it splits a wideband
-// multi-carrier uplink into per-carrier baseband streams using a bank of
-// digital down-converters, one per MF-TDMA carrier. The transmit-side
-// dual, Mux, stacks per-carrier streams back onto a wideband signal.
+// Demux is the demultiplexer of Fig 2: it splits a wideband multi-carrier
+// block into per-carrier baseband streams using a bank of digital
+// down-converters, one per MF-TDMA carrier. The transmit-side dual, Mux,
+// stacks per-carrier streams onto a wideband signal.
 
 // CarrierPlan describes the frequency plan of the multi-carrier signal:
 // n carriers spaced evenly, centred on DC, at normalized spacing
@@ -26,7 +26,6 @@ func (p CarrierPlan) Freq(c int) float64 {
 
 // Demux is the DDC bank.
 type Demux struct {
-	plan CarrierPlan
 	ddcs []*dsp.DDC
 	out  []dsp.Vec // Process's result, reused across calls
 
@@ -41,7 +40,7 @@ func NewDemux(plan CarrierPlan, ntaps int) *Demux {
 	if plan.Carriers < 1 {
 		panic("frontend: carrier plan needs at least one carrier")
 	}
-	d := &Demux{plan: plan, out: make([]dsp.Vec, plan.Carriers)}
+	d := &Demux{out: make([]dsp.Vec, plan.Carriers)}
 	cutoff := plan.Spacing / 2 * 0.9 // channel filter inside the spacing
 	for c := 0; c < plan.Carriers; c++ {
 		d.ddcs = append(d.ddcs, dsp.NewDDC(plan.Freq(c), cutoff, ntaps, plan.Decim))
@@ -52,9 +51,6 @@ func NewDemux(plan CarrierPlan, ntaps int) *Demux {
 	}
 	return d
 }
-
-// Plan returns the frequency plan.
-func (d *Demux) Plan() CarrierPlan { return d.plan }
 
 // Process splits a wideband block into per-carrier baseband streams.
 // The DDC bank fans out across the pipeline worker pool — one chain per
@@ -121,26 +117,16 @@ func NewMux(plan CarrierPlan, ntaps int) *Mux {
 // blocks of n samples.
 func (m *Mux) OutLen(n int) int { return n * m.plan.Decim }
 
-// Process stacks per-carrier baseband streams (all the same length) onto
-// one wideband block.
-func (m *Mux) Process(carriers []dsp.Vec) dsp.Vec {
-	var n int
-	if len(carriers) > 0 {
-		n = len(carriers[0])
-	}
-	return m.ProcessInto(dsp.NewVec(m.OutLen(n)), carriers)
-}
-
-// ProcessInto is the allocation-free variant of Process. Work follows
-// occupancy: a carrier whose block and DUC filter history are all zero
-// would contribute exact zeros, so it only advances its oscillator
-// (DUC.SkipIdle) and is left out of the sum. The busy carriers' DUCs fan
-// out across the pipeline worker pool (inline when at most one is busy)
-// — one chain per carrier, as in the FPGA MUX, each owning only its DUC
-// state and its output block — and are then summed into dst (at least
-// OutLen(n) long) strictly in carrier order, so the wideband block is
-// bit-identical to a sequential loop. Steady state performs no
-// allocations once the block pool is warm.
+// ProcessInto stacks per-carrier baseband streams (all the same length)
+// onto one wideband block. Work follows occupancy: a carrier whose block
+// and DUC filter history are all zero would contribute exact zeros, so it
+// only advances its oscillator (DUC.SkipIdle) and is left out of the sum.
+// The busy carriers' DUCs fan out across the pipeline worker pool (inline
+// when at most one is busy) — one chain per carrier, as in the FPGA MUX,
+// each owning only its DUC state and its output block — and are then
+// summed into dst (at least OutLen(n) long) strictly in carrier order, so
+// the wideband block is bit-identical to a sequential loop. Steady state
+// performs no allocations once the block pool is warm.
 func (m *Mux) ProcessInto(dst dsp.Vec, carriers []dsp.Vec) dsp.Vec {
 	if len(carriers) != len(m.ducs) {
 		panic("frontend: carrier count mismatch")

@@ -94,41 +94,6 @@ func TestTFTPPutExactMultiple(t *testing.T) {
 	}
 }
 
-func TestTFTPGet(t *testing.T) {
-	s := sim.New()
-	ncc, sat := geoNodes(s, 0, 6)
-	srv := NewTFTPServer(s, sat)
-	want := make([]byte, 3*TFTPBlockSize+7)
-	rand.New(rand.NewSource(7)).Read(want)
-	srv.Store("telemetry.bin", want)
-
-	cli := NewTFTPClient(s, ncc, sat.Addr(), 3000)
-	var got []byte
-	cli.Get("telemetry.bin", func(d []byte, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = d
-	})
-	s.Run()
-	if !bytes.Equal(got, want) {
-		t.Fatalf("get %d bytes want %d", len(got), len(want))
-	}
-}
-
-func TestTFTPGetMissingFile(t *testing.T) {
-	s := sim.New()
-	ncc, sat := geoNodes(s, 0, 8)
-	NewTFTPServer(s, sat)
-	cli := NewTFTPClient(s, ncc, sat.Addr(), 3000)
-	var gotErr error
-	cli.Get("nope.bin", func(_ []byte, err error) { gotErr = err })
-	s.Run()
-	if gotErr == nil {
-		t.Fatal("missing file must error")
-	}
-}
-
 func TestTFTPRecoversFromLoss(t *testing.T) {
 	s := sim.New()
 	ncc, sat := geoNodes(s, 0.05, 9)

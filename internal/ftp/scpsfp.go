@@ -17,24 +17,15 @@ const FilePort = 21
 
 // FileServer accepts file uploads over TCP.
 type FileServer struct {
-	node  *ipstack.Node
-	files map[string][]byte
-
 	// OnStored fires when a complete file has been received.
 	OnStored func(name string, data []byte)
 }
 
 // NewFileServer starts listening on FilePort.
 func NewFileServer(node *ipstack.Node) *FileServer {
-	fs := &FileServer{node: node, files: make(map[string][]byte)}
+	fs := &FileServer{}
 	node.ListenTCP(FilePort, fs.accept)
 	return fs
-}
-
-// File returns a received file.
-func (fs *FileServer) File(name string) ([]byte, bool) {
-	d, ok := fs.files[name]
-	return d, ok
 }
 
 func (fs *FileServer) accept(c *ipstack.TCPConn) {
@@ -46,7 +37,6 @@ func (fs *FileServer) accept(c *ipstack.TCPConn) {
 			if !ok {
 				return
 			}
-			fs.files[name] = payload
 			if fs.OnStored != nil {
 				fs.OnStored(name, payload)
 			}

@@ -19,7 +19,6 @@ const (
 	TFTPPort      = 69
 	TFTPBlockSize = 512
 
-	opRRQ   = 1
 	opWRQ   = 2
 	opDATA  = 3
 	opACK   = 4
@@ -57,19 +56,18 @@ func tftpError(msg string) []byte {
 	return append(out, 0)
 }
 
-// TFTPServer serves a file store over UDP port 69. It supports read
-// (RRQ) and write (WRQ) transfers in strict lock-step.
+// TFTPServer receives files over UDP port 69: write (WRQ) transfers in
+// strict lock-step. Read transfers are not served — the NCC only ever
+// uploads.
 type TFTPServer struct {
-	s     *sim.Simulator
-	node  *ipstack.Node
-	files map[string][]byte
+	s    *sim.Simulator
+	node *ipstack.Node
 
 	// OnStored is invoked when a write transfer completes.
 	OnStored func(name string, data []byte)
 
 	// active write transfers keyed by client address/port
 	writes map[string]*tftpWrite
-	reads  map[string]*tftpRead
 }
 
 type tftpWrite struct {
@@ -79,35 +77,15 @@ type tftpWrite struct {
 	done     bool
 }
 
-type tftpRead struct {
-	name  string
-	data  []byte
-	block uint16 // last block sent
-	done  bool
-}
-
 // NewTFTPServer binds the server on the node.
 func NewTFTPServer(s *sim.Simulator, node *ipstack.Node) *TFTPServer {
 	srv := &TFTPServer{
 		s:      s,
 		node:   node,
-		files:  make(map[string][]byte),
 		writes: make(map[string]*tftpWrite),
-		reads:  make(map[string]*tftpRead),
 	}
 	node.BindUDP(TFTPPort, srv.handle)
 	return srv
-}
-
-// Store preloads a file (for read transfers).
-func (srv *TFTPServer) Store(name string, data []byte) {
-	srv.files[name] = append([]byte{}, data...)
-}
-
-// File returns a stored file.
-func (srv *TFTPServer) File(name string) ([]byte, bool) {
-	d, ok := srv.files[name]
-	return d, ok
 }
 
 func clientKey(src ipstack.Addr, port uint16) string {
@@ -160,7 +138,6 @@ func (srv *TFTPServer) handle(src ipstack.Addr, srcPort uint16, data []byte) {
 			w.expected++
 			if len(payload) < TFTPBlockSize {
 				w.done = true
-				srv.files[w.name] = w.data
 				if srv.OnStored != nil {
 					srv.OnStored(w.name, w.data)
 				}
@@ -168,51 +145,7 @@ func (srv *TFTPServer) handle(src ipstack.Addr, srcPort uint16, data []byte) {
 		}
 		// Ack the last in-order block (handles duplicates).
 		reply(tftpAck(w.expected - 1))
-	case opRRQ:
-		name, ok := parseName(data[2:])
-		if !ok {
-			reply(tftpError("bad request"))
-			return
-		}
-		file, exists := srv.files[name]
-		if !exists {
-			reply(tftpError("file not found"))
-			return
-		}
-		r := &tftpRead{name: name, data: file, block: 1}
-		srv.reads[key] = r
-		reply(tftpData(1, r.chunk(1)))
-	case opACK:
-		r, ok := srv.reads[key]
-		if !ok || r.done || len(data) < 4 {
-			return
-		}
-		block := binary.BigEndian.Uint16(data[2:4])
-		if block != r.block {
-			return
-		}
-		// Total blocks per RFC 1350: a final short (possibly empty)
-		// block terminates the transfer.
-		nblocks := uint16(len(r.data)/TFTPBlockSize + 1)
-		if block == nblocks {
-			r.done = true
-			return
-		}
-		r.block++
-		reply(tftpData(r.block, r.chunk(r.block)))
 	}
-}
-
-func (r *tftpRead) chunk(block uint16) []byte {
-	start := (int(block) - 1) * TFTPBlockSize
-	end := start + TFTPBlockSize
-	if end > len(r.data) {
-		end = len(r.data)
-	}
-	if start > len(r.data) {
-		return nil
-	}
-	return r.data[start:end]
 }
 
 func parseName(b []byte) (string, bool) {
@@ -235,7 +168,6 @@ type TFTPClient struct {
 	retries int
 
 	put *putState
-	get *getState
 
 	Retransmissions int
 }
@@ -245,15 +177,6 @@ type putState struct {
 	data  []byte
 	block uint16 // next block to send after ack of block-1
 	done  func(err error)
-	fin   bool
-	timer int
-}
-
-type getState struct {
-	name  string
-	data  []byte
-	next  uint16
-	done  func(data []byte, err error)
 	fin   bool
 	timer int
 }
@@ -271,12 +194,6 @@ func (c *TFTPClient) Put(name string, data []byte, done func(err error)) {
 	c.sendReq(tftpReq(opWRQ, name))
 }
 
-// Get downloads a file (RRQ).
-func (c *TFTPClient) Get(name string, done func(data []byte, err error)) {
-	c.get = &getState{name: name, next: 1, done: done}
-	c.sendReq(tftpReq(opRRQ, name))
-}
-
 func (c *TFTPClient) sendReq(pkt []byte) {
 	c.node.SendUDP(c.server, c.port, TFTPPort, pkt)
 	c.armPutTimer(pkt, c.retries)
@@ -284,24 +201,17 @@ func (c *TFTPClient) sendReq(pkt []byte) {
 
 // armPutTimer retransmits the given packet until superseded.
 func (c *TFTPClient) armPutTimer(pkt []byte, retries int) {
-	var timerOwner *int
-	if c.put != nil {
-		c.put.timer++
-		timerOwner = &c.put.timer
-	} else if c.get != nil {
-		c.get.timer++
-		timerOwner = &c.get.timer
-	} else {
+	p := c.put
+	if p == nil {
 		return
 	}
-	id := *timerOwner
+	p.timer++
+	id := p.timer
 	c.s.Schedule(c.timeout, func() {
-		if timerOwner != nil && *timerOwner == id && retries > 0 {
-			if (c.put != nil && !c.put.fin) || (c.get != nil && !c.get.fin) {
-				c.Retransmissions++
-				c.node.SendUDP(c.server, c.port, TFTPPort, pkt)
-				c.armPutTimer(pkt, retries-1)
-			}
+		if p.timer == id && retries > 0 && c.put != nil && !c.put.fin {
+			c.Retransmissions++
+			c.node.SendUDP(c.server, c.port, TFTPPort, pkt)
+			c.armPutTimer(pkt, retries-1)
 		}
 	})
 }
@@ -340,40 +250,11 @@ func (c *TFTPClient) handle(src ipstack.Addr, srcPort uint16, data []byte) {
 		pkt := tftpData(p.block, p.data[start:end])
 		c.node.SendUDP(c.server, c.port, TFTPPort, pkt)
 		c.armPutTimer(pkt, c.retries)
-	case opDATA:
-		g := c.get
-		if g == nil || g.fin {
-			return
-		}
-		block := binary.BigEndian.Uint16(data[2:4])
-		payload := data[4:]
-		if block == g.next {
-			g.data = append(g.data, payload...)
-			g.next++
-			if len(payload) < TFTPBlockSize {
-				g.fin = true
-				g.timer++
-				c.node.SendUDP(c.server, c.port, TFTPPort, tftpAck(block))
-				if g.done != nil {
-					g.done(g.data, nil)
-				}
-				return
-			}
-		}
-		ack := tftpAck(g.next - 1)
-		c.node.SendUDP(c.server, c.port, TFTPPort, ack)
-		c.armPutTimer(ack, c.retries)
 	case opERROR:
 		if c.put != nil && !c.put.fin {
 			c.put.fin = true
 			if c.put.done != nil {
 				c.put.done(errors.New("ftp: server error"))
-			}
-		}
-		if c.get != nil && !c.get.fin {
-			c.get.fin = true
-			if c.get.done != nil {
-				c.get.done(nil, errors.New("ftp: server error"))
 			}
 		}
 	}

@@ -34,10 +34,9 @@ func (a Addr) String() string {
 
 // Protocol numbers.
 const (
-	ProtoUDP  byte = 17
-	ProtoTCP  byte = 6
-	ProtoESP  byte = 50
-	ProtoICMP byte = 1
+	ProtoUDP byte = 17
+	ProtoTCP byte = 6
+	ProtoESP byte = 50
 )
 
 // Packet is a network-layer datagram.

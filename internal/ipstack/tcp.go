@@ -14,7 +14,6 @@ import (
 const (
 	flagSYN byte = 1 << iota
 	flagACK
-	flagFIN
 )
 
 // tcp header: src port(2) dst port(2) seq(4) ack(4) flags(1) len(2)
@@ -95,13 +94,10 @@ type TCPConn struct {
 	OnConnect func()
 	// OnData delivers in-order received bytes.
 	OnData func(data []byte)
-	// OnClose fires when the peer's FIN arrives.
-	OnClose func()
 	// Drained fires whenever the send queue empties.
 	Drained func()
 
 	Retransmissions int
-	finSent         bool
 }
 
 // DialTCP opens a client connection; OnConnect fires when established.
@@ -145,30 +141,6 @@ func (c *TCPConn) Send(data []byte) {
 	if c.established {
 		c.pump(false)
 	}
-}
-
-// Close sends a FIN after all queued data (simplified: FIN is sent
-// immediately if the queue is empty, else when it drains).
-func (c *TCPConn) Close() {
-	if len(c.sendQueue) == 0 {
-		c.sendFIN()
-		return
-	}
-	prev := c.Drained
-	c.Drained = func() {
-		if prev != nil {
-			prev()
-		}
-		c.sendFIN()
-	}
-}
-
-func (c *TCPConn) sendFIN() {
-	if c.finSent {
-		return
-	}
-	c.finSent = true
-	c.sendSegment(&segment{srcPort: c.localPort, dstPort: c.remotePort, flags: flagFIN, seq: c.sendBase})
 }
 
 func (c *TCPConn) sendSegment(s *segment) {
@@ -247,10 +219,6 @@ func (n *Node) handleTCP(p *Packet) {
 				c.OnConnect()
 			}
 			c.pump(false)
-		}
-	case s.flags&flagFIN != 0:
-		if c.OnClose != nil {
-			c.OnClose()
 		}
 	default:
 		c.handleData(s)

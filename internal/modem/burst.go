@@ -84,12 +84,6 @@ func NewBurstModulator(f BurstFormat, beta float64, sps, span int) *BurstModulat
 	}
 }
 
-// Format returns the burst format.
-func (m *BurstModulator) Format() BurstFormat { return m.fmt }
-
-// SPS returns samples per symbol.
-func (m *BurstModulator) SPS() int { return m.sps }
-
 // Modulate produces the burst waveform followed by enough flush samples to
 // push the last symbol through the shaping filter. The modulator fully
 // resets per call, so a recycled instance (e.g. from the transmitter's
@@ -256,9 +250,6 @@ func NewBurstDemodulatorSync(f BurstFormat, beta float64, sps, span int, mode Ti
 	}
 	return d
 }
-
-// Sync returns the demodulator's synchronization configuration.
-func (d *BurstDemodulator) Sync() SyncConfig { return d.sync }
 
 // Demodulate processes a received waveform containing one burst. The
 // demodulator is fully reset per call, so a recycled instance (e.g. from

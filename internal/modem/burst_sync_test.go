@@ -121,8 +121,8 @@ func TestUWThresholdConfigurable(t *testing.T) {
 	_, rx := syncBurst(t, 19, 14, 0, 0, 0, 1)
 	f := DefaultBurstFormat(200)
 	dem := NewBurstDemodulator(f, 0.35, 4, 10, TimingOerderMeyr)
-	if dem.Sync().UWThreshold != DefaultUWThreshold {
-		t.Fatalf("default threshold %g", dem.Sync().UWThreshold)
+	if dem.sync.UWThreshold != DefaultUWThreshold {
+		t.Fatalf("default threshold %g", dem.sync.UWThreshold)
 	}
 	if res := dem.Demodulate(rx); !res.Found {
 		t.Fatal("clean burst not found at the default threshold")

@@ -70,31 +70,6 @@ func EstimateFrequencyQPSK(syms dsp.Vec) float64 {
 	return foldQuarterCycle(u)
 }
 
-// estimateFrequencyQPSKGrid is the pre-FFT reference implementation: a
-// dense half-bin grid scan of the same fourth-power periodogram. Kept
-// (unexported) as the equivalence baseline for the spectral estimator's
-// tests; not called on any hot path.
-func estimateFrequencyQPSKGrid(syms dsp.Vec) float64 {
-	if len(syms) < 2 {
-		return 0
-	}
-	z := dsp.GetVec(len(syms))
-	fourthPowerNormalize(z, syms)
-	// The line sits at u = 4f cycles/sample in fourth-power units.
-	// Coarse: half-bin spacing over u in [-1/2, 1/2) keeps scalloping
-	// loss of an off-grid peak under 1 dB.
-	n := len(z)
-	coarseDu := 1 / (2 * float64(n))
-	u := peakSearch(z, -0.5, coarseDu, 2*n)
-	// Fine: an eighth-bin grid across the winning coarse bin pair, with
-	// parabolic interpolation taking the estimate well below grid
-	// resolution.
-	fineDu := coarseDu / 8
-	u = peakSearchParabolic(z, u-coarseDu, fineDu, 17)
-	dsp.PutVec(z)
-	return foldQuarterCycle(u)
-}
-
 // fourthPowerNormalize writes the unit-magnitude fourth power of syms
 // into dst[:len(syms)].
 func fourthPowerNormalize(dst, syms dsp.Vec) {
@@ -134,28 +109,14 @@ func specPower(z dsp.Vec, u float64) float64 {
 	return real(acc)*real(acc) + imag(acc)*imag(acc)
 }
 
-// peakSearch grids the periodogram from u0 in steps of du and returns
-// the winning frequency, keeping only the running maximum (the coarse
-// pass over 2n bins would otherwise allocate a power table per burst).
-func peakSearch(z dsp.Vec, u0, du float64, bins int) float64 {
-	bestU, bestP := u0, -1.0
-	for k := 0; k < bins; k++ {
-		u := u0 + float64(k)*du
-		if p := specPower(z, u); p > bestP {
-			bestP, bestU = p, u
-		}
-	}
-	return bestU
-}
-
 // maxFineBins bounds the fine-search grid so peakSearchParabolic can
 // keep its power table on the stack (the demodulator calls it once per
 // burst on the hot path).
 const maxFineBins = 32
 
-// peakSearchParabolic is peakSearch plus a parabolic fit through the
-// winning bin and its neighbours (skipped at the grid edges), locating
-// the peak below grid resolution.
+// peakSearchParabolic grids the periodogram from u0 in steps of du and
+// fits a parabola through the winning bin and its neighbours (skipped at
+// the grid edges), locating the peak below grid resolution.
 func peakSearchParabolic(z dsp.Vec, u0, du float64, bins int) float64 {
 	if bins > maxFineBins {
 		panic("modem: peakSearchParabolic fine grid too large")

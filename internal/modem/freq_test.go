@@ -136,7 +136,7 @@ func TestEndToEndWithFrequencyCorrection(t *testing.T) {
 	// Timing recovery first (rotation-invariant), then frequency.
 	mf := dsp.NewMatchedFilter(0.35, 4, 10)
 	om := NewOerderMeyr(4)
-	filtered := mf.Process(rx)
+	filtered := mf.ProcessInto(dsp.NewVec(len(rx)), rx)
 	syms, _ := om.RecoverInto(dsp.NewVec(om.MaxSymbols(len(filtered))), filtered)
 	est := EstimateFrequencyQPSK(syms)
 	if math.Abs(est-symbolFreq) > 0.002 {

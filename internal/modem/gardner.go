@@ -29,14 +29,6 @@ func NewGardner(kp, ki float64) *GardnerSynchronizer {
 	return &GardnerSynchronizer{kp: kp, ki: ki, pos: 3}
 }
 
-// Reset clears all loop state.
-func (g *GardnerSynchronizer) Reset() {
-	g.vel = 0
-	g.buf = nil
-	g.pos = 3
-	g.havePrev = false
-}
-
 // Process consumes a block of 2-samples/symbol input and returns recovered
 // symbol-rate strobes.
 func (g *GardnerSynchronizer) Process(in dsp.Vec) dsp.Vec {

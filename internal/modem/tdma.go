@@ -90,9 +90,6 @@ func (fc *FrameComposer) PlaceBurst(a SlotAssignment, wave dsp.Vec) {
 	copy(dst[:n], wave[:n])
 }
 
-// Carrier returns the baseband waveform of carrier c.
-func (fc *FrameComposer) Carrier(c int) dsp.Vec { return fc.carriers[c] }
-
 // SlotWaveform extracts the samples of one (carrier, slot) cell.
 func (fc *FrameComposer) SlotWaveform(a SlotAssignment) dsp.Vec {
 	start := a.Slot * fc.cfg.SlotSymbols * fc.sps

@@ -72,9 +72,6 @@ func New(s *sim.Simulator, node *ipstack.Node, satAddr ipstack.Addr) *NCC {
 	return n
 }
 
-// PDP exposes the policy decision point (to set OnRequest handlers).
-func (n *NCC) PDP() *ftp.PDP { return n.pdp }
-
 // Catalog registers a bitstream file available for upload.
 func (n *NCC) Catalog(name string, data []byte) {
 	n.catalog[name] = append([]byte{}, data...)

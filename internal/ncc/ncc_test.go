@@ -49,6 +49,12 @@ func TestUploadTFTPAgainstServer(t *testing.T) {
 	s := sim.New()
 	g, sat := pipeNodes(s)
 	srv := ftp.NewTFTPServer(s, sat)
+	stored := -1
+	srv.OnStored = func(name string, data []byte) {
+		if name == "demod.bit" {
+			stored = len(data)
+		}
+	}
 	n := New(s, g, sat.Addr())
 	data := make([]byte, 1500)
 	n.Catalog("demod.bit", data)
@@ -58,8 +64,7 @@ func TestUploadTFTPAgainstServer(t *testing.T) {
 	if !done {
 		t.Fatal("upload incomplete")
 	}
-	stored, ok := srv.File("demod.bit")
-	if !ok || len(stored) != 1500 {
+	if stored != 1500 {
 		t.Fatal("server did not store the file")
 	}
 }

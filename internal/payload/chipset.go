@@ -63,7 +63,6 @@ func (p Partitioning) String() string {
 // Chipset is the set of FPGAs realizing the payload functions under one
 // partitioning strategy, with golden configurations for integrity checks.
 type Chipset struct {
-	strategy  Partitioning
 	devices   map[string]*fpga.Device
 	placement map[Function][]string // function -> hosting device names
 	goldens   map[string]*fpga.Bitstream
@@ -122,7 +121,6 @@ func placementFor(strategy Partitioning) map[Function][]string {
 // placeholder boot design on each.
 func NewChipset(strategy Partitioning) (*Chipset, error) {
 	cs := &Chipset{
-		strategy:  strategy,
 		devices:   make(map[string]*fpga.Device),
 		placement: placementFor(strategy),
 		goldens:   make(map[string]*fpga.Bitstream),
@@ -155,9 +153,6 @@ func bootDesign(name string, rows, cols int) *fpga.Bitstream {
 	}
 	return bs
 }
-
-// Strategy returns the partitioning.
-func (cs *Chipset) Strategy() Partitioning { return cs.strategy }
 
 // Devices returns the managed devices.
 func (cs *Chipset) Devices() map[string]*fpga.Device { return cs.devices }

@@ -119,7 +119,7 @@ func TestReceiveFrameAndRouteQoSServiceDown(t *testing.T) {
 			t.Fatalf("cell %v with the switch down: bits %v, err %v", r.Assignment, r.Bits != nil, r.Err)
 		}
 	}
-	if pl.Switch().Routed() != 0 {
+	if switchRouted(pl) != 0 {
 		t.Fatal("packets routed with the switch function down")
 	}
 }

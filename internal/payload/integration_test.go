@@ -8,14 +8,15 @@ import (
 	"repro/internal/fec"
 	"repro/internal/frontend"
 	"repro/internal/modem"
+	"repro/internal/switchfab"
 )
 
-// TestFig2WidebandRegenerativeLoop runs the complete Fig 2 chain: three
-// user terminals transmit TDMA bursts on different carriers; the stacked
-// wideband uplink passes through the antenna array, ADCs, DBFN and DEMUX;
-// each carrier is demodulated and decoded; packets are switched; the Tx
-// section re-encodes and transmits a downlink frame which a ground
-// terminal demodulates. Bits must survive the full regenerative hop.
+// TestFig2WidebandRegenerativeLoop runs the Fig 2 chain from the DEMUX
+// on: three user terminals transmit TDMA bursts on different carriers;
+// the stacked wideband uplink is demultiplexed; each carrier is
+// demodulated and decoded; packets are switched; the Tx section
+// re-encodes and transmits a downlink frame which a ground terminal
+// demodulates. Bits must survive the full regenerative hop.
 func TestFig2WidebandRegenerativeLoop(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Carriers = 3
@@ -33,7 +34,6 @@ func TestFig2WidebandRegenerativeLoop(t *testing.T) {
 
 	plan := frontend.CarrierPlan{Carriers: 3, Spacing: 0.2, Decim: 4}
 	uplinkMux := frontend.NewMux(plan, 95)
-	fe := frontend.NewRxFrontEnd(12, 8, 0.5, 0.15, plan, 95)
 
 	// Terminals: one burst per carrier at 4 samples/symbol (= Decim, so
 	// the demux output lands at the demodulator's expected rate).
@@ -64,15 +64,13 @@ func TestFig2WidebandRegenerativeLoop(t *testing.T) {
 		carriers[c] = append(carriers[c], dsp.NewVec(maxLen-len(carriers[c]))...)
 	}
 
-	// Stack to wideband (at 4x the carrier rate), add mild noise, and
-	// present the same wavefront to every antenna element.
-	wide := uplinkMux.Process(carriers)
+	// Stack to wideband (at 4x the carrier rate) and add mild noise.
+	wide := uplinkMux.ProcessInto(dsp.NewVec(uplinkMux.OutLen(maxLen)), carriers)
 	ch := dsp.NewChannel(7)
 	ch.AWGN(wide, 1e-4)
-	elements := frontend.PlaneWave(wide, 8, 0.5, 0.15)
 
-	// Payload receive: front end then per-carrier demod/decode/switch.
-	split := fe.Process(elements)
+	// Payload receive: DEMUX then per-carrier demod/decode/switch.
+	split := frontend.NewDemux(plan, 95).Process(wide)
 	for c := 0; c < plan.Carriers; c++ {
 		soft, err := pl.DemodulateCarrier(c, split[c])
 		if err != nil {
@@ -85,18 +83,20 @@ func TestFig2WidebandRegenerativeLoop(t *testing.T) {
 		if errs := fec.CountBitErrors(infos[c], dec[:infoLen]); errs != 0 {
 			t.Fatalf("carrier %d: %d bit errors through the wideband chain", c, errs)
 		}
-		pl.Switch().Route(c, fec.PackBits(dec[:infoLen]))
-	}
-	if pl.Switch().Routed() != plan.Carriers {
-		t.Fatalf("switch routed %d", pl.Switch().Routed())
+		if !pl.Switch().RoutePacket(c, switchfab.Packet{Bits: dec[:infoLen]}) {
+			t.Fatalf("carrier %d: switch refused the packet", c)
+		}
 	}
 
 	// Transmit section: drain the switch and downlink each beam.
 	tx := NewTransmitter(pl, plan)
 	grid := make([][][]byte, plan.Carriers)
-	for _, beam := range pl.Switch().Beams() {
+	for beam := range grid {
 		pkts := pl.Switch().Drain(beam)
-		grid[beam] = [][]byte{fec.UnpackBits(pkts[0], infoLen)}
+		if len(pkts) != 1 {
+			t.Fatalf("beam %d holds %d packets, want 1", beam, len(pkts))
+		}
+		grid[beam] = pkts
 	}
 	downCfg := modem.FrameConfig{Carriers: plan.Carriers, Slots: 1, SlotSymbols: 512, GuardSymbols: 16}
 	downWide, err := tx.TransmitFrameGrid(downCfg, grid)

@@ -89,9 +89,6 @@ func NewTransmitter(pl *Payload, plan frontend.CarrierPlan) *Transmitter {
 	return t
 }
 
-// Plan returns the downlink carrier plan.
-func (t *Transmitter) Plan() frontend.CarrierPlan { return t.plan }
-
 // encodeBurstInto encodes info bits with the active codec and pads them
 // into one downlink burst payload: it encodes into dst[:0] (growing it
 // if needed), zero-pads to the burst payload budget and returns the

@@ -38,8 +38,9 @@ func gridInfoBits(rng *rand.Rand, cfg modem.FrameConfig, infoLen int, fill float
 }
 
 // seqTxRig is the pre-pipeline sequential reference: one modulator, one
-// carrier at a time, allocating Mux/DAC stages. The Mux persists across
-// frames so its DUC state carries over exactly like the transmitter's.
+// carrier at a time, a fresh wideband block per frame. The Mux persists
+// across frames so its DUC state carries over exactly like the
+// transmitter's.
 type seqTxRig struct {
 	mod *modem.BurstModulator
 	mux *frontend.Mux
@@ -56,7 +57,7 @@ func newSeqTxRig(pl *Payload, plan frontend.CarrierPlan) *seqTxRig {
 
 func (r *seqTxRig) frameGrid(t *testing.T, tx *Transmitter, cfg modem.FrameConfig, grid [][][]byte) dsp.Vec {
 	t.Helper()
-	slotLen := cfg.SlotSymbols * tx.Plan().Decim
+	slotLen := cfg.SlotSymbols * tx.plan.Decim
 	carrierLen := cfg.Slots*slotLen + TxTailMargin
 	carriers := make([]dsp.Vec, cfg.Carriers)
 	for c := range carriers {
@@ -72,7 +73,8 @@ func (r *seqTxRig) frameGrid(t *testing.T, tx *Transmitter, cfg modem.FrameConfi
 			copy(carriers[c][s*slotLen:], r.mod.Modulate(payloadBits))
 		}
 	}
-	return r.dac.Convert(r.mux.Process(carriers))
+	wide := r.mux.ProcessInto(dsp.NewVec(r.mux.OutLen(carrierLen)), carriers)
+	return r.dac.ConvertInto(wide, wide)
 }
 
 // The concurrent grid transmitter must be bit-identical to the
@@ -84,7 +86,7 @@ func TestTransmitFrameGridMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	// Separate rig for the reference so shared-pool modulators cannot
 	// hide state leakage; encodeBurstInto is stateless so tx is reusable.
-	ref := newSeqTxRig(pl, tx.Plan())
+	ref := newSeqTxRig(pl, tx.plan)
 	for frame := 0; frame < 3; frame++ {
 		grid := gridInfoBits(rng, cfg, infoLen, 0.7)
 		want := ref.frameGrid(t, tx, cfg, grid)
@@ -140,7 +142,7 @@ func TestTransmitIdleFrames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("idle TransmitFrameGrid: %v", err)
 	}
-	if want := (cfg.Slots*cfg.SlotSymbols*tx.Plan().Decim + TxTailMargin) * tx.Plan().Decim; len(gwide) != want {
+	if want := (cfg.Slots*cfg.SlotSymbols*tx.plan.Decim + TxTailMargin) * tx.plan.Decim; len(gwide) != want {
 		t.Fatalf("idle grid wideband length %d, want %d", len(gwide), want)
 	}
 	if e := gwide.Energy(); e != 0 {
@@ -149,9 +151,9 @@ func TestTransmitIdleFrames(t *testing.T) {
 }
 
 // Full-loop loopback: the concurrent grid transmitter's wideband output,
-// passed through the antenna front end (ADC, DBFN, DEMUX) and the
-// concurrent receive pipeline, must reproduce the queued info bits
-// exactly — for both the convolutional and the turbo codec.
+// demultiplexed and passed through the concurrent receive pipeline, must
+// reproduce the queued info bits exactly — for both the convolutional
+// and the turbo codec.
 func TestTransmitFrameGridLoopback(t *testing.T) {
 	cases := []struct {
 		codec   string
@@ -172,9 +174,7 @@ func TestTransmitFrameGridLoopback(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fe := frontend.NewRxFrontEnd(12, 8, 0.5, 0.15, tx.Plan(), 95)
-			elements := frontend.PlaneWave(wide, 8, 0.5, 0.15)
-			split := fe.Process(elements)
+			split := frontend.NewDemux(tx.plan, 95).Process(wide)
 			for c, r := range receiveCarriers(pl, 1, split) {
 				if r.Err != nil {
 					t.Fatalf("receive pipeline: carrier %d: %v", c, r.Err)

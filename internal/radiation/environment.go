@@ -199,36 +199,23 @@ func (in *Injector) poisson(lambda float64) int {
 	}
 }
 
-// DoseTracker accumulates total ionizing dose against a device rating.
+// DoseTracker holds a device's total-ionizing-dose rating against an
+// environment's dose rate.
 type DoseTracker struct {
 	profile DeviceProfile
-	krad    float64
 }
 
-// NewDoseTracker starts at zero accumulated dose.
+// NewDoseTracker rates a device that has accumulated no dose yet.
 func NewDoseTracker(profile DeviceProfile) *DoseTracker {
 	return &DoseTracker{profile: profile}
 }
 
-// Accumulate adds days of exposure in the environment and returns the
-// running total in krad.
-func (d *DoseTracker) Accumulate(env Environment, days float64) float64 {
-	d.krad += env.DoseRateKradPerDay() * days
-	return d.krad
-}
-
-// TotalKrad returns the accumulated dose.
-func (d *DoseTracker) TotalKrad() float64 { return d.krad }
-
-// Degraded reports whether the accumulated dose exceeds the rating.
-func (d *DoseTracker) Degraded() bool { return d.krad > d.profile.TIDKrad }
-
-// MarginYears estimates remaining life in the environment at the current
-// dose, in years.
+// MarginYears estimates the device's life in the environment, in years:
+// the time its dose rate takes to reach the rating.
 func (d *DoseTracker) MarginYears(env Environment) float64 {
 	rate := env.DoseRateKradPerDay()
 	if rate <= 0 {
 		return math.Inf(1)
 	}
-	return (d.profile.TIDKrad - d.krad) / rate / 365
+	return d.profile.TIDKrad / rate / 365
 }

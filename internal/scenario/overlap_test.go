@@ -62,7 +62,7 @@ func procsRun(t *testing.T, sp Spec, procs int) ([]FrameStats, string, []string,
 		}
 		lines[i] = fmt.Sprintf("frame %d counters %v gauges %v", ln.Frame, ln.Counters, ln.Gauges)
 	}
-	overlapped := tel.Registry().Timer("engine.pipeline.overlap_ns").Count()
+	overlapped := tel.reg.Timer("engine.pipeline.overlap_ns").Count()
 	return frames, string(data), lines, overlapped
 }
 

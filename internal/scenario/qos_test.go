@@ -117,7 +117,7 @@ func TestScriptedSchedulerAndClassEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sess.Engine().Scheduler().Name(); got != "fifo" {
+	if got := sess.Engine().Config().Scheduler.Name(); got != "fifo" {
 		t.Fatalf("boot scheduler %q", got)
 	}
 	sawStrict := false
@@ -128,7 +128,7 @@ func TestScriptedSchedulerAndClassEvents(t *testing.T) {
 		}
 		if f >= 2 && f < 6 {
 			sawStrict = true
-			if got := sess.Engine().Scheduler().Name(); got != "strict+be1" {
+			if got := sess.Engine().Config().Scheduler.Name(); got != "strict+be1" {
 				t.Fatalf("frame %d scheduler %q, want strict+be1", f, got)
 			}
 		}
@@ -136,7 +136,7 @@ func TestScriptedSchedulerAndClassEvents(t *testing.T) {
 	if !sawStrict {
 		t.Fatal("strict window never observed")
 	}
-	if got := sess.Engine().Scheduler().Name(); got != "drr-2/1/1" {
+	if got := sess.Engine().Config().Scheduler.Name(); got != "drr-2/1/1" {
 		t.Fatalf("final scheduler %q, want drr-2/1/1", got)
 	}
 	rep := sess.Report()

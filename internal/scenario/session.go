@@ -197,9 +197,6 @@ func NewSession(spec Spec, opts ...Option) (*Session, error) {
 // between frames, not from inside an observer.
 func (s *Session) AddObserver(obs Observer) { s.obs = append(s.obs, obs) }
 
-// Spec returns the session's spec.
-func (s *Session) Spec() Spec { return s.spec }
-
 // Engine exposes the underlying traffic engine — the session owns its
 // frame clock, so callers should mutate through events, not directly.
 func (s *Session) Engine() *traffic.Engine { return s.eng }

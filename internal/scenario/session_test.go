@@ -32,7 +32,7 @@ func directEngineReport(t *testing.T, sp Spec, frames int) *traffic.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	terms, err := sp.Population()
+	terms, _, err := sp.Populations()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,16 +261,6 @@ func LoadFile(path string) (Spec, error) {
 	return sp, nil
 }
 
-// MarshalIndent renders the canonical JSON form (the golden-file and
-// scenario-file format).
-func (sp Spec) MarshalIndent() ([]byte, error) {
-	data, err := json.MarshalIndent(sp, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
 // ParsePolicy maps the spec-level policy name to the engine constant.
 func ParsePolicy(s string) (traffic.DropPolicy, error) {
 	switch s {
@@ -394,20 +384,6 @@ func (t TerminalSpec) Terminal() (traffic.Terminal, error) {
 		return traffic.Terminal{}, fmt.Errorf("scenario: terminal %q: %w", t.ID, err)
 	}
 	return traffic.Terminal{ID: t.ID, Beam: t.Beam, Class: cls, Model: m, Channel: t.Channel.Profile()}, nil
-}
-
-// Population resolves the spec's terminal list — the plain-terminal
-// path; specs carrying aggregate population entries (Count > 0) must go
-// through Populations.
-func (sp Spec) Population() ([]traffic.Terminal, error) {
-	terms, pops, err := sp.Populations()
-	if err != nil {
-		return nil, err
-	}
-	if len(pops) > 0 {
-		return nil, fmt.Errorf("scenario: spec carries aggregate populations; resolve it with Populations")
-	}
-	return terms, nil
 }
 
 // Populations resolves the spec's terminal list under the two-tier

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"flag"
 	"math"
 	"os"
@@ -15,6 +16,17 @@ var update = flag.Bool("update", false, "rewrite the preset golden files")
 // Every registered preset must validate, survive a JSON round trip
 // bit-for-bit, and match its checked-in golden file — the serialized
 // form is API surface (scenario files reference it), so drift fails CI.
+// canonicalJSON renders a spec in the golden-file and scenario-file
+// format: two-space indented JSON, one trailing newline.
+func canonicalJSON(t *testing.T, sp Spec) []byte {
+	t.Helper()
+	data, err := json.MarshalIndent(sp, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(data, '\n')
+}
+
 func TestPresetGoldenRoundTrip(t *testing.T) {
 	for _, name := range PresetNames() {
 		t.Run(name, func(t *testing.T) {
@@ -25,10 +37,7 @@ func TestPresetGoldenRoundTrip(t *testing.T) {
 			if err := sp.Validate(); err != nil {
 				t.Fatalf("preset does not validate: %v", err)
 			}
-			data, err := sp.MarshalIndent()
-			if err != nil {
-				t.Fatal(err)
-			}
+			data := canonicalJSON(t, sp)
 			golden := filepath.Join("testdata", name+".json")
 			if *update {
 				if err := os.WriteFile(golden, data, 0o644); err != nil {
@@ -73,10 +82,7 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 
 func TestLoadRejectsTrailingContent(t *testing.T) {
 	sp, _ := Preset("clean")
-	data, err := sp.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := canonicalJSON(t, sp)
 	if _, err := Load(strings.NewReader(string(data) + "{}")); err == nil {
 		t.Fatal("trailing document accepted")
 	}

@@ -73,10 +73,6 @@ func NewTelemetryObserver(w io.Writer, cfg TelemetryConfig) *TelemetryObserver {
 	return t
 }
 
-// Registry exposes the underlying registry, so callers can hang their
-// own metrics onto the same feed.
-func (t *TelemetryObserver) Registry() *telemetry.Registry { return t.reg }
-
 // Attach wires the adapter into a session: the per-frame observer joins
 // the session's chain, the engine gets stage timers (uplink synthesis,
 // receive+route, schedule+fill, transmit, ground verify), and a

@@ -13,23 +13,20 @@
 // robin) directly into the transmit grid, so there is no per-frame
 // drain-copy layer between the switch and the transmitter.
 //
-// Ownership rule (see DESIGN.md): Route/RoutePacket, Drain, Schedule
+// Ownership rule (see DESIGN.md): RoutePacket, Drain, Schedule
 // and every probe are safe from any goroutine at any time. Adopt and
 // SetDepth reconfigure the fabric for a new exclusive driver (a traffic
 // engine) and must not race in-flight routing — drivers call them at
 // frame boundaries, engines at construction.
 package switchfab
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Packet is one switched packet: the decoded payload bytes, the traffic
 // class the downlink scheduler keys on, an opaque terminal token the
 // driver uses to attribute delivery stats (comparable types only if a
 // scheduler is to key on it), and the frame the packet entered the
-// payload, for latency accounting. The fabric owns Bits from Route
+// payload, for latency accounting. The fabric owns Bits from RoutePacket
 // until the packet is popped; callers must not retain or mutate the
 // slice after routing.
 type Packet struct {
@@ -174,14 +171,6 @@ func (f *Fabric) SetDepth(depth int) {
 	}
 }
 
-// Route enqueues an unmarked (best effort) packet for a downlink beam:
-// RoutePacket for callers with nothing to mark, such as a sequential
-// reference loop. It reports whether the packet was queued (false: the
-// class queue is full, or the beam is outside the fabric).
-func (f *Fabric) Route(beam int, payload []byte) bool {
-	return f.RoutePacket(beam, Packet{Bits: payload})
-}
-
 // RoutePacket enqueues a typed packet for a downlink beam. A full class
 // queue tail-drops (counted per class); a beam outside the fabric is
 // refused. Safe from any goroutine; concurrent routers
@@ -288,37 +277,6 @@ func (f *Fabric) HighWater(beam int) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.hw
-}
-
-// Beams lists beams with queued traffic, sorted.
-func (f *Fabric) Beams() []int {
-	var out []int
-	for i := range f.shards {
-		if f.QueueDepth(i) > 0 {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Routed returns the total packets enqueued since the last Adopt.
-func (f *Fabric) Routed() int {
-	total := 0
-	for _, cc := range f.ClassCounters() {
-		total += cc.Routed
-	}
-	return total
-}
-
-// Dropped returns the total packets tail-dropped by full class queues
-// since the last Adopt (misroutes are counted separately).
-func (f *Fabric) Dropped() int {
-	total := 0
-	for _, cc := range f.ClassCounters() {
-		total += cc.Dropped
-	}
-	return total
 }
 
 // ClassCounters aggregates the per-class accounting over every shard.

@@ -10,21 +10,36 @@ import (
 // pkt builds a small distinguishable payload.
 func pkt(id int) []byte { return []byte{byte(id >> 8), byte(id)} }
 
+// route enqueues an unmarked (best effort) packet.
+func route(f *Fabric, beam int, payload []byte) bool {
+	return f.RoutePacket(beam, Packet{Bits: payload})
+}
+
+// totals sums the per-class counters: packets enqueued and tail-dropped
+// since the last Adopt.
+func totals(f *Fabric) (routed, dropped int) {
+	for _, cc := range f.ClassCounters() {
+		routed += cc.Routed
+		dropped += cc.Dropped
+	}
+	return routed, dropped
+}
+
 // Route/Drain round trip in arrival order, multi-beam, plus the probe
 // surface — the contract the seed's PacketSwitch tests pinned.
 func TestFabricRoutingAndDrain(t *testing.T) {
 	f := New(4, 0)
-	f.Route(1, pkt(10))
-	f.Route(3, pkt(30))
-	f.Route(1, pkt(11))
+	route(f, 1, pkt(10))
+	route(f, 3, pkt(30))
+	route(f, 1, pkt(11))
 	if got := f.QueueDepth(1); got != 2 {
 		t.Fatalf("beam 1 depth %d, want 2", got)
 	}
-	if got := f.Routed(); got != 3 {
+	if got, _ := totals(f); got != 3 {
 		t.Fatalf("routed %d, want 3", got)
 	}
-	if beams := f.Beams(); len(beams) != 2 || beams[0] != 1 || beams[1] != 3 {
-		t.Fatalf("beams %v, want [1 3]", beams)
+	if f.QueueDepth(0) != 0 || f.QueueDepth(2) != 0 || f.QueueDepth(3) != 1 {
+		t.Fatal("packets queued on the wrong beams")
 	}
 	got := f.Drain(1)
 	if len(got) != 2 || got[0][1] != 10 || got[1][1] != 11 {
@@ -40,7 +55,7 @@ func TestFabricRoutingAndDrain(t *testing.T) {
 	if f.QueueDepth(-1) != 0 || f.QueueDepth(99) != 0 {
 		t.Fatal("out-of-range probe not zero")
 	}
-	if f.Route(99, pkt(1)) {
+	if route(f, 99, pkt(1)) {
 		t.Fatal("route to a beam outside the fabric accepted")
 	}
 }
@@ -66,9 +81,6 @@ func TestFabricBoundedQueuesDropPerClass(t *testing.T) {
 	if cc[ClassEF].Dropped != 0 || cc[ClassEF].Routed != 1 {
 		t.Fatalf("EF counters %+v", cc[ClassEF])
 	}
-	if f.Dropped() != 3 {
-		t.Fatalf("total dropped %d, want 3", f.Dropped())
-	}
 	if cc[ClassBE].HighWater != 2 || f.HighWater(0) != 3 {
 		t.Fatalf("high water class=%d beam=%d", cc[ClassBE].HighWater, f.HighWater(0))
 	}
@@ -79,17 +91,17 @@ func TestFabricBoundedQueuesDropPerClass(t *testing.T) {
 func TestAdoptAndSetDepth(t *testing.T) {
 	f := New(2, 0)
 	for i := 0; i < 6; i++ {
-		f.Route(0, pkt(i))
+		route(f, 0, pkt(i))
 	}
 	f.SetDepth(4)
 	if f.QueueDepth(0) != 6 {
 		t.Fatal("SetDepth evicted queued packets")
 	}
-	if f.Route(0, pkt(7)) {
+	if route(f, 0, pkt(7)) {
 		t.Fatal("over-deep queue accepted another packet")
 	}
 	f.Adopt(3)
-	if f.QueueDepth(0) != 0 || f.Routed() != 0 || f.Dropped() != 0 || f.HighWater(0) != 0 {
+	if r, d := totals(f); f.QueueDepth(0) != 0 || r != 0 || d != 0 || f.HighWater(0) != 0 {
 		t.Fatal("Adopt left state behind")
 	}
 	if d := f.shards[0].depth; d != 3 {
@@ -118,7 +130,6 @@ func TestConcurrentRoutersAndReaders(t *testing.T) {
 				f.RoutePacket((w+i)%beams, Packet{Bits: pkt(i), Class: Class(i % NumClasses)})
 				if i%16 == 0 {
 					f.QueueDepth(i % beams)
-					f.Beams()
 					f.ClassCounters()
 				}
 				if i%64 == 0 {
@@ -135,11 +146,12 @@ func TestConcurrentRoutersAndReaders(t *testing.T) {
 	for b := 0; b < beams; b++ {
 		total += len(f.Drain(b))
 	}
-	if total != f.Routed() {
-		t.Fatalf("drained %d packets, routed %d", total, f.Routed())
+	routed, dropped := totals(f)
+	if total != routed {
+		t.Fatalf("drained %d packets, routed %d", total, routed)
 	}
-	if f.Routed()+f.Dropped() != workers*perW {
-		t.Fatalf("routed %d + dropped %d != sent %d", f.Routed(), f.Dropped(), workers*perW)
+	if routed+dropped != workers*perW {
+		t.Fatalf("routed %d + dropped %d != sent %d", routed, dropped, workers*perW)
 	}
 }
 
@@ -165,8 +177,8 @@ func TestConcurrentRouteAndSchedule(t *testing.T) {
 	for b := 0; b < 2; b++ {
 		delivered += len(f.Drain(b))
 	}
-	if delivered+f.Dropped() != n {
-		t.Fatalf("delivered %d + dropped %d != sent %d", delivered, f.Dropped(), n)
+	if _, dropped := totals(f); delivered+dropped != n {
+		t.Fatalf("delivered %d + dropped %d != sent %d", delivered, dropped, n)
 	}
 }
 
@@ -201,9 +213,9 @@ func TestConcurrentDRRFillsAcrossBeams(t *testing.T) {
 	for b := 0; b < beams; b++ {
 		queued += f.QueueDepth(b)
 	}
-	if int(delivered.Load())+queued+f.Dropped() != beams*rounds {
+	if _, dropped := totals(f); int(delivered.Load())+queued+dropped != beams*rounds {
 		t.Fatalf("delivered %d + queued %d + dropped %d != routed %d",
-			delivered.Load(), queued, f.Dropped(), beams*rounds)
+			delivered.Load(), queued, dropped, beams*rounds)
 	}
 }
 
@@ -235,7 +247,7 @@ func TestFIFOArrivalOrderAcrossClasses(t *testing.T) {
 func TestScheduleEmitRejectUsesNoSlot(t *testing.T) {
 	f := New(1, 0)
 	for i := 0; i < 4; i++ {
-		f.Route(0, pkt(i))
+		route(f, 0, pkt(i))
 	}
 	calls := 0
 	used := f.Schedule(FIFO{}, 0, 2, func(p Packet) bool {

@@ -99,7 +99,7 @@ func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.claim(name, 'c') {
-		r.counters[name] = &Counter{name: name}
+		r.counters[name] = &Counter{}
 		r.counterNames = append(r.counterNames, name)
 	}
 	return r.counters[name]
@@ -111,7 +111,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.claim(name, 'g') {
-		r.gauges[name] = &Gauge{name: name}
+		r.gauges[name] = &Gauge{}
 		r.gaugeNames = append(r.gaugeNames, name)
 	}
 	return r.gauges[name]
@@ -123,7 +123,7 @@ func (r *Registry) Timer(name string) *Timer {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.claim(name, 't') {
-		r.timers[name] = &Timer{name: name, samples: make([]float64, 0, r.timerCap)}
+		r.timers[name] = &Timer{samples: make([]float64, 0, r.timerCap)}
 		r.timerNames = append(r.timerNames, name)
 	}
 	return r.timers[name]
@@ -134,12 +134,8 @@ func (r *Registry) Timer(name string) *Timer {
 // consumer can difference any two flushes without having seen the ones
 // between.
 type Counter struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
-
-// Name returns the interned metric key.
-func (c *Counter) Name() string { return c.name }
 
 // Add accumulates delta. The record path performs one atomic add — no
 // allocation, no lock.
@@ -153,12 +149,8 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a last-value metric (queue depth, heap bytes, goroutines).
 type Gauge struct {
-	name string
 	bits atomic.Uint64
 }
-
-// Name returns the interned metric key.
-func (g *Gauge) Name() string { return g.name }
 
 // Set records the current value. The record path performs one atomic
 // store — no allocation, no lock.
@@ -175,17 +167,12 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // across flushes, so the record path is allocation-free in steady
 // state.
 type Timer struct {
-	name string
-
 	mu       sync.Mutex
 	samples  []float64
 	overflow int64 // interval observations past the sample bound
 	count    int64 // cumulative observations over the run
 	sum      float64
 }
-
-// Name returns the interned metric key.
-func (t *Timer) Name() string { return t.name }
 
 // Observe records one sample. The record path is a mutex-guarded append
 // into preallocated capacity — no allocation in steady state.

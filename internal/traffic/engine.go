@@ -709,9 +709,6 @@ func (e *Engine) QueueDepth(beam int) int {
 	return e.fab.QueueDepth(beam)
 }
 
-// Scheduler returns the downlink scheduler in force.
-func (e *Engine) Scheduler() switchfab.Scheduler { return e.dlsched }
-
 // RunFrames advances the closed loop by n consecutive frames and
 // returns drained. It may be called repeatedly — e.g. around a
 // ground-initiated reconfiguration — with queues, scheduler state and

@@ -104,8 +104,8 @@ func TestEngineDRRWeightedShares(t *testing.T) {
 // change marks subsequent packets only, and bad arguments are errors.
 func TestSetSchedulerAndClassMidRun(t *testing.T) {
 	e := newEngine(t, qosConfig(nil), qosOverloadTerms(), "uncoded")
-	if e.Scheduler().Name() != "fifo" {
-		t.Fatalf("nil scheduler resolved to %q, want fifo", e.Scheduler().Name())
+	if e.Config().Scheduler.Name() != "fifo" {
+		t.Fatalf("nil scheduler resolved to %q, want fifo", e.Config().Scheduler.Name())
 	}
 	if err := e.RunFrames(4); err != nil {
 		t.Fatal(err)

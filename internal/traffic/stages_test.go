@@ -30,11 +30,12 @@ func TestStageTimersNilSet(t *testing.T) {
 // NewStageTimers interns the cross-frame occupancy pair under the
 // documented engine.pipeline.* keys, the ones the benchmark reads back.
 func TestNewPipelineTimersKeys(t *testing.T) {
-	st := NewStageTimers(telemetry.NewRegistry())
-	if st[StageOverlap].Name() != "engine.pipeline.overlap_ns" {
-		t.Fatalf("overlap key %q", st[StageOverlap].Name())
+	reg := telemetry.NewRegistry()
+	st := NewStageTimers(reg)
+	if st[StageOverlap] != reg.Timer("engine.pipeline.overlap_ns") {
+		t.Fatal("overlap timer not interned under engine.pipeline.overlap_ns")
 	}
-	if st[StageStall].Name() != "engine.pipeline.stall_ns" {
-		t.Fatalf("stall key %q", st[StageStall].Name())
+	if st[StageStall] != reg.Timer("engine.pipeline.stall_ns") {
+		t.Fatal("stall timer not interned under engine.pipeline.stall_ns")
 	}
 }

@@ -285,7 +285,7 @@ func TestStepThenMutateDrains(t *testing.T) {
 			func() error { return e.SetTerminalClass("t0", 1) },
 			func() error { return e.SetQueueDepth(6) },
 			func() error { e.SetQueuePolicy(DropTail); return nil },
-			func() error { return e.SetScheduler(e.Scheduler()) },
+			func() error { return e.SetScheduler(e.Config().Scheduler) },
 			func() error { e.SetStageTimers(NewStageTimers(telemetry.NewRegistry())); return nil },
 			func() error { return e.RemoveTerminal("t3") },
 		}
