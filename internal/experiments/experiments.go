@@ -1,5 +1,5 @@
 // Package experiments regenerates every table, figure and quantitative
-// claim of the paper's evaluation (see DESIGN.md §4 for the index):
+// claim of the paper's evaluation (see DESIGN.md §5 for the index):
 //
 //	E1  Table 1   — MH1RT device characteristics + Monte-Carlo SEU rate
 //	E2  §2.3      — gate complexity: TDMA timing recovery vs CDMA demod
@@ -13,10 +13,14 @@
 //	E10 §2        — concurrent per-carrier receive pipeline
 //	E11 §2        — sustained MF-TDMA traffic through the closed
 //	               regenerative loop, with a mid-run decoder swap
+//	E12 §2        — the burst sync chain under per-terminal channel
+//	               impairments, over an Eb/N0 sweep
+//	E13 §2        — the QoS switching fabric under a best-effort flash
+//	               crowd: strict priority against its FIFO twin
 //
 // Every experiment is a pure function of its parameters (deterministic
-// under a fixed seed) returning a printable result, so the same code
-// backs the cmd/experiments binary and the root-level benchmarks.
+// under a fixed seed) returning a printable result; cmd/experiments
+// prints them and the package tests pin them.
 package experiments
 
 import (

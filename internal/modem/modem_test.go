@@ -280,9 +280,6 @@ func TestBurstDemodulatorModeValidation(t *testing.T) {
 func TestFrameComposerPlacement(t *testing.T) {
 	cfg := DefaultFrameConfig()
 	fc := NewFrameComposer(cfg, 2)
-	if fc.Config().Carriers != 6 {
-		t.Fatal("config")
-	}
 	burst := dsp.NewVec(100)
 	for i := range burst {
 		burst[i] = 1

@@ -58,9 +58,6 @@ func NewFrameComposer(cfg FrameConfig, sps int) *FrameComposer {
 	return fc
 }
 
-// Config returns the frame configuration.
-func (fc *FrameComposer) Config() FrameConfig { return fc.cfg }
-
 // Reset silences every carrier so the composer can build the next frame
 // without reallocating its waveform buffers — streaming engines compose
 // one frame per iteration and must not churn the heap.

@@ -38,6 +38,7 @@ func procsRun(t *testing.T, sp Spec, procs int) ([]FrameStats, string, []string,
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess.AddObserver(ledgerObserver(t, sess))
 	var feed bytes.Buffer
 	tel := NewTelemetryObserver(&feed, TelemetryConfig{FlushEvery: 1, DisableRuntime: true})
 	tel.Attach(sess)

@@ -3,10 +3,8 @@ package traffic
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"runtime"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/dsp"
@@ -14,7 +12,6 @@ import (
 	"repro/internal/frontend"
 	"repro/internal/modem"
 	"repro/internal/payload"
-	"repro/internal/pipeline"
 	"repro/internal/switchfab"
 )
 
@@ -56,11 +53,10 @@ type Config struct {
 	// Policy selects the overload behaviour of the bounded queues.
 	Policy DropPolicy
 	// Scheduler fills downlink slots from the switching fabric's class
-	// queues; nil selects switchfab.FIFO (arrival order, bit-identical
-	// to the pre-fabric engine on single-class runs).
+	// queues; nil selects switchfab.FIFO (arrival order).
 	Scheduler switchfab.Scheduler
-	// EbN0dB applies AWGN to every uplink burst at the given Eb/N0;
-	// zero or negative leaves the uplink noiseless.
+	// EbN0dB applies AWGN to every uplink burst at the given Eb/N0; zero
+	// leaves the uplink noiseless (Spec.Validate rejects a negative one).
 	EbN0dB float64
 	// Verify demodulates the transmitted downlink on a ground receiver
 	// and checks every delivered packet bit for bit.
@@ -108,33 +104,8 @@ func InfoBitsFor(c fec.Codec, budget int) int {
 	return k
 }
 
-// uplinkCell is one granted (carrier, slot) cell of the current frame.
-type uplinkCell struct {
-	asg  modem.SlotAssignment
-	term *termState
-	info []byte
-}
-
-// sentCell is one downlink burst of the current frame.
-type sentCell struct {
-	pkt  switchfab.Packet
-	cell modem.SlotAssignment
-}
-
-// ingestPlan is the ingest-side frame scratch: the flat info-bit
-// backing, the granted-cell list sub-slicing it, and the receive-path
-// assignment/meta slices. Only ingest touches it (egress and verify
-// read the egressGen alone; decoded packets carry fresh bit slices), so
-// one plan serves every frame.
-type ingestPlan struct {
-	infoBuf []byte
-	cells   []uplinkCell
-	asgs    []modem.SlotAssignment
-	metas   []payload.RouteMeta
-}
-
 // egressGen is one generation of the egress-side frame state: the
-// downlink transmit grid and the sent-cell list the ground verifier
+// downlink transmit grid and the sent-cell list the ground receiver
 // walks. Two generations alternate by frame parity, so the scheduler
 // fill of frame N+1 (control thread) writes its generation while frame
 // N's in-flight egress still reads the other.
@@ -175,85 +146,63 @@ type egressOutcome struct {
 	err error
 }
 
-// clsAccum collects engine-side per-class delivery statistics; the
-// fabric-side counters (routed, dropped, high water) merge in at
-// snapshot time (perClass).
-type clsAccum struct {
-	delivered int
-	bits      int
-	reencode  int
-	latSum    int
-	latMax    int
+// delivery accumulates the packets put on the downlink and their
+// queueing latency in frames — the one form of the figures the run, each
+// class and each population report.
+type delivery struct {
+	packets, bits, latSum, latMax int
 }
 
-// Engine drives the closed regenerative loop frame after frame. Since
-// the switching fabric landed there is no engine-owned queue layer: the
-// payload's fabric is the single downlink queue — uplink receipts
-// enter it as typed packets (class, terminal, ingress frame) and the
-// downlink scheduler pops them straight into the transmit grid.
+func (d *delivery) add(bits, lat int) {
+	d.merge(delivery{packets: 1, bits: bits, latSum: lat, latMax: lat})
+}
+
+func (d *delivery) merge(o delivery) {
+	d.packets += o.packets
+	d.bits += o.bits
+	d.latSum += o.latSum
+	d.latMax = max(d.latMax, o.latMax)
+}
+
+func (d delivery) mean() float64 {
+	if d.packets == 0 {
+		return 0
+	}
+	return float64(d.latSum) / float64(d.packets)
+}
+
+// Engine drives the closed regenerative loop frame after frame. The
+// payload's fabric is the single downlink queue: uplink receipts enter
+// it as typed packets (class, terminal, ingress frame) and the downlink
+// scheduler pops them straight into the transmit grid.
 type Engine struct {
-	pl      *payload.Payload
-	tx      *payload.Transmitter
-	sched   *modem.SlotScheduler
-	fab     *switchfab.Fabric
-	dlsched switchfab.Scheduler
-	cfg     Config
+	pl  *payload.Payload
+	tx  *payload.Transmitter
+	fab *switchfab.Fabric
+	cfg Config // as in force: Plan and Scheduler resolved, mutators applied
 
-	// terms is the population in join order, departed terminals
-	// included (active=false) so their statistics survive a mid-run
-	// leave; rngSeq counts terminals ever admitted so each gets a
-	// stable deterministic seed regardless of later joins/leaves. byID
-	// indexes the active terminals, so admission checks and event
-	// lookups stay O(1) through join/leave storms.
-	terms  []*termState
-	byID   map[string]*termState
-	rngSeq int64
+	// The roles around the payload: dama and uplink run on the control
+	// thread (ingest), ground inside egress.
+	dama   *damaController
+	uplink *uplinkSynth
+	ground *groundReceiver // nil unless cfg.Verify
 
-	// pops are the aggregate populations (two-tier model): one popState
-	// per Population, with per-(population, beam) block state. beamAgg
-	// groups the blocks by physical beam for the per-beam routing tasks.
-	pops    []*popState
-	beamAgg [][]*popBeam
+	// gens — transmit grid plus the sent-cell list the ground receiver
+	// walks — is double-buffered by frame parity (beginFrame), so the
+	// fill of frame N+1 never rewrites what frame N's in-flight egress
+	// still reads (DESIGN §12).
+	gens [2]egressGen
+	// fill, beam and slot are emitPacket's context while the downlink
+	// scheduler runs (the frame being filled, the next free cell); emit
+	// is emitPacket bound once, so a fill allocates no closure.
+	fill       framePrep
+	beam, slot int
+	emit       func(switchfab.Packet) bool
 
-	frame int
-
-	mods    sync.Pool // terminal-side burst modulators
-	chans   sync.Pool // per-burst uplink channels (Reseed'd each use)
-	encBufs sync.Pool // *[]byte encode scratch, padded to the burst budget
-	gdemux  *frontend.Demux
-	gdems   sync.Pool // ground-side burst demodulators
-	gllrs   sync.Pool // *[]float64 sign-sliced LLRs of one verified burst
-	ver     verifyScratch
-
-	// scratch reused across frames. fc, room, aggBits and plan are
-	// single buffers because every stage that touches them runs on the
-	// control thread (ingest and fill); gens — transmit grid plus the
-	// sent-cell list the ground verifier walks — is double-buffered by
-	// frame parity (beginFrame), so the fill of frame N+1 never rewrites
-	// what frame N's in-flight egress still reads (DESIGN §12).
-	fc      *modem.FrameComposer
-	room    [][switchfab.NumClasses]int
-	aggBits []byte // shared k-bit payload stand-in for aggregate packets
-	plan    ingestPlan
-	gens    [2]egressGen
-
-	// fill is the frame plan every beam's fill task reads while the
-	// downlink scheduler pops packets into the transmit grid; it is
-	// written once per frame before the tasks fan out and read-only
-	// underneath them.
-	fill framePrep
-	// beams is the per-beam downlink fill state (slot cursor, sent
-	// cells, per-class delivery deltas, preallocated emit closure): each
-	// beam's schedule/fill runs as its own pipeline task touching only
-	// its entry, and the deltas merge into the run totals in beam order
-	// after the fan-in — bit-identical to the old sequential fill.
-	beams      []beamState
-	aggPending bool // a dama pass granted aggregate cells this frame
-
-	met    Report
-	cls    [switchfab.NumClasses]clsAccum
-	latSum int
-	wall   time.Duration
+	met      Report // the counters ingest and join write; Report adds the rest
+	cls      [switchfab.NumClasses]delivery
+	reencode [switchfab.NumClasses]int
+	wall     time.Duration
 
 	// stages, when attached, receives one per-stage duration sample per
 	// frame (see StageTimers). Nil means the untimed hot path: no
@@ -268,76 +217,6 @@ type Engine struct {
 	outs     chan egressOutcome
 	inflight bool
 	err      error
-}
-
-// termState is one terminal's live engine state: the terminal itself,
-// its deterministic payload-bit RNG, and its accumulated statistics.
-// Queued packets and in-flight cells reference it by pointer, so a
-// terminal that leaves mid-run keeps accruing delivery stats for
-// packets it already got into the sky. profSince anchors the channel
-// profile's Doppler ramp: a profile installed mid-run (join or
-// set-channel) starts drifting from its installation frame, not
-// retroactively from frame 0.
-type termState struct {
-	term      Terminal
-	rng       *rand.Rand
-	stat      TerminalStats
-	sync      syncAccum
-	active    bool
-	profSince int
-}
-
-// syncAccum collects per-terminal burst synchronization statistics from
-// the uplink receipts; Report reduces them to the published stats.
-type syncAccum struct {
-	bursts     int
-	freqAbsSum float64
-	freqAbsMax float64
-	uwMin      float64
-}
-
-// beamState is one downlink beam's fill-stage state. During the
-// schedule stage it is owned exclusively by that beam's task: the task
-// holds the fabric shard lock for its beam, writes only its own grid
-// row, sent slice and class accumulators, and the per-frame deltas
-// merge sequentially afterwards.
-type beamState struct {
-	beam int
-	slot int
-	sent []sentCell
-	cls  [switchfab.NumClasses]clsAccum
-	emit func(switchfab.Packet) bool
-}
-
-// popState is one aggregate population's live engine state: the
-// definition, its per-beam member blocks, and the request-side
-// accounting (written sequentially in dama).
-type popState struct {
-	def   Population
-	beams []popBeam
-	stat  PopulationStats
-}
-
-// popBeam is one population's member block on one beam. granted hands a
-// frame's admitted cells from the sequential dama pass to the per-beam
-// routing task; routed/dropped/delivered accounting is cumulative and
-// written only by that beam's task (routing and fill), so the shard
-// ownership rule holds without atomics.
-type popBeam struct {
-	ps           *popState
-	beam         int
-	lo, hi       int // member block [lo, hi)
-	untraced     int // members in the block not modeled as tracers
-	tracerModels []Model
-
-	granted int // cells admitted this frame, consumed by routing
-
-	routed    int
-	dropped   int
-	delivered int
-	bits      int
-	latSum    int
-	latMax    int
 }
 
 // New builds an engine around a booted TDMA payload. The terminal list
@@ -383,34 +262,24 @@ func NewPopulations(pl *payload.Payload, cfg Config, terminals []Terminal, pops 
 		cfg.Scheduler = switchfab.FIFO{}
 	}
 	e := &Engine{
-		pl:      pl,
-		tx:      payload.NewTransmitter(pl, plan),
-		sched:   modem.NewSlotScheduler(cfg.Frame),
-		fab:     pl.Switch(),
-		dlsched: cfg.Scheduler,
-		cfg:     cfg,
-		room:    make([][switchfab.NumClasses]int, cfg.Frame.Carriers),
-		byID:    make(map[string]*termState),
-		beamAgg: make([][]*popBeam, cfg.Frame.Carriers),
-		beams:   make([]beamState, cfg.Frame.Carriers),
+		pl:     pl,
+		tx:     payload.NewTransmitter(pl, plan),
+		fab:    pl.Switch(),
+		cfg:    cfg,
+		dama:   newDAMAController(cfg, pl.Switch()),
+		uplink: newUplinkSynth(cfg, pl.BurstFormat()),
 	}
+	e.emit = e.emitPacket
 	// The engine is the fabric's exclusive driver for the run: adopting
 	// it clears any previous driver's queues and counters and installs
 	// the per-(beam, class) bound (see the switchfab ownership rule).
 	e.fab.Adopt(cfg.QueueDepth)
-	for b := range e.beams {
-		bs := &e.beams[b]
-		bs.beam = b
-		// One closure per beam, allocated once: the per-frame fill path
-		// stays allocation-free however many beams run concurrently.
-		bs.emit = func(p switchfab.Packet) bool { return e.emitPacket(bs, p) }
-	}
 	for _, t := range terminals {
-		if err := e.admit(t); err != nil {
+		if err := e.dama.admit(t, 0); err != nil {
 			return nil, err
 		}
 	}
-	if err := e.adoptPopulations(pops); err != nil {
+	if err := e.dama.adoptPopulations(pops); err != nil {
 		return nil, err
 	}
 	e.resolveSyncConfig()
@@ -421,116 +290,10 @@ func NewPopulations(pl *payload.Payload, cfg Config, terminals []Terminal, pops 
 			g.grid[c] = make([][]byte, cfg.Frame.Slots)
 		}
 	}
-	e.mods.New = func() any {
-		return modem.NewBurstModulator(pl.BurstFormat(), 0.35, 4, 10)
-	}
-	e.chans.New = func() any { return dsp.NewChannel(0) }
-	e.encBufs.New = func() any {
-		b := make([]byte, 0, pl.BurstFormat().PayloadBits())
-		return &b
-	}
 	if cfg.Verify {
-		e.gdemux = frontend.NewDemux(plan, 95)
-		e.gdems.New = func() any {
-			return modem.NewBurstDemodulator(pl.BurstFormat(), 0.35, plan.Decim, 10, modem.TimingOerderMeyr)
-		}
-		e.gllrs.New = func() any {
-			l := make([]float64, pl.BurstFormat().PayloadBits())
-			return &l
-		}
-		e.ver.downconvert, e.ver.check = e.verifyRun, e.verifyBurst
+		e.ground = newGroundReceiver(cfg.Frame, plan, pl.BurstFormat())
 	}
 	return e, nil
-}
-
-// admit validates a terminal against the live population and joins it.
-func (e *Engine) admit(t Terminal) error {
-	if t.ID == "" || t.Model == nil {
-		return errors.New("traffic: terminal needs an ID and a model")
-	}
-	if _, dup := e.byID[t.ID]; dup {
-		return fmt.Errorf("traffic: duplicate terminal %q", t.ID)
-	}
-	if t.Beam < 0 || t.Beam >= e.cfg.Frame.Carriers {
-		return fmt.Errorf("traffic: terminal %q beam %d outside the %d-beam downlink", t.ID, t.Beam, e.cfg.Frame.Carriers)
-	}
-	ts := &termState{
-		term:      t,
-		rng:       rand.New(rand.NewSource(e.cfg.Seed + e.rngSeq*7919)),
-		stat:      TerminalStats{ID: t.ID, Model: t.Model.Name()},
-		active:    true,
-		profSince: e.frame,
-	}
-	e.terms = append(e.terms, ts)
-	e.byID[t.ID] = ts
-	e.rngSeq++
-	return nil
-}
-
-// adoptPopulations validates the aggregate populations and builds their
-// per-beam block state (construction-time only; populations are fixed
-// for the run, unlike terminals, which join and leave freely).
-func (e *Engine) adoptPopulations(pops []Population) error {
-	names := make(map[string]bool, len(pops))
-	for _, p := range pops {
-		if p.Name == "" || p.Model == nil {
-			return errors.New("traffic: population needs a name and an aggregate model")
-		}
-		if names[p.Name] {
-			return fmt.Errorf("traffic: duplicate population %q", p.Name)
-		}
-		names[p.Name] = true
-		if p.Count < 1 {
-			return fmt.Errorf("traffic: population %q has %d members", p.Name, p.Count)
-		}
-		if len(p.Beams) == 0 {
-			return fmt.Errorf("traffic: population %q has no beams", p.Name)
-		}
-		for _, b := range p.Beams {
-			if b < 0 || b >= e.cfg.Frame.Carriers {
-				return fmt.Errorf("traffic: population %q beam %d outside the %d-beam downlink", p.Name, b, e.cfg.Frame.Carriers)
-			}
-		}
-		if len(p.TracerMembers) > p.Count {
-			return fmt.Errorf("traffic: population %q traces %d of %d members", p.Name, len(p.TracerMembers), p.Count)
-		}
-		for i, m := range p.TracerMembers {
-			if m < 0 || m >= p.Count {
-				return fmt.Errorf("traffic: population %q tracer member %d outside [0, %d)", p.Name, m, p.Count)
-			}
-			if i > 0 && m <= p.TracerMembers[i-1] {
-				return fmt.Errorf("traffic: population %q tracer members not sorted ascending", p.Name)
-			}
-		}
-		ps := &popState{
-			def: p,
-			stat: PopulationStats{
-				Name:    p.Name,
-				Model:   p.Model.Name(),
-				Class:   p.Class.String(),
-				Members: p.Count,
-				Tracers: len(p.TracerMembers),
-			},
-		}
-		nb := len(p.Beams)
-		ps.beams = make([]popBeam, nb)
-		ti := 0
-		for bi := 0; bi < nb; bi++ {
-			lo, hi := memberBlock(bi, p.Count, nb)
-			pb := &ps.beams[bi]
-			pb.ps = ps
-			pb.beam = p.Beams[bi]
-			pb.lo, pb.hi = lo, hi
-			for ti < len(p.TracerMembers) && p.TracerMembers[ti] < hi {
-				pb.tracerModels = append(pb.tracerModels, p.Model.Member(p.TracerMembers[ti]))
-				ti++
-			}
-			pb.untraced = (hi - lo) - len(pb.tracerModels)
-			e.beamAgg[pb.beam] = append(e.beamAgg[pb.beam], pb)
-		}
-		e.pops = append(e.pops, ps)
-	}
-	return nil
 }
 
 // resolveSyncConfig re-resolves the payload's burst synchronization
@@ -538,24 +301,16 @@ func (e *Engine) adoptPopulations(pops []Population) error {
 // the full chain: feedforward CFO recovery before the UW search and
 // residual phase tracking across the payload. A clean population keeps
 // (or, after an impaired stretch — e.g. a fade that has cleared —
-// restores) the boot default, the legacy UW-phase-only chain, so
-// clean-channel runs stay bit-identical to engines predating channel
-// profiles. An explicitly configured payload is left alone; only
-// engine-chosen defaults (SetSyncConfigAuto) are ever replaced. It is
-// called at construction and whenever the population's impairments
-// change mid-run (join, leave, channel-profile update).
+// restores) the boot default, the UW-phase-only chain. An explicitly
+// configured payload is left alone; only engine-chosen defaults
+// (SetSyncConfigAuto) are ever replaced. It is called at construction
+// and whenever the population's impairments change mid-run (join,
+// leave, channel-profile update).
 func (e *Engine) resolveSyncConfig() {
 	if e.pl.SyncConfigExplicit() {
 		return
 	}
-	impaired := false
-	for _, ts := range e.terms {
-		if ts.active && ts.term.Channel.Impaired() {
-			impaired = true
-			break
-		}
-	}
-	if impaired {
+	if slices.ContainsFunc(e.Terminals(), func(t Terminal) bool { return t.Channel.Impaired() }) {
 		// The unique-word threshold is lifted above the legacy 0.6:
 		// the candidate search triples the per-slot UW scans, and a
 		// pure-noise scan's best metric tails past 0.7 often enough
@@ -577,7 +332,7 @@ func (e *Engine) resolveSyncConfig() {
 // clean population onto the full burst synchronization chain.
 func (e *Engine) AddTerminal(t Terminal) error {
 	e.drain()
-	if err := e.admit(t); err != nil {
+	if err := e.dama.admit(t, e.met.Frames); err != nil {
 		return err
 	}
 	e.resolveSyncConfig()
@@ -590,13 +345,9 @@ func (e *Engine) AddTerminal(t Terminal) error {
 // The departed terminal keeps its row in Report.PerTerminal.
 func (e *Engine) RemoveTerminal(id string) error {
 	e.drain()
-	ts, err := e.lookup(id)
-	if err != nil {
+	if err := e.dama.remove(id); err != nil {
 		return err
 	}
-	ts.active = false
-	delete(e.byID, id)
-	e.sched.Release(id)
 	e.resolveSyncConfig()
 	return nil
 }
@@ -611,12 +362,12 @@ func (e *Engine) RemoveTerminal(id string) error {
 // legacy chain.
 func (e *Engine) SetTerminalChannel(id string, p *ChannelProfile) error {
 	e.drain()
-	ts, err := e.lookup(id)
+	ts, err := e.dama.lookup(id)
 	if err != nil {
 		return err
 	}
 	ts.term.Channel = p
-	ts.profSince = e.frame
+	ts.profSince = e.met.Frames
 	e.resolveSyncConfig()
 	return nil
 }
@@ -650,7 +401,6 @@ func (e *Engine) SetScheduler(s switchfab.Scheduler) error {
 		return errors.New("traffic: nil downlink scheduler")
 	}
 	e.drain()
-	e.dlsched = s
 	e.cfg.Scheduler = s
 	return nil
 }
@@ -664,7 +414,7 @@ func (e *Engine) SetTerminalClass(id string, c switchfab.Class) error {
 		return fmt.Errorf("traffic: unknown traffic class %d", c)
 	}
 	e.drain()
-	ts, err := e.lookup(id)
+	ts, err := e.dama.lookup(id)
 	if err != nil {
 		return err
 	}
@@ -672,42 +422,20 @@ func (e *Engine) SetTerminalClass(id string, c switchfab.Class) error {
 	return nil
 }
 
-// lookup finds an active terminal by ID through the index map — O(1)
-// whatever the population size or join/leave history.
-func (e *Engine) lookup(id string) (*termState, error) {
-	if ts, ok := e.byID[id]; ok {
-		return ts, nil
-	}
-	return nil, fmt.Errorf("traffic: unknown terminal %q", id)
-}
-
 // Terminals returns the active population in join order.
-func (e *Engine) Terminals() []Terminal {
-	var out []Terminal
-	for _, ts := range e.terms {
-		if ts.active {
-			out = append(out, ts.term)
-		}
-	}
-	return out
-}
+func (e *Engine) Terminals() []Terminal { return e.dama.activeTerminals() }
 
 // Config returns the engine configuration as currently in force
 // (queue depth and policy may have changed since construction).
 func (e *Engine) Config() Config { return e.cfg }
 
 // Frame returns the number of frames processed so far.
-func (e *Engine) Frame() int { return e.frame }
+func (e *Engine) Frame() int { return e.met.Frames }
 
 // QueueDepth returns the packets currently queued for a beam across
 // all classes, 0 for a beam outside the downlink (no panic: observers
 // probe freely).
-func (e *Engine) QueueDepth(beam int) int {
-	if beam < 0 || beam >= e.cfg.Frame.Carriers {
-		return 0
-	}
-	return e.fab.QueueDepth(beam)
-}
+func (e *Engine) QueueDepth(beam int) int { return e.fab.QueueDepth(beam) }
 
 // RunFrames advances the closed loop by n consecutive frames and
 // returns drained. It may be called repeatedly — e.g. around a
@@ -762,9 +490,7 @@ func (e *Engine) Step() error {
 		e.inflight = true
 		return nil
 	}
-	var d egressDelta
-	d, e.err = e.egress(&pf)
-	e.foldVerify(d)
+	e.fold(e.egress(&pf))
 	return e.err
 }
 
@@ -792,8 +518,7 @@ func (e *Engine) join() {
 	out := <-e.outs
 	e.inflight = false
 	stall := time.Since(start)
-	e.foldVerify(out.d)
-	e.err = out.err
+	e.fold(out.d, out.err)
 	if e.stages != nil {
 		e.stages[StageStall].Observe(float64(stall))
 		e.stages[StageOverlap].Observe(float64(max(out.dur-stall, 0)))
@@ -829,8 +554,7 @@ func (e *Engine) drain() {
 // and picks the frame's egress generation by parity. ok=false means the
 // frame is already fully accounted (outage) and no stage must run.
 func (e *Engine) beginFrame() (framePrep, bool) {
-	f := e.frame
-	e.frame++
+	f := e.met.Frames
 	e.met.Frames++
 
 	codec, err := e.pl.Codec()
@@ -871,9 +595,9 @@ func (e *Engine) lap(s Stage, since time.Time) time.Time {
 
 // ingest is the frame's first half-stage — DAMA grant, terminal-side
 // burst synthesis, payload receive and fabric routing. It runs on the
-// engine's control thread only: it owns the terminal states, the slot
-// scheduler, the frame composer and the fabric's route side, none of
-// which the concurrent egress of the previous frame touches.
+// engine's control thread only: it owns the DAMA controller, the uplink
+// synthesizer and the fabric's route side, none of which the concurrent
+// egress of the previous frame touches.
 //
 // When stage timers are attached, the synthesis stage spans from the
 // prologue timestamp (taken before DAMA) through the modulation
@@ -883,403 +607,48 @@ func (e *Engine) lap(s Stage, since time.Time) time.Time {
 // and nothing else, so per-stage sample counts line up with the frame
 // count.
 func (e *Engine) ingest(pf *framePrep) {
-	cells := e.dama(pf)
-	if len(cells) > 0 {
-		e.synthesize(pf, cells)
+	plan := e.dama.grant(pf.f, pf.k, e.cfg.Policy, e.cfg.QueueDepth, &e.met)
+	var fc *modem.FrameComposer
+	if len(plan.cells) > 0 {
+		fc = e.uplink.synthesize(pf, plan)
 	}
 	tRecv := e.lap(StageSynthesis, pf.t0)
-	if len(cells) > 0 {
-		e.receive(pf, cells)
+	if fc != nil {
+		// Decoded packets enter the fabric's bounded class queues typed
+		// with class, terminal and ingress frame.
+		e.dama.account(e.pl.ReceiveFrameAndRouteQoS(fc, plan.asgs, plan.metas), pf.k, &e.met)
 	}
-	// Aggregate grants arrive behind the frame's decoded bursts: same
-	// ingress frame, deterministic per-shard order.
-	e.routeAggregates(pf.f, pf.k)
+	e.dama.routeAggregates(pf.f, pf.k)
 	e.lap(StageReceive, tRecv)
 }
 
-// foldVerify merges a frame's ground-verify outcome into the run
-// report: right after an inline egress, at the join of an overlapped
-// one — so a mid-run Report may lag the two verify counters by the one
-// in-flight frame until the engine drains.
-func (e *Engine) foldVerify(d egressDelta) {
+// fold merges a frame's egress outcome into the run — the ground-verify
+// counters and the sticky error: right after an inline egress, at the
+// join of an overlapped one, so a mid-run Report may lag the two verify
+// counters by the one in-flight frame until the engine drains.
+func (e *Engine) fold(d egressDelta, err error) {
 	e.met.DownlinkLost += d.lost
 	e.met.DownlinkBitErrs += d.bitErrs
-}
-
-// dama releases last frame's burst time plan and grants this frame's:
-// every terminal, in population order, requests its model's demand,
-// clipped to the remaining frame capacity (and, under Backpressure, to
-// the room left in its destination (beam, class) queue — admission
-// control is class-aware, so a best-effort backlog throttles only
-// best-effort sources).
-func (e *Engine) dama(pf *framePrep) []uplinkCell {
-	f, k, plan := pf.f, pf.k, &e.plan
-	for _, ts := range e.terms {
-		if ts.active {
-			e.sched.Release(ts.term.ID)
-		}
-	}
-	var room [][switchfab.NumClasses]int
-	if e.cfg.Policy == Backpressure {
-		room = e.room
-		for b := range room {
-			for c := 0; c < switchfab.NumClasses; c++ {
-				room[b][c] = e.cfg.QueueDepth - e.fab.ClassQueueDepth(b, switchfab.Class(c))
-			}
-		}
-	}
-	// Per-cell info bits live in one flat frame-scoped buffer sized for
-	// the worst case (every slot granted); cells sub-slice it, so a
-	// frame's worth of payload generation costs zero allocations once
-	// the buffer and cell slice reach steady state.
-	if need := e.sched.Capacity() * k; cap(plan.infoBuf) < need {
-		plan.infoBuf = make([]byte, need)
-	}
-	buf, off := plan.infoBuf[:cap(plan.infoBuf)], 0
-	cells := plan.cells[:0]
-	for _, ts := range e.terms {
-		if !ts.active {
-			continue
-		}
-		t := ts.term
-		d := t.Model.Demand(f)
-		e.met.OfferedCells += d
-		ts.stat.OfferedCells += d
-		if d == 0 {
-			continue
-		}
-		d, throttled, denied := admit(room, t.Beam, t.Class, d, e.sched.Capacity()-e.sched.Allocated())
-		e.met.ThrottledCells += throttled
-		e.met.DeniedCells += denied
-		if d == 0 {
-			continue
-		}
-		asgs, err := e.sched.Request(t.ID, d)
-		if err != nil {
-			// Cannot happen after the clamp; keep the loop total anyway.
-			e.met.DeniedCells += d
-			continue
-		}
-		e.met.GrantedCells += len(asgs)
-		ts.stat.GrantedCells += len(asgs)
-		for _, a := range asgs {
-			info := buf[off : off+k : off+k]
-			off += k
-			for i := range info {
-				info[i] = byte(ts.rng.Intn(2))
-			}
-			cells = append(cells, uplinkCell{asg: a, term: ts, info: info})
-		}
-	}
-	plan.cells = cells
-	e.damaAggregates(f, k, room)
-	return cells
-}
-
-// admit is the admission rule both DAMA passes apply to a demand of d
-// cells: under backpressure (room != nil) clip it to the room left in
-// its (beam, class) queue and reserve what passes, then clip it to the
-// free cells left in the frame.
-func admit(room [][switchfab.NumClasses]int, beam int, class switchfab.Class, d, free int) (granted, throttled, denied int) {
-	if room != nil {
-		r := &room[beam][class]
-		if d > *r {
-			throttled = d - max(*r, 0)
-			d = *r
-		}
-		if d <= 0 {
-			return 0, throttled, 0
-		}
-		*r -= d
-	}
-	if d > free {
-		denied = d - free
-		d = free
-	}
-	return d, throttled, denied
-}
-
-// damaAggregates runs the aggregate side of admission control after the
-// terminal loop: tracers are pinned measurement channels that request
-// first, the untraced remainder of each population block competes for
-// what is left of the frame. Aggregate cells are flow-level — no slots
-// are physically assigned and no waveform is synthesized — but they
-// consume uplink capacity, respect backpressure room and enter the
-// fabric's bounded queues like any decoded packet, so queue pressure
-// and QoS behaviour at scale are real. With every member traced
-// (untraced == 0 throughout) this pass touches nothing and the engine
-// is bit-identical to the per-terminal path.
-func (e *Engine) damaAggregates(f, k int, room [][switchfab.NumClasses]int) {
-	e.aggPending = false
-	if len(e.pops) == 0 {
-		return
-	}
-	aggAlloc := 0
-	for _, ps := range e.pops {
-		for i := range ps.beams {
-			pb := &ps.beams[i]
-			pb.granted = 0
-			if pb.untraced == 0 {
-				continue
-			}
-			// The block total covers tracer members too; subtracting
-			// their individual draws leaves exactly the untraced
-			// remainder's demand (exact for the analytic models, clamped
-			// for the statistical ones).
-			d := ps.def.Model.BlockDemand(f, pb.lo, pb.hi)
-			for _, tm := range pb.tracerModels {
-				d -= tm.Demand(f)
-			}
-			if d < 0 {
-				d = 0
-			}
-			e.met.OfferedCells += d
-			ps.stat.OfferedCells += d
-			if d == 0 {
-				continue
-			}
-			d, throttled, denied := admit(room, pb.beam, ps.def.Class, d, e.sched.Capacity()-e.sched.Allocated()-aggAlloc)
-			e.met.ThrottledCells += throttled
-			ps.stat.ThrottledCells += throttled
-			e.met.DeniedCells += denied
-			ps.stat.DeniedCells += denied
-			if d <= 0 {
-				continue
-			}
-			aggAlloc += d
-			pb.granted = d
-			e.aggPending = true
-			e.met.GrantedCells += d
-			ps.stat.GrantedCells += d
-			ps.stat.UplinkBits += d * k
-		}
-	}
-}
-
-// routeAggregates enqueues the frame's granted aggregate cells into the
-// switching fabric, one task per beam (the fabric shards per beam, so
-// the tasks never contend): each beam routes its populations' grants in
-// population order — deterministic per shard — after the frame's
-// decoded tracer bursts. All aggregate packets of a frame share one
-// zeroed k-bit payload, so delivered-bit accounting is exact at zero
-// per-packet allocation.
-func (e *Engine) routeAggregates(f, k int) {
-	if !e.aggPending {
-		return
-	}
-	e.aggPending = false
-	if len(e.aggBits) != k {
-		e.aggBits = make([]byte, k)
-	}
-	pipeline.ForEach(len(e.beamAgg), func(b int) {
-		for _, pb := range e.beamAgg[b] {
-			n := pb.granted
-			if n == 0 {
-				continue
-			}
-			pb.granted = 0
-			pkt := switchfab.Packet{Bits: e.aggBits, Class: pb.ps.def.Class, Term: pb, Ingress: f}
-			for i := 0; i < n; i++ {
-				if e.fab.RoutePacket(b, pkt) {
-					pb.routed++
-				} else {
-					pb.dropped++
-				}
-			}
-		}
-	})
-}
-
-// synthesize modulates the frame's burst time plan into the MF-TDMA
-// frame composer, one task per granted cell: encode, pad, modulate
-// straight into the cell's slot, apply the terminal's channel. It
-// leaves the composer and the assignment/meta slices of e.plan ready
-// for receive.
-func (e *Engine) synthesize(pf *framePrep, cells []uplinkCell) {
-	f, k, codec, budget := pf.f, pf.k, pf.codec, pf.budget
-	if e.fc == nil {
-		e.fc = modem.NewFrameComposer(e.cfg.Frame, 4)
-	} else {
-		e.fc.Reset()
-	}
-	fc := e.fc
-	if cap(e.plan.asgs) < len(cells) {
-		e.plan.asgs = make([]modem.SlotAssignment, len(cells))
-	}
-	asgs := e.plan.asgs[:len(cells)]
-	noisy := e.cfg.EbN0dB > 0
-	esN0 := 0.0
-	if noisy {
-		esN0 = e.cfg.EbN0dB + 10*math.Log10(2*codec.Rate())
-	}
-	const uplinkSPS = 4
-	metas := e.plan.metas[:0]
-	for _, c := range cells {
-		metas = append(metas, payload.RouteMeta{
-			Beam:     c.term.term.Beam,
-			Class:    c.term.term.Class,
-			Term:     c.term,
-			Ingress:  f,
-			InfoBits: k,
-		})
-	}
-	e.plan.metas = metas
-	pipeline.ForEach(len(cells), func(i int) {
-		c := cells[i]
-		asgs[i] = c.asg
-		// Encode into pooled scratch, zero-padded to the burst budget
-		// (and truncated to it, matching the old copy-into-fresh-buffer
-		// semantics when a codec overshoots).
-		pb := e.encBufs.Get().(*[]byte)
-		padded := fec.AppendEncode(codec, (*pb)[:0], c.info)
-		if len(padded) > budget {
-			padded = padded[:budget]
-		}
-		for len(padded) < budget {
-			padded = append(padded, 0)
-		}
-		// Modulate straight into the frame composer's slot: slots are
-		// disjoint per assignment, so the concurrent workers never touch
-		// the same samples, and Reset has already zeroed the tail beyond
-		// the burst waveform.
-		mod := e.mods.Get().(*modem.BurstModulator)
-		var wave dsp.Vec
-		slotDirect := mod.WaveformLen() <= fc.Config().SlotSymbols*uplinkSPS
-		if slotDirect {
-			wave = mod.ModulateInto(fc.SlotWaveform(c.asg), padded)
-		} else {
-			wave = mod.Modulate(padded)
-		}
-		e.mods.Put(mod)
-		*pb = padded
-		e.encBufs.Put(pb)
-		prof := c.term.term.Channel
-		if noisy || prof != nil {
-			cellEsN0 := esN0
-			if prof != nil && prof.EsN0dB != 0 {
-				cellEsN0 = prof.EsN0dB
-			} else if !noisy {
-				cellEsN0 = 300 // effectively noiseless
-			}
-			ch := e.chans.Get().(*dsp.Channel)
-			ch.Reseed(e.cfg.Seed + int64(f)*100003 + int64(i))
-			ch.EsN0dB = cellEsN0
-			ch.SPS = uplinkSPS
-			ch.PhaseOffset = 0
-			ch.FreqOffset = 0
-			ch.FreqDrift = 0
-			ch.TimingOffset = 0
-			ch.Gain = 1
-			if prof != nil {
-				// Frequency figures are per symbol and the channel works
-				// per sample, so CFO/Drift divide by the oversampling;
-				// Timing is already a sample offset and passes through.
-				// Drift ramps from the frame the profile was installed
-				// (0 for a boot-time population, so PR 3 runs are
-				// unchanged).
-				ch.FreqOffset = (prof.CFO + prof.Drift*float64(f-c.term.profSince)) / uplinkSPS
-				ch.PhaseOffset = prof.Phase
-				ch.TimingOffset = prof.Timing
-				if prof.Gain != 0 {
-					ch.Gain = prof.Gain
-				}
-			}
-			ch.ApplyInPlace(wave)
-			e.chans.Put(ch)
-		}
-		if !slotDirect {
-			fc.PlaceBurst(c.asg, wave)
-		}
-	})
-}
-
-// receive passes the synthesized frame through the payload's concurrent
-// receive pipeline and accounts the receipts; decoded packets enter the
-// switching fabric's bounded class queues directly (typed with class,
-// terminal and ingress frame), so there is no second engine-owned queue
-// layer to copy into.
-func (e *Engine) receive(pf *framePrep, cells []uplinkCell) {
-	k := pf.k
-	receipts := e.pl.ReceiveFrameAndRouteQoS(e.fc, e.plan.asgs[:len(cells)], e.plan.metas)
-	for i, r := range receipts {
-		e.met.UplinkBursts++
-		// Only receipts whose demodulation actually ran carry sync
-		// diagnostics; a burst lost to a service outage would otherwise
-		// pin the terminal's worst-UW stat to zero.
-		if r.Sync.Scanned {
-			sa := &cells[i].term.sync
-			sa.bursts++
-			af := math.Abs(r.Sync.FreqEst)
-			sa.freqAbsSum += af
-			if af > sa.freqAbsMax {
-				sa.freqAbsMax = af
-			}
-			if sa.bursts == 1 || r.Sync.UWMetric < sa.uwMin {
-				sa.uwMin = r.Sync.UWMetric
-			}
-		}
-		if r.Err != nil {
-			e.met.UplinkFailures++
-			continue
-		}
-		e.met.UplinkBitErrs += fec.CountBitErrors(cells[i].info, r.Bits[:k])
-		cells[i].term.stat.UplinkBits += k
-		// Queue-full tail drops happened inside the fabric, per class;
-		// Report folds its counters in.
-	}
+	e.err = err
 }
 
 // fillFrame is the ownership handoff at the fabric boundary: the
 // downlink scheduler pops queued packets into this frame's transmit
-// grid generation — one pipeline task per beam over beam-owned state
-// (the beam's fabric shard, grid row, sent slice and beamState
-// accumulators) — and the per-frame deltas merge into the run totals in
-// beam order, bit-identical to a sequential fill. It runs on the
-// control thread between ingest and egress dispatch: the fill is the
-// one downlink-side stage that must not overlap the next frame's
-// ingest, because backpressure admission (dama) reads the post-fill
-// queue depths. After fillFrame returns, every report counter of the
-// frame except the deferred ground-verify outcome is final — that is
-// the snapshot the per-frame observers read.
+// grid generation, beam by beam. It runs on the control thread between
+// ingest and egress dispatch: the fill is the one downlink-side stage
+// that must not overlap the next frame's ingest, because backpressure
+// admission (grant) reads the post-fill queue depths. After fillFrame
+// returns, every report counter of the frame except the deferred
+// ground-verify outcome is final — that is the snapshot the per-frame
+// observers read.
 func (e *Engine) fillFrame(pf *framePrep) {
 	t := e.clock()
 	g := pf.gen
-	e.fill = *pf
-	pipeline.ForEach(e.cfg.Frame.Carriers, func(b int) {
-		bs := &e.beams[b]
-		bs.slot = 0
-		bs.sent = bs.sent[:0]
-		bs.cls = [switchfab.NumClasses]clsAccum{}
-		for s := range g.grid[b] {
-			g.grid[b][s] = nil
-		}
-		e.fab.Schedule(e.dlsched, b, e.cfg.Frame.Slots, bs.emit)
-	})
-	g.sent = g.sent[:0]
-	for b := range e.beams {
-		bs := &e.beams[b]
-		g.sent = append(g.sent, bs.sent...)
-		for c := range bs.cls {
-			a := bs.cls[c]
-			if a == (clsAccum{}) {
-				continue
-			}
-			cls := &e.cls[c]
-			cls.delivered += a.delivered
-			cls.bits += a.bits
-			cls.reencode += a.reencode
-			cls.latSum += a.latSum
-			if a.latMax > cls.latMax {
-				cls.latMax = a.latMax
-			}
-			e.met.DeliveredPackets += a.delivered
-			e.met.DeliveredBits += a.bits
-			e.met.DroppedReencode += a.reencode
-			e.latSum += a.latSum
-			if a.latMax > e.met.LatencyMax {
-				e.met.LatencyMax = a.latMax
-			}
-		}
+	e.fill, g.sent = *pf, g.sent[:0]
+	for b := range g.grid {
+		clear(g.grid[b])
+		e.beam, e.slot = b, 0
+		e.fab.Schedule(e.cfg.Scheduler, b, e.cfg.Frame.Slots, e.emit)
 	}
 	e.lap(StageSchedule, t)
 }
@@ -1287,11 +656,10 @@ func (e *Engine) fillFrame(pf *framePrep) {
 // egress is the frame's second half-stage — wideband transmit of the
 // filled grid generation and the optional ground verify. It reads only
 // the framePrep, its egress generation, the transmitter's own buffers
-// and the concurrency-safe demod pools, and writes nothing the control
-// thread shares, so it may run on the egress worker while the control
-// thread ingests the next frame; the verify outcome comes back as a
-// delta for the caller to fold (foldVerify) rather than racing the
-// shared report.
+// and the ground receiver, and writes nothing the control thread
+// shares, so it may run on the egress worker while the control thread
+// ingests the next frame; the verify outcome comes back as a delta for
+// the caller to fold rather than racing the shared report.
 func (e *Engine) egress(pf *framePrep) (egressDelta, error) {
 	t := e.clock()
 	wide, err := e.tx.TransmitFrameGrid(e.cfg.Frame, pf.gen.grid)
@@ -1300,265 +668,81 @@ func (e *Engine) egress(pf *framePrep) (egressDelta, error) {
 	}
 	t = e.lap(StageTransmit, t)
 	var d egressDelta
-	if e.cfg.Verify {
-		d = e.verify(wide, pf.codec, pf.gen)
+	if e.ground != nil {
+		d = e.ground.verify(wide, pf.codec, pf.gen.sent)
 		e.lap(StageVerify, t)
 	}
 	dsp.PutVec(wide)
 	return d, nil
 }
 
-// emitPacket is one beam's emit hook (preallocated per beamState at
-// construction, so the per-frame fill path does not close over loop
-// state): it places a scheduled packet into the beam's next transmit
-// grid cell and accounts delivery and latency into the beam-owned
-// accumulators, or discards a packet whose codeword no longer fits a
-// burst after a codec swap (no slot used). Aggregate (popBeam) packets
-// consume their downlink slot — real capacity spent on the untraced
-// remainder — but synthesize no waveform: the grid cell stays idle, so
-// DSP and ground-verify cost stays proportional to tracer traffic.
-func (e *Engine) emitPacket(bs *beamState, p switchfab.Packet) bool {
-	if e.fill.codec.EncodedLen(len(p.Bits)) > e.fill.budget {
-		bs.cls[p.Class].reencode++
+// emitPacket is the downlink scheduler's emit hook: it places a
+// scheduled packet into the filling beam's next transmit grid cell and
+// accounts its delivery and latency, or discards a packet whose
+// codeword no longer fits a burst after a codec swap (no slot used).
+// Aggregate (popState) packets consume their downlink slot — real
+// capacity spent on the untraced remainder — but synthesize no
+// waveform: the grid cell stays idle, so DSP and ground-verify cost
+// stays proportional to tracer traffic.
+func (e *Engine) emitPacket(p switchfab.Packet) bool {
+	pf, bits := &e.fill, len(p.Bits)
+	if pf.codec.EncodedLen(bits) > pf.budget {
+		e.reencode[p.Class]++
 		return false
 	}
-	b, s := bs.beam, bs.slot
-	lat := e.fill.f - p.Ingress
-	if pb, ok := p.Term.(*popBeam); ok {
-		pb.delivered++
-		pb.bits += len(p.Bits)
-		pb.latSum += lat
-		if lat > pb.latMax {
-			pb.latMax = lat
-		}
+	lat := pf.f - p.Ingress
+	e.cls[p.Class].add(bits, lat)
+	if ps, ok := p.Term.(*popState); ok {
+		ps.dlv.add(bits, lat)
 	} else {
-		e.fill.gen.grid[b][s] = p.Bits
-		bs.sent = append(bs.sent, sentCell{pkt: p, cell: modem.SlotAssignment{Carrier: b, Slot: s}})
+		cell := modem.SlotAssignment{Carrier: e.beam, Slot: e.slot}
+		pf.gen.grid[cell.Carrier][cell.Slot] = p.Bits
+		pf.gen.sent = append(pf.gen.sent, sentCell{pkt: p, cell: cell})
 		if ts, ok := p.Term.(*termState); ok {
-			ts.stat.DeliveredBits += len(p.Bits)
+			ts.stat.DeliveredBits += bits
 		}
 	}
-	bs.slot++
-
-	cls := &bs.cls[p.Class]
-	cls.delivered++
-	cls.bits += len(p.Bits)
-	cls.latSum += lat
-	if lat > cls.latMax {
-		cls.latMax = lat
-	}
+	e.slot++
 	return true
 }
 
-// verifySlack is how far past its slot a verified burst's window runs
-// (carrier-rate samples): room for the DUC/DDC group delays.
-const verifySlack = 160
-
-// verifyRun is one stretch of a carrier the ground receiver
-// down-converts: the windows of consecutive sent slots, merged.
-type verifyRun struct {
-	carrier, lo, hi int     // carrier-rate samples lo..hi-1 of the frame
-	base            dsp.Vec // the down-converted stretch (pooled)
-}
-
-// verifyOutcome is one sent burst's verdict.
-type verifyOutcome struct {
-	lost    bool
-	bitErrs int
-}
-
-// verifyScratch is verify's per-frame state, owned by the engine so a
-// frame allocates neither the slices nor the two worker closures. Only
-// one egress is ever in flight, so one copy serves every frame.
-type verifyScratch struct {
-	runs  []verifyRun
-	runOf []int // sent burst -> index of the run holding its window
-	outs  []verifyOutcome
-
-	downconvert, check func(int)
-	// per-call arguments of the two worker bodies
-	wide    dsp.Vec
-	codec   fec.Codec
-	sent    []sentCell
-	slotLen int
-}
-
-// verify demodulates the transmitted wideband block on a ground receiver
-// (DDC bank plus burst demodulators) and compares every delivered packet
-// bit for bit — the loopback contract of the regenerative loop. The
-// receiver knows the burst time plan, so it down-converts only the
-// carriers that carried a sent burst and only the runs of slots that
-// did (Demux.ProcessWindowInto): a full grid costs what whole-carrier
-// demultiplexing does, an idle one nothing. It runs inside egress
-// (possibly on the egress worker), so it touches only the frame's
-// generation and the egress-owned scratch and demod pools and returns
-// its counters as a delta instead of writing the shared report.
-func (e *Engine) verify(wide dsp.Vec, codec fec.Codec, g *egressGen) egressDelta {
-	v := &e.ver
-	decim := e.cfg.Plan.Decim
-	v.slotLen = e.cfg.Frame.SlotSymbols * decim
-	carrierLen := (len(wide) + decim - 1) / decim
-	v.runs, v.runOf = v.runs[:0], v.runOf[:0]
-	// g.sent is in carrier order, slots ascending within a carrier, so
-	// overlapping windows are neighbours.
-	for _, sc := range g.sent {
-		lo := sc.cell.Slot * v.slotLen
-		hi := min(lo+v.slotLen+verifySlack, carrierLen)
-		if n := len(v.runs); n > 0 && v.runs[n-1].carrier == sc.cell.Carrier && lo <= v.runs[n-1].hi {
-			v.runs[n-1].hi = hi
-		} else {
-			v.runs = append(v.runs, verifyRun{carrier: sc.cell.Carrier, lo: lo, hi: hi})
-		}
-		v.runOf = append(v.runOf, len(v.runs)-1)
-	}
-	if cap(v.outs) < len(g.sent) {
-		v.outs = make([]verifyOutcome, len(g.sent))
-	}
-	v.outs = v.outs[:len(g.sent)]
-	v.wide, v.codec, v.sent = wide, codec, g.sent
-	pipeline.ForEach(len(v.runs), v.downconvert)
-	pipeline.ForEach(len(g.sent), v.check)
-	v.wide, v.codec, v.sent = nil, nil, nil
-	var d egressDelta
-	for _, o := range v.outs {
-		if o.lost {
-			d.lost++
-		} else {
-			d.bitErrs += o.bitErrs
-		}
-	}
-	for i := range v.runs {
-		dsp.PutVec(v.runs[i].base)
-		v.runs[i].base = nil
-	}
-	return d
-}
-
-// verifyRun down-converts run i of the frame under verification.
-func (e *Engine) verifyRun(i int) {
-	r := &e.ver.runs[i]
-	r.base = e.gdemux.ProcessWindowInto(dsp.GetVec(r.hi-r.lo), e.ver.wide, r.carrier, r.lo, r.hi)
-}
-
-// verifyBurst demodulates and decodes sent burst i out of its run and
-// records the verdict.
-func (e *Engine) verifyBurst(i int) {
-	v := &e.ver
-	sc := v.sent[i]
-	r := &v.runs[v.runOf[i]]
-	start := sc.cell.Slot*v.slotLen - r.lo
-	end := min(start+v.slotLen+verifySlack, len(r.base))
-	dem := e.gdems.Get().(*modem.BurstDemodulator)
-	res := dem.Demodulate(r.base[start:end])
-	e.gdems.Put(dem)
-	if !res.Found {
-		v.outs[i] = verifyOutcome{lost: true}
-		return
-	}
-	// The ground receiver decodes hard decisions: slice the signs
-	// into the saturated ±10 LLRs fec.HardLLR(modem.HardBits(soft))
-	// would build, without the two intermediate slices.
-	bits := sc.pkt.Bits
-	pl := e.gllrs.Get().(*[]float64)
-	llr := (*pl)[:v.codec.EncodedLen(len(bits))]
-	for j, s := range res.Soft[:len(llr)] {
-		llr[j] = 10
-		if s < 0 {
-			llr[j] = -10
-		}
-	}
-	dec := v.codec.Decode(llr)
-	e.gllrs.Put(pl)
-	v.outs[i] = verifyOutcome{bitErrs: fec.CountBitErrors(bits, dec[:len(bits)])}
-}
-
-// snapshotQueues folds the fabric-side accounting into a report
-// snapshot: total tail drops, per-beam high-water marks, and the
-// per-class reduction of queue and delivery stats.
-func (e *Engine) snapshotQueues(r *Report) {
-	cc := e.fab.ClassCounters()
-	dropped := 0
-	r.PerClass = make([]ClassStats, switchfab.NumClasses)
-	for c := 0; c < switchfab.NumClasses; c++ {
-		a := e.cls[c]
-		dropped += cc[c].Dropped
-		cs := ClassStats{
-			Class:            switchfab.Class(c).String(),
-			RoutedPackets:    cc[c].Routed,
-			DroppedQueue:     cc[c].Dropped,
-			DroppedReencode:  a.reencode,
-			DeliveredPackets: a.delivered,
-			DeliveredBits:    a.bits,
-			HighWater:        cc[c].HighWater,
-			LatencySum:       a.latSum,
-			LatencyMax:       a.latMax,
-		}
-		if a.delivered > 0 {
-			cs.LatencyMean = float64(a.latSum) / float64(a.delivered)
-		}
-		r.PerClass[c] = cs
-	}
-	r.DroppedQueue = dropped
-	r.QueueHighWater = make([]int, e.cfg.Frame.Carriers)
-	for b := range r.QueueHighWater {
-		r.QueueHighWater[b] = e.fab.HighWater(b)
-	}
-}
-
-// snapshotPops reduces the per-(population, beam) block accounting to
-// one PopulationStats row per population: the request-side counters
-// accumulated in dama plus the routing/delivery counters the per-beam
-// tasks own, merged in beam order. Rows cover the aggregate remainder
-// only; tracer terminals report individually in PerTerminal.
-func (e *Engine) snapshotPops(r *Report) {
-	if len(e.pops) == 0 {
-		return
-	}
-	r.PerPopulation = make([]PopulationStats, len(e.pops))
-	for i, ps := range e.pops {
-		st := ps.stat
-		for j := range ps.beams {
-			pb := &ps.beams[j]
-			st.RoutedPackets += pb.routed
-			st.DroppedQueue += pb.dropped
-			st.DeliveredPackets += pb.delivered
-			st.DeliveredBits += pb.bits
-			st.LatencySum += pb.latSum
-			if pb.latMax > st.LatencyMax {
-				st.LatencyMax = pb.latMax
-			}
-		}
-		if st.DeliveredPackets > 0 {
-			st.LatencyMean = float64(st.LatencySum) / float64(st.DeliveredPackets)
-		}
-		r.PerPopulation[i] = st
-	}
-}
-
-// Report snapshots the run metrics, including the per-terminal
-// reduction. Departed terminals keep their row (in join order).
+// Report snapshots the run metrics: the engine's own counters, the
+// fabric-side queue accounting (tail drops, high-water marks) merged
+// with the delivery accounting per class, and the DAMA controller's
+// per-population and per-terminal rows. Departed terminals keep their
+// row (in join order).
 func (e *Engine) Report() *Report {
 	r := e.met
 	r.Verified = e.cfg.Verify
 	r.WallSeconds = e.wall.Seconds()
 	r.ModelSeconds = float64(e.met.Frames) * FrameSeconds(e.cfg.Frame)
-	r.LatencySum = e.latSum
-	if r.DeliveredPackets > 0 {
-		r.LatencyMean = float64(e.latSum) / float64(r.DeliveredPackets)
-	}
-	e.snapshotQueues(&r)
-	e.snapshotPops(&r)
-	r.PerTerminal = make([]TerminalStats, len(e.terms))
-	for i, tsrc := range e.terms {
-		st := tsrc.stat
-		sa := tsrc.sync
-		st.SyncBursts = sa.bursts
-		if sa.bursts > 0 {
-			st.MeanAbsCFO = sa.freqAbsSum / float64(sa.bursts)
-			st.MaxAbsCFO = sa.freqAbsMax
-			st.MinUWMetric = sa.uwMin
+	cc := e.fab.ClassCounters()
+	var total delivery
+	r.PerClass = make([]ClassStats, switchfab.NumClasses)
+	for c, a := range e.cls {
+		total.merge(a)
+		r.DroppedQueue += cc[c].Dropped
+		r.DroppedReencode += e.reencode[c]
+		r.PerClass[c] = ClassStats{
+			Class:            switchfab.Class(c).String(),
+			RoutedPackets:    cc[c].Routed,
+			DroppedQueue:     cc[c].Dropped,
+			DroppedReencode:  e.reencode[c],
+			DeliveredPackets: a.packets,
+			DeliveredBits:    a.bits,
+			HighWater:        cc[c].HighWater,
+			LatencySum:       a.latSum,
+			LatencyMean:      a.mean(),
+			LatencyMax:       a.latMax,
 		}
-		r.PerTerminal[i] = st
 	}
+	r.DeliveredPackets, r.DeliveredBits = total.packets, total.bits
+	r.LatencySum, r.LatencyMean, r.LatencyMax = total.latSum, total.mean(), total.latMax
+	r.QueueHighWater = make([]int, e.cfg.Frame.Carriers)
+	for b := range r.QueueHighWater {
+		r.QueueHighWater[b] = e.fab.HighWater(b)
+	}
+	r.PerPopulation = e.dama.populationRows()
+	r.PerTerminal = e.dama.terminalRows()
 	return &r
 }

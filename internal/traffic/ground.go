@@ -1,0 +1,151 @@
+package traffic
+
+import (
+	"sync"
+
+	"repro/internal/dsp"
+	"repro/internal/fec"
+	"repro/internal/frontend"
+	"repro/internal/modem"
+	"repro/internal/pipeline"
+	"repro/internal/switchfab"
+)
+
+// sentCell is one downlink burst of a frame: the packet and the grid
+// cell it was transmitted in.
+type sentCell struct {
+	pkt  switchfab.Packet
+	cell modem.SlotAssignment
+}
+
+// verifySlack is how far past its slot a verified burst's window runs
+// (carrier-rate samples): room for the DUC/DDC group delays.
+const verifySlack = 160
+
+// verifyRun is one stretch of a carrier the ground receiver
+// down-converts: the windows of consecutive sent slots, merged.
+type verifyRun struct {
+	carrier, lo, hi int     // carrier-rate samples lo..hi-1 of the frame
+	base            dsp.Vec // the down-converted stretch (pooled)
+}
+
+// groundReceiver is the ground station checking the downlink: a DDC
+// bank plus pooled burst demodulators, and the per-frame scratch of a
+// verify, kept so a frame allocates neither the slices nor the two
+// worker closures. It runs inside egress (possibly on the egress
+// worker) and only one egress is ever in flight, so one copy serves
+// every frame.
+type groundReceiver struct {
+	decim   int
+	slotLen int // carrier-rate samples per slot
+	demux   *frontend.Demux
+	dems    sync.Pool // burst demodulators
+	llrs    sync.Pool // *[]float64 sign-sliced LLRs of one verified burst
+
+	runs  []verifyRun
+	runOf []int         // sent burst -> index of the run holding its window
+	outs  []egressDelta // one sent burst's verdict each
+
+	// downconvert and check are the two fan-out bodies (downconvertRun,
+	// checkBurst), held as values so tests can wrap them.
+	downconvert, check func(int)
+	// per-call arguments of the two worker bodies
+	wide  dsp.Vec
+	codec fec.Codec
+	sent  []sentCell
+}
+
+func newGroundReceiver(frame modem.FrameConfig, plan frontend.CarrierPlan, bf modem.BurstFormat) *groundReceiver {
+	g := &groundReceiver{
+		decim:   plan.Decim,
+		slotLen: frame.SlotSymbols * plan.Decim,
+		demux:   frontend.NewDemux(plan, 95),
+	}
+	g.dems.New = func() any {
+		return modem.NewBurstDemodulator(bf, 0.35, plan.Decim, 10, modem.TimingOerderMeyr)
+	}
+	g.llrs.New = func() any {
+		l := make([]float64, bf.PayloadBits())
+		return &l
+	}
+	g.downconvert, g.check = g.downconvertRun, g.checkBurst
+	return g
+}
+
+// verify demodulates the transmitted wideband block and compares every
+// sent packet bit for bit — the loopback contract of the regenerative
+// loop. The receiver knows the burst time plan (sent, in carrier order,
+// slots ascending within a carrier), so it down-converts only the
+// carriers that carried a sent burst and only the runs of slots that did
+// (Demux.ProcessWindowInto): a full grid costs what whole-carrier
+// demultiplexing does, an idle one nothing.
+func (g *groundReceiver) verify(wide dsp.Vec, codec fec.Codec, sent []sentCell) egressDelta {
+	carrierLen := (len(wide) + g.decim - 1) / g.decim
+	g.runs, g.runOf = g.runs[:0], g.runOf[:0]
+	for _, sc := range sent {
+		// Overlapping windows are neighbours in sent's order.
+		lo := sc.cell.Slot * g.slotLen
+		hi := min(lo+g.slotLen+verifySlack, carrierLen)
+		if n := len(g.runs); n > 0 && g.runs[n-1].carrier == sc.cell.Carrier && lo <= g.runs[n-1].hi {
+			g.runs[n-1].hi = hi
+		} else {
+			g.runs = append(g.runs, verifyRun{carrier: sc.cell.Carrier, lo: lo, hi: hi})
+		}
+		g.runOf = append(g.runOf, len(g.runs)-1)
+	}
+	if cap(g.outs) < len(sent) {
+		g.outs = make([]egressDelta, len(sent))
+	}
+	g.outs = g.outs[:len(sent)]
+	g.wide, g.codec, g.sent = wide, codec, sent
+	pipeline.ForEach(len(g.runs), g.downconvert)
+	pipeline.ForEach(len(sent), g.check)
+	g.wide, g.codec, g.sent = nil, nil, nil
+	var d egressDelta
+	for _, o := range g.outs {
+		d.lost += o.lost
+		d.bitErrs += o.bitErrs
+	}
+	for i := range g.runs {
+		dsp.PutVec(g.runs[i].base)
+		g.runs[i].base = nil
+	}
+	return d
+}
+
+// downconvertRun down-converts run i of the frame under verification.
+func (g *groundReceiver) downconvertRun(i int) {
+	r := &g.runs[i]
+	r.base = g.demux.ProcessWindowInto(dsp.GetVec(r.hi-r.lo), g.wide, r.carrier, r.lo, r.hi)
+}
+
+// checkBurst demodulates and decodes sent burst i out of its run and
+// records the verdict.
+func (g *groundReceiver) checkBurst(i int) {
+	sc := g.sent[i]
+	r := &g.runs[g.runOf[i]]
+	start := sc.cell.Slot*g.slotLen - r.lo
+	end := min(start+g.slotLen+verifySlack, len(r.base))
+	dem := g.dems.Get().(*modem.BurstDemodulator)
+	res := dem.Demodulate(r.base[start:end])
+	g.dems.Put(dem)
+	if !res.Found {
+		g.outs[i] = egressDelta{lost: 1}
+		return
+	}
+	// The ground receiver decodes hard decisions: slice the signs
+	// into the saturated ±10 LLRs fec.HardLLR(modem.HardBits(soft))
+	// would build, without the two intermediate slices.
+	bits := sc.pkt.Bits
+	pl := g.llrs.Get().(*[]float64)
+	llr := (*pl)[:g.codec.EncodedLen(len(bits))]
+	for j, s := range res.Soft[:len(llr)] {
+		llr[j] = 10
+		if s < 0 {
+			llr[j] = -10
+		}
+	}
+	dec := g.codec.Decode(llr)
+	g.llrs.Put(pl)
+	g.outs[i] = egressDelta{bitErrs: fec.CountBitErrors(bits, dec[:len(bits)])}
+}

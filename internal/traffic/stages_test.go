@@ -29,7 +29,7 @@ func TestStageTimersNilSet(t *testing.T) {
 
 // NewStageTimers interns the cross-frame occupancy pair under the
 // documented engine.pipeline.* keys, the ones the benchmark reads back.
-func TestNewPipelineTimersKeys(t *testing.T) {
+func TestNewStageTimersKeys(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	st := NewStageTimers(reg)
 	if st[StageOverlap] != reg.Timer("engine.pipeline.overlap_ns") {

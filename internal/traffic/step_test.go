@@ -12,9 +12,7 @@ import (
 )
 
 // The engine's step contract (DESIGN §12) under both sides of its only
-// selector: tests pick the side the way users do, with GOMAXPROCS. The
-// test names are kept from the PR 10 runner suite this file replaces —
-// the behaviours are the same, now owned by Engine.Step and Drain.
+// selector: tests pick the side the way users do, with GOMAXPROCS.
 
 // atProcs sets GOMAXPROCS for the rest of the test.
 func atProcs(t *testing.T, n int) {
@@ -77,7 +75,7 @@ func sequentialReport(t *testing.T, frames int) string {
 // The contract in one test: stepping with every egress overlapped —
 // including a mid-run drain-and-resume — produces bit-for-bit the
 // report of inline stepping, ground-verify counters included.
-func TestPipelinedRunnerBitIdenticalToSequential(t *testing.T) {
+func TestOverlapBitIdenticalToInline(t *testing.T) {
 	const frames = 12
 	want := sequentialReport(t, frames)
 	for _, procs := range []int{2, 4} {
@@ -109,7 +107,7 @@ func TestPipelinedRunnerBitIdenticalToSequential(t *testing.T) {
 // Verify counters are deferred one frame: after Step(N) the in-flight
 // frame's downlink outcome is not yet folded, and Drain catches the
 // report up exactly.
-func TestPipelinedRunnerDrainFoldsVerify(t *testing.T) {
+func TestDrainFoldsVerify(t *testing.T) {
 	const frames = 6
 	atProcs(t, 1)
 	seq := stepTestSetup(t)
@@ -151,7 +149,7 @@ func TestPipelinedRunnerDrainFoldsVerify(t *testing.T) {
 // same fault. The device is switched only once the in-flight egress has
 // finished its last stage (the verify timer has fired), so the mutation
 // races nothing although the frame is still unjoined.
-func TestPipelinedRunnerOutageFrames(t *testing.T) {
+func TestOutageFramesLeaveEgressInFlight(t *testing.T) {
 	outage := func(procs int) *Report {
 		t.Helper()
 		atProcs(t, procs)
@@ -201,7 +199,7 @@ func TestPipelinedRunnerOutageFrames(t *testing.T) {
 
 // The occupancy timers record one (stall, overlap) pair per joined
 // frame when egresses overlap, and nothing on one CPU.
-func TestPipelinedRunnerTimers(t *testing.T) {
+func TestOverlapTimers(t *testing.T) {
 	const frames = 5
 	for _, procs := range []int{1, 2} {
 		atProcs(t, procs)

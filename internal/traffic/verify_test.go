@@ -32,23 +32,23 @@ func TestVerifyConvertsSentRunsOnly(t *testing.T) {
 		converted  []int     // carrier-rate samples down-converted, per frame
 		worst      float64
 		uncovered  int
-		inner      = e.ver.downconvert
-		innerCheck = e.ver.check
+		inner      = e.ground.downconvert
+		innerCheck = e.ground.check
 		carrierLen int
 	)
 	// Bursts are checked only after every run is converted, so the first
 	// check ends the frame's conversions.
-	e.ver.check = func(i int) {
+	e.ground.check = func(i int) {
 		innerCheck(i)
 		mu.Lock()
 		whole = nil
 		mu.Unlock()
 	}
-	e.ver.downconvert = func(i int) {
+	e.ground.downconvert = func(i int) {
 		inner(i)
 		mu.Lock()
 		defer mu.Unlock()
-		v := &e.ver
+		v := e.ground
 		if whole == nil {
 			whole = frontend.NewDemux(e.cfg.Plan, 95).Process(v.wide)
 			carrierLen = len(whole[0])
