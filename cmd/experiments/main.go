@@ -80,14 +80,6 @@ var table = []struct {
 		experiments.E6PayloadAvailabilityComparison(sz.campaign, 9).Print(out)
 		return true
 	}},
-	{"E10", func(out io.Writer, sz sizes) bool {
-		frames := 20
-		if sz.quick {
-			frames = 5
-		}
-		experiments.E10Pipeline([]int{1, 2, 4, 8}, frames, 11).Table.Print(out)
-		return true
-	}},
 	{"E11", func(out io.Writer, sz sizes) bool {
 		cfg := experiments.DefaultE11Config()
 		if sz.quick {
@@ -131,38 +123,40 @@ var table = []struct {
 	}},
 	{"ablations", func(out io.Writer, sz sizes) bool {
 		bursts := 40
-		frames := 10
 		if sz.quick {
 			bursts = 10
-			frames = 4
 		}
 		experiments.AblationTiming([]int{64, 256, 1024}, bursts, 10, 3).Print(out)
 		experiments.AblationScrubbers(sz.campaign, 4).Print(out)
 		experiments.AblationTCModes(5).Print(out)
-		experiments.AblationPipelineWorkers([]int{1, 2, 4, 8}, 6, frames, 12).Print(out)
-		experiments.AblationTxWorkers([]int{1, 2, 4, 8}, frames, 13).Print(out)
 		return true
 	}},
 }
 
 func main() {
-	quick := flag.Bool("quick", false, "reduced sample sizes (~10s total)")
+	quick := flag.Bool("quick", false, "reduced sample sizes (~1s total)")
 	only := flag.String("only", "", "run a single experiment (E1..E13, ablations)")
 	flag.Parse()
+	os.Exit(run(os.Stdout, *quick, *only))
+}
 
+// run prints the selected experiments to out and returns the exit
+// status: 0, 1 when an experiment's own pass criteria failed, or 2 for
+// an unknown -only (refused on stderr).
+func run(out io.Writer, quick bool, only string) int {
 	sz := sizes{deviceDays: 20000, berBits: 60000, e6Trials: 5_000_000, campaign: 250}
-	if *quick {
+	if quick {
 		sz = sizes{quick: true, deviceDays: 2000, berBits: 6000, e6Trials: 500_000, campaign: 80}
 	}
 
 	ran := false
 	for _, e := range table {
-		if *only != "" && !strings.EqualFold(*only, e.id) {
+		if only != "" && !strings.EqualFold(only, e.id) {
 			continue
 		}
 		ran = true
-		if !e.run(os.Stdout, sz) {
-			os.Exit(1)
+		if !e.run(out, sz) {
+			return 1
 		}
 	}
 	if !ran {
@@ -170,7 +164,8 @@ func main() {
 		for i, e := range table {
 			ids[i] = e.id
 		}
-		fmt.Fprintf(os.Stderr, "experiments: unknown -only %q (want one of %s)\n", *only, strings.Join(ids, ", "))
-		os.Exit(2)
+		fmt.Fprintf(os.Stderr, "experiments: unknown -only %q (want one of %s)\n", only, strings.Join(ids, ", "))
+		return 2
 	}
+	return 0
 }

@@ -115,34 +115,6 @@ func AblationScrubbers(steps int, seed int64) *Table {
 	return t
 }
 
-// AblationPipelineWorkers sweeps the receive pipeline's worker-pool
-// width (via GOMAXPROCS, which sizes the pool) over the same frame set,
-// verifying the determinism contract — the decoded bits must not depend
-// on the schedule — and showing how frame latency scales with workers.
-// It is the ablation for the tentpole design choice of a bounded
-// GOMAXPROCS-sized pool over one goroutine per carrier.
-func AblationPipelineWorkers(workerCounts []int, carriers, frames int, seed int64) *Table {
-	t := &Table{
-		Title:   "Ablation: pipeline worker-pool width (MF-TDMA frame receive)",
-		Columns: []string{"ms/frame", "bit-exact vs 1 worker"},
-	}
-	pl, codec, k := newFramePayload(carriers)
-	frameSet := makeTDMAFrames(pl, codec, k, carriers, frames, seed)
-
-	var reference [][][]byte
-	for wi, w := range workerCounts {
-		bits, dt := receiveFrames(pl, frameSet, w)
-		if wi == 0 {
-			reference = bits
-		}
-		t.Rows = append(t.Rows, Row{f("%d workers", w), []string{
-			f("%.2f", dt.Seconds()*1000/float64(len(frameSet))), f("%v", framesExact(frameSet, bits, reference))}})
-	}
-	t.Notes = append(t.Notes,
-		"per-carrier state (DDCs, pooled demodulators, output slots) is owned by one index at a time, so width only changes wall-clock, never bits")
-	return t
-}
-
 // AblationTCModes compares the express (BD) and controlled (AD)
 // telecommand modes of §3.3 for a small test exchange and a large
 // configuration transfer, with and without link errors.

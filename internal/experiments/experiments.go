@@ -10,7 +10,6 @@
 //	E7  §4.4      — payload partitioning vs interruption scope
 //	E8  §2.3      — decoder reconfiguration: uncoded/conv/turbo
 //	E9  §4        — power/thermal budget of the partitionings
-//	E10 §2        — concurrent per-carrier receive pipeline
 //	E11 §2        — sustained MF-TDMA traffic through the closed
 //	               regenerative loop, with a mid-run decoder swap
 //	E12 §2        — the burst sync chain under per-terminal channel
@@ -19,8 +18,9 @@
 //	               crowd: strict priority against its FIFO twin
 //
 // Every experiment is a pure function of its parameters (deterministic
-// under a fixed seed) returning a printable result; cmd/experiments
-// prints them and the package tests pin them.
+// under a fixed seed, whatever GOMAXPROCS) returning a printable
+// result; the package tests pin their pass criteria, and
+// cmd/experiments/testdata/quick.golden pins the printed -quick output.
 package experiments
 
 import (

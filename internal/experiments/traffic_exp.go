@@ -1,14 +1,8 @@
 package experiments
 
 import (
-	"math/rand"
-	"runtime"
-	"time"
-
 	"repro/internal/core"
-	"repro/internal/frontend"
 	"repro/internal/modem"
-	"repro/internal/payload"
 	"repro/internal/scenario"
 	"repro/internal/traffic"
 )
@@ -19,12 +13,13 @@ import (
 // through the closed regenerative loop (demodulate - decode - switch -
 // re-encode - remodulate - ground demodulate), and halfway through the
 // run the ground performs the §2.3 decoder reconfiguration while the
-// queues hold the traffic. Since the scenario layer landed, the whole
-// run is a declarative script — a swap-under-load spec with one
-// scheduled SwapDecoder event, executed through the live control plane
-// by a scenario.Session. Correctness is the loopback contract: at high
-// SNR every delivered packet must be bit-identical to what the terminal
-// sent, frame after frame, across the codec swap.
+// queues hold the traffic. The whole run is a declarative script — a
+// swap-under-load spec with one scheduled SwapDecoder event, executed
+// through the live control plane by a scenario.Session. Correctness is
+// the loopback contract: at high SNR every delivered packet must be
+// bit-identical to what the terminal sent, frame after frame, across
+// the codec swap. Rates are on the model clock (Report.ModelSeconds),
+// so the table is a pure function of the config.
 
 // E11Config parameterizes the sustained-load experiment.
 type E11Config struct {
@@ -114,8 +109,7 @@ func E11Traffic(cfg E11Config) *E11Result {
 	// fire and run the remainder — the session applies it through the
 	// live control plane before the halfway frame. A failed swap aborts
 	// the step (the frame has not run yet) but not the experiment: the
-	// run continues on the old decoder and SwapOK reports the failure,
-	// as the pre-scenario harness did.
+	// run continues on the old decoder and SwapOK reports the failure.
 	half := cfg.Frames / 2
 	var mid *traffic.Report
 	for sess.Frame() < cfg.Frames {
@@ -147,34 +141,32 @@ func E11Traffic(cfg E11Config) *E11Result {
 	}
 
 	t := &Table{
-		Title: f("E11: sustained traffic through the regenerative loop (%s -> %s, GOMAXPROCS=%d)",
-			cfg.CodecA, cfg.CodecB, runtime.GOMAXPROCS(0)),
-		Columns: []string{"frames", "granted", "delivered", "kbit/s wall",
+		Title: f("E11: sustained traffic through the regenerative loop (%s -> %s)", cfg.CodecA, cfg.CodecB),
+		Columns: []string{"frames", "granted", "delivered", "kbit/s model",
 			"latency fr", "drops", "bit-exact"},
 	}
-	row := func(label string, frames, granted, delivered, bits, drops int, latMean float64, wall float64, exact bool) {
-		kbps := 0.0
-		if wall > 0 {
-			kbps = float64(bits) / wall / 1000
+	// row prints the run segment between two cumulative snapshots: every
+	// cell, the bit-exact verdict included, is a delta from -> to.
+	row := func(label string, from, to *traffic.Report) {
+		delivered := to.DeliveredPackets - from.DeliveredPackets
+		latMean, kbps := 0.0, 0.0
+		if delivered > 0 {
+			latMean = float64(to.LatencySum-from.LatencySum) / float64(delivered)
 		}
+		if s := to.ModelSeconds - from.ModelSeconds; s > 0 {
+			kbps = float64(to.DeliveredBits-from.DeliveredBits) / s / 1000
+		}
+		exact := to.UplinkFailures == from.UplinkFailures && to.UplinkBitErrs == from.UplinkBitErrs &&
+			to.DownlinkLost == from.DownlinkLost && to.DownlinkBitErrs == from.DownlinkBitErrs
 		t.Rows = append(t.Rows, Row{label, []string{
-			f("%d", frames), f("%d", granted), f("%d", delivered),
-			f("%.1f", kbps), f("%.2f", latMean), f("%d", drops), f("%v", exact)}})
+			f("%d", to.Frames-from.Frames), f("%d", to.GrantedCells-from.GrantedCells), f("%d", delivered),
+			f("%.1f", kbps), f("%.2f", latMean),
+			f("%d", to.DroppedQueue+to.DroppedReencode-from.DroppedQueue-from.DroppedReencode), f("%v", exact)}})
 	}
-	phaseBLat := 0.0
-	if d := final.DeliveredPackets - mid.DeliveredPackets; d > 0 {
-		phaseBLat = float64(final.LatencySum-mid.LatencySum) / float64(d)
-	}
-	row(f("phase A (%s)", cfg.CodecA), mid.Frames, mid.GrantedCells, mid.DeliveredPackets,
-		mid.DeliveredBits, mid.DroppedQueue+mid.DroppedReencode, mid.LatencyMean,
-		mid.WallSeconds, mid.UplinkBitErrs == 0 && mid.DownlinkBitErrs == 0 && mid.DownlinkLost == 0)
-	row(f("phase B (%s)", cfg.CodecB), final.Frames-mid.Frames, final.GrantedCells-mid.GrantedCells,
-		final.DeliveredPackets-mid.DeliveredPackets, final.DeliveredBits-mid.DeliveredBits,
-		(final.DroppedQueue+final.DroppedReencode)-(mid.DroppedQueue+mid.DroppedReencode),
-		phaseBLat, final.WallSeconds-mid.WallSeconds, res.BitExact)
-	row("total", final.Frames, final.GrantedCells, final.DeliveredPackets,
-		final.DeliveredBits, final.DroppedQueue+final.DroppedReencode, final.LatencyMean,
-		final.WallSeconds, res.BitExact)
+	start := &traffic.Report{}
+	row(f("phase A (%s)", cfg.CodecA), start, mid)
+	row(f("phase B (%s)", cfg.CodecB), mid, final)
+	row("total", start, final)
 	t.Notes = append(t.Notes,
 		f("population: %d terminals (CBR, on/off, hotspot) over %d beams, queue depth %d, Eb/N0 %.0f dB",
 			len(terms), cfg.Frame.Carriers, cfg.QueueDepth, cfg.EbN0dB),
@@ -183,78 +175,4 @@ func E11Traffic(cfg E11Config) *E11Result {
 		"bit-exact = zero uplink losses/bit errors and zero downlink losses/bit errors on ground demodulation")
 	res.Table = t
 	return res
-}
-
-// AblationTxWorkers sweeps the transmit pipeline's worker-pool width
-// (via GOMAXPROCS, which sizes the pool) over the same downlink frame
-// sequence, verifying the determinism contract — the wideband samples
-// must not depend on the schedule — and showing how frame modulation
-// latency scales with workers. A fresh transmitter is built per width so
-// every sweep starts from identical DUC/NCO state.
-func AblationTxWorkers(workerCounts []int, frames int, seed int64) *Table {
-	t := &Table{
-		Title:   "Ablation: Tx pipeline worker-pool width (MF-TDMA frame transmit)",
-		Columns: []string{"ms/frame", "bit-exact vs 1 worker"},
-	}
-	const carriers = 3
-	const infoLen = 180
-	fcfg := modem.FrameConfig{Carriers: carriers, Slots: 4, SlotSymbols: 320, GuardSymbols: 16}
-	plan := frontend.CarrierPlan{Carriers: carriers, Spacing: 0.2, Decim: 4}
-
-	// One grid sequence shared by every width.
-	rng := rand.New(rand.NewSource(seed))
-	grids := make([][][][]byte, frames)
-	for fi := range grids {
-		grid := make([][][]byte, carriers)
-		for c := range grid {
-			grid[c] = make([][]byte, fcfg.Slots)
-			for s := range grid[c] {
-				if rng.Float64() < 0.25 {
-					continue // idle cell
-				}
-				grid[c][s] = randBits(rng, infoLen)
-			}
-		}
-		grids[fi] = grid
-	}
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	var refWide [][]complex128
-	for wi, w := range workerCounts {
-		runtime.GOMAXPROCS(w)
-		pl, _, _ := newFramePayload(carriers)
-		tx := payload.NewTransmitter(pl, plan)
-		exact := true
-		start := time.Now()
-		for fi, grid := range grids {
-			wide, err := tx.TransmitFrameGrid(fcfg, grid)
-			if err != nil {
-				panic(err)
-			}
-			if wi == 0 {
-				cp := make([]complex128, len(wide))
-				copy(cp, wide)
-				refWide = append(refWide, cp)
-			} else {
-				if len(wide) != len(refWide[fi]) {
-					exact = false
-				} else {
-					for i := range wide {
-						if wide[i] != refWide[fi][i] {
-							exact = false
-							break
-						}
-					}
-				}
-			}
-		}
-		dt := time.Since(start)
-		t.Rows = append(t.Rows, Row{f("%d workers", w), []string{
-			f("%.2f", dt.Seconds()*1000/float64(frames)), f("%v", exact)}})
-	}
-	t.Notes = append(t.Notes,
-		"per-carrier state (pooled modulators, carrier buffers, DUCs) is owned by one index at a time, so width only changes wall-clock, never bits")
-	return t
 }

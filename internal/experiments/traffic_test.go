@@ -30,18 +30,3 @@ func TestE11TrafficBitExactAcrossSwap(t *testing.T) {
 	}
 	res.Table.Print(io.Discard)
 }
-
-// The Tx worker ablation must hold the determinism contract on every
-// width: the wideband samples cannot depend on the schedule.
-func TestAblationTxWorkersBitExact(t *testing.T) {
-	tab := AblationTxWorkers([]int{1, 2, 4}, 3, 21)
-	if len(tab.Rows) != 3 {
-		t.Fatalf("%d rows", len(tab.Rows))
-	}
-	for _, r := range tab.Rows {
-		if r.Values[1] != "true" {
-			t.Fatalf("width %q not bit-exact", r.Label)
-		}
-	}
-	tab.Print(io.Discard)
-}

@@ -124,10 +124,9 @@ func TestReceiveFrameAndRouteQoSServiceDown(t *testing.T) {
 	}
 }
 
-// The seed switch was mutated by frame routing while Drain read it with
-// no synchronization.
-// The fabric must survive concurrent frame routers and drainers under
-// the race detector with exact packet accounting.
+// The fabric must survive concurrent frame routers and drainers (FIFO
+// schedules of a beam's whole queue) under the race detector with exact
+// packet accounting.
 func TestConcurrentFrameRoutingAndDrain(t *testing.T) {
 	const infoLen = 180
 	pl, codec := newTDMAPayload(t, 3, "conv-r1/2-k9", infoLen)
@@ -148,7 +147,7 @@ func TestConcurrentFrameRoutingAndDrain(t *testing.T) {
 						return
 					}
 				}
-				drained[w] += len(pl.Switch().Drain((w + f) % 3))
+				drained[w] += len(drain(pl, (w+f)%3))
 			}
 		}()
 	}
@@ -158,7 +157,7 @@ func TestConcurrentFrameRoutingAndDrain(t *testing.T) {
 		total += d
 	}
 	for b := 0; b < 3; b++ {
-		total += len(pl.Switch().Drain(b))
+		total += len(drain(pl, b))
 	}
 	if want := routers * frames * len(rx); total != want {
 		t.Fatalf("drained %d packets, routed %d", total, want)

@@ -92,7 +92,7 @@ func TestFig2WidebandRegenerativeLoop(t *testing.T) {
 	tx := NewTransmitter(pl, plan)
 	grid := make([][][]byte, plan.Carriers)
 	for beam := range grid {
-		pkts := pl.Switch().Drain(beam)
+		pkts := drain(pl, beam)
 		if len(pkts) != 1 {
 			t.Fatalf("beam %d holds %d packets, want 1", beam, len(pkts))
 		}

@@ -112,7 +112,7 @@ func TestPayloadSwitchFabric(t *testing.T) {
 	if switchRouted(p) != 3 || sw.QueueDepth(1) != 2 {
 		t.Fatal("routing counters")
 	}
-	got := sw.Drain(1)
+	got := drain(p, 1)
 	if len(got) != 2 || string(got[0]) != "a" {
 		t.Fatalf("drain %v", got)
 	}

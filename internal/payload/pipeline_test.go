@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/dsp"
@@ -20,6 +21,25 @@ func switchRouted(pl *Payload) int {
 		n += cc.Routed
 	}
 	return n
+}
+
+// atProcs sets GOMAXPROCS for the rest of the test.
+func atProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// drain removes and returns every packet queued for a beam in arrival
+// order across classes.
+func drain(pl *Payload, beam int) [][]byte {
+	var out [][]byte
+	sw := pl.Switch()
+	sw.Schedule(switchfab.FIFO{}, beam, sw.QueueDepth(beam), func(p switchfab.Packet) bool {
+		out = append(out, p.Bits)
+		return true
+	})
+	return out
 }
 
 // newTDMAPayload boots a TDMA payload with the given carrier count and
@@ -94,11 +114,11 @@ func receiveCarriers(pl *Payload, beam int, rx []dsp.Vec) []BurstReceipt {
 // TestReceiveFrameMatchesSequential is the equivalence test of the one
 // receive path: the concurrent frame receive must be bit-identical to
 // the sequential single-burst DemodulateCarrier/Decode loop — same
-// decoded bits, same packets on the switch in the same order.
+// decoded bits, same packets on the switch in the same order — at every
+// worker-pool width (GOMAXPROCS sizes the pool).
 func TestReceiveFrameMatchesSequential(t *testing.T) {
 	const infoLen, seed = 180, 42
 	plSeq, codec := newTDMAPayload(t, 8, "conv-r1/2-k9", infoLen)
-	plConc, _ := newTDMAPayload(t, 8, "conv-r1/2-k9", infoLen)
 	rx, infos := makeTDMABursts(plSeq, codec, infoLen, seed)
 
 	need := codec.EncodedLen(infoLen)
@@ -115,27 +135,32 @@ func TestReceiveFrameMatchesSequential(t *testing.T) {
 		seqBits[c] = b
 		plSeq.Switch().RoutePacket(1, switchfab.Packet{Bits: b})
 	}
+	sp := drain(plSeq, 1)
 
-	for c, r := range receiveCarriers(plConc, 1, rx) {
-		if r.Err != nil {
-			t.Fatalf("carrier %d: %v", c, r.Err)
+	for _, procs := range []int{1, 2, 4, 8} {
+		atProcs(t, procs)
+		plConc, _ := newTDMAPayload(t, 8, "conv-r1/2-k9", infoLen)
+		for c, r := range receiveCarriers(plConc, 1, rx) {
+			if r.Err != nil {
+				t.Fatalf("GOMAXPROCS %d carrier %d: %v", procs, c, r.Err)
+			}
+			if string(seqBits[c]) != string(r.Bits) {
+				t.Fatalf("GOMAXPROCS %d carrier %d: decoded bits differ between sequential and concurrent paths", procs, c)
+			}
+			if fec.CountBitErrors(infos[c], r.Bits[:infoLen]) != 0 {
+				t.Fatalf("GOMAXPROCS %d carrier %d: decoded bits wrong", procs, c)
+			}
 		}
-		if string(seqBits[c]) != string(r.Bits) {
-			t.Fatalf("carrier %d: decoded bits differ between sequential and concurrent paths", c)
-		}
-		if fec.CountBitErrors(infos[c], r.Bits[:infoLen]) != 0 {
-			t.Fatalf("carrier %d: decoded bits wrong", c)
-		}
-	}
 
-	// Same packets, same beam, same order on both switches.
-	sp, cp := plSeq.Switch().Drain(1), plConc.Switch().Drain(1)
-	if len(sp) != len(cp) {
-		t.Fatalf("switch packets: %d vs %d", len(cp), len(sp))
-	}
-	for i := range sp {
-		if string(sp[i]) != string(cp[i]) {
-			t.Fatalf("switch packet %d differs", i)
+		// Same packets, same beam, same order on both switches.
+		cp := drain(plConc, 1)
+		if len(sp) != len(cp) {
+			t.Fatalf("GOMAXPROCS %d: switch packets %d vs %d", procs, len(cp), len(sp))
+		}
+		for i := range sp {
+			if string(sp[i]) != string(cp[i]) {
+				t.Fatalf("GOMAXPROCS %d: switch packet %d differs", procs, i)
+			}
 		}
 	}
 }
@@ -177,7 +202,7 @@ func TestReceiveFramePartialFailure(t *testing.T) {
 			t.Fatalf("carrier %d must survive a neighbour's failure", c)
 		}
 	}
-	if got := len(pl.Switch().Drain(3)); got != 3 {
+	if got := len(drain(pl, 3)); got != 3 {
 		t.Fatalf("switch received %d packets, want 3", got)
 	}
 }

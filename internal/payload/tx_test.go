@@ -78,31 +78,35 @@ func (r *seqTxRig) frameGrid(t *testing.T, tx *Transmitter, cfg modem.FrameConfi
 }
 
 // The concurrent grid transmitter must be bit-identical to the
-// sequential reference, frame after frame (DUC state carries over).
+// sequential reference, frame after frame (DUC state carries over), at
+// every worker-pool width (GOMAXPROCS sizes the pool).
 func TestTransmitFrameGridMatchesSequential(t *testing.T) {
 	const infoLen = 180
-	pl, tx, _ := txTestRig(t, 3, "conv-r1/2-k9", infoLen)
 	cfg := modem.FrameConfig{Carriers: 3, Slots: 4, SlotSymbols: 512, GuardSymbols: 16}
-	rng := rand.New(rand.NewSource(5))
-	// Separate rig for the reference so shared-pool modulators cannot
-	// hide state leakage; encodeBurstInto is stateless so tx is reusable.
-	ref := newSeqTxRig(pl, tx.plan)
-	for frame := 0; frame < 3; frame++ {
-		grid := gridInfoBits(rng, cfg, infoLen, 0.7)
-		want := ref.frameGrid(t, tx, cfg, grid)
-		got, err := tx.TransmitFrameGrid(cfg, grid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) != len(got) {
-			t.Fatalf("frame %d: length %d vs %d", frame, len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("frame %d sample %d: concurrent %v != sequential %v", frame, i, got[i], want[i])
+	for _, procs := range []int{1, 2, 4, 8} {
+		atProcs(t, procs)
+		pl, tx, _ := txTestRig(t, 3, "conv-r1/2-k9", infoLen)
+		rng := rand.New(rand.NewSource(5))
+		// Separate rig for the reference so shared-pool modulators cannot
+		// hide state leakage; encodeBurstInto is stateless so tx is reusable.
+		ref := newSeqTxRig(pl, tx.plan)
+		for frame := 0; frame < 3; frame++ {
+			grid := gridInfoBits(rng, cfg, infoLen, 0.7)
+			want := ref.frameGrid(t, tx, cfg, grid)
+			got, err := tx.TransmitFrameGrid(cfg, grid)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if len(want) != len(got) {
+				t.Fatalf("GOMAXPROCS %d frame %d: length %d vs %d", procs, frame, len(got), len(want))
+			}
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("GOMAXPROCS %d frame %d sample %d: concurrent %v != sequential %v", procs, frame, i, got[i], want[i])
+				}
+			}
+			dsp.PutVec(got)
 		}
-		dsp.PutVec(got)
 	}
 }
 
@@ -183,7 +187,7 @@ func TestTransmitFrameGridLoopback(t *testing.T) {
 					t.Fatalf("carrier %d: %d bit errors through the closed loop", c, errs)
 				}
 			}
-			if got := len(pl.Switch().Drain(1)); got != cfg.Carriers {
+			if got := len(drain(pl, 1)); got != cfg.Carriers {
 				t.Fatalf("switch received %d packets, want %d", got, cfg.Carriers)
 			}
 			_ = codec
@@ -234,7 +238,7 @@ func TestReceiveFrameAndRouteMatchesSequential(t *testing.T) {
 	}
 	// Routed packets arrive per beam in assignment order.
 	for c := 0; c < cfg.Carriers; c++ {
-		pkts := pl.Switch().Drain(c)
+		pkts := drain(pl, c)
 		if len(pkts) != 2 {
 			t.Fatalf("beam %d holds %d packets, want 2", c, len(pkts))
 		}

@@ -5,16 +5,16 @@
 // per-beam shards: every downlink beam owns a lock and a set of
 // per-class ring buffers, so concurrent routers (the payload's frame
 // pipelines, one worker per carrier) contend only when they target the
-// same beam, and readers (queue probes, drains, the downlink scheduler)
-// are safe against them. Packets are typed — payload bytes plus a
+// same beam, and readers (queue probes, the downlink scheduler) are
+// safe against them. Packets are typed — payload bytes plus a
 // traffic class, an opaque terminal token and an ingress frame stamp —
 // and the downlink side pops them through a pluggable Scheduler
 // (FIFO, strict priority with a best-effort floor, deficit round
 // robin) directly into the transmit grid, so there is no per-frame
 // drain-copy layer between the switch and the transmitter.
 //
-// Ownership rule (see DESIGN.md): RoutePacket, Drain, Schedule
-// and every probe are safe from any goroutine at any time. Adopt and
+// Ownership rule (see DESIGN.md): RoutePacket, Schedule and every
+// probe are safe from any goroutine at any time. Adopt and
 // SetDepth reconfigure the fabric for a new exclusive driver (a traffic
 // engine) and must not race in-flight routing — drivers call them at
 // frame boundaries, engines at construction.
@@ -200,33 +200,6 @@ func (f *Fabric) RoutePacket(beam int, p Packet) bool {
 	}
 	sh.mu.Unlock()
 	return true
-}
-
-// Drain removes and returns every packet queued for a beam in arrival
-// order, for callers that receive frames without a downlink (E10, the
-// receive-path tests). Traffic engines do not drain: they Schedule
-// packets straight into the transmit grid.
-func (f *Fabric) Drain(beam int) [][]byte {
-	if beam < 0 || beam >= len(f.shards) {
-		return nil
-	}
-	sh := &f.shards[beam]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.n == 0 {
-		return nil
-	}
-	out := make([][]byte, 0, sh.n)
-	for sh.n > 0 {
-		c, ok := headClass(sh)
-		if !ok {
-			break
-		}
-		p, _ := sh.q[c].pop()
-		sh.n--
-		out = append(out, p.Bits)
-	}
-	return out
 }
 
 // headClass returns the class whose head packet arrived first.

@@ -25,6 +25,17 @@ func totals(f *Fabric) (routed, dropped int) {
 	return routed, dropped
 }
 
+// drain removes and returns every packet queued for a beam in arrival
+// order across classes.
+func drain(f *Fabric, beam int) [][]byte {
+	var out [][]byte
+	f.Schedule(FIFO{}, beam, f.QueueDepth(beam), func(p Packet) bool {
+		out = append(out, p.Bits)
+		return true
+	})
+	return out
+}
+
 // Route/Drain round trip in arrival order, multi-beam, plus the probe
 // surface — the contract the seed's PacketSwitch tests pinned.
 func TestFabricRoutingAndDrain(t *testing.T) {
@@ -41,14 +52,14 @@ func TestFabricRoutingAndDrain(t *testing.T) {
 	if f.QueueDepth(0) != 0 || f.QueueDepth(2) != 0 || f.QueueDepth(3) != 1 {
 		t.Fatal("packets queued on the wrong beams")
 	}
-	got := f.Drain(1)
+	got := drain(f, 1)
 	if len(got) != 2 || got[0][1] != 10 || got[1][1] != 11 {
 		t.Fatalf("drain order wrong: %v", got)
 	}
-	if f.QueueDepth(1) != 0 || len(f.Drain(1)) != 0 {
+	if f.QueueDepth(1) != 0 || len(drain(f, 1)) != 0 {
 		t.Fatal("drain left packets behind")
 	}
-	if got := f.Drain(3); len(got) != 1 || got[0][1] != 30 {
+	if got := drain(f, 3); len(got) != 1 || got[0][1] != 30 {
 		t.Fatalf("beam 3 drain %v", got)
 	}
 	// Out-of-range probes are free; out-of-range routes are refused.
@@ -133,7 +144,7 @@ func TestConcurrentRoutersAndReaders(t *testing.T) {
 					f.ClassCounters()
 				}
 				if i%64 == 0 {
-					drained[w] += len(f.Drain((w + i) % beams))
+					drained[w] += len(drain(f, (w+i)%beams))
 				}
 			}
 		}()
@@ -144,7 +155,7 @@ func TestConcurrentRoutersAndReaders(t *testing.T) {
 		total += d
 	}
 	for b := 0; b < beams; b++ {
-		total += len(f.Drain(b))
+		total += len(drain(f, b))
 	}
 	routed, dropped := totals(f)
 	if total != routed {
@@ -175,7 +186,7 @@ func TestConcurrentRouteAndSchedule(t *testing.T) {
 	}
 	wg.Wait()
 	for b := 0; b < 2; b++ {
-		delivered += len(f.Drain(b))
+		delivered += len(drain(f, b))
 	}
 	if _, dropped := totals(f); delivered+dropped != n {
 		t.Fatalf("delivered %d + dropped %d != sent %d", delivered, dropped, n)
