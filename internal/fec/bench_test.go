@@ -10,16 +10,20 @@ import (
 // 256 QPSK payload symbols.
 const slotPayloadBits = 512
 
-// engineInfoBits mirrors traffic.InfoBitsFor (which this package cannot
-// import): the largest k, in steps of 8 from 16, whose codeword fits the
-// slot. k = 248 for rate 1/2, 160 for rate 1/3 and for the turbo code.
-func engineInfoBits(c Codec) int {
+// infoBitsFor mirrors traffic.InfoBitsFor (which this package cannot
+// import): the largest k, in steps of 8 from 16, whose codeword fits a
+// burst of budget coded bits.
+func infoBitsFor(c Codec, budget int) int {
 	k := 16
-	for c.EncodedLen(k+8) <= slotPayloadBits {
+	for c.EncodedLen(k+8) <= budget {
 		k += 8
 	}
 	return k
 }
+
+// engineInfoBits is the info length of the engine's slot: k = 248 for
+// rate 1/2, 160 for rate 1/3 and for the turbo code.
+func engineInfoBits(c Codec) int { return infoBitsFor(c, slotPayloadBits) }
 
 var benchSink []byte
 
@@ -57,5 +61,7 @@ func BenchmarkViterbi(b *testing.B) {
 }
 
 func BenchmarkTurboDecode(b *testing.B) {
-	benchDecode(b, NewTurbo(6), 2, false)
+	tc := NewTurbo(6)
+	b.Run("noisy", func(b *testing.B) { benchDecode(b, tc, 10, false) })
+	b.Run("hard", func(b *testing.B) { benchDecode(b, tc, 0, true) })
 }

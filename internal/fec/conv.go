@@ -81,14 +81,14 @@ func NewConvCode(name string, constraintLen int, gens ...uint32) *ConvCode {
 	return c
 }
 
-// The UMTS codes are shared singletons: a ConvCode is immutable after
-// construction and its decode scratch pool is concurrency-safe, so every
-// caller resolving a codec by design name (which happens per decoded
-// burst on the payload hot path) gets the same instance and the same
-// warm scratch pool instead of rebuilding trellis tables per call.
+// The UMTS codes are shared singletons: a codec is immutable after
+// construction and its decode scratch pool concurrency-safe, so every
+// caller resolving a codec by design name (per decoded burst on the
+// payload hot path) gets the same tables, interleavers and warm pool.
 var (
 	umtsConvHalf  = NewConvCode("conv-r1/2-k9", 9, 0o561, 0o753)
 	umtsConvThird = NewConvCode("conv-r1/3-k9", 9, 0o557, 0o663, 0o711)
+	umtsTurbo     = NewTurbo(6)
 )
 
 // UMTSConvHalf returns the UMTS K=9 rate-1/2 code.
@@ -96,6 +96,9 @@ func UMTSConvHalf() *ConvCode { return umtsConvHalf }
 
 // UMTSConvThird returns the UMTS K=9 rate-1/3 code.
 func UMTSConvThird() *ConvCode { return umtsConvThird }
+
+// UMTSTurbo returns the UMTS turbo code decoded with 6 iterations.
+func UMTSTurbo() *TurboCode { return umtsTurbo }
 
 // Name implements Codec.
 func (c *ConvCode) Name() string { return c.name }
@@ -166,10 +169,19 @@ func (c *ConvCode) CheckDecodeLen(n int) error {
 
 // Decode implements Codec using soft-decision Viterbi decoding over LLRs
 // (positive ⇒ bit 0). The decoder assumes zero termination. It panics on a
-// length CheckDecodeLen rejects.
+// length CheckDecodeLen rejects. A codeword with no erasure after
+// quantisation skips the trellis search (see hardPath).
 func (c *ConvCode) Decode(llr []float64) []byte {
 	if err := c.CheckDecodeLen(len(llr)); err != nil {
 		panic(err)
 	}
-	return viterbi(c, llr, len(llr)/len(c.gens)-(c.k-1))
+	vb := c.getViterbiBuf(len(llr) / len(c.gens))
+	qmax := quantMaxFor(len(llr))
+	quantizeLLR(vb.q, llr, qmax)
+	out := make([]byte, len(llr)/len(c.gens)-(c.k-1))
+	if !hardPath(c, vb.q, out) {
+		viterbi(c, vb, qmax, out)
+	}
+	c.vbPool.Put(vb)
+	return out
 }

@@ -205,14 +205,9 @@ func TestInterleaverBijective(t *testing.T) {
 			}
 			seen[p] = true
 		}
-		in := make([]float64, n)
-		for i := range in {
-			in[i] = float64(i)
-		}
-		out := il.Deinterleave(il.Interleave(in))
-		for i := range in {
-			if out[i] != in[i] {
-				t.Fatalf("n=%d interleave round trip at %d", n, i)
+		for i, p := range il.perm {
+			if il.inv[p] != i {
+				t.Fatalf("n=%d: inv is not the inverse of perm at %d", n, i)
 			}
 		}
 	}

@@ -3,7 +3,9 @@ package fec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 )
 
@@ -26,17 +28,8 @@ func rscStep(s int, u byte) (parityBit byte, next int) {
 	return z, next
 }
 
-// rscTerminationInput returns the input that drives the feedback to zero,
-// stepping the register toward the all-zero state.
-func rscTerminationInput(s int) byte {
-	return byte((s>>1)&1) ^ byte(s&1)
-}
-
 // Interleaver is a fixed permutation of block indices.
-type Interleaver struct {
-	perm []int
-	inv  []int
-}
+type Interleaver struct{ perm, inv []int }
 
 // NewRandomInterleaver builds the deterministic pseudo-random interleaver
 // for block length n (seeded by n, so encoder and decoder agree).
@@ -50,42 +43,15 @@ func NewRandomInterleaver(n int) *Interleaver {
 	return &Interleaver{perm: perm, inv: inv}
 }
 
-// Interleave applies the permutation: out[i] = in[perm[i]].
-func (il *Interleaver) Interleave(in []float64) []float64 {
-	out := make([]float64, len(in))
-	for i, p := range il.perm {
-		out[i] = in[p]
-	}
-	return out
-}
-
-// Deinterleave applies the inverse permutation.
-func (il *Interleaver) Deinterleave(in []float64) []float64 {
-	out := make([]float64, len(in))
-	for i, p := range il.inv {
-		out[i] = in[p]
-	}
-	return out
-}
-
-// InterleaveBits applies the permutation to a bit slice.
-func (il *Interleaver) InterleaveBits(in []byte) []byte {
-	out := make([]byte, len(in))
-	for i, p := range il.perm {
-		out[i] = in[p]
-	}
-	return out
-}
-
 // TurboCode is the UMTS-style PCCC codec.
 type TurboCode struct {
 	iterations int
-	ils        sync.Map // block length → *Interleaver, built on first use
+	ils        sync.Map  // block length → *Interleaver, built on first use
+	bufPool    sync.Pool // *turboBuf, shared by concurrent decoders
 }
 
-// interleaver returns the internal interleaver for block length n. An
-// Interleaver is immutable and a function of n alone, so encoder, decoder
-// and concurrent callers share one instance per length.
+// interleaver returns the internal interleaver for block length n, one
+// immutable instance per length shared by encoder, decoder and callers.
 func (t *TurboCode) interleaver(n int) *Interleaver {
 	if il, ok := t.ils.Load(n); ok {
 		return il.(*Interleaver)
@@ -100,7 +66,7 @@ func NewTurbo(iterations int) *TurboCode {
 	if iterations < 1 {
 		panic("fec: NewTurbo needs at least one iteration")
 	}
-	return &TurboCode{iterations: iterations}
+	return &TurboCode{iterations: iterations, bufPool: sync.Pool{New: func() any { return new(turboBuf) }}}
 }
 
 // Name implements Codec.
@@ -112,49 +78,37 @@ func (t *TurboCode) Rate() float64 { return 1.0 / 3.0 }
 // EncodedLen implements Codec: 3k data bits plus 12 tail bits.
 func (t *TurboCode) EncodedLen(k int) int { return 3*k + 12 }
 
-// rscEncode runs one constituent over the block and appends its own
-// 3-step termination, returning parities for the block, plus the tail
-// systematic and tail parity bits.
-func rscEncode(in []byte) (par []byte, tailSys, tailPar []byte) {
-	par = make([]byte, len(in))
-	s := 0
-	for i, u := range in {
-		par[i], s = rscStep(s, u)
-	}
-	tailSys = make([]byte, 3)
-	tailPar = make([]byte, 3)
-	for i := 0; i < 3; i++ {
-		u := rscTerminationInput(s)
-		tailSys[i] = u
-		tailPar[i], s = rscStep(s, u)
-	}
-	return par, tailSys, tailPar
+// Encode implements Codec (see AppendEncode for the layout).
+func (t *TurboCode) Encode(info []byte) []byte {
+	return t.AppendEncode(make([]byte, 0, t.EncodedLen(len(info))), info)
 }
 
-// Encode implements Codec. Output layout:
+// AppendEncode appends the turbo codeword of info to dst and returns the
+// extended slice, allocation-free when dst has room. Output layout:
 //
 //	[x0 z1_0 z2_0  x1 z1_1 z2_1 ... ]  3N interleaved data bits
 //	[xA0 zA0 xA1 zA1 xA2 zA2]          encoder-1 termination (6 bits)
 //	[xB0 zB0 xB1 zB1 xB2 zB2]          encoder-2 termination (6 bits)
-func (t *TurboCode) Encode(info []byte) []byte {
+func (t *TurboCode) AppendEncode(dst, info []byte) []byte {
 	n := len(info)
-	il := t.interleaver(n)
-	interleaved := il.InterleaveBits(info)
-
-	p1, t1sys, t1par := rscEncode(info)
-	p2, t2sys, t2par := rscEncode(interleaved)
-
-	out := make([]byte, 0, t.EncodedLen(n))
-	for i := 0; i < n; i++ {
-		out = append(out, info[i], p1[i], p2[i])
+	perm := t.interleaver(n).perm
+	base := len(dst)
+	dst = slices.Grow(dst, t.EncodedLen(n))[:base+t.EncodedLen(n)]
+	out := dst[base:]
+	s1, s2 := 0, 0
+	for i, u := range info {
+		out[3*i] = u
+		out[3*i+1], s1 = rscStep(s1, u)
+		out[3*i+2], s2 = rscStep(s2, info[perm[i]]) // encoder 2 sees the interleaved block
 	}
+	tail := out[3*n:]
 	for i := 0; i < 3; i++ {
-		out = append(out, t1sys[i], t1par[i])
+		u1, u2 := byte(s1>>1^s1)&1, byte(s2>>1^s2)&1 // the inputs that zero the feedback
+		tail[2*i], tail[6+2*i] = u1, u2
+		tail[2*i+1], s1 = rscStep(s1, u1)
+		tail[6+2*i+1], s2 = rscStep(s2, u2)
 	}
-	for i := 0; i < 3; i++ {
-		out = append(out, t2sys[i], t2par[i])
-	}
-	return out
+	return dst
 }
 
 // CheckDecodeLen implements DecodeLenChecker: 3k data values plus the 12
@@ -166,177 +120,184 @@ func (t *TurboCode) CheckDecodeLen(n int) error {
 	return nil
 }
 
+// turboBuf is the pooled working set of one decode of n info bits.
+type turboBuf struct {
+	sys, par1, par2, sysIl []float64 // demultiplexed channel LLRs; sysIl = sys interleaved
+	ext1, apr2, ext2, apr  []float64 // extrinsics and the a-priori views of them
+	alpha                  []float64 // forward metrics, 8 per step boundary (n+4 of them)
+	gam                    []float64 // the four branch metrics of each of the n+3 steps
+	code                   []byte    // re-encoded codeword for the consistency exit
+}
+
+func (t *TurboCode) getBuf(n int) *turboBuf {
+	tb := t.bufPool.Get().(*turboBuf)
+	for _, v := range []*[]float64{&tb.sys, &tb.par1, &tb.par2, &tb.sysIl, &tb.ext1, &tb.apr2, &tb.ext2, &tb.apr} {
+		*v = resized(*v, n)
+	}
+	tb.alpha = resized(tb.alpha, 8*(n+4))
+	tb.gam = resized(tb.gam, 4*(n+3))
+	return tb
+}
+
 // Decode implements Codec with iterative max-log-MAP decoding. It panics
-// on a length CheckDecodeLen rejects.
+// on a length CheckDecodeLen rejects. If the signs already form a codeword
+// (see isCodeword), each SISO's best path is that codeword and every
+// extrinsic agrees with it, so its info bits are returned untouched.
 func (t *TurboCode) Decode(llr []float64) []byte {
 	if err := t.CheckDecodeLen(len(llr)); err != nil {
 		panic(err)
 	}
 	n := (len(llr) - 12) / 3
-	il := t.interleaver(n)
-
-	sys := make([]float64, n)
-	par1 := make([]float64, n)
-	par2 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sys[i] = llr[3*i]
-		par1[i] = llr[3*i+1]
-		par2[i] = llr[3*i+2]
-	}
-	tail := llr[3*n:]
-	t1sys := []float64{tail[0], tail[2], tail[4]}
-	t1par := []float64{tail[1], tail[3], tail[5]}
-	t2sys := []float64{tail[6], tail[8], tail[10]}
-	t2par := []float64{tail[7], tail[9], tail[11]}
-
-	sysIl := il.Interleave(sys)
-	apriori := make([]float64, n)
-	var post []float64
-
-	for it := 0; it < t.iterations; it++ {
-		ext1 := maxLogMAP(sys, par1, apriori, t1sys, t1par)
-		apriori2 := il.Interleave(ext1)
-		ext2 := maxLogMAP(sysIl, par2, apriori2, t2sys, t2par)
-		apriori = il.Deinterleave(ext2)
-
-		if it == t.iterations-1 {
-			post = make([]float64, n)
-			for i := 0; i < n; i++ {
-				post[i] = sys[i] + ext1[i] + apriori[i]
-			}
-		}
-	}
-
+	tb := t.getBuf(n)
+	defer t.bufPool.Put(tb)
 	out := make([]byte, n)
-	for i, l := range post {
-		if l < 0 {
+	for i := range out {
+		if llr[3*i] < 0 {
 			out[i] = 1
 		}
+	}
+	if !t.isCodeword(tb, llr, out) {
+		t.iterate(tb, llr, out)
 	}
 	return out
 }
 
-// maxLogMAP runs one constituent SISO decode over a block of n steps plus
-// 3 termination steps and returns the extrinsic LLR for each data bit.
-// Inputs: sys/par are channel LLRs for systematic and parity bits, la is
-// the a-priori LLR, tailSys/tailPar the termination channel LLRs.
-func maxLogMAP(sys, par, la, tailSys, tailPar []float64) []float64 {
+// iterate runs the iterative decode of llr and writes its decisions to out.
+func (t *TurboCode) iterate(tb *turboBuf, llr []float64, out []byte) {
+	n := len(out)
+	il := t.interleaver(n)
+	for i := 0; i < n; i++ {
+		tb.sys[i], tb.par1[i], tb.par2[i] = llr[3*i], llr[3*i+1], llr[3*i+2]
+	}
+	for i, p := range il.perm {
+		tb.sysIl[i] = tb.sys[p]
+	}
+	clear(tb.apr)
+	for it := 0; it < t.iterations; it++ {
+		maxLogMAP(tb, tb.ext1, tb.sys, tb.par1, tb.apr, llr[3*n:3*n+6])
+		for i, p := range il.perm {
+			tb.apr2[i] = tb.ext1[p]
+		}
+		maxLogMAP(tb, tb.ext2, tb.sysIl, tb.par2, tb.apr2, llr[3*n+6:])
+		for i, p := range il.inv {
+			tb.apr[i] = tb.ext2[p]
+		}
+	}
+	for i := range out {
+		out[i] = 0
+		if tb.sys[i]+tb.ext1[i]+tb.apr[i] < 0 {
+			out[i] = 1
+		}
+	}
+}
+
+// isCodeword reports whether the signs of llr form the codeword of info
+// (the systematic decisions) with every |llr| one L that keeps the decode
+// exact. Proof that the decode then returns info: let L = m·2^e, m odd,
+// and h = 1…2I count half-iterations (I = t.iterations). If every a-priori
+// la agrees with the codeword or is 0, its edge scores the most, |a|+|b|,
+// at each step; a path flipping u_t loses ≥ 2|a_t| = |sys_t+la_t| and one
+// rejoins it within 4 steps (3 free inputs reach any state), so the exact
+// extrinsic agrees and |ext| ≤ 8L + 4·max|la|, < 3·4^h·L after half h. The
+// values of half h are q·2^-h·L, |q·m| < (n+4)·8^h·m ≤ 2^53: exact in any
+// order, so this kernel and refTurbo both decide info (sys ≠ 0).
+func (t *TurboCode) isCodeword(tb *turboBuf, llr []float64, info []byte) bool {
+	tb.code = t.AppendEncode(tb.code[:0], info)
+	L := math.Abs(llr[0])
+	for i, l := range llr {
+		if (l < 0) != (tb.code[i] == 1) || math.Abs(l) != L {
+			return false
+		}
+	}
+	if !(L >= 0x1p-500 && L <= 0x1p500) { // no 0, ±Inf, NaN, under- or overflow
+		return false
+	}
+	frac, _ := math.Frexp(L)
+	m := uint64(frac * (1 << 53))
+	return bits.Len64(m>>bits.TrailingZeros64(m))+bits.Len(uint(len(info)+4))+6*t.iterations <= 53
+}
+
+// turboEdge[s][u] is the trellis edge leaving state s on input u: its
+// successor and the index u<<1|parity of its branch metric in a step's
+// four (see maxLogMAP).
+var turboEdge = func() (e [8][2]struct{ next, gi uint8 }) {
+	for s := range e {
+		for u := range e[s] {
+			z, ns := rscStep(s, byte(u))
+			e[s][u].next, e[s][u].gi = uint8(ns), uint8(u<<1)|z
+		}
+	}
+	return e
+}()
+
+// maxLogMAP runs one constituent SISO over n = len(sys) steps and the 3 of
+// tail ([sys par] ×3) and writes each data bit's extrinsic LLR to ext. A
+// branch of input u, parity z scores ±a ± b (minus for a set bit), a =
+// ½(sys+la), b = ½par: the same floats as ½·(±1)·(sys+la) + ½·(±1)·par,
+// as negation is exact. States go in ascending order with a strict '>';
+// unreachable states (−Inf) need no test, as −Inf or NaN never wins.
+func maxLogMAP(tb *turboBuf, ext, sys, par, la, tail []float64) {
 	n := len(sys)
 	steps := n + 3
-	const states = 8
 	neg := math.Inf(-1)
-
-	// Precompute trellis.
-	type br struct {
-		next   int
-		parity byte
-	}
-	var trellis [states][2]br
-	for s := 0; s < states; s++ {
-		for u := 0; u < 2; u++ {
-			z, ns := rscStep(s, byte(u))
-			trellis[s][u] = br{next: ns, parity: z}
-		}
-	}
-
-	sign := func(b byte) float64 {
-		if b == 0 {
-			return 1
-		}
-		return -1
-	}
-
-	// Branch metric gamma for step t, state s, input u.
-	gamma := func(t, s, u int) float64 {
-		var lSys, lPar, lA float64
-		if t < n {
-			lSys, lPar, lA = sys[t], par[t], la[t]
-		} else {
-			lSys, lPar, lA = tailSys[t-n], tailPar[t-n], 0
-		}
-		su := 1.0
-		if u == 1 {
-			su = -1
-		}
-		z := trellis[s][u].parity
-		return 0.5*su*(lSys+lA) + 0.5*sign(z)*lPar
-	}
-
-	// Forward recursion.
-	alpha := make([][states]float64, steps+1)
-	for s := 0; s < states; s++ {
-		alpha[0][s] = neg
-	}
-	alpha[0][0] = 0
 	for t := 0; t < steps; t++ {
-		for s := 0; s < states; s++ {
-			alpha[t+1][s] = neg
+		var a, b float64
+		if t < n {
+			a, b = 0.5*(sys[t]+la[t]), 0.5*par[t]
+		} else {
+			a, b = 0.5*(tail[2*(t-n)]+0), 0.5*tail[2*(t-n)+1] // +0: la = 0 maps −0 to +0
 		}
-		for s := 0; s < states; s++ {
-			if alpha[t][s] == neg {
-				continue
-			}
-			for u := 0; u < 2; u++ {
-				ns := trellis[s][u].next
-				m := alpha[t][s] + gamma(t, s, u)
-				if m > alpha[t+1][ns] {
-					alpha[t+1][ns] = m
+		g := (*[4]float64)(tb.gam[4*t:])
+		g[0], g[1], g[2], g[3] = a+b, a+(-b), (-a)+b, (-a)+(-b)
+	}
+
+	alpha := tb.alpha
+	*(*[8]float64)(alpha) = [8]float64{0, neg, neg, neg, neg, neg, neg, neg}
+	for t := 0; t < steps; t++ {
+		cur, nxt := (*[8]float64)(alpha[8*t:]), (*[8]float64)(alpha[8*t+8:])
+		g := (*[4]float64)(tb.gam[4*t:])
+		*nxt = [8]float64{neg, neg, neg, neg, neg, neg, neg, neg}
+		for s := range cur {
+			for _, e := range turboEdge[s] {
+				if m := cur[s] + g[e.gi&3]; m > nxt[e.next&7] {
+					nxt[e.next&7] = m
 				}
 			}
 		}
 	}
 
-	// Backward recursion (terminated in state 0).
-	beta := make([][states]float64, steps+1)
-	for s := 0; s < states; s++ {
-		beta[steps][s] = neg
-	}
-	beta[steps][0] = 0
+	// Backward recursion from the terminated state 0, one beta row at a
+	// time, with each data step's extrinsic taken on the way.
+	beta := [8]float64{0, neg, neg, neg, neg, neg, neg, neg}
 	for t := steps - 1; t >= 0; t-- {
-		for s := 0; s < states; s++ {
-			best := neg
-			for u := 0; u < 2; u++ {
-				ns := trellis[s][u].next
-				if beta[t+1][ns] == neg {
-					continue
+		g := (*[4]float64)(tb.gam[4*t:])
+		if t < n {
+			cur := (*[8]float64)(alpha[8*t:])
+			m0, m1 := neg, neg
+			for s, e := range turboEdge {
+				if m := cur[s] + g[e[0].gi&3] + beta[e[0].next&7]; m > m0 {
+					m0 = m
 				}
-				m := gamma(t, s, u) + beta[t+1][ns]
-				if m > best {
-					best = m
-				}
-			}
-			beta[t][s] = best
-		}
-	}
-
-	// Extrinsic output for the n data steps.
-	ext := make([]float64, n)
-	for t := 0; t < n; t++ {
-		m0, m1 := neg, neg
-		for s := 0; s < states; s++ {
-			if alpha[t][s] == neg {
-				continue
-			}
-			for u := 0; u < 2; u++ {
-				ns := trellis[s][u].next
-				if beta[t+1][ns] == neg {
-					continue
-				}
-				m := alpha[t][s] + gamma(t, s, u) + beta[t+1][ns]
-				if u == 0 {
-					if m > m0 {
-						m0 = m
-					}
-				} else if m > m1 {
+				if m := cur[s] + g[e[1].gi&3] + beta[e[1].next&7]; m > m1 {
 					m1 = m
 				}
 			}
+			x := m0 - m1 - sys[t] - la[t]
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				x = 0
+			}
+			ext[t] = x
 		}
-		lPost := m0 - m1
-		ext[t] = lPost - sys[t] - la[t]
-		if math.IsNaN(ext[t]) || math.IsInf(ext[t], 0) {
-			ext[t] = 0
+		var prev [8]float64
+		for s, es := range turboEdge {
+			best := neg
+			for _, e := range es {
+				if m := g[e.gi&3] + beta[e.next&7]; m > best {
+					best = m
+				}
+			}
+			prev[s] = best
 		}
+		beta = prev
 	}
-	return ext
 }

@@ -129,23 +129,19 @@ func acs(lo, hi, src []int32, typ []uint8, bm4 *[1 << maxConvOutputs][4]int32) (
 	return dlo, dhi
 }
 
-// viterbi runs maximum-likelihood sequence decoding of llr (positive ⇒
-// bit 0) over the trellis of c, assuming the encoder started and ended in
-// the all-zero state, and returns the first k decoded input bits. len(llr)
-// must be a whole number of trellis steps, at least k of them.
-func viterbi(c *ConvCode, llr []float64, k int) []byte {
+// viterbi runs maximum-likelihood sequence decoding of the quantised
+// LLRs vb.q (positive ⇒ bit 0, peak qmax) over the trellis of c, assuming
+// the encoder started and ended in the all-zero state, and writes the
+// first len(out) decoded input bits to out.
+func viterbi(c *ConvCode, vb *viterbiBuf, qmax int32, out []byte) {
 	n := len(c.gens)
-	steps := len(llr) / n
+	steps := len(vb.q) / n
 	states := c.NumStates()
 	half := states >> 1
 	words := c.viterbiWords()
 
-	vb := c.getViterbiBuf(steps)
-	qmax := quantMaxFor(len(llr))
-	quantizeLLR(vb.q, llr, qmax)
-
 	pm, next := vb.pm[:states], vb.next[:states]
-	unreached := -(2*int32(len(llr))*qmax + 1)
+	unreached := -(2*int32(len(vb.q))*qmax + 1)
 	for i := range pm {
 		pm[i] = unreached
 	}
@@ -190,15 +186,46 @@ func viterbi(c *ConvCode, llr []float64, k int) []byte {
 	// Trace back from the zero state by shifts: a state's MSB is the input
 	// bit that entered it, and its predecessor is the remaining bits
 	// shifted up with the decision bit as the new LSB.
-	out := make([]byte, k)
 	state := 0
 	for t := steps - 1; t >= 0; t-- {
-		if t < k {
+		if t < len(out) {
 			out[t] = byte(state >> uint(c.k-2))
 		}
 		d := int(vb.dec[t*words+state>>6] >> uint(state&63) & 1)
 		state = (state&(half-1))<<1 | d
 	}
-	c.vbPool.Put(vb)
-	return out
+}
+
+// hardPath reports whether exactly one zero-terminated path outputs the
+// hard decisions on q, none of them an erasure (q = 0), and writes its
+// input bits to out. That codeword has the largest correlation Σ|q| over
+// all sign vectors, strictly, so the Viterbi search returns it too.
+func hardPath(c *ConvCode, q []int32, out []byte) bool {
+	n := len(c.gens)
+	state := 0
+	for t := 0; t < len(q)/n; t++ {
+		var h uint8
+		for j, v := range q[t*n : (t+1)*n] {
+			if v == 0 {
+				return false
+			}
+			if v < 0 {
+				h |= 1 << uint(j)
+			}
+		}
+		idx := state << 1
+		switch p0, p1 := c.tr.pat[idx], c.tr.pat[idx|1]; {
+		case p0 == p1 || h != p0 && h != p1:
+			return false
+		case h == p1:
+			idx |= 1
+		}
+		if t < len(out) {
+			out[t] = byte(idx & 1)
+		} else if idx&1 != 0 {
+			return false
+		}
+		state = int(c.tr.to[idx])
+	}
+	return true
 }

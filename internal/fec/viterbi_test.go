@@ -209,7 +209,10 @@ func fuzzCodes() []*ConvCode {
 
 // FuzzConvDecode: any valid-length LLR vector — NaN, ±Inf, subnormals and
 // all-zero included — decodes without panicking to exactly k bits in
-// {0, 1}. raw is read as little-endian float64s and trimmed to a whole
+// {0, 1}, the bits of the trellis search whether or not Decode took the
+// codeword-consistent exit, and (for finite input far from overflow) a
+// path as likely as the float64 reference's within the quantisation
+// tolerance. raw is read as little-endian float64s and trimmed to a whole
 // number of trellis steps (padded with erasures up to the tail).
 func FuzzConvDecode(f *testing.F) {
 	// The seed corpus proper is testdata/fuzz/FuzzConvDecode: Gaussian,
@@ -217,6 +220,7 @@ func FuzzConvDecode(f *testing.F) {
 	// shorter-than-tail vectors across the codes.
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(6), bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f}, 33)) // NaNs
+	f.Add(uint8(5), llrBytes(HardLLR(UMTSConvHalf().Encode(randBits(rand.New(rand.NewSource(1)), 16)))))
 
 	f.Fuzz(func(t *testing.T, pick uint8, raw []byte) {
 		codes := fuzzCodes()
@@ -238,5 +242,14 @@ func FuzzConvDecode(f *testing.F) {
 				t.Fatalf("%s: bit %d = %d", c.Name(), i, b)
 			}
 		}
+		if !bytes.Equal(got, fullDecode(c, llr)) {
+			t.Fatalf("%s: Decode differs from the trellis search (exit %v)", c.Name(), exits(c, llr))
+		}
+		for _, x := range llr {
+			if !(math.Abs(x) <= 1e300) {
+				return
+			}
+		}
+		checkAgainstRef(t, c, llr, false)
 	})
 }

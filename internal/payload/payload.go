@@ -320,7 +320,7 @@ func CodecForDesign(name string) (fec.Codec, error) {
 	case strings.HasPrefix(name, "conv-r2/3"):
 		return fec.UMTSConvTwoThirds(), nil
 	case strings.HasPrefix(name, "turbo"):
-		return fec.NewTurbo(6), nil
+		return fec.UMTSTurbo(), nil
 	default:
 		return nil, fmt.Errorf("payload: unknown codec design %q", name)
 	}

@@ -20,18 +20,23 @@ import (
 // measured 15.3 / 28.9 KiB (31 / 39 allocations) of this 4-burst frame
 // at two cores, because bytes are what crept unnoticed under the count
 // bound: a per-burst slice that grows fits the same allocation count.
+// The turbo rows are held to about 1.3x their own 14.8 / 28.1 KiB (30 /
+// 38 allocations): its decoder allocates only its output, as Viterbi's.
 func TestEngineFrameAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	for _, tc := range []struct {
 		name        string
+		codec       string
 		verify      bool
 		budget      float64
 		budgetBytes uint64
 	}{
-		{"uplink", false, 200, 20 << 10},
-		{"verify", true, 200, 37 << 10},
+		{"uplink", "conv-r1/2-k9", false, 200, 20 << 10},
+		{"verify", "conv-r1/2-k9", true, 200, 37 << 10},
+		{"turbo-uplink", "turbo-r1/3", false, 200, 19 << 10},
+		{"turbo-verify", "turbo-r1/3", true, 200, 36 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -41,7 +46,7 @@ func TestEngineFrameAllocBudget(t *testing.T) {
 			eng := newEngine(t, cfg, []Terminal{
 				{ID: "t0", Beam: 0, Model: CBR{Cells: 2}},
 				{ID: "t1", Beam: 1, Model: CBR{Cells: 2}},
-			}, "conv-r1/2-k9")
+			}, tc.codec)
 			// Warm every pool and scratch buffer.
 			if err := eng.RunFrames(3); err != nil {
 				t.Fatal(err)
