@@ -8,7 +8,11 @@
 // Usage:
 //
 //	nccctl -action waveform -target tdma -proto scps-fp -window 32
-//	nccctl -action decoder -target turbo-r1/3 -proto tftp
+//	nccctl -action decoder -target turbo-r1/3 -ipsec -ber 1e-7 -window 32
+//	nccctl -action waveform -target cdma -proto tftp
+//
+// The exit status is 1 when a value is refused or any reconfiguration
+// report is not OK.
 package main
 
 import (
@@ -48,6 +52,9 @@ func main() {
 			log.Fatal(err)
 		}
 	case "decoder":
+		if _, err := payload.CodecForDesign(*target); err != nil {
+			log.Fatal(err)
+		}
 	default:
 		log.Fatalf("unknown action %q (waveform or decoder)", *action)
 	}
@@ -68,9 +75,11 @@ func main() {
 		reports = sys.SwapDecoder(*target, proto, *window)
 	}
 
+	failed := false
 	fmt.Println("reconfiguration reports:")
 	for _, r := range reports {
 		fmt.Println("  " + r.String())
+		failed = failed || !r.OK
 	}
 	fmt.Println("telemetry:")
 	for _, l := range sys.Telemetry {
@@ -78,9 +87,12 @@ func main() {
 	}
 	if *action == "waveform" {
 		fmt.Printf("payload waveform now: %s\n", sys.Payload.Mode())
+	} else if c, err := sys.Payload.Codec(); err != nil {
+		fmt.Printf("payload decoder now: none (%v)\n", err)
 	} else {
-		if c, err := sys.Payload.Codec(); err == nil {
-			fmt.Printf("payload decoder now: %s\n", c.Name())
-		}
+		fmt.Printf("payload decoder now: %s\n", c.Name())
+	}
+	if failed {
+		log.Fatal("nccctl: a reconfiguration failed")
 	}
 }

@@ -121,12 +121,15 @@ func TestCheckFeed(t *testing.T) {
 func TestCheckFeedRejectsMalformedInput(t *testing.T) {
 	feed, report := corpus(t)
 	for name, tc := range map[string]struct{ feed, report, want string }{
-		"empty feed":         {"\n\n", string(report), "no flush lines"},
-		"unknown line field": {`{"seq":0,"frame":0,"colour":1}`, "", `line 1: json: unknown field "colour"`},
-		"two values a line":  {`{"seq":0} {"seq":1}`, "", "line 1: trailing content"},
-		"truncated line":     {string(feed[:len(feed)/3]), "", "line 1: unexpected EOF"},
-		"report trailing":    {string(feed), string(report) + "{}", "report: trailing content"},
-		"report not JSON":    {string(feed), "frames: 2", "report: invalid character"},
+		"empty feed":          {"\n\n", string(report), "no flush lines"},
+		"unknown line field":  {`{"seq":0,"frame":0,"colour":1}`, "", `line 1: json: unknown field "colour"`},
+		"two values a line":   {`{"seq":0} {"seq":1}`, "", "line 1: trailing content"},
+		"truncated line":      {string(feed[:len(feed)/3]), "", "line 1: unexpected EOF"},
+		"line trailing brace": {`{"seq":0} }`, "", "line 1: trailing content"},
+		"report trailing":     {string(feed), string(report) + "{}", "report: trailing content"},
+		"report trailing ]":   {string(feed), string(report) + "]", "report: trailing content"},
+		"report trailing }":   {string(feed), string(report) + "}", "report: trailing content"},
+		"report not JSON":     {string(feed), "frames: 2", "report: invalid character"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			_, err := checkFeed(strings.NewReader(tc.feed), strings.NewReader(tc.report))

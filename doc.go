@@ -12,6 +12,8 @@
 // scenario runtime (specs, presets, sessions and scripted events) that
 // drives missions over the closed loop. cmd/experiments regenerates every
 // table and figure, cmd/trafficsim runs scripted missions
-// (-scenario/-preset), and the repo benchmark (bench/, BENCHMARK.json)
-// measures the whole loop end to end and layer by layer.
+// (-scenario/-preset), cmd/nccctl runs one ground-initiated
+// reconfiguration from the operator's seat, and the repo benchmark
+// (bench/, BENCHMARK.json) measures the whole loop end to end and layer
+// by layer.
 package repro

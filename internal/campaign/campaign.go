@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 
@@ -99,7 +100,7 @@ func Load(data []byte) (*Spec, error) {
 	if err := dec.Decode(&sp); err != nil {
 		return nil, fmt.Errorf("campaign: parse spec: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("campaign: trailing content after spec")
 	}
 	if err := sp.Validate(); err != nil {

@@ -64,8 +64,10 @@ func TestLoadStrict(t *testing.T) {
 	if _, err := Load([]byte(`{"name":"x","base_preset":"clean","runs_per_point":1,"bogus":1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	if _, err := Load([]byte(`{"name":"x","base_preset":"clean","runs_per_point":1}{}`)); err == nil {
-		t.Fatal("trailing content accepted")
+	for _, trailing := range []string{"{}", "}", "]", " ] "} {
+		if _, err := Load([]byte(`{"name":"x","base_preset":"clean","runs_per_point":1}` + trailing)); err == nil {
+			t.Fatalf("trailing %q accepted", trailing)
+		}
 	}
 	sp, err := Load([]byte(`{"name":"x","base_preset":"clean","runs_per_point":1}`))
 	if err != nil {

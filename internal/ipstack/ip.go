@@ -51,6 +51,11 @@ type Packet struct {
 // header: src(4) dst(4) proto(1) ttl(1) len(2) checksum(2)
 const ipHeaderLen = 14
 
+// DefaultMTU is the largest packet payload one TC transfer frame carries
+// (tmtc.MaxFrameData minus the IP header). TCP's MSS keeps a segment,
+// even over ESP, within it; nothing is fragmented.
+const DefaultMTU = 999
+
 // Marshal serializes the packet with a 16-bit one's-complement-style
 // header checksum.
 func (p *Packet) Marshal() []byte {
@@ -132,14 +137,10 @@ type Node struct {
 
 	sa *SecurityAssociation // nil = plaintext
 
-	// MTU is the largest packet payload sent unfragmented.
-	MTU    int
-	fragID uint16
-	frags  map[fragKey]*fragBuf
-
-	// Counters.
+	// Counters. TxDropped counts packets refused for a payload, after
+	// ESP, beyond DefaultMTU.
 	RxPackets, TxPackets int
-	RxDropped            int
+	RxDropped, TxDropped int
 	ESPDropped           int
 }
 
@@ -149,8 +150,6 @@ func NewNode(s *sim.Simulator, addr Addr, iface *Interface) *Node {
 		addr:      addr,
 		sim:       s,
 		iface:     iface,
-		MTU:       DefaultMTU,
-		frags:     make(map[fragKey]*fragBuf),
 		udpPorts:  make(map[uint16]UDPHandler),
 		tcpListen: make(map[uint16]func(*TCPConn)),
 		tcpConns:  make(map[connKey]*TCPConn),
@@ -167,8 +166,8 @@ func (n *Node) Addr() Addr { return n.addr }
 func (n *Node) EnableIPsec(sa *SecurityAssociation) { n.sa = sa }
 
 // send transmits a network packet through the interface (via ESP when a
-// security association is installed), fragmenting when it exceeds the
-// MTU.
+// security association is installed). A packet whose payload exceeds
+// DefaultMTU is dropped and counted: no frame could carry it.
 func (n *Node) send(p *Packet) {
 	if n.sa != nil {
 		enc, err := n.sa.Encapsulate(p)
@@ -177,7 +176,12 @@ func (n *Node) send(p *Packet) {
 		}
 		p = enc
 	}
-	n.sendMaybeFragmented(p)
+	if len(p.Payload) > DefaultMTU {
+		n.TxDropped++
+		return
+	}
+	n.TxPackets++
+	n.iface.SendFunc(p.Marshal())
 }
 
 // receive parses, optionally decapsulates, and dispatches a packet.
@@ -186,14 +190,6 @@ func (n *Node) receive(data []byte) {
 	if err != nil {
 		n.RxDropped++
 		return
-	}
-	if p.Proto == ProtoFrag {
-		// Reassemble before any further processing (an ESP packet may
-		// itself arrive fragmented).
-		p = n.handleFragment(p)
-		if p == nil {
-			return
-		}
 	}
 	if n.sa != nil {
 		if p.Proto != ProtoESP {

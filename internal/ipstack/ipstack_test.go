@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/tmtc"
 )
 
 // pipe wires two interfaces through the simulator with a fixed one-way
@@ -290,5 +291,47 @@ func TestIPsecConfidentiality(t *testing.T) {
 	enc, _ := sa.Encapsulate(inner)
 	if bytes.Contains(enc.Payload, []byte("secret")) {
 		t.Fatal("payload visible in ciphertext")
+	}
+}
+
+// A datagram whose payload exceeds DefaultMTU is dropped and counted,
+// never handed to the interface (tmtc.Frame.Marshal would panic on it);
+// a full-MSS TCP segment, plain and over ESP, fits one frame.
+func TestSendRefusesOversizePacket(t *testing.T) {
+	s := sim.New()
+	ncc, _ := twoNodes(s, 0, 28)
+	sends := 0
+	ncc.iface.SendFunc = func([]byte) { sends++ }
+	ncc.SendUDP(AddrOf(10, 42, 0, 2), 1, 69, make([]byte, 1000))
+	if ncc.TxDropped != 1 || ncc.TxPackets != 0 || sends != 0 {
+		t.Fatalf("oversize datagram: TxDropped %d, TxPackets %d, %d interface sends", ncc.TxDropped, ncc.TxPackets, sends)
+	}
+
+	for _, ipsec := range []bool{false, true} {
+		s := sim.New()
+		ncc, sat := twoNodes(s, 0, 29)
+		if ipsec {
+			saA, saB, err := PairedSAs(make([]byte, 16), []byte("k"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ncc.EnableIPsec(saA)
+			sat.EnableIPsec(saB)
+		}
+		largest := 0
+		send := ncc.iface.SendFunc
+		ncc.iface.SendFunc = func(d []byte) { largest = max(largest, len(d)); send(d) }
+		var received bytes.Buffer
+		sat.ListenTCP(21, func(c *TCPConn) { c.OnData = func(d []byte) { received.Write(d) } })
+		data := bytes.Repeat([]byte{0x5A}, DefaultMSS)
+		ncc.DialTCP(sat.Addr(), 40000, 21).Send(data)
+		s.MaxEvents = 10_000 // a dropped segment retransmits forever
+		s.Run()
+		if ncc.TxDropped != 0 || !bytes.Equal(received.Bytes(), data) {
+			t.Fatalf("ipsec=%v: full-MSS segment: TxDropped %d, %d of %d bytes delivered", ipsec, ncc.TxDropped, received.Len(), len(data))
+		}
+		if largest > tmtc.MaxFrameData {
+			t.Fatalf("ipsec=%v: a %d-byte packet exceeds the %d-byte frame", ipsec, largest, tmtc.MaxFrameData)
+		}
 	}
 }
