@@ -148,17 +148,8 @@ func (c *Channel) fractionalDelayInPlace(v Vec, mu float64) {
 	shift := int(math.Floor(mu))
 	frac := mu - float64(shift) // in [0, 1)
 	var f Farrow
-	idx := func(k int) complex128 {
-		if k < 0 {
-			k = 0
-		}
-		if k > len(in)-1 {
-			k = len(in) - 1
-		}
-		return in[k]
-	}
 	for i := range v {
-		base := i + shift
-		v[i] = f.Interp(idx(base-1), idx(base), idx(base+1), idx(base+2), frac)
+		x0, x1, x2, x3 := window(in, i+shift)
+		v[i] = f.Interp(x0, x1, x2, x3, frac)
 	}
 }

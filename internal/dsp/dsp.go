@@ -84,19 +84,3 @@ func Hamming(n int) []float64 {
 	}
 	return w
 }
-
-// FourierCoefficient returns the single complex Fourier coefficient of the
-// real series x at normalized frequency f cycles/sample:
-//
-//	sum_k x[k] * exp(-j 2 pi f k)
-//
-// It is used by the Oerder-Meyr square timing estimator, which needs only
-// the spectral line at the symbol rate rather than a full transform.
-func FourierCoefficient(x []float64, f float64) complex128 {
-	var acc complex128
-	for k, v := range x {
-		ph := -2 * math.Pi * f * float64(k)
-		acc += complex(v*math.Cos(ph), v*math.Sin(ph))
-	}
-	return acc
-}

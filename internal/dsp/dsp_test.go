@@ -79,22 +79,6 @@ func tone(f, phase float64, n int) Vec {
 // firOut runs one block through a FIR into a fresh output block.
 func firOut(f *FIR, in Vec) Vec { return f.ProcessInto(NewVec(len(in)), in) }
 
-func TestFourierCoefficientPureTone(t *testing.T) {
-	n := 64
-	f := 0.25
-	x := make([]float64, n)
-	for k := range x {
-		x[k] = math.Cos(2 * math.Pi * f * float64(k))
-	}
-	c := FourierCoefficient(x, f)
-	approx(t, cmplx.Abs(c), float64(n)/2, 1e-9, "tone bin magnitude")
-	// Off-bin frequency content of the tone should be tiny.
-	c2 := FourierCoefficient(x, 0.125)
-	if cmplx.Abs(c2) > 1 {
-		t.Fatalf("off-bin leakage too large: %v", cmplx.Abs(c2))
-	}
-}
-
 func TestFIRImpulseResponse(t *testing.T) {
 	taps := []float64{0.25, 0.5, 0.25}
 	f := NewFIR(taps)

@@ -12,10 +12,19 @@ func (Farrow) Interp(x0, x1, x2, x3 complex128, mu float64) complex128 {
 	// Cubic Lagrange coefficients (Farrow structure, basepoint x1).
 	m := complex(mu, 0)
 	c0 := x1
-	c1 := x2 - x0/3 - x1/2 - x3/6
-	c2 := (x0+x2)/2 - x1
-	c3 := (x3-x0)/6 + (x1-x2)/2
+	c1 := x2 - divReal(x0, 3) - divReal(x1, 2) - divReal(x3, 6)
+	c2 := divReal(x0+x2, 2) - x1
+	c3 := divReal(x3-x0, 6) + divReal(x1-x2, 2)
 	return ((c3*m+c2)*m+c1)*m + c0
+}
+
+// divReal is n/complex(d, 0) for a positive real d, written out as the
+// runtime's complex division computes it for a zero imaginary divisor,
+// so the result is the same for every finite n (signed zeros included)
+// without the call.
+func divReal(n complex128, d float64) complex128 {
+	re, im := real(n), imag(n)
+	return complex((re+im*0)/d, (im-re*0)/d)
 }
 
 // InterpAt resamples the block x at fractional index pos (0 <= pos <=
@@ -25,22 +34,17 @@ func (f Farrow) InterpAt(x Vec, pos float64) complex128 {
 	if len(x) == 0 {
 		return 0
 	}
-	i := int(pos)
-	if i < 0 {
-		i = 0
+	i := min(max(int(pos), 0), len(x)-1)
+	x0, x1, x2, x3 := window(x, i)
+	return f.Interp(x0, x1, x2, x3, pos-float64(i))
+}
+
+// window returns x[i-1], x[i], x[i+1], x[i+2], each index clamped into
+// the block (len(x) > 0).
+func window(x Vec, i int) (x0, x1, x2, x3 complex128) {
+	if i >= 1 && i+2 < len(x) {
+		return x[i-1], x[i], x[i+1], x[i+2]
 	}
-	if i > len(x)-1 {
-		i = len(x) - 1
-	}
-	mu := pos - float64(i)
-	idx := func(k int) complex128 {
-		if k < 0 {
-			k = 0
-		}
-		if k > len(x)-1 {
-			k = len(x) - 1
-		}
-		return x[k]
-	}
-	return f.Interp(idx(i-1), idx(i), idx(i+1), idx(i+2), mu)
+	at := func(k int) complex128 { return x[min(max(k, 0), len(x)-1)] }
+	return at(i - 1), at(i), at(i + 1), at(i + 2)
 }

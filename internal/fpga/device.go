@@ -32,6 +32,7 @@ type Device struct {
 	cols int
 
 	config  []byte // rows*cols*FrameBytes of configuration memory
+	gen     uint64 // configuration generation, bumped by every write
 	powered bool
 
 	loadedDesign string // name from the last full bitstream load
@@ -80,6 +81,11 @@ func (d *Device) PowerOn() { d.powered = true }
 // requires this before a full reload.
 func (d *Device) PowerOff() { d.powered = false }
 
+// Generation counts configuration-memory writes (FullLoad,
+// PartialWrite, FlipConfigBit): a comparison against a golden file
+// holds for as long as it is unchanged.
+func (d *Device) Generation() uint64 { return d.gen }
+
 // LoadedDesign returns the name of the currently loaded design.
 func (d *Device) LoadedDesign() string { return d.loadedDesign }
 
@@ -111,6 +117,7 @@ func (d *Device) FullLoad(bs *Bitstream) error {
 		return fmt.Errorf("fpga: %s: bitstream is for a %dx%d device", d.name, bs.Rows, bs.Cols)
 	}
 	copy(d.config, bs.Frames)
+	d.gen++
 	d.loadedDesign = bs.Design
 	d.fullLoads++
 	return nil
@@ -122,6 +129,7 @@ func (d *Device) FullLoad(bs *Bitstream) error {
 func (d *Device) PartialWrite(row, col int, frame [FrameBytes]byte) {
 	off := d.frameOffset(row, col)
 	copy(d.config[off:off+FrameBytes], frame[:])
+	d.gen++
 	d.partialWrites++
 }
 
@@ -147,6 +155,7 @@ func (d *Device) FlipConfigBit(bit int) {
 		panic("fpga: config bit index out of range")
 	}
 	d.config[bit/8] ^= 1 << (bit % 8)
+	d.gen++
 }
 
 // encodeFrame packs a CLB configuration word.

@@ -1,0 +1,71 @@
+package modem
+
+import (
+	"testing"
+
+	"repro/internal/dsp"
+)
+
+// demodCase is one received slot and the demodulator that reads it.
+type demodCase struct {
+	name string
+	d    *BurstDemodulator
+	rx   dsp.Vec
+}
+
+// fullSync is the synchronization chain the impaired workloads run.
+var fullSync = SyncConfig{FreqRecovery: true, PhaseTrack: true, UWThreshold: 0.7}
+
+// demodCases are one engine-size slot (a 200-symbol burst at 4
+// samples/symbol) through the legacy chain and through the full sync
+// chain.
+func demodCases(t testing.TB) []demodCase {
+	f := DefaultBurstFormat(200)
+	_, clean := syncBurst(t, 1, 12, 0, 0.4, 0.3, 1)
+	_, offset := syncBurst(t, 2, 12, 0.05, 0.4, 0.3, 1)
+	return []demodCase{
+		{"legacy", NewBurstDemodulator(f, 0.35, 4, 10, TimingOerderMeyr), clean},
+		{"sync", NewBurstDemodulatorSync(f, 0.35, 4, 10, TimingOerderMeyr, fullSync), offset},
+	}
+}
+
+// A warm demodulator allocates only the soft bits it returns: the
+// caller keeps them after the demodulator goes back to its pool.
+func TestDemodulateAllocatesOnlySoftBits(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	for _, c := range demodCases(t) {
+		if !c.d.Demodulate(c.rx).Found {
+			t.Fatalf("%s: burst not found", c.name)
+		}
+		if a := testing.AllocsPerRun(20, func() { c.d.Demodulate(c.rx) }); a != 1 {
+			t.Fatalf("%s: warm Demodulate allocates %v times per burst, want 1 (the soft bits)", c.name, a)
+		}
+	}
+}
+
+func BenchmarkDemodulate(b *testing.B) {
+	for _, c := range demodCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			c.d.Demodulate(c.rx) // size the instance's scratch
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.d.Demodulate(c.rx)
+			}
+		})
+	}
+}
+
+func BenchmarkOerderMeyr(b *testing.B) {
+	_, rx := syncBurst(b, 1, 12, 0, 0.4, 0.3, 1)
+	mf := dsp.NewMatchedFilter(0.35, 4, 10)
+	filtered := mf.ProcessInto(dsp.NewVec(len(rx)), rx)
+	om := NewOerderMeyr(4)
+	syms := dsp.NewVec(om.MaxSymbols(len(filtered)))
+	om.RecoverInto(syms, filtered) // build the shared rotator table
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		om.RecoverInto(syms, filtered)
+	}
+}

@@ -263,8 +263,7 @@ func (d *BurstDemodulator) Demodulate(rx dsp.Vec) BurstResult {
 	var tau float64
 	switch d.mode {
 	case TimingGardner:
-		g := NewGardner(0.05, 0.0005)
-		syms = g.Process(filtered)
+		syms = gardnerRecover(filtered, 0.05, 0.0005)
 	case TimingOerderMeyr:
 		if n := d.om.MaxSymbols(len(filtered)); cap(d.syms) < n {
 			d.syms = dsp.NewVec(n)
@@ -272,7 +271,13 @@ func (d *BurstDemodulator) Demodulate(rx dsp.Vec) BurstResult {
 		syms, tau = d.om.RecoverInto(d.syms[:cap(d.syms)], filtered)
 	}
 	dsp.PutVec(filtered)
+	return d.acquire(syms, tau)
+}
 
+// acquire runs the chain after timing recovery on the symbol-rate
+// strobes: frequency recovery, unique-word search, phase correction and
+// demapping.
+func (d *BurstDemodulator) acquire(syms dsp.Vec, tau float64) BurstResult {
 	res := BurstResult{TimingUsed: d.mode, Timing: tau}
 	uw := d.uw
 	if len(syms) < len(uw)+d.fmt.PayloadLen {
@@ -292,7 +297,7 @@ func (d *BurstDemodulator) Demodulate(rx dsp.Vec) BurstResult {
 	var bestIdx int
 	var bestMag float64
 	var bestCorr complex128
-	var pooled dsp.Vec // winning candidate buffer, released before return
+	var pooled dsp.Vec // winning candidate buffer, released before return (nil is a no-op)
 	if d.sync.FreqRecovery {
 		// The fourth power is blind to quarter-cycle wraps: a burst at
 		// the range edge (or beyond ±1/8) estimates 1/4 cycle/symbol
@@ -327,9 +332,7 @@ func (d *BurstDemodulator) Demodulate(rx dsp.Vec) BurstResult {
 	}
 	res.UWMetric = bestMag
 	if bestIdx < 0 || bestMag < d.sync.UWThreshold {
-		if pooled != nil {
-			dsp.PutVec(pooled)
-		}
+		dsp.PutVec(pooled)
 		return res
 	}
 	res.Found = true
@@ -353,9 +356,7 @@ func (d *BurstDemodulator) Demodulate(rx dsp.Vec) BurstResult {
 		derot = DerotateInto(d.derot[:len(payload)], payload, res.Phase)
 	}
 	res.Soft = d.fmt.Mod.Demap(derot, 1)
-	if pooled != nil {
-		dsp.PutVec(pooled)
-	}
+	dsp.PutVec(pooled)
 	return res
 }
 

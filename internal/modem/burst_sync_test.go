@@ -12,7 +12,7 @@ import (
 // syncBurst modulates a random burst and passes it through the given
 // channel impairments at 4 samples/symbol, returning the payload bits
 // and the received slot.
-func syncBurst(t *testing.T, seed int64, esn0, cfo, phase, timing, gain float64) ([]byte, dsp.Vec) {
+func syncBurst(t testing.TB, seed int64, esn0, cfo, phase, timing, gain float64) ([]byte, dsp.Vec) {
 	t.Helper()
 	f := DefaultBurstFormat(200)
 	mod := NewBurstModulator(f, 0.35, 4, 10)

@@ -37,11 +37,10 @@ func EstimateFrequencyQPSK(syms dsp.Vec) float64 {
 	// Zero-pad to at least 2n so the FFT bin width 1/nfft is no coarser
 	// than the half-bin spacing 1/(2n) of the dense reference scan.
 	nfft := dsp.NextPow2(2 * n)
-	z := dsp.GetVec(nfft)
-	fourthPowerNormalize(z, syms)
-	for i := n; i < nfft; i++ {
-		z[i] = 0
-	}
+	z, p4 := dsp.GetVec(nfft), dsp.GetVec(n)
+	fourthPowerNormalize(p4, syms)
+	copy(z, p4)
+	clear(z[n:])
 	// The line sits at u = 4f cycles/sample in fourth-power units.
 	// Coarse: periodogram peak over the FFT bins; bin k measures
 	// u = k/nfft (folded into [-1/2, 1/2)), identical to evaluating the
@@ -62,11 +61,11 @@ func EstimateFrequencyQPSK(syms dsp.Vec) float64 {
 	coarseDu := 1 / float64(nfft)
 	// Fine: an eighth-bin grid across the winning coarse bin pair, with
 	// parabolic interpolation taking the estimate well below grid
-	// resolution, evaluated on the (rebuilt) fourth-power samples.
-	z = z[:n]
-	fourthPowerNormalize(z, syms)
-	u = peakSearchParabolic(z, u-coarseDu, coarseDu/8, 17)
+	// resolution, evaluated on the fourth-power samples (kept in p4, as
+	// the in-place FFT consumed z).
+	u = peakSearchParabolic(p4, u-coarseDu, coarseDu/8, 17)
 	dsp.PutVec(z)
+	dsp.PutVec(p4)
 	return foldQuarterCycle(u)
 }
 
@@ -170,10 +169,7 @@ func TrackPhaseQPSKInto(out, payload dsp.Vec, anchor float64) dsp.Vec {
 	out = out[:len(payload)]
 	prev := anchor
 	for b := 0; b < len(payload); b += block {
-		e := b + block
-		if e > len(payload) {
-			e = len(payload)
-		}
+		e := min(b+block, len(payload))
 		var acc complex128
 		for _, s := range payload[b:e] {
 			p := qpow4(s)

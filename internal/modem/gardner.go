@@ -2,71 +2,39 @@ package modem
 
 import "repro/internal/dsp"
 
-// GardnerSynchronizer is a closed-loop symbol timing recovery based on the
-// Gardner timing error detector for BPSK/QPSK sampled receivers [5]. It
-// consumes matched-filtered samples at 2 samples/symbol and emits one
-// symbol-rate strobe per symbol using cubic interpolation. The detector
+// gardnerRecover is closed-loop symbol timing recovery around the
+// Gardner timing error detector for BPSK/QPSK sampled receivers [5]: it
+// runs the loop from rest (gains kp 0.05, ki 0.0005 acquire within a few
+// hundred symbols) over matched-filtered samples at 2 samples/symbol and
+// returns one symbol-rate strobe per symbol by cubic interpolation. The
+// detector
 //
 //	e(k) = Re{ (y(k) - y(k-1)) * conj(y(k-1/2)) }
 //
 // is rotation-invariant, so the loop runs before carrier recovery — the
 // property that makes it the paper's choice for continuous or long-burst
 // TDMA streams.
-type GardnerSynchronizer struct {
-	kp  float64 // proportional gain
-	ki  float64 // integral gain
-	vel float64 // integrator state (rate correction)
-
-	buf        dsp.Vec // unconsumed samples
-	pos        float64 // next strobe position within buf
-	prevStrobe complex128
-	havePrev   bool
-}
-
-// NewGardner creates a synchronizer with the given loop gains. Typical
-// values: kp 0.05, ki 0.0005 for acquisition within a few hundred symbols.
-func NewGardner(kp, ki float64) *GardnerSynchronizer {
-	return &GardnerSynchronizer{kp: kp, ki: ki, pos: 3}
-}
-
-// Process consumes a block of 2-samples/symbol input and returns recovered
-// symbol-rate strobes.
-func (g *GardnerSynchronizer) Process(in dsp.Vec) dsp.Vec {
-	g.buf = append(g.buf, in...)
+func gardnerRecover(in dsp.Vec, kp, ki float64) dsp.Vec {
 	var f dsp.Farrow
-	out := dsp.NewVec(0)
-
-	for g.pos+2 < float64(len(g.buf)-2) {
-		mid := f.InterpAt(g.buf, g.pos-1) // half-symbol before the strobe
-		cur := f.InterpAt(g.buf, g.pos)
-		if g.havePrev {
+	var out dsp.Vec
+	var prev complex128
+	pos, vel := 3.0, 0.0 // next strobe position; integrator state (rate correction)
+	for pos+2 < float64(len(in)-2) {
+		mid := f.InterpAt(in, pos-1) // half-symbol before the strobe
+		cur := f.InterpAt(in, pos)
+		if len(out) > 0 {
 			// e > 0 when the strobe lies after the symbol optimum, so
-			// the correction is subtracted from the strobe advance.
-			e := GardnerError(g.prevStrobe, mid, cur)
-			g.vel += g.ki * e
-			adj := g.kp*e + g.vel
-			// Clamp to half a sample per strobe so acquisition
+			// the correction is subtracted from the strobe advance,
+			// clamped to half a sample per strobe so acquisition
 			// transients cannot skip symbols.
-			if adj > 0.5 {
-				adj = 0.5
-			}
-			if adj < -0.5 {
-				adj = -0.5
-			}
-			g.pos += 2 - adj
+			e := GardnerError(prev, mid, cur)
+			vel += ki * e
+			pos += 2 - min(max(kp*e+vel, -0.5), 0.5)
 		} else {
-			g.pos += 2
+			pos += 2
 		}
 		out = append(out, cur)
-		g.prevStrobe = cur
-		g.havePrev = true
-	}
-
-	// Drop consumed samples, keeping a 4-sample interpolation margin.
-	drop := int(g.pos) - 4
-	if drop > 0 {
-		g.buf = g.buf[drop:].Clone()
-		g.pos -= float64(drop)
+		prev = cur
 	}
 	return out
 }

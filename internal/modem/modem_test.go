@@ -114,8 +114,7 @@ func TestGardnerRecoversSymbols(t *testing.T) {
 	rx := makeWave(t, bits, sps, 0.3, 4, 300)
 	mf := dsp.NewMatchedFilter(0.35, sps, 10)
 	filtered := mf.ProcessInto(dsp.NewVec(len(rx)), rx)
-	g := NewGardner(0.05, 0.0005)
-	syms := g.Process(filtered)
+	syms := gardnerRecover(filtered, 0.05, 0.0005)
 	if len(syms) < 1800 {
 		t.Fatalf("too few strobes: %d", len(syms))
 	}

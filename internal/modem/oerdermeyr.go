@@ -3,6 +3,8 @@ package modem
 import (
 	"math"
 	"math/cmplx"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dsp"
 )
@@ -15,8 +17,17 @@ import (
 // bursts; it requires at least 4 samples per symbol.
 type OerderMeyr struct {
 	sps int
-	sq  []float64 // scratch: squared magnitudes, reused across calls
+	rot *atomic.Pointer[[]complex128] // this sps's entry of rotatorTables
 }
+
+// rotatorTables holds, per oversampling factor, one read-only table of
+// the rotators exp(-j 2 pi k / sps) shared by every estimator. A table
+// is never written after it is published: a longer block builds a longer
+// table under rotatorMu and swaps it in, so readers take no lock.
+var (
+	rotatorMu     sync.Mutex
+	rotatorTables sync.Map // int -> *atomic.Pointer[[]complex128]
+)
 
 // NewOerderMeyr creates an estimator for the given oversampling factor
 // (must be >= 4 for an unaliased symbol-rate line).
@@ -24,22 +35,43 @@ func NewOerderMeyr(sps int) *OerderMeyr {
 	if sps < 4 {
 		panic("modem: Oerder-Meyr requires at least 4 samples per symbol")
 	}
-	return &OerderMeyr{sps: sps}
+	rot, _ := rotatorTables.LoadOrStore(sps, new(atomic.Pointer[[]complex128]))
+	return &OerderMeyr{sps: sps, rot: rot.(*atomic.Pointer[[]complex128])}
+}
+
+// rotators returns the first n rotators, publishing a longer table when
+// n exceeds the shared one. Each entry takes its phase from the
+// expression the single-bin Fourier coefficient always used, so the
+// estimate is the same bit for bit as evaluating cos and sin per sample.
+func (o *OerderMeyr) rotators(n int) []complex128 {
+	t := o.rot.Load()
+	if t == nil || len(*t) < n {
+		rotatorMu.Lock()
+		if t = o.rot.Load(); t == nil || len(*t) < n {
+			f := 1 / float64(o.sps)
+			tab := make([]complex128, n)
+			for k := range tab {
+				ph := -2 * math.Pi * f * float64(k)
+				tab[k] = complex(math.Cos(ph), math.Sin(ph))
+			}
+			t = &tab
+			o.rot.Store(t)
+		}
+		rotatorMu.Unlock()
+	}
+	return (*t)[:n]
 }
 
 // EstimateOffset returns the fractional symbol timing offset in samples,
-// in [-sps/2, sps/2), estimated over the whole block. The squared-
-// magnitude scratch is instance-owned, so a recovery instance serves one
-// stream at a time (like the demodulator that embeds it).
+// in [-sps/2, sps/2), estimated over the whole block: the phase of the
+// squared magnitude's Fourier coefficient at the symbol rate.
 func (o *OerderMeyr) EstimateOffset(in dsp.Vec) float64 {
-	if cap(o.sq) < len(in) {
-		o.sq = make([]float64, len(in))
-	}
-	x := o.sq[:len(in)]
+	rot := o.rotators(len(in))
+	var c complex128
 	for i, s := range in {
-		x[i] = real(s)*real(s) + imag(s)*imag(s)
+		v := real(s)*real(s) + imag(s)*imag(s)
+		c += complex(v*real(rot[i]), v*imag(rot[i]))
 	}
-	c := dsp.FourierCoefficient(x, 1/float64(o.sps))
 	// tau = -T/(2 pi) * arg(C), expressed in samples.
 	return -float64(o.sps) / (2 * math.Pi) * cmplx.Phase(c)
 }

@@ -63,9 +63,7 @@ func NewFrameComposer(cfg FrameConfig, sps int) *FrameComposer {
 // one frame per iteration and must not churn the heap.
 func (fc *FrameComposer) Reset() {
 	for _, c := range fc.carriers {
-		for i := range c {
-			c[i] = 0
-		}
+		clear(c)
 	}
 }
 
@@ -80,10 +78,7 @@ func (fc *FrameComposer) PlaceBurst(a SlotAssignment, wave dsp.Vec) {
 	}
 	start := a.Slot * fc.cfg.SlotSymbols * fc.sps
 	dst := fc.carriers[a.Carrier][start:]
-	n := len(wave)
-	if n > fc.cfg.SlotSymbols*fc.sps {
-		n = fc.cfg.SlotSymbols * fc.sps
-	}
+	n := min(len(wave), fc.cfg.SlotSymbols*fc.sps)
 	copy(dst[:n], wave[:n])
 }
 

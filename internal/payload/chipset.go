@@ -9,6 +9,8 @@ package payload
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/fpga"
 )
@@ -65,7 +67,22 @@ func (p Partitioning) String() string {
 type Chipset struct {
 	devices   map[string]*fpga.Device
 	placement map[Function][]string // function -> hosting device names
-	goldens   map[string]*fpga.Bitstream
+	goldens   map[string]*golden
+}
+
+// golden is a device's reference configuration and the last verdict of
+// comparing the device against it. Every configuration write bumps the
+// device's generation and SetGolden installs a fresh golden, so the
+// verdict is recomputed only after one of them; concurrent callers
+// publish whole verdicts atomically.
+type golden struct {
+	bs      *fpga.Bitstream
+	checked atomic.Pointer[verdict]
+}
+
+type verdict struct {
+	gen    uint64
+	intact bool
 }
 
 // deviceGeometry sizes devices so reload time scales with what they host.
@@ -123,7 +140,7 @@ func NewChipset(strategy Partitioning) (*Chipset, error) {
 	cs := &Chipset{
 		devices:   make(map[string]*fpga.Device),
 		placement: placementFor(strategy),
-		goldens:   make(map[string]*fpga.Bitstream),
+		goldens:   make(map[string]*golden),
 	}
 	for name, geom := range deviceGeometry(strategy) {
 		d := fpga.NewDevice(name, geom[0], geom[1])
@@ -133,7 +150,7 @@ func NewChipset(strategy Partitioning) (*Chipset, error) {
 		}
 		d.PowerOn()
 		cs.devices[name] = d
-		cs.goldens[name] = boot
+		cs.goldens[name] = &golden{bs: boot}
 	}
 	return cs, nil
 }
@@ -173,11 +190,8 @@ func (cs *Chipset) DevicesFor(f Function) []string {
 func (cs *Chipset) ServicesOn(device string) []Function {
 	var out []Function
 	for _, f := range AllFunctions() {
-		for _, d := range cs.placement[f] {
-			if d == device {
-				out = append(out, f)
-				break
-			}
+		if slices.Contains(cs.placement[f], device) {
+			out = append(out, f)
 		}
 	}
 	return out
@@ -188,13 +202,11 @@ func (cs *Chipset) ServicesOn(device string) []Function {
 // transfer, and every service interrupted while they are down.
 func (cs *Chipset) ReloadPlan(f Function) (devices []string, reloadBytes int, interrupted []Function) {
 	devices = cs.DevicesFor(f)
-	seen := map[Function]bool{}
 	for _, dn := range devices {
 		d := cs.devices[dn]
 		reloadBytes += d.CLBs() * fpga.FrameBytes
 		for _, svc := range cs.ServicesOn(dn) {
-			if !seen[svc] {
-				seen[svc] = true
+			if !slices.Contains(interrupted, svc) {
 				interrupted = append(interrupted, svc)
 			}
 		}
@@ -204,14 +216,16 @@ func (cs *Chipset) ReloadPlan(f Function) (devices []string, reloadBytes int, in
 
 // SetGolden records the reference configuration of a device (after a
 // successful reconfiguration).
-func (cs *Chipset) SetGolden(device string, golden *fpga.Bitstream) {
-	cs.goldens[device] = golden
+func (cs *Chipset) SetGolden(device string, bs *fpga.Bitstream) {
+	cs.goldens[device] = &golden{bs: bs}
 }
 
 // Golden returns the reference configuration.
 func (cs *Chipset) Golden(device string) (*fpga.Bitstream, bool) {
-	g, ok := cs.goldens[device]
-	return g, ok
+	if g, ok := cs.goldens[device]; ok {
+		return g.bs, true
+	}
+	return nil, false
 }
 
 // FunctionHealthy reports whether every device hosting the function is
@@ -219,14 +233,20 @@ func (cs *Chipset) Golden(device string) (*fpga.Bitstream, bool) {
 func (cs *Chipset) FunctionHealthy(f Function) bool {
 	for _, dn := range cs.placement[f] {
 		d := cs.devices[dn]
-		if !d.Powered() {
+		if g, ok := cs.goldens[dn]; !d.Powered() || ok && !g.intact(d) {
 			return false
-		}
-		if g, ok := cs.goldens[dn]; ok {
-			if fpga.CountCorruptedFrames(d, g) > 0 {
-				return false
-			}
 		}
 	}
 	return true
+}
+
+// intact reports whether d's configuration matches the golden file,
+// comparing frames only when d was written since the last verdict.
+func (g *golden) intact(d *fpga.Device) bool {
+	if v := g.checked.Load(); v != nil && v.gen == d.Generation() {
+		return v.intact
+	}
+	v := &verdict{gen: d.Generation(), intact: fpga.CountCorruptedFrames(d, g.bs) == 0}
+	g.checked.Store(v)
+	return v.intact
 }

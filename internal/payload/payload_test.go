@@ -2,11 +2,13 @@ package payload
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/cdma"
 	"repro/internal/dsp"
 	"repro/internal/fec"
+	"repro/internal/fpga"
 	"repro/internal/modem"
 	"repro/internal/switchfab"
 )
@@ -91,6 +93,75 @@ func TestFunctionUnhealthyWhenCorrupted(t *testing.T) {
 	if cs.FunctionHealthy(FuncDemod) {
 		t.Fatal("corrupted configuration must be unhealthy")
 	}
+}
+
+// uncachedHealthy is the verdict FunctionHealthy caches, computed from
+// scratch: every hosting device powered and equal to its golden file.
+func uncachedHealthy(cs *Chipset, f Function) bool {
+	for _, dn := range cs.DevicesFor(f) {
+		d, _ := cs.Device(dn)
+		if g, ok := cs.Golden(dn); !d.Powered() || ok && fpga.CountCorruptedFrames(d, g) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// The cached health verdict follows every configuration write and every
+// golden change: after each step of an SEU, a scrub, a reload and a
+// golden swap it equals the verdict computed from scratch, also when
+// many receive workers ask at once.
+func TestFunctionHealthyCacheIsHonest(t *testing.T) {
+	cs, err := NewChipset(PerFunction)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := cs.Device("carrier-fpga")
+	boot, _ := cs.Golden("carrier-fpga")
+	nl := fpga.NewNetlist("demod-v2", 4)
+	nl.MarkOutput(nl.AddGate(fpga.LUTAnd, nl.AddGate(fpga.LUTOr, 0, 1), nl.AddGate(fpga.LUTXor, 2, 3)))
+	v2, err := nl.Compile(d.Rows(), d.Cols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, want bool) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, f := range AllFunctions() {
+					if got := cs.FunctionHealthy(f); got != uncachedHealthy(cs, f) {
+						t.Errorf("%s: %s healthy=%v, uncached verdict %v", step, f, got, !got)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if got := cs.FunctionHealthy(FuncDemod); got != want {
+			t.Fatalf("%s: demod healthy=%v, want %v", step, got, want)
+		}
+	}
+	check("boot", true)
+	d.FlipConfigBit(3)
+	check("SEU", false)
+	fpga.NewBlindScrubber(boot).Scrub(d)
+	check("blind scrub", true)
+	d.FlipConfigBit(40)
+	d.FlipConfigBit(40)
+	check("SEU and its twin", true)
+	d.PowerOff()
+	check("power off", false)
+	if err := d.FullLoad(v2); err != nil {
+		t.Fatal(err)
+	}
+	d.PowerOn()
+	check("new design against the old golden", false)
+	cs.SetGolden("carrier-fpga", v2)
+	check("new golden", true)
+	cs.SetGolden("carrier-fpga", boot)
+	check("old golden back", false)
 }
 
 // The payload's switch is now the sharded fabric (switchfab has the
