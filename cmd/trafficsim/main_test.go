@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/traffic"
 )
 
@@ -25,9 +26,9 @@ func runReport(t *testing.T, args ...string) (code int, rep traffic.Report, stde
 	return code, rep, errOut.String()
 }
 
-// A verified run on a noiseless uplink loses nothing and exits 0.
+// A verified run of the clean preset loses nothing and exits 0.
 func TestExitCleanPass(t *testing.T) {
-	code, rep, stderr := runReport(t, "-frames", "4", "-verify", "-ebn0", "0")
+	code, rep, stderr := runReport(t, "-preset", "clean", "-frames", "4", "-verify")
 	if code != 0 || stderr != "" {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
@@ -37,10 +38,24 @@ func TestExitCleanPass(t *testing.T) {
 	}
 }
 
-// Losses on a noisy uplink are the experiment, not a failure: the run
-// still exits 0, and the downlink it regenerated still verifies clean.
+// Losses on a noisy uplink are the experiment, not a failure: the clean
+// preset rewritten to Eb/N0 1 dB still exits 0, and the downlink it
+// regenerated still verifies clean.
 func TestExitNoisyUplinkLossStaysZero(t *testing.T) {
-	code, rep, stderr := runReport(t, "-frames", "8", "-verify", "-ebn0", "1")
+	sp, err := scenario.Preset("clean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Traffic.EbN0dB = 1
+	data, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "noisy.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, rep, stderr := runReport(t, "-scenario", path, "-frames", "8", "-verify")
 	if code != 0 || stderr != "" {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
@@ -73,37 +88,25 @@ func TestExitVerifyLossIsFailure(t *testing.T) {
 	}
 }
 
-// Bad flags and bad specs are non-zero before anything runs.
+// Bad flags and bad specs are non-zero before anything runs: a run
+// needs a spec, and the flags that once rebuilt one are unknown.
 func TestExitBadInput(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		code int
+		want string
 	}{
-		{[]string{"-no-such-flag"}, 2},
-		{[]string{"-carriers", "0"}, 1},
-		{[]string{"-preset", "clean", "-scenario", "x.json"}, 1},
-		{[]string{"-preset", "clean", "-count", "-1"}, 1},
+		{[]string{"-no-such-flag"}, 2, "-no-such-flag"},
+		{[]string{"-preset", "bogus"}, 1, "bogus"},
+		{[]string{"-preset", "clean", "-scenario", "x.json"}, 1, "not both"},
+		{[]string{"-preset", "clean", "-frames", "0"}, 1, "0 frames"},
+		{nil, 1, "-scenario"},
+		{nil, 1, "-preset"},
+		{[]string{"-carriers", "3"}, 2, "-carriers"},
 	} {
 		var out, errOut bytes.Buffer
-		if code := run(tc.args, &out, &errOut); code != tc.code || errOut.Len() == 0 {
-			t.Fatalf("%v: exit %d (want %d), stderr %q", tc.args, code, tc.code, errOut.String())
-		}
-	}
-}
-
-// -count lifts each entry of the preset to a population over all beams
-// with -tracers of its members on the per-terminal path.
-func TestCountLiftsPreset(t *testing.T) {
-	code, rep, stderr := runReport(t, "-preset", "clean", "-frames", "2", "-count", "5000", "-tracers", "3")
-	if code != 0 || stderr != "" {
-		t.Fatalf("exit %d, stderr %q", code, stderr)
-	}
-	if len(rep.PerPopulation) != 4 || len(rep.PerTerminal) != 4*3 {
-		t.Fatalf("%d population rows, %d terminal rows", len(rep.PerPopulation), len(rep.PerTerminal))
-	}
-	for _, ps := range rep.PerPopulation {
-		if ps.Members != 5000 || ps.Tracers != 3 {
-			t.Fatalf("population %s: %d members, %d traced", ps.Name, ps.Members, ps.Tracers)
+		if code := run(tc.args, &out, &errOut); code != tc.code || !strings.Contains(errOut.String(), tc.want) {
+			t.Fatalf("%v: exit %d (want %d), stderr %q (want %q)", tc.args, code, tc.code, errOut.String(), tc.want)
 		}
 	}
 }

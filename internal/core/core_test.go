@@ -106,6 +106,27 @@ func TestMigrateWaveformAllDevices(t *testing.T) {
 	}
 }
 
+// Under PerFunction DEMOD spans two devices: every migration uploads and
+// reports them in device-name order, not in the bitstream map's order.
+func TestMigrateWaveformDeviceOrder(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		cfg := DefaultSystemConfig()
+		cfg.Payload.Strategy = payload.PerFunction
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.RunUntil(2)
+		var devices []string
+		for _, r := range sys.MigrateWaveform(payload.ModeTDMA, ncc.ProtoSCPSFP, 16) {
+			devices = append(devices, r.Device)
+		}
+		if strings.Join(devices, ",") != "carrier-fpga,timing-fpga" {
+			t.Fatalf("system %d reconfigured %v", i, devices)
+		}
+	}
+}
+
 func TestSwapDecoder(t *testing.T) {
 	sys, err := NewSystem(DefaultSystemConfig())
 	if err != nil {

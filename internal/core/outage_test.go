@@ -1,9 +1,9 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
-	"repro/internal/ftp"
 	"repro/internal/ncc"
 	"repro/internal/payload"
 )
@@ -77,8 +77,8 @@ func TestServiceOutageDuringReconfiguration(t *testing.T) {
 
 // TestSEUCorruptedStagedFileRollsBack simulates a single-event upset in
 // the on-board memory between upload and reload: the staged bitstream is
-// corrupted, its CRC check fails at Unmarshal time, and the payload keeps
-// running the previous design.
+// corrupted, its CRC check fails at Unmarshal time, the library route
+// reports the failure, and the payload keeps running the previous design.
 func TestSEUCorruptedStagedFileRollsBack(t *testing.T) {
 	sys, err := NewSystem(DefaultSystemConfig())
 	if err != nil {
@@ -94,16 +94,10 @@ func TestSEUCorruptedStagedFileRollsBack(t *testing.T) {
 	data[100] ^= 0x04 // the SEU
 	sys.Controller.Store().Put("hit.bit", data)
 
-	before := len(sys.NCC.Reports)
-	sys.NCC.PushPolicy(ftp.Policy{Device: "demod-fpga", Design: "hit.bit", Validate: true, Rollback: true})
-	sys.Run()
-
-	if len(sys.NCC.Reports) <= before {
-		t.Fatal("no report")
-	}
-	last := sys.NCC.Reports[len(sys.NCC.Reports)-1]
-	if last[:4] != "fail" {
-		t.Fatalf("expected failure report, got %q", last)
+	// The library route reports what the device reported: a failure
+	// naming it, not a success because some report arrived.
+	if rep := sys.LibraryReconfigure("demod-fpga", "hit.bit", true); rep.OK || !strings.Contains(rep.FailureReason, "demod-fpga") {
+		t.Fatalf("library route on a corrupted bitstream: %v", rep)
 	}
 	// Payload must still be on CDMA and healthy.
 	if sys.Payload.Mode() != payload.ModeCDMA {

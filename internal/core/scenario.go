@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"strings"
+	"sort"
 
 	"repro/internal/fpga"
 	"repro/internal/ftp"
@@ -42,46 +42,49 @@ func (sys *System) GroundReconfigure(device string, bs *fpga.Bitstream, proto nc
 	fileName := bs.Design + ".bit"
 	data := bs.Marshal()
 	sys.NCC.Catalog(fileName, data)
+	rep := ReconfigReport{Device: device, File: fileName, Protocol: proto, BitstreamBytes: len(data)}
+	return sys.reconfigure(rep, rollback, func(stored func(error)) {
+		sys.NCC.Upload(fileName, proto, window, stored)
+	})
+}
 
-	rep := ReconfigReport{
-		Device:         device,
-		File:           fileName,
-		Protocol:       proto,
-		UploadStart:    sys.Sim.Now(),
-		BitstreamBytes: len(data),
-	}
+// LibraryReconfigure reconfigures device from a file already in on-board
+// memory (§3.2's bitstream library): no upload phase, only the COPS
+// policy, the five-step procedure and the telemetry report.
+func (sys *System) LibraryReconfigure(device, file string, rollback bool) ReconfigReport {
+	return sys.reconfigure(ReconfigReport{Device: device, File: file}, rollback, func(stored func(error)) { stored(nil) })
+}
 
-	uploadDone := false
-	sys.NCC.Upload(fileName, proto, window, func(err error) {
+// reconfigure is the part of a reconfiguration both routes share. stage
+// gets the file into on-board memory and calls stored once it is there;
+// stored pushes the COPS policy for it. The event queue then runs to
+// completion, and the device's report decides the outcome.
+func (sys *System) reconfigure(rep ReconfigReport, rollback bool, stage func(stored func(error))) ReconfigReport {
+	rep.UploadStart = sys.Sim.Now()
+	before := len(sys.NCC.Reports)
+	staged := false
+	stage(func(err error) {
 		if err != nil {
 			rep.FailureReason = "upload: " + err.Error()
 			return
 		}
-		uploadDone = true
+		staged = true
 		rep.UploadDone = sys.Sim.Now()
 		sys.NCC.PushPolicy(ftp.Policy{
-			Device: device, Design: fileName, Validate: true, Rollback: rollback,
+			Device: rep.Device, Design: rep.File, Validate: true, Rollback: rollback,
 		})
 	})
-
-	before := len(sys.NCC.Reports)
 	sys.Run()
 
-	if !uploadDone {
+	if !staged {
 		if rep.FailureReason == "" {
 			rep.FailureReason = "upload incomplete"
 		}
 		return rep
 	}
-	// Find the report for this reconfiguration.
-	for i := before; i < len(sys.NCC.Reports); i++ {
-		r := sys.NCC.Reports[i]
-		if strings.Contains(r, ":"+device+":") {
-			rep.ReconfigDone = sys.NCC.ReportTimes[i]
-			rep.OK = strings.HasPrefix(r, "ok:")
-			if !rep.OK {
-				rep.FailureReason = r
-			}
+	for _, r := range sys.NCC.Reports[before:] {
+		if r.Device == rep.Device {
+			rep.ReconfigDone, rep.OK, rep.FailureReason = r.Time, r.OK, r.Reason
 			return rep
 		}
 	}
@@ -91,21 +94,29 @@ func (sys *System) GroundReconfigure(device string, bs *fpga.Bitstream, proto nc
 
 // MigrateWaveform performs the Fig 3 migration on every DEMOD device:
 // upload the new waveform's bitstreams and reconfigure each device in
-// sequence, returning one report per device.
+// sequence, in device-name order, returning one report per device.
 func (sys *System) MigrateWaveform(mode payload.WaveformMode, proto ncc.Protocol, window int) []ReconfigReport {
-	var out []ReconfigReport
-	for dev, bs := range sys.Payload.DemodBitstreams(mode) {
-		out = append(out, sys.GroundReconfigure(dev, bs, proto, window, true))
-	}
-	return out
+	return sys.reconfigureEach(sys.Payload.DemodBitstreams(mode), proto, window)
 }
 
 // SwapDecoder performs the §2.3 decoder reconfiguration on every DECOD
-// device.
+// device, in device-name order.
 func (sys *System) SwapDecoder(codecName string, proto ncc.Protocol, window int) []ReconfigReport {
-	var out []ReconfigReport
-	for dev, bs := range sys.Payload.DecodBitstreams(codecName) {
-		out = append(out, sys.GroundReconfigure(dev, bs, proto, window, true))
+	return sys.reconfigureEach(sys.Payload.DecodBitstreams(codecName), proto, window)
+}
+
+// reconfigureEach ground-reconfigures every device of a per-device
+// bitstream map in device-name order, so the uploads and their reports
+// do not follow Go's map order.
+func (sys *System) reconfigureEach(bitstreams map[string]*fpga.Bitstream, proto ncc.Protocol, window int) []ReconfigReport {
+	devices := make([]string, 0, len(bitstreams))
+	for dev := range bitstreams {
+		devices = append(devices, dev)
+	}
+	sort.Strings(devices)
+	out := make([]ReconfigReport, len(devices))
+	for i, dev := range devices {
+		out[i] = sys.GroundReconfigure(dev, bitstreams[dev], proto, window, true)
 	}
 	return out
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fpga"
-	"repro/internal/ftp"
 	"repro/internal/ncc"
 	"repro/internal/payload"
 	"repro/internal/sim"
@@ -54,15 +53,7 @@ func E4Timeline(seed int64) *E4Result {
 	sys.RunUntil(2)
 	bs := sys.Payload.DemodBitstreams(payload.ModeTDMA)["demod-fpga"]
 	sys.Controller.Store().Put(bs.Design+".bit", bs.Marshal())
-	start := sys.Sim.Now()
-	rep := core.ReconfigReport{Device: "demod-fpga", UploadStart: start, UploadDone: start}
-	before := len(sys.NCC.Reports)
-	sys.NCC.PushPolicy(ftp.Policy{Device: "demod-fpga", Design: bs.Design + ".bit", Validate: true, Rollback: true})
-	sys.Run()
-	if len(sys.NCC.Reports) > before {
-		rep.ReconfigDone = sys.NCC.ReportTimes[len(sys.NCC.ReportTimes)-1]
-		rep.OK = true
-	}
+	rep := sys.LibraryReconfigure("demod-fpga", bs.Design+".bit", true)
 	res.Reports = append(res.Reports, rep)
 	t.Rows = append(t.Rows, Row{"from on-board library (no upload)",
 		[]string{"0.00", f("%.2f", rep.CommandTime()), f("%.2f", rep.Total())}})
@@ -200,7 +191,6 @@ func E7Partitioning(seed int64) *E7Result {
 			if !rep.OK {
 				panic("E7 migration failed: " + rep.FailureReason)
 			}
-			_ = rep
 		}
 		// Interruption is measured on the controller timeline: reload
 		// time per device (JTAG) plus switching.

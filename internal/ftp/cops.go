@@ -122,7 +122,7 @@ type PDP struct {
 	// OnRequest receives PEP context requests; the returned policies are
 	// pushed as decisions.
 	OnRequest func(context string) []Policy
-	// OnReport receives PEP outcome reports ("ok:<design>"/"fail:<design>").
+	// OnReport receives PEP outcome reports as sent (ncc parses them).
 	OnReport func(report string)
 
 	conns []*ipstack.TCPConn

@@ -8,6 +8,7 @@ package ncc
 
 import (
 	"errors"
+	"strings"
 
 	"repro/internal/ftp"
 	"repro/internal/ipstack"
@@ -46,11 +47,38 @@ type NCC struct {
 	// catalog of bitstreams available for upload.
 	catalog map[string][]byte
 
-	// Reports collects telemetry / COPS reports received from the
-	// satellite, in arrival order; ReportTimes holds the matching
-	// simulation timestamps.
-	Reports     []string
-	ReportTimes []float64
+	// Reports collects the reconfiguration reports received from the
+	// satellite, in arrival order.
+	Reports []Report
+}
+
+// Report is one reconfiguration report of the on-board PEP, parsed from
+// its COPS text "<ok|fail>:<device>:<design>:crc=<hex>".
+type Report struct {
+	Device string
+	Design string
+	OK     bool
+	// Reason is the raw report text when the report is not OK.
+	Reason string
+	// Time is the simulation time the report reached the NCC.
+	Time float64
+}
+
+// parseReport parses one report text received at time at. A report
+// without the four fields is kept, not OK, with its raw text as the
+// reason; so is one whose status is not "ok".
+func parseReport(text string, at float64) Report {
+	r := Report{Reason: text, Time: at}
+	f := strings.Split(text, ":")
+	n := len(f)
+	if n < 4 || !strings.HasPrefix(f[n-1], "crc=") {
+		return r
+	}
+	r.Device, r.Design = f[1], strings.Join(f[2:n-1], ":")
+	if f[0] == "ok" {
+		r.OK, r.Reason = true, ""
+	}
+	return r
 }
 
 // New creates the NCC on its ground IP node. The returned NCC runs a
@@ -66,8 +94,7 @@ func New(s *sim.Simulator, node *ipstack.Node, satAddr ipstack.Addr) *NCC {
 	n.tftp = ftp.NewTFTPClient(s, node, satAddr, 32001)
 	n.pdp = ftp.NewPDP(node)
 	n.pdp.OnReport = func(r string) {
-		n.Reports = append(n.Reports, r)
-		n.ReportTimes = append(n.ReportTimes, s.Now())
+		n.Reports = append(n.Reports, parseReport(r, s.Now()))
 	}
 	return n
 }

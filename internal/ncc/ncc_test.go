@@ -1,6 +1,7 @@
 package ncc
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ftp"
@@ -95,14 +96,65 @@ func TestReportsTimestamped(t *testing.T) {
 	pep := ftp.NewPEP(sat, g.Addr(), 40000)
 	pep.Request("hello")
 	s.Run()
-	s.Schedule(3, func() { pep.Report("ok:test") })
+	s.Schedule(3, func() { pep.Report("ok:demod-fpga:tdma.bit:crc=0000abcd") })
 	s.Run()
-	if len(n.Reports) != 1 || n.Reports[0] != "ok:test" {
+	want := Report{Device: "demod-fpga", Design: "tdma.bit", OK: true}
+	if len(n.Reports) != 1 {
 		t.Fatalf("reports %v", n.Reports)
 	}
-	if len(n.ReportTimes) != 1 || n.ReportTimes[0] < 3 {
-		t.Fatalf("report times %v", n.ReportTimes)
+	got := n.Reports[0]
+	if got.Time < 3 {
+		t.Fatalf("report time %g", got.Time)
 	}
+	if got.Time = 0; got != want {
+		t.Fatalf("report %+v, want %+v", got, want)
+	}
+}
+
+// Every report is kept: a malformed one as not OK, its raw text the
+// reason, never dropped.
+func TestParseReport(t *testing.T) {
+	for _, tc := range []struct {
+		text string
+		want Report
+	}{
+		{"ok:dev:d.bit:crc=12", Report{Device: "dev", Design: "d.bit", OK: true}},
+		{"fail:dev::crc=0", Report{Device: "dev", Reason: "fail:dev::crc=0"}},
+		{"", Report{}},
+		{"ok:dev:crc=12", Report{Reason: "ok:dev:crc=12"}},
+		{"ok:dev:d.bit:12", Report{Reason: "ok:dev:d.bit:12"}},
+		{"ok:dev:a:b.bit:crc=12", Report{Device: "dev", Design: "a:b.bit", OK: true}},
+		{"maybe:dev:d.bit:crc=12", Report{Device: "dev", Design: "d.bit", Reason: "maybe:dev:d.bit:crc=12"}},
+	} {
+		want := tc.want
+		want.Time = 7
+		if got := parseReport(tc.text, 7); got != want {
+			t.Errorf("%q: %+v, want %+v", tc.text, got, want)
+		}
+	}
+}
+
+// Arbitrary report bytes: a report, never a panic; one that is not OK
+// carries its raw text, and an OK one re-forms the fields it came from.
+func FuzzParseReport(f *testing.F) {
+	for _, seed := range []string{"ok:demod-fpga:tdma.bit:crc=0000abcd", "fail:demod-fpga::crc=00000000", "ok:test", ""} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		r := parseReport(text, 1)
+		if r.Time != 1 {
+			t.Fatalf("%q: time %g", text, r.Time)
+		}
+		if !r.OK {
+			if r.Reason != text {
+				t.Fatalf("%q: reason %q", text, r.Reason)
+			}
+			return
+		}
+		if r.Reason != "" || !strings.HasPrefix(text, "ok:"+r.Device+":"+r.Design+":crc=") {
+			t.Fatalf("%q: parsed as %+v", text, r)
+		}
+	})
 }
 
 func TestProtocolStrings(t *testing.T) {

@@ -1,9 +1,9 @@
 // Package radiation models the space environment of §4.2: the three
 // particle sources the paper lists (trapped-belt protons/electrons,
-// galactic cosmic rays, solar flares), their effects on CMOS devices
-// (total ionizing dose and single-event upsets), and device susceptibility
-// profiles calibrated to Table 1 (the ATMEL MH1RT space ASIC: 1.2 Mgates,
-// 200 krad TID, 1e-7 SEU/bit/day in GEO).
+// galactic cosmic rays, solar flares), the single-event upsets they
+// cause in CMOS devices, and device susceptibility profiles (SEU rate
+// and total-ionizing-dose rating) calibrated to Table 1 (the ATMEL
+// MH1RT space ASIC: 1.2 Mgates, 200 krad TID, 1e-7 SEU/bit/day in GEO).
 //
 // Substitution note: flight radiation testing is replaced by Monte-Carlo
 // fault injection whose per-bit rates are anchored to the paper's Table 1
@@ -19,19 +19,11 @@ import (
 // Orbit selects the radiation regime.
 type Orbit int
 
-// Supported orbits.
-const (
-	GEO Orbit = iota
-	LEO
-)
+// GEO is the orbit of the paper's payload and of Table 1's figures.
+const GEO Orbit = 0
 
 // String implements fmt.Stringer.
-func (o Orbit) String() string {
-	if o == GEO {
-		return "GEO"
-	}
-	return "LEO"
-}
+func (o Orbit) String() string { return "GEO" }
 
 // SolarActivity scales the flare contribution.
 type SolarActivity int
@@ -39,63 +31,33 @@ type SolarActivity int
 // Solar activity levels.
 const (
 	SolarQuiet SolarActivity = iota
-	SolarActive
 	SolarFlare
 )
 
 // String implements fmt.Stringer.
 func (s SolarActivity) String() string {
-	switch s {
-	case SolarQuiet:
+	if s == SolarQuiet {
 		return "quiet"
-	case SolarActive:
-		return "active"
-	default:
-		return "flare"
 	}
+	return "flare"
 }
 
-// Environment combines orbit and solar conditions into SEU-rate and
-// dose-rate multipliers applied to a device's baseline susceptibility.
+// Environment combines orbit and solar conditions into an SEU-rate
+// multiplier applied to a device's baseline susceptibility.
 type Environment struct {
 	Orbit    Orbit
 	Activity SolarActivity
 }
 
-// SEUFactor returns the multiplier on a device's GEO-quiet SEU rate.
-// The trapped-belt contribution dominates in LEO (South Atlantic Anomaly
-// passes); flares raise the rate by an order of magnitude for their
-// duration, matching the paper's "important fluxes appear during high
-// solar activity".
+// SEUFactor returns the multiplier on a device's GEO-quiet SEU rate:
+// flares raise the rate by an order of magnitude for their duration,
+// matching the paper's "important fluxes appear during high solar
+// activity".
 func (e Environment) SEUFactor() float64 {
-	f := 1.0
-	if e.Orbit == LEO {
-		f *= 2.5
+	if e.Activity == SolarFlare {
+		return 20
 	}
-	switch e.Activity {
-	case SolarActive:
-		f *= 3
-	case SolarFlare:
-		f *= 20
-	}
-	return f
-}
-
-// DoseRateKradPerDay returns the TID accumulation rate. GEO behind
-// nominal shielding collects on the order of 10 krad/year; flares add
-// short high-dose episodes.
-func (e Environment) DoseRateKradPerDay() float64 {
-	base := 10.0 / 365 // krad/day in GEO, quiet
-	if e.Orbit == LEO {
-		base = 3.0 / 365
-	}
-	switch e.Activity {
-	case SolarActive:
-		base *= 2
-	case SolarFlare:
-		base *= 30
-	}
-	return base
+	return 1
 }
 
 // DeviceProfile is the radiation susceptibility of one part type.
@@ -153,15 +115,11 @@ func NewInjector(profile DeviceProfile, env Environment, seed int64) *Injector {
 	return &Injector{profile: profile, env: env, rng: rand.New(rand.NewSource(seed))}
 }
 
-// RatePerBitDay returns the effective upset rate.
-func (in *Injector) RatePerBitDay() float64 {
-	return in.profile.SEUPerBitDay * in.env.SEUFactor()
-}
-
 // Upsets draws the number of upsets hitting nbits over days using a
-// Poisson distribution with mean rate*nbits*days.
+// Poisson distribution with mean rate*nbits*days, the rate being the
+// device's baseline scaled by the environment.
 func (in *Injector) Upsets(nbits int, days float64) int {
-	lambda := in.RatePerBitDay() * float64(nbits) * days
+	lambda := in.profile.SEUPerBitDay * in.env.SEUFactor() * float64(nbits) * days
 	return in.poisson(lambda)
 }
 
@@ -197,25 +155,4 @@ func (in *Injector) poisson(lambda float64) int {
 		}
 		k++
 	}
-}
-
-// DoseTracker holds a device's total-ionizing-dose rating against an
-// environment's dose rate.
-type DoseTracker struct {
-	profile DeviceProfile
-}
-
-// NewDoseTracker rates a device that has accumulated no dose yet.
-func NewDoseTracker(profile DeviceProfile) *DoseTracker {
-	return &DoseTracker{profile: profile}
-}
-
-// MarginYears estimates the device's life in the environment, in years:
-// the time its dose rate takes to reach the rating.
-func (d *DoseTracker) MarginYears(env Environment) float64 {
-	rate := env.DoseRateKradPerDay()
-	if rate <= 0 {
-		return math.Inf(1)
-	}
-	return d.profile.TIDKrad / rate / 365
 }

@@ -40,24 +40,16 @@ func TestFPGAMoreSusceptibleThanASIC(t *testing.T) {
 }
 
 func TestEnvironmentFactors(t *testing.T) {
-	quiet := Environment{GEO, SolarQuiet}
-	if quiet.SEUFactor() != 1 {
+	if (Environment{GEO, SolarQuiet}).SEUFactor() != 1 {
 		t.Fatal("GEO quiet is the baseline")
 	}
-	flare := Environment{GEO, SolarFlare}
-	if flare.SEUFactor() <= (Environment{GEO, SolarActive}).SEUFactor() {
-		t.Fatal("flare must exceed active")
-	}
-	if flare.DoseRateKradPerDay() <= quiet.DoseRateKradPerDay() {
-		t.Fatal("flare dose rate must exceed quiet")
-	}
-	if (Environment{LEO, SolarQuiet}).SEUFactor() <= 1 {
-		t.Fatal("LEO belt passes raise the SEU rate")
+	if (Environment{GEO, SolarFlare}).SEUFactor() <= 1 {
+		t.Fatal("flares raise the SEU rate")
 	}
 }
 
 func TestOrbitActivityStrings(t *testing.T) {
-	if GEO.String() != "GEO" || LEO.String() != "LEO" {
+	if GEO.String() != "GEO" {
 		t.Fatal("orbit names")
 	}
 	if SolarQuiet.String() != "quiet" || SolarFlare.String() != "flare" {
@@ -110,21 +102,6 @@ func TestTargetsInRange(t *testing.T) {
 		if b < 0 || b >= 128 {
 			t.Fatalf("target %d out of range", b)
 		}
-	}
-}
-
-func TestDoseTrackerLifetime(t *testing.T) {
-	// ~10 krad/year against the 200 krad rating: a 15-year mission fits,
-	// but not forever.
-	if m := NewDoseTracker(MH1RT()).MarginYears(Environment{GEO, SolarQuiet}); m < 15 || m > 30 {
-		t.Fatalf("margin %g years", m)
-	}
-}
-
-func TestFlareShortensLifetime(t *testing.T) {
-	d := NewDoseTracker(MH1RT())
-	if d.MarginYears(Environment{GEO, SolarFlare}) >= d.MarginYears(Environment{GEO, SolarQuiet}) {
-		t.Fatal("flare must accumulate dose faster")
 	}
 }
 
@@ -200,7 +177,7 @@ func TestCampaignReadbackRepairsOnlyDirty(t *testing.T) {
 	c := &Campaign{
 		Device:          d,
 		Golden:          golden,
-		Injector:        NewInjector(SRAMFPGA(), Environment{GEO, SolarActive}, 17),
+		Injector:        NewInjector(SRAMFPGA(), Environment{GEO, SolarFlare}, 17),
 		StepDays:        5,
 		Scrubber:        fpga.NewReadbackScrubber(golden, fpga.DetectCRC),
 		ScrubEverySteps: 2,

@@ -71,75 +71,9 @@ func MixedPopulationSpec(beams int) []TerminalSpec {
 	return out
 }
 
-// PopulationSpec builds the deterministic terminal set the cmd tools
-// share: n terminals of one model kind (or the "mix" rotation), beams
-// round-robin over the downlink carriers.
-func PopulationSpec(model string, n, cells, beams int) ([]TerminalSpec, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("scenario: population of %d terminals", n)
-	}
-	if beams < 1 {
-		return nil, fmt.Errorf("scenario: population over %d beams", beams)
-	}
-	out := make([]TerminalSpec, n)
-	for i := range out {
-		var m ModelSpec
-		switch model {
-		case "cbr":
-			m = ModelSpec{Kind: "cbr", Cells: cells}
-		case "onoff":
-			m = ModelSpec{Kind: "onoff", On: 3, Off: 2, Cells: cells + 1, Phase: i}
-		case "hotspot":
-			m = ModelSpec{Kind: "hotspot", Base: cells, Surge: 3 * cells, Period: 8, Width: 2}
-		case "mix":
-			switch i % 3 {
-			case 0:
-				m = ModelSpec{Kind: "cbr", Cells: cells}
-			case 1:
-				m = ModelSpec{Kind: "onoff", On: 3, Off: 2, Cells: cells + 1, Phase: i}
-			default:
-				m = ModelSpec{Kind: "hotspot", Base: cells, Surge: 3 * cells, Period: 8, Width: 2}
-			}
-		default:
-			return nil, fmt.Errorf("scenario: unknown population model %q (cbr, onoff, hotspot or mix)", model)
-		}
-		out[i] = TerminalSpec{ID: fmt.Sprintf("t%d", i), Beam: i % beams, Model: m}
-	}
-	return out, nil
-}
-
-// ImpairSpec attaches deterministic channel profiles sweeping the
-// requested impairments across the population: CFOs spread over ±cfoMax
-// with the extremes pinned, timing offsets over [0, 1), phases over
-// (−π, π], and the Doppler ramp on the last terminal. All zero leaves
-// the population on the ideal channel.
-func ImpairSpec(terms []TerminalSpec, cfoMax, drift float64, timingSpread, phaseSpread bool) {
-	if cfoMax == 0 && drift == 0 && !timingSpread && !phaseSpread {
-		return
-	}
-	n := len(terms)
-	for i := range terms {
-		c := &ChannelSpec{CFO: cfoMax}
-		if n > 1 {
-			c.CFO = cfoMax * (2*float64(i)/float64(n-1) - 1)
-		}
-		if timingSpread {
-			c.Timing = float64(i) / float64(n)
-		}
-		if phaseSpread {
-			c.Phase = 2*math.Pi*float64(i+1)/float64(n) - math.Pi
-		}
-		if i == n-1 {
-			c.Drift = drift
-		}
-		terms[i].Channel = c
-	}
-}
-
 // LiftSpec lifts every terminal entry to a two-tier population of count
 // members homed across downlink beams 0..beams-1, with up to tracers of
-// them kept on the full per-terminal path — the shape trafficsim -count
-// and the campaign count axis share.
+// them kept on the full per-terminal path: the campaign count axis.
 func LiftSpec(terms []TerminalSpec, count, tracers, beams int) error {
 	if count < 1 {
 		return fmt.Errorf("scenario: population count %d, must be at least 1", count)

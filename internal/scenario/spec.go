@@ -504,17 +504,7 @@ func (sp Spec) burstFormat() modem.BurstFormat {
 // the slot budget, CFO walking beyond the acquisition range, timing
 // offsets outside [0,1)), and script ones (events referencing terminals
 // that are not in the population at that frame).
-func (sp Spec) Validate() error { return sp.validate(false) }
-
-// ValidateShape checks the traffic shape and system sizing alone — what
-// must hold before a tool derives a population or beam map from a spec
-// whose terminal list is still to be built.
-func (sp Spec) ValidateShape() error { return sp.validate(true) }
-
-// validate is Validate with a shape-only mode: the terminal list, the
-// events and the run length are then left unchecked, while the traffic
-// shape and system checks still run.
-func (sp Spec) validate(shapeOnly bool) error {
+func (sp Spec) Validate() error {
 	t := sp.Traffic
 	if t.Carriers < 1 || t.Slots < 1 {
 		return fmt.Errorf("scenario: frame needs at least one carrier and one slot (got %dx%d)", t.Carriers, t.Slots)
@@ -544,31 +534,24 @@ func (sp Spec) validate(shapeOnly bool) error {
 	if bs := t.SlotSymbols - t.GuardSymbols; bf.TotalSymbols() > bs {
 		return fmt.Errorf("scenario: burst of %d symbols over the %d-symbol slot budget", bf.TotalSymbols(), bs)
 	}
-	if sp.System.Codec != "" {
-		if err := sp.checkCodec(sp.System.Codec); err != nil {
-			return err
-		}
+	if sp.System.Codec == "" {
+		return errors.New("scenario: system.codec is required")
 	}
-	if !shapeOnly {
-		// A spec always runs on the default carrier plan.
-		if s := traffic.DefaultPlan(t.Carriers).Spacing; s < traffic.BurstBandwidth {
-			return fmt.Errorf("scenario: %d carriers sit %.4f cycles/sample apart on the default carrier plan, closer than the %.4f a burst occupies",
-				t.Carriers, s, traffic.BurstBandwidth)
-		}
-		if sp.Frames < 1 {
-			return fmt.Errorf("scenario: run of %d frames", sp.Frames)
-		}
-		if sp.System.Codec == "" {
-			return errors.New("scenario: system.codec is required")
-		}
-		if err := sp.validateTerminals(); err != nil {
-			return err
-		}
-		if err := sp.validateEvents(); err != nil {
-			return err
-		}
+	if err := sp.checkCodec(sp.System.Codec); err != nil {
+		return err
 	}
-	return nil
+	// A spec always runs on the default carrier plan.
+	if s := traffic.DefaultPlan(t.Carriers).Spacing; s < traffic.BurstBandwidth {
+		return fmt.Errorf("scenario: %d carriers sit %.4f cycles/sample apart on the default carrier plan, closer than the %.4f a burst occupies",
+			t.Carriers, s, traffic.BurstBandwidth)
+	}
+	if sp.Frames < 1 {
+		return fmt.Errorf("scenario: run of %d frames", sp.Frames)
+	}
+	if err := sp.validateTerminals(); err != nil {
+		return err
+	}
+	return sp.validateEvents()
 }
 
 // checkCodec verifies the codec exists and its smallest codeword fits

@@ -258,9 +258,7 @@ func TestValidateRejections(t *testing.T) {
 }
 
 // The bounds above are tight: the widest grid the default carrier plan
-// can space (9 carriers) and the documented noiseless Eb/N0 of 0 pass,
-// and PopulationSpec refuses to spread terminals over no beams instead
-// of dividing by zero.
+// can space (9 carriers) and the documented noiseless Eb/N0 of 0 pass.
 func TestValidateBoundsAreTight(t *testing.T) {
 	sp, err := Preset("clean")
 	if err != nil {
@@ -270,35 +268,6 @@ func TestValidateBoundsAreTight(t *testing.T) {
 	sp.Traffic.EbN0dB = 0
 	if err := sp.Validate(); err != nil {
 		t.Fatalf("9 carriers at Eb/N0 0 rejected: %v", err)
-	}
-	for _, beams := range []int{0, -2} {
-		if _, err := PopulationSpec("mix", 4, 1, beams); err == nil || !strings.Contains(err.Error(), "beams") {
-			t.Fatalf("PopulationSpec over %d beams: %v", beams, err)
-		}
-	}
-	sp.Traffic.Carriers = 0
-	if err := sp.ValidateShape(); err == nil {
-		t.Fatal("ValidateShape accepted a grid without carriers")
-	}
-}
-
-// Loose validation (ValidateShape, before a tool has derived the
-// population) still rejects bad traffic shapes but skips the terminal
-// list, the codec requirement and the run length.
-func TestValidateLoose(t *testing.T) {
-	sp := Spec{Traffic: TrafficSpec{
-		Carriers: 2, Slots: 2, SlotSymbols: 320, GuardSymbols: 16,
-		QueueDepth: 8, Policy: "drop-tail",
-	}}
-	if err := sp.ValidateShape(); err != nil {
-		t.Fatalf("loose validation rejected an engine-shaped spec: %v", err)
-	}
-	if err := sp.Validate(); err == nil {
-		t.Fatal("strict validation must still demand frames, codec and terminals")
-	}
-	sp.Traffic.QueueDepth = 0
-	if err := sp.ValidateShape(); err == nil {
-		t.Fatal("loose validation must still reject a zero queue depth")
 	}
 }
 
