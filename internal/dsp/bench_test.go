@@ -21,25 +21,8 @@ var benchVecSink Vec
 
 func benchInput(n int) Vec { return unitVec(rand.New(rand.NewSource(1)), n) }
 
-// BenchmarkFIR is the dense scalar filter at the matched filter's 41
-// taps and the channel filter's 95, streaming over one burst.
-func BenchmarkFIR(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		taps []float64
-	}{{"rrc41", RRCTaps(0.35, 4, 10)}, {"lowpass95", LowpassTaps(0.09, 95)}} {
-		b.Run(bc.name, func(b *testing.B) {
-			f := NewFIR(bc.taps)
-			in, dst := benchInput(benchBurstLen), NewVec(benchBurstLen)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchVecSink = f.ProcessInto(dst, in)
-			}
-		})
-	}
-}
-
+// BenchmarkMatchedFilterBurst is the 41-tap RRC filter streaming over
+// one burst; the 95-tap channel filter runs under DDC and DUC.
 func BenchmarkMatchedFilterBurst(b *testing.B) {
 	mf := NewMatchedFilter(0.35, 4, 10)
 	in, dst := benchInput(benchBurstLen), NewVec(benchBurstLen)

@@ -76,12 +76,16 @@ func tone(f, phase float64, n int) Vec {
 	return NewNCO(f, phase).MixInto(v, v)
 }
 
+// newFIR is a streaming FIR over arbitrary taps: the interpolator by 1
+// that MatchedFilter runs over the RRC taps.
+func newFIR(taps []float64) *interpolator { return newInterpolator(taps, 1, 1) }
+
 // firOut runs one block through a FIR into a fresh output block.
-func firOut(f *FIR, in Vec) Vec { return f.ProcessInto(NewVec(len(in)), in) }
+func firOut(f *interpolator, in Vec) Vec { return f.processInto(NewVec(len(in)), in) }
 
 func TestFIRImpulseResponse(t *testing.T) {
 	taps := []float64{0.25, 0.5, 0.25}
-	f := NewFIR(taps)
+	f := newFIR(taps)
 	in := NewVec(8)
 	in[0] = 1
 	out := firOut(f, in)
@@ -98,8 +102,8 @@ func TestFIRImpulseResponse(t *testing.T) {
 
 func TestFIRStreamingEqualsOneShot(t *testing.T) {
 	taps := LowpassTaps(0.2, 31)
-	one := NewFIR(taps)
-	chunked := NewFIR(taps)
+	one := newFIR(taps)
+	chunked := newFIR(taps)
 	in := NewVec(100)
 	for i := range in {
 		in[i] = complex(math.Sin(float64(i)*0.3), math.Cos(float64(i)*0.17))
@@ -124,9 +128,9 @@ func TestFIRStreamingEqualsOneShot(t *testing.T) {
 }
 
 func TestFIRResetAndTaps(t *testing.T) {
-	f := NewFIR([]float64{1, 1})
+	f := newFIR([]float64{1, 1})
 	firOut(f, Vec{5})
-	f.Reset()
+	f.reset()
 	out := firOut(f, Vec{1})
 	if out[0] != 1 {
 		t.Fatalf("history not cleared: %v", out[0])
@@ -136,7 +140,7 @@ func TestFIRResetAndTaps(t *testing.T) {
 func TestLowpassTapsDCGainAndRejection(t *testing.T) {
 	// Steady-state gain of the filter on a tone, past the 63-tap transient.
 	gain := func(f float64) float64 {
-		out := firOut(NewFIR(LowpassTaps(0.1, 63)), tone(f, 0, 128))
+		out := firOut(newFIR(LowpassTaps(0.1, 63)), tone(f, 0, 128))
 		return cmplx.Abs(out[127])
 	}
 	approx(t, gain(0), 1, 1e-9, "DC gain")
@@ -168,7 +172,7 @@ func TestRRCMatchedPairIsNyquist(t *testing.T) {
 	for i, v := range taps {
 		tv[i] = complex(v, 0)
 	}
-	rc := firOut(NewFIR(taps), tv)
+	rc := firOut(newFIR(taps), tv)
 	centre := (len(rc) - 1) / 2
 	peak := real(rc[centre])
 	if peak <= 0 {

@@ -1,82 +1,61 @@
 package dsp
 
-// FIR is a streaming finite impulse response filter over complex samples
-// with real-valued taps. It keeps len(taps)-1 samples of history between
-// calls so that arbitrarily chunked streams produce identical output to a
-// single-shot call.
-type FIR struct {
-	ip *interpolator // by 1: one branch, the filter itself
-}
-
-// NewFIR builds a streaming filter from taps. The taps slice is copied.
-func NewFIR(taps []float64) *FIR {
-	if len(taps) == 0 {
-		panic("dsp: NewFIR requires at least one tap")
-	}
-	return &FIR{ip: newInterpolator(taps, 1, 1)}
-}
-
-// Reset clears the filter history.
-func (f *FIR) Reset() { f.ip.reset() }
-
-// ProcessInto filters the block in: it writes the len(in) output samples
-// (the steady-state causal output; group delay is (len(taps)-1)/2
-// samples) into dst (which must be at least that long, and must not
-// alias in) and returns dst[:len(in)]. A FIR carries stream history, so
-// it serves one stream at a time.
-func (f *FIR) ProcessInto(dst, in Vec) Vec {
-	if len(dst) < len(in) {
-		panic("dsp: FIR.ProcessInto dst too short")
-	}
-	return f.ip.processInto(dst, in)
-}
-
 // dotReal returns Σ w[j]·t[j] over len(t) samples, the inner product
 // every filter here reduces to. Complex samples times real taps are two
-// real multiplies each, not a complex one.
+// real multiplies each, not a complex one. The conversions round each
+// product before it is added, so no target fuses the two into an FMA.
 func dotReal(w Vec, t []float64) complex128 {
 	w = w[:len(t)]
 	var r, i float64
 	for j, c := range t {
-		r += real(w[j]) * c
-		i += imag(w[j]) * c
+		r += float64(real(w[j]) * c)
+		i += float64(imag(w[j]) * c)
 	}
 	return complex(r, i)
 }
 
 // dot4 is dotReal over the four windows of w that start at 0, s, 2s and
 // 3s: the outputs share every tap load and run as eight independent
-// accumulator chains, about half dotReal's instructions per product.
-// Each output sums in dotReal's order, so which kernel produced a sample
-// does not show in its value.
+// accumulator chains. Each output sums in dotReal's order, so which
+// kernel produced a sample does not show in its value.
 func dot4(w Vec, s int, t []float64) (y0, y1, y2, y3 complex128) {
 	n := len(t)
 	w0, w1, w2, w3 := w[:n], w[s:][:n], w[2*s:][:n], w[3*s:][:n]
 	var r0, i0, r1, i1, r2, i2, r3, i3 float64
 	for j, c := range t {
 		a, b := w0[j], w1[j]
-		r0 += real(a) * c
-		i0 += imag(a) * c
-		r1 += real(b) * c
-		i1 += imag(b) * c
+		r0 += float64(real(a) * c)
+		i0 += float64(imag(a) * c)
+		r1 += float64(real(b) * c)
+		i1 += float64(imag(b) * c)
 		a, b = w2[j], w3[j]
-		r2 += real(a) * c
-		i2 += imag(a) * c
-		r3 += real(b) * c
-		i3 += imag(b) * c
+		r2 += float64(real(a) * c)
+		i2 += float64(imag(a) * c)
+		r3 += float64(real(b) * c)
+		i3 += float64(imag(b) * c)
 	}
 	return complex(r0, i0), complex(r1, i1), complex(r2, i2), complex(r3, i3)
 }
 
-// filterInto writes dst[k*ds] = dotReal(x[k*xs:], t) for k < n, four
-// outputs at a time: a filter whose input advances xs samples and whose
-// output advances ds per step (a plain FIR is 1 and 1, a decimator by D
-// is D and 1, one branch of an interpolator by L is 1 and L).
+// filterInto writes dst[k*ds] = dotReal(x[k*xs:], t) for k < n: eight
+// outputs at a time through dot8, then four through dot4, then one at a
+// time. It is a filter whose input advances xs samples and whose output
+// advances ds per step (a plain FIR is 1 and 1, a decimator by D is D
+// and 1, one branch of an interpolator by L is 1 and L).
 func filterInto(dst Vec, ds int, x Vec, xs int, t []float64, n int) {
+	var y [8]complex128
 	k := 0
-	for ; k+4 <= n; k += 4 {
+	for ; k+8 <= n; k += 8 {
+		dot8(x[k*xs:][:7*xs+len(t)], xs, t, &y)
+		o := dst[k*ds:][:7*ds+1]
+		for i, v := range y {
+			o[i*ds] = v
+		}
+	}
+	if k+4 <= n {
 		o := dst[k*ds:]
 		o[0], o[ds], o[2*ds], o[3*ds] = dot4(x[k*xs:], xs, t)
+		k += 4
 	}
 	for ; k < n; k++ {
 		dst[k*ds] = dotReal(x[k*xs:], t)

@@ -31,11 +31,11 @@ func TestNCOMixIntoMatchesMix(t *testing.T) {
 // steady state (after scratch buffers have grown to the block size).
 func TestFIRProcessIntoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	f := NewFIR(LowpassTaps(0.2, 31))
+	f := newFIR(LowpassTaps(0.2, 31))
 	in, dst := randVec(rng, 512), NewVec(512)
-	f.ProcessInto(dst, in) // warm the scratch
-	if n := testing.AllocsPerRun(20, func() { f.ProcessInto(dst, in) }); n != 0 {
-		t.Fatalf("FIR.ProcessInto allocates %.1f/op in steady state", n)
+	f.processInto(dst, in) // warm the scratch
+	if n := testing.AllocsPerRun(20, func() { f.processInto(dst, in) }); n != 0 {
+		t.Fatalf("FIR processInto allocates %.1f/op in steady state", n)
 	}
 }
 

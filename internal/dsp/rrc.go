@@ -10,7 +10,7 @@ import (
 // rebuild used to redesign identical RRC/lowpass taps from scratch.
 // Designs are pure functions of their parameters, so they are computed
 // once per parameter set and served as copies (callers own and may
-// mutate what they get back, NewFIR copies again anyway).
+// mutate what they get back).
 type rrcKey struct {
 	beta      float64
 	sps, span int
@@ -128,17 +128,18 @@ func (p *PulseShaper) ProcessInto(dst, symbols Vec) Vec {
 func (p *PulseShaper) Reset() { p.ip.reset() }
 
 // MatchedFilter is the receive-side RRC filter paired with PulseShaper.
-type MatchedFilter struct{ fir *FIR }
+// It is the polyphase interpolator by 1: one branch, the filter itself.
+type MatchedFilter struct{ ip *interpolator }
 
 // NewMatchedFilter builds the receive matched filter.
 func NewMatchedFilter(beta float64, sps, span int) *MatchedFilter {
-	return &MatchedFilter{fir: NewFIR(RRCTaps(beta, sps, span))}
+	return &MatchedFilter{ip: newInterpolator(RRCTaps(beta, sps, span), 1, 1)}
 }
 
 // ProcessInto filters a received block at sample rate: it writes the
 // len(in) filtered samples into dst (at least that long, not aliasing
 // in) and returns the filled prefix.
-func (m *MatchedFilter) ProcessInto(dst, in Vec) Vec { return m.fir.ProcessInto(dst, in) }
+func (m *MatchedFilter) ProcessInto(dst, in Vec) Vec { return m.ip.processInto(dst, in) }
 
 // Reset clears the filter state.
-func (m *MatchedFilter) Reset() { m.fir.Reset() }
+func (m *MatchedFilter) Reset() { m.ip.reset() }

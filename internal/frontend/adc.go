@@ -45,7 +45,12 @@ func (a *ADC) ConvertInto(dst, in dsp.Vec) dsp.Vec {
 	return dst
 }
 
+// q rounds x to the grid, clipped to full scale. An exact zero (most of
+// an idle grid) is its own quantisation: Round(±0/step)·step is ±0.
 func (a *ADC) q(x float64) float64 {
+	if x == 0 {
+		return x
+	}
 	if x > a.fullScale-a.step/2 {
 		x = a.fullScale - a.step/2
 	}

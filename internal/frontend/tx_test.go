@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -64,6 +65,47 @@ func TestDACConvertIntoMatchesConvert(t *testing.T) {
 	for i := range want {
 		if want[i] != aliased[i] {
 			t.Fatalf("aliased sample %d differs", i)
+		}
+	}
+}
+
+// refQuantize is the converter's rounding without the exact-zero
+// bypass: clip to the outermost levels, then round to the step grid.
+func refQuantize(x, fullScale, step float64) float64 {
+	x = min(max(x, -fullScale+step/2), fullScale-step/2)
+	return math.Round(x/step) * step
+}
+
+// An exact-zero component skips the rounding; the output must be what
+// the rounding gives, ±0 sign included, bit for bit.
+func TestDACZeroBypassMatchesFormula(t *testing.T) {
+	const bits, fullScale = 12, 4.0
+	step := 2 * fullScale / (1 << bits)
+	dac := NewDAC(bits, fullScale)
+	rng := rand.New(rand.NewSource(40))
+	edges := []float64{0, math.Copysign(0, -1), fullScale, -fullScale, fullScale - step/2, -fullScale + step/2,
+		fullScale * 3, -fullScale * 3, step / 2, -step / 2, step, math.SmallestNonzeroFloat64}
+	comp := func() float64 {
+		if rng.Intn(3) == 0 {
+			return edges[rng.Intn(len(edges))]
+		}
+		return rng.NormFloat64() * fullScale / 2
+	}
+	for trial := 0; trial < 50; trial++ {
+		in := dsp.NewVec(256)
+		for i := range in {
+			in[i] = complex(comp(), comp())
+		}
+		aliased := in.Clone()
+		out := dac.ConvertInto(dsp.NewVec(len(in)), in)
+		dac.ConvertInto(aliased, aliased)
+		for i, s := range in {
+			want := [2]float64{refQuantize(real(s), fullScale, step), refQuantize(imag(s), fullScale, step)}
+			for _, got := range []complex128{out[i], aliased[i]} {
+				if math.Float64bits(real(got)) != math.Float64bits(want[0]) || math.Float64bits(imag(got)) != math.Float64bits(want[1]) {
+					t.Fatalf("sample %v: got %v, the rounding gives %v", s, got, want)
+				}
+			}
 		}
 	}
 }
