@@ -103,14 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	sysCfg := core.DefaultSystemConfig()
-	if n := spec.System.Carriers; n > 0 {
-		sysCfg.Payload.Carriers = n
-	} else if spec.Traffic.Carriers > sysCfg.Payload.Carriers {
-		sysCfg.Payload.Carriers = spec.Traffic.Carriers
-	}
-	if n := spec.System.PayloadSymbols; n > 0 {
-		sysCfg.Payload.TDMAPayloadSymbols = n
-	}
+	sysCfg.Payload = spec.PayloadConfig()
 	sys, err := core.NewSystem(sysCfg)
 	if err != nil {
 		return fatal(err)

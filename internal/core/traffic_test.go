@@ -52,11 +52,11 @@ func TestEngineOnAssembledSystem(t *testing.T) {
 }
 
 // TestTrafficEngineInterleavedWithSwap steps an engine on the system's
-// payload directly, with more than one CPU so every frame's egress
-// overlaps the next frame, and swaps the decoder through the ground
-// procedure between RunFrames calls. RunFrames returns drained, so the
-// swap never races an in-flight egress (the race job proves it) and the
-// outcome is the one-CPU outcome, downlink verify counters included.
+// payload directly, every frame's egress overlapping the next frame, and
+// swaps the decoder through the ground procedure between RunFrames
+// calls. RunFrames returns drained, so the swap never races an
+// in-flight egress (the race job proves it) and the outcome is the same
+// at GOMAXPROCS 1 and 2, downlink verify counters included.
 func TestTrafficEngineInterleavedWithSwap(t *testing.T) {
 	run := func(procs int) *traffic.Report {
 		t.Helper()

@@ -19,14 +19,14 @@ func (sp Spec) Clone() Spec {
 			out.Events[i] = ev.Clone()
 		}
 	}
-	out.Traffic.Scheduler = sp.Traffic.Scheduler.clone()
+	out.Traffic.Scheduler = clonePtr(sp.Traffic.Scheduler)
 	return out
 }
 
 // Clone returns a deep copy of one terminal (or population) spec.
 func (t TerminalSpec) Clone() TerminalSpec {
 	out := t
-	out.Channel = t.Channel.clone()
+	out.Channel = clonePtr(t.Channel)
 	if t.Beams != nil {
 		out.Beams = append([]int(nil), t.Beams...)
 	}
@@ -40,23 +40,16 @@ func (ev Event) Clone() Event {
 		j := ev.Join.Clone()
 		out.Join = &j
 	}
-	out.Channel = ev.Channel.clone()
-	out.Scheduler = ev.Scheduler.clone()
+	out.Channel = clonePtr(ev.Channel)
+	out.Scheduler = clonePtr(ev.Scheduler)
 	return out
 }
 
-func (c *ChannelSpec) clone() *ChannelSpec {
-	if c == nil {
+// clonePtr returns a pointer to a copy of *p (nil for nil).
+func clonePtr[T any](p *T) *T {
+	if p == nil {
 		return nil
 	}
-	cp := *c
-	return &cp
-}
-
-func (s *SchedulerSpec) clone() *SchedulerSpec {
-	if s == nil {
-		return nil
-	}
-	cp := *s
+	cp := *p
 	return &cp
 }

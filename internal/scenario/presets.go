@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/traffic"
 )
 
 // presets is the registry of named scenario specs. Builders return a
@@ -117,7 +119,7 @@ func Impaired() Spec {
 		Traffic:     baseTraffic(12),
 	}
 	sp.Traffic.EbN0dB = 6
-	channels := []*ChannelSpec{
+	channels := []*traffic.ChannelProfile{
 		{CFO: 0.1, Phase: math.Pi, Timing: 0.5, Gain: 0.9},
 		{CFO: -0.1, Phase: -3.0, Timing: 0.9, Gain: 1.1},
 		{CFO: 0.05, Drift: 0.0015, Phase: 1.3, Timing: 0.25},
@@ -286,11 +288,11 @@ func FadeRamp() Spec {
 	}
 	sp.Events = []Event{
 		{Frame: 4, Action: ActionSetChannel, Terminal: "t0",
-			Channel: &ChannelSpec{CFO: 0.02, Timing: 0.5, Gain: 0.95}},
+			Channel: &traffic.ChannelProfile{CFO: 0.02, Timing: 0.5, Gain: 0.95}},
 		{Frame: 12, Action: ActionSetChannel, Terminal: "t0",
-			Channel: &ChannelSpec{CFO: 0.04, Drift: 0.001, Timing: 0.5, Gain: 0.9}},
+			Channel: &traffic.ChannelProfile{CFO: 0.04, Drift: 0.001, Timing: 0.5, Gain: 0.9}},
 		{Frame: 24, Action: ActionSetChannel, Terminal: "t0",
-			Channel: &ChannelSpec{CFO: 0.04, Drift: 0.001, Timing: 0.5, Gain: 0.85}},
+			Channel: &traffic.ChannelProfile{CFO: 0.04, Drift: 0.001, Timing: 0.5, Gain: 0.85}},
 		{Frame: 34, Action: ActionSetChannel, Terminal: "t0"}, // fade clears
 	}
 	return sp

@@ -122,15 +122,7 @@ func NewSession(spec Spec, opts ...Option) (*Session, error) {
 	}
 
 	if s.pl == nil {
-		pcfg := payload.DefaultConfig()
-		pcfg.Carriers = s.spec.System.Carriers
-		if pcfg.Carriers == 0 {
-			pcfg.Carriers = s.spec.Traffic.Carriers
-		}
-		if s.spec.System.PayloadSymbols > 0 {
-			pcfg.TDMAPayloadSymbols = s.spec.System.PayloadSymbols
-		}
-		pl, err := payload.New(pcfg)
+		pl, err := payload.New(s.spec.PayloadConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -302,7 +294,7 @@ func (s *Session) apply(ev Event) EventRecord {
 		}
 	case ActionSetChannel:
 		rec.Detail = ev.Terminal
-		err = s.eng.SetTerminalChannel(ev.Terminal, ev.Channel.Profile())
+		err = s.eng.SetTerminalChannel(ev.Terminal, clonePtr(ev.Channel))
 	case ActionJoin:
 		if ev.Join == nil {
 			err = errors.New("missing join terminal")

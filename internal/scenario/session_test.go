@@ -258,7 +258,7 @@ func TestSetChannelResolvesSyncMidRun(t *testing.T) {
 		},
 		Events: []Event{
 			{Frame: 2, Action: ActionSetChannel, Terminal: "a",
-				Channel: &ChannelSpec{CFO: 0.05, Phase: 1.0, Timing: 0.5}},
+				Channel: &traffic.ChannelProfile{CFO: 0.05, Phase: 1.0, Timing: 0.5}},
 			{Frame: 4, Action: ActionSetChannel, Terminal: "a"},
 		},
 	}

@@ -150,16 +150,6 @@ type ModelSpec struct {
 	Prob float64 `json:"prob,omitempty"`
 }
 
-// ChannelSpec is the JSON mirror of traffic.ChannelProfile.
-type ChannelSpec struct {
-	CFO    float64 `json:"cfo,omitempty"`
-	Drift  float64 `json:"drift,omitempty"`
-	Phase  float64 `json:"phase,omitempty"`
-	Timing float64 `json:"timing,omitempty"`
-	Gain   float64 `json:"gain,omitempty"`
-	EsN0dB float64 `json:"esn0_db,omitempty"`
-}
-
 // TerminalSpec is one terminal — or, when Count is positive, one
 // aggregate population — of the spec. Class is the traffic class its
 // packets carry through the switching fabric ("be" — the default —
@@ -173,14 +163,14 @@ type ChannelSpec struct {
 // population with Count == Tracers is bit-identical to writing the
 // members out as plain terminals.
 type TerminalSpec struct {
-	ID      string       `json:"id"`
-	Beam    int          `json:"beam"`
-	Class   string       `json:"class,omitempty"`
-	Model   ModelSpec    `json:"model"`
-	Channel *ChannelSpec `json:"channel,omitempty"`
-	Count   int          `json:"count,omitempty"`
-	Tracers int          `json:"tracers,omitempty"`
-	Beams   []int        `json:"beams,omitempty"`
+	ID      string                  `json:"id"`
+	Beam    int                     `json:"beam"`
+	Class   string                  `json:"class,omitempty"`
+	Model   ModelSpec               `json:"model"`
+	Channel *traffic.ChannelProfile `json:"channel,omitempty"`
+	Count   int                     `json:"count,omitempty"`
+	Tracers int                     `json:"tracers,omitempty"`
+	Beams   []int                   `json:"beams,omitempty"`
 }
 
 // Event actions. Events execute at the boundary before their frame runs.
@@ -214,17 +204,17 @@ const (
 // Event is one scripted action, applied at the boundary before frame
 // Frame runs (frame numbers are absolute, 0-based).
 type Event struct {
-	Frame      int            `json:"frame"`
-	Action     string         `json:"action"`
-	Codec      string         `json:"codec,omitempty"`
-	Waveform   string         `json:"waveform,omitempty"`
-	Terminal   string         `json:"terminal,omitempty"`
-	Join       *TerminalSpec  `json:"join,omitempty"`
-	Channel    *ChannelSpec   `json:"channel,omitempty"`
-	QueueDepth int            `json:"queue_depth,omitempty"`
-	Policy     string         `json:"policy,omitempty"`
-	Scheduler  *SchedulerSpec `json:"scheduler,omitempty"`
-	Class      string         `json:"class,omitempty"`
+	Frame      int                     `json:"frame"`
+	Action     string                  `json:"action"`
+	Codec      string                  `json:"codec,omitempty"`
+	Waveform   string                  `json:"waveform,omitempty"`
+	Terminal   string                  `json:"terminal,omitempty"`
+	Join       *TerminalSpec           `json:"join,omitempty"`
+	Channel    *traffic.ChannelProfile `json:"channel,omitempty"`
+	QueueDepth int                     `json:"queue_depth,omitempty"`
+	Policy     string                  `json:"policy,omitempty"`
+	Scheduler  *SchedulerSpec          `json:"scheduler,omitempty"`
+	Class      string                  `json:"class,omitempty"`
 }
 
 // Load reads and validates a Spec from JSON. Unknown fields and
@@ -343,21 +333,6 @@ func (m ModelSpec) Build(seed int64) (traffic.AggregateModel, error) {
 	}
 }
 
-// Profile resolves a channel spec to the engine profile (nil for nil).
-func (c *ChannelSpec) Profile() *traffic.ChannelProfile {
-	if c == nil {
-		return nil
-	}
-	return &traffic.ChannelProfile{
-		CFO:    c.CFO,
-		Drift:  c.Drift,
-		Phase:  c.Phase,
-		Timing: c.Timing,
-		Gain:   c.Gain,
-		EsN0dB: c.EsN0dB,
-	}
-}
-
 // Terminal resolves a terminal spec to the engine terminal.
 func (t TerminalSpec) Terminal() (traffic.Terminal, error) {
 	_, term, err := t.resolve(0)
@@ -389,7 +364,7 @@ func (t TerminalSpec) resolve(seed int64) (traffic.AggregateModel, traffic.Termi
 	if err != nil {
 		return fail(err)
 	}
-	return m, traffic.Terminal{ID: t.ID, Beam: t.Beam, Class: cls, Model: m.Member(0), Channel: t.Channel.Profile()}, nil
+	return m, traffic.Terminal{ID: t.ID, Beam: t.Beam, Class: cls, Model: m.Member(0), Channel: clonePtr(t.Channel)}, nil
 }
 
 // Populations resolves the spec's terminal list under the two-tier
@@ -488,14 +463,25 @@ func popSeed(seed int64, name string) int64 {
 	return seed ^ int64(h.Sum64())
 }
 
-// burstFormat returns the burst format implied by the spec's payload
-// symbols (the payload default when unset).
-func (sp Spec) burstFormat() modem.BurstFormat {
-	symbols := sp.System.PayloadSymbols
-	if symbols == 0 {
-		symbols = payload.DefaultConfig().TDMAPayloadSymbols
+// PayloadConfig is the payload the spec needs: System.Carriers
+// carriers (the traffic frame's count when 0) and bursts of
+// System.PayloadSymbols symbols (the payload default when 0), every
+// other field at the payload default.
+func (sp Spec) PayloadConfig() payload.Config {
+	cfg := payload.DefaultConfig()
+	cfg.Carriers = sp.System.Carriers
+	if cfg.Carriers == 0 {
+		cfg.Carriers = sp.Traffic.Carriers
 	}
-	return modem.DefaultBurstFormat(symbols)
+	if n := sp.System.PayloadSymbols; n > 0 {
+		cfg.TDMAPayloadSymbols = n
+	}
+	return cfg
+}
+
+// burstFormat returns the burst format of the spec's payload.
+func (sp Spec) burstFormat() modem.BurstFormat {
+	return modem.DefaultBurstFormat(sp.PayloadConfig().TDMAPayloadSymbols)
 }
 
 // Validate rejects inconsistent specs with precise errors: structural
@@ -637,7 +623,7 @@ func (sp Spec) checkTerminal(term TerminalSpec) error {
 
 // checkChannel validates a profile's static fields (the CFO trajectory
 // is segment-checked separately, since drift accumulates over frames).
-func checkChannel(id string, c *ChannelSpec) error {
+func checkChannel(id string, c *traffic.ChannelProfile) error {
 	if c == nil {
 		return nil
 	}
@@ -654,7 +640,7 @@ func checkChannel(id string, c *ChannelSpec) error {
 // force: the Doppler ramp anchors at the installation frame (matching
 // the engine), so the effective offset at frame f in [from, to) is
 // CFO + Drift·(f−from) — linear, extremes at the endpoints.
-func checkCFOSegment(id string, c *ChannelSpec, from, to int) error {
+func checkCFOSegment(id string, c *traffic.ChannelProfile, from, to int) error {
 	if c == nil || to <= from {
 		return nil
 	}
@@ -672,7 +658,7 @@ func checkCFOSegment(id string, c *ChannelSpec, from, to int) error {
 // profileChange is one point of a terminal's channel timeline.
 type profileChange struct {
 	frame   int
-	channel *ChannelSpec
+	channel *traffic.ChannelProfile
 }
 
 // validateEvents walks the event script in frame order, tracking which

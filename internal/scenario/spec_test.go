@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/traffic"
 )
 
 var update = flag.Bool("update", false, "rewrite the preset golden files")
@@ -138,19 +140,19 @@ func TestValidateRejections(t *testing.T) {
 			sp.Terminals[0].Model = ModelSpec{Kind: "onoff", Cells: 1}
 		}, "period"},
 		{"cfo beyond range", func(sp *Spec) {
-			sp.Terminals[0].Channel = &ChannelSpec{CFO: 0.2}
+			sp.Terminals[0].Channel = &traffic.ChannelProfile{CFO: 0.2}
 		}, "acquisition range"},
 		{"drift walks out", func(sp *Spec) {
-			sp.Terminals[0].Channel = &ChannelSpec{CFO: 0.1, Drift: 0.002}
+			sp.Terminals[0].Channel = &traffic.ChannelProfile{CFO: 0.1, Drift: 0.002}
 		}, "acquisition range"},
 		{"timing out of range", func(sp *Spec) {
-			sp.Terminals[0].Channel = &ChannelSpec{Timing: 1.5}
+			sp.Terminals[0].Channel = &traffic.ChannelProfile{Timing: 1.5}
 		}, "timing"},
 		{"negative timing", func(sp *Spec) {
-			sp.Terminals[0].Channel = &ChannelSpec{Timing: -0.25}
+			sp.Terminals[0].Channel = &traffic.ChannelProfile{Timing: -0.25}
 		}, "timing"},
 		{"gain out of range", func(sp *Spec) {
-			sp.Terminals[0].Channel = &ChannelSpec{Gain: 3}
+			sp.Terminals[0].Channel = &traffic.ChannelProfile{Gain: 3}
 		}, "gain"},
 		{"event negative frame", func(sp *Spec) {
 			sp.Events = []Event{{Frame: -1, Action: ActionSwapDecoder, Codec: "uncoded"}}
@@ -230,7 +232,7 @@ func TestValidateRejections(t *testing.T) {
 		{"event cfo ramp out of range", func(sp *Spec) {
 			// In range at the event frame, aliased by the end of the run.
 			sp.Events = []Event{{Frame: 5, Action: ActionSetChannel, Terminal: "t0",
-				Channel: &ChannelSpec{CFO: 0.1, Drift: 0.002}}}
+				Channel: &traffic.ChannelProfile{CFO: 0.1, Drift: 0.002}}}
 		}, "acquisition range"},
 		{"rejoin cfo checked", func(sp *Spec) {
 			// A rejoining terminal's profile is validated like any other.
@@ -238,7 +240,7 @@ func TestValidateRejections(t *testing.T) {
 				{Frame: 1, Action: ActionLeave, Terminal: "t0"},
 				{Frame: 3, Action: ActionJoin, Join: &TerminalSpec{
 					ID: "t0", Beam: 0, Model: ModelSpec{Kind: "cbr", Cells: 1},
-					Channel: &ChannelSpec{CFO: 0.5}}},
+					Channel: &traffic.ChannelProfile{CFO: 0.5}}},
 			}
 		}, "acquisition range"},
 	}
@@ -275,11 +277,11 @@ func TestValidateBoundsAreTight(t *testing.T) {
 // validate: the segment check ends at the profile change.
 func TestValidateSegmentedRamp(t *testing.T) {
 	sp, _ := Preset("clean")
-	sp.Terminals[0].Channel = &ChannelSpec{CFO: 0.1, Drift: 0.002}
+	sp.Terminals[0].Channel = &traffic.ChannelProfile{CFO: 0.1, Drift: 0.002}
 	sp.Events = []Event{
 		// Without this event the ramp reaches 0.1 + 0.002*39 = 0.178.
 		{Frame: 10, Action: ActionSetChannel, Terminal: sp.Terminals[0].ID,
-			Channel: &ChannelSpec{CFO: 0.05}},
+			Channel: &traffic.ChannelProfile{CFO: 0.05}},
 	}
 	if err := sp.Validate(); err != nil {
 		t.Fatalf("segmented ramp rejected: %v", err)

@@ -21,9 +21,6 @@ type TelemetryConfig struct {
 	FlushInterval time.Duration
 	// Source tags every line (default "scenario").
 	Source string
-	// DisableRuntime skips the per-flush Go runtime sample (heap, GC
-	// pauses, goroutines).
-	DisableRuntime bool
 }
 
 // TelemetryObserver adapts the per-frame Observer hook onto the
@@ -59,18 +56,15 @@ func NewTelemetryObserver(w io.Writer, cfg TelemetryConfig) *TelemetryObserver {
 		cfg.Source = "scenario"
 	}
 	reg := telemetry.NewRegistry()
-	t := &TelemetryObserver{
+	return &TelemetryObserver{
 		reg:       reg,
 		fl:        telemetry.NewFlusher(reg, w, telemetry.WithSource(cfg.Source)),
 		cfg:       cfg,
+		rt:        telemetry.NewRuntimeSampler(reg),
 		events:    reg.Counter("events"),
 		eventErrs: reg.Counter("event_failures"),
 		lastFlush: time.Now(),
 	}
-	if !cfg.DisableRuntime {
-		t.rt = telemetry.NewRuntimeSampler(reg)
-	}
-	return t
 }
 
 // Attach wires the adapter into a session: the per-frame observer joins
@@ -127,9 +121,7 @@ func (t *TelemetryObserver) emit(frame int64) {
 	for b, g := range t.queueDepth {
 		g.Set(float64(t.sess.Engine().QueueDepth(b)))
 	}
-	if t.rt != nil {
-		t.rt.Sample()
-	}
+	t.rt.Sample()
 	if err := t.fl.Flush(frame); err != nil && t.err == nil {
 		t.err = err
 	}

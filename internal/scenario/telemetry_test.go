@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -385,7 +384,7 @@ func TestFeedCarriesEveryReportCounter(t *testing.T) {
 			}
 			spec.Frames = 2
 			var buf bytes.Buffer
-			tel := NewTelemetryObserver(&buf, TelemetryConfig{FlushEvery: 1, DisableRuntime: true})
+			tel := NewTelemetryObserver(&buf, TelemetryConfig{FlushEvery: 1})
 			sess, err := NewSession(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -441,14 +440,13 @@ func TestFeedCarriesEveryReportCounter(t *testing.T) {
 }
 
 // TestTelemetryCloseBeforeSessionReconcilesVerify closes the feed before
-// the session, with a frame's egress still in flight (GOMAXPROCS 2,
-// stepping by hand — Run would drain) on a carrier plan spaced tighter
-// than a burst is wide, so ground verify counts errors on every frame:
+// the session, with a frame's egress still in flight (stepping by hand —
+// Run would drain) on a carrier plan spaced tighter than a burst is
+// wide, so ground verify counts errors on every frame:
 // the final line must carry the drained report's two ground-verify
 // counters, the in-flight frame's share included — also when the last
 // frame fell on a flush boundary and only the drain moved them.
 func TestTelemetryCloseBeforeSessionReconcilesVerify(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, flushEvery := range []int{4, 3} { // 4 frames: on and off the boundary
 		spec, err := Preset("clean")
 		if err != nil {
@@ -471,7 +469,7 @@ func TestTelemetryCloseBeforeSessionReconcilesVerify(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		tel := NewTelemetryObserver(&buf, TelemetryConfig{FlushEvery: flushEvery, DisableRuntime: true})
+		tel := NewTelemetryObserver(&buf, TelemetryConfig{FlushEvery: flushEvery})
 		tel.Attach(sess)
 		for i := 0; i < 4; i++ {
 			if _, err := sess.Step(); err != nil {

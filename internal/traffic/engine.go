@@ -3,7 +3,6 @@ package traffic
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"time"
 
@@ -118,7 +117,7 @@ type egressGen struct {
 // ingest, fill and egress: the frame index, the codec in force, the
 // burst's coded-bit budget and the info-bit count that fits it, all
 // resolved once in the frame prologue, plus the parity-selected egress
-// generation. It travels by value to the egress worker, so egress never
+// generation. It travels by value to the egress goroutine, so egress never
 // re-reads engine fields the next frame's prologue may rewrite.
 type framePrep struct {
 	f      int
@@ -137,7 +136,7 @@ type egressDelta struct {
 	bitErrs int
 }
 
-// egressOutcome is what an overlapped egress hands back at the join:
+// egressOutcome is what a frame's egress hands back at the join:
 // the verify delta to fold, the egress wall time (for the overlap/stall
 // split) and the transmit error, if any.
 type egressOutcome struct {
@@ -209,12 +208,12 @@ type Engine struct {
 	// per-stage clock reads at all (clock).
 	stages *StageTimers
 
-	// Cross-frame overlap (DESIGN §12). jobs and outs are the egress
-	// worker's channels, non-nil exactly while its goroutine exists;
-	// inflight marks a dispatched egress not yet joined; err is the
-	// sticky failure of an egress, returned by every later Step/Drain.
-	jobs     chan framePrep
-	outs     chan egressOutcome
+	// Cross-frame overlap (DESIGN §12). done carries the outcome of the
+	// frame's egress goroutine (one slot, so the goroutine never waits on
+	// the join); inflight marks a dispatched egress not yet joined; err
+	// is the sticky failure of an egress, returned by every later
+	// Step/Drain.
+	done     chan egressOutcome
 	inflight bool
 	err      error
 }
@@ -268,6 +267,7 @@ func NewPopulations(pl *payload.Payload, cfg Config, terminals []Terminal, pops 
 		cfg:    cfg,
 		dama:   newDAMAController(cfg, pl.Switch()),
 		uplink: newUplinkSynth(cfg, pl.BurstFormat()),
+		done:   make(chan egressOutcome, 1),
 	}
 	e.emit = e.emitPacket
 	// The engine is the fabric's exclusive driver for the run: adopting
@@ -454,12 +454,11 @@ func (e *Engine) RunFrames(n int) error {
 // scenario runtime schedules events and snapshots metrics around:
 // prologue, the ingest half-frame, the scheduler fill at the fabric
 // handoff, a join of the previous frame's egress, then this frame's
-// egress half-frame. With more than one CPU (GOMAXPROCS > 1, the only
-// selector) the egress goes to the engine's worker and overlaps the
-// next Step's ingest and fill; on one CPU it runs inline. Both orders
-// are bit-identical (DESIGN §12 gives the ownership argument); the one
-// visible artifact is that an overlapped frame's ground-verify counters
-// and egress error reach the report one join later — Drain catches up.
+// egress half-frame. The egress runs on a goroutine of its own and
+// overlaps the next Step's ingest and fill, at every core count (DESIGN
+// §12 gives the ownership argument); the one visible artifact is that a
+// frame's ground-verify counters and egress error reach the report one
+// join later — Drain catches up.
 func (e *Engine) Step() error {
 	if e.err != nil {
 		return e.err
@@ -477,55 +476,42 @@ func (e *Engine) Step() error {
 	if e.err != nil {
 		return e.err
 	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		if e.jobs == nil {
-			e.jobs, e.outs = make(chan framePrep), make(chan egressOutcome)
-			go e.egressWorker(e.jobs, e.outs)
-		}
-		e.jobs <- pf
-		e.inflight = true
-		return nil
-	}
-	e.fold(e.egress(&pf))
-	return e.err
-}
-
-// egressWorker runs dispatched egresses until drain closes jobs, and
-// closes outs on its way out. It takes its channels by value: drain
-// clears the engine's fields.
-func (e *Engine) egressWorker(jobs <-chan framePrep, outs chan<- egressOutcome) {
-	defer close(outs)
-	for pf := range jobs {
+	e.inflight = true
+	go func() {
 		start := time.Now()
 		d, err := e.egress(&pf)
-		outs <- egressOutcome{d: d, dur: time.Since(start), err: err}
-	}
+		e.done <- egressOutcome{d: d, dur: time.Since(start), err: err}
+	}()
+	return nil
 }
 
 // join blocks until the in-flight egress (if any) finishes, folds its
-// verify delta into the report and records the occupancy timers: stall
-// is the time spent blocked here, overlap the rest of the egress — the
-// part that ran under this frame's control-thread work.
+// outcome into the run — the two ground-verify counters and the sticky
+// error, so a mid-run Report lags them by the one in-flight frame until
+// the engine drains — and records the occupancy timers: stall is the
+// time spent blocked here, overlap the rest of the egress — the part
+// that ran under this frame's control-thread work.
 func (e *Engine) join() {
 	if !e.inflight {
 		return
 	}
 	start := time.Now()
-	out := <-e.outs
+	out := <-e.done
 	e.inflight = false
 	stall := time.Since(start)
-	e.fold(out.d, out.err)
+	e.met.DownlinkLost += out.d.lost
+	e.met.DownlinkBitErrs += out.d.bitErrs
+	e.err = out.err
 	if e.stages != nil {
 		e.stages[StageStall].Observe(float64(stall))
 		e.stages[StageOverlap].Observe(float64(max(out.dur-stall, 0)))
 	}
 }
 
-// Drain joins the in-flight frame, folds its verify delta, stops the
-// egress worker (returning once it has exited) and reports the engine's
-// sticky error: a drained engine is fully caught up, owns no goroutine
-// and is safe to mutate, snapshot exactly or abandon; stepping may
-// resume afterwards.
+// Drain joins the in-flight frame, folds its verify delta and reports
+// the engine's sticky error: a drained engine is fully caught up, owns
+// no goroutine and is safe to mutate, snapshot exactly or abandon;
+// stepping may resume afterwards.
 func (e *Engine) Drain() error {
 	e.drain()
 	return e.err
@@ -536,11 +522,6 @@ func (e *Engine) Drain() error {
 func (e *Engine) drain() {
 	start := time.Now()
 	e.join()
-	if e.jobs != nil {
-		close(e.jobs)
-		<-e.outs
-		e.jobs, e.outs = nil, nil
-	}
 	e.wall += time.Since(start)
 }
 
@@ -618,16 +599,6 @@ func (e *Engine) ingest(pf *framePrep) {
 	e.lap(StageReceive, tRecv)
 }
 
-// fold merges a frame's egress outcome into the run — the ground-verify
-// counters and the sticky error: right after an inline egress, at the
-// join of an overlapped one, so a mid-run Report may lag the two verify
-// counters by the one in-flight frame until the engine drains.
-func (e *Engine) fold(d egressDelta, err error) {
-	e.met.DownlinkLost += d.lost
-	e.met.DownlinkBitErrs += d.bitErrs
-	e.err = err
-}
-
 // fillFrame is the ownership handoff at the fabric boundary: the
 // downlink scheduler pops queued packets into this frame's transmit
 // grid generation, beam by beam. It runs on the control thread between
@@ -653,7 +624,7 @@ func (e *Engine) fillFrame(pf *framePrep) {
 // filled grid generation and the optional ground verify. It reads only
 // the framePrep, its egress generation, the transmitter's own buffers
 // and the ground receiver, and writes nothing the control thread
-// shares, so it may run on the egress worker while the control thread
+// shares, so it runs on its own goroutine while the control thread
 // ingests the next frame; the verify outcome comes back as a delta for
 // the caller to fold rather than racing the shared report.
 func (e *Engine) egress(pf *framePrep) (egressDelta, error) {

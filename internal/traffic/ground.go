@@ -32,9 +32,8 @@ type verifyRun struct {
 // groundReceiver is the ground station checking the downlink: a DDC
 // bank plus pooled burst demodulators, and the per-frame scratch of a
 // verify, kept so a frame allocates neither the slices nor the two
-// worker closures. It runs inside egress (possibly on the egress
-// worker) and only one egress is ever in flight, so one copy serves
-// every frame.
+// worker closures. It runs inside egress (on the egress goroutine) and
+// only one egress is ever in flight, so one copy serves every frame.
 type groundReceiver struct {
 	decim   int
 	slotLen int // carrier-rate samples per slot

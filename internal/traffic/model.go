@@ -165,19 +165,19 @@ type ChannelProfile struct {
 	// CFO is the carrier frequency offset in cycles/symbol. The burst
 	// chain's feedforward estimator is unambiguous within ±1/8
 	// cycle/symbol; the engine's documented acquisition range is ±1/10.
-	CFO float64
+	CFO float64 `json:"cfo,omitempty"`
 	// Drift is a Doppler ramp in cycles/symbol per frame, added to CFO
 	// frame after frame.
-	Drift float64
+	Drift float64 `json:"drift,omitempty"`
 	// Phase is the carrier phase offset in radians, anywhere in (−π, π].
-	Phase float64
+	Phase float64 `json:"phase,omitempty"`
 	// Timing is the fractional-sample timing offset in [0, 1).
-	Timing float64
+	Timing float64 `json:"timing,omitempty"`
 	// Gain scales the burst amplitude; 0 means unity.
-	Gain float64
+	Gain float64 `json:"gain,omitempty"`
 	// EsN0dB overrides the engine-wide uplink SNR for this terminal;
 	// 0 keeps the engine default (Config.EbN0dB converted per codec).
-	EsN0dB float64
+	EsN0dB float64 `json:"esn0_db,omitempty"`
 }
 
 // Impaired reports whether the profile perturbs the signal at all

@@ -12,8 +12,7 @@ const (
 	StageSchedule               // downlink scheduler fill of the transmit grid
 	StageTransmit               // wideband DUC/MUX/DAC transmit
 	StageVerify                 // ground demodulation check (only when Config.Verify)
-	// Once per joined frame whose egress overlapped the next frame
-	// (GOMAXPROCS > 1; never on one CPU):
+	// Once per joined frame (its egress overlapped the next frame):
 	StageOverlap // the part of the egress that ran under the next frame's ingest+fill (hidden latency)
 	StageStall   // the time the control thread blocked at the join waiting for that egress (exposed latency)
 	numStages

@@ -11,8 +11,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The engine's step contract (DESIGN §12) under both sides of its only
-// selector: tests pick the side the way users do, with GOMAXPROCS.
+// The engine's step contract (DESIGN §12) holds at every core count:
+// tests pick the width the way users do, with GOMAXPROCS.
 
 // atProcs sets GOMAXPROCS for the rest of the test.
 func atProcs(t *testing.T, n int) {
@@ -56,8 +56,8 @@ func reportJSON(t *testing.T, r *Report) string {
 	return string(data)
 }
 
-// sequentialReport runs the shared engine shape on one CPU — every
-// egress inline — and returns the reference report.
+// sequentialReport runs the shared engine shape on one CPU and returns
+// the reference report.
 func sequentialReport(t *testing.T, frames int) string {
 	t.Helper()
 	atProcs(t, 1)
@@ -72,9 +72,9 @@ func sequentialReport(t *testing.T, frames int) string {
 	return reportJSON(t, rep)
 }
 
-// The contract in one test: stepping with every egress overlapped —
-// including a mid-run drain-and-resume — produces bit-for-bit the
-// report of inline stepping, ground-verify counters included.
+// The contract in one test: stepping on two and four CPUs — including a
+// mid-run drain-and-resume — produces bit-for-bit the report of one CPU,
+// ground-verify counters included.
 func TestOverlapBitIdenticalToInline(t *testing.T) {
 	const frames = 12
 	want := sequentialReport(t, frames)
@@ -145,10 +145,11 @@ func TestDrainFoldsVerify(t *testing.T) {
 
 // An outage window mid-run (coding device powered off) runs no stage
 // and joins nothing: the previous frame's egress stays in flight across
-// it, and the run stays bit-identical to the inline engine under the
-// same fault. The device is switched only once the in-flight egress has
-// finished its last stage (the verify timer has fired), so the mutation
-// races nothing although the frame is still unjoined.
+// it at every core count, and the run is bit-identical at GOMAXPROCS 1
+// and 2 under the same fault. The device is switched only once the
+// in-flight egress has finished its last stage (the verify timer has
+// fired), so the mutation races nothing although the frame is still
+// unjoined.
 func TestOutageFramesLeaveEgressInFlight(t *testing.T) {
 	outage := func(procs int) *Report {
 		t.Helper()
@@ -177,8 +178,8 @@ func TestOutageFramesLeaveEgressInFlight(t *testing.T) {
 		}
 		d.PowerOff()
 		run(2)
-		if want := procs > 1; e.inflight != want {
-			t.Fatalf("GOMAXPROCS %d: in flight across the outage = %v", procs, e.inflight)
+		if !e.inflight {
+			t.Fatalf("GOMAXPROCS %d: no egress in flight across the outage", procs)
 		}
 		d.PowerOn()
 		run(3)
@@ -198,7 +199,7 @@ func TestOutageFramesLeaveEgressInFlight(t *testing.T) {
 }
 
 // The occupancy timers record one (stall, overlap) pair per joined
-// frame when egresses overlap, and nothing on one CPU.
+// frame at every core count.
 func TestOverlapTimers(t *testing.T) {
 	const frames = 5
 	for _, procs := range []int{1, 2} {
@@ -209,13 +210,9 @@ func TestOverlapTimers(t *testing.T) {
 		if err := e.RunFrames(frames); err != nil {
 			t.Fatal(err)
 		}
-		want := int64(0)
-		if procs > 1 {
-			want = frames
-		}
-		if st[StageStall].Count() != want || st[StageOverlap].Count() != want {
+		if st[StageStall].Count() != frames || st[StageOverlap].Count() != frames {
 			t.Fatalf("GOMAXPROCS %d: %d stall / %d overlap observations, want %d",
-				procs, st[StageStall].Count(), st[StageOverlap].Count(), want)
+				procs, st[StageStall].Count(), st[StageOverlap].Count(), frames)
 		}
 		if got := st[StageTransmit].Count(); got != frames {
 			t.Fatalf("GOMAXPROCS %d: %d transmit observations, want %d", procs, got, frames)
@@ -223,8 +220,8 @@ func TestOverlapTimers(t *testing.T) {
 	}
 }
 
-// A failed egress surfaces on the next Step (this one when it ran
-// inline), stays sticky through every later Step, RunFrames and Drain,
+// A failed egress surfaces on the next Step at every core count, stays
+// sticky through every later Step, RunFrames and Drain,
 // and leaves no goroutine behind. The slot here is shorter than a
 // burst, so every frame's transmit fails; the population is idle, so
 // the uplink never notices.
@@ -236,14 +233,12 @@ func TestEgressFailureStickyNoLeak(t *testing.T) {
 		cfg.Frame = smallFrame(2, 2)
 		cfg.Frame.SlotSymbols = 100
 		e := newEngine(t, cfg, []Terminal{{ID: "idle", Beam: 0, Model: CBR{}}}, "uncoded")
-		err := e.Step()
-		if (err != nil) != (procs == 1) {
+		if err := e.Step(); err != nil {
 			t.Fatalf("GOMAXPROCS %d: first Step error %v", procs, err)
 		}
+		err := e.Step()
 		if err == nil {
-			if err = e.Step(); err == nil {
-				t.Fatal("the failed egress did not surface on the next Step")
-			}
+			t.Fatal("the failed egress did not surface on the next Step")
 		}
 		frame := e.Frame()
 		if got := e.Step(); got != err {
@@ -270,7 +265,7 @@ func TestEgressFailureStickyNoLeak(t *testing.T) {
 
 // Every exported mutator may follow a Step immediately: it drains the
 // in-flight egress itself. Run under -race this is the proof that no
-// mutator touches state the egress worker still reads; the report must
+// mutator touches state the egress goroutine still reads; the report must
 // also match the same call sequence on one CPU.
 func TestStepThenMutateDrains(t *testing.T) {
 	script := func(procs int) string {
@@ -294,7 +289,7 @@ func TestStepThenMutateDrains(t *testing.T) {
 			if err := mutate(); err != nil {
 				t.Fatal(err)
 			}
-			if e.inflight || e.jobs != nil {
+			if e.inflight {
 				t.Fatal("a mutator returned with the engine undrained")
 			}
 		}
@@ -305,5 +300,42 @@ func TestStepThenMutateDrains(t *testing.T) {
 	}
 	if seq, ovl := script(1), script(2); seq != ovl {
 		t.Fatalf("mutated run diverged\nseq: %s\novl: %s", seq, ovl)
+	}
+}
+
+// Mid-run reports are bit-identical across core counts: after every Step
+// the report — its two ground-verify counters lagging by the in-flight
+// frame — is the same at GOMAXPROCS 1, 2 and 4.
+func TestMidRunReportsIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	const frames = 12
+	run := func(procs int) []string {
+		t.Helper()
+		atProcs(t, procs)
+		e := stepTestSetup(t)
+		reps := make([]string, frames)
+		for f := range reps {
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+			reps[f] = reportJSON(t, e.Report())
+		}
+		if err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		return reps
+	}
+	want := run(1)
+	for _, procs := range []int{2, 4} {
+		got := run(procs)
+		diverged := 0
+		for f := range want {
+			if got[f] != want[f] {
+				diverged++
+				t.Errorf("GOMAXPROCS %d: frame %d report diverged\nwant: %s\ngot:  %s", procs, f, want[f], got[f])
+			}
+		}
+		if diverged > 0 {
+			t.Fatalf("GOMAXPROCS %d: %d of %d mid-run reports diverged from GOMAXPROCS 1", procs, diverged, frames)
+		}
 	}
 }
