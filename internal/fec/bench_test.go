@@ -60,8 +60,12 @@ func BenchmarkViterbi(b *testing.B) {
 	}
 }
 
+// BenchmarkTurboDecode decodes the engine's turbo slot in the waterfall
+// (1 dB, the low end of E8's sweep), far above it (10 dB) and on the hard
+// words of the ground verify.
 func BenchmarkTurboDecode(b *testing.B) {
 	tc := NewTurbo(6)
+	b.Run("waterfall", func(b *testing.B) { benchDecode(b, tc, 1, false) })
 	b.Run("noisy", func(b *testing.B) { benchDecode(b, tc, 10, false) })
 	b.Run("hard", func(b *testing.B) { benchDecode(b, tc, 0, true) })
 }

@@ -124,8 +124,7 @@ func (t *TurboCode) CheckDecodeLen(n int) error {
 type turboBuf struct {
 	sys, par1, par2, sysIl []float64 // demultiplexed channel LLRs; sysIl = sys interleaved
 	ext1, apr2, ext2, apr  []float64 // extrinsics and the a-priori views of them
-	alpha                  []float64 // forward metrics, 8 per step boundary (n+4 of them)
-	gam                    []float64 // the four branch metrics of each of the n+3 steps
+	alpha                  []float64 // forward costs, 8 per data step
 	code                   []byte    // re-encoded codeword for the consistency exit
 }
 
@@ -134,8 +133,7 @@ func (t *TurboCode) getBuf(n int) *turboBuf {
 	for _, v := range []*[]float64{&tb.sys, &tb.par1, &tb.par2, &tb.sysIl, &tb.ext1, &tb.apr2, &tb.ext2, &tb.apr} {
 		*v = resized(*v, n)
 	}
-	tb.alpha = resized(tb.alpha, 8*(n+4))
-	tb.gam = resized(tb.gam, 4*(n+3))
+	tb.alpha = resized(tb.alpha, 8*n)
 	return tb
 }
 
@@ -217,87 +215,86 @@ func (t *TurboCode) isCodeword(tb *turboBuf, llr []float64, info []byte) bool {
 	return bits.Len64(m>>bits.TrailingZeros64(m))+bits.Len(uint(len(info)+4))+6*t.iterations <= 53
 }
 
-// turboEdge[s][u] is the trellis edge leaving state s on input u: its
-// successor and the index u<<1|parity of its branch metric in a step's
-// four (see maxLogMAP).
-var turboEdge = func() (e [8][2]struct{ next, gi uint8 }) {
-	for s := range e {
-		for u := range e[s] {
-			z, ns := rscStep(s, byte(u))
-			e[s][u].next, e[s][u].gi = uint8(ns), uint8(u<<1)|z
-		}
+// best is the smaller of two path costs, where a NaN (of a NaN input, or
+// +Inf + −Inf) never wins: +Inf if both are NaN. m >= m is false only for
+// a NaN, and compiles to one branch where m == m takes two.
+func best(x, y float64) float64 {
+	if m := min(x, y); m >= m {
+		return m
 	}
-	return e
-}()
+	if x == x {
+		return x
+	}
+	if y == y {
+		return y
+	}
+	return math.Inf(1)
+}
 
 // maxLogMAP runs one constituent SISO over n = len(sys) steps and the 3 of
-// tail ([sys par] ×3) and writes each data bit's extrinsic LLR to ext. A
-// branch of input u, parity z scores ±a ± b (minus for a set bit), a =
-// ½(sys+la), b = ½par: the same floats as ½·(±1)·(sys+la) + ½·(±1)·par,
-// as negation is exact. States go in ascending order with a strict '>';
-// unreachable states (−Inf) need no test, as −Inf or NaN never wins.
+// tail ([sys par] ×3) and writes each data bit's extrinsic LLR to ext, the
+// bits of refMaxLogMAP's on every input.
+//
+// A branch of input u, parity z scores ±a ± b (minus for a set bit), a =
+// ½(sys+la), b = ½par, as in the reference. The recursions keep costs, the
+// scores negated, so that the best path is the builtin min, which has no
+// branch: branch cost h[u<<1|z] = (∓a) + (∓b) is its score negated but
+// for the sign of a zero (negation is exact). A path starts from +0 and a
+// sum is −0 only of two −0s, so no path cost or score is −0, and each
+// path cost is its score negated but for the sign of a zero. So m1 − m0
+// of the costs has the bits of m0 − m1 of the scores, and equal candidates
+// have equal bits: neither the order nor the grouping of candidates shows.
+//
+// The 8-state trellis is four butterflies: states 2j and 2j+1 reach j and
+// j+4 on the branch costs (p, q) and (q, p), with (p, q) = (h0,h3),
+// (h2,h1), (h1,h2), (h3,h0) for j = 0…3, so every cost lives in a local.
+// Unreachable states (+Inf) need no test.
 func maxLogMAP(tb *turboBuf, ext, sys, par, la, tail []float64) {
 	n := len(sys)
-	steps := n + 3
-	neg := math.Inf(-1)
-	for t := 0; t < steps; t++ {
-		var a, b float64
+	par, la, ext = par[:n], la[:n], ext[:n]
+	alpha := tb.alpha[:8*n]
+	costs := func(t int) (h0, h1, h2, h3 float64) { // step t's h[u<<1|z]
+		var x, p float64
 		if t < n {
-			a, b = 0.5*(sys[t]+la[t]), 0.5*par[t]
+			x, p = sys[t]+la[t], par[t]
 		} else {
-			a, b = 0.5*(tail[2*(t-n)]+0), 0.5*tail[2*(t-n)+1] // +0: la = 0 maps −0 to +0
+			x, p = tail[2*(t-n)], tail[2*(t-n)+1]
 		}
-		g := (*[4]float64)(tb.gam[4*t:])
-		g[0], g[1], g[2], g[3] = a+b, a+(-b), (-a)+b, (-a)+(-b)
+		a, b := float64(0.5*x), float64(0.5*p) // rounded: arm64 fuses no a + b
+		return (-a) + (-b), (-a) + b, a + (-b), a + b
+	}
+	inf := math.Inf(1)
+
+	// Forward recursion from state 0; only the n data steps' rows are kept.
+	a0, a1, a2, a3, a4, a5, a6, a7 := 0.0, inf, inf, inf, inf, inf, inf, inf
+	for t := 0; t < n; t++ {
+		r := (*[8]float64)(alpha[8*t:])
+		r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = a0, a1, a2, a3, a4, a5, a6, a7
+		h0, h1, h2, h3 := costs(t)
+		a0, a1, a2, a3, a4, a5, a6, a7 =
+			best(a0+h0, a1+h3), best(a2+h2, a3+h1), best(a4+h1, a5+h2), best(a6+h3, a7+h0),
+			best(a0+h3, a1+h0), best(a2+h1, a3+h2), best(a4+h2, a5+h1), best(a6+h0, a7+h3)
 	}
 
-	alpha := tb.alpha
-	*(*[8]float64)(alpha) = [8]float64{0, neg, neg, neg, neg, neg, neg, neg}
-	for t := 0; t < steps; t++ {
-		cur, nxt := (*[8]float64)(alpha[8*t:]), (*[8]float64)(alpha[8*t+8:])
-		g := (*[4]float64)(tb.gam[4*t:])
-		*nxt = [8]float64{neg, neg, neg, neg, neg, neg, neg, neg}
-		for s := range cur {
-			for _, e := range turboEdge[s] {
-				if m := cur[s] + g[e.gi&3]; m > nxt[e.next&7] {
-					nxt[e.next&7] = m
-				}
-			}
-		}
-	}
-
-	// Backward recursion from the terminated state 0, one beta row at a
-	// time, with each data step's extrinsic taken on the way.
-	beta := [8]float64{0, neg, neg, neg, neg, neg, neg, neg}
-	for t := steps - 1; t >= 0; t-- {
-		g := (*[4]float64)(tb.gam[4*t:])
+	// Backward recursion from the terminated state 0 over the tail and the
+	// data steps, each data step's extrinsic taken before its beta update.
+	b0, b1, b2, b3, b4, b5, b6, b7 := 0.0, inf, inf, inf, inf, inf, inf, inf
+	for t := n + 2; t >= 0; t-- {
+		h0, h1, h2, h3 := costs(t)
 		if t < n {
-			cur := (*[8]float64)(alpha[8*t:])
-			m0, m1 := neg, neg
-			for s, e := range turboEdge {
-				if m := cur[s] + g[e[0].gi&3] + beta[e[0].next&7]; m > m0 {
-					m0 = m
-				}
-				if m := cur[s] + g[e[1].gi&3] + beta[e[1].next&7]; m > m1 {
-					m1 = m
-				}
-			}
-			x := m0 - m1 - sys[t] - la[t]
+			r := (*[8]float64)(alpha[8*t:])
+			m0 := best(best(best(r[0]+h0+b0, r[1]+h0+b4), best(r[2]+h1+b5, r[3]+h1+b1)),
+				best(best(r[4]+h1+b2, r[5]+h1+b6), best(r[6]+h0+b7, r[7]+h0+b3)))
+			m1 := best(best(best(r[0]+h3+b4, r[1]+h3+b0), best(r[2]+h2+b1, r[3]+h2+b5)),
+				best(best(r[4]+h2+b6, r[5]+h2+b2), best(r[6]+h3+b3, r[7]+h3+b7)))
+			x := m1 - m0 - sys[t] - la[t]
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				x = 0
 			}
 			ext[t] = x
 		}
-		var prev [8]float64
-		for s, es := range turboEdge {
-			best := neg
-			for _, e := range es {
-				if m := g[e.gi&3] + beta[e.next&7]; m > best {
-					best = m
-				}
-			}
-			prev[s] = best
-		}
-		beta = prev
+		b0, b1, b2, b3, b4, b5, b6, b7 =
+			best(h0+b0, h3+b4), best(h0+b4, h3+b0), best(h1+b5, h2+b1), best(h1+b1, h2+b5),
+			best(h1+b2, h2+b6), best(h1+b6, h2+b2), best(h0+b7, h3+b3), best(h0+b3, h3+b7)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -63,10 +64,10 @@ func fullDecode(c Codec, llr []float64) []byte {
 }
 
 func TestTurboKernelMatchesReference(t *testing.T) {
-	// The scratch-pooled SISO does the reference's float arithmetic in the
-	// reference's order, so the bits agree on every input: noisy words from
-	// below the waterfall to far above it, hard words, and words salted
-	// with NaN, ±Inf and ±0.
+	// The SISO gives the reference's extrinsic bits (see maxLogMAP), so
+	// the decisions agree on every input: noisy words from below the
+	// waterfall to far above it, hard words, and words salted with NaN,
+	// ±Inf and ±0.
 	rng := rand.New(rand.NewSource(31))
 	tc := NewTurbo(6)
 	salt := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
@@ -89,6 +90,85 @@ func TestTurboKernelMatchesReference(t *testing.T) {
 		if got, want := fullDecode(tc, hard), refTurbo(tc, hard); !bytes.Equal(got, want) {
 			t.Fatalf("k=%d: hard word differs from the reference", k)
 		}
+	}
+}
+
+// sisoMismatch runs one kernel SISO over the 3n+6 values of llr ([sys par
+// x] per data step, x unused, then [sys par] ×3 of tail) with a-priori la,
+// and refMaxLogMAP on the same inputs. It returns the first step whose
+// extrinsic differs in its bits, or -1.
+func sisoMismatch(tc *TurboCode, llr, la []float64) (step int, got, want float64) {
+	n := len(la)
+	sys, par := make([]float64, n), make([]float64, n)
+	for i := range sys {
+		sys[i], par[i] = llr[3*i], llr[3*i+1]
+	}
+	tail := llr[3*n : 3*n+6]
+	tb := tc.getBuf(n)
+	defer tc.bufPool.Put(tb)
+	ext := make([]float64, n)
+	maxLogMAP(tb, ext, sys, par, la, tail)
+	ref := refMaxLogMAP(sys, par, la, []float64{tail[0], tail[2], tail[4]}, []float64{tail[1], tail[3], tail[5]})
+	for i := range ext {
+		if math.Float64bits(ext[i]) != math.Float64bits(ref[i]) {
+			return i, ext[i], ref[i]
+		}
+	}
+	return -1, 0, 0
+}
+
+func TestMaxLogMAPMatchesReference(t *testing.T) {
+	// One SISO, extrinsic for extrinsic: a reassociated sum shows here
+	// even where the decisions agree. Integer a-priori values make exact
+	// ties and zero sums. Salted words put ±0 alone (zero branch costs of
+	// either sign), or NaN, ±Inf and ±0, into sys, par, la and the tail.
+	rng := rand.New(rand.NewSource(38))
+	tc := NewTurbo(6)
+	salts := [][]float64{nil, {0, math.Copysign(0, -1)}, {math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}}
+	for _, k := range []int{0, 1, 2, 16, 40, 160, 248, 320} {
+		words := [][]float64{HardLLR(tc.Encode(randBits(rng, k)))}
+		for ebn0 := -1.0; ebn0 <= 20; ebn0 += 3 {
+			words = append(words, noisyLLR(rng, tc.Encode(randBits(rng, k)), ebn0, tc.Rate()))
+		}
+		for w, word := range words {
+			for mode := 0; mode < 3*len(salts); mode++ {
+				llr, la := slices.Clone(word), make([]float64, k)
+				for i := range la {
+					switch mode % 3 {
+					case 1:
+						la[i] = 4 * rng.NormFloat64()
+					case 2:
+						la[i] = float64(rng.Intn(41) - 20)
+					}
+				}
+				if salt := salts[mode/3]; salt != nil {
+					llr[3*k+rng.Intn(6)] = salt[rng.Intn(len(salt))]
+					for j := 0; j <= k/10; j++ {
+						llr[rng.Intn(len(llr))] = salt[rng.Intn(len(salt))]
+						if k > 0 {
+							la[rng.Intn(k)] = salt[rng.Intn(len(salt))]
+						}
+					}
+				}
+				if i, got, want := sisoMismatch(tc, llr, la); i >= 0 {
+					t.Fatalf("k=%d, word %d, a-priori mode %d: extrinsic %d is %v (%#x), the reference's %v (%#x)",
+						k, w, mode, i, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+
+	// Finite LLRs near MaxFloat64: state 1's backward cost at step 1
+	// overflows to −Inf and meets states 2 and 3, unreachable (+Inf) at
+	// step 0, in two of extrinsic 0's candidates. Those NaNs must not win:
+	// the reference's extrinsic 0 is finite, and a min that let them
+	// through would read 0.
+	huge := make([]float64, 3*4+6)
+	huge[0], huge[1] = 1, 1
+	huge[3], huge[4] = 0.9*math.MaxFloat64, 0.9*math.MaxFloat64
+	huge[6], huge[7] = -0.2*math.MaxFloat64, 0.2*math.MaxFloat64
+	if i, got, want := sisoMismatch(tc, huge, make([]float64, 4)); i >= 0 {
+		t.Fatalf("overflowing word: extrinsic %d is %v, the reference's %v", i, got, want)
 	}
 }
 
@@ -239,7 +319,8 @@ func llrBytes(llr []float64) []byte {
 
 // FuzzTurboDecode: any LLR vector of a legal 3k+12 length — NaN, ±Inf,
 // ±0, all-equal and sign-consistent codewords included — decodes without
-// panicking to exactly what the float reference decodes, exit or not. raw
+// panicking to exactly what the float reference decodes, exit or not, and
+// one SISO over it with la = 0 gives the reference's extrinsic bits. raw
 // is read as little-endian float64s, trimmed or zero-padded to 3k+12.
 func FuzzTurboDecode(f *testing.F) {
 	tc := NewTurbo(6)
@@ -265,6 +346,9 @@ func FuzzTurboDecode(f *testing.F) {
 		got, want := tc.Decode(llr), refTurbo(tc, llr)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("k=%d: %d bits differ from the reference (exit %v)", k, CountBitErrors(got, want), exits(tc, llr))
+		}
+		if i, got, want := sisoMismatch(tc, llr, make([]float64, k)); i >= 0 {
+			t.Fatalf("k=%d: extrinsic %d is %v (%#x), the reference's %v (%#x)", k, i, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	})
 }
