@@ -1,9 +1,6 @@
 package campaign
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // presets is the built-in campaign registry, mirroring the scenario
 // preset registry: constructors, not values, so every caller gets a
@@ -13,14 +10,7 @@ var presets = map[string]func() Spec{
 }
 
 // PresetNames lists the built-in campaigns, sorted.
-func PresetNames() []string {
-	out := make([]string, 0, len(presets))
-	for n := range presets {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func PresetNames() []string { return sortedKeys(presets) }
 
 // Preset returns a fresh copy of the named built-in campaign.
 func Preset(name string) (Spec, error) {

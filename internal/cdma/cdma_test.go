@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dsp"
+	"repro/internal/modem"
 )
 
 func TestOVSFOrthogonality(t *testing.T) {
@@ -279,7 +280,8 @@ func TestConfigBitRate(t *testing.T) {
 
 func TestQPSKMapDemapRoundTrip(t *testing.T) {
 	bits := []byte{0, 0, 0, 1, 1, 0, 1, 1}
-	soft := DemapQPSK(MapQPSK(bits), 1)
+	syms := modem.QPSK.Map(bits)
+	soft := modem.QPSK.DemapInto(make([]float64, 2*len(syms)), syms, 1)
 	for i, b := range bits {
 		got := byte(0)
 		if soft[i] < 0 {

@@ -6,6 +6,8 @@
 // Luise, Viola [8]). The S-UMTS reference chip rate is 2.048 Mcps.
 package cdma
 
+import "math/bits"
+
 // ChipRateSUMTS is the S-UMTS chip rate the paper quotes (chips/second).
 const ChipRateSUMTS = 2_048_000
 
@@ -64,19 +66,10 @@ func newLFSR(degree uint, taps uint32, seed uint32) *lfsr {
 // next emits the LFSR output bit and advances the register.
 func (l *lfsr) next() byte {
 	out := byte(l.state & 1)
-	fb := popcountParity(l.state & l.taps)
+	fb := bits.OnesCount32(l.state&l.taps) & 1
 	l.state >>= 1
 	l.state |= uint32(fb) << (l.n - 1)
 	return out
-}
-
-func popcountParity(x uint32) byte {
-	x ^= x >> 16
-	x ^= x >> 8
-	x ^= x >> 4
-	x ^= x >> 2
-	x ^= x >> 1
-	return byte(x & 1)
 }
 
 // GoldLength is the period of the degree-10 Gold sequences used for

@@ -1,9 +1,8 @@
 package cdma
 
 import (
-	"math"
-
 	"repro/internal/dsp"
+	"repro/internal/modem"
 )
 
 // Config describes a CDMA return-link carrier as in the paper's S-UMTS
@@ -52,42 +51,10 @@ func validate(cfg Config) {
 	}
 }
 
-// MapQPSK converts a bit pair stream into Gray-mapped unit-power QPSK
-// symbols; the bit count must be even.
-func MapQPSK(bits []byte) dsp.Vec {
-	if len(bits)%2 != 0 {
-		panic("cdma: MapQPSK needs an even number of bits")
-	}
-	s := 1 / math.Sqrt2
-	out := dsp.NewVec(len(bits) / 2)
-	for i := range out {
-		re, im := s, s
-		if bits[2*i] == 1 {
-			re = -s
-		}
-		if bits[2*i+1] == 1 {
-			im = -s
-		}
-		out[i] = complex(re, im)
-	}
-	return out
-}
-
-// DemapQPSK produces per-bit LLR-style soft values from QPSK symbols
-// (positive ⇒ bit 0), scaled by the given factor.
-func DemapQPSK(syms dsp.Vec, scale float64) []float64 {
-	out := make([]float64, 2*len(syms))
-	for i, s := range syms {
-		out[2*i] = real(s) * scale * math.Sqrt2
-		out[2*i+1] = imag(s) * scale * math.Sqrt2
-	}
-	return out
-}
-
 // Modulate converts data bits into the transmitted chip-rate (or
 // oversampled) waveform.
 func (m *Modulator) Modulate(bits []byte) dsp.Vec {
-	chips := m.sp.Spread(MapQPSK(bits))
+	chips := m.sp.Spread(modem.QPSK.Map(bits))
 	if m.cfg.SamplesPerChip == 1 {
 		return chips
 	}
@@ -139,7 +106,7 @@ func (d *Demodulator) Demodulate(rx dsp.Vec, maxOffset int) []float64 {
 	usable := len(aligned) / d.cfg.SF * d.cfg.SF
 	d.dsp.Reset()
 	syms := d.dsp.Despread(aligned[:usable])
-	return DemapQPSK(syms, float64(d.cfg.SF))
+	return modem.QPSK.DemapInto(make([]float64, 2*len(syms)), syms, float64(d.cfg.SF))
 }
 
 // integrate averages SamplesPerChip samples per chip (integrate-and-dump

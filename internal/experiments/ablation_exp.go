@@ -7,7 +7,6 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/fpga"
 	"repro/internal/modem"
-	"repro/internal/radiation"
 	"repro/internal/sim"
 	"repro/internal/tmtc"
 )
@@ -41,19 +40,7 @@ func AblationTiming(payloadSymbols []int, burstsPerPoint int, ebn0dB float64, se
 				ch := dsp.NewChannelWith(seed+int64(b)+13, ebn0dB+10*math.Log10(2), sps)
 				ch.TimingOffset = rng.Float64() * 0.9
 				ch.PhaseOffset = rng.Float64() - 0.5
-				rx := ch.Apply(tx)
-				res := dem.Demodulate(rx)
-				if !res.Found {
-					errs += f.PayloadBits() / 2
-					total += f.PayloadBits()
-					continue
-				}
-				got := modem.HardBits(res.Soft)
-				for i, v := range payload {
-					if got[i] != v {
-						errs++
-					}
-				}
+				errs += softErrors(payload, dem.Demodulate(ch.Apply(tx)).Soft)
 				total += f.PayloadBits()
 			}
 			bers[mode] = float64(errs) / float64(total)
@@ -84,28 +71,11 @@ func AblationScrubbers(steps int, seed int64) *Table {
 		{"readback + per-cell CRC", func(g *fpga.Bitstream) fpga.Scrubber { return fpga.NewReadbackScrubber(g, fpga.DetectCRC) }},
 	}
 	for _, sc := range schemes {
-		d := fpga.NewDevice("dut", 32, 32)
-		nl := fpga.NewNetlist("w", 4)
-		a := 0
-		for i := 1; i < 4; i++ {
-			a = nl.AddGate(fpga.LUTXor, a, i)
-		}
-		nl.MarkOutput(a)
-		bs, _ := nl.Compile(32, 32)
-		d.FullLoad(bs)
-		d.PowerOn()
-		golden := fpga.Snapshot(d, "golden")
-		s := sc.mk(golden)
-		c := &radiation.Campaign{
-			Device:          d,
-			Golden:          golden,
-			Injector:        radiation.NewInjector(radiation.SRAMFPGA(), radiation.Environment{Orbit: radiation.GEO, Activity: radiation.SolarFlare}, seed),
-			StepDays:        2,
-			Scrubber:        s,
-			ScrubEverySteps: 1,
-		}
+		c := flareCampaign(seed)
+		s := sc.mk(c.Golden)
+		c.Scrubber, c.ScrubEverySteps = s, 1
 		res := c.Run(steps)
-		_, pw, rb := d.Stats()
+		_, pw, rb := c.Device.Stats()
 		t.Rows = append(t.Rows, Row{sc.name, []string{
 			f("%d", s.StorageBytes()), f("%d", rb), f("%d", pw), f("%.3f", res.Availability)}})
 	}

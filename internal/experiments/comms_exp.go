@@ -30,11 +30,7 @@ func E4Timeline(seed int64) *E4Result {
 	for _, proto := range []ncc.Protocol{ncc.ProtoTFTP, ncc.ProtoSCPSFP} {
 		cfg := core.DefaultSystemConfig()
 		cfg.Seed = seed
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			panic(err)
-		}
-		sys.RunUntil(2)
+		sys := boot(cfg)
 		bs := sys.Payload.DemodBitstreams(payload.ModeTDMA)["demod-fpga"]
 		rep := sys.GroundReconfigure("demod-fpga", bs, proto, 16, true)
 		res.Reports = append(res.Reports, rep)
@@ -46,11 +42,7 @@ func E4Timeline(seed int64) *E4Result {
 	// phase disappears (§3.2's library trade-off).
 	cfg := core.DefaultSystemConfig()
 	cfg.Seed = seed
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		panic(err)
-	}
-	sys.RunUntil(2)
+	sys := boot(cfg)
 	bs := sys.Payload.DemodBitstreams(payload.ModeTDMA)["demod-fpga"]
 	sys.Controller.Store().Put(bs.Design+".bit", bs.Marshal())
 	rep := sys.LibraryReconfigure("demod-fpga", bs.Design+".bit", true)
@@ -114,11 +106,7 @@ func measureUpload(size int, proto ncc.Protocol, window int, ber float64, seed i
 	cfg := core.DefaultSystemConfig()
 	cfg.Seed = seed
 	cfg.BER = ber
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		panic(err)
-	}
-	sys.RunUntil(2)
+	sys := boot(cfg)
 	data := make([]byte, size)
 	rand.New(rand.NewSource(seed + 9)).Read(data)
 	sys.NCC.Catalog("file.bin", data)
@@ -178,11 +166,7 @@ func E7Partitioning(seed int64) *E7Result {
 		cfg := core.DefaultSystemConfig()
 		cfg.Seed = seed
 		cfg.Payload.Strategy = strat
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			panic(err)
-		}
-		sys.RunUntil(2)
+		sys := boot(cfg)
 		devices, reloadBytes, interrupted := sys.Payload.Chipset().ReloadPlan(payload.FuncDemod)
 
 		// Execute the migration and accumulate measured interruption.

@@ -28,6 +28,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+
+	"repro/internal/core"
 )
 
 // Row is one printable result line.
@@ -66,6 +68,16 @@ func (t *Table) Print(w io.Writer) {
 }
 
 func f(format string, args ...interface{}) string { return fmt.Sprintf(format, args...) }
+
+// boot builds a system from cfg and runs it past its 2 s boot.
+func boot(cfg core.SystemConfig) *core.System {
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		panic(err)
+	}
+	sys.RunUntil(2)
+	return sys
+}
 
 // randBits produces n deterministic random bits.
 func randBits(rng *rand.Rand, n int) []byte {

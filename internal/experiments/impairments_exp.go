@@ -113,11 +113,7 @@ func E12Impairments(cfg E12Config) *E12Result {
 	for _, ebn0 := range cfg.EbN0dB {
 		sysCfg := core.DefaultSystemConfig()
 		sysCfg.Payload.Carriers = cfg.Frame.Carriers
-		sys, err := core.NewSystem(sysCfg)
-		if err != nil {
-			panic(err)
-		}
-		sys.RunUntil(2)
+		sys := boot(sysCfg)
 		if err := sys.Payload.SetWaveform(payload.ModeTDMA); err != nil {
 			panic(err)
 		}

@@ -103,25 +103,9 @@ func E6Mitigation(trials int, pe float64, campaignSteps int, seed int64) *E6Resu
 
 	// --- Scrubbing campaign: flare conditions on an SRAM FPGA. ---
 	runCampaign := func(scrub bool) radiation.CampaignResult {
-		d := fpga.NewDevice("dut", 32, 32)
-		nl := fpga.NewNetlist("w", 4)
-		a := 0
-		for i := 1; i < 4; i++ {
-			a = nl.AddGate(fpga.LUTXor, a, i)
-		}
-		nl.MarkOutput(a)
-		bs, _ := nl.Compile(32, 32)
-		d.FullLoad(bs)
-		d.PowerOn()
-		g := fpga.Snapshot(d, "golden")
-		c := &radiation.Campaign{
-			Device:   d,
-			Golden:   g,
-			Injector: radiation.NewInjector(radiation.SRAMFPGA(), radiation.Environment{Orbit: radiation.GEO, Activity: radiation.SolarFlare}, seed+7),
-			StepDays: 2,
-		}
+		c := flareCampaign(seed + 7)
 		if scrub {
-			c.Scrubber = fpga.NewBlindScrubber(g)
+			c.Scrubber = fpga.NewBlindScrubber(c.Golden)
 			c.ScrubEverySteps = 1
 		}
 		return c.Run(campaignSteps)
@@ -156,6 +140,28 @@ func E6Mitigation(trials int, pe float64, campaignSteps int, seed int64) *E6Resu
 	return res
 }
 
+// flareCampaign is the SEU campaign of E6 and the scrubber ablation: a
+// 4-input XOR design on a 32x32 SRAM FPGA under a GEO solar flare, in
+// steps of 2 days, with no scrubber yet.
+func flareCampaign(seed int64) *radiation.Campaign {
+	d := fpga.NewDevice("dut", 32, 32)
+	nl := fpga.NewNetlist("w", 4)
+	a := 0
+	for i := 1; i < 4; i++ {
+		a = nl.AddGate(fpga.LUTXor, a, i)
+	}
+	nl.MarkOutput(a)
+	bs, _ := nl.Compile(32, 32)
+	d.FullLoad(bs)
+	d.PowerOn()
+	return &radiation.Campaign{
+		Device:   d,
+		Golden:   fpga.Snapshot(d, "golden"),
+		Injector: radiation.NewInjector(radiation.SRAMFPGA(), radiation.Environment{Orbit: radiation.GEO, Activity: radiation.SolarFlare}, seed),
+		StepDays: 2,
+	}
+}
+
 // E6ScrubbingSweep produces the scrubbing-interval vs occupancy curve.
 func E6ScrubbingSweep(campaignSteps int, intervals []int, seed int64) *Table {
 	t := &Table{
@@ -163,31 +169,15 @@ func E6ScrubbingSweep(campaignSteps int, intervals []int, seed int64) *Table {
 		Columns: []string{"mean corrupt frames", "availability", "port writes"},
 	}
 	for _, iv := range intervals {
-		d := fpga.NewDevice("dut", 32, 32)
-		nl := fpga.NewNetlist("w", 4)
-		a := 0
-		for i := 1; i < 4; i++ {
-			a = nl.AddGate(fpga.LUTXor, a, i)
-		}
-		nl.MarkOutput(a)
-		bs, _ := nl.Compile(32, 32)
-		d.FullLoad(bs)
-		d.PowerOn()
-		g := fpga.Snapshot(d, "golden")
-		c := &radiation.Campaign{
-			Device:   d,
-			Golden:   g,
-			Injector: radiation.NewInjector(radiation.SRAMFPGA(), radiation.Environment{Orbit: radiation.GEO, Activity: radiation.SolarFlare}, seed),
-			StepDays: 2,
-		}
+		c := flareCampaign(seed)
 		label := "no scrubbing"
 		if iv > 0 {
-			c.Scrubber = fpga.NewBlindScrubber(g)
+			c.Scrubber = fpga.NewBlindScrubber(c.Golden)
 			c.ScrubEverySteps = iv
 			label = f("scrub every %d steps", iv)
 		}
 		r := c.Run(campaignSteps)
-		_, pw, _ := d.Stats()
+		_, pw, _ := c.Device.Stats()
 		t.Rows = append(t.Rows, Row{label, []string{
 			f("%.2f", r.MeanCorruptFrames), f("%.3f", r.Availability), f("%d", pw)}})
 	}

@@ -92,11 +92,7 @@ func E11Spec(cfg E11Config) scenario.Spec {
 func E11Traffic(cfg E11Config) *E11Result {
 	sysCfg := core.DefaultSystemConfig()
 	sysCfg.Payload.Carriers = cfg.Frame.Carriers
-	sys, err := core.NewSystem(sysCfg)
-	if err != nil {
-		panic(err)
-	}
-	sys.RunUntil(2)
+	sys := boot(sysCfg)
 
 	spec := E11Spec(cfg)
 	sess, err := sys.NewSession(spec)

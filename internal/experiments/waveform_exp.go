@@ -32,25 +32,20 @@ func CDMABERPoint(ebn0dB float64, nBits int, seed int64) float64 {
 		rx := mod.Modulate(bits)
 		ch.AWGN(rx, n0)
 		dem := cdma.NewDemodulator(cfg)
-		soft := dem.Demodulate(rx, 0)
-		if soft == nil {
-			// Acquisition miss: count the whole block as erased.
-			errs += block / 2
-			total += block
-			continue
-		}
-		for i, b := range bits {
-			got := byte(0)
-			if soft[i] < 0 {
-				got = 1
-			}
-			if got != b {
-				errs++
-			}
-		}
+		errs += softErrors(bits, dem.Demodulate(rx, 0)) // nil on an acquisition miss
 		total += block
 	}
 	return float64(errs) / float64(total)
+}
+
+// softErrors counts the bits whose soft decision (negative ⇒ 1) is not
+// the bit sent. A burst that was not received (soft nil) counts half its
+// bits in error.
+func softErrors(sent []byte, soft []float64) int {
+	if soft == nil {
+		return len(sent) / 2
+	}
+	return fec.CountBitErrors(sent, modem.HardBits(soft[:len(sent)]))
 }
 
 // TDMABERPoint measures the TDMA burst-mode BER at one Eb/N0 (dB): QPSK
@@ -71,19 +66,7 @@ func TDMABERPoint(ebn0dB float64, nBits int, seed int64) float64 {
 		ch.SPS = 4
 		ch.PhaseOffset = rng.Float64() - 0.5
 		ch.TimingOffset = rng.Float64() * 0.9
-		rx := ch.Apply(tx)
-		res := dem.Demodulate(rx)
-		if !res.Found {
-			errs += f.PayloadBits() / 2
-			total += f.PayloadBits()
-			continue
-		}
-		got := modem.HardBits(res.Soft)
-		for i, b := range payload {
-			if got[i] != b {
-				errs++
-			}
-		}
+		errs += softErrors(payload, dem.Demodulate(ch.Apply(tx)).Soft)
 		total += f.PayloadBits()
 	}
 	return float64(errs) / float64(total)

@@ -50,11 +50,15 @@ func benchDecode(b *testing.B, c Codec, ebn0dB float64, hard bool) {
 	}
 }
 
+// BenchmarkViterbi decodes the engine's conv slot at the benchmark
+// workloads' 9 dB, below them (4 dB) and on the hard words of the ground
+// verify.
 func BenchmarkViterbi(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		code *ConvCode
 	}{{"r1_2", UMTSConvHalf()}, {"r1_3", UMTSConvThird()}} {
+		b.Run(bc.name+"/clean", func(b *testing.B) { benchDecode(b, bc.code, 9, false) })
 		b.Run(bc.name+"/noisy", func(b *testing.B) { benchDecode(b, bc.code, 4, false) })
 		b.Run(bc.name+"/hard", func(b *testing.B) { benchDecode(b, bc.code, 0, true) })
 	}

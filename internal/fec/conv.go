@@ -2,6 +2,8 @@ package fec
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -17,9 +19,10 @@ const maxConvOutputs = 4
 
 // ConvCode describes a feed-forward convolutional code.
 type ConvCode struct {
-	name string
-	k    int      // constraint length
-	gens []uint32 // generator polynomials, MSB = current input bit
+	name  string
+	k     int      // constraint length
+	gens  []uint32 // generator polynomials, MSB = current input bit
+	dfree int      // free distance: least weight of a nonzero codeword
 
 	tr     convTrellis // precomputed successor/output tables
 	vbPool sync.Pool   // *viterbiBuf, shared by concurrent decoders
@@ -47,8 +50,8 @@ func NewConvCode(name string, constraintLen int, gens ...uint32) *ConvCode {
 		panic("fec: need at least two generator polynomials")
 	}
 	for _, g := range gens {
-		if g >= 1<<uint(constraintLen) {
-			panic(fmt.Sprintf("fec: generator %o too wide for K=%d", g, constraintLen))
+		if g == 0 || g >= 1<<uint(constraintLen) {
+			panic(fmt.Sprintf("fec: generator %o zero or too wide for K=%d", g, constraintLen))
 		}
 	}
 	if len(gens) > maxConvOutputs {
@@ -68,7 +71,7 @@ func NewConvCode(name string, constraintLen int, gens ...uint32) *ConvCode {
 			reg := uint32(b)<<uint(c.k-1) | uint32(s)
 			var pat uint8
 			for i, g := range gs {
-				pat |= parity(reg&g) << uint(i)
+				pat |= uint8(bits.OnesCount32(reg&g)&1) << uint(i)
 			}
 			c.tr.to[s<<1|b] = int32(reg >> 1)
 			c.tr.pat[s<<1|b] = pat
@@ -78,7 +81,33 @@ func NewConvCode(name string, constraintLen int, gens ...uint32) *ConvCode {
 	for j := range c.tr.bfly {
 		c.tr.bfly[j] = c.tr.pat[4*j]
 	}
+	c.dfree = c.freeDistance()
 	return c
+}
+
+// freeDistance returns the least output weight of a path that leaves
+// state 0 and first returns to it: the least weight of a nonzero
+// codeword. dist relaxes to the least weight of such a path to every
+// other state; edge weights are not negative, so it settles.
+func (c *ConvCode) freeDistance() int {
+	dist := make([]int, c.NumStates())
+	for i := range dist {
+		dist[i] = math.MaxInt / 2
+	}
+	dist[c.tr.to[1]] = bits.OnesCount8(c.tr.pat[1]) // state 0, input 1
+	best := math.MaxInt / 2
+	for settled := false; !settled; {
+		settled = true
+		for idx := 2; idx < len(c.tr.to); idx++ { // the edges out of states 1…
+			w, to := dist[idx>>1]+bits.OnesCount8(c.tr.pat[idx]), c.tr.to[idx]
+			if to == 0 {
+				best = min(best, w)
+			} else if w < dist[to] {
+				dist[to], settled = w, false
+			}
+		}
+	}
+	return best
 }
 
 // The UMTS codes are shared singletons: a codec is immutable after
@@ -111,16 +140,6 @@ func (c *ConvCode) NumStates() int { return 1 << uint(c.k-1) }
 
 // EncodedLen implements Codec: (k + K-1 tail bits) * n outputs.
 func (c *ConvCode) EncodedLen(k int) int { return (k + c.k - 1) * len(c.gens) }
-
-// parity returns the parity (XOR reduction) of x.
-func parity(x uint32) byte {
-	x ^= x >> 16
-	x ^= x >> 8
-	x ^= x >> 4
-	x ^= x >> 2
-	x ^= x >> 1
-	return byte(x & 1)
-}
 
 // Encode implements Codec: zero-terminated convolutional encoding.
 func (c *ConvCode) Encode(info []byte) []byte {
@@ -169,8 +188,9 @@ func (c *ConvCode) CheckDecodeLen(n int) error {
 
 // Decode implements Codec using soft-decision Viterbi decoding over LLRs
 // (positive ⇒ bit 0). The decoder assumes zero termination. It panics on a
-// length CheckDecodeLen rejects. A codeword with no erasure after
-// quantisation skips the trellis search (see hardPath).
+// length CheckDecodeLen rejects. A codeword whose repaired hard decisions
+// are certified maximum-likelihood skips the full trellis search (see
+// candidate and certified); the output is the same either way.
 func (c *ConvCode) Decode(llr []float64) []byte {
 	if err := c.CheckDecodeLen(len(llr)); err != nil {
 		panic(err)
@@ -179,8 +199,10 @@ func (c *ConvCode) Decode(llr []float64) []byte {
 	qmax := quantMaxFor(len(llr))
 	quantizeLLR(vb.q, llr, qmax)
 	out := make([]byte, len(llr)/len(c.gens)-(c.k-1))
-	if !hardPath(c, vb.q, out) {
-		viterbi(c, vb, qmax, out)
+	if w := candidate(c, vb, qmax, vb.path); w == 0 || w > 0 && certified(c, vb, vb.path) {
+		copy(out, vb.path)
+	} else {
+		viterbi(c, vb, vb.q, qmax, 0, 0, out)
 	}
 	c.vbPool.Put(vb)
 	return out

@@ -20,8 +20,11 @@ func burstInfoLens(c Codec) []int {
 	return lens
 }
 
-// exits reports whether c.Decode(llr) takes the codeword-consistent exit.
-func exits(c Codec, llr []float64) bool {
+// exits reports which path c.Decode(llr) takes: "exit" when the hard
+// decisions are a codeword it returns as they are, "certified" when a
+// Viterbi codeword repaired in windows passes the certificate, "full"
+// when it runs the whole iterative decode or trellis search.
+func exits(c Codec, llr []float64) string {
 	switch c := c.(type) {
 	case *TurboCode:
 		k := (len(llr) - 12) / 3
@@ -31,13 +34,22 @@ func exits(c Codec, llr []float64) bool {
 		}
 		tb := c.getBuf(k)
 		defer c.bufPool.Put(tb)
-		return c.isCodeword(tb, llr, info[:k])
+		if c.isCodeword(tb, llr, info[:k]) {
+			return "exit"
+		}
 	case *ConvCode:
-		q := make([]int32, len(llr))
-		quantizeLLR(q, llr, quantMaxFor(len(llr)))
-		return hardPath(c, q, make([]byte, len(llr)/len(c.gens)-(c.k-1)))
+		vb := c.getViterbiBuf(len(llr) / len(c.gens))
+		defer c.vbPool.Put(vb)
+		qmax := quantMaxFor(len(llr))
+		quantizeLLR(vb.q, llr, qmax)
+		switch w := candidate(c, vb, qmax, vb.path); {
+		case w == 0:
+			return "exit"
+		case w > 0 && certified(c, vb, vb.path):
+			return "certified"
+		}
 	}
-	return false
+	return "full"
 }
 
 // fullDecode is c.Decode without the exit: the whole iterative decode or
@@ -56,7 +68,7 @@ func fullDecode(c Codec, llr []float64) []byte {
 		qmax := quantMaxFor(len(llr))
 		quantizeLLR(vb.q, llr, qmax)
 		out := make([]byte, steps-(c.k-1))
-		viterbi(c, vb, qmax, out)
+		viterbi(c, vb, vb.q, qmax, 0, 0, out)
 		c.vbPool.Put(vb)
 		return out
 	}
@@ -181,7 +193,7 @@ func TestDecodeExitOnBurstLengths(t *testing.T) {
 			for tr := 0; tr < 10; tr++ {
 				info := randBits(rng, k)
 				llr := HardLLR(c.Encode(info))
-				if !exits(c, llr) {
+				if exits(c, llr) != "exit" {
 					t.Fatalf("%s, k=%d: a hard codeword does not take the exit", c.Name(), k)
 				}
 				if got := c.Decode(llr); !bytes.Equal(got, info) {
@@ -208,10 +220,10 @@ func TestDecodeExitMatchesFullDecode(t *testing.T) {
 						want = refTurbo(tc, llr)
 					}
 					if got := c.Decode(llr); !bytes.Equal(got, want) {
-						t.Fatalf("%s, k=%d, %.0f dB: Decode differs from the full decode (exit %v)", c.Name(), k, ebn0, exits(c, llr))
+						t.Fatalf("%s, k=%d, %.0f dB: Decode differs from the full decode (%s)", c.Name(), k, ebn0, exits(c, llr))
 					}
 					words++
-					if exits(c, llr) {
+					if exits(c, llr) == "exit" {
 						exited++
 					}
 				}
@@ -260,7 +272,7 @@ func TestTurboExitNeedsExactArithmetic(t *testing.T) {
 		if tc.mag == 0 {
 			llr[5] *= tc.edit
 		}
-		if got := exits(c, llr); got != tc.want {
+		if got := exits(c, llr) == "exit"; got != tc.want {
 			t.Fatalf("%+v: exit %v", tc, got)
 		}
 		if tc.k <= 320 && !bytes.Equal(c.Decode(llr), refTurbo(c, llr)) {
@@ -345,7 +357,7 @@ func FuzzTurboDecode(f *testing.F) {
 		}
 		got, want := tc.Decode(llr), refTurbo(tc, llr)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("k=%d: %d bits differ from the reference (exit %v)", k, CountBitErrors(got, want), exits(tc, llr))
+			t.Fatalf("k=%d: %d bits differ from the reference (%s)", k, CountBitErrors(got, want), exits(tc, llr))
 		}
 		if i, got, want := sisoMismatch(tc, llr, make([]float64, k)); i >= 0 {
 			t.Fatalf("k=%d: extrinsic %d is %v (%#x), the reference's %v (%#x)", k, i, got, math.Float64bits(got), want, math.Float64bits(want))

@@ -1,6 +1,9 @@
 package fec
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Fixed-point soft-decision Viterbi decoding.
 //
@@ -38,6 +41,8 @@ type viterbiBuf struct {
 	q        []int32  // quantised LLRs, one per coded bit
 	pm, next []int32  // path-metric double buffer, one per state
 	dec      []uint64 // decision bits, step-major; set ⇒ odd predecessor won
+	path     []byte   // candidate's input bits, one per step
+	low      []int32  // certified's dfree smallest |q| outside D
 }
 
 // viterbiWords returns the decision words per trellis step.
@@ -48,10 +53,11 @@ func (c *ConvCode) getViterbiBuf(steps int) *viterbiBuf {
 	vb, _ := c.vbPool.Get().(*viterbiBuf)
 	if vb == nil {
 		states := c.NumStates()
-		vb = &viterbiBuf{pm: make([]int32, states), next: make([]int32, states)}
+		vb = &viterbiBuf{pm: make([]int32, states), next: make([]int32, states), low: make([]int32, c.dfree)}
 	}
 	vb.q = resized(vb.q, steps*len(c.gens))
 	vb.dec = resized(vb.dec, steps*c.viterbiWords())
+	vb.path = resized(vb.path, steps)
 	return vb
 }
 
@@ -130,22 +136,25 @@ func acs(lo, hi, src []int32, typ []uint8, bm4 *[1 << maxConvOutputs][4]int32) (
 }
 
 // viterbi runs maximum-likelihood sequence decoding of the quantised
-// LLRs vb.q (positive ⇒ bit 0, peak qmax) over the trellis of c, assuming
-// the encoder started and ended in the all-zero state, and writes the
-// first len(out) decoded input bits to out.
-func viterbi(c *ConvCode, vb *viterbiBuf, qmax int32, out []byte) {
+// LLRs q (positive ⇒ bit 0, peak qmax) over the trellis of c from state
+// start, to state end or, for end < 0, to whichever state holds the best
+// metric (the lowest such state). It writes the input bit of step t to
+// out[t] for t < len(out) and returns the final state. With start and end
+// 0 it decodes a zero-terminated codeword; a window of a longer one starts
+// from any state and may leave the end free.
+func viterbi(c *ConvCode, vb *viterbiBuf, q []int32, qmax int32, start, end int, out []byte) int {
 	n := len(c.gens)
-	steps := len(vb.q) / n
+	steps := len(q) / n
 	states := c.NumStates()
 	half := states >> 1
 	words := c.viterbiWords()
 
 	pm, next := vb.pm[:states], vb.next[:states]
-	unreached := -(2*int32(len(vb.q))*qmax + 1)
+	unreached := -(2*int32(len(q))*qmax + 1)
 	for i := range pm {
 		pm[i] = unreached
 	}
-	pm[0] = 0
+	pm[start] = 0
 
 	// The encoder is linear over GF(2), so a butterfly's four output
 	// patterns follow from that of its branch (2j, input 0): the odd
@@ -157,7 +166,7 @@ func viterbi(c *ConvCode, vb *viterbiBuf, qmax int32, out []byte) {
 		// Score every possible output pattern once: pattern bit j clear
 		// means coded bit 0 (metric +q[j]), set means 1 (-q[j]).
 		bm[0] = 0
-		for j, v := range vb.q[t*n : (t+1)*n] {
+		for j, v := range q[t*n : (t+1)*n] {
 			bit := 1 << uint(j)
 			for p := 0; p < bit; p++ {
 				bm[p|bit] = bm[p] - v
@@ -183,10 +192,18 @@ func viterbi(c *ConvCode, vb *viterbiBuf, qmax int32, out []byte) {
 		pm, next = next, pm
 	}
 
-	// Trace back from the zero state by shifts: a state's MSB is the input
-	// bit that entered it, and its predecessor is the remaining bits
-	// shifted up with the decision bit as the new LSB.
-	state := 0
+	if end < 0 {
+		end = 0
+		for s, m := range pm {
+			if m > pm[end] {
+				end = s
+			}
+		}
+	}
+	// Trace back by shifts: a state's MSB is the input bit that entered
+	// it, and its predecessor is the remaining bits shifted up with the
+	// decision bit as the new LSB.
+	state := end
 	for t := steps - 1; t >= 0; t-- {
 		if t < len(out) {
 			out[t] = byte(state >> uint(c.k-2))
@@ -194,38 +211,126 @@ func viterbi(c *ConvCode, vb *viterbiBuf, qmax int32, out []byte) {
 		d := int(vb.dec[t*words+state>>6] >> uint(state&63) & 1)
 		state = (state&(half-1))<<1 | d
 	}
+	return end
 }
 
-// hardPath reports whether exactly one zero-terminated path outputs the
-// hard decisions on q, none of them an erasure (q = 0), and writes its
-// input bits to out. That codeword has the largest correlation Σ|q| over
-// all sign vectors, strictly, so the Viterbi search returns it too.
-func hardPath(c *ConvCode, q []int32, out []byte) bool {
+// Certified decoding: candidate repairs the hard decisions into a codeword
+// with the Viterbi search confined to windows around the errors, and
+// certified proves it the unique maximum-likelihood codeword, exactly
+// what the full search returns. Only a word that fails runs the full one.
+
+// A window spans windowBack steps before the step it repairs and
+// windowAhead after it. Over AWGN words at 6–12 dB, six such windows
+// certify at least as many words as four of 9 + 18 steps (the same 108
+// steps) for two thirds of their ACS work.
+const windowBack, windowAhead, maxWindows = 6, 12, 6
+
+// candidate walks the hard decisions of vb.q from state 0 and writes the
+// input bits of a zero-terminated path to path. At each step it follows
+// the one edge that agrees with them (an erasure, q = 0, agrees with
+// either bit; the tail takes input 0). Where no edge or both agree, it
+// runs viterbi over a window from the path's state windowBack steps back,
+// with a free end, or state 0 if it reaches the tail, and resumes at the
+// window's end. It returns the number of windows, or -1 when it gives up:
+// after maxWindows, or before the first if noisy. With no window the path
+// agrees with every hard decision, and any other codeword leaves it by an
+// edge that does not: it is the unique maximum-likelihood codeword.
+func candidate(c *ConvCode, vb *viterbiBuf, qmax int32, path []byte) int {
 	n := len(c.gens)
-	state := 0
-	for t := 0; t < len(q)/n; t++ {
-		var h uint8
-		for j, v := range q[t*n : (t+1)*n] {
-			if v == 0 {
-				return false
-			}
-			if v < 0 {
-				h |= 1 << uint(j)
+	steps := len(vb.q) / n
+	tail := steps - (c.k - 1)
+	state, windows := 0, 0
+	for t := 0; t < steps; {
+		var h, m uint8 // hard pattern, and its bits that are not erased
+		for j, v := range vb.q[t*n : (t+1)*n] {
+			h |= uint8(uint32(v)>>31) << uint(j)
+			if v != 0 {
+				m |= 1 << uint(j)
 			}
 		}
 		idx := state << 1
-		switch p0, p1 := c.tr.pat[idx], c.tr.pat[idx|1]; {
-		case p0 == p1 || h != p0 && h != p1:
-			return false
-		case h == p1:
-			idx |= 1
+		if ok0, ok1 := (c.tr.pat[idx]^h)&m == 0, t < tail && (c.tr.pat[idx|1]^h)&m == 0; ok0 != ok1 {
+			if ok1 {
+				idx |= 1
+			}
+			path[t], state = byte(idx&1), int(c.tr.to[idx])
+			t++
+			continue
 		}
-		if t < len(out) {
-			out[t] = byte(idx & 1)
-		} else if idx&1 != 0 {
-			return false
+		if windows == maxWindows || windows == 0 && c.noisy(vb.q) {
+			return -1
 		}
-		state = int(c.tr.to[idx])
+		windows++
+		t0, t1, end, from := max(t-windowBack, 0), t+windowAhead, -1, 0
+		if t1 > tail {
+			t1, end = steps, 0
+		}
+		for _, b := range path[max(t0-(c.k-1), 0):t0] {
+			from = from>>1 | int(b)<<uint(c.k-2)
+		}
+		state, t = viterbi(c, vb, vb.q[t0*n:t1*n], qmax, from, end, path[t0:t1]), t1
 	}
-	return true
+	return windows
+}
+
+// noisy reports whether the hard decisions on q hold more errors than
+// maxWindows windows repair, by the weight of their syndromes r0·gj +
+// rj·g0 (j ≥ 1, rj the decisions on output j). That weight is zero on a
+// codeword, and a hard error sets as many of its bits as the generators
+// it meets have taps: taps/n on average.
+func (c *ConvCode) noisy(q []int32) bool {
+	n := len(c.gens)
+	var r [maxConvOutputs]uint32
+	w, taps, j := 0, 0, 0
+	for _, g := range c.gens[1:] {
+		taps += bits.OnesCount32(c.gens[0]) + bits.OnesCount32(g)
+	}
+	for _, v := range q {
+		r[j] = r[j]>>1 | uint32(v)>>31<<uint(c.k-1)
+		if j > 0 {
+			w += bits.OnesCount32(r[0]&c.gens[j]^r[j]&c.gens[0]) & 1
+		}
+		if j++; j == n {
+			j = 0
+		}
+	}
+	return w*n > maxWindows*taps
+}
+
+// certified reports whether the codeword of path is the unique
+// maximum-likelihood codeword for vb.q. Let D be the positions where it
+// disagrees with a hard decision (an erasure disagrees with none). Any
+// other codeword differs from it in at least dfree positions: it gains
+// at most Σ_D |q| and loses at least the sum of the dfree − |D| smallest
+// |q| outside D, so a strictly smaller Σ_D |q| proves the candidate the
+// unique best, which the exact int32 metrics of viterbi then return too.
+func certified(c *ConvCode, vb *viterbiBuf, path []byte) bool {
+	n, low := len(c.gens), vb.low // the dfree smallest |q| outside D so far, ascending
+	for i := range low {
+		low[i] = math.MaxInt32
+	}
+	var sumD, sum int64
+	nd, state := 0, 0
+	for t, b := range path {
+		idx := state<<1 | int(b)
+		state = int(c.tr.to[idx])
+		for j, v := range vb.q[t*n : (t+1)*n] {
+			if a := max(v, -v); v != 0 && (v < 0) != (c.tr.pat[idx]>>uint(j)&1 == 1) {
+				if nd++; nd >= c.dfree {
+					return false
+				}
+				sumD += int64(a)
+			} else if a < low[len(low)-1] {
+				i := len(low) - 1
+				for ; i > 0 && low[i-1] > a; i-- {
+					low[i] = low[i-1]
+				}
+				low[i] = a
+			}
+		}
+	}
+	for _, a := range low[:c.dfree-nd] {
+		sum += int64(a)
+	}
+	return sumD < sum
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -166,6 +167,26 @@ func TestViterbiLongBlockShrinksScale(t *testing.T) {
 	}
 }
 
+func TestViterbiUnreachedBound(t *testing.T) {
+	// One info bit of the K=7 code: both codewords score -5 qmax on these
+	// hard decisions (the tie rule keeps the 0), and a path from a nonzero
+	// start state scores 11 qmax. Other start states must begin below
+	// every true path at every step, at -(2B+1) with B = 14 qmax: from
+	// -(B+1) that path would end at -3 qmax - 1 and decode a 1.
+	c := oddCodes()[2]
+	llr := []float64{-1, 1, 1, -1, 1, 1, -1, 0, -1, -1, -1, -1, -1, -1}
+	want := refDecode(c, llr)
+	if !bytes.Equal(want, []byte{0}) {
+		t.Fatalf("%s: the float reference decodes %v, want [0]", c.Name(), want)
+	}
+	if got := fullDecode(c, llr); !bytes.Equal(got, want) {
+		t.Fatalf("%s: the trellis search decodes %v, want %v", c.Name(), got, want)
+	}
+	if got := c.Decode(llr); !bytes.Equal(got, want) {
+		t.Fatalf("%s: Decode gives %v, want %v", c.Name(), got, want)
+	}
+}
+
 func TestQuantizeLLRNonFinite(t *testing.T) {
 	in := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 2, -1, 5e-324, math.MaxFloat64}
 	q := make([]int32, len(in))
@@ -243,7 +264,7 @@ func FuzzConvDecode(f *testing.F) {
 			}
 		}
 		if !bytes.Equal(got, fullDecode(c, llr)) {
-			t.Fatalf("%s: Decode differs from the trellis search (exit %v)", c.Name(), exits(c, llr))
+			t.Fatalf("%s: Decode differs from the trellis search (%s)", c.Name(), exits(c, llr))
 		}
 		for _, x := range llr {
 			if !(math.Abs(x) <= 1e300) {
@@ -252,4 +273,151 @@ func FuzzConvDecode(f *testing.F) {
 		}
 		checkAgainstRef(t, c, llr, false)
 	})
+}
+
+// minWeightWord returns the info bits of a least-weight nonzero codeword
+// of c among those of at most 16 info bits, and its weight. It encodes
+// from the generators alone, not from the trellis tables. Every such
+// codeword is a shift of one whose first info bit is set.
+func minWeightWord(c *ConvCode) (info []byte, weight int) {
+	const k = 16
+	var best uint32
+	weight = math.MaxInt
+	for u := uint32(1); u < 1<<k; u += 2 {
+		w := 0
+		var reg uint32
+		for t := 0; t < k+c.k-1; t++ {
+			reg = reg>>1 | (u>>uint(t)&1)<<uint(c.k-1)
+			for _, g := range c.gens {
+				w += bits.OnesCount32(reg&g) & 1
+			}
+		}
+		if w < weight {
+			best, weight = u, w
+		}
+	}
+	info = make([]byte, k)
+	for i := range info {
+		info[i] = byte(best >> uint(i) & 1)
+	}
+	return info, weight
+}
+
+func TestFreeDistance(t *testing.T) {
+	// The certificate is sound only if dfree is no larger than the true
+	// free distance; a constant that fits the UMTS codes does not fit a
+	// K=3 code (k3-no-msb-lsb is also catastrophic: a zero-weight loop).
+	if d := UMTSConvHalf().dfree; d != 12 {
+		t.Fatalf("UMTS rate 1/2: dfree %d, want 12", d)
+	}
+	if d := UMTSConvThird().dfree; d != 18 {
+		t.Fatalf("UMTS rate 1/3: dfree %d, want 18", d)
+	}
+	for _, c := range fuzzCodes() {
+		if _, w := minWeightWord(c); c.dfree != w {
+			t.Errorf("%s: dfree %d, brute force over 16 info bits %d", c.Name(), c.dfree, w)
+		}
+	}
+}
+
+func TestCertifiedIsViterbi(t *testing.T) {
+	// Whenever the certificate passes, the candidate is bit for bit what
+	// the full trellis search returns: noisy words from 3 to 12 dB, hard
+	// words with 1–6 flipped bits, and near-tie words halfway between two
+	// codewords a least-weight codeword apart, whose equal magnitudes
+	// make a strict and a non-strict comparison disagree, and words erased
+	// where those two codewords differ.
+	rng := rand.New(rand.NewSource(25))
+	fired := map[string]int{}
+	check := func(c *ConvCode, llr []float64, kind string) {
+		t.Helper()
+		path := exits(c, llr)
+		if path == "certified" {
+			fired[kind]++
+		}
+		if got, want := c.Decode(llr), fullDecode(c, llr); !bytes.Equal(got, want) {
+			t.Fatalf("%s, %s word (%s): %d bits differ from the trellis search", c.Name(), kind, path, CountBitErrors(got, want))
+		}
+	}
+	for _, c := range fuzzCodes() {
+		k := 70
+		if c.k == 9 {
+			k = engineInfoBits(c)
+		}
+		for ebn0 := 3.0; ebn0 <= 12; ebn0 += 1.5 {
+			for tr := 0; tr < 15; tr++ {
+				check(c, noisyLLR(rng, c.Encode(randBits(rng, k)), ebn0, c.Rate()), "noisy")
+			}
+		}
+		for flips := 1; flips <= 6; flips++ {
+			for tr := 0; tr < 10; tr++ {
+				coded := c.Encode(randBits(rng, k))
+				for _, i := range rng.Perm(len(coded))[:flips] {
+					coded[i] ^= 1
+				}
+				check(c, HardLLR(coded), "hard")
+			}
+		}
+		low, d := minWeightWord(c)
+		for tr := 0; tr < 8; tr++ {
+			info := randBits(rng, k)
+			coded := c.Encode(info)
+			at := rng.Intn(k - len(low) + 1)
+			for i, b := range low {
+				info[at+i] ^= b
+			}
+			var diff []int // where the two codewords differ, ascending
+			for i, b := range c.Encode(info) {
+				if b != coded[i] {
+					diff = append(diff, i)
+				}
+			}
+			for _, flip := range [][]int{diff[:d/2], diff[d/2:], diff[:(d+1)/2], diff[(d+1)/2:]} {
+				word := slices.Clone(coded)
+				for _, i := range flip {
+					word[i] ^= 1
+				}
+				check(c, HardLLR(word), "near-tie")
+			}
+			erased := HardLLR(coded) // the two codewords tie exactly
+			for _, i := range diff {
+				erased[i] = 0
+			}
+			check(c, erased, "erased")
+		}
+	}
+	for _, kind := range []string{"noisy", "hard", "near-tie"} {
+		if fired[kind] == 0 {
+			t.Errorf("the certificate never passed on a %s word", kind)
+		}
+	}
+}
+
+func TestCertifiedHitRate(t *testing.T) {
+	// The benchmark workloads' 9 dB: most rate-1/2 words miss the exit
+	// and carry a hard error or two, and the repaired candidate certifies
+	// them. A certificate that never passed would decode every word
+	// correctly through the full trellis, and only this test would see it.
+	c := UMTSConvHalf()
+	rng := rand.New(rand.NewSource(26))
+	const words = 500
+	paths := map[string]int{}
+	for i := 0; i < words; i++ {
+		paths[exits(c, noisyLLR(rng, c.Encode(randBits(rng, 248)), 9, c.Rate()))]++
+	}
+	if paths["certified"]*10 < words*6 {
+		t.Fatalf("%d of %d words certified (%v), want at least 60 %%", paths["certified"], words, paths)
+	}
+}
+
+func TestQuantizeLLRRoundsToNearest(t *testing.T) {
+	// Peak 10 onto qmax 10: each value rounds to the nearest integer, away
+	// from zero, and not toward it. The certificate compares sums of
+	// these magnitudes.
+	in := []float64{10, 2.6, -2.6, 2.4, -2.4, 0.6, -0.6, 0.4, -9.6, 9.4}
+	q := make([]int32, len(in))
+	quantizeLLR(q, in, 10)
+	if want := []int32{10, 3, -3, 2, -2, 1, -1, 0, -10, 9}; !slices.Equal(q, want) {
+		t.Fatalf("quantised %v, want %v", q, want)
+	}
 }

@@ -159,7 +159,7 @@ type BurstResult struct {
 	UWMetric   float64   // normalized unique-word correlation magnitude
 	FreqEst    float64   // feedforward CFO estimate (cycles/symbol); 0 unless FreqRecovery ran
 	Timing     float64   // fractional timing offset (samples); Oerder-Meyr only — Gardner tracks per symbol and reports 0
-	Soft       []float64 // payload soft bits (positive ⇒ 0)
+	Soft       []float64 // payload soft bits (positive ⇒ 0), valid until the demodulator's next Demodulate
 	TimingUsed TimingMode
 }
 
@@ -209,8 +209,9 @@ type BurstDemodulator struct {
 	// serves one burst at a time (pool contract), so reusing them across
 	// Demodulate calls is safe and keeps the warm path allocation-free.
 	om    *OerderMeyr
-	syms  dsp.Vec // timing-recovered symbols
-	derot dsp.Vec // phase-corrected payload symbols
+	syms  dsp.Vec   // timing-recovered symbols
+	derot dsp.Vec   // phase-corrected payload symbols
+	soft  []float64 // demapped payload soft bits, BurstResult.Soft
 }
 
 // NewBurstDemodulator builds the receive side with the legacy sync chain
@@ -237,12 +238,14 @@ func NewBurstDemodulatorSync(f BurstFormat, beta float64, sps, span int, mode Ti
 		sc.UWThreshold = DefaultUWThreshold
 	}
 	d := &BurstDemodulator{
-		fmt:  f,
-		mf:   dsp.NewMatchedFilter(beta, sps, span),
-		mode: mode,
-		sps:  sps,
-		sync: sc,
-		uw:   f.UWSymbols(),
+		fmt:   f,
+		mf:    dsp.NewMatchedFilter(beta, sps, span),
+		mode:  mode,
+		sps:   sps,
+		sync:  sc,
+		uw:    f.UWSymbols(),
+		derot: dsp.NewVec(f.PayloadLen),
+		soft:  make([]float64, f.PayloadBits()),
 	}
 	d.uwEnergy = d.uw.Energy()
 	if mode == TimingOerderMeyr {
@@ -254,7 +257,8 @@ func NewBurstDemodulatorSync(f BurstFormat, beta float64, sps, span int, mode Ti
 // Demodulate processes a received waveform containing one burst. The
 // demodulator is fully reset per call, so a recycled instance (e.g. from
 // the payload's demodulator pool) produces output bit-identical to a
-// freshly constructed one.
+// freshly constructed one. The soft bits are the instance's own buffer:
+// a caller that keeps them past the next call copies them.
 func (d *BurstDemodulator) Demodulate(rx dsp.Vec) BurstResult {
 	d.mf.Reset()
 	filtered := d.mf.ProcessInto(dsp.GetVec(len(rx)), rx)
@@ -342,20 +346,16 @@ func (d *BurstDemodulator) acquire(syms dsp.Vec, tau float64) BurstResult {
 
 	payloadStart := bestIdx + len(uw)
 	payload := syms[payloadStart : payloadStart+d.fmt.PayloadLen]
-	if cap(d.derot) < len(payload) {
-		d.derot = dsp.NewVec(len(payload))
-	}
-	var derot dsp.Vec
 	if d.sync.PhaseTrack {
 		// The UW phase is exact only at the unique word; under residual
 		// CFO the payload keeps rotating, so blockwise feedforward
 		// estimates anchored at the UW phase follow it across the
 		// payload.
-		derot = TrackPhaseQPSKInto(d.derot[:len(payload)], payload, res.Phase)
+		TrackPhaseQPSKInto(d.derot, payload, res.Phase)
 	} else {
-		derot = DerotateInto(d.derot[:len(payload)], payload, res.Phase)
+		DerotateInto(d.derot, payload, res.Phase)
 	}
-	res.Soft = d.fmt.Mod.Demap(derot, 1)
+	res.Soft = d.fmt.Mod.DemapInto(d.soft, d.derot, 1)
 	dsp.PutVec(pooled)
 	return res
 }

@@ -171,11 +171,11 @@ func TestTrackPhaseFollowsResidualCFO(t *testing.T) {
 	for i, s := range syms {
 		rot[i] = s * cexp(anchor+2*math.Pi*residual*float64(i))
 	}
-	tracked := HardBits(QPSK.Demap(TrackPhaseQPSKInto(dsp.NewVec(len(rot)), rot, anchor), 1))
+	tracked := HardBits(demap(QPSK, TrackPhaseQPSKInto(dsp.NewVec(len(rot)), rot, anchor)))
 	if !reflect.DeepEqual(tracked, bits) {
 		t.Fatal("tracker lost lock under residual CFO")
 	}
-	static := HardBits(QPSK.Demap(DerotateInto(dsp.NewVec(len(rot)), rot, anchor), 1))
+	static := HardBits(demap(QPSK, DerotateInto(dsp.NewVec(len(rot)), rot, anchor)))
 	errs := 0
 	for i := range bits {
 		if static[i] != bits[i] {

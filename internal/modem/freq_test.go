@@ -164,7 +164,7 @@ func TestEndToEndWithFrequencyCorrection(t *testing.T) {
 	phase := cphase(bestCorr)
 	data := corrected[bestOff+len(uw) : bestOff+len(uw)+f.PayloadLen]
 	DerotateInto(data, data, phase)
-	got := HardBits(QPSK.Demap(data, 1))
+	got := HardBits(demap(QPSK, data))
 	errs := 0
 	for i := range payload {
 		if got[i] != payload[i] {

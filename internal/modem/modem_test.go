@@ -10,6 +10,11 @@ import (
 	"repro/internal/dsp"
 )
 
+// demap returns the unscaled soft bits of syms in a fresh slice.
+func demap(m Modulation, syms dsp.Vec) []float64 {
+	return m.DemapInto(make([]float64, len(syms)*m.BitsPerSymbol()), syms, 1)
+}
+
 func randBits(rng *rand.Rand, n int) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -23,7 +28,7 @@ func TestPSKMapDemapRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		n := 64 * m.BitsPerSymbol()
 		bits := randBits(rng, n)
-		got := HardBits(m.Demap(m.Map(bits), 1))
+		got := HardBits(demap(m, m.Map(bits)))
 		for i := range bits {
 			if got[i] != bits[i] {
 				t.Fatalf("%v bit %d", m, i)

@@ -79,15 +79,9 @@ func (m Modulation) MapInto(dst dsp.Vec, bits []byte) dsp.Vec {
 	panic("modem: unknown modulation")
 }
 
-// Demap produces one soft value per bit (positive ⇒ bit 0), scaled by
-// scale (use 1 for normalized symbols).
-func (m Modulation) Demap(syms dsp.Vec, scale float64) []float64 {
-	return m.DemapInto(make([]float64, len(syms)*m.BitsPerSymbol()), syms, scale)
-}
-
-// DemapInto is the allocation-free variant of Demap: it writes the soft
-// values into dst (at least len(syms)*BitsPerSymbol long) and returns
-// the filled prefix.
+// DemapInto writes one soft value per bit (positive ⇒ bit 0), scaled by
+// scale (use 1 for normalized symbols), into dst (at least
+// len(syms)*BitsPerSymbol long) and returns the filled prefix.
 func (m Modulation) DemapInto(dst []float64, syms dsp.Vec, scale float64) []float64 {
 	switch m {
 	case BPSK:

@@ -16,7 +16,6 @@ import (
 type BurstReceipt struct {
 	Assignment modem.SlotAssignment
 	Found      bool
-	Soft       []float64
 	// Sync carries the burst-synchronization diagnostics (UW metric, CFO
 	// estimate, timing offset, carrier phase) of the demodulation stage,
 	// populated for found and missed bursts alike so callers can study
@@ -71,15 +70,14 @@ func (p *Payload) ReceiveFrameAndRouteQoS(fc *modem.FrameComposer, assignments [
 		a := assignments[i]
 		r := &out[i]
 		r.Assignment = a
-		soft, info, err := p.demodulateCarrier(a.Carrier, fc.SlotWaveform(a))
+		soft, dem, info, err := p.demodulateCarrier(a.Carrier, fc.SlotWaveform(a))
 		r.Sync = info
-		if err != nil {
-			r.Err = err
-			return
+		if err == nil {
+			r.Found = true
+			r.Bits, err = p.decodeBurst(soft)
 		}
-		r.Found = true
-		r.Soft = soft
-		r.Bits, r.Err = p.decodeBurst(soft)
+		r.Err = err
+		p.release(dem)
 	})
 	for i := range out {
 		if out[i].Bits == nil {

@@ -52,7 +52,7 @@ func TestReceiveMFTDMAFrame(t *testing.T) {
 		if !r.Found {
 			t.Fatalf("burst %d not found: %v", i, r.Err)
 		}
-		got := modem.HardBits(r.Soft)
+		got := r.Bits // uncoded: the hard decisions
 		errs := 0
 		for j := range payloads[i] {
 			if got[j] != payloads[i][j] {

@@ -3,6 +3,7 @@ package payload
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -331,26 +332,25 @@ var ErrServiceDown = errors.New("payload: service down")
 // carrier wrapper over the same demodulator bank the frame pipeline
 // uses, so sequential and batch reception are bit-identical.
 func (p *Payload) DemodulateCarrier(carrier int, rx dsp.Vec) ([]float64, error) {
-	soft, _, err := p.demodulateCarrier(carrier, rx)
-	return soft, err
+	soft, dem, _, err := p.demodulateCarrier(carrier, rx)
+	defer p.release(dem)
+	return slices.Clone(soft), err
 }
 
 // demodulateCarrier is DemodulateCarrier plus the per-burst sync
-// diagnostics the frame pipeline plumbs into receipts.
-func (p *Payload) demodulateCarrier(carrier int, rx dsp.Vec) ([]float64, SyncInfo, error) {
+// diagnostics the frame pipeline plumbs into receipts, without the copy.
+// It runs the burst through a pooled instance of the active waveform's
+// demodulator. Demodulators reset fully per burst, so any worker may use
+// any pooled instance; concurrent callers never share one because
+// sync.Pool hands an instance to one goroutine at a time. A found TDMA
+// burst's soft bits live in the returned instance: the caller reads
+// them, then hands it back with release.
+func (p *Payload) demodulateCarrier(carrier int, rx dsp.Vec) ([]float64, *modem.BurstDemodulator, SyncInfo, error) {
 	if carrier < 0 || carrier >= p.cfg.Carriers {
-		return nil, SyncInfo{}, errors.New("payload: carrier out of range")
+		return nil, nil, SyncInfo{}, errors.New("payload: carrier out of range")
 	}
-	return p.demodulate(rx)
-}
-
-// demodulate runs one burst through a pooled instance of the active
-// waveform's demodulator. Demodulators reset fully per burst, so any
-// worker may use any pooled instance; concurrent callers never share
-// one because sync.Pool hands an instance to one goroutine at a time.
-func (p *Payload) demodulate(rx dsp.Vec) ([]float64, SyncInfo, error) {
 	if !p.cs.FunctionHealthy(FuncDemux) || !p.cs.FunctionHealthy(FuncDemod) {
-		return nil, SyncInfo{}, ErrServiceDown
+		return nil, nil, SyncInfo{}, ErrServiceDown
 	}
 	switch p.Mode() {
 	case ModeCDMA:
@@ -358,20 +358,27 @@ func (p *Payload) demodulate(rx dsp.Vec) ([]float64, SyncInfo, error) {
 		soft := dem.Demodulate(rx, 64)
 		p.cdmaDemods.Put(dem)
 		if soft == nil {
-			return nil, SyncInfo{}, errors.New("payload: CDMA acquisition failed")
+			return nil, nil, SyncInfo{}, errors.New("payload: CDMA acquisition failed")
 		}
-		return soft, SyncInfo{}, nil
+		return soft, nil, SyncInfo{}, nil
 	case ModeTDMA:
 		dem := p.tdmaDemods.Get().(*modem.BurstDemodulator)
 		res := dem.Demodulate(rx)
-		p.tdmaDemods.Put(dem)
 		info := SyncInfo{Scanned: true, UWMetric: res.UWMetric, FreqEst: res.FreqEst, Timing: res.Timing, Phase: res.Phase}
 		if !res.Found {
-			return nil, info, errors.New("payload: TDMA burst not found")
+			p.tdmaDemods.Put(dem)
+			return nil, nil, info, errors.New("payload: TDMA burst not found")
 		}
-		return res.Soft, info, nil
+		return res.Soft, dem, info, nil
 	default:
-		return nil, SyncInfo{}, errors.New("payload: no waveform loaded")
+		return nil, nil, SyncInfo{}, errors.New("payload: no waveform loaded")
+	}
+}
+
+// release returns a demodulator demodulateCarrier handed out, if any.
+func (p *Payload) release(dem *modem.BurstDemodulator) {
+	if dem != nil {
+		p.tdmaDemods.Put(dem)
 	}
 }
 

@@ -1,6 +1,7 @@
 package payload
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -290,13 +291,8 @@ func TestReceiveFrameConcurrentMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("assignment %d: %v", i, err)
 		}
-		if !got[i].Found || len(got[i].Soft) != len(want) {
-			t.Fatalf("assignment %d: found=%v soft %d vs %d", i, got[i].Found, len(got[i].Soft), len(want))
-		}
-		for j := range want {
-			if got[i].Soft[j] != want[j] {
-				t.Fatalf("assignment %d soft bit %d differs from sequential", i, j)
-			}
+		if !got[i].Found || !bytes.Equal(got[i].Bits, modem.HardBits(want)) {
+			t.Fatalf("assignment %d: found=%v, decoded bits differ from sequential", i, got[i].Found)
 		}
 	}
 }

@@ -39,7 +39,6 @@ type groundReceiver struct {
 	slotLen int // carrier-rate samples per slot
 	demux   *frontend.Demux
 	dems    sync.Pool // burst demodulators
-	llrs    sync.Pool // *[]float64 sign-sliced LLRs of one verified burst
 
 	runs  []verifyRun
 	runOf []int         // sent burst -> index of the run holding its window
@@ -62,10 +61,6 @@ func newGroundReceiver(frame modem.FrameConfig, plan frontend.CarrierPlan, bf mo
 	}
 	g.dems.New = func() any {
 		return modem.NewBurstDemodulator(bf, 0.35, plan.Decim, 10, modem.TimingOerderMeyr)
-	}
-	g.llrs.New = func() any {
-		l := make([]float64, bf.PayloadBits())
-		return &l
 	}
 	g.downconvert, g.check = g.downconvertRun, g.checkBurst
 	return g
@@ -126,25 +121,23 @@ func (g *groundReceiver) checkBurst(i int) {
 	start := sc.cell.Slot*g.slotLen - r.lo
 	end := min(start+g.slotLen+verifySlack, len(r.base))
 	dem := g.dems.Get().(*modem.BurstDemodulator)
+	defer g.dems.Put(dem) // after the decode: the soft bits are its buffer
 	res := dem.Demodulate(r.base[start:end])
-	g.dems.Put(dem)
 	if !res.Found {
 		g.outs[i] = egressDelta{lost: 1}
 		return
 	}
 	// The ground receiver decodes hard decisions: slice the signs
 	// into the saturated ±10 LLRs fec.HardLLR(modem.HardBits(soft))
-	// would build, without the two intermediate slices.
+	// would build, in place.
 	bits := sc.pkt.Bits
-	pl := g.llrs.Get().(*[]float64)
-	llr := (*pl)[:g.codec.EncodedLen(len(bits))]
-	for j, s := range res.Soft[:len(llr)] {
+	llr := res.Soft[:g.codec.EncodedLen(len(bits))]
+	for j, s := range llr {
 		llr[j] = 10
 		if s < 0 {
 			llr[j] = -10
 		}
 	}
 	dec := g.codec.Decode(llr)
-	g.llrs.Put(pl)
 	g.outs[i] = egressDelta{bitErrs: fec.CountBitErrors(bits, dec[:len(bits)])}
 }
