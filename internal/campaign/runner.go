@@ -60,10 +60,7 @@ func Execute(ctx context.Context, sp *Spec, cfg Config) (*Artifact, error) {
 		}
 	}
 
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(cfg.Workers, 1)
 	outcomes := make([]RunOutcome, len(ex.Runs))
 	var cbMu sync.Mutex
 	pipeline.ForEachN(workers, len(ex.Runs), func(i int) {

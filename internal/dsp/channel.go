@@ -109,10 +109,7 @@ func (c *Channel) addNoise(v Vec) {
 	if p == 0 {
 		return
 	}
-	sps := c.SPS
-	if sps < 1 {
-		sps = 1
-	}
+	sps := max(c.SPS, 1)
 	// Es = p * sps (energy per symbol across sps samples);
 	// per-sample complex noise variance N0 = Es / (Es/N0).
 	esn0 := FromDB(c.EsN0dB)

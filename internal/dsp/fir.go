@@ -71,13 +71,12 @@ type interpolator struct {
 	l, j int       // interpolation factor; taps per branch
 	br   []float64 // branch p reversed at br[p*j:(p+1)*j], zero-padded to j
 	ext  Vec       // j-1 samples of history, then room for a block's first j-1
-	idle bool      // the history is all zero
 }
 
 // newInterpolator splits taps (scaled by gain) into l branches.
 func newInterpolator(taps []float64, l int, gain float64) *interpolator {
 	j := (len(taps) + l - 1) / l
-	ip := &interpolator{l: l, j: j, br: make([]float64, l*j), ext: NewVec(2 * (j - 1)), idle: true}
+	ip := &interpolator{l: l, j: j, br: make([]float64, l*j), ext: NewVec(2 * (j - 1))}
 	for k, t := range taps {
 		ip.br[(k%l)*j+j-1-k/l] = gain * t
 	}
@@ -100,7 +99,6 @@ func (ip *interpolator) processInto(dst, in Vec) Vec {
 	if len(in) > h {
 		copy(ext, in[len(in)-h:])
 	}
-	ip.idle = allZero(ext[:h])
 	return dst
 }
 
@@ -111,10 +109,7 @@ func (ip *interpolator) run(dst, x Vec) {
 	}
 }
 
-func (ip *interpolator) reset() {
-	clear(ip.ext)
-	ip.idle = true
-}
+func (ip *interpolator) reset() { clear(ip.ext) }
 
 func allZero(v Vec) bool {
 	for _, s := range v {

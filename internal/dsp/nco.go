@@ -173,9 +173,14 @@ func (d *DDC) convert(st *ddcState, dst, in Vec) int {
 // image-reject lowpass, then NCO mixing to the carrier. It is the
 // transmit-side dual of DDC, used by the payload Tx section.
 type DUC struct {
-	nco *NCO
-	ip  *interpolator
+	nco   *NCO
+	ip    *interpolator
+	carry int    // inputs of the next block the filter tail of the last reaches
+	cover []Span // ProcessRunsInto's tiles
 }
+
+// Span is the half-open sample range [Lo, Hi).
+type Span struct{ Lo, Hi int }
 
 // NewDUC builds an up-converter interpolating by interp and translating
 // baseband to normalized frequency freq.
@@ -200,31 +205,53 @@ const ducTile = 256
 // ProcessInto interpolates, filters and up-converts a baseband block:
 // the output is written into dst (at least OutLen(len(in)) long, not
 // aliasing in). A DUC carries stream state, so it serves one
-// stream at a time. Idle stretches — zeros in behind a filter history of
-// zeros — come out as the zeros the filter would have produced, for the
-// cost of a scan: only the oscillator moves.
-func (u *DUC) ProcessInto(dst, in Vec) Vec {
-	dst = dst[:u.OutLen(len(in))]
-	for off := 0; off < len(in); off += ducTile {
-		end := min(off+ducTile, len(in))
-		o := dst[off*u.ip.l : end*u.ip.l]
-		if u.SkipIdle(in[off:end]) {
-			clear(o)
-		} else {
-			u.nco.MixInto(o, u.ip.processInto(o, in[off:end]))
+// stream at a time.
+func (u *DUC) ProcessInto(dst, in Vec) Vec { return u.ProcessRunsInto(dst, in, []Span{{Hi: len(in)}}) }
+
+// Cover appends to dst, merged and in order, the tiles of an n-sample
+// block that ProcessRunsInto computes when only runs (sorted, disjoint)
+// may be nonzero: those that meet a run, its filter tail, or the tail of
+// the previous block. The DUC's output is zero everywhere else.
+func (u *DUC) Cover(dst, runs []Span, n int) []Span {
+	add := func(lo, hi int) {
+		lo, hi = lo/ducTile*ducTile, min((hi+ducTile-1)/ducTile*ducTile, n)
+		if k := len(dst) - 1; k >= 0 && lo <= dst[k].Hi {
+			dst[k].Hi = max(dst[k].Hi, hi)
+		} else if lo < hi {
+			dst = append(dst, Span{lo, hi})
 		}
+	}
+	if u.carry > 0 {
+		add(0, u.carry)
+	}
+	for _, r := range runs {
+		add(r.Lo, r.Hi+u.ip.j-1) // j-1 more inputs see r in their window
 	}
 	return dst
 }
 
-// SkipIdle reports whether ProcessInto(in) would emit nothing but zeros
-// — in and the filter's retained history are all zero, never otherwise —
-// and, if so, advances the oscillator past the block, so a caller
-// summing carriers may leave this one out.
-func (u *DUC) SkipIdle(in Vec) bool {
-	if !u.ip.idle || !allZero(in) {
-		return false
+// ProcessRunsInto is ProcessInto for a block that is zero outside runs
+// (sorted, disjoint): it computes only Cover's tiles and leaves the rest
+// of dst, where ProcessInto's output is zero, as it was. The oscillator
+// moves over the whole block, so the next block lands where it should.
+func (u *DUC) ProcessRunsInto(dst, in Vec, runs []Span) Vec {
+	n, l, n0 := len(in), u.ip.l, u.nco.n
+	dst = dst[:n*l]
+	// A span of Cover ends a filter tail past its runs or at the block's
+	// end, so the filter history is zero wherever a skip ends.
+	u.cover = u.Cover(u.cover[:0], runs, n)
+	for _, c := range u.cover {
+		u.nco.n = n0 + int64(c.Lo*l)
+		for off := c.Lo; off < c.Hi; off += ducTile {
+			end := min(off+ducTile, c.Hi)
+			o := dst[off*l : end*l]
+			u.nco.MixInto(o, u.ip.processInto(o, in[off:end]))
+		}
 	}
-	u.nco.n += int64(u.OutLen(len(in)))
-	return true
+	u.nco.n = n0 + int64(n*l)
+	u.carry = max(u.carry-n, 0)
+	if k := len(runs) - 1; k >= 0 {
+		u.carry = max(u.carry, runs[k].Hi+u.ip.j-1-n)
+	}
+	return dst
 }

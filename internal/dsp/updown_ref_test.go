@@ -231,55 +231,112 @@ func TestPulseShaperMatchesZeroStuffReference(t *testing.T) {
 	}
 }
 
-// An idle DUC emits exact zeros and keeps its oscillator running: a busy
-// block after any number of skipped ones is what an unskipped stream
-// would have produced.
-func TestDUCSkipIdleKeepsTailAndPhase(t *testing.T) {
+// scanDUC is the DUC as it was before it followed a plan: it found the
+// tiles it could skip by scanning for zeros in and behind them, and only
+// moved its oscillator over those.
+type scanDUC struct {
+	*DUC
+	idle bool // the filter history is all zero
+}
+
+func (u *scanDUC) process(in Vec) Vec {
+	dst := NewVec(u.OutLen(len(in)))
+	for off := 0; off < len(in); off += ducTile {
+		end := min(off+ducTile, len(in))
+		o := dst[off*u.ip.l : end*u.ip.l]
+		if u.idle && allZero(in[off:end]) {
+			u.nco.n += int64(len(o))
+		} else {
+			u.nco.MixInto(o, u.ip.processInto(o, in[off:end]))
+			u.idle = allZero(u.ip.ext[:u.ip.j-1])
+		}
+	}
+	return dst
+}
+
+// ducRunsOut runs one block through ProcessRunsInto into a fresh block.
+func ducRunsOut(u *DUC, in Vec, runs []Span) Vec {
+	return u.ProcessRunsInto(NewVec(u.OutLen(len(in))), in, runs)
+}
+
+// An idle block costs no tile but the filter tail of the last busy one,
+// and the oscillator keeps running: a busy block after any number of
+// idle ones is what an unplanned stream would have produced.
+func TestDUCRunsKeepTailAndPhase(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	busy, idle := unitVec(rng, 300), NewVec(300)
 	seq := []Vec{busy, idle, idle, busy, idle}
 	u, ref := NewDUC(0.13, 0.09, 95, 4), newRefDUC(0.13, 0.09, 95, 4)
 	for i, in := range seq {
-		skipped := u.SkipIdle(in)
+		var runs []Span
+		if i%3 == 0 {
+			runs = []Span{{0, len(in)}}
+		}
 		// The block right after a busy one still carries the filter tail.
-		if want := i == 2; skipped != want {
-			t.Fatalf("block %d: skipped=%v, want %v", i, skipped, want)
+		want := map[int]int{0: 300, 1: ducTile, 2: 0, 3: 300, 4: ducTile}[i]
+		if cover := u.Cover(nil, runs, len(in)); len(cover) > 1 || len(cover) == 1 && cover[0] != (Span{0, want}) || len(cover) == 0 && want > 0 {
+			t.Fatalf("block %d: cover %v, want [0, %d)", i, cover, want)
 		}
-		want := ref.process(in)
-		if skipped {
-			if !allZero(want) {
-				t.Fatalf("block %d: skipped a block the reference filter makes nonzero", i)
-			}
-			continue
-		}
-		if d := rmsDiff(ducOut(u, in), want); d > 1e-9 {
-			t.Fatalf("block %d: RMS %g from the unskipped reference", i, d)
+		if d := rmsDiff(ducRunsOut(u, in, runs), ref.process(in)); d > 1e-9 {
+			t.Fatalf("block %d: RMS %g from the reference", i, d)
 		}
 	}
 }
 
-// Tiles of zeros behind a zero history are skipped inside a block too, on
-// both banks: a mostly idle stream is the reference's sample for sample,
-// filter tails and oscillator phase included.
+// Tiles outside the runs are skipped inside a block too: a mostly idle
+// stream is the reference's sample for sample on both banks, filter
+// tails and oscillator phase included. The DDC finds its idle tiles by a
+// scan, the DUC from the runs it is given.
 func TestSparseStreamsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	sparse := func(n int, bursts ...[2]int) Vec {
+	sparse := func(n int, bursts ...Span) Vec {
 		v := NewVec(n)
 		for _, b := range bursts {
-			copy(v[b[0]:b[1]], unitVec(rng, b[1]-b[0]))
+			copy(v[b.Lo:b.Hi], unitVec(rng, b.Hi-b.Lo))
 		}
 		return v
 	}
-	base := sparse(6000, [2]int{700, 1100}, [2]int{1101, 1130}, [2]int{4000, 4001})
+	runs := []Span{{700, 1100}, {1101, 1130}, {4000, 4001}, {5990, 6000}}
+	base := sparse(6000, runs...)
 	u, refU := NewDUC(0.13, 0.09, 95, 4), newRefDUC(0.13, 0.09, 95, 4)
-	wide := sparse(24000, [2]int{2500, 4100}, [2]int{9000, 9003}, [2]int{23990, 24000})
+	wide := sparse(24000, Span{2500, 4100}, Span{9000, 9003}, Span{23990, 24000})
 	d, refD := NewDDC(0.13, 0.09, 95, 4), newRefDDC(0.13, 0.09, 95, 4)
 	for round := 0; round < 3; round++ { // the last block's tail crosses into the next
-		if diff := rmsDiff(ducOut(u, base), refU.process(base)); diff > 1e-9 {
+		if diff := rmsDiff(ducRunsOut(u, base, runs), refU.process(base)); diff > 1e-9 {
 			t.Fatalf("round %d: sparse DUC RMS %g from the reference", round, diff)
 		}
 		if diff := rmsDiff(ddcOut(d, wide), refD.process(wide)); diff > 1e-9 {
 			t.Fatalf("round %d: sparse DDC RMS %g from the reference", round, diff)
+		}
+	}
+}
+
+// The plan is the scan's equal: over random runs in blocks of random
+// length — runs at either edge, tails that cross into the next block or
+// past it, blocks of no run — ProcessRunsInto emits, sample for sample (==, under
+// which the sign of a zero does not count), what the scanning DUC does.
+func TestDUCRunsMatchScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for _, sh := range bankShapes {
+		u, ref := NewDUC(0.13, 0.09, sh.ntaps, sh.l), &scanDUC{NewDUC(0.13, 0.09, sh.ntaps, sh.l), true}
+		for b := 0; b < 40; b++ {
+			n := 1 + rng.Intn(3*ducTile)
+			if b%4 == 3 { // shorter than a filter tail
+				n = 1 + rng.Intn(20)
+			}
+			in, runs := NewVec(n), []Span(nil)
+			for lo := rng.Intn(n); lo < n && rng.Intn(4) > 0; {
+				hi := min(lo+1+rng.Intn(200), n)
+				copy(in[lo:hi], unitVec(rng, hi-lo))
+				runs = append(runs, Span{lo, hi})
+				lo = hi + rng.Intn(600)
+			}
+			got, want := ducRunsOut(u, in, runs), ref.process(in)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%d taps by %d, block %d (runs %v) sample %d: %v, scan %v", sh.ntaps, sh.l, b, runs, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }
@@ -297,11 +354,13 @@ func TestIdleSkipIsExact(t *testing.T) {
 		u, ref := NewDUC(0.13, 0.09, 95, 4), NewDUC(0.13, 0.09, 95, 4)
 		got, want := NewVec(4*n), NewVec(4*n)
 		for b := 0; b < blocks; b++ {
-			in := NewVec(n)
+			in, runs := NewVec(n), []Span(nil)
 			if b%2 == 0 || b == 3 {
 				copy(in[n/3:], unitVec(rng, n/2))
+				runs = []Span{{n / 3, n/3 + n/2}}
 			}
-			u.ProcessInto(got, in)
+			clear(got)
+			u.ProcessRunsInto(got, in, runs)
 			ref.nco.MixInto(want, ref.ip.processInto(want, in))
 			for i := range want {
 				if got[i] != want[i] {

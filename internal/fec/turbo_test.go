@@ -184,6 +184,20 @@ func TestMaxLogMAPMatchesReference(t *testing.T) {
 	}
 }
 
+// best is min where either candidate is a number: one NaN yields the
+// other candidate, whichever side it is on, and two yield +Inf.
+func TestBestNaNFallbacks(t *testing.T) {
+	nan := math.NaN()
+	for _, x := range []float64{-3, 0, 2.5, -math.MaxFloat64, math.Inf(-1), math.Inf(1)} {
+		if a, b := best(nan, x), best(x, nan); a != x || b != x {
+			t.Fatalf("best(NaN, %v) = %v, best(%v, NaN) = %v, want %v", x, a, x, b, x)
+		}
+	}
+	if m := best(nan, nan); !math.IsInf(m, 1) {
+		t.Fatalf("best(NaN, NaN) = %v, want +Inf", m)
+	}
+}
+
 func TestDecodeExitOnBurstLengths(t *testing.T) {
 	// Every hard codeword at every burst length takes the exit and decodes
 	// to its info bits.

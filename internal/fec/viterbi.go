@@ -232,7 +232,7 @@ const windowBack, windowAhead, maxWindows = 6, 12, 6
 // runs viterbi over a window from the path's state windowBack steps back,
 // with a free end, or state 0 if it reaches the tail, and resumes at the
 // window's end. It returns the number of windows, or -1 when it gives up:
-// after maxWindows, or before the first if noisy. With no window the path
+// after maxWindows, or before the first if hopeless. With no window the path
 // agrees with every hard decision, and any other codeword leaves it by an
 // edge that does not: it is the unique maximum-likelihood codeword.
 func candidate(c *ConvCode, vb *viterbiBuf, qmax int32, path []byte) int {
@@ -257,7 +257,7 @@ func candidate(c *ConvCode, vb *viterbiBuf, qmax int32, path []byte) int {
 			t++
 			continue
 		}
-		if windows == maxWindows || windows == 0 && c.noisy(vb.q) {
+		if windows == maxWindows || windows == 0 && c.hopeless(vb.q) {
 			return -1
 		}
 		windows++
@@ -273,19 +273,23 @@ func candidate(c *ConvCode, vb *viterbiBuf, qmax int32, path []byte) int {
 	return windows
 }
 
-// noisy reports whether the hard decisions on q hold more errors than
-// maxWindows windows repair, by the weight of their syndromes r0·gj +
-// rj·g0 (j ≥ 1, rj the decisions on output j). That weight is zero on a
-// codeword, and a hard error sets as many of its bits as the generators
-// it meets have taps: taps/n on average.
-func (c *ConvCode) noisy(q []int32) bool {
+// hopeless reports whether no windows can certify the hard decisions on
+// q. Either they hold more errors than maxWindows windows repair, by the
+// weight of their syndromes r0·gj + rj·g0 (j ≥ 1, rj the decisions on
+// output j), zero on a codeword and taps/n per hard error on average; or
+// q holds dfree erasures or more (a punctured word does), which make the
+// dfree − |D| smallest |q| outside D sum to 0 in certified.
+func (c *ConvCode) hopeless(q []int32) bool {
 	n := len(c.gens)
 	var r [maxConvOutputs]uint32
-	w, taps, j := 0, 0, 0
+	w, taps, j, erased := 0, 0, 0, 0
 	for _, g := range c.gens[1:] {
 		taps += bits.OnesCount32(c.gens[0]) + bits.OnesCount32(g)
 	}
 	for _, v := range q {
+		if v == 0 {
+			erased++
+		}
 		r[j] = r[j]>>1 | uint32(v)>>31<<uint(c.k-1)
 		if j > 0 {
 			w += bits.OnesCount32(r[0]&c.gens[j]^r[j]&c.gens[0]) & 1
@@ -294,7 +298,7 @@ func (c *ConvCode) noisy(q []int32) bool {
 			j = 0
 		}
 	}
-	return w*n > maxWindows*taps
+	return w*n > maxWindows*taps || erased >= c.dfree
 }
 
 // certified reports whether the codeword of path is the unique

@@ -393,6 +393,43 @@ func TestCertifiedIsViterbi(t *testing.T) {
 	}
 }
 
+// A de-punctured rate-2/3 word erases one coded bit in four, far more
+// than dfree, so the certificate can never pass on it: a word with hard
+// errors makes candidate give up before its first window (the walk stops
+// short of the last step), and decodes as the trellis search does. The
+// info words are sparse, so the erasures (read as zeros) set few
+// syndrome bits and the syndrome test alone would let the windows run.
+func TestPuncturedWordsRunNoWindow(t *testing.T) {
+	p := UMTSConvTwoThirds()
+	c := p.mother
+	rng := rand.New(rand.NewSource(29))
+	k := engineInfoBits(p)
+	for tr := 0; tr < 20; tr++ {
+		info := make([]byte, k)
+		for _, i := range rng.Perm(k)[:tr%4] {
+			info[i] = 1
+		}
+		coded := p.Encode(info)
+		for _, i := range rng.Perm(len(coded))[:1+tr%3] {
+			coded[i] ^= 1
+		}
+		llr := Depuncture(HardLLR(coded), p.pattern, c.EncodedLen(k))
+		vb := c.getViterbiBuf(len(llr) / len(c.gens))
+		qmax := quantMaxFor(len(llr))
+		quantizeLLR(vb.q, llr, qmax)
+		for i := range vb.path {
+			vb.path[i] = 2
+		}
+		if w := candidate(c, vb, qmax, vb.path); w != -1 || vb.path[len(vb.path)-1] != 2 {
+			t.Fatalf("word %d: candidate returned %d, last step %d: a window ran", tr, w, vb.path[len(vb.path)-1])
+		}
+		c.vbPool.Put(vb)
+		if got, want := p.Decode(HardLLR(coded)), fullDecode(c, llr); !bytes.Equal(got[:k], want[:k]) {
+			t.Fatalf("word %d: %d bits differ from the trellis search", tr, CountBitErrors(got[:k], want[:k]))
+		}
+	}
+}
+
 func TestCertifiedHitRate(t *testing.T) {
 	// The benchmark workloads' 9 dB: most rate-1/2 words miss the exit
 	// and carry a hard error or two, and the repaired candidate certifies

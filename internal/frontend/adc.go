@@ -62,13 +62,9 @@ func (a *ADC) q(x float64) float64 {
 
 // DAC is the transmit-side converter; in this model it is a transparent
 // quantizer at the same resolution (reconstruction filtering is part of
-// the analog section, which the simulation treats as ideal).
-type DAC struct{ adc *ADC }
+// the analog section, which the simulation treats as ideal), converting
+// as the ADC does.
+type DAC struct{ ADC }
 
 // NewDAC creates the converter.
-func NewDAC(bits int, fullScale float64) *DAC { return &DAC{adc: NewADC(bits, fullScale)} }
-
-// ConvertInto quantizes a block for output: it writes the quantized
-// samples into dst (at least len(in) long; dst == in is allowed) and
-// returns dst[:len(in)].
-func (d *DAC) ConvertInto(dst, in dsp.Vec) dsp.Vec { return d.adc.ConvertInto(dst, in) }
+func NewDAC(bits int, fullScale float64) *DAC { return &DAC{*NewADC(bits, fullScale)} }

@@ -1,6 +1,8 @@
 package frontend
 
 import (
+	"slices"
+
 	"repro/internal/dsp"
 	"repro/internal/pipeline"
 )
@@ -79,10 +81,13 @@ func (d *Demux) ProcessWindowInto(dst, wideband dsp.Vec, c, lo, hi int) dsp.Vec 
 
 // Mux is the transmit-side carrier stacker (DUC bank).
 type Mux struct {
-	plan CarrierPlan
-	ducs []*dsp.DUC
-	busy []int     // carriers with something to up-convert this call
-	tmp  []dsp.Vec // scratch: up-converted blocks of busy[1:] (pooled)
+	plan   CarrierPlan
+	ducs   []*dsp.DUC
+	whole  [][]dsp.Span // ProcessInto's runs: every carrier's whole block
+	covers [][]dsp.Span // per carrier, the tiles its DUC computes this call
+	spans  []dsp.Span   // their union, at the wideband rate
+	busy   []int        // carriers with a tile to compute this call
+	tmp    []dsp.Vec    // scratch: up-converted blocks of busy[1:] (pooled)
 
 	// upconvert is the per-busy-carrier worker body, built once so the
 	// steady state does not heap-allocate a closure per frame; cur* are
@@ -90,6 +95,7 @@ type Mux struct {
 	upconvert   func(int)
 	curDst      dsp.Vec
 	curCarriers []dsp.Vec
+	curRuns     [][]dsp.Span
 }
 
 // NewMux builds the multiplexer with the same plan as the Demux.
@@ -97,7 +103,8 @@ func NewMux(plan CarrierPlan, ntaps int) *Mux {
 	if plan.Carriers < 1 {
 		panic("frontend: carrier plan needs at least one carrier")
 	}
-	m := &Mux{plan: plan, tmp: make([]dsp.Vec, plan.Carriers), busy: make([]int, 0, plan.Carriers)}
+	m := &Mux{plan: plan, tmp: make([]dsp.Vec, plan.Carriers), busy: make([]int, 0, plan.Carriers),
+		whole: make([][]dsp.Span, plan.Carriers), covers: make([][]dsp.Span, plan.Carriers)}
 	cutoff := plan.Spacing / 2 * 0.9
 	for c := 0; c < plan.Carriers; c++ {
 		m.ducs = append(m.ducs, dsp.NewDUC(plan.Freq(c), cutoff, ntaps, plan.Decim))
@@ -108,7 +115,7 @@ func NewMux(plan CarrierPlan, ntaps int) *Mux {
 			out = dsp.GetVec(len(out))
 			m.tmp[i] = out
 		}
-		m.ducs[c].ProcessInto(out, m.curCarriers[c])
+		m.ducs[c].ProcessRunsInto(out, m.curCarriers[c], m.curRuns[c])
 	}
 	return m
 }
@@ -118,43 +125,74 @@ func NewMux(plan CarrierPlan, ntaps int) *Mux {
 func (m *Mux) OutLen(n int) int { return n * m.plan.Decim }
 
 // ProcessInto stacks per-carrier baseband streams (all the same length)
-// onto one wideband block. Work follows occupancy: a carrier whose block
-// and DUC filter history are all zero would contribute exact zeros, so it
-// only advances its oscillator (DUC.SkipIdle) and is left out of the sum.
-// The busy carriers' DUCs fan out across the pipeline worker pool (inline
-// when at most one is busy) — one chain per carrier, as in the FPGA MUX,
-// each owning only its DUC state and its output block — and are then
-// summed into dst (at least OutLen(n) long) strictly in carrier order, so
-// the wideband block is bit-identical to a sequential loop. Steady state
-// performs no allocations once the block pool is warm.
+// onto one wideband block: ProcessRunsInto with every carrier's whole
+// block as its run.
 func (m *Mux) ProcessInto(dst dsp.Vec, carriers []dsp.Vec) dsp.Vec {
-	if len(carriers) != len(m.ducs) {
+	for c := range m.whole {
+		m.whole[c] = append(m.whole[c][:0], dsp.Span{Hi: len(carriers[0])})
+	}
+	dst, _ = m.ProcessRunsInto(dst, carriers, m.whole)
+	return dst
+}
+
+// ProcessRunsInto stacks per-carrier baseband streams (all the same
+// length) onto one wideband block in dst (at least OutLen(n) long) when
+// carrier c is zero outside runs[c] (sorted, disjoint). Work follows that
+// plan: each DUC computes only its Cover and moves its oscillator over
+// the rest. The busy DUCs fan out across the pipeline worker pool (inline
+// when at most one is busy) — one chain per carrier, as in the FPGA MUX —
+// each into its own block: the first into dst, cleared where it computes
+// nothing, the others then added to dst over their own tiles strictly in
+// carrier order, so the block is bit-identical to a sequential sum. It
+// also returns the wideband spans (sorted; the Mux's own until the next
+// call) outside of which the block is zero. Steady state performs no
+// allocations once the block pool is warm.
+func (m *Mux) ProcessRunsInto(dst dsp.Vec, carriers []dsp.Vec, runs [][]dsp.Span) (dsp.Vec, []dsp.Span) {
+	if len(carriers) != len(m.ducs) || len(runs) != len(m.ducs) {
 		panic("frontend: carrier count mismatch")
 	}
-	n := len(carriers[0])
+	n, l := len(carriers[0]), m.plan.Decim
 	for _, c := range carriers {
 		if len(c) != n {
 			panic("frontend: carrier block length mismatch")
 		}
 	}
-	m.busy = m.busy[:0]
+	dst = dst[:m.OutLen(n)]
+	m.busy, m.spans = m.busy[:0], m.spans[:0]
 	for c, duc := range m.ducs {
-		if !duc.SkipIdle(carriers[c]) {
-			m.busy = append(m.busy, c)
+		if m.covers[c] = duc.Cover(m.covers[c][:0], runs[c], n); len(m.covers[c]) > 0 {
+			m.busy, m.spans = append(m.busy, c), append(m.spans, m.covers[c]...)
+		} else {
+			duc.ProcessRunsInto(dst, carriers[c], nil) // moves the oscillator only
 		}
 	}
-	dst = dst[:m.OutLen(n)]
-	if len(m.busy) == 0 {
-		clear(dst)
-		return dst
+	at := 0
+	if len(m.busy) > 0 {
+		for _, s := range m.covers[m.busy[0]] {
+			clear(dst[at*l : s.Lo*l])
+			at = s.Hi
+		}
 	}
-	m.curDst, m.curCarriers = dst, carriers
+	clear(dst[at*l:])
+	m.curDst, m.curCarriers, m.curRuns = dst, carriers, runs
 	pipeline.ForEach(len(m.busy), m.upconvert)
-	m.curDst, m.curCarriers = nil, nil
+	m.curDst, m.curCarriers, m.curRuns = nil, nil, nil
 	for i := 1; i < len(m.busy); i++ {
-		dst.Add(m.tmp[i])
+		for _, s := range m.covers[m.busy[i]] {
+			dst[s.Lo*l : s.Hi*l].Add(m.tmp[i][s.Lo*l : s.Hi*l])
+		}
 		dsp.PutVec(m.tmp[i])
 		m.tmp[i] = nil
 	}
-	return dst
+	slices.SortFunc(m.spans, func(a, b dsp.Span) int { return a.Lo - b.Lo })
+	merged := m.spans[:0]
+	for _, s := range m.spans {
+		if s.Lo, s.Hi = s.Lo*l, s.Hi*l; len(merged) > 0 && s.Lo <= merged[len(merged)-1].Hi {
+			merged[len(merged)-1].Hi = max(merged[len(merged)-1].Hi, s.Hi)
+		} else {
+			merged = append(merged, s)
+		}
+	}
+	m.spans = merged
+	return dst, merged
 }

@@ -14,9 +14,9 @@ import (
 	"repro/internal/traffic"
 )
 
-// Work follows occupancy on both sides of the wideband block: the Mux
-// leaves idle carriers out, the Demux converts only the windows asked
-// for. These tests hold both to the whole-grid computation.
+// Work follows the plan on both sides of the wideband block: the Mux
+// computes only the runs it is given, the Demux converts only the
+// windows asked for. These tests hold both to the whole-grid computation.
 
 func noise(rng *rand.Rand, n int) dsp.Vec {
 	v := dsp.NewVec(n)
@@ -29,7 +29,7 @@ func noise(rng *rand.Rand, n int) dsp.Vec {
 // Each carrier walks its own busy/idle sequence, busy → idle → busy →
 // idle among them: the Mux's wideband block equals, sample for sample,
 // the carrier-order sum of stand-alone DUC streams that were handed every
-// block — so a skipped carrier kept its filter tail (the first idle
+// block whole — so a skipped carrier kept its filter tail (the first idle
 // block after a busy one is not skipped) and its oscillator phase (the
 // busy block after a skipped one lands where it should).
 func TestMuxIdleCarrierSkipMatchesUnskippedSum(t *testing.T) {
@@ -50,14 +50,15 @@ func TestMuxIdleCarrierSkipMatchesUnskippedSum(t *testing.T) {
 	}
 	got, up := dsp.NewVec(mux.OutLen(n)), dsp.NewVec(mux.OutLen(n))
 	for f := range busy[0] {
-		carriers := make([]dsp.Vec, plan.Carriers)
+		carriers, runs := make([]dsp.Vec, plan.Carriers), make([][]dsp.Span, plan.Carriers)
 		for c := range carriers {
 			carriers[c] = dsp.NewVec(n)
 			if busy[c][f] {
-				copy(carriers[c][n/4:], noise(rng, n/2))
+				copy(carriers[c][n/2:], noise(rng, n/2))
+				runs[c] = []dsp.Span{{Lo: n / 2, Hi: n}}
 			}
 		}
-		mux.ProcessInto(got, carriers)
+		mux.ProcessRunsInto(got, carriers, runs)
 		want := dsp.NewVec(len(got))
 		for c, duc := range ducs {
 			want.Add(duc.ProcessInto(up, carriers[c]))

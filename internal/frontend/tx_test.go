@@ -52,6 +52,11 @@ func TestMuxProcessIntoAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { m.ProcessInto(dst, carriers) }); n != 0 {
 		t.Fatalf("Mux.ProcessInto allocates %.1f/op in steady state", n)
 	}
+	runs := [][]dsp.Span{{{Lo: 10, Hi: 20}, {Lo: 200, Hi: 256}}, nil, {{Lo: 0, Hi: 5}}}
+	m.ProcessRunsInto(dst, carriers, runs)
+	if n := testing.AllocsPerRun(20, func() { m.ProcessRunsInto(dst, carriers, runs) }); n != 0 {
+		t.Fatalf("Mux.ProcessRunsInto allocates %.1f/op in steady state", n)
+	}
 }
 
 func TestDACConvertIntoMatchesConvert(t *testing.T) {
@@ -117,5 +122,109 @@ func TestDACConvertIntoAllocs(t *testing.T) {
 	dst := dsp.NewVec(256)
 	if n := testing.AllocsPerRun(20, func() { dac.ConvertInto(dst, in) }); n != 0 {
 		t.Fatalf("DAC.ConvertInto allocates %.1f/op", n)
+	}
+}
+
+// scanMux is the Mux and DAC as they were before they followed a plan: a
+// carrier whose block and filter history are all zero, found by a scan,
+// only moves its oscillator and is left out of the sum; every other
+// carrier is up-converted whole and added in carrier order; the DAC
+// rounds every sample.
+type scanMux struct {
+	ducs  []*dsp.DUC
+	quiet []bool // the carrier's last tail inputs were all zero
+	tail  int    // taps per DUC branch, less one
+}
+
+func newScanMux(plan CarrierPlan, ntaps int) *scanMux {
+	m := &scanMux{quiet: make([]bool, plan.Carriers), tail: (ntaps+plan.Decim-1)/plan.Decim - 1}
+	for c := range m.quiet {
+		m.ducs, m.quiet[c] = append(m.ducs, dsp.NewDUC(plan.Freq(c), plan.Spacing/2*0.9, ntaps, plan.Decim)), true
+	}
+	return m
+}
+
+func allZero(v dsp.Vec) bool {
+	for _, s := range v {
+		if s != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (m *scanMux) process(carriers []dsp.Vec, fullScale, step float64) dsp.Vec {
+	n := len(carriers[0])
+	wide, up := dsp.NewVec(m.ducs[0].OutLen(n)), dsp.NewVec(m.ducs[0].OutLen(n))
+	for c, duc := range m.ducs {
+		if in := carriers[c]; m.quiet[c] && allZero(in) {
+			duc.ProcessRunsInto(up, in, nil)
+		} else {
+			wide.Add(duc.ProcessInto(up, in))
+			m.quiet[c] = allZero(in[n-m.tail:])
+		}
+	}
+	for i, s := range wide {
+		wide[i] = complex(refQuantize(real(s), fullScale, step), refQuantize(imag(s), fullScale, step))
+	}
+	return wide
+}
+
+// The planned MUX and DAC are the scanning ones, sample for sample (==,
+// under which the sign of a zero does not count), over grids that are
+// empty, full, one cell, the first or the last slot only, 5 % or 70 %
+// occupied, on 1 to 6 carriers, frame after frame so DUC state and the
+// plan carry over, with tail margins on either side of the DUC's tail,
+// and into a block that held other samples.
+func TestMuxRunsMatchScan(t *testing.T) {
+	const slots, slotLen, bits, fullScale = 4, 1280, 12, 4.0
+	step := 2 * fullScale / (1 << bits)
+	fills := []func(rng *rand.Rand, c, s int) bool{
+		func(*rand.Rand, int, int) bool { return false },
+		func(*rand.Rand, int, int) bool { return true },
+		func(rng *rand.Rand, c, s int) bool { return c == 0 && s == 2 },
+		func(rng *rand.Rand, c, s int) bool { return s == 0 },
+		func(rng *rand.Rand, c, s int) bool { return s == slots-1 },
+		func(rng *rand.Rand, c, s int) bool { return rng.Float64() < 0.05 },
+		func(rng *rand.Rand, c, s int) bool { return rng.Float64() < 0.7 },
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for carriers := 1; carriers <= 6; carriers++ {
+			plan := CarrierPlan{Carriers: carriers, Spacing: 0.15, Decim: 4}
+			rng := rand.New(rand.NewSource(int64(41 + carriers)))
+			m, ref, dac := NewMux(plan, 95), newScanMux(plan, 95), NewDAC(bits, fullScale)
+			for frame := 0; frame < 3*len(fills); frame++ {
+				fill := fills[rng.Intn(len(fills))]
+				// A burst up to the end of the last slot, with a margin under
+				// the DUC's tail, carries its tail into the next frame.
+				n, waveLen := slots*slotLen+[]int{64, 10, 0}[frame%3], slotLen-rng.Intn(50)
+				blocks, runs := make([]dsp.Vec, carriers), make([][]dsp.Span, carriers)
+				for c := range blocks {
+					blocks[c] = dsp.NewVec(n)
+					for s := 0; s < slots; s++ {
+						if fill(rng, c, s) {
+							copy(blocks[c][s*slotLen:], randBlock(rng, waveLen))
+							runs[c] = append(runs[c], dsp.Span{Lo: s * slotLen, Hi: s*slotLen + waveLen})
+						}
+					}
+				}
+				want := ref.process(blocks, fullScale, step)
+				got := dsp.NewVec(len(want))
+				for i := range got {
+					got[i] = complex(7, -7)
+				}
+				got, spans := m.ProcessRunsInto(got, blocks, runs)
+				for _, s := range spans {
+					dac.ConvertInto(got[s.Lo:s.Hi], got[s.Lo:s.Hi])
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("GOMAXPROCS %d, %d carriers, frame %d, sample %d: planned %v, scan %v", procs, carriers, frame, i, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }

@@ -243,10 +243,7 @@ func (c *TFTPClient) handle(src ipstack.Addr, srcPort uint16, data []byte) {
 		}
 		p.block++
 		start := (int(p.block) - 1) * TFTPBlockSize
-		end := start + TFTPBlockSize
-		if end > len(p.data) {
-			end = len(p.data)
-		}
+		end := min(start+TFTPBlockSize, len(p.data))
 		pkt := tftpData(p.block, p.data[start:end])
 		c.node.SendUDP(c.server, c.port, TFTPPort, pkt)
 		c.armPutTimer(pkt, c.retries)

@@ -129,10 +129,7 @@ func (n *Node) newConn(remote Addr, localPort, remotePort uint16) *TCPConn {
 // Send queues data on the connection (segments of MSS bytes).
 func (c *TCPConn) Send(data []byte) {
 	for len(data) > 0 {
-		n := c.MSS
-		if n > len(data) {
-			n = len(data)
-		}
+		n := min(c.MSS, len(data))
 		seg := make([]byte, n)
 		copy(seg, data[:n])
 		c.sendQueue = append(c.sendQueue, seg)
@@ -270,9 +267,7 @@ func (c *TCPConn) handleAck(ack uint32) {
 	c.sendQueue = c.sendQueue[drop:]
 	c.sendBase += uint32(bytes)
 	c.inFlight -= drop
-	if c.inFlight < 0 {
-		c.inFlight = 0
-	}
+	c.inFlight = max(c.inFlight, 0)
 	if len(c.sendQueue) == 0 {
 		c.timerID++ // cancel timer
 		if c.Drained != nil {

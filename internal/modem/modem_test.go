@@ -300,6 +300,36 @@ func TestFrameComposerPlacement(t *testing.T) {
 	}
 }
 
+// Reset silences every cell written since the last one, by PlaceBurst or
+// through SlotWaveform, and only those: frame after frame the composer
+// holds exactly the cells of the current frame.
+func TestFrameComposerResetClearsWrittenCells(t *testing.T) {
+	cfg := DefaultFrameConfig()
+	fc := NewFrameComposer(cfg, 2)
+	rng := rand.New(rand.NewSource(43))
+	burst := dsp.NewVec(50)
+	for i := range burst {
+		burst[i] = 1 + 1i
+	}
+	for frame := 0; frame < 6; frame++ {
+		fc.Reset()
+		for c, v := range fc.carriers {
+			if v.Energy() != 0 {
+				t.Fatalf("frame %d: carrier %d not silent after Reset", frame, c)
+			}
+		}
+		for i := 0; i < 1+rng.Intn(6); i++ {
+			a := SlotAssignment{Carrier: rng.Intn(cfg.Carriers), Slot: rng.Intn(cfg.Slots)}
+			if rng.Intn(2) == 0 {
+				fc.PlaceBurst(a, burst)
+			} else {
+				w := fc.SlotWaveform(a)
+				w[0], w[len(w)-1] = 2, 3
+			}
+		}
+	}
+}
+
 func TestFrameComposerBounds(t *testing.T) {
 	cfg := DefaultFrameConfig()
 	fc := NewFrameComposer(cfg, 2)

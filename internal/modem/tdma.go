@@ -43,6 +43,8 @@ type FrameComposer struct {
 	sps int
 	// carriers[c] is the baseband waveform of carrier c for the frame.
 	carriers []dsp.Vec
+	// written[c*Slots+s]: the cell was handed out since the last Reset.
+	written []bool
 }
 
 // NewFrameComposer creates an empty frame at sps samples/symbol.
@@ -50,7 +52,8 @@ func NewFrameComposer(cfg FrameConfig, sps int) *FrameComposer {
 	if cfg.Carriers < 1 || cfg.Slots < 1 || cfg.SlotSymbols < 1 {
 		panic("modem: invalid frame configuration")
 	}
-	fc := &FrameComposer{cfg: cfg, sps: sps, carriers: make([]dsp.Vec, cfg.Carriers)}
+	fc := &FrameComposer{cfg: cfg, sps: sps, carriers: make([]dsp.Vec, cfg.Carriers),
+		written: make([]bool, cfg.Carriers*cfg.Slots)}
 	n := cfg.Slots * cfg.SlotSymbols * sps
 	for i := range fc.carriers {
 		fc.carriers[i] = dsp.NewVec(n)
@@ -62,8 +65,11 @@ func NewFrameComposer(cfg FrameConfig, sps int) *FrameComposer {
 // without reallocating its waveform buffers — streaming engines compose
 // one frame per iteration and must not churn the heap.
 func (fc *FrameComposer) Reset() {
-	for _, c := range fc.carriers {
-		clear(c)
+	for i, w := range fc.written {
+		if w {
+			clear(fc.SlotWaveform(SlotAssignment{Carrier: i / fc.cfg.Slots, Slot: i % fc.cfg.Slots}))
+			fc.written[i] = false
+		}
 	}
 }
 
@@ -76,14 +82,13 @@ func (fc *FrameComposer) PlaceBurst(a SlotAssignment, wave dsp.Vec) {
 	if a.Slot < 0 || a.Slot >= fc.cfg.Slots {
 		panic("modem: slot index out of range")
 	}
-	start := a.Slot * fc.cfg.SlotSymbols * fc.sps
-	dst := fc.carriers[a.Carrier][start:]
-	n := min(len(wave), fc.cfg.SlotSymbols*fc.sps)
-	copy(dst[:n], wave[:n])
+	copy(fc.SlotWaveform(a), wave)
 }
 
-// SlotWaveform extracts the samples of one (carrier, slot) cell.
+// SlotWaveform extracts the samples of one (carrier, slot) cell. The
+// cell counts as written: the caller may fill it.
 func (fc *FrameComposer) SlotWaveform(a SlotAssignment) dsp.Vec {
+	fc.written[a.Carrier*fc.cfg.Slots+a.Slot] = true
 	start := a.Slot * fc.cfg.SlotSymbols * fc.sps
 	end := start + fc.cfg.SlotSymbols*fc.sps
 	return fc.carriers[a.Carrier][start:end]

@@ -201,10 +201,7 @@ func (p *Payload) Mode() WaveformMode {
 // synthesizeDesign builds a bitstream with the given name filling about
 // half the device — realistic reload volume and non-trivial content.
 func synthesizeDesign(name string, rows, cols int) *fpga.Bitstream {
-	n := rows * cols / 2
-	if n < 8 {
-		n = 8
-	}
+	n := max(rows*cols/2, 8)
 	nl := fpga.NewNetlist(name, 8)
 	acc := 0
 	for i := 1; i < n && nl.NumGates() < n; i++ {

@@ -31,7 +31,6 @@ type Transmitter struct {
 	plan frontend.CarrierPlan
 	mux  *frontend.Mux
 	dac  *frontend.DAC
-	sps  int
 
 	// Modulator pool: the burst format and sample rate are fixed at
 	// construction, so recycled modulators (which fully reset per burst)
@@ -46,10 +45,10 @@ type Transmitter struct {
 
 	// carrierBufs holds the per-carrier downlink waveforms of the frame
 	// under construction; each grid worker touches only its own carrier.
-	// dirty marks the buffers a burst was written into, the only ones a
-	// later frame has to clear.
+	// runs[c] are the samples its bursts were written to (zero elsewhere):
+	// the plan the MUX and the DAC follow, and all the next frame clears.
 	carrierBufs []dsp.Vec
-	dirty       []bool
+	runs        [][]dsp.Span
 
 	// modulate is the per-busy-carrier worker body, built once so a
 	// frame allocates neither a closure nor the error slots; busy, errs
@@ -69,9 +68,8 @@ func NewTransmitter(pl *Payload, plan frontend.CarrierPlan) *Transmitter {
 		plan:        plan,
 		mux:         frontend.NewMux(plan, 95),
 		dac:         frontend.NewDAC(12, 4),
-		sps:         plan.Decim,
 		carrierBufs: make([]dsp.Vec, plan.Carriers),
-		dirty:       make([]bool, plan.Carriers),
+		runs:        make([][]dsp.Span, plan.Carriers),
 		busy:        make([]int, 0, plan.Carriers),
 		errs:        make([]error, plan.Carriers),
 	}
@@ -117,14 +115,13 @@ func (t *Transmitter) encodeBurstInto(dst []byte, info []byte) ([]byte, error) {
 // TransmitFrameGrid modulates a full (carrier, slot) downlink frame:
 // grid[c][s] holds the info bits of the burst for cell (carrier c, slot
 // s), nil meaning an idle cell (an all-idle grid is legal and yields the
-// empty-carrier wideband block). Work follows occupancy: only carriers
-// with a burst this frame are modulated — fanned out across the
-// pipeline worker pool, inline when at most one is busy, each worker
-// drawing its own modulator from the pool and writing only its own
-// carrier buffer — and the MUX up-converts only those, so the frame is
-// bit-identical to a sequential carrier-by-carrier loop whatever the
-// worker count. The stacked wideband block after the DAC is drawn from
-// the dsp block pool; callers done with it may dsp.PutVec it.
+// empty-carrier wideband block). Work follows the grid: the busy
+// carriers are modulated across the pipeline worker pool (inline when
+// at most one is busy), each worker with its own modulator and carrier
+// buffer, and the MUX and the DAC work only where the bursts' runs
+// reach. The block is bit-identical to a sequential whole-block loop at
+// any worker count, and drawn from the dsp block pool (callers done with
+// it may dsp.PutVec it).
 //
 // cfg supplies the slot geometry; cfg.Carriers must match the downlink
 // carrier plan and one modulated burst must fit a slot.
@@ -135,7 +132,7 @@ func (t *Transmitter) TransmitFrameGrid(cfg modem.FrameConfig, grid [][][]byte) 
 	if len(grid) != t.plan.Carriers {
 		return nil, fmt.Errorf("payload: grid has %d carriers, plan has %d", len(grid), t.plan.Carriers)
 	}
-	slotLen := cfg.SlotSymbols * t.sps
+	slotLen := cfg.SlotSymbols * t.plan.Decim
 	if t.waveLen > slotLen {
 		return nil, fmt.Errorf("payload: %d-sample burst exceeds the %d-sample slot", t.waveLen, slotLen)
 	}
@@ -148,20 +145,20 @@ func (t *Transmitter) TransmitFrameGrid(cfg modem.FrameConfig, grid [][][]byte) 
 		if len(slots) > cfg.Slots {
 			return nil, fmt.Errorf("carrier %d: %d slots exceed the %d-slot frame", c, len(slots), cfg.Slots)
 		}
-		buf := t.carrierBufs[c]
-		if len(buf) != carrierLen {
-			buf, t.dirty[c] = dsp.NewVec(carrierLen), false
-			t.carrierBufs[c] = buf
+		for _, r := range t.runs[c] {
+			clear(t.carrierBufs[c][r.Lo:r.Hi])
 		}
-		if t.dirty[c] {
-			clear(buf)
-			t.dirty[c] = false
+		if len(t.carrierBufs[c]) != carrierLen {
+			t.carrierBufs[c] = dsp.NewVec(carrierLen)
 		}
-		for _, info := range slots {
+		t.runs[c] = t.runs[c][:0]
+		for s, info := range slots {
 			if info != nil {
-				t.busy = append(t.busy, c)
-				break
+				t.runs[c] = append(t.runs[c], dsp.Span{Lo: s * slotLen, Hi: s*slotLen + t.waveLen})
 			}
+		}
+		if len(t.runs[c]) > 0 {
+			t.busy = append(t.busy, c)
 		}
 	}
 	t.curSlotLen, t.curGrid = slotLen, grid
@@ -172,8 +169,11 @@ func (t *Transmitter) TransmitFrameGrid(cfg modem.FrameConfig, grid [][][]byte) 
 	if err != nil {
 		return nil, err
 	}
-	wide := t.mux.ProcessInto(dsp.GetVec(t.mux.OutLen(carrierLen)), t.carrierBufs)
-	return t.dac.ConvertInto(wide, wide), nil
+	wide, spans := t.mux.ProcessRunsInto(dsp.GetVec(t.mux.OutLen(carrierLen)), t.carrierBufs, t.runs)
+	for _, s := range spans { // the block is zero elsewhere, and a zero is its own code
+		t.dac.ConvertInto(wide[s.Lo:s.Hi], wide[s.Lo:s.Hi])
+	}
+	return wide, nil
 }
 
 // modulateCarrier encodes and modulates the bursts of the i-th busy
@@ -181,7 +181,6 @@ func (t *Transmitter) TransmitFrameGrid(cfg modem.FrameConfig, grid [][][]byte) 
 func (t *Transmitter) modulateCarrier(i int) {
 	c := t.busy[i]
 	buf := t.carrierBufs[c]
-	t.dirty[c] = true
 	mod := t.mods.Get().(*modem.BurstModulator)
 	pb := t.encBufs.Get().(*[]byte)
 	for s, info := range t.curGrid[c] {

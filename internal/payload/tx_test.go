@@ -20,11 +20,16 @@ func txTestRig(t testing.TB, carriers int, codecName string, infoLen int) (*Payl
 }
 
 func gridInfoBits(rng *rand.Rand, cfg modem.FrameConfig, infoLen int, fill float64) [][][]byte {
+	return gridWhere(rng, cfg, infoLen, func(c, s int) bool { return rng.Float64() < fill })
+}
+
+// gridWhere fills the cells busy reports with random info bits.
+func gridWhere(rng *rand.Rand, cfg modem.FrameConfig, infoLen int, busy func(c, s int) bool) [][][]byte {
 	grid := make([][][]byte, cfg.Carriers)
 	for c := range grid {
 		grid[c] = make([][]byte, cfg.Slots)
 		for s := range grid[c] {
-			if rng.Float64() >= fill {
+			if !busy(c, s) {
 				continue
 			}
 			info := make([]byte, infoLen)
@@ -78,35 +83,94 @@ func (r *seqTxRig) frameGrid(t *testing.T, tx *Transmitter, cfg modem.FrameConfi
 }
 
 // The concurrent grid transmitter must be bit-identical to the
-// sequential reference, frame after frame (DUC state carries over), at
-// every worker-pool width (GOMAXPROCS sizes the pool).
+// sequential reference, frame after frame (DUC state and the plan carry
+// over), at every worker-pool width (GOMAXPROCS sizes the pool), on dense
+// grids and on grids that are empty, one cell, the first or the last slot
+// only, 5 % occupied or full, on 1 to 6 carriers.
 func TestTransmitFrameGridMatchesSequential(t *testing.T) {
 	const infoLen = 180
-	cfg := modem.FrameConfig{Carriers: 3, Slots: 4, SlotSymbols: 512, GuardSymbols: 16}
-	for _, procs := range []int{1, 2, 4, 8} {
+	check := func(procs, carriers, frames int, rng *rand.Rand, grid func(cfg modem.FrameConfig) [][][]byte) {
+		t.Helper()
+		cfg := modem.FrameConfig{Carriers: carriers, Slots: 4, SlotSymbols: 512, GuardSymbols: 16}
 		atProcs(t, procs)
-		pl, tx, _ := txTestRig(t, 3, "conv-r1/2-k9", infoLen)
-		rng := rand.New(rand.NewSource(5))
+		pl, tx, _ := txTestRig(t, carriers, "conv-r1/2-k9", infoLen)
 		// Separate rig for the reference so shared-pool modulators cannot
 		// hide state leakage; encodeBurstInto is stateless so tx is reusable.
 		ref := newSeqTxRig(pl, tx.plan)
-		for frame := 0; frame < 3; frame++ {
-			grid := gridInfoBits(rng, cfg, infoLen, 0.7)
+		for frame := 0; frame < frames; frame++ {
+			grid := grid(cfg)
 			want := ref.frameGrid(t, tx, cfg, grid)
 			got, err := tx.TransmitFrameGrid(cfg, grid)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(want) != len(got) {
-				t.Fatalf("GOMAXPROCS %d frame %d: length %d vs %d", procs, frame, len(got), len(want))
+				t.Fatalf("GOMAXPROCS %d, %d carriers, frame %d: length %d vs %d", procs, carriers, frame, len(got), len(want))
 			}
 			for i := range want {
 				if want[i] != got[i] {
-					t.Fatalf("GOMAXPROCS %d frame %d sample %d: concurrent %v != sequential %v", procs, frame, i, got[i], want[i])
+					t.Fatalf("GOMAXPROCS %d, %d carriers, frame %d sample %d: concurrent %v != sequential %v", procs, carriers, frame, i, got[i], want[i])
+				}
+			}
+			// The plan's premise: a carrier is zero outside its runs.
+			for c, buf := range tx.carrierBufs {
+				at := 0
+				for _, r := range tx.runs[c] {
+					if !allZero(buf[at:r.Lo]) {
+						t.Fatalf("GOMAXPROCS %d, %d carriers, frame %d: carrier %d not zero before %v", procs, carriers, frame, c, r)
+					}
+					at = r.Hi
+				}
+				if !allZero(buf[at:]) {
+					t.Fatalf("GOMAXPROCS %d, %d carriers, frame %d: carrier %d not zero past its runs", procs, carriers, frame, c)
 				}
 			}
 			dsp.PutVec(got)
 		}
+	}
+	for _, procs := range []int{1, 2, 4, 8} {
+		rng := rand.New(rand.NewSource(5))
+		check(procs, 3, 3, rng, func(cfg modem.FrameConfig) [][][]byte { return gridInfoBits(rng, cfg, infoLen, 0.7) })
+	}
+	for _, procs := range []int{1, 2} {
+		for carriers := 1; carriers <= 6; carriers++ {
+			rng := rand.New(rand.NewSource(int64(6 + carriers)))
+			check(procs, carriers, 8, rng, func(cfg modem.FrameConfig) [][][]byte {
+				c0, s0 := rng.Intn(cfg.Carriers), rng.Intn(cfg.Slots)
+				busy := []func(c, s int) bool{
+					func(c, s int) bool { return false },
+					func(c, s int) bool { return c == c0 && s == s0 },
+					func(c, s int) bool { return s == 0 },
+					func(c, s int) bool { return s == cfg.Slots-1 },
+					func(c, s int) bool { return rng.Float64() < 0.05 },
+					func(c, s int) bool { return true },
+				}[rng.Intn(6)]
+				return gridWhere(rng, cfg, infoLen, busy)
+			})
+		}
+	}
+}
+
+func allZero(v dsp.Vec) bool {
+	for _, s := range v {
+		if s != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Every frame starts with a zero DUC history: the tail margin outlasts
+// the DUC's filter tail, so a burst up to the end of the last slot
+// carries nothing into the next frame, where an idle carrier then
+// computes no tile.
+func TestTxTailMarginOutlastsDUCTail(t *testing.T) {
+	_, tx, _ := txTestRig(t, 1, "uncoded", 64)
+	n := 4*512*tx.plan.Decim + TxTailMargin
+	u := dsp.NewDUC(tx.plan.Freq(0), tx.plan.Spacing/2*0.9, 95, tx.plan.Decim)
+	u.ProcessRunsInto(dsp.NewVec(u.OutLen(n)), dsp.NewVec(n), []dsp.Span{{Lo: 0, Hi: n - TxTailMargin}})
+	if cover := u.Cover(nil, nil, n); len(cover) > 0 {
+		t.Fatalf("the frame after a full carrier computes %v for its tail", cover)
 	}
 }
 

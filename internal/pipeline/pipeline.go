@@ -36,9 +36,7 @@ func ForEachN(workers, n int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)

@@ -56,9 +56,7 @@ func (c *Campaign) Run(steps int) CampaignResult {
 
 		corrupt := fpga.CountCorruptedFrames(c.Device, c.Golden)
 		occSum += float64(corrupt)
-		if corrupt > res.MaxCorruptFrames {
-			res.MaxCorruptFrames = corrupt
-		}
+		res.MaxCorruptFrames = max(res.MaxCorruptFrames, corrupt)
 		if corrupt > 0 {
 			res.CorruptSteps++
 		}
@@ -76,10 +74,7 @@ func MeasureSEURate(profile DeviceProfile, env Environment, nbits int, days floa
 	// Integrate in day-sized steps to exercise the Poisson path.
 	remaining := days
 	for remaining > 0 {
-		step := 1.0
-		if remaining < step {
-			step = remaining
-		}
+		step := min(remaining, 1.0)
 		upsets += inj.Upsets(nbits, step)
 		remaining -= step
 	}

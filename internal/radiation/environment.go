@@ -140,11 +140,7 @@ func (in *Injector) poisson(lambda float64) int {
 		return 0
 	}
 	if lambda > 30 {
-		n := int(math.Round(lambda + math.Sqrt(lambda)*in.rng.NormFloat64()))
-		if n < 0 {
-			n = 0
-		}
-		return n
+		return max(int(math.Round(lambda+math.Sqrt(lambda)*in.rng.NormFloat64())), 0)
 	}
 	l := math.Exp(-lambda)
 	k, p := 0, 1.0

@@ -51,9 +51,7 @@ func (s *Simulator) Now() float64 { return s.now }
 // Schedule queues fn to run delay seconds from now. Negative delays run
 // at the current time.
 func (s *Simulator) Schedule(delay float64, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
+	delay = max(delay, 0)
 	s.seq++
 	heap.Push(&s.queue, event{at: s.now + delay, seq: s.seq, fn: fn})
 }

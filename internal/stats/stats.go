@@ -55,12 +55,6 @@ func Percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(math.Ceil(q * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
+	rank := min(max(int(math.Ceil(q*float64(len(sorted)))), 1), len(sorted))
 	return sorted[rank-1]
 }

@@ -125,9 +125,7 @@ type Fabric struct {
 // per-(beam, class) queue bound (0 = unbounded, the standalone-payload
 // default; traffic engines Adopt the fabric with their own bound).
 func New(beams, depth int) *Fabric {
-	if beams < 1 {
-		beams = 1
-	}
+	beams = max(beams, 1)
 	f := &Fabric{shards: make([]shard, beams)}
 	for i := range f.shards {
 		f.shards[i].depth = depth
@@ -192,12 +190,8 @@ func (f *Fabric) RoutePacket(beam int, p Packet) bool {
 	q.push(p)
 	sh.n++
 	sh.routed[p.Class]++
-	if q.n > sh.clsHW[p.Class] {
-		sh.clsHW[p.Class] = q.n
-	}
-	if sh.n > sh.hw {
-		sh.hw = sh.n
-	}
+	sh.clsHW[p.Class] = max(sh.clsHW[p.Class], q.n)
+	sh.hw = max(sh.hw, sh.n)
 	sh.mu.Unlock()
 	return true
 }
@@ -261,9 +255,7 @@ func (f *Fabric) ClassCounters() [NumClasses]ClassCounters {
 		for c := 0; c < NumClasses; c++ {
 			out[c].Routed += sh.routed[c]
 			out[c].Dropped += sh.dropped[c]
-			if sh.clsHW[c] > out[c].HighWater {
-				out[c].HighWater = sh.clsHW[c]
-			}
+			out[c].HighWater = max(out[c].HighWater, sh.clsHW[c])
 		}
 		sh.mu.Unlock()
 	}

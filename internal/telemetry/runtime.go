@@ -49,10 +49,7 @@ func (s *RuntimeSampler) Sample() {
 		s.totalAlloc.Add(int64(d))
 		s.lastTotalAlloc = ms.TotalAlloc
 	}
-	newGCs := ms.NumGC - s.lastNumGC
-	if newGCs > uint32(len(ms.PauseNs)) {
-		newGCs = uint32(len(ms.PauseNs))
-	}
+	newGCs := min(ms.NumGC-s.lastNumGC, uint32(len(ms.PauseNs)))
 	for i := uint32(0); i < newGCs; i++ {
 		// PauseNs is a circular buffer indexed by GC cycle number.
 		pause := ms.PauseNs[(ms.NumGC-i+uint32(len(ms.PauseNs))-1)%uint32(len(ms.PauseNs))]

@@ -80,10 +80,7 @@ func Segment(data []byte, maxLen int) [][]byte {
 	}
 	var out [][]byte
 	for len(data) > 0 {
-		n := maxLen
-		if n > len(data) {
-			n = len(data)
-		}
+		n := min(maxLen, len(data))
 		out = append(out, data[:n])
 		data = data[n:]
 	}

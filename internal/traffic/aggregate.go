@@ -112,22 +112,11 @@ func (m AggregateBernoulli) BlockDemand(frame, lo, hi int) int {
 	// Box–Muller from two counter-based uniforms keyed on the block, so
 	// the draw is a pure function of (seed, frame, lo, hi).
 	base := uint64(m.Seed) ^ uint64(frame)*0xd1b54a32d192ed03 ^ uint64(lo)*0x9e3779b97f4a7c15 ^ uint64(hi)*0xbf58476d1ce4b9fb
-	u1 := hashUnit(base)
-	u2 := hashUnit(base + 1)
-	if u1 < 1e-12 {
-		u1 = 1e-12
-	}
+	u1, u2 := max(hashUnit(base), 1e-12), hashUnit(base+1)
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	mean := float64(n) * m.P
 	sd := math.Sqrt(float64(n) * m.P * (1 - m.P))
-	requests := int(math.Round(mean + sd*z))
-	if requests < 0 {
-		requests = 0
-	}
-	if requests > n {
-		requests = n
-	}
-	return requests * m.Cells
+	return min(max(int(math.Round(mean+sd*z)), 0), n) * m.Cells
 }
 
 // Member implements AggregateModel.

@@ -85,11 +85,7 @@ const BurstBandwidth = 1.35 / 16
 // DefaultPlan returns a downlink carrier plan at the payload's 4
 // samples/symbol with the carriers spread evenly inside Nyquist.
 func DefaultPlan(carriers int) frontend.CarrierPlan {
-	spacing := 0.8 / float64(carriers)
-	if spacing > 0.2 {
-		spacing = 0.2
-	}
-	return frontend.CarrierPlan{Carriers: carriers, Spacing: spacing, Decim: 4}
+	return frontend.CarrierPlan{Carriers: carriers, Spacing: min(0.8/float64(carriers), 0.2), Decim: 4}
 }
 
 // InfoBitsFor returns the largest info-bit count whose codeword fits the
