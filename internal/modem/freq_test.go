@@ -1,8 +1,11 @@
 package modem
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/dsp"
@@ -179,3 +182,32 @@ func TestEndToEndWithFrequencyCorrection(t *testing.T) {
 func complexConj(c complex128) complex128 { return complex(real(c), -imag(c)) }
 func cmagn(c complex128) float64          { return math.Hypot(real(c), imag(c)) }
 func cphase(c complex128) float64         { return math.Atan2(imag(c), real(c)) }
+
+// The estimator's result bits over a fixed set of bursts (burst-sized
+// and odd lengths, offsets across the acquisition range, 4–10 dB): FNV-64a
+// over each estimate's Float64bits. A bit-identical change to the
+// coarse or fine search leaves it as it is.
+func TestFrequencyEstimateDigest(t *testing.T) {
+	// 386's math.Hypot is x87 assembly, so cmplx.Abs in the fourth-power
+	// normalisation rounds differently there (ROADMAP item 17).
+	want := uint64(0x72bcadfd96abf980)
+	if runtime.GOARCH == "386" {
+		want = 0x996cdcda999d16fd
+	}
+	rng := rand.New(rand.NewSource(11))
+	h := fnv.New64a()
+	var b [8]byte
+	for i, n := range []int{312, 336, 97, 1000, 64} {
+		syms := QPSK.Map(randBits(rng, 2*n))
+		ch := dsp.NewChannelWith(int64(i), 4+1.5*float64(i), 1)
+		for _, f := range []float64{0, 0.0131, -0.047, 0.1, -0.123} {
+			rot := dsp.NewVec(n)
+			correctFrequencyInto(rot, syms, -f)
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(EstimateFrequencyQPSK(ch.Apply(rot))))
+			h.Write(b[:])
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("digest %#x, want %#x", got, want)
+	}
+}
