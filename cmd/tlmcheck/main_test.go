@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/telemetry"
 )
 
@@ -172,6 +174,51 @@ func FuzzFeed(f *testing.F) {
 		n, err := checkFeed(bytes.NewReader(feed), bytes.NewReader(report))
 		if err == nil && n == 0 {
 			t.Fatal("accepted a feed with no lines")
+		}
+	})
+}
+
+// FuzzArtifact: arbitrary bytes through the -campaign path (strict
+// decode, then ValidateArtifact) end in an error or an ok, never a
+// panic, and an accepted artifact re-encodes to one that is accepted
+// again. The seed is the artifact of a tiny campaign run here.
+func FuzzArtifact(f *testing.F) {
+	off, zero := false, 0.0
+	sp := campaign.Spec{Name: "fuzz-seed", BasePreset: "clean", Frames: 1, Seed: 7, RunsPerPoint: 2, Verify: &off,
+		Axes:     []campaign.AxisSpec{{Kind: "ebn0", Values: []any{6.0, 9.0}}},
+		Reducers: []string{"ber", "drops"}, Gates: []campaign.Gate{{MaxDrops: &zero}}}
+	a, err := campaign.Execute(context.Background(), &sp, campaign.Config{Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := a.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	accept := func(data []byte) (*campaign.Artifact, error) {
+		var a campaign.Artifact
+		if err := decodeStrict(bytes.NewReader(data), &a); err != nil {
+			return nil, err
+		}
+		return &a, campaign.ValidateArtifact(&a)
+	}
+	if _, err := accept(data); err != nil {
+		f.Fatalf("seed artifact refused: %v", err)
+	}
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	f.Add([]byte(`{"runs_per_point":1,"total_runs":1,"points":[{}],"reducers":["ber"],"cancelled":true}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := accept(data)
+		if err != nil {
+			return
+		}
+		out, err := a.Encode()
+		if err != nil {
+			t.Fatalf("accepted artifact does not encode: %v", err)
+		}
+		if _, err := accept(out); err != nil {
+			t.Fatalf("re-encoded artifact refused: %v\n%s", err, out)
 		}
 	})
 }

@@ -85,35 +85,26 @@ func asString(v any) (string, error) {
 	return s, nil
 }
 
+// field is the axis that sets the spec field at(sp) to the grid value as
+// coerces, or leaves it and returns the coercion's error.
+func field[T any](as func(any) (T, error), at func(*scenario.Spec) *T) Axis {
+	return func(sp *scenario.Spec, v any) error {
+		x, err := as(v)
+		if err == nil {
+			*at(sp) = x
+		}
+		return err
+	}
+}
+
 // axes are the sweep-axis kinds by name. Each projects one knob of the
 // declarative scenario spec; the per-point spec is re-validated after
 // all axes apply, so out-of-range values fail at expansion, before any
 // run.
 var axes = map[string]Axis{
-	"ebn0": func(sp *scenario.Spec, v any) error {
-		f, err := asFloat(v)
-		if err != nil {
-			return err
-		}
-		sp.Traffic.EbN0dB = f
-		return nil
-	},
-	"frames": func(sp *scenario.Spec, v any) error {
-		n, err := asInt(v)
-		if err != nil {
-			return err
-		}
-		sp.Frames = n
-		return nil
-	},
-	"queue": func(sp *scenario.Spec, v any) error {
-		n, err := asInt(v)
-		if err != nil {
-			return err
-		}
-		sp.Traffic.QueueDepth = n
-		return nil
-	},
+	"ebn0":   field(asFloat, func(sp *scenario.Spec) *float64 { return &sp.Traffic.EbN0dB }),
+	"frames": field(asInt, func(sp *scenario.Spec) *int { return &sp.Frames }),
+	"queue":  field(asInt, func(sp *scenario.Spec) *int { return &sp.Traffic.QueueDepth }),
 	"scheduler": func(sp *scenario.Spec, v any) error {
 		s, err := asString(v)
 		if err != nil {

@@ -24,7 +24,7 @@ func OVSF(sf, k int) []int8 {
 	code := []int8{1}
 	for length := 1; length < sf; length *= 2 {
 		// Descend the tree: bit selects the (c,c) or (c,-c) child.
-		bit := (k >> uint(log2(sf)-log2(length)-1)) & 1
+		bit := (k >> (bits.TrailingZeros(uint(sf)) - bits.TrailingZeros(uint(length)) - 1)) & 1
 		next := make([]int8, 2*length)
 		copy(next, code)
 		for i, c := range code {
@@ -37,15 +37,6 @@ func OVSF(sf, k int) []int8 {
 		code = next
 	}
 	return code
-}
-
-func log2(n int) int {
-	l := 0
-	for n > 1 {
-		n >>= 1
-		l++
-	}
-	return l
 }
 
 // lfsr is a Fibonacci linear feedback shift register defined by a

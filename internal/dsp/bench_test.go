@@ -88,13 +88,22 @@ func BenchmarkPulseShaper(b *testing.B) {
 	}
 }
 
+// BenchmarkNCOMixInto: one carrier of one frame at the wideband rate,
+// one DDC tile, and one uplink burst (four anchor blocks and a tail).
 func BenchmarkNCOMixInto(b *testing.B) {
-	o := NewNCO(0.2, 0)
-	in, dst := benchInput(benchWideLen), NewVec(benchWideLen)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchVecSink = o.MixInto(dst, in)
+	for _, bc := range []struct {
+		name string
+		n    int
+	}{{"frame", benchWideLen}, {"tile", 1024}, {"burst", 1344}} {
+		b.Run(bc.name, func(b *testing.B) {
+			o := NewNCO(0.2, 0)
+			in, dst := benchInput(bc.n), NewVec(bc.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchVecSink = o.MixInto(dst, in)
+			}
+		})
 	}
 }
 

@@ -25,15 +25,14 @@ func hashVec(h hash.Hash64, v Vec) {
 	}
 }
 
-// The payload's bank at M carriers: the downlink plan's frequencies,
-// 95 taps, ×4.
-func planFreqs(m int) []float64 {
+// planFreqs is the downlink plan at m carriers (traffic.DefaultPlan):
+// the carrier frequencies and the banks' cutoff.
+func planFreqs(m int) (freqs []float64, cutoff float64) {
 	sp := min(0.8/float64(m), 0.2)
-	f := make([]float64, m)
-	for c := range f {
-		f[c] = (float64(c) - float64(m-1)/2) * sp
+	for c := 0; c < m; c++ {
+		freqs = append(freqs, (float64(c)-float64(m-1)/2)*sp)
 	}
-	return f
+	return freqs, sp / 2 * 0.9
 }
 
 // Every carrier of the 3- and 6-carrier plans (frequency 0 included) up
@@ -44,9 +43,9 @@ func TestDUCDDCRoundTripDigest(t *testing.T) {
 	for _, m := range []int{3, 6} {
 		h := fnv.New64a()
 		rng := rand.New(rand.NewSource(int64(m)))
-		sp := min(0.8/float64(m), 0.2)
-		for _, f := range planFreqs(m) {
-			u, d := NewDUC(f, sp/2*0.9, 95, 4), NewDDC(f, sp/2*0.9, 95, 4)
+		freqs, cutoff := planFreqs(m)
+		for _, f := range freqs {
+			u, d := NewDUC(f, cutoff, 95, 4), NewDDC(f, cutoff, 95, 4)
 			for _, n := range []int{300, 77, 513, 1000, 1345} {
 				wide := ducOut(u, unitVec(rng, n))
 				hashVec(h, wide)

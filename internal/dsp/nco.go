@@ -49,21 +49,37 @@ func (o *NCO) MixInto(dst, in Vec) Vec {
 
 // mixAt mixes in as samples n, n+1, … of the oscillator's stream into
 // dst without touching the counter, so it may run concurrently with
-// itself on one oscillator.
+// itself on one oscillator. Each ncoAnchor block is a chain of its own,
+// so four run side by side: the loop waits on one complex multiply per
+// four samples, and each chain does what it would alone.
 func (o *NCO) mixAt(dst, in Vec, n int64) {
+	const k = ncoAnchor
 	s, c := math.Sincos(2 * math.Pi * o.freq)
 	rot := complex(c, s)
+	for ; len(in) >= 4*k; in, dst, n = in[4*k:], dst[4*k:], n+4*k {
+		x0, x1, x2, x3 := (*[k]complex128)(in), (*[k]complex128)(in[k:]), (*[k]complex128)(in[2*k:]), (*[k]complex128)(in[3*k:])
+		d0, d1, d2, d3 := (*[k]complex128)(dst), (*[k]complex128)(dst[k:]), (*[k]complex128)(dst[2*k:]), (*[k]complex128)(dst[3*k:])
+		p0, p1, p2, p3 := o.phasor(n), o.phasor(n+k), o.phasor(n+2*k), o.phasor(n+3*k)
+		for i := range x0 {
+			d0[i], d1[i], d2[i], d3[i] = x0[i]*p0, x1[i]*p1, x2[i]*p2, x3[i]*p3
+			p0, p1, p2, p3 = p0*rot, p1*rot, p2*rot, p3*rot
+		}
+	}
 	for len(in) > 0 {
-		m := min(len(in), ncoAnchor)
-		s, c := math.Sincos(o.phaseAt(n))
-		p := complex(c, s)
-		d := dst[:m]
+		m := min(len(in), k)
+		p, d := o.phasor(n), dst[:m]
 		for i, x := range in[:m] {
 			d[i] = x * p
 			p *= rot
 		}
 		in, dst, n = in[m:], dst[m:], n+int64(m)
 	}
+}
+
+// phasor returns the oscillator's exact value at sample n.
+func (o *NCO) phasor(n int64) complex128 {
+	s, c := math.Sincos(o.phaseAt(n))
+	return complex(c, s)
 }
 
 // ddcTile is how many input samples a DDC mixes before it filters them:

@@ -17,6 +17,24 @@ type refNCO struct{ freq, phase float64 }
 // wrapPhase reduces p to [-pi, pi].
 func wrapPhase(p float64) float64 { return math.Remainder(p, 2*math.Pi) }
 
+// refMixAt is mixAt as one phasor chain, block after block: the
+// reference the interleaved chains are held to bit for bit.
+func refMixAt(o *NCO, dst, in Vec, n int64) {
+	s, c := math.Sincos(2 * math.Pi * o.freq)
+	rot := complex(c, s)
+	for len(in) > 0 {
+		m := min(len(in), ncoAnchor)
+		s, c := math.Sincos(o.phaseAt(n))
+		p := complex(c, s)
+		d := dst[:m]
+		for i, x := range in[:m] {
+			d[i] = x * p
+			p *= rot
+		}
+		in, dst, n = in[m:], dst[m:], n+int64(m)
+	}
+}
+
 func (o *refNCO) next() complex128 {
 	s := complex(math.Cos(o.phase), math.Sin(o.phase))
 	o.phase = wrapPhase(o.phase + 2*math.Pi*o.freq)

@@ -110,12 +110,7 @@ func AblationTCModes(seed int64) *Table {
 				doneAt = s.Now()
 			}
 		}
-		ch.FARM.DeliverExpress = func(d []byte) {
-			received += len(d)
-			if received >= want {
-				doneAt = s.Now()
-			}
-		}
+		ch.FARM.DeliverExpress = ch.FARM.Deliver
 		data := make([]byte, size)
 		if express {
 			ch.FOP.SendExpress(data)

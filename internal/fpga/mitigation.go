@@ -4,26 +4,30 @@ package fpga
 // so their gate overhead is structural (counted in CLBs) and their fault
 // behaviour emerges from real injected upsets rather than assumed rates.
 
+// replicate adds copies of n's gates to t, copy after copy, and returns
+// remap: remap[c][net] is copy c's net for n's net (the primary inputs
+// are shared).
+func replicate(t, n *Netlist, copies int) [][]int {
+	remap := make([][]int, copies)
+	for c := range remap {
+		remap[c] = make([]int, n.nInputs+len(n.gates))
+		for i := 0; i < n.nInputs; i++ {
+			remap[c][i] = i
+		}
+		for gi, g := range n.gates {
+			remap[c][n.nInputs+gi] = t.AddGate(g.lut, remap[c][g.inA], remap[c][g.inB])
+		}
+	}
+	return remap
+}
+
 // TMR returns a triple-modular-redundancy version of the circuit: three
 // copies of every gate plus a majority voter per output. The paper notes
 // the false-event probability becomes pe^2 (two simultaneous copy
 // failures) at the cost of more than tripling the gate count.
 func TMR(n *Netlist) *Netlist {
 	t := NewNetlist(n.name+"-tmr", n.nInputs)
-	// remap[c][net] = net index of copy c for original net id.
-	remap := make([][]int, 3)
-	for c := range remap {
-		remap[c] = make([]int, n.nInputs+len(n.gates))
-		for i := 0; i < n.nInputs; i++ {
-			remap[c][i] = i // primary inputs are shared
-		}
-	}
-	for c := 0; c < 3; c++ {
-		for gi, g := range n.gates {
-			id := t.AddGate(g.lut, remap[c][g.inA], remap[c][g.inB])
-			remap[c][n.nInputs+gi] = id
-		}
-	}
+	remap := replicate(t, n, 3)
 	for _, out := range n.outputs {
 		a, b, c := remap[0][out], remap[1][out], remap[2][out]
 		// Majority: (a AND b) OR (c AND (a OR b)).
@@ -44,19 +48,7 @@ func TMR(n *Netlist) *Netlist {
 // is not performed."
 func DuplicateXOR(n *Netlist) *Netlist {
 	t := NewNetlist(n.name+"-dup", n.nInputs)
-	remap := make([][]int, 2)
-	for c := range remap {
-		remap[c] = make([]int, n.nInputs+len(n.gates))
-		for i := 0; i < n.nInputs; i++ {
-			remap[c][i] = i
-		}
-	}
-	for c := 0; c < 2; c++ {
-		for gi, g := range n.gates {
-			id := t.AddGate(g.lut, remap[c][g.inA], remap[c][g.inB])
-			remap[c][n.nInputs+gi] = id
-		}
-	}
+	remap := replicate(t, n, 2)
 	// Pass through copy-0 outputs.
 	for _, out := range n.outputs {
 		t.MarkOutput(remap[0][out])

@@ -9,6 +9,7 @@ package ftp
 import (
 	"encoding/binary"
 	"errors"
+	"strconv"
 
 	"repro/internal/ipstack"
 	"repro/internal/sim"
@@ -89,21 +90,7 @@ func NewTFTPServer(s *sim.Simulator, node *ipstack.Node) *TFTPServer {
 }
 
 func clientKey(src ipstack.Addr, port uint16) string {
-	return src.String() + ":" + itoa(int(port))
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return src.String() + ":" + strconv.Itoa(int(port))
 }
 
 func (srv *TFTPServer) handle(src ipstack.Addr, srcPort uint16, data []byte) {

@@ -1,6 +1,7 @@
 package modem
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/dsp"
@@ -67,5 +68,31 @@ func BenchmarkOerderMeyr(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		om.RecoverInto(syms, filtered)
+	}
+}
+
+// BenchmarkEstimateFrequencyQPSK: the CFO search on one engine-size
+// burst's symbols (312), at 8 dB Es/N0 and 0.03 cycles/symbol.
+func BenchmarkEstimateFrequencyQPSK(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	rot := dsp.NewVec(312)
+	correctFrequencyInto(rot, QPSK.Map(randBits(rng, 2*len(rot))), -0.03)
+	syms := dsp.NewChannelWith(2, 8, 1).Apply(rot)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		EstimateFrequencyQPSK(syms)
+	}
+}
+
+// BenchmarkMapInto: one engine-size QPSK burst payload of random bits
+// (640 symbols), a different payload each time from a pool too large for
+// the branch predictor to learn.
+func BenchmarkMapInto(b *testing.B) {
+	bits, dst := randBits(rand.New(rand.NewSource(1)), 64*1280), dsp.NewVec(640)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % 64 * 1280
+		QPSK.MapInto(dst, bits[k:k+1280])
 	}
 }

@@ -96,7 +96,7 @@ func foldQuarterCycle(u float64) float64 {
 }
 
 // specPower evaluates the fourth-power periodogram of z at u
-// cycles/sample.
+// cycles/sample, one rotator chain.
 func specPower(z dsp.Vec, u float64) float64 {
 	step := cmplx.Exp(complex(0, -2*math.Pi*u))
 	rot := complex(1, 0)
@@ -106,6 +106,35 @@ func specPower(z dsp.Vec, u float64) float64 {
 		rot *= step
 	}
 	return real(acc)*real(acc) + imag(acc)*imag(acc)
+}
+
+// specPower4 evaluates the fourth-power periodogram of z at bins k..k+3
+// of the grid u0 + k·du into pow: four rotator chains side by side, each
+// doing what it would alone.
+func specPower4(pow *[4]float64, z dsp.Vec, u0, du float64, k int) {
+	step := func(j int) complex128 { return cmplx.Exp(complex(0, -2*math.Pi*(u0+float64(k+j)*du))) }
+	s0, s1, s2, s3 := step(0), step(1), step(2), step(3)
+	r0, r1, r2, r3 := complex(1, 0), complex(1, 0), complex(1, 0), complex(1, 0)
+	var a0, a1, a2, a3 complex128
+	for _, v := range z {
+		a0, a1, a2, a3 = a0+v*r0, a1+v*r1, a2+v*r2, a3+v*r3
+		r0, r1, r2, r3 = r0*s0, r1*s1, r2*s2, r3*s3
+	}
+	for j, a := range [4]complex128{a0, a1, a2, a3} {
+		pow[j] = real(a)*real(a) + imag(a)*imag(a)
+	}
+}
+
+// finePowers fills pow with the periodogram of z on the grid u0 + k·du:
+// four bins per pass over z, then one per pass.
+func finePowers(pow []float64, z dsp.Vec, u0, du float64) {
+	k := 0
+	for ; k+4 <= len(pow); k += 4 {
+		specPower4((*[4]float64)(pow[k:]), z, u0, du, k)
+	}
+	for ; k < len(pow); k++ {
+		pow[k] = specPower(z, u0+float64(k)*du)
+	}
 }
 
 // maxFineBins bounds the fine-search grid so peakSearchParabolic can
@@ -122,10 +151,9 @@ func peakSearchParabolic(z dsp.Vec, u0, du float64, bins int) float64 {
 	}
 	var powArr [maxFineBins]float64
 	pow := powArr[:bins]
+	finePowers(pow, z, u0, du)
 	bestK, bestP := 0, -1.0
-	for k := range pow {
-		p := specPower(z, u0+float64(k)*du)
-		pow[k] = p
+	for k, p := range pow {
 		if p > bestP {
 			bestP, bestK = p, k
 		}

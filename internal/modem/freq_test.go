@@ -211,3 +211,24 @@ func TestFrequencyEstimateDigest(t *testing.T) {
 		t.Errorf("digest %#x, want %#x", got, want)
 	}
 }
+
+// The fine grid's four-chain passes give each bin what specPower gives
+// it alone, bit for bit, on grids of 1–32 bins over sequences of 0–1 000
+// samples (every whole pass and every remainder).
+func TestFinePowersMatchSpecPower(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{0, 1, 5, 312, 1000} {
+		z := dsp.NewVec(n)
+		fourthPowerNormalize(z, QPSK.Map(randBits(rng, 2*n)))
+		u0, du := rng.Float64()-0.5, 1/(16*float64(n+1))
+		for bins := 1; bins <= maxFineBins; bins++ {
+			pow := make([]float64, bins)
+			finePowers(pow, z, u0, du)
+			for k, p := range pow {
+				if want := specPower(z, u0+float64(k)*du); math.Float64bits(p) != math.Float64bits(want) {
+					t.Fatalf("%d samples, %d bins: bin %d is %v, specPower gives %v", n, bins, k, p, want)
+				}
+			}
+		}
+	}
+}

@@ -37,6 +37,43 @@ func TestPSKMapDemapRoundTrip(t *testing.T) {
 	}
 }
 
+// The mapper gives every byte value the symbol the branching mapper gave
+// it, bit for bit: BPSK maps any byte other than 0 to −1, QPSK any byte
+// other than 1 as it maps 0.
+func TestMapIntoEveryByte(t *testing.T) {
+	s := 1 / math.Sqrt2
+	level := func(b byte) float64 {
+		if b == 1 {
+			return -s
+		}
+		return s
+	}
+	same := func(a, b complex128) bool {
+		return math.Float64bits(real(a)) == math.Float64bits(real(b)) && math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+	}
+	var pairs, bytes []byte
+	for a := 0; a < 256; a++ {
+		bytes = append(bytes, byte(a))
+		for b := 0; b < 256; b++ {
+			pairs = append(pairs, byte(a), byte(b))
+		}
+	}
+	for i, got := range BPSK.Map(bytes) {
+		want := complex(1, 0)
+		if bytes[i] != 0 {
+			want = -1
+		}
+		if !same(got, want) {
+			t.Fatalf("BPSK byte %d maps to %v, want %v", bytes[i], got, want)
+		}
+	}
+	for i, got := range QPSK.Map(pairs) {
+		if want := complex(level(pairs[2*i]), level(pairs[2*i+1])); !same(got, want) {
+			t.Fatalf("QPSK bytes %d, %d map to %v, want %v", pairs[2*i], pairs[2*i+1], got, want)
+		}
+	}
+}
+
 func TestPSKUnitPower(t *testing.T) {
 	for _, m := range []Modulation{BPSK, QPSK} {
 		syms := m.Map(randBits(rand.New(rand.NewSource(2)), 32*m.BitsPerSymbol()))

@@ -45,38 +45,38 @@ func (m Modulation) Map(bits []byte) dsp.Vec {
 
 // MapInto is the allocation-free variant of Map: it writes the mapped
 // symbols into dst (at least len(bits)/BitsPerSymbol long) and returns
-// the filled prefix.
+// the filled prefix. A BPSK byte other than 0, and a QPSK byte of 1, map
+// to the negative level. The level is looked up, not branched to: random
+// bits would mispredict half the branches.
 func (m Modulation) MapInto(dst dsp.Vec, bits []byte) dsp.Vec {
 	switch m {
 	case BPSK:
+		lvl := [2]complex128{1, -1}
 		dst = dst[:len(bits)]
 		for i, b := range bits {
-			if b == 0 {
-				dst[i] = 1
-			} else {
-				dst[i] = -1
-			}
+			dst[i] = lvl[b2i(b != 0)]
 		}
 		return dst
 	case QPSK:
 		if len(bits)%2 != 0 {
 			panic("modem: QPSK Map needs an even number of bits")
 		}
-		s := 1 / math.Sqrt2
+		lvl := [2]float64{1 / math.Sqrt2, -1 / math.Sqrt2}
 		dst = dst[:len(bits)/2]
 		for i := range dst {
-			re, im := s, s
-			if bits[2*i] == 1 {
-				re = -s
-			}
-			if bits[2*i+1] == 1 {
-				im = -s
-			}
-			dst[i] = complex(re, im)
+			dst[i] = complex(lvl[b2i(bits[2*i] == 1)], lvl[b2i(bits[2*i+1] == 1)])
 		}
 		return dst
 	}
 	panic("modem: unknown modulation")
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a flag set.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // DemapInto writes one soft value per bit (positive ⇒ bit 0), scaled by

@@ -57,30 +57,27 @@ func (s *Simulator) Schedule(delay float64, fn func()) {
 }
 
 // Run executes events until the queue is empty (or MaxEvents is hit).
-func (s *Simulator) Run() {
-	for s.queue.Len() > 0 {
-		if s.MaxEvents > 0 && s.processed >= s.MaxEvents {
-			return
-		}
-		e := heap.Pop(&s.queue).(event)
-		s.now = e.at
-		s.processed++
-		e.fn()
+func (s *Simulator) Run() { s.runTo(func(float64) bool { return true }) }
+
+// RunUntil executes events with timestamps <= t, then sets the clock to t
+// (unless MaxEvents stopped it first).
+func (s *Simulator) RunUntil(t float64) {
+	if s.runTo(func(at float64) bool { return at <= t }) && t > s.now {
+		s.now = t
 	}
 }
 
-// RunUntil executes events with timestamps <= t, then sets the clock to t.
-func (s *Simulator) RunUntil(t float64) {
-	for s.queue.Len() > 0 && s.queue[0].at <= t {
+// runTo executes events while due(the next event's time) holds; it
+// reports false when MaxEvents stopped it.
+func (s *Simulator) runTo(due func(at float64) bool) bool {
+	for s.queue.Len() > 0 && due(s.queue[0].at) {
 		if s.MaxEvents > 0 && s.processed >= s.MaxEvents {
-			return
+			return false
 		}
 		e := heap.Pop(&s.queue).(event)
 		s.now = e.at
 		s.processed++
 		e.fn()
 	}
-	if t > s.now {
-		s.now = t
-	}
+	return true
 }
