@@ -13,6 +13,8 @@
 // -flush-every finished runs (counters for completed/failed runs, a
 // wall-clock timer over per-run durations) in the same wire form the
 // scenario runtime emits, so the campaign is observable while it runs.
+// -cpuprofile and -memprofile write the campaign's CPU and allocation
+// profiles for go tool pprof.
 //
 // Ctrl-C stops cleanly: in-flight sessions halt at their next frame
 // boundary and the artifact is still written, marked cancelled and
@@ -37,6 +39,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/pipeline"
+	"repro/internal/profile"
 	"repro/internal/telemetry"
 )
 
@@ -54,14 +57,13 @@ func main() {
 	out := flag.String("out", "", "artifact path (default CAMPAIGN_<name>.json)")
 	telemetryOut := flag.String("telemetry", "", "stream telemetry flush lines to a file (- for stdout)")
 	flushEvery := flag.Int("flush-every", 8, "finished runs per telemetry flush")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to a file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the campaign to a file")
 	flag.Parse()
 
 	if *listPresets {
 		for _, name := range campaign.PresetNames() {
-			sp, err := campaign.Preset(name)
-			if err != nil {
-				log.Fatal(err)
-			}
+			sp, _ := campaign.Preset(name) // a listed name resolves
 			fmt.Printf("%-16s %s\n", name, sp.Description)
 		}
 		return
@@ -153,7 +155,14 @@ func main() {
 	fmt.Printf("fleet: campaign %q, base %s, seed %d, %d point(s) × %d runs, %d workers\n",
 		sp.Name, baseName(&sp), sp.Seed, gridSize(&sp), sp.RunsPerPoint, *workers)
 
+	stopProfile, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		log.Fatal(err)
+	}
 	art, err := campaign.Execute(ctx, &sp, cfg)
+	if perr := stopProfile(); perr != nil {
+		log.Fatal("profile: ", perr)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,6 +18,8 @@
 // and pop.<name>.*), queue-depth gauges, per-stage engine timers with
 // p50/p90/p99, Go runtime health — and -report-json writes the
 // end-of-run traffic.Report as JSON; tlmcheck reconciles the two.
+// -cpuprofile and -memprofile write the run's CPU and allocation
+// profiles for go tool pprof.
 //
 // Exit status: 0 on a completed run, 1 on a missing or bad spec, a
 // failed run, or — with verification on — any burst the ground receiver
@@ -45,6 +47,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/profile"
 	"repro/internal/scenario"
 	"repro/internal/traffic"
 )
@@ -53,7 +56,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its environment passed in: it returns the process
 // exit status instead of exiting, so tests can drive it.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fatal := func(v ...any) int {
 		fmt.Fprintln(stderr, append([]any{"trafficsim:"}, v...)...)
 		return 1
@@ -71,9 +74,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flushEvery := fs.Int("flush-every", 10, "frames per telemetry flush (0 with -flush-interval for interval-only flushing)")
 	flushInterval := fs.Duration("flush-interval", 0, "also flush when this much wall-clock time has passed (0 disables)")
 	reportJSON := fs.String("report-json", "", "write the end-of-run report as JSON to a file")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to a file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile of the run to a file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	stopProfile, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return fatal(err)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil && code == 0 {
+			code = fatal("profile:", err)
+		}
+	}()
 
 	if *listPresets {
 		for _, n := range scenario.PresetNames() {
@@ -148,13 +162,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		name = "ad hoc"
 	}
 	members, traced := 0, 0
-	for _, t := range spec.Terminals {
-		if t.Count > 0 {
-			members += t.Count
-			traced += t.Tracers
-		} else {
-			members++
-		}
+	for _, t := range spec.Terminals { // Validate holds a plain terminal's tracers at 0
+		members, traced = members+max(t.Count, 1), traced+t.Tracers
 	}
 	popDesc := fmt.Sprintf("%d terminals", len(spec.Terminals))
 	if members > len(spec.Terminals) {

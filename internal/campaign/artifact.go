@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -133,19 +134,7 @@ func gateChecks(g Gate, st map[string]stats.Summary) []GateResult {
 // string), which both sides share.
 func gateApplies(g Gate, coords []Coord) bool {
 	for kind, allowed := range g.Where {
-		matched := false
-		for _, c := range coords {
-			if c.Kind != kind {
-				continue
-			}
-			for _, v := range allowed {
-				if v == c.Value {
-					matched = true
-					break
-				}
-			}
-		}
-		if !matched {
+		if !slices.ContainsFunc(coords, func(c Coord) bool { return c.Kind == kind && slices.Contains(allowed, c.Value) }) {
 			return false
 		}
 	}
@@ -163,11 +152,7 @@ func evaluateGates(gates []Gate, pt *PointStats) {
 		}
 		checks := gateChecks(g, pt.Stats)
 		pt.Gates = append(pt.Gates, checks...)
-		for _, c := range checks {
-			if !c.Passed {
-				pt.Passed = false
-			}
-		}
+		pt.Passed = pt.Passed && !slices.ContainsFunc(checks, func(c GateResult) bool { return !c.Passed })
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 
 	"repro/internal/scenario"
 	"repro/internal/traffic"
@@ -275,11 +276,10 @@ func (sp *Spec) Expand() (*Expansion, error) {
 	var base scenario.Spec
 	ex := &Expansion{Spec: sp}
 	if sp.BasePreset != "" {
-		b, err := scenario.Preset(sp.BasePreset)
-		if err != nil {
+		var err error
+		if base, err = scenario.Preset(sp.BasePreset); err != nil {
 			return nil, fmt.Errorf("campaign %s: %w", sp.Name, err)
 		}
-		base = b
 		ex.Base = sp.BasePreset
 	} else {
 		base = sp.Base.Clone()
@@ -304,14 +304,11 @@ func (sp *Spec) Expand() (*Expansion, error) {
 	idx := make([]int, len(sp.Axes))
 	for p := 0; p < nPoints; p++ {
 		pt := Point{Index: p, Coords: make([]Coord, len(sp.Axes)), Spec: base.Clone()}
-		label := ""
+		labels := make([]string, len(sp.Axes))
 		for a, ax := range sp.Axes {
 			v := ax.Values[idx[a]]
 			pt.Coords[a] = Coord{Kind: ax.Kind, Value: v}
-			if a > 0 {
-				label += ","
-			}
-			label += ax.Kind + "=" + coordLabel(v)
+			labels[a] = ax.Kind + "=" + coordLabel(v)
 			axis, err := axisFor(ax.Kind)
 			if err != nil {
 				return nil, err
@@ -320,12 +317,11 @@ func (sp *Spec) Expand() (*Expansion, error) {
 				return nil, fmt.Errorf("campaign %s: axis %q value %v: %w", sp.Name, ax.Kind, v, err)
 			}
 		}
-		if label == "" {
-			label = "base"
+		if pt.Label = strings.Join(labels, ","); pt.Label == "" {
+			pt.Label = "base"
 		}
-		pt.Label = label
 		if err := pt.Spec.Validate(); err != nil {
-			return nil, fmt.Errorf("campaign %s: point %s: %w", sp.Name, label, err)
+			return nil, fmt.Errorf("campaign %s: point %s: %w", sp.Name, pt.Label, err)
 		}
 		ex.Points = append(ex.Points, pt)
 		// Odometer step, last axis fastest.

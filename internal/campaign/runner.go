@@ -89,12 +89,14 @@ func Execute(ctx context.Context, sp *Spec, cfg Config) (*Artifact, error) {
 
 // executeRun runs one expanded campaign run in a fresh session. A nil
 // report with a nil error means the context cancelled the session at a
-// frame boundary before it finished.
+// frame boundary before it finished. The session is closed on every
+// path, so the next one on this worker takes its frame buffers.
 func executeRun(ctx context.Context, run Run) (*traffic.Report, error) {
 	sess, err := scenario.NewSession(run.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("run %d (%s): %w", run.Index, run.Spec.Name, err)
 	}
+	defer sess.Close() // Run has drained it: Close reports no new error
 	rep, err := sess.Run(ctx)
 	if err != nil {
 		if ctx.Err() != nil {

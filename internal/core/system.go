@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/fpga"
 	"repro/internal/ftp"
@@ -113,14 +114,13 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	control := tmtc.NewChannel(s, link, groundMux, spaceMux, VCControl, 8, 1.5)
 
 	// IP over BD frames on VCIP, both directions.
-	groundIf := &ipstack.Interface{SendFunc: func(data []byte) {
-		fr := &tmtc.Frame{VC: VCIP, Type: tmtc.FrameBD, Payload: data}
-		link.End(tmtc.Ground).Send(fr.Marshal())
-	}}
-	satIf := &ipstack.Interface{SendFunc: func(data []byte) {
-		fr := &tmtc.Frame{VC: VCIP, Type: tmtc.FrameBD, Payload: data}
-		link.End(tmtc.Space).Send(fr.Marshal())
-	}}
+	ipIf := func(side tmtc.Side) *ipstack.Interface {
+		return &ipstack.Interface{SendFunc: func(data []byte) {
+			fr := &tmtc.Frame{VC: VCIP, Type: tmtc.FrameBD, Payload: data}
+			link.End(side).Send(fr.Marshal())
+		}}
+	}
+	groundIf, satIf := ipIf(tmtc.Ground), ipIf(tmtc.Space)
 	groundMux.Register(VCIP, func(fr *tmtc.Frame) { groundIf.Deliver(fr.Payload) })
 	spaceMux.Register(VCIP, func(fr *tmtc.Frame) { satIf.Deliver(fr.Payload) })
 
@@ -161,26 +161,20 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 
 	// File ingestion: both servers stage files into on-board memory and
 	// notify the ground.
-	notify := func(name string) {
+	stage := func(name string, data []byte) {
+		store.Put(name, data)
 		satNode.SendUDP(AddrNCC, storedNotifyPort, storedNotifyPort, []byte("stored:"+name))
 	}
-	sys.TFTPServer = ftp.NewTFTPServer(s, satNode)
-	sys.TFTPServer.OnStored = func(name string, data []byte) {
-		store.Put(name, data)
-		notify(name)
-	}
+	sys.TFTPServer = ftp.NewTFTPServer(satNode)
+	sys.TFTPServer.OnStored = stage
 	sys.FileServer = ftp.NewFileServer(satNode)
-	sys.FileServer.OnStored = func(name string, data []byte) {
-		store.Put(name, data)
-		notify(name)
-	}
+	sys.FileServer.OnStored = stage
 
 	// Ground segment.
 	n := ncc.New(s, groundNode, AddrSatellite)
 	groundNode.BindUDP(storedNotifyPort, func(_ ipstack.Addr, _ uint16, data []byte) {
-		msg := string(data)
-		if len(msg) > 7 && msg[:7] == "stored:" {
-			n.ConfirmStored(msg[7:])
+		if name, ok := strings.CutPrefix(string(data), "stored:"); ok && name != "" {
+			n.ConfirmStored(name)
 		}
 	})
 	sys.NCC = n
@@ -189,11 +183,9 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	sys.PEP = ftp.NewPEP(satNode, AddrNCC, 33000)
 	sys.PEP.OnDecision = func(pol ftp.Policy) {
 		controller.Reconfigure(pol.Device, pol.Design, pol.Rollback, func(res obc.Result) {
-			status := "ok"
-			if !res.OK {
-				status = "fail"
-			}
+			status := "fail"
 			if res.OK {
+				status = "ok"
 				// Record the new golden configuration for scrubbing and
 				// health checks.
 				if d, found := pl.Chipset().Device(pol.Device); found {

@@ -15,7 +15,6 @@ import (
 // bit-reversal permutation and the forward twiddle factors e^{-2πik/n}
 // for k in [0, n/2).
 type fftPlan struct {
-	n   int
 	rev []int32 // bit-reversal permutation
 	tw  Vec     // forward twiddles, n/2 entries
 }
@@ -31,7 +30,7 @@ func planFFT(n int) *fftPlan {
 	if p, ok := fftPlans.Load(n); ok {
 		return p.(*fftPlan)
 	}
-	p := &fftPlan{n: n, rev: make([]int32, n), tw: make(Vec, n/2)}
+	p := &fftPlan{rev: make([]int32, n), tw: make(Vec, n/2)}
 	// Bit-reversal permutation by incremental construction:
 	// rev[i] = rev[i>>1]>>1 | (i&1)<<(log2n-1).
 	log2n := 0

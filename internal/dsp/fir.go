@@ -1,5 +1,7 @@
 package dsp
 
+import "slices"
+
 // dotReal returns Σ w[j]·t[j] over len(t) samples, the inner product
 // every filter here reduces to. Complex samples times real taps are two
 // real multiplies each, not a complex one. The conversions round each
@@ -48,8 +50,8 @@ func filterInto(dst Vec, ds int, x Vec, xs int, t []float64, n int) {
 	for ; k+8 <= n; k += 8 {
 		dot8(x[k*xs:][:7*xs+len(t)], xs, t, &y)
 		o := dst[k*ds:][:7*ds+1]
-		for i, v := range y {
-			o[i*ds] = v
+		for i := range y { // indexed: a range value would copy y
+			o[i*ds] = y[i]
 		}
 	}
 	if k+4 <= n {
@@ -136,11 +138,11 @@ func reversed(t []float64) []float64 {
 func LowpassTaps(cutoff float64, ntaps int) []float64 {
 	key := lowpassKey{cutoff, ntaps}
 	if m, ok := lowpassTapCache.Load(key); ok {
-		return copyTaps(m.([]float64))
+		return slices.Clone(m.([]float64))
 	}
 	taps := designLowpassTaps(cutoff, ntaps)
 	master, _ := lowpassTapCache.LoadOrStore(key, taps)
-	return copyTaps(master.([]float64))
+	return slices.Clone(master.([]float64))
 }
 
 // designLowpassTaps computes a lowpass design (uncached).

@@ -93,7 +93,7 @@ type DDC struct {
 	nco   NCO       // mixer frequency; the sample counter lives in ddcState
 	taps  []float64 // channel filter, reversed
 	decim int
-	st    ddcState // the stream ProcessInto serves
+	st    ddcState // the stream ProcessInto serves; ext taken on its first call
 }
 
 // ddcState is where a conversion stands in its stream.
@@ -115,7 +115,7 @@ func NewDDC(freq, cutoff float64, ntaps, decim int) *DDC {
 		nco:   NCO{freq: -freq},
 		taps:  reversed(LowpassTaps(cutoff, ntaps)),
 		decim: decim,
-		st:    ddcState{ext: NewVec(ntaps - 1 + ddcTile), quiet: true},
+		st:    ddcState{quiet: true},
 	}
 }
 
@@ -135,7 +135,12 @@ func (d *DDC) kept(first, n int) int {
 // baseband is written into dst (at least OutLen(len(in)) long, not
 // aliasing in). A DDC carries stream state, so it serves one stream at
 // a time.
-func (d *DDC) ProcessInto(dst, in Vec) Vec { return dst[:d.convert(&d.st, dst, in)] }
+func (d *DDC) ProcessInto(dst, in Vec) Vec {
+	if d.st.ext == nil {
+		d.st.ext = NewVec(len(d.taps) - 1 + ddcTile)
+	}
+	return dst[:d.convert(&d.st, dst, in)]
+}
 
 // ProcessWindowInto writes into dst outputs lo..hi-1 of what a DDC in
 // its initial state emits for block (0 <= lo <= hi <= its OutLen), at

@@ -26,19 +26,36 @@ var vecClasses [bits.UintSize + 1]vecClass
 // that is large enough. Contents are unspecified; callers must overwrite
 // every sample (all pipeline stages do).
 func GetVec(n int) Vec {
+	if v := recycled(n); v != nil {
+		return v
+	}
+	return make(Vec, n)
+}
+
+// GetZeroVec is GetVec for a block that must start all zero: a recycled
+// one is cleared, and a new one is zero with its pages not yet touched.
+func GetZeroVec(n int) Vec {
+	if v := recycled(n); v != nil {
+		clear(v)
+		return v
+	}
+	return make(Vec, n)
+}
+
+// recycled takes a free length-n block of n's size class, or returns nil.
+func recycled(n int) Vec {
 	c := &vecClasses[bits.Len(uint(n))]
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i := len(c.free) - 1; i >= 0; i-- { // newest first: warmest in cache
 		if v := c.free[i]; cap(v) >= n {
 			last := len(c.free) - 1
 			c.free[i], c.free[last] = c.free[last], nil
 			c.free = c.free[:last]
-			c.mu.Unlock()
 			return v[:n]
 		}
 	}
-	c.mu.Unlock()
-	return make(Vec, n)
+	return nil
 }
 
 // PutVec recycles a block obtained from GetVec (or anywhere else — the

@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -26,12 +27,6 @@ var (
 	lowpassTapCache sync.Map // lowpassKey -> []float64 (immutable master)
 )
 
-func copyTaps(master []float64) []float64 {
-	out := make([]float64, len(master))
-	copy(out, master)
-	return out
-}
-
 // RRCTaps designs a root-raised-cosine pulse-shaping filter.
 //
 //	beta  — roll-off factor in (0, 1]
@@ -45,11 +40,11 @@ func copyTaps(master []float64) []float64 {
 func RRCTaps(beta float64, sps, span int) []float64 {
 	key := rrcKey{beta, sps, span}
 	if m, ok := rrcTapCache.Load(key); ok {
-		return copyTaps(m.([]float64))
+		return slices.Clone(m.([]float64))
 	}
 	taps := designRRCTaps(beta, sps, span)
 	master, _ := rrcTapCache.LoadOrStore(key, taps)
-	return copyTaps(master.([]float64))
+	return slices.Clone(master.([]float64))
 }
 
 // designRRCTaps computes an RRC design (uncached).

@@ -103,10 +103,7 @@ func E3Migration(ebn0s []float64, bitsPerPoint int, seed int64) *E3Result {
 			if ber > 0 && theory > 0 {
 				// Implementation loss in dB at this operating point,
 				// approximated via the BER ratio on the Q curve slope.
-				deg := 10 * math.Log10(invQ2(ber)/invQ2(theory))
-				if deg > worst {
-					worst = deg
-				}
+				worst = max(worst, 10*math.Log10(invQ2(ber)/invQ2(theory)))
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -57,9 +58,7 @@ func NewConvCode(name string, constraintLen int, gens ...uint32) *ConvCode {
 	if len(gens) > maxConvOutputs {
 		panic("fec: too many generator polynomials")
 	}
-	gs := make([]uint32, len(gens))
-	copy(gs, gens)
-	c := &ConvCode{name: name, k: constraintLen, gens: gs}
+	c := &ConvCode{name: name, k: constraintLen, gens: slices.Clone(gens)}
 	// Precompute the trellis: successor state and packed output pattern
 	// for every (state, input) pair, so neither the encoder nor the
 	// decoder computes generator parities per bit.
@@ -70,7 +69,7 @@ func NewConvCode(name string, constraintLen int, gens ...uint32) *ConvCode {
 		for b := 0; b < 2; b++ {
 			reg := uint32(b)<<uint(c.k-1) | uint32(s)
 			var pat uint8
-			for i, g := range gs {
+			for i, g := range c.gens {
 				pat |= uint8(bits.OnesCount32(reg&g)&1) << uint(i)
 			}
 			c.tr.to[s<<1|b] = int32(reg >> 1)

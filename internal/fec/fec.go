@@ -8,7 +8,10 @@
 // float64 log-likelihood ratios with the convention LLR > 0 ⇒ bit 0.
 package fec
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Codec is a channel code as seen by the payload DECOD equipment. A codec
 // is the unit of decoder reconfiguration: swapping the on-board decoding
@@ -78,9 +81,7 @@ func (Uncoded) Rate() float64 { return 1 }
 
 // Encode implements Codec.
 func (Uncoded) Encode(info []byte) []byte {
-	out := make([]byte, len(info))
-	copy(out, info)
-	return out
+	return slices.Clone(info)
 }
 
 // Decode implements Codec: hard decision on each LLR.

@@ -76,17 +76,11 @@ func (b *Bitstream) Marshal() []byte {
 	}
 	out := make([]byte, 0, len(b.Frames)+len(b.Design)+14)
 	out = append(out, bsMagic...)
-	var hdr [6]byte
-	binary.BigEndian.PutUint16(hdr[0:2], uint16(b.Rows))
-	binary.BigEndian.PutUint16(hdr[2:4], uint16(b.Cols))
-	binary.BigEndian.PutUint16(hdr[4:6], uint16(len(b.Design)))
-	out = append(out, hdr[:]...)
-	out = append(out, b.Design...)
-	out = append(out, b.Frames...)
-	crc := fec.CRC32IEEE(out)
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc)
-	return append(out, tail[:]...)
+	out = binary.BigEndian.AppendUint16(out, uint16(b.Rows))
+	out = binary.BigEndian.AppendUint16(out, uint16(b.Cols))
+	out = binary.BigEndian.AppendUint16(out, uint16(len(b.Design)))
+	out = append(append(out, b.Design...), b.Frames...)
+	return binary.BigEndian.AppendUint32(out, fec.CRC32IEEE(out))
 }
 
 // Unmarshal parses and integrity-checks a serialized bitstream.

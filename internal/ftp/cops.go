@@ -68,10 +68,7 @@ func UnmarshalPolicy(b []byte) (Policy, error) {
 }
 
 func appendString(out []byte, s string) []byte {
-	var l [2]byte
-	binary.BigEndian.PutUint16(l[:], uint16(len(s)))
-	out = append(out, l[:]...)
-	return append(out, s...)
+	return append(binary.BigEndian.AppendUint16(out, uint16(len(s))), s...)
 }
 
 func takeString(b []byte) (string, []byte, error) {
@@ -87,11 +84,8 @@ func takeString(b []byte) (string, []byte, error) {
 
 // copsMsg framing: type(1) len(4) payload
 func copsMsg(t byte, payload []byte) []byte {
-	out := make([]byte, 5+len(payload))
-	out[0] = t
-	binary.BigEndian.PutUint32(out[1:5], uint32(len(payload)))
-	copy(out[5:], payload)
-	return out
+	out := append(make([]byte, 0, 5+len(payload)), t)
+	return append(binary.BigEndian.AppendUint32(out, uint32(len(payload))), payload...)
 }
 
 // copsParser incrementally decodes framed messages from a TCP stream.
@@ -118,7 +112,6 @@ func (p *copsParser) feed(d []byte, emit func(t byte, payload []byte)) {
 
 // PDP is the NCC-side policy decision point.
 type PDP struct {
-	node *ipstack.Node
 	// OnRequest receives PEP context requests; the returned policies are
 	// pushed as decisions.
 	OnRequest func(context string) []Policy
@@ -130,7 +123,7 @@ type PDP struct {
 
 // NewPDP starts the decision point listening on COPSPort.
 func NewPDP(node *ipstack.Node) *PDP {
-	pdp := &PDP{node: node}
+	pdp := &PDP{}
 	node.ListenTCP(COPSPort, pdp.accept)
 	return pdp
 }

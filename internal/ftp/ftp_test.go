@@ -33,7 +33,7 @@ func geoNodes(s *sim.Simulator, loss float64, seed int64) (*ipstack.Node, *ipsta
 func TestTFTPPutSmallFile(t *testing.T) {
 	s := sim.New()
 	ncc, sat := geoNodes(s, 0, 1)
-	srv := NewTFTPServer(s, sat)
+	srv := NewTFTPServer(sat)
 	cli := NewTFTPClient(s, ncc, sat.Addr(), 3000)
 
 	data := []byte("small test vector for the express phase")
@@ -59,7 +59,7 @@ func TestTFTPPutSmallFile(t *testing.T) {
 func TestTFTPPutMultiBlock(t *testing.T) {
 	s := sim.New()
 	ncc, sat := geoNodes(s, 0, 2)
-	srv := NewTFTPServer(s, sat)
+	srv := NewTFTPServer(sat)
 	cli := NewTFTPClient(s, ncc, sat.Addr(), 3000)
 	data := make([]byte, 5*TFTPBlockSize+123)
 	rand.New(rand.NewSource(3)).Read(data)
@@ -80,7 +80,7 @@ func TestTFTPPutExactMultiple(t *testing.T) {
 	// A file of exactly N*512 bytes requires a trailing empty block.
 	s := sim.New()
 	ncc, sat := geoNodes(s, 0, 4)
-	srv := NewTFTPServer(s, sat)
+	srv := NewTFTPServer(sat)
 	cli := NewTFTPClient(s, ncc, sat.Addr(), 3000)
 	data := make([]byte, 4*TFTPBlockSize)
 	rand.New(rand.NewSource(5)).Read(data)
@@ -97,7 +97,7 @@ func TestTFTPPutExactMultiple(t *testing.T) {
 func TestTFTPRecoversFromLoss(t *testing.T) {
 	s := sim.New()
 	ncc, sat := geoNodes(s, 0.05, 9)
-	srv := NewTFTPServer(s, sat)
+	srv := NewTFTPServer(sat)
 	cli := NewTFTPClient(s, ncc, sat.Addr(), 3000)
 	data := make([]byte, 8*TFTPBlockSize+50)
 	rand.New(rand.NewSource(10)).Read(data)
@@ -123,7 +123,7 @@ func TestTFTPLockStepIsRTTBound(t *testing.T) {
 	// must take at least 20 * 0.25 s.
 	s := sim.New()
 	ncc, sat := geoNodes(s, 0, 11)
-	srv := NewTFTPServer(s, sat)
+	srv := NewTFTPServer(sat)
 	cli := NewTFTPClient(s, ncc, sat.Addr(), 3000)
 	data := make([]byte, 20*TFTPBlockSize-10)
 	var doneAt float64
@@ -170,7 +170,7 @@ func TestWindowedBeatsTFTPForLargeFiles(t *testing.T) {
 	tftpTime := func() float64 {
 		s := sim.New()
 		ncc, sat := geoNodes(s, 0, 15)
-		srv := NewTFTPServer(s, sat)
+		srv := NewTFTPServer(sat)
 		cli := NewTFTPClient(s, ncc, sat.Addr(), 3000)
 		var doneAt float64
 		srv.OnStored = func(string, []byte) { doneAt = s.Now() }

@@ -84,14 +84,7 @@ func (fc *FileClient) Conn() *ipstack.TCPConn { return fc.conn }
 // Put streams a named file; the server's OnStored callback marks
 // delivery.
 func (fc *FileClient) Put(name string, data []byte) {
-	rec := make([]byte, 0, 6+len(name)+len(data))
-	var nl [2]byte
-	binary.BigEndian.PutUint16(nl[:], uint16(len(name)))
-	rec = append(rec, nl[:]...)
-	rec = append(rec, name...)
-	var dl [4]byte
-	binary.BigEndian.PutUint32(dl[:], uint32(len(data)))
-	rec = append(rec, dl[:]...)
-	rec = append(rec, data...)
-	fc.conn.Send(rec)
+	rec := binary.BigEndian.AppendUint16(make([]byte, 0, 6+len(name)+len(data)), uint16(len(name)))
+	rec = binary.BigEndian.AppendUint32(append(rec, name...), uint32(len(data)))
+	fc.conn.Send(append(rec, data...))
 }

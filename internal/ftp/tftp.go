@@ -28,40 +28,22 @@ const (
 
 // tftp packet helpers --------------------------------------------------
 
-func tftpReq(op uint16, filename string) []byte {
-	out := make([]byte, 2, 2+len(filename)+1)
-	binary.BigEndian.PutUint16(out, op)
-	out = append(out, filename...)
-	return append(out, 0)
+// tftpReq is op and a NUL-terminated string: a request with its file
+// name, or an ERROR with its two-byte code and message.
+func tftpReq(op uint16, s string) []byte {
+	return append(binary.BigEndian.AppendUint16(make([]byte, 0, 3+len(s)), op), s+"\x00"...)
 }
 
-func tftpData(block uint16, data []byte) []byte {
-	out := make([]byte, 4+len(data))
-	binary.BigEndian.PutUint16(out[0:2], opDATA)
-	binary.BigEndian.PutUint16(out[2:4], block)
-	copy(out[4:], data)
-	return out
-}
-
-func tftpAck(block uint16) []byte {
-	out := make([]byte, 4)
-	binary.BigEndian.PutUint16(out[0:2], opACK)
-	binary.BigEndian.PutUint16(out[2:4], block)
-	return out
-}
-
-func tftpError(msg string) []byte {
-	out := make([]byte, 4, 5+len(msg))
-	binary.BigEndian.PutUint16(out[0:2], opERROR)
-	out = append(out, msg...)
-	return append(out, 0)
+// tftpBlock is op, a block number and data: DATA, or ACK without data.
+func tftpBlock(op, block uint16, data []byte) []byte {
+	out := binary.BigEndian.AppendUint16(make([]byte, 0, 4+len(data)), op)
+	return append(binary.BigEndian.AppendUint16(out, block), data...)
 }
 
 // TFTPServer receives files over UDP port 69: write (WRQ) transfers in
 // strict lock-step. Read transfers are not served — the NCC only ever
 // uploads.
 type TFTPServer struct {
-	s    *sim.Simulator
 	node *ipstack.Node
 
 	// OnStored is invoked when a write transfer completes.
@@ -79,12 +61,8 @@ type tftpWrite struct {
 }
 
 // NewTFTPServer binds the server on the node.
-func NewTFTPServer(s *sim.Simulator, node *ipstack.Node) *TFTPServer {
-	srv := &TFTPServer{
-		s:      s,
-		node:   node,
-		writes: make(map[string]*tftpWrite),
-	}
+func NewTFTPServer(node *ipstack.Node) *TFTPServer {
+	srv := &TFTPServer{node: node, writes: make(map[string]*tftpWrite)}
 	node.BindUDP(TFTPPort, srv.handle)
 	return srv
 }
@@ -105,11 +83,11 @@ func (srv *TFTPServer) handle(src ipstack.Addr, srcPort uint16, data []byte) {
 	case opWRQ:
 		name, ok := parseName(data[2:])
 		if !ok {
-			reply(tftpError("bad request"))
+			reply(tftpReq(opERROR, "\x00\x00bad request"))
 			return
 		}
 		srv.writes[key] = &tftpWrite{name: name, expected: 1}
-		reply(tftpAck(0))
+		reply(tftpBlock(opACK, 0, nil))
 	case opDATA:
 		w, ok := srv.writes[key]
 		if !ok || w.done {
@@ -131,7 +109,7 @@ func (srv *TFTPServer) handle(src ipstack.Addr, srcPort uint16, data []byte) {
 			}
 		}
 		// Ack the last in-order block (handles duplicates).
-		reply(tftpAck(w.expected - 1))
+		reply(tftpBlock(opACK, w.expected-1, nil))
 	}
 }
 
@@ -160,7 +138,6 @@ type TFTPClient struct {
 }
 
 type putState struct {
-	name  string
 	data  []byte
 	block uint16 // next block to send after ack of block-1
 	done  func(err error)
@@ -177,7 +154,7 @@ func NewTFTPClient(s *sim.Simulator, node *ipstack.Node, server ipstack.Addr, lo
 
 // Put uploads a file (WRQ); done fires on completion or failure.
 func (c *TFTPClient) Put(name string, data []byte, done func(err error)) {
-	c.put = &putState{name: name, data: data, block: 0, done: done}
+	c.put = &putState{data: data, block: 0, done: done}
 	c.sendReq(tftpReq(opWRQ, name))
 }
 
@@ -231,7 +208,7 @@ func (c *TFTPClient) handle(src ipstack.Addr, srcPort uint16, data []byte) {
 		p.block++
 		start := (int(p.block) - 1) * TFTPBlockSize
 		end := min(start+TFTPBlockSize, len(p.data))
-		pkt := tftpData(p.block, p.data[start:end])
+		pkt := tftpBlock(opDATA, p.block, p.data[start:end])
 		c.node.SendUDP(c.server, c.port, TFTPPort, pkt)
 		c.armPutTimer(pkt, c.retries)
 	case opERROR:

@@ -14,6 +14,7 @@ package gates
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -96,8 +97,7 @@ func (d *Design) TotalGates() int {
 func (d *Design) Report() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s: %d gates\n", d.Name, d.TotalGates())
-	blocks := make([]Block, len(d.Blocks))
-	copy(blocks, d.Blocks)
+	blocks := slices.Clone(d.Blocks)
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Total() > blocks[j].Total() })
 	for _, b := range blocks {
 		fmt.Fprintf(&sb, "  %-36s %3d x %7d = %8d\n", b.Name, b.Count, b.Gates, b.Total())

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -65,7 +66,6 @@ func (p *Packet) Marshal() []byte {
 	out[8] = p.Proto
 	out[9] = p.TTL
 	binary.BigEndian.PutUint16(out[10:12], uint16(len(p.Payload)))
-	binary.BigEndian.PutUint16(out[12:14], 0)
 	copy(out[ipHeaderLen:], p.Payload)
 	binary.BigEndian.PutUint16(out[12:14], headerChecksum(out[:ipHeaderLen]))
 	return out
@@ -76,8 +76,7 @@ func UnmarshalPacket(data []byte) (*Packet, error) {
 	if len(data) < ipHeaderLen {
 		return nil, errors.New("ipstack: packet too short")
 	}
-	hdr := make([]byte, ipHeaderLen)
-	copy(hdr, data[:ipHeaderLen])
+	hdr := slices.Clone(data[:ipHeaderLen])
 	want := binary.BigEndian.Uint16(hdr[12:14])
 	binary.BigEndian.PutUint16(hdr[12:14], 0)
 	if headerChecksum(hdr) != want {
@@ -228,12 +227,9 @@ func (n *Node) BindUDP(port uint16, h UDPHandler) { n.udpPorts[port] = h }
 
 // SendUDP transmits a datagram.
 func (n *Node) SendUDP(dst Addr, srcPort, dstPort uint16, data []byte) {
-	hdr := make([]byte, udpHeaderLen+len(data))
-	binary.BigEndian.PutUint16(hdr[0:2], srcPort)
-	binary.BigEndian.PutUint16(hdr[2:4], dstPort)
-	binary.BigEndian.PutUint16(hdr[4:6], uint16(len(data)))
-	copy(hdr[udpHeaderLen:], data)
-	n.send(&Packet{Src: n.addr, Dst: dst, Proto: ProtoUDP, TTL: 64, Payload: hdr})
+	hdr := binary.BigEndian.AppendUint16(make([]byte, 0, udpHeaderLen+len(data)), srcPort)
+	hdr = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint16(hdr, dstPort), uint16(len(data)))
+	n.send(&Packet{Src: n.addr, Dst: dst, Proto: ProtoUDP, TTL: 64, Payload: append(hdr, data...)})
 }
 
 func (n *Node) handleUDP(p *Packet) {

@@ -7,6 +7,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // SecurityAssociation is an ESP-style transform: AES-CTR confidentiality
@@ -34,9 +35,7 @@ func NewSA(cipherKey, macKey []byte) (*SecurityAssociation, error) {
 	if err != nil {
 		return nil, err
 	}
-	mk := make([]byte, len(macKey))
-	copy(mk, macKey)
-	return &SecurityAssociation{block: block, macKey: mk}, nil
+	return &SecurityAssociation{block: block, macKey: slices.Clone(macKey)}, nil
 }
 
 // Encapsulate wraps an inner packet in an ESP packet: the payload is the
@@ -47,11 +46,8 @@ func (sa *SecurityAssociation) Encapsulate(inner *Packet) (*Packet, error) {
 	ct := make([]byte, len(plain))
 	sa.ctr(sa.seq, plain, ct)
 
-	payload := make([]byte, 8+len(ct))
-	binary.BigEndian.PutUint64(payload[:8], sa.seq)
-	copy(payload[8:], ct)
-	tag := sa.tag(payload)
-	payload = append(payload, tag...)
+	payload := append(binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(ct)), sa.seq), ct...)
+	payload = append(payload, sa.tag(payload)...)
 
 	return &Packet{Src: inner.Src, Dst: inner.Dst, Proto: ProtoESP, TTL: inner.TTL, Payload: payload}, nil
 }

@@ -37,15 +37,10 @@ type segment struct {
 }
 
 func (s *segment) marshal() []byte {
-	out := make([]byte, tcpHeaderLen+len(s.data))
-	binary.BigEndian.PutUint16(out[0:2], s.srcPort)
-	binary.BigEndian.PutUint16(out[2:4], s.dstPort)
-	binary.BigEndian.PutUint32(out[4:8], s.seq)
-	binary.BigEndian.PutUint32(out[8:12], s.ack)
-	out[12] = s.flags
-	binary.BigEndian.PutUint16(out[13:15], uint16(len(s.data)))
-	copy(out[tcpHeaderLen:], s.data)
-	return out
+	out := binary.BigEndian.AppendUint16(make([]byte, 0, tcpHeaderLen+len(s.data)), s.srcPort)
+	out = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint16(out, s.dstPort), s.seq)
+	out = append(binary.BigEndian.AppendUint32(out, s.ack), s.flags)
+	return append(binary.BigEndian.AppendUint16(out, uint16(len(s.data))), s.data...)
 }
 
 func parseSegment(data []byte) (*segment, bool) {
@@ -68,11 +63,8 @@ func parseSegment(data []byte) (*segment, bool) {
 
 // TCPConn is one connection endpoint.
 type TCPConn struct {
-	node       *Node
-	key        connKey
-	localPort  uint16
-	remote     Addr
-	remotePort uint16
+	node *Node
+	key  connKey // remote address and both ports
 
 	established bool
 	// Window is the send window in segments (the RFC 2488 knob).
@@ -115,14 +107,11 @@ func (n *Node) ListenTCP(port uint16, onConn func(*TCPConn)) {
 
 func (n *Node) newConn(remote Addr, localPort, remotePort uint16) *TCPConn {
 	return &TCPConn{
-		node:       n,
-		key:        connKey{remote: remote, localPort: localPort, remotePort: remotePort},
-		localPort:  localPort,
-		remote:     remote,
-		remotePort: remotePort,
-		Window:     8,
-		RTO:        1.0,
-		MSS:        DefaultMSS,
+		node:   n,
+		key:    connKey{remote: remote, localPort: localPort, remotePort: remotePort},
+		Window: 8,
+		RTO:    1.0,
+		MSS:    DefaultMSS,
 	}
 }
 
@@ -141,7 +130,7 @@ func (c *TCPConn) Send(data []byte) {
 }
 
 func (c *TCPConn) sendSegment(s *segment) {
-	c.node.send(&Packet{Src: c.node.addr, Dst: c.remote, Proto: ProtoTCP, TTL: 64, Payload: s.marshal()})
+	c.node.send(&Packet{Src: c.node.addr, Dst: c.key.remote, Proto: ProtoTCP, TTL: 64, Payload: s.marshal()})
 }
 
 func (c *TCPConn) pump(retransmit bool) {
@@ -156,7 +145,7 @@ func (c *TCPConn) pump(retransmit bool) {
 	for c.inFlight < c.Window && c.inFlight < len(c.sendQueue) {
 		data := c.sendQueue[c.inFlight]
 		c.sendSegment(&segment{
-			srcPort: c.localPort, dstPort: c.remotePort,
+			srcPort: c.key.localPort, dstPort: c.key.remotePort,
 			seq: c.sendBase + offset, flags: flagACK, ack: c.rcvNext, data: data,
 		})
 		offset += uint32(len(data))
@@ -199,7 +188,7 @@ func (n *Node) handleTCP(p *Packet) {
 			c = n.newConn(p.Src, s.dstPort, s.srcPort)
 			c.established = true
 			n.tcpConns[key] = c
-			c.sendSegment(&segment{srcPort: c.localPort, dstPort: c.remotePort, flags: flagSYN | flagACK})
+			c.sendSegment(&segment{srcPort: c.key.localPort, dstPort: c.key.remotePort, flags: flagSYN | flagACK})
 			accept(c)
 			return
 		}
@@ -233,7 +222,7 @@ func (c *TCPConn) handleData(s *segment) {
 		}
 		// Cumulative ACK (pure, no data).
 		c.sendSegment(&segment{
-			srcPort: c.localPort, dstPort: c.remotePort,
+			srcPort: c.key.localPort, dstPort: c.key.remotePort,
 			flags: flagACK, ack: c.rcvNext,
 		})
 		if s.flags&flagACK != 0 {

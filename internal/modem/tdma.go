@@ -47,7 +47,8 @@ type FrameComposer struct {
 	written []bool
 }
 
-// NewFrameComposer creates an empty frame at sps samples/symbol.
+// NewFrameComposer creates an empty frame at sps samples/symbol; its
+// waveforms come from the dsp block allocator and Release returns them.
 func NewFrameComposer(cfg FrameConfig, sps int) *FrameComposer {
 	if cfg.Carriers < 1 || cfg.Slots < 1 || cfg.SlotSymbols < 1 {
 		panic("modem: invalid frame configuration")
@@ -56,9 +57,18 @@ func NewFrameComposer(cfg FrameConfig, sps int) *FrameComposer {
 		written: make([]bool, cfg.Carriers*cfg.Slots)}
 	n := cfg.Slots * cfg.SlotSymbols * sps
 	for i := range fc.carriers {
-		fc.carriers[i] = dsp.NewVec(n)
+		fc.carriers[i] = dsp.GetZeroVec(n) // Reset clears only the cells handed out
 	}
 	return fc
+}
+
+// Release returns the waveforms to the dsp block allocator; the composer
+// must not be used afterwards.
+func (fc *FrameComposer) Release() {
+	for _, v := range fc.carriers {
+		dsp.PutVec(v)
+	}
+	fc.carriers = nil
 }
 
 // Reset silences every carrier so the composer can build the next frame

@@ -35,7 +35,6 @@ func (p Protocol) String() string {
 
 // NCC is the network control center.
 type NCC struct {
-	s       *sim.Simulator
 	node    *ipstack.Node
 	satAddr ipstack.Addr
 
@@ -85,7 +84,6 @@ func parseReport(text string, at float64) Report {
 // COPS PDP and both file transfer clients against the satellite address.
 func New(s *sim.Simulator, node *ipstack.Node, satAddr ipstack.Addr) *NCC {
 	n := &NCC{
-		s:       s,
 		node:    node,
 		satAddr: satAddr,
 		catalog: make(map[string][]byte),

@@ -49,7 +49,7 @@ func TestUploadUnknownFileFails(t *testing.T) {
 func TestUploadTFTPAgainstServer(t *testing.T) {
 	s := sim.New()
 	g, sat := pipeNodes(s)
-	srv := ftp.NewTFTPServer(s, sat)
+	srv := ftp.NewTFTPServer(sat)
 	stored := -1
 	srv.OnStored = func(name string, data []byte) {
 		if name == "demod.bit" {

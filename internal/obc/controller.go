@@ -51,10 +51,9 @@ type Result struct {
 	RolledBack   bool
 }
 
-// ManagedDevice couples an FPGA with its rollback state.
+// ManagedDevice is an FPGA under the controller.
 type ManagedDevice struct {
-	Device   *fpga.Device
-	previous *fpga.Bitstream
+	Device *fpga.Device
 }
 
 // Controller is the on-board processor controller.
@@ -150,11 +149,10 @@ func (c *Controller) Reconfigure(deviceName, fileName string, rollback bool, don
 			valStart := c.s.Now()
 			valTime := float64(len(bs.Frames)*8) / JTAGRateBps // readback pass
 			c.s.Schedule(valTime, func() {
-				crc := md.Device.ConfigCRC()
-				res.CRC = crc
+				res.CRC = md.Device.ConfigCRC()
 				res.Timeline = append(res.Timeline, TimelineEntry{Step: StepValidate, Start: valStart, Duration: valTime})
-				ok := crc == bs.CRC32()
-				c.tm("reconfig %s: design=%s crc=%08x valid=%v", deviceName, bs.Design, crc, ok)
+				ok := res.CRC == bs.CRC32()
+				c.tm("reconfig %s: design=%s crc=%08x valid=%v", deviceName, bs.Design, res.CRC, ok)
 				if !ok {
 					res.Err = "configuration CRC mismatch"
 					c.finish(md, prev, res, rollback, done)
@@ -165,7 +163,6 @@ func (c *Controller) Reconfigure(deviceName, fileName string, rollback bool, don
 				onStart := c.s.Now()
 				c.s.Schedule(SwitchTime, func() {
 					md.Device.PowerOn()
-					md.previous = prev
 					res.Timeline = append(res.Timeline, TimelineEntry{Step: StepSwitchOn, Start: onStart, Duration: SwitchTime})
 					res.OK = true
 					res.Interruption = c.s.Now() - offStart

@@ -198,21 +198,34 @@ func (p *Payload) Mode() WaveformMode {
 	}
 }
 
-// synthesizeDesign builds a bitstream with the given name filling about
-// half the device — realistic reload volume and non-trivial content.
+// designs holds each design synthesised in the process, keyed by name
+// and device size: immutable masters that synthesizeDesign copies out.
+var designs sync.Map
+
+// synthesizeDesign returns a bitstream with the given name filling about
+// half the device — realistic reload volume and non-trivial content. The
+// netlist is compiled once per (name, rows, cols); the result is the
+// caller's copy.
 func synthesizeDesign(name string, rows, cols int) *fpga.Bitstream {
-	n := max(rows*cols/2, 8)
-	nl := fpga.NewNetlist(name, 8)
-	acc := 0
-	for i := 1; i < n && nl.NumGates() < n; i++ {
-		acc = nl.AddGate(fpga.LUTXor, acc, (i%7)+1)
+	key := fmt.Sprintf("%s %dx%d", name, rows, cols)
+	m, ok := designs.Load(key)
+	if !ok {
+		n := max(rows*cols/2, 8)
+		nl := fpga.NewNetlist(name, 8)
+		acc := 0
+		for i := 1; i < n && nl.NumGates() < n; i++ {
+			acc = nl.AddGate(fpga.LUTXor, acc, (i%7)+1)
+		}
+		nl.MarkOutput(acc)
+		bs, err := nl.Compile(rows, cols)
+		if err != nil {
+			panic("payload: synthesized design does not fit: " + err.Error())
+		}
+		m, _ = designs.LoadOrStore(key, bs)
 	}
-	nl.MarkOutput(acc)
-	bs, err := nl.Compile(rows, cols)
-	if err != nil {
-		panic("payload: synthesized design does not fit: " + err.Error())
-	}
-	return bs
+	bs := *m.(*fpga.Bitstream)
+	bs.Frames = slices.Clone(bs.Frames)
+	return &bs
 }
 
 // DemodBitstreams returns, per DEMOD device, the bitstream implementing
@@ -259,18 +272,16 @@ func (p *Payload) InstallDesign(device string, bs *fpga.Bitstream) error {
 }
 
 // SetWaveform installs the waveform design on every DEMOD device.
-func (p *Payload) SetWaveform(mode WaveformMode) error {
-	for dn, bs := range p.DemodBitstreams(mode) {
-		if err := p.InstallDesign(dn, bs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (p *Payload) SetWaveform(mode WaveformMode) error { return p.installEach(p.DemodBitstreams(mode)) }
 
 // SetCodec installs the decoder design on every DECOD device.
 func (p *Payload) SetCodec(codecName string) error {
-	for dn, bs := range p.DecodBitstreams(codecName) {
+	return p.installEach(p.DecodBitstreams(codecName))
+}
+
+// installEach installs every device's bitstream of a per-device map.
+func (p *Payload) installEach(bitstreams map[string]*fpga.Bitstream) error {
+	for dn, bs := range bitstreams {
 		if err := p.InstallDesign(dn, bs); err != nil {
 			return err
 		}

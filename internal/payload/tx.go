@@ -44,7 +44,8 @@ type Transmitter struct {
 	encBufs sync.Pool
 
 	// carrierBufs holds the per-carrier downlink waveforms of the frame
-	// under construction; each grid worker touches only its own carrier.
+	// under construction, from the dsp block allocator (Release returns
+	// them); each grid worker touches only its own carrier.
 	// runs[c] are the samples its bursts were written to (zero elsewhere):
 	// the plan the MUX and the DAC follow, and all the next frame clears.
 	carrierBufs []dsp.Vec
@@ -149,7 +150,8 @@ func (t *Transmitter) TransmitFrameGrid(cfg modem.FrameConfig, grid [][][]byte) 
 			clear(t.carrierBufs[c][r.Lo:r.Hi])
 		}
 		if len(t.carrierBufs[c]) != carrierLen {
-			t.carrierBufs[c] = dsp.NewVec(carrierLen)
+			dsp.PutVec(t.carrierBufs[c])
+			t.carrierBufs[c] = dsp.GetZeroVec(carrierLen) // the runs are all a frame clears
 		}
 		t.runs[c] = t.runs[c][:0]
 		for s, info := range slots {
@@ -174,6 +176,15 @@ func (t *Transmitter) TransmitFrameGrid(cfg modem.FrameConfig, grid [][][]byte) 
 		t.dac.ConvertInto(wide[s.Lo:s.Hi], wide[s.Lo:s.Hi])
 	}
 	return wide, nil
+}
+
+// Release returns the carrier buffers to the dsp block allocator; the
+// next TransmitFrameGrid takes them anew.
+func (t *Transmitter) Release() {
+	for c, v := range t.carrierBufs {
+		dsp.PutVec(v)
+		t.carrierBufs[c], t.runs[c] = nil, t.runs[c][:0]
+	}
 }
 
 // modulateCarrier encodes and modulates the bursts of the i-th busy

@@ -210,8 +210,9 @@ func (s *Session) Report() *traffic.Report {
 }
 
 // Close joins the last frame's egress and surfaces its error; the
-// drained engine owns no goroutine, and the session keeps working.
-func (s *Session) Close() error { return s.eng.Drain() }
+// drained engine owns no goroutine and has returned its frame buffers
+// (traffic.Engine.Close), and the session keeps working.
+func (s *Session) Close() error { return s.eng.Close() }
 
 // EventLog returns the events executed so far, in execution order.
 func (s *Session) EventLog() []EventRecord { return append([]EventRecord(nil), s.log...) }

@@ -2,8 +2,10 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/modem"
@@ -76,6 +78,45 @@ func TestSessionMatchesDirectEngine(t *testing.T) {
 				t.Fatalf("loop not bit-exact: %+v", got)
 			}
 		})
+	}
+}
+
+// TestCloseKeepsTheSessionRunning holds Close to its contract: a session
+// stepped after Close (which returned its frame buffers) reports what a
+// session never closed reports, bit for bit — equal JSON, so an equal
+// sim digest — at GOMAXPROCS 1 and 2, ground verify on.
+func TestCloseKeepsTheSessionRunning(t *testing.T) {
+	const n, m = 5, 7
+	report := func(closeAt int) string {
+		sess, err := NewSession(Impaired())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < n+m; f++ {
+			if f == closeAt {
+				if err := sess.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := sess.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep := sess.Report()
+		rep.WallSeconds = 0
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		closed, open := report(n), report(-1)
+		runtime.GOMAXPROCS(prev)
+		if closed != open {
+			t.Errorf("GOMAXPROCS %d: closed after %d frames:\n%s\nnever closed:\n%s", procs, n, closed, open)
+		}
 	}
 }
 

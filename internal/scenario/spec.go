@@ -644,10 +644,7 @@ func checkCFOSegment(id string, c *traffic.ChannelProfile, from, to int) error {
 	if c == nil || to <= from {
 		return nil
 	}
-	worst := math.Abs(c.CFO)
-	if w := math.Abs(c.CFO + c.Drift*float64(to-1-from)); w > worst {
-		worst = w
-	}
+	worst := max(math.Abs(c.CFO), math.Abs(c.CFO+c.Drift*float64(to-1-from)))
 	if worst > MaxAbsCFO {
 		return fmt.Errorf("scenario: terminal %q CFO reaches %.4f cycles/symbol by frame %d, beyond the ±%.3f acquisition range",
 			id, worst, to-1, MaxAbsCFO)
@@ -679,18 +676,17 @@ func (sp Spec) validateEvents() error {
 	active := make(map[string]bool, len(sp.Terminals))
 	timeline := make(map[string][]profileChange)
 	for _, term := range sp.Terminals {
+		ids := []string{term.ID}
 		if term.Count > 0 {
 			// A population entry contributes its tracer terminals to the
 			// engine population; events address those, not the
 			// population itself.
-			for _, tid := range term.TracerIDs() {
-				active[tid] = true
-				timeline[tid] = []profileChange{{0, term.Channel}}
-			}
-			continue
+			ids = term.TracerIDs()
 		}
-		active[term.ID] = true
-		timeline[term.ID] = []profileChange{{0, term.Channel}}
+		for _, id := range ids {
+			active[id] = true
+			timeline[id] = []profileChange{{0, term.Channel}}
+		}
 	}
 
 	for i, ev := range evs {

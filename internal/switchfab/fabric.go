@@ -150,9 +150,7 @@ func (f *Fabric) Adopt(depth int) {
 			sh.q[c].reset(depth)
 		}
 		sh.n, sh.seq, sh.hw = 0, 0, 0
-		sh.clsHW = [NumClasses]int{}
-		sh.routed = [NumClasses]int{}
-		sh.dropped = [NumClasses]int{}
+		sh.clsHW, sh.routed, sh.dropped = [NumClasses]int{}, [NumClasses]int{}, [NumClasses]int{}
 		sh.mu.Unlock()
 	}
 }
@@ -211,40 +209,32 @@ func headClass(sh *shard) (Class, bool) {
 	return best, found
 }
 
-// QueueDepth returns the packets queued for a beam across all classes,
-// 0 for a beam outside the fabric (observers probe freely).
-func (f *Fabric) QueueDepth(beam int) int {
+// read returns what get reads from a beam's shard under its lock, or 0
+// for a beam outside the fabric (observers probe freely).
+func (f *Fabric) read(beam int, get func(*shard) int) int {
 	if beam < 0 || beam >= len(f.shards) {
 		return 0
 	}
 	sh := &f.shards[beam]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.n
+	return get(sh)
 }
+
+// QueueDepth returns the packets queued for a beam across all classes.
+func (f *Fabric) QueueDepth(beam int) int { return f.read(beam, func(sh *shard) int { return sh.n }) }
 
 // ClassQueueDepth returns the packets queued for one (beam, class).
 func (f *Fabric) ClassQueueDepth(beam int, c Class) int {
-	if beam < 0 || beam >= len(f.shards) || c >= NumClasses {
+	if c >= NumClasses {
 		return 0
 	}
-	sh := &f.shards[beam]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.q[c].n
+	return f.read(beam, func(sh *shard) int { return sh.q[c].n })
 }
 
 // HighWater returns the peak total occupancy a beam's queues reached
 // since the last Adopt.
-func (f *Fabric) HighWater(beam int) int {
-	if beam < 0 || beam >= len(f.shards) {
-		return 0
-	}
-	sh := &f.shards[beam]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.hw
-}
+func (f *Fabric) HighWater(beam int) int { return f.read(beam, func(sh *shard) int { return sh.hw }) }
 
 // ClassCounters aggregates the per-class accounting over every shard.
 func (f *Fabric) ClassCounters() [NumClasses]ClassCounters {

@@ -26,7 +26,7 @@ import (
 )
 
 // DefaultTimerCap bounds a timer's per-interval sample buffer. Samples
-// past the bound still count (count and sum stay exact) but fall out of
+// past the bound still count (the count stays exact) but fall out of
 // the percentile estimate; TimerStats.Dropped reports how many.
 const DefaultTimerCap = 2048
 
@@ -161,8 +161,8 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Timer aggregates a stream of observations (stage durations in
 // nanoseconds, by convention) into per-interval distribution stats. The
-// sample buffer is bounded: observations past the bound keep count and
-// sum exact but are excluded from the percentile estimate, and the
+// sample buffer is bounded: observations past the bound keep the count
+// exact but are excluded from the percentile estimate, and the
 // flush reports them as Dropped. The buffer's backing array is recycled
 // across flushes, so the record path is allocation-free in steady
 // state.
@@ -171,7 +171,6 @@ type Timer struct {
 	samples  []float64
 	overflow int64 // interval observations past the sample bound
 	count    int64 // cumulative observations over the run
-	sum      float64
 }
 
 // Observe records one sample. The record path is a mutex-guarded append
@@ -179,7 +178,6 @@ type Timer struct {
 func (t *Timer) Observe(v float64) {
 	t.mu.Lock()
 	t.count++
-	t.sum += v
 	if len(t.samples) < cap(t.samples) {
 		t.samples = append(t.samples, v)
 	} else {

@@ -39,12 +39,8 @@ func (f *Frame) Marshal() []byte {
 		panic("tmtc: frame payload exceeds MaxFrameData")
 	}
 	out := make([]byte, 0, len(f.Payload)+7)
-	out = append(out, f.VC, byte(f.Type), f.Seq)
-	var ln [2]byte
-	binary.BigEndian.PutUint16(ln[:], uint16(len(f.Payload)))
-	out = append(out, ln[:]...)
-	out = append(out, f.Payload...)
-	return fec.AppendCRC16(out)
+	out = binary.BigEndian.AppendUint16(append(out, f.VC, byte(f.Type), f.Seq), uint16(len(f.Payload)))
+	return fec.AppendCRC16(append(out, f.Payload...))
 }
 
 // UnmarshalFrame parses and CRC-checks a received frame. A CRC failure

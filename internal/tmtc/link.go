@@ -11,6 +11,7 @@ package tmtc
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -83,8 +84,7 @@ func (e *Endpoint) Send(data []byte) {
 	e.nextFree = start + txTime
 	arrival := start + txTime + l.delay
 
-	pkt := make([]byte, len(data))
-	copy(pkt, data)
+	pkt := slices.Clone(data)
 	if l.ber > 0 {
 		for i := range pkt {
 			for b := 0; b < 8; b++ {

@@ -159,11 +159,14 @@ func (d *delivery) merge(o delivery) {
 	d.latMax = max(d.latMax, o.latMax)
 }
 
-func (d delivery) mean() float64 {
-	if d.packets == 0 {
+func (d delivery) mean() float64 { return ratio(float64(d.latSum), float64(d.packets)) }
+
+// ratio is n/d, or 0 when d is 0.
+func ratio(n, d float64) float64 {
+	if d == 0 {
 		return 0
 	}
-	return float64(d.latSum) / float64(d.packets)
+	return n / d
 }
 
 // Engine drives the closed regenerative loop frame after frame. The
@@ -511,6 +514,20 @@ func (e *Engine) join() {
 func (e *Engine) Drain() error {
 	e.drain()
 	return e.err
+}
+
+// Close drains the engine and returns its frame-sized buffers (the
+// uplink composer's and the transmitter's carrier waveforms) to the dsp
+// block allocator, for the next engine built in the process. Stepping
+// after Close takes buffers anew; the run goes on unchanged.
+func (e *Engine) Close() error {
+	err := e.Drain()
+	if e.uplink.fc != nil {
+		e.uplink.fc.Release()
+		e.uplink.fc = nil
+	}
+	e.tx.Release()
+	return err
 }
 
 // drain is Drain for the mutators, which leave a failed egress for the

@@ -180,30 +180,15 @@ func (r *Report) multiClass() bool {
 }
 
 // FramesPerSecond returns the wall-clock frame rate of the run.
-func (r *Report) FramesPerSecond() float64 {
-	if r.WallSeconds == 0 {
-		return 0
-	}
-	return float64(r.Frames) / r.WallSeconds
-}
+func (r *Report) FramesPerSecond() float64 { return ratio(float64(r.Frames), r.WallSeconds) }
 
 // GoodputBps returns the delivered information rate against the
 // wall-clock, the software-pipeline throughput figure.
-func (r *Report) GoodputBps() float64 {
-	if r.WallSeconds == 0 {
-		return 0
-	}
-	return float64(r.DeliveredBits) / r.WallSeconds
-}
+func (r *Report) GoodputBps() float64 { return ratio(float64(r.DeliveredBits), r.WallSeconds) }
 
 // ModelGoodputBps returns the delivered information rate against the
 // simulated air interface time.
-func (r *Report) ModelGoodputBps() float64 {
-	if r.ModelSeconds == 0 {
-		return 0
-	}
-	return float64(r.DeliveredBits) / r.ModelSeconds
-}
+func (r *Report) ModelGoodputBps() float64 { return ratio(float64(r.DeliveredBits), r.ModelSeconds) }
 
 // FrameSeconds returns the air-interface duration of one MF-TDMA frame.
 func FrameSeconds(cfg modem.FrameConfig) float64 {
