@@ -156,6 +156,11 @@ func evaluateGates(gates []Gate, pt *PointStats) {
 	}
 }
 
+// badArtifact is a ValidateArtifact failure.
+func badArtifact(format string, args ...any) error {
+	return fmt.Errorf("campaign artifact: "+format, args...)
+}
+
 // ValidateArtifact replays the artifact's own arithmetic: structural
 // counts, run indexing and seed derivation, per-point statistics
 // recomputed from the raw rows, statistic ordering, and gate verdicts.
@@ -165,33 +170,30 @@ func ValidateArtifact(a *Artifact) error {
 	grid := 1
 	for _, ax := range a.Axes {
 		if len(ax.Values) == 0 {
-			return fmt.Errorf("campaign artifact: axis %q has no values", ax.Kind)
+			return badArtifact("axis %q has no values", ax.Kind)
 		}
 		grid *= len(ax.Values)
 	}
 	if a.RunsPerPoint < 1 {
-		return fmt.Errorf("campaign artifact: runs_per_point %d", a.RunsPerPoint)
+		return badArtifact("runs_per_point %d", a.RunsPerPoint)
 	}
 	if want := grid * a.RunsPerPoint; a.TotalRuns != want {
-		return fmt.Errorf("campaign artifact: total_runs %d, grid %d × %d seeds = %d",
-			a.TotalRuns, grid, a.RunsPerPoint, want)
+		return badArtifact("total_runs %d, grid %d × %d seeds = %d", a.TotalRuns, grid, a.RunsPerPoint, want)
 	}
 	if len(a.Points) != grid {
-		return fmt.Errorf("campaign artifact: %d points for a %d-point grid", len(a.Points), grid)
+		return badArtifact("%d points for a %d-point grid", len(a.Points), grid)
 	}
 	if a.CompletedRuns+a.FailedRuns != len(a.Runs) {
-		return fmt.Errorf("campaign artifact: %d completed + %d failed != %d rows",
-			a.CompletedRuns, a.FailedRuns, len(a.Runs))
+		return badArtifact("%d completed + %d failed != %d rows", a.CompletedRuns, a.FailedRuns, len(a.Runs))
 	}
 	if len(a.Runs) > a.TotalRuns {
-		return fmt.Errorf("campaign artifact: %d rows exceed total_runs %d", len(a.Runs), a.TotalRuns)
+		return badArtifact("%d rows exceed total_runs %d", len(a.Runs), a.TotalRuns)
 	}
 	if !a.Cancelled && len(a.Runs) != a.TotalRuns {
-		return fmt.Errorf("campaign artifact: %d of %d runs present but not marked cancelled",
-			len(a.Runs), a.TotalRuns)
+		return badArtifact("%d of %d runs present but not marked cancelled", len(a.Runs), a.TotalRuns)
 	}
 	if len(a.Reducers) == 0 {
-		return fmt.Errorf("campaign artifact: no reducers")
+		return badArtifact("no reducers")
 	}
 
 	// Rows: strictly increasing campaign indices, seeds re-derived from
@@ -200,33 +202,31 @@ func ValidateArtifact(a *Artifact) error {
 	last := -1
 	for _, row := range a.Runs {
 		if row.Index <= last {
-			return fmt.Errorf("campaign artifact: run index %d out of order after %d", row.Index, last)
+			return badArtifact("run index %d out of order after %d", row.Index, last)
 		}
 		last = row.Index
 		if row.Index >= a.TotalRuns {
-			return fmt.Errorf("campaign artifact: run index %d beyond total_runs %d", row.Index, a.TotalRuns)
+			return badArtifact("run index %d beyond total_runs %d", row.Index, a.TotalRuns)
 		}
 		if row.Point != row.Index/a.RunsPerPoint {
-			return fmt.Errorf("campaign artifact: run %d mapped to point %d, want %d",
-				row.Index, row.Point, row.Index/a.RunsPerPoint)
+			return badArtifact("run %d mapped to point %d, want %d", row.Index, row.Point, row.Index/a.RunsPerPoint)
 		}
 		if want := RunSeed(a.Seed, row.Index); row.Seed != want {
-			return fmt.Errorf("campaign artifact: run %d seed %d, derived seed %d", row.Index, row.Seed, want)
+			return badArtifact("run %d seed %d, derived seed %d", row.Index, row.Seed, want)
 		}
 		if row.Error != "" {
 			if len(row.Metrics) != 0 {
-				return fmt.Errorf("campaign artifact: failed run %d carries metrics", row.Index)
+				return badArtifact("failed run %d carries metrics", row.Index)
 			}
 			continue
 		}
 		for _, name := range a.Reducers {
 			if _, ok := row.Metrics[name]; !ok {
-				return fmt.Errorf("campaign artifact: run %d missing metric %q", row.Index, name)
+				return badArtifact("run %d missing metric %q", row.Index, name)
 			}
 		}
 		if len(row.Metrics) != len(a.Reducers) {
-			return fmt.Errorf("campaign artifact: run %d has %d metrics for %d reducers",
-				row.Index, len(row.Metrics), len(a.Reducers))
+			return badArtifact("run %d has %d metrics for %d reducers", row.Index, len(row.Metrics), len(a.Reducers))
 		}
 		perPoint[row.Point] = append(perPoint[row.Point], row)
 	}
@@ -236,45 +236,41 @@ func ValidateArtifact(a *Artifact) error {
 	allPassed := true
 	for i, pt := range a.Points {
 		if pt.Index != i {
-			return fmt.Errorf("campaign artifact: point %d indexed %d", i, pt.Index)
+			return badArtifact("point %d indexed %d", i, pt.Index)
 		}
 		rows := perPoint[i]
 		if pt.Runs != len(rows) {
-			return fmt.Errorf("campaign artifact: point %s claims %d runs, rows hold %d",
-				pt.Label, pt.Runs, len(rows))
+			return badArtifact("point %s claims %d runs, rows hold %d", pt.Label, pt.Runs, len(rows))
 		}
 		if len(rows) == 0 {
 			if len(pt.Stats) != 0 || len(pt.Gates) != 0 {
-				return fmt.Errorf("campaign artifact: empty point %s carries stats or gates", pt.Label)
+				return badArtifact("empty point %s carries stats or gates", pt.Label)
 			}
 			continue
 		}
 		if len(pt.Stats) != len(a.Reducers) {
-			return fmt.Errorf("campaign artifact: point %s has %d stats for %d reducers",
-				pt.Label, len(pt.Stats), len(a.Reducers))
+			return badArtifact("point %s has %d stats for %d reducers", pt.Label, len(pt.Stats), len(a.Reducers))
 		}
 		for _, name := range a.Reducers {
 			sum, ok := pt.Stats[name]
 			if !ok {
-				return fmt.Errorf("campaign artifact: point %s missing stat %q", pt.Label, name)
+				return badArtifact("point %s missing stat %q", pt.Label, name)
 			}
 			samples := make([]float64, len(rows))
 			for j, row := range rows {
 				samples[j] = row.Metrics[name]
 			}
 			if want := stats.Summarize(samples); sum != want {
-				return fmt.Errorf("campaign artifact: point %s stat %q %+v, recomputed %+v",
-					pt.Label, name, sum, want)
+				return badArtifact("point %s stat %q %+v, recomputed %+v", pt.Label, name, sum, want)
 			}
 			if !(sum.Min <= sum.P50 && sum.P50 <= sum.P90 && sum.P90 <= sum.P99 && sum.P99 <= sum.Max) {
-				return fmt.Errorf("campaign artifact: point %s stat %q percentiles out of order", pt.Label, name)
+				return badArtifact("point %s stat %q percentiles out of order", pt.Label, name)
 			}
 			if !(sum.Min <= sum.Mean && sum.Mean <= sum.Max) {
-				return fmt.Errorf("campaign artifact: point %s stat %q mean outside range", pt.Label, name)
+				return badArtifact("point %s stat %q mean outside range", pt.Label, name)
 			}
 			if sum.Count != len(rows) {
-				return fmt.Errorf("campaign artifact: point %s stat %q count %d for %d rows",
-					pt.Label, name, sum.Count, len(rows))
+				return badArtifact("point %s stat %q count %d for %d rows", pt.Label, name, sum.Count, len(rows))
 			}
 		}
 		failed := false
@@ -286,29 +282,22 @@ func ValidateArtifact(a *Artifact) error {
 			case ">=":
 				pass = gr.Value >= gr.Bound
 			default:
-				return fmt.Errorf("campaign artifact: point %s gate op %q", pt.Label, gr.Op)
+				return badArtifact("point %s gate op %q", pt.Label, gr.Op)
 			}
 			if pass != gr.Passed {
-				return fmt.Errorf("campaign artifact: point %s gate on %q verdict %v, recomputed %v",
+				return badArtifact("point %s gate on %q verdict %v, recomputed %v",
 					pt.Label, gr.Stat, gr.Passed, pass)
 			}
-			if !gr.Passed {
-				failed = true
-			}
+			failed = failed || !gr.Passed
 		}
 		if pt.Passed == failed {
-			return fmt.Errorf("campaign artifact: point %s passed=%v with failing-gate=%v",
-				pt.Label, pt.Passed, failed)
+			return badArtifact("point %s passed=%v with failing-gate=%v", pt.Label, pt.Passed, failed)
 		}
-		if !pt.Passed {
-			allPassed = false
-		}
+		allPassed = allPassed && pt.Passed
 	}
-	if a.FailedRuns > 0 {
-		allPassed = false
-	}
+	allPassed = allPassed && a.FailedRuns == 0
 	if a.GatesPassed != allPassed {
-		return fmt.Errorf("campaign artifact: gates_passed %v, recomputed %v", a.GatesPassed, allPassed)
+		return badArtifact("gates_passed %v, recomputed %v", a.GatesPassed, allPassed)
 	}
 	return nil
 }

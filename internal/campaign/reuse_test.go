@@ -62,13 +62,16 @@ func runSweep(t *testing.T, sp *Spec, workers int) (string, []string) {
 }
 
 // poisonBlocks empties the block allocator's lists of blocks at least n
-// long, then fills them with NaN blocks of the composer's and the
-// transmitter's carrier lengths, newest the composer's: it asks first.
-func poisonBlocks(composerLen, carrierLen int) {
-	for i := 0; i < 64; i++ {
-		_ = dsp.GetVec(composerLen)
+// long, for each n of lens, then fills them with NaN blocks of those
+// lengths, newest the first length's: it asks first.
+func poisonBlocks(lens ...int) {
+	for _, n := range lens {
+		for i := 0; i < 64; i++ {
+			_ = dsp.GetVec(n)
+		}
 	}
-	for _, n := range []int{carrierLen, composerLen} {
+	for k := len(lens) - 1; k >= 0; k-- {
+		n := lens[k]
 		for i := 0; i < 8; i++ {
 			v := dsp.NewVec(n)
 			for i := range v {
@@ -99,6 +102,32 @@ func TestRecycledBlocksDoNotLeak(t *testing.T) {
 		for i := range cleanReports {
 			if dirtyReports[i] != cleanReports[i] {
 				t.Errorf("workers %d run %d: report differs after NaN blocks were recycled:\n%s\n%s",
+					workers, i, cleanReports[i], dirtyReports[i])
+			}
+		}
+	}
+}
+
+// TestRecycledScratchDoesNotLeak holds a campaign's output to be the
+// same when the per-call scratch its sessions take from the block
+// allocator comes back NaN-filled: the copy the uplink channel's
+// fractional delay interpolates from (a slot's waveform, and the
+// impaired terminals have timing offsets) and the MUX's tile sum.
+func TestRecycledScratchDoesNotLeak(t *testing.T) {
+	sp := sweepSpec(1, 6)
+	tr := sp.Base.Traffic
+	slotWave := tr.SlotSymbols * 4 // the terminals' oversampling
+	tile := dsp.DUCTile * traffic.DefaultPlan(tr.Carriers).Decim
+	for _, workers := range []int{1, 2} {
+		clean, cleanReports := runSweep(t, &sp, workers)
+		poisonBlocks(slotWave, tile)
+		dirty, dirtyReports := runSweep(t, &sp, workers)
+		if dirty != clean {
+			t.Errorf("workers %d: artifact differs after NaN scratch was recycled", workers)
+		}
+		for i := range cleanReports {
+			if dirtyReports[i] != cleanReports[i] {
+				t.Errorf("workers %d run %d: report differs after NaN scratch was recycled:\n%s\n%s",
 					workers, i, cleanReports[i], dirtyReports[i])
 			}
 		}

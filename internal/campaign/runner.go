@@ -169,9 +169,7 @@ func assemble(ex *Expansion, reducerNames []string, reds []Reducer, outcomes []R
 				pt.Stats[name] = stats.Summarize(samples)
 			}
 			evaluateGates(sp.Gates, &pt)
-			if !pt.Passed {
-				a.GatesPassed = false
-			}
+			a.GatesPassed = a.GatesPassed && pt.Passed
 		}
 		a.Points[p] = pt
 	}

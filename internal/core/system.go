@@ -76,12 +76,9 @@ type System struct {
 	Sim  *sim.Simulator
 	Link *tmtc.Link
 
-	// Ground segment.
-	NCC        *ncc.NCC
-	GroundNode *ipstack.Node
+	NCC *ncc.NCC // the ground segment
 
 	// Space segment.
-	SatNode    *ipstack.Node
 	Controller *obc.Controller
 	Payload    *payload.Payload
 	TFTPServer *ftp.TFTPServer
@@ -151,8 +148,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	sys := &System{
 		Sim:        s,
 		Link:       link,
-		GroundNode: groundNode,
-		SatNode:    satNode,
 		Controller: controller,
 		Payload:    pl,
 		Control:    control,

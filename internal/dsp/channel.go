@@ -33,10 +33,6 @@ type Channel struct {
 	// Gain scales the signal before noise.
 	Gain float64
 
-	// delayScratch backs the in-place fractional-delay interpolation so
-	// a recycled channel instance (e.g. from an engine's channel pool)
-	// applies timing offsets without per-block allocation.
-	delayScratch Vec
 	// nco drives the phase/frequency rotation; reused across ApplyInPlace
 	// calls (reinitialized per block, so behaviour matches a fresh NCO).
 	nco NCO
@@ -57,8 +53,7 @@ func NewChannel(seed int64) *Channel {
 // (dB) and oversampling factor.
 func NewChannelWith(seed int64, esn0dB float64, sps int) *Channel {
 	c := NewChannel(seed)
-	c.EsN0dB = esn0dB
-	c.SPS = sps
+	c.EsN0dB, c.SPS = esn0dB, sps
 	return c
 }
 
@@ -79,8 +74,8 @@ func (c *Channel) Apply(in Vec) Vec {
 // ApplyInPlace is Apply operating directly on the caller's block —
 // the burst path writes modulated waveforms straight into frame slot
 // buffers and impairs them there, so no per-burst waveform clone exists.
-// The fractional-delay stage interpolates out of a channel-owned scratch
-// copy; output is identical to Apply.
+// The fractional-delay stage interpolates out of a scratch copy from the
+// block allocator; output is identical to Apply.
 func (c *Channel) ApplyInPlace(v Vec) Vec {
 	if c.Gain != 1 {
 		v.Scale(complex(c.Gain, 0))
@@ -135,12 +130,10 @@ func (c *Channel) AWGN(v Vec, variance float64) {
 // interpolated, so negative and >= 1 offsets are handled exactly rather
 // than extrapolating the cubic outside its design range. The block edges
 // clamp to the first/last sample, matching Farrow.InterpAt. The input
-// snapshot lives in the channel-owned scratch buffer.
+// snapshot is a block taken from GetVec for the call.
 func (c *Channel) fractionalDelayInPlace(v Vec, mu float64) {
-	if cap(c.delayScratch) < len(v) {
-		c.delayScratch = make(Vec, len(v))
-	}
-	in := c.delayScratch[:len(v)]
+	in := GetVec(len(v))
+	defer PutVec(in)
 	copy(in, v)
 	shift := int(math.Floor(mu))
 	frac := mu - float64(shift) // in [0, 1)

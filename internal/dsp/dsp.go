@@ -17,11 +17,7 @@ type Vec []complex128
 func NewVec(n int) Vec { return make(Vec, n) }
 
 // Clone returns a deep copy of v.
-func (v Vec) Clone() Vec {
-	out := make(Vec, len(v))
-	copy(out, v)
-	return out
-}
+func (v Vec) Clone() Vec { return append(Vec(nil), v...) }
 
 // Scale multiplies every sample by g in place and returns v.
 func (v Vec) Scale(g complex128) Vec {

@@ -88,20 +88,29 @@ func newInterpolator(taps []float64, l int, gain float64) *interpolator {
 // processInto writes the l·len(in) interpolated samples into dst (at
 // least that long, not aliasing in) and returns the filled prefix.
 func (ip *interpolator) processInto(dst, in Vec) Vec {
+	dst = ip.outputs(dst, in)
+	ip.push(in)
+	return dst
+}
+
+// outputs is processInto without moving the history: only the first j-1
+// inputs' windows reach into it.
+func (ip *interpolator) outputs(dst, in Vec) Vec {
 	h := ip.j - 1
 	dst = dst[:len(in)*ip.l]
-	// Only the first h inputs' windows reach into the history; the rest
-	// are read straight from in.
 	head := min(len(in), h)
 	ext := ip.ext[:h+head]
 	copy(ext[h:], in[:head])
 	ip.run(dst, ext)
 	ip.run(dst[head*ip.l:], in)
-	copy(ext, ext[head:])
-	if len(in) > h {
-		copy(ext, in[len(in)-h:])
-	}
 	return dst
+}
+
+// push moves the history past in.
+func (ip *interpolator) push(in Vec) {
+	h, k := ip.j-1, min(len(in), ip.j-1)
+	copy(ip.ext[h:], in[len(in)-k:])
+	copy(ip.ext, ip.ext[k:h+k])
 }
 
 // run writes the l outputs of every full window x[m:m+j] into dst.

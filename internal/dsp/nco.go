@@ -143,16 +143,17 @@ func (d *DDC) ProcessInto(dst, in Vec) Vec {
 }
 
 // ProcessWindowInto writes into dst outputs lo..hi-1 of what a DDC in
-// its initial state emits for block (0 <= lo <= hi <= its OutLen), at
-// the cost of those outputs plus one filter length of input. It reads
-// and writes no stream state, so windows of a block may be converted
-// concurrently; one spanning the block costs what ProcessInto does.
+// its initial state emits for block (0 <= lo <= hi <= its OutLen), bit
+// for bit, at the cost of those outputs plus one filter length of input.
+// It starts mixing where ProcessInto anchors its oscillator, on a
+// multiple of ncoAnchor. It reads and writes no stream state, so windows
+// of a block may be converted concurrently and split anywhere.
 func (d *DDC) ProcessWindowInto(dst, block Vec, lo, hi int) Vec {
 	if hi <= lo {
 		return dst[:0]
 	}
 	h := len(d.taps) - 1
-	from := max(lo*d.decim-h, 0)
+	from := max(lo*d.decim-h, 0) / ncoAnchor * ncoAnchor
 	st := ddcState{ext: GetVec(h + ddcTile), n: int64(from), first: lo*d.decim - from, quiet: true}
 	clear(st.ext[:h])
 	k := d.convert(&st, dst[:hi-lo], block[from:(hi-1)*d.decim+1])
@@ -206,8 +207,8 @@ type Span struct{ Lo, Hi int }
 // NewDUC builds an up-converter interpolating by interp and translating
 // baseband to normalized frequency freq.
 func NewDUC(freq, cutoff float64, ntaps, interp int) *DUC {
-	if interp < 1 {
-		panic("dsp: NewDUC interp must be >= 1")
+	if interp < 1 || ntaps > DUCTile*interp {
+		panic("dsp: NewDUC needs interp >= 1 and ntaps <= DUCTile*interp")
 	}
 	return &DUC{
 		nco: NewNCO(freq, 0),
@@ -219,9 +220,9 @@ func NewDUC(freq, cutoff float64, ntaps, interp int) *DUC {
 // input samples.
 func (u *DUC) OutLen(n int) int { return n * u.ip.l }
 
-// ducTile is how many input samples a DUC interpolates before it mixes
+// DUCTile is how many input samples a DUC interpolates before it mixes
 // their outputs, while they are still in the L1 cache.
-const ducTile = 256
+const DUCTile = 256
 
 // ProcessInto interpolates, filters and up-converts a baseband block:
 // the output is written into dst (at least OutLen(len(in)) long, not
@@ -235,7 +236,7 @@ func (u *DUC) ProcessInto(dst, in Vec) Vec { return u.ProcessRunsInto(dst, in, [
 // the previous block. The DUC's output is zero everywhere else.
 func (u *DUC) Cover(dst, runs []Span, n int) []Span {
 	add := func(lo, hi int) {
-		lo, hi = lo/ducTile*ducTile, min((hi+ducTile-1)/ducTile*ducTile, n)
+		lo, hi = lo/DUCTile*DUCTile, min((hi+DUCTile-1)/DUCTile*DUCTile, n)
 		if k := len(dst) - 1; k >= 0 && lo <= dst[k].Hi {
 			dst[k].Hi = max(dst[k].Hi, hi)
 		} else if lo < hi {
@@ -256,23 +257,41 @@ func (u *DUC) Cover(dst, runs []Span, n int) []Span {
 // of dst, where ProcessInto's output is zero, as it was. The oscillator
 // moves over the whole block, so the next block lands where it should.
 func (u *DUC) ProcessRunsInto(dst, in Vec, runs []Span) Vec {
-	n, l, n0 := len(in), u.ip.l, u.nco.n
-	dst = dst[:n*l]
-	// A span of Cover ends a filter tail past its runs or at the block's
-	// end, so the filter history is zero wherever a skip ends.
-	u.cover = u.Cover(u.cover[:0], runs, n)
+	dst = dst[:len(in)*u.ip.l]
+	u.cover = u.Cover(u.cover[:0], runs, len(in))
 	for _, c := range u.cover {
-		u.nco.n = n0 + int64(c.Lo*l)
-		for off := c.Lo; off < c.Hi; off += ducTile {
-			end := min(off+ducTile, c.Hi)
-			o := dst[off*l : end*l]
-			u.nco.MixInto(o, u.ip.processInto(o, in[off:end]))
+		for off := c.Lo; off < c.Hi; off += DUCTile {
+			u.TileInto(dst[off*u.ip.l:], in, off)
 		}
 	}
-	u.nco.n = n0 + int64(n*l)
+	u.EndBlock(in, runs)
+	return dst
+}
+
+// TileInto writes into dst, and returns, what ProcessRunsInto computes
+// for inputs off..min(off+DUCTile, len(in))-1 of the block in, one of
+// Cover's tiles. It moves no stream state, so a block's tiles may be
+// computed concurrently; EndBlock then moves the stream past the block.
+func (u *DUC) TileInto(dst, in Vec, off int) Vec {
+	end, l := min(off+DUCTile, len(in)), u.ip.l
+	if off == 0 {
+		dst = u.ip.outputs(dst, in[:end])
+	} else {
+		dst = dst[:(end-off)*l]
+		u.ip.run(dst, in[off-u.ip.j+1:end])
+	}
+	u.nco.mixAt(dst, dst, u.nco.n+int64(off*l))
+	return dst
+}
+
+// EndBlock moves the stream (filter history, oscillator, carried tail)
+// past the block in, zero outside runs, once TileInto has computed it.
+func (u *DUC) EndBlock(in Vec, runs []Span) {
+	n := len(in)
+	u.ip.push(in)
+	u.nco.n += int64(n * u.ip.l)
 	u.carry = max(u.carry-n, 0)
 	if k := len(runs) - 1; k >= 0 {
 		u.carry = max(u.carry, runs[k].Hi+u.ip.j-1-n)
 	}
-	return dst
 }

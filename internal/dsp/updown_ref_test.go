@@ -200,7 +200,8 @@ func TestDDCMatchesFilterDiscardReference(t *testing.T) {
 }
 
 // A window is the matching slice of a fresh converter's whole-block
-// output, wherever it starts, and leaves the converter's stream alone.
+// output, bit for bit, wherever it starts, and leaves the converter's
+// stream alone.
 func TestDDCWindowMatchesWholeBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, sh := range bankShapes {
@@ -215,8 +216,10 @@ func TestDDCWindowMatchesWholeBlock(t *testing.T) {
 			if len(got) != w[1]-w[0] {
 				t.Fatalf("%d taps /%d: window %v has %d samples", sh.ntaps, sh.l, w, len(got))
 			}
-			if diff := rmsDiff(got, whole[w[0]:w[1]]); diff > 1e-12 {
-				t.Fatalf("%d taps /%d: window %v RMS %g from the whole block", sh.ntaps, sh.l, w, diff)
+			for i, x := range got {
+				if !sameBits(x, whole[w[0]+i]) {
+					t.Fatalf("%d taps /%d: window %v sample %d is %v, the whole block's %v", sh.ntaps, sh.l, w, i, x, whole[w[0]+i])
+				}
 			}
 		}
 		if d.OutLen(100) != before {
@@ -259,8 +262,8 @@ type scanDUC struct {
 
 func (u *scanDUC) process(in Vec) Vec {
 	dst := NewVec(u.OutLen(len(in)))
-	for off := 0; off < len(in); off += ducTile {
-		end := min(off+ducTile, len(in))
+	for off := 0; off < len(in); off += DUCTile {
+		end := min(off+DUCTile, len(in))
 		o := dst[off*u.ip.l : end*u.ip.l]
 		if u.idle && allZero(in[off:end]) {
 			u.nco.n += int64(len(o))
@@ -291,7 +294,7 @@ func TestDUCRunsKeepTailAndPhase(t *testing.T) {
 			runs = []Span{{0, len(in)}}
 		}
 		// The block right after a busy one still carries the filter tail.
-		want := map[int]int{0: 300, 1: ducTile, 2: 0, 3: 300, 4: ducTile}[i]
+		want := map[int]int{0: 300, 1: DUCTile, 2: 0, 3: 300, 4: DUCTile}[i]
 		if cover := u.Cover(nil, runs, len(in)); len(cover) > 1 || len(cover) == 1 && cover[0] != (Span{0, want}) || len(cover) == 0 && want > 0 {
 			t.Fatalf("block %d: cover %v, want [0, %d)", i, cover, want)
 		}
@@ -338,7 +341,7 @@ func TestDUCRunsMatchScan(t *testing.T) {
 	for _, sh := range bankShapes {
 		u, ref := NewDUC(0.13, 0.09, sh.ntaps, sh.l), &scanDUC{NewDUC(0.13, 0.09, sh.ntaps, sh.l), true}
 		for b := 0; b < 40; b++ {
-			n := 1 + rng.Intn(3*ducTile)
+			n := 1 + rng.Intn(3*DUCTile)
 			if b%4 == 3 { // shorter than a filter tail
 				n = 1 + rng.Intn(20)
 			}
@@ -368,7 +371,7 @@ func TestIdleSkipIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	const blocks = 6
 	t.Run("DUC", func(t *testing.T) {
-		const n = 4 * ducTile
+		const n = 4 * DUCTile
 		u, ref := NewDUC(0.13, 0.09, 95, 4), NewDUC(0.13, 0.09, 95, 4)
 		got, want := NewVec(4*n), NewVec(4*n)
 		for b := 0; b < blocks; b++ {

@@ -154,9 +154,7 @@ func E12Impairments(cfg E12Config) *E12Result {
 				rep.DownlinkLost == 0 && rep.DownlinkBitErrs == 0,
 		}
 		res.Points = append(res.Points, p)
-		if ebn0 >= cfg.CleanAbovedB && !p.Clean {
-			res.ZeroErrors = false
-		}
+		res.ZeroErrors = res.ZeroErrors && !(ebn0 >= cfg.CleanAbovedB && !p.Clean)
 		t.Rows = append(t.Rows, Row{f("Eb/N0 %.0f dB", ebn0), []string{
 			f("%d", rep.UplinkBursts), f("%d", rep.UplinkFailures),
 			f("%d", rep.UplinkBitErrs), f("%.1e", ber),
@@ -184,9 +182,7 @@ func E12Impairments(cfg E12Config) *E12Result {
 		}
 		want /= float64(cfg.Frames)
 		ts := last.PerTerminal[i]
-		if ts.SyncBursts == 0 || math.Abs(ts.MeanAbsCFO-want) > 0.01 {
-			res.AcqOK = false
-		}
+		res.AcqOK = res.AcqOK && !(ts.SyncBursts == 0 || math.Abs(ts.MeanAbsCFO-want) > 0.01)
 	}
 
 	t.Notes = append(t.Notes,

@@ -7,11 +7,6 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Demux is the demultiplexer of Fig 2: it splits a wideband multi-carrier
-// block into per-carrier baseband streams using a bank of digital
-// down-converters, one per MF-TDMA carrier. The transmit-side dual, Mux,
-// stacks per-carrier streams onto a wideband signal.
-
 // CarrierPlan describes the frequency plan of the multi-carrier signal:
 // n carriers spaced evenly, centred on DC, at normalized spacing
 // (cycles/sample at the wideband rate).
@@ -26,13 +21,15 @@ func (p CarrierPlan) Freq(c int) float64 {
 	return (float64(c) - float64(p.Carriers-1)/2) * p.Spacing
 }
 
-// Demux is the DDC bank.
+// Demux is the demultiplexer of Fig 2: a bank of digital down-converters,
+// one per MF-TDMA carrier, that splits a wideband block into per-carrier
+// baseband streams.
 type Demux struct {
 	ddcs []*dsp.DDC
 	out  []dsp.Vec // Process's result, reused across calls
 
-	// downconvert is the per-carrier worker body, built once like
-	// Mux.upconvert; cur is its per-call argument.
+	// downconvert is Process's worker body, built once like Mux.sum; cur
+	// is its per-call argument.
 	downconvert func(int)
 	cur         dsp.Vec
 }
@@ -54,13 +51,11 @@ func NewDemux(plan CarrierPlan, ntaps int) *Demux {
 	return d
 }
 
-// Process splits a wideband block into per-carrier baseband streams.
-// The DDC bank fans out across the pipeline worker pool — one chain per
-// carrier, as in the FPGA DEMUX — and each carrier writes only its own
-// DDC state and output slot, so the result is bit-identical to a
+// Process splits a wideband block into per-carrier baseband streams,
+// one carrier per task as in the FPGA DEMUX, bit-identical to a
 // sequential loop. Output blocks come from the dsp block pool (callers
-// done with one may dsp.PutVec it); the slice holding them is the
-// Demux's own, overwritten by the next call.
+// may dsp.PutVec them); the slice holding them is the Demux's own,
+// overwritten by the next call.
 func (d *Demux) Process(wideband dsp.Vec) []dsp.Vec {
 	d.cur = wideband
 	pipeline.ForEach(len(d.ddcs), d.downconvert)
@@ -71,10 +66,9 @@ func (d *Demux) Process(wideband dsp.Vec) []dsp.Vec {
 // ProcessWindowInto down-converts only carrier c's samples lo..hi-1 (at
 // the carrier rate) of a wideband block taken as the start of a stream,
 // into dst (at least hi-lo long): the slice [lo:hi] of what a fresh
-// Demux's Process returns, for the cost of the window plus one filter
-// length. It touches no stream state, so windows may be converted
-// concurrently: a receiver that knows which slots carry bursts pays for
-// those, not for the idle grid around them.
+// Demux's Process returns, bit for bit, for the cost of the window plus
+// one filter length. It touches no stream state, so windows may be
+// converted concurrently.
 func (d *Demux) ProcessWindowInto(dst, wideband dsp.Vec, c, lo, hi int) dsp.Vec {
 	return d.ddcs[c].ProcessWindowInto(dst, wideband, lo, hi)
 }
@@ -85,17 +79,16 @@ type Mux struct {
 	ducs   []*dsp.DUC
 	whole  [][]dsp.Span // ProcessInto's runs: every carrier's whole block
 	covers [][]dsp.Span // per carrier, the tiles its DUC computes this call
-	spans  []dsp.Span   // their union, at the wideband rate
 	busy   []int        // carriers with a tile to compute this call
-	tmp    []dsp.Vec    // scratch: up-converted blocks of busy[1:] (pooled)
+	tiles  []int        // the first input of each tile some busy carrier covers
+	spans  []dsp.Span   // the same tiles merged, at the wideband rate
 
-	// upconvert is the per-busy-carrier worker body, built once so the
-	// steady state does not heap-allocate a closure per frame; cur* are
-	// its per-call arguments.
-	upconvert   func(int)
+	// sum is the per-tile worker body, built once so that a call
+	// allocates no closure; cur* are its per-call arguments.
+	sum         func(int)
 	curDst      dsp.Vec
 	curCarriers []dsp.Vec
-	curRuns     [][]dsp.Span
+	curDAC      *DAC
 }
 
 // NewMux builds the multiplexer with the same plan as the Demux.
@@ -103,20 +96,13 @@ func NewMux(plan CarrierPlan, ntaps int) *Mux {
 	if plan.Carriers < 1 {
 		panic("frontend: carrier plan needs at least one carrier")
 	}
-	m := &Mux{plan: plan, tmp: make([]dsp.Vec, plan.Carriers), busy: make([]int, 0, plan.Carriers),
+	m := &Mux{plan: plan, busy: make([]int, 0, plan.Carriers),
 		whole: make([][]dsp.Span, plan.Carriers), covers: make([][]dsp.Span, plan.Carriers)}
 	cutoff := plan.Spacing / 2 * 0.9
 	for c := 0; c < plan.Carriers; c++ {
 		m.ducs = append(m.ducs, dsp.NewDUC(plan.Freq(c), cutoff, ntaps, plan.Decim))
 	}
-	m.upconvert = func(i int) {
-		c, out := m.busy[i], m.curDst // the first busy carrier lands in dst itself
-		if i > 0 {
-			out = dsp.GetVec(len(out))
-			m.tmp[i] = out
-		}
-		m.ducs[c].ProcessRunsInto(out, m.curCarriers[c], m.curRuns[c])
-	}
+	m.sum = m.sumTile
 	return m
 }
 
@@ -137,17 +123,15 @@ func (m *Mux) ProcessInto(dst dsp.Vec, carriers []dsp.Vec) dsp.Vec {
 
 // ProcessRunsInto stacks per-carrier baseband streams (all the same
 // length) onto one wideband block in dst (at least OutLen(n) long) when
-// carrier c is zero outside runs[c] (sorted, disjoint). Work follows that
-// plan: each DUC computes only its Cover and moves its oscillator over
-// the rest. The busy DUCs fan out across the pipeline worker pool (inline
-// when at most one is busy) — one chain per carrier, as in the FPGA MUX —
-// each into its own block: the first into dst, cleared where it computes
-// nothing, the others then added to dst over their own tiles strictly in
-// carrier order, so the block is bit-identical to a sequential sum. It
-// also returns the wideband spans (sorted; the Mux's own until the next
-// call) outside of which the block is zero. Steady state performs no
-// allocations once the block pool is warm.
-func (m *Mux) ProcessRunsInto(dst dsp.Vec, carriers []dsp.Vec, runs [][]dsp.Span) (dsp.Vec, []dsp.Span) {
+// carrier c is zero outside runs[c] (sorted, disjoint), and converts the
+// block with dac if one is given. Each DUC computes only its Cover. The
+// covered tiles fan out across the worker pool: a task sums its tile over
+// the carriers in order (the first busy carrier's output, or zero where
+// it computes nothing, plus each later one's), then converts it, so the
+// block is the sequential carrier-by-carrier sum's bit for bit. It also
+// returns the wideband spans (sorted; the Mux's own until the next call)
+// outside of which the block is zero. A warm call allocates nothing.
+func (m *Mux) ProcessRunsInto(dst dsp.Vec, carriers []dsp.Vec, runs [][]dsp.Span, dac ...*DAC) (dsp.Vec, []dsp.Span) {
 	if len(carriers) != len(m.ducs) || len(runs) != len(m.ducs) {
 		panic("frontend: carrier count mismatch")
 	}
@@ -158,41 +142,70 @@ func (m *Mux) ProcessRunsInto(dst dsp.Vec, carriers []dsp.Vec, runs [][]dsp.Span
 		}
 	}
 	dst = dst[:m.OutLen(n)]
-	m.busy, m.spans = m.busy[:0], m.spans[:0]
+	m.busy = m.busy[:0]
 	for c, duc := range m.ducs {
 		if m.covers[c] = duc.Cover(m.covers[c][:0], runs[c], n); len(m.covers[c]) > 0 {
-			m.busy, m.spans = append(m.busy, c), append(m.spans, m.covers[c]...)
+			m.busy = append(m.busy, c)
+		}
+	}
+	m.tiles, m.spans = m.tiles[:0], m.spans[:0]
+	for off := 0; off < n; off += dsp.DUCTile {
+		lo, hi := off*l, min(off+dsp.DUCTile, n)*l
+		if !slices.ContainsFunc(m.busy, func(c int) bool { return covers(m.covers[c], off) }) {
+			clear(dst[lo:hi])
+			continue
+		}
+		m.tiles = append(m.tiles, off)
+		if k := len(m.spans) - 1; k >= 0 && m.spans[k].Hi == lo {
+			m.spans[k].Hi = hi
 		} else {
-			duc.ProcessRunsInto(dst, carriers[c], nil) // moves the oscillator only
+			m.spans = append(m.spans, dsp.Span{Lo: lo, Hi: hi})
 		}
 	}
-	at := 0
-	if len(m.busy) > 0 {
-		for _, s := range m.covers[m.busy[0]] {
-			clear(dst[at*l : s.Lo*l])
-			at = s.Hi
+	m.curDst, m.curCarriers, m.curDAC = dst, carriers, nil
+	if len(dac) > 0 {
+		m.curDAC = dac[0]
+	}
+	pipeline.ForEach(len(m.tiles), m.sum)
+	m.curDst, m.curCarriers, m.curDAC = nil, nil, nil
+	for c, duc := range m.ducs {
+		duc.EndBlock(carriers[c], runs[c])
+	}
+	return dst, m.spans
+}
+
+// sumTile computes the wideband tile that starts at input m.tiles[i].
+func (m *Mux) sumTile(i int) {
+	off, l := m.tiles[i], m.plan.Decim
+	out := m.curDst[off*l : min(off+dsp.DUCTile, len(m.curCarriers[0]))*l]
+	var tmp dsp.Vec // L1 scratch for every carrier after the first
+	for k, c := range m.busy {
+		switch {
+		case !covers(m.covers[c], off):
+			if k == 0 {
+				clear(out)
+			}
+		case k == 0:
+			m.ducs[c].TileInto(out, m.curCarriers[c], off)
+		default:
+			if tmp == nil {
+				tmp = dsp.GetVec(len(out))
+			}
+			out.Add(m.ducs[c].TileInto(tmp, m.curCarriers[c], off))
 		}
 	}
-	clear(dst[at*l:])
-	m.curDst, m.curCarriers, m.curRuns = dst, carriers, runs
-	pipeline.ForEach(len(m.busy), m.upconvert)
-	m.curDst, m.curCarriers, m.curRuns = nil, nil, nil
-	for i := 1; i < len(m.busy); i++ {
-		for _, s := range m.covers[m.busy[i]] {
-			dst[s.Lo*l : s.Hi*l].Add(m.tmp[i][s.Lo*l : s.Hi*l])
-		}
-		dsp.PutVec(m.tmp[i])
-		m.tmp[i] = nil
+	dsp.PutVec(tmp)
+	if m.curDAC != nil { // the block is zero elsewhere, and a zero is its own code
+		m.curDAC.ConvertInto(out, out)
 	}
-	slices.SortFunc(m.spans, func(a, b dsp.Span) int { return a.Lo - b.Lo })
-	merged := m.spans[:0]
-	for _, s := range m.spans {
-		if s.Lo, s.Hi = s.Lo*l, s.Hi*l; len(merged) > 0 && s.Lo <= merged[len(merged)-1].Hi {
-			merged[len(merged)-1].Hi = max(merged[len(merged)-1].Hi, s.Hi)
-		} else {
-			merged = append(merged, s)
+}
+
+// covers reports whether input off lies in one of spans (sorted).
+func covers(spans []dsp.Span, off int) bool {
+	for _, s := range spans {
+		if off < s.Hi {
+			return off >= s.Lo
 		}
 	}
-	m.spans = merged
-	return dst, merged
+	return false
 }

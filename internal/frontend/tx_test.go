@@ -228,3 +228,107 @@ func TestMuxRunsMatchScan(t *testing.T) {
 		}
 	}
 }
+
+// refMux is the Mux as a sequential carrier-by-carrier sum: each busy
+// carrier's DUC computes its Cover into a block of its own; the first
+// busy carrier's block is the output, zero wherever it computed nothing;
+// each later one is added over its Cover in carrier order; and the DAC
+// converts every sample some carrier covered.
+type refMux struct {
+	ducs []*dsp.DUC
+	l    int
+}
+
+func newRefMux(plan CarrierPlan, ntaps int) *refMux {
+	m := &refMux{l: plan.Decim}
+	for c := 0; c < plan.Carriers; c++ {
+		m.ducs = append(m.ducs, dsp.NewDUC(plan.Freq(c), plan.Spacing/2*0.9, ntaps, plan.Decim))
+	}
+	return m
+}
+
+func (m *refMux) process(carriers []dsp.Vec, runs [][]dsp.Span, dac *DAC) dsp.Vec {
+	n := len(carriers[0])
+	out, covered, first := dsp.NewVec(n*m.l), make([]bool, n*m.l), true
+	for c, duc := range m.ducs {
+		cover := duc.Cover(nil, runs[c], n)
+		up := dsp.NewVec(n * m.l)
+		for i := range up {
+			up[i] = complex(math.NaN(), 5) // a sample outside the Cover must not be read
+		}
+		duc.ProcessRunsInto(up, carriers[c], runs[c])
+		for _, s := range cover {
+			for i := s.Lo * m.l; i < s.Hi*m.l; i++ {
+				if first {
+					out[i] = up[i]
+				} else {
+					out[i] += up[i]
+				}
+				covered[i] = true
+			}
+		}
+		first = first && len(cover) == 0
+	}
+	for i, s := range out {
+		if covered[i] {
+			out[i] = dac.ConvertInto(dsp.Vec{s}, dsp.Vec{s})[0]
+		}
+	}
+	return out
+}
+
+// The tile-parallel Mux, summing and converting each tile in its own
+// task, is the sequential carrier-by-carrier sum bit for bit, signs of
+// zero included: at 1, 2 and 4 workers, on 3 and 6 carriers, over
+// sparse, full and empty grids, with bursts that carry a filter tail
+// into the next block and blocks that are no multiple of a tile, into a
+// block that held other samples.
+func TestMuxTilesMatchCarrierSum(t *testing.T) {
+	const slotLen = 300
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, carriers := range []int{3, 6} {
+			plan := CarrierPlan{Carriers: carriers, Spacing: 0.8 / float64(carriers), Decim: 4}
+			rng := rand.New(rand.NewSource(int64(50 + carriers)))
+			m, ref, dac := NewMux(plan, 95), newRefMux(plan, 95), NewDAC(12, 4)
+			for frame := 0; frame < 24; frame++ {
+				slots := 3 + frame%3
+				n := slots*slotLen + []int{0, 17, 64}[frame%3]
+				p := []float64{0.1, 1, 0, 0.4}[frame%4]
+				blocks, runs := make([]dsp.Vec, carriers), make([][]dsp.Span, carriers)
+				for c := range blocks {
+					blocks[c] = dsp.NewVec(n)
+					for s := 0; s < slots; s++ {
+						if rng.Float64() >= p {
+							continue
+						}
+						// A burst may run to the block's end: its tail goes on.
+						lo, hi := s*slotLen, min((s+1)*slotLen-rng.Intn(40), n)
+						if s == slots-1 && rng.Intn(2) == 0 {
+							hi = n
+						}
+						copy(blocks[c][lo:hi], randBlock(rng, hi-lo))
+						runs[c] = append(runs[c], dsp.Span{Lo: lo, Hi: hi})
+					}
+				}
+				want := ref.process(blocks, runs, dac)
+				got := dsp.NewVec(len(want))
+				for i := range got {
+					got[i] = complex(7, -7)
+				}
+				got, _ = m.ProcessRunsInto(got, blocks, runs, dac)
+				for i := range want {
+					if !sameBits(got[i], want[i]) {
+						t.Fatalf("GOMAXPROCS %d, %d carriers, frame %d, sample %d: tiles %v, carrier sum %v", procs, carriers, frame, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}

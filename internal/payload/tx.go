@@ -3,7 +3,6 @@ package payload
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/dsp"
 	"repro/internal/fec"
@@ -32,16 +31,12 @@ type Transmitter struct {
 	mux  *frontend.Mux
 	dac  *frontend.DAC
 
-	// Modulator pool: the burst format and sample rate are fixed at
-	// construction, so recycled modulators (which fully reset per burst)
-	// stand in for the bank of identical per-carrier MOD chains and let
-	// any number of concurrent workers modulate without shared state.
-	mods    sync.Pool
-	waveLen int // samples Modulate emits per burst
-
-	// encBufs pools *[]byte encode scratch for the grid fast path, so
-	// re-encoding a full frame of bursts costs no per-burst allocations.
-	encBufs sync.Pool
+	// mods[c] and encBufs[c] are carrier c's burst modulator (reset per
+	// burst) and encode scratch: the bank of per-carrier MOD chains, each
+	// touched only by the worker of its carrier.
+	mods    []*modem.BurstModulator
+	encBufs [][]byte
+	waveLen int // samples a modulated burst spans
 
 	// carrierBufs holds the per-carrier downlink waveforms of the frame
 	// under construction, from the dsp block allocator (Release returns
@@ -73,27 +68,21 @@ func NewTransmitter(pl *Payload, plan frontend.CarrierPlan) *Transmitter {
 		runs:        make([][]dsp.Span, plan.Carriers),
 		busy:        make([]int, 0, plan.Carriers),
 		errs:        make([]error, plan.Carriers),
+		mods:        make([]*modem.BurstModulator, plan.Carriers),
+		encBufs:     make([][]byte, plan.Carriers),
 	}
 	t.modulate = t.modulateCarrier
-	t.mods.New = func() any {
-		return modem.NewBurstModulator(pl.BurstFormat(), 0.35, plan.Decim, 10)
+	for c := range t.mods {
+		t.mods[c] = modem.NewBurstModulator(pl.BurstFormat(), 0.35, plan.Decim, 10)
 	}
-	t.encBufs.New = func() any {
-		b := make([]byte, 0, pl.BurstFormat().PayloadBits())
-		return &b
-	}
-	m := t.mods.Get().(*modem.BurstModulator)
-	t.waveLen = m.WaveformLen()
-	t.mods.Put(m)
+	t.waveLen = t.mods[0].WaveformLen()
 	return t
 }
 
-// encodeBurstInto encodes info bits with the active codec and pads them
-// into one downlink burst payload: it encodes into dst[:0] (growing it
-// if needed), zero-pads to the burst payload budget and returns the
-// padded slice. It fails when the coding function is down or the coded
-// stream does not fit the burst. Callers that pool their scratch
-// re-encode bursts without per-burst allocations.
+// encodeBurstInto encodes info bits with the active codec into dst[:0]
+// (growing it if needed), zero-pads them to the burst payload budget and
+// returns the padded slice. It fails when the coding function is down or
+// the coded stream does not fit the burst.
 func (t *Transmitter) encodeBurstInto(dst []byte, info []byte) ([]byte, error) {
 	if !t.pl.Chipset().FunctionHealthy(FuncCoding) {
 		return nil, ErrServiceDown
@@ -117,12 +106,10 @@ func (t *Transmitter) encodeBurstInto(dst []byte, info []byte) ([]byte, error) {
 // grid[c][s] holds the info bits of the burst for cell (carrier c, slot
 // s), nil meaning an idle cell (an all-idle grid is legal and yields the
 // empty-carrier wideband block). Work follows the grid: the busy
-// carriers are modulated across the pipeline worker pool (inline when
-// at most one is busy), each worker with its own modulator and carrier
-// buffer, and the MUX and the DAC work only where the bursts' runs
-// reach. The block is bit-identical to a sequential whole-block loop at
-// any worker count, and drawn from the dsp block pool (callers done with
-// it may dsp.PutVec it).
+// carriers are modulated one per task, then the MUX sums and converts
+// the wideband tiles their runs reach, one per task. The block is
+// bit-identical to a sequential whole-block loop at any worker count,
+// and drawn from the dsp block pool (callers may dsp.PutVec it).
 //
 // cfg supplies the slot geometry; cfg.Carriers must match the downlink
 // carrier plan and one modulated burst must fit a slot.
@@ -171,10 +158,7 @@ func (t *Transmitter) TransmitFrameGrid(cfg modem.FrameConfig, grid [][][]byte) 
 	if err != nil {
 		return nil, err
 	}
-	wide, spans := t.mux.ProcessRunsInto(dsp.GetVec(t.mux.OutLen(carrierLen)), t.carrierBufs, t.runs)
-	for _, s := range spans { // the block is zero elsewhere, and a zero is its own code
-		t.dac.ConvertInto(wide[s.Lo:s.Hi], wide[s.Lo:s.Hi])
-	}
+	wide, _ := t.mux.ProcessRunsInto(dsp.GetVec(t.mux.OutLen(carrierLen)), t.carrierBufs, t.runs, t.dac)
 	return wide, nil
 }
 
@@ -192,20 +176,16 @@ func (t *Transmitter) Release() {
 func (t *Transmitter) modulateCarrier(i int) {
 	c := t.busy[i]
 	buf := t.carrierBufs[c]
-	mod := t.mods.Get().(*modem.BurstModulator)
-	pb := t.encBufs.Get().(*[]byte)
 	for s, info := range t.curGrid[c] {
 		if info == nil {
 			continue
 		}
-		payloadBits, err := t.encodeBurstInto(*pb, info)
+		payloadBits, err := t.encodeBurstInto(t.encBufs[c], info)
 		if err != nil {
 			t.errs[i] = fmt.Errorf("carrier %d slot %d: %w", c, s, err)
 			break
 		}
-		*pb = payloadBits
-		mod.ModulateInto(buf[s*t.curSlotLen:], payloadBits)
+		t.encBufs[c] = payloadBits
+		t.mods[c].ModulateInto(buf[s*t.curSlotLen:], payloadBits)
 	}
-	t.encBufs.Put(pb)
-	t.mods.Put(mod)
 }

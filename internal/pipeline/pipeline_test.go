@@ -59,3 +59,23 @@ func TestWorkersPositive(t *testing.T) {
 		t.Fatal("worker pool must have at least one worker")
 	}
 }
+
+// A fan-out's shared state is pooled: a call allocates only the starts
+// of its worker goroutines, one each.
+func TestForEachNAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool recycling is randomized under the race detector")
+	}
+	var sink [16]int
+	fn := func(i int) { sink[i]++ }
+	for _, workers := range []int{1, 2, 4} {
+		ForEachN(workers, len(sink), fn)
+		want := float64(workers)
+		if workers == 1 {
+			want = 0
+		}
+		if n := testing.AllocsPerRun(100, func() { ForEachN(workers, len(sink), fn) }); n > want {
+			t.Fatalf("ForEachN over %d workers allocates %.1f/op, want at most %v", workers, n, want)
+		}
+	}
+}

@@ -21,7 +21,6 @@ type Campaign struct {
 
 // CampaignResult summarizes a run.
 type CampaignResult struct {
-	Steps          int
 	UpsetsInjected int
 	FramesRepaired int
 	// CorruptSteps counts steps that ended with at least one corrupted
@@ -40,7 +39,7 @@ func (c *Campaign) Run(steps int) CampaignResult {
 	if c.StepDays <= 0 {
 		panic("radiation: campaign step must be positive")
 	}
-	res := CampaignResult{Steps: steps}
+	var res CampaignResult
 	bits := c.Device.ConfigBits()
 	var occSum float64
 	for s := 0; s < steps; s++ {

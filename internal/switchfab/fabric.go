@@ -1,12 +1,10 @@
 // Package switchfab is the baseband packet switching fabric of the
 // regenerative payload — the stage that makes on-board demodulation
 // worth it ("packet switching can be performed at the satellite
-// level"). It replaces the seed's unsynchronized single-map switch with
-// per-beam shards: every downlink beam owns a lock and a set of
-// per-class ring buffers, so concurrent routers (the payload's frame
-// pipelines, one worker per carrier) contend only when they target the
-// same beam, and readers (queue probes, the downlink scheduler) are
-// safe against them. Packets are typed — payload bytes plus a
+// level"). Every downlink beam owns a shard, a lock and a set of
+// per-class ring buffers, so concurrent routers contend only when they
+// target the same beam, and readers (queue probes, the downlink
+// scheduler) are safe against them. Packets are typed — payload bytes plus a
 // traffic class, an opaque terminal token and an ingress frame stamp —
 // and the downlink side pops them through a pluggable Scheduler
 // (FIFO, strict priority with a best-effort floor, deficit round

@@ -19,32 +19,36 @@ type sentCell struct {
 }
 
 // verifySlack is how far past its slot a verified burst's window runs
-// (carrier-rate samples): room for the DUC/DDC group delays.
-const verifySlack = 160
+// (carrier-rate samples): room for the DUC/DDC group delays. verifyChunk
+// is how many carrier-rate samples one down-conversion task converts, so
+// that a frame of one or two bursts still fans out: a chunk is its run's
+// slice bit for bit (Demux.ProcessWindowInto).
+const verifySlack, verifyChunk = 160, 1024
 
 // verifyRun is one stretch of a carrier the ground receiver
-// down-converts: the windows of consecutive sent slots, merged.
+// down-converts: the windows of consecutive sent slots, merged, or one
+// chunk of such a run.
 type verifyRun struct {
 	carrier, lo, hi int     // carrier-rate samples lo..hi-1 of the frame
-	base            dsp.Vec // the down-converted stretch (pooled)
+	base            dsp.Vec // the down-converted stretch (a run's is pooled)
 }
 
 // groundReceiver is the ground station checking the downlink: a DDC
-// bank plus pooled burst demodulators, and the per-frame scratch of a
-// verify, kept so a frame allocates neither the slices nor the two
-// worker closures. It runs inside egress (on the egress goroutine) and
-// only one egress is ever in flight, so one copy serves every frame.
+// bank, pooled burst demodulators and a verify's per-frame scratch. It
+// runs inside egress, and one egress is in flight at a time, so one copy
+// serves every frame.
 type groundReceiver struct {
 	decim   int
 	slotLen int // carrier-rate samples per slot
 	demux   *frontend.Demux
 	dems    sync.Pool // burst demodulators
 
-	runs  []verifyRun
-	runOf []int         // sent burst -> index of the run holding its window
-	outs  []egressDelta // one sent burst's verdict each
+	runs   []verifyRun
+	chunks []verifyRun   // base: a slice of its run's
+	runOf  []int         // sent burst -> index of the run holding its window
+	outs   []egressDelta // one sent burst's verdict each
 
-	// downconvert and check are the two fan-out bodies (downconvertRun,
+	// downconvert and check are the two fan-out bodies (downconvertChunk,
 	// checkBurst), held as values so tests can wrap them.
 	downconvert, check func(int)
 	// per-call arguments of the two worker bodies
@@ -62,17 +66,16 @@ func newGroundReceiver(frame modem.FrameConfig, plan frontend.CarrierPlan, bf mo
 	g.dems.New = func() any {
 		return modem.NewBurstDemodulator(bf, 0.35, plan.Decim, 10, modem.TimingOerderMeyr)
 	}
-	g.downconvert, g.check = g.downconvertRun, g.checkBurst
+	g.downconvert, g.check = g.downconvertChunk, g.checkBurst
 	return g
 }
 
 // verify demodulates the transmitted wideband block and compares every
 // sent packet bit for bit — the loopback contract of the regenerative
 // loop. The receiver knows the burst time plan (sent, in carrier order,
-// slots ascending within a carrier), so it down-converts only the
-// carriers that carried a sent burst and only the runs of slots that did
-// (Demux.ProcessWindowInto): a full grid costs what whole-carrier
-// demultiplexing does, an idle one nothing.
+// slots ascending within a carrier), so it down-converts only the runs
+// of slots that carried a sent burst, verifyChunk samples a task: a full
+// grid costs what whole-carrier demultiplexing does, an idle one nothing.
 func (g *groundReceiver) verify(wide dsp.Vec, codec fec.Codec, sent []sentCell) egressDelta {
 	carrierLen := (len(wide) + g.decim - 1) / g.decim
 	g.runs, g.runOf = g.runs[:0], g.runOf[:0]
@@ -91,8 +94,17 @@ func (g *groundReceiver) verify(wide dsp.Vec, codec fec.Codec, sent []sentCell) 
 		g.outs = make([]egressDelta, len(sent))
 	}
 	g.outs = g.outs[:len(sent)]
+	g.chunks = g.chunks[:0]
+	for i := range g.runs {
+		r := &g.runs[i]
+		r.base = dsp.GetVec(r.hi - r.lo)
+		for lo := r.lo; lo < r.hi; lo += verifyChunk {
+			hi := min(lo+verifyChunk, r.hi)
+			g.chunks = append(g.chunks, verifyRun{r.carrier, lo, hi, r.base[lo-r.lo : hi-r.lo]})
+		}
+	}
 	g.wide, g.codec, g.sent = wide, codec, sent
-	pipeline.ForEach(len(g.runs), g.downconvert)
+	pipeline.ForEach(len(g.chunks), g.downconvert)
 	pipeline.ForEach(len(sent), g.check)
 	g.wide, g.codec, g.sent = nil, nil, nil
 	var d egressDelta
@@ -107,10 +119,11 @@ func (g *groundReceiver) verify(wide dsp.Vec, codec fec.Codec, sent []sentCell) 
 	return d
 }
 
-// downconvertRun down-converts run i of the frame under verification.
-func (g *groundReceiver) downconvertRun(i int) {
-	r := &g.runs[i]
-	r.base = g.demux.ProcessWindowInto(dsp.GetVec(r.hi-r.lo), g.wide, r.carrier, r.lo, r.hi)
+// downconvertChunk down-converts chunk i of the frame under
+// verification.
+func (g *groundReceiver) downconvertChunk(i int) {
+	c := &g.chunks[i]
+	g.demux.ProcessWindowInto(c.base, g.wide, c.carrier, c.lo, c.hi)
 }
 
 // checkBurst demodulates and decodes sent burst i out of its run and

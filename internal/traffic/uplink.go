@@ -13,6 +13,11 @@ import (
 // uplinkSPS is the terminals' oversampling, the payload's TDMA rate.
 const uplinkSPS = 4
 
+// uplinkChannels holds the per-burst uplink channels of every engine in
+// the process: each use reseeds one and sets all seven of its fields, so
+// a channel another engine used gives the same bits as a new one.
+var uplinkChannels = sync.Pool{New: func() any { return dsp.NewChannel(0) }}
+
 // uplinkSynth is the terminal-side transmitter bank: it turns a frame's
 // granted cells into the composed MF-TDMA uplink frame the payload
 // receives. The pools make the per-cell fan-out allocation-free; the
@@ -24,14 +29,12 @@ type uplinkSynth struct {
 	seed    int64   // Config.Seed, the root of the per-burst noise seeds
 	fc      *modem.FrameComposer
 	mods    sync.Pool // burst modulators
-	chans   sync.Pool // per-burst uplink channels (Reseed'd each use)
 	encBufs sync.Pool // *[]byte encode scratch, padded to the burst budget
 }
 
 func newUplinkSynth(cfg Config, bf modem.BurstFormat) *uplinkSynth {
 	u := &uplinkSynth{frame: cfg.Frame, ebn0dB: cfg.EbN0dB, seed: cfg.Seed}
 	u.mods.New = func() any { return modem.NewBurstModulator(bf, 0.35, uplinkSPS, 10) }
-	u.chans.New = func() any { return dsp.NewChannel(0) }
 	u.encBufs.New = func() any {
 		b := make([]byte, 0, bf.PayloadBits())
 		return &b
@@ -88,15 +91,10 @@ func (u *uplinkSynth) synthesize(pf *framePrep, plan *ingestPlan) *modem.FrameCo
 			if prof != nil && prof.EsN0dB != 0 {
 				cellEsN0 = prof.EsN0dB
 			}
-			ch := u.chans.Get().(*dsp.Channel)
+			ch := uplinkChannels.Get().(*dsp.Channel)
 			ch.Reseed(u.seed + int64(f)*100003 + int64(i))
-			ch.EsN0dB = cellEsN0
-			ch.SPS = uplinkSPS
-			ch.PhaseOffset = 0
-			ch.FreqOffset = 0
-			ch.FreqDrift = 0
-			ch.TimingOffset = 0
-			ch.Gain = 1
+			ch.EsN0dB, ch.SPS, ch.Gain = cellEsN0, uplinkSPS, 1
+			ch.PhaseOffset, ch.FreqOffset, ch.FreqDrift, ch.TimingOffset = 0, 0, 0, 0
 			if prof != nil {
 				// Frequency figures are per symbol and the channel works
 				// per sample, so CFO/Drift divide by the oversampling;
@@ -110,7 +108,7 @@ func (u *uplinkSynth) synthesize(pf *framePrep, plan *ingestPlan) *modem.FrameCo
 				}
 			}
 			ch.ApplyInPlace(wave)
-			u.chans.Put(ch)
+			uplinkChannels.Put(ch)
 		}
 		if !slotDirect {
 			fc.PlaceBurst(asg, wave)
