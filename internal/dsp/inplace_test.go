@@ -68,3 +68,19 @@ func TestVecPoolRecycles(t *testing.T) {
 		t.Fatalf("pool round-trip allocates %.1f/op", n)
 	}
 }
+
+// A size class full of blocks too small for a request still serves it
+// once the caller's own block comes back: with the class filled at its
+// smallest capacity, a round trip at its largest length stops
+// allocating after the first.
+func TestVecPoolServesEveryLengthOfAClass(t *testing.T) {
+	const lo, hi = 1 << 10, 1<<11 - 1 // the capacities of one size class
+	for recycled(lo) != nil {         // empty the class
+	}
+	for i := 0; i < vecClassKeep; i++ {
+		PutVec(make(Vec, lo))
+	}
+	if n := testing.AllocsPerRun(20, func() { PutVec(GetVec(hi)) }); n != 0 {
+		t.Fatalf("a %d-sample round trip allocates %.1f/op in a class full of %d-sample blocks", hi, n, lo)
+	}
+}

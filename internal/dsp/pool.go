@@ -42,7 +42,9 @@ func GetZeroVec(n int) Vec {
 	return make(Vec, n)
 }
 
-// recycled takes a free length-n block of n's size class, or returns nil.
+// recycled takes a free length-n block of n's size class, or returns nil;
+// a miss drops the class's oldest block (too small), so the block the
+// caller allocates instead is kept when it comes back.
 func recycled(n int) Vec {
 	c := &vecClasses[bits.Len(uint(n))]
 	c.mu.Lock()
@@ -54,6 +56,9 @@ func recycled(n int) Vec {
 			c.free = c.free[:last]
 			return v[:n]
 		}
+	}
+	if last := len(c.free) - 1; last >= 0 { // all too small: drop the oldest
+		c.free[0], c.free[last], c.free = c.free[last], nil, c.free[:last]
 	}
 	return nil
 }

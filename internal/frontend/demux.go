@@ -81,7 +81,6 @@ type Mux struct {
 	covers [][]dsp.Span // per carrier, the tiles its DUC computes this call
 	busy   []int        // carriers with a tile to compute this call
 	tiles  []int        // the first input of each tile some busy carrier covers
-	spans  []dsp.Span   // the same tiles merged, at the wideband rate
 
 	// sum is the per-tile worker body, built once so that a call
 	// allocates no closure; cur* are its per-call arguments.
@@ -117,8 +116,7 @@ func (m *Mux) ProcessInto(dst dsp.Vec, carriers []dsp.Vec) dsp.Vec {
 	for c := range m.whole {
 		m.whole[c] = append(m.whole[c][:0], dsp.Span{Hi: len(carriers[0])})
 	}
-	dst, _ = m.ProcessRunsInto(dst, carriers, m.whole)
-	return dst
+	return m.ProcessRunsInto(dst, carriers, m.whole)
 }
 
 // ProcessRunsInto stacks per-carrier baseband streams (all the same
@@ -128,10 +126,9 @@ func (m *Mux) ProcessInto(dst dsp.Vec, carriers []dsp.Vec) dsp.Vec {
 // covered tiles fan out across the worker pool: a task sums its tile over
 // the carriers in order (the first busy carrier's output, or zero where
 // it computes nothing, plus each later one's), then converts it, so the
-// block is the sequential carrier-by-carrier sum's bit for bit. It also
-// returns the wideband spans (sorted; the Mux's own until the next call)
-// outside of which the block is zero. A warm call allocates nothing.
-func (m *Mux) ProcessRunsInto(dst dsp.Vec, carriers []dsp.Vec, runs [][]dsp.Span, dac ...*DAC) (dsp.Vec, []dsp.Span) {
+// block is the sequential carrier-by-carrier sum's bit for bit. A warm
+// call allocates nothing.
+func (m *Mux) ProcessRunsInto(dst dsp.Vec, carriers []dsp.Vec, runs [][]dsp.Span, dac ...*DAC) dsp.Vec {
 	if len(carriers) != len(m.ducs) || len(runs) != len(m.ducs) {
 		panic("frontend: carrier count mismatch")
 	}
@@ -148,18 +145,12 @@ func (m *Mux) ProcessRunsInto(dst dsp.Vec, carriers []dsp.Vec, runs [][]dsp.Span
 			m.busy = append(m.busy, c)
 		}
 	}
-	m.tiles, m.spans = m.tiles[:0], m.spans[:0]
+	m.tiles = m.tiles[:0]
 	for off := 0; off < n; off += dsp.DUCTile {
-		lo, hi := off*l, min(off+dsp.DUCTile, n)*l
-		if !slices.ContainsFunc(m.busy, func(c int) bool { return covers(m.covers[c], off) }) {
-			clear(dst[lo:hi])
-			continue
-		}
-		m.tiles = append(m.tiles, off)
-		if k := len(m.spans) - 1; k >= 0 && m.spans[k].Hi == lo {
-			m.spans[k].Hi = hi
+		if slices.ContainsFunc(m.busy, func(c int) bool { return covers(m.covers[c], off) }) {
+			m.tiles = append(m.tiles, off)
 		} else {
-			m.spans = append(m.spans, dsp.Span{Lo: lo, Hi: hi})
+			clear(dst[off*l : min(off+dsp.DUCTile, n)*l])
 		}
 	}
 	m.curDst, m.curCarriers, m.curDAC = dst, carriers, nil
@@ -171,7 +162,7 @@ func (m *Mux) ProcessRunsInto(dst dsp.Vec, carriers []dsp.Vec, runs [][]dsp.Span
 	for c, duc := range m.ducs {
 		duc.EndBlock(carriers[c], runs[c])
 	}
-	return dst, m.spans
+	return dst
 }
 
 // sumTile computes the wideband tile that starts at input m.tiles[i].

@@ -215,10 +215,7 @@ func TestMuxRunsMatchScan(t *testing.T) {
 				for i := range got {
 					got[i] = complex(7, -7)
 				}
-				got, spans := m.ProcessRunsInto(got, blocks, runs)
-				for _, s := range spans {
-					dac.ConvertInto(got[s.Lo:s.Hi], got[s.Lo:s.Hi])
-				}
+				got = m.ProcessRunsInto(got, blocks, runs, dac)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("GOMAXPROCS %d, %d carriers, frame %d, sample %d: planned %v, scan %v", procs, carriers, frame, i, got[i], want[i])
@@ -317,7 +314,7 @@ func TestMuxTilesMatchCarrierSum(t *testing.T) {
 				for i := range got {
 					got[i] = complex(7, -7)
 				}
-				got, _ = m.ProcessRunsInto(got, blocks, runs, dac)
+				got = m.ProcessRunsInto(got, blocks, runs, dac)
 				for i := range want {
 					if !sameBits(got[i], want[i]) {
 						t.Fatalf("GOMAXPROCS %d, %d carriers, frame %d, sample %d: tiles %v, carrier sum %v", procs, carriers, frame, i, got[i], want[i])

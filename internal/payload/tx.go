@@ -158,8 +158,7 @@ func (t *Transmitter) TransmitFrameGrid(cfg modem.FrameConfig, grid [][][]byte) 
 	if err != nil {
 		return nil, err
 	}
-	wide, _ := t.mux.ProcessRunsInto(dsp.GetVec(t.mux.OutLen(carrierLen)), t.carrierBufs, t.runs, t.dac)
-	return wide, nil
+	return t.mux.ProcessRunsInto(dsp.GetVec(t.mux.OutLen(carrierLen)), t.carrierBufs, t.runs, t.dac), nil
 }
 
 // Release returns the carrier buffers to the dsp block allocator; the

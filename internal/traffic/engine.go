@@ -99,29 +99,18 @@ func InfoBitsFor(c fec.Codec, budget int) int {
 	return k
 }
 
-// egressGen is one generation of the egress-side frame state: the
-// downlink transmit grid and the sent-cell list the ground receiver
-// walks. Two generations alternate by frame parity, so the scheduler
-// fill of frame N+1 (control thread) writes its generation while frame
-// N's in-flight egress still reads the other.
-type egressGen struct {
-	grid [][][]byte
-	sent []sentCell
-}
-
 // framePrep is the per-frame plan handed from beginFrame through
 // ingest, fill and egress: the frame index, the codec in force, the
 // burst's coded-bit budget and the info-bit count that fits it, all
-// resolved once in the frame prologue, plus the parity-selected egress
-// generation. It travels by value to the egress goroutine, so egress never
-// re-reads engine fields the next frame's prologue may rewrite.
+// resolved once in the frame prologue. It travels by value to the egress
+// goroutine, so egress never re-reads engine fields the next frame's
+// prologue may rewrite.
 type framePrep struct {
 	f      int
 	k      int
 	budget int
 	codec  fec.Codec
 	t0     time.Time
-	gen    *egressGen
 }
 
 // egressDelta is the ground-verify outcome of one frame's egress,
@@ -185,11 +174,11 @@ type Engine struct {
 	uplink *uplinkSynth
 	ground *groundReceiver // nil unless cfg.Verify
 
-	// gens — transmit grid plus the sent-cell list the ground receiver
-	// walks — is double-buffered by frame parity (beginFrame), so the
-	// fill of frame N+1 never rewrites what frame N's in-flight egress
-	// still reads (DESIGN §12).
-	gens [2]egressGen
+	// grids[f&1] is frame f's downlink record, which the transmitter and
+	// the ground verify read: grid[beam][slot] holds a burst's info bits,
+	// nil in an idle or aggregate cell. Picked by parity, so the fill of
+	// frame N+1 never rewrites what frame N's egress reads (DESIGN §12).
+	grids [2][][][]byte
 	// fill, beam and slot are emitPacket's context while the downlink
 	// scheduler runs (the frame being filled, the next free cell); emit
 	// is emitPacket bound once, so a fill allocates no closure.
@@ -282,11 +271,10 @@ func NewPopulations(pl *payload.Payload, cfg Config, terminals []Terminal, pops 
 		return nil, err
 	}
 	e.resolveSyncConfig()
-	for gi := range e.gens {
-		g := &e.gens[gi]
-		g.grid = make([][][]byte, cfg.Frame.Carriers)
-		for c := range g.grid {
-			g.grid[c] = make([][]byte, cfg.Frame.Slots)
+	for gi := range e.grids {
+		e.grids[gi] = make([][][]byte, cfg.Frame.Carriers)
+		for c := range e.grids[gi] {
+			e.grids[gi][c] = make([][]byte, cfg.Frame.Slots)
 		}
 	}
 	if cfg.Verify {
@@ -540,9 +528,9 @@ func (e *Engine) drain() {
 
 // beginFrame is the frame prologue: it advances the frame clock, checks
 // the payload can carry traffic (a mid-reconfiguration frame counts as
-// an outage and runs no stage), resolves the codec and info-bit budget,
-// and picks the frame's egress generation by parity. ok=false means the
-// frame is already fully accounted (outage) and no stage must run.
+// an outage and runs no stage) and resolves the codec and info-bit
+// budget. ok=false means the frame is already fully accounted (outage)
+// and no stage must run.
 func (e *Engine) beginFrame() (framePrep, bool) {
 	f := e.met.Frames
 	e.met.Frames++
@@ -559,7 +547,7 @@ func (e *Engine) beginFrame() (framePrep, bool) {
 	k := InfoBitsFor(codec, budget)
 	e.pl.SetBurstCodedBits(codec.EncodedLen(k))
 
-	return framePrep{f: f, k: k, budget: budget, codec: codec, t0: e.clock(), gen: &e.gens[f&1]}, true
+	return framePrep{f: f, k: k, budget: budget, codec: codec, t0: e.clock()}, true
 }
 
 // clock starts a stage timing: the time now when StageTimers are
@@ -614,19 +602,17 @@ func (e *Engine) ingest(pf *framePrep) {
 
 // fillFrame is the ownership handoff at the fabric boundary: the
 // downlink scheduler pops queued packets into this frame's transmit
-// grid generation, beam by beam. It runs on the control thread between
-// ingest and egress dispatch: the fill is the one downlink-side stage
-// that must not overlap the next frame's ingest, because backpressure
-// admission (grant) reads the post-fill queue depths. After fillFrame
-// returns, every report counter of the frame except the deferred
-// ground-verify outcome is final — that is the snapshot the per-frame
-// observers read.
+// grid, beam by beam. It runs on the control thread between ingest and
+// egress dispatch: the fill is the one downlink-side stage that must
+// not overlap the next frame's ingest, because backpressure admission
+// (grant) reads the post-fill queue depths. After fillFrame returns,
+// every report counter of the frame except the deferred ground-verify
+// outcome is final — that is the snapshot the per-frame observers read.
 func (e *Engine) fillFrame(pf *framePrep) {
 	t := e.clock()
-	g := pf.gen
-	e.fill, g.sent = *pf, g.sent[:0]
-	for b := range g.grid {
-		clear(g.grid[b])
+	e.fill = *pf
+	for b, slots := range e.grids[pf.f&1] {
+		clear(slots)
 		e.beam, e.slot = b, 0
 		e.fab.Schedule(e.cfg.Scheduler, b, e.cfg.Frame.Slots, e.emit)
 	}
@@ -634,22 +620,23 @@ func (e *Engine) fillFrame(pf *framePrep) {
 }
 
 // egress is the frame's second half-stage — wideband transmit of the
-// filled grid generation and the optional ground verify. It reads only
-// the framePrep, its egress generation, the transmitter's own buffers
-// and the ground receiver, and writes nothing the control thread
-// shares, so it runs on its own goroutine while the control thread
-// ingests the next frame; the verify outcome comes back as a delta for
-// the caller to fold rather than racing the shared report.
+// filled grid and the optional ground verify. It reads only the
+// framePrep, its grid, the transmitter's own buffers and the ground
+// receiver, and writes nothing the control thread shares, so it runs on
+// its own goroutine while the control thread ingests the next frame;
+// the verify outcome comes back as a delta for the caller to fold
+// rather than racing the shared report.
 func (e *Engine) egress(pf *framePrep) (egressDelta, error) {
 	t := e.clock()
-	wide, err := e.tx.TransmitFrameGrid(e.cfg.Frame, pf.gen.grid)
+	grid := e.grids[pf.f&1]
+	wide, err := e.tx.TransmitFrameGrid(e.cfg.Frame, grid)
 	if err != nil {
 		return egressDelta{}, fmt.Errorf("traffic: frame %d downlink: %w", pf.f, err)
 	}
 	t = e.lap(StageTransmit, t)
 	var d egressDelta
 	if e.ground != nil {
-		d = e.ground.verify(wide, pf.codec, pf.gen.sent)
+		d = e.ground.verify(wide, pf.codec, grid)
 		e.lap(StageVerify, t)
 	}
 	dsp.PutVec(wide)
@@ -675,9 +662,7 @@ func (e *Engine) emitPacket(p switchfab.Packet) bool {
 	if ps, ok := p.Term.(*popState); ok {
 		ps.dlv.add(bits, lat)
 	} else {
-		cell := modem.SlotAssignment{Carrier: e.beam, Slot: e.slot}
-		pf.gen.grid[cell.Carrier][cell.Slot] = p.Bits
-		pf.gen.sent = append(pf.gen.sent, sentCell{pkt: p, cell: cell})
+		e.grids[pf.f&1][e.beam][e.slot] = p.Bits
 		if ts, ok := p.Term.(*termState); ok {
 			ts.stat.DeliveredBits += bits
 		}

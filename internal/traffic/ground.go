@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/dsp"
@@ -8,15 +9,7 @@ import (
 	"repro/internal/frontend"
 	"repro/internal/modem"
 	"repro/internal/pipeline"
-	"repro/internal/switchfab"
 )
-
-// sentCell is one downlink burst of a frame: the packet and the grid
-// cell it was transmitted in.
-type sentCell struct {
-	pkt  switchfab.Packet
-	cell modem.SlotAssignment
-}
 
 // verifySlack is how far past its slot a verified burst's window runs
 // (carrier-rate samples): room for the DUC/DDC group delays. verifyChunk
@@ -33,6 +26,12 @@ type verifyRun struct {
 	base            dsp.Vec // the down-converted stretch (a run's is pooled)
 }
 
+// sentBurst is a burst under verification: its cell and its run's index.
+type sentBurst struct {
+	cell modem.SlotAssignment
+	run  int
+}
+
 // groundReceiver is the ground station checking the downlink: a DDC
 // bank, pooled burst demodulators and a verify's per-frame scratch. It
 // runs inside egress, and one egress is in flight at a time, so one copy
@@ -45,7 +44,7 @@ type groundReceiver struct {
 
 	runs   []verifyRun
 	chunks []verifyRun   // base: a slice of its run's
-	runOf  []int         // sent burst -> index of the run holding its window
+	bursts []sentBurst   // the grid's busy cells, in carrier order, slots ascending
 	outs   []egressDelta // one sent burst's verdict each
 
 	// downconvert and check are the two fan-out bodies (downconvertChunk,
@@ -54,7 +53,7 @@ type groundReceiver struct {
 	// per-call arguments of the two worker bodies
 	wide  dsp.Vec
 	codec fec.Codec
-	sent  []sentCell
+	grid  [][][]byte
 }
 
 func newGroundReceiver(frame modem.FrameConfig, plan frontend.CarrierPlan, bf modem.BurstFormat) *groundReceiver {
@@ -71,29 +70,31 @@ func newGroundReceiver(frame modem.FrameConfig, plan frontend.CarrierPlan, bf mo
 }
 
 // verify demodulates the transmitted wideband block and compares every
-// sent packet bit for bit — the loopback contract of the regenerative
-// loop. The receiver knows the burst time plan (sent, in carrier order,
-// slots ascending within a carrier), so it down-converts only the runs
-// of slots that carried a sent burst, verifyChunk samples a task: a full
-// grid costs what whole-carrier demultiplexing does, an idle one nothing.
-func (g *groundReceiver) verify(wide dsp.Vec, codec fec.Codec, sent []sentCell) egressDelta {
+// burst of the downlink grid bit for bit — the loopback contract of the
+// regenerative loop. The receiver knows the burst time plan (the grid's
+// busy cells), so it down-converts only the runs of slots that carried a
+// burst, verifyChunk samples a task: a full grid costs what
+// whole-carrier demultiplexing does, an idle one nothing.
+func (g *groundReceiver) verify(wide dsp.Vec, codec fec.Codec, grid [][][]byte) egressDelta {
 	carrierLen := (len(wide) + g.decim - 1) / g.decim
-	g.runs, g.runOf = g.runs[:0], g.runOf[:0]
-	for _, sc := range sent {
-		// Overlapping windows are neighbours in sent's order.
-		lo := sc.cell.Slot * g.slotLen
-		hi := min(lo+g.slotLen+verifySlack, carrierLen)
-		if n := len(g.runs); n > 0 && g.runs[n-1].carrier == sc.cell.Carrier && lo <= g.runs[n-1].hi {
-			g.runs[n-1].hi = hi
-		} else {
-			g.runs = append(g.runs, verifyRun{carrier: sc.cell.Carrier, lo: lo, hi: hi})
+	g.runs, g.bursts = g.runs[:0], g.bursts[:0]
+	for c, slots := range grid {
+		for s, bits := range slots {
+			if bits == nil {
+				continue
+			}
+			// Overlapping windows are neighbours in grid order.
+			lo := s * g.slotLen
+			hi := min(lo+g.slotLen+verifySlack, carrierLen)
+			if n := len(g.runs); n > 0 && g.runs[n-1].carrier == c && lo <= g.runs[n-1].hi {
+				g.runs[n-1].hi = hi
+			} else {
+				g.runs = append(g.runs, verifyRun{carrier: c, lo: lo, hi: hi})
+			}
+			g.bursts = append(g.bursts, sentBurst{modem.SlotAssignment{Carrier: c, Slot: s}, len(g.runs) - 1})
 		}
-		g.runOf = append(g.runOf, len(g.runs)-1)
 	}
-	if cap(g.outs) < len(sent) {
-		g.outs = make([]egressDelta, len(sent))
-	}
-	g.outs = g.outs[:len(sent)]
+	g.outs = slices.Grow(g.outs[:0], len(g.bursts))[:len(g.bursts)]
 	g.chunks = g.chunks[:0]
 	for i := range g.runs {
 		r := &g.runs[i]
@@ -103,10 +104,10 @@ func (g *groundReceiver) verify(wide dsp.Vec, codec fec.Codec, sent []sentCell) 
 			g.chunks = append(g.chunks, verifyRun{r.carrier, lo, hi, r.base[lo-r.lo : hi-r.lo]})
 		}
 	}
-	g.wide, g.codec, g.sent = wide, codec, sent
+	g.wide, g.codec, g.grid = wide, codec, grid
 	pipeline.ForEach(len(g.chunks), g.downconvert)
-	pipeline.ForEach(len(sent), g.check)
-	g.wide, g.codec, g.sent = nil, nil, nil
+	pipeline.ForEach(len(g.bursts), g.check)
+	g.wide, g.codec, g.grid = nil, nil, nil
 	var d egressDelta
 	for _, o := range g.outs {
 		d.lost += o.lost
@@ -126,12 +127,12 @@ func (g *groundReceiver) downconvertChunk(i int) {
 	g.demux.ProcessWindowInto(c.base, g.wide, c.carrier, c.lo, c.hi)
 }
 
-// checkBurst demodulates and decodes sent burst i out of its run and
-// records the verdict.
+// checkBurst demodulates and decodes burst i out of its run, compares
+// it with its grid cell's bits and records the verdict.
 func (g *groundReceiver) checkBurst(i int) {
-	sc := g.sent[i]
-	r := &g.runs[g.runOf[i]]
-	start := sc.cell.Slot*g.slotLen - r.lo
+	b := g.bursts[i]
+	r := &g.runs[b.run]
+	start := b.cell.Slot*g.slotLen - r.lo
 	end := min(start+g.slotLen+verifySlack, len(r.base))
 	dem := g.dems.Get().(*modem.BurstDemodulator)
 	defer g.dems.Put(dem) // after the decode: the soft bits are its buffer
@@ -143,7 +144,7 @@ func (g *groundReceiver) checkBurst(i int) {
 	// The ground receiver decodes hard decisions: slice the signs
 	// into the saturated ±10 LLRs fec.HardLLR(modem.HardBits(soft))
 	// would build, in place.
-	bits := sc.pkt.Bits
+	bits := g.grid[b.cell.Carrier][b.cell.Slot]
 	llr := res.Soft[:g.codec.EncodedLen(len(bits))]
 	for j, s := range llr {
 		llr[j] = 10

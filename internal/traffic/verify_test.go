@@ -56,10 +56,10 @@ func TestVerifyConvertsSentRunsOnly(t *testing.T) {
 			carrierLen = len(whole[0])
 			converted = append(converted, 0)
 			// Every sent burst's window lies inside the run it maps to.
-			for j, sc := range v.sent {
-				r := &v.runs[v.runOf[j]] // other workers are writing base: read the bounds only
-				lo := sc.cell.Slot * v.slotLen
-				if r.carrier != sc.cell.Carrier || lo < r.lo || min(lo+v.slotLen+verifySlack, carrierLen) > r.hi {
+			for _, b := range v.bursts {
+				r := &v.runs[b.run] // other workers are writing base: read the bounds only
+				lo := b.cell.Slot * v.slotLen
+				if r.carrier != b.cell.Carrier || lo < r.lo || min(lo+v.slotLen+verifySlack, carrierLen) > r.hi {
 					uncovered++
 				}
 			}
