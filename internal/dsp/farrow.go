@@ -12,9 +12,9 @@ func (Farrow) Interp(x0, x1, x2, x3 complex128, mu float64) complex128 {
 	// Cubic Lagrange coefficients (Farrow structure, basepoint x1).
 	m := complex(mu, 0)
 	c0 := x1
-	c1 := x2 - divReal(x0, 3) - divReal(x1, 2) - divReal(x3, 6)
-	c2 := divReal(x0+x2, 2) - x1
-	c3 := divReal(x3-x0, 6) + divReal(x1-x2, 2)
+	c1 := x2 - divReal(x0, 3) - halve(x1) - divReal(x3, 6)
+	c2 := halve(x0+x2) - x1
+	c3 := divReal(x3-x0, 6) + halve(x1-x2)
 	return ((c3*m+c2)*m+c1)*m + c0
 }
 
@@ -25,6 +25,13 @@ func (Farrow) Interp(x0, x1, x2, x3 complex128, mu float64) complex128 {
 func divReal(n complex128, d float64) complex128 {
 	re, im := real(n), imag(n)
 	return complex((re+im*0)/d, (im-re*0)/d)
+}
+
+// halve is divReal(n, 2) multiplying by 0.5, which is exact: product
+// and quotient are one real number, rounded alike.
+func halve(n complex128) complex128 {
+	re, im := real(n), imag(n)
+	return complex((re+im*0)*0.5, (im-re*0)*0.5)
 }
 
 // InterpAt resamples the block x at fractional index pos (0 <= pos <=

@@ -75,6 +75,44 @@ func TestFarrowInterpMatchesReferenceBits(t *testing.T) {
 	}
 }
 
+// divInterp is Interp with its halvings written as divReal(·, 2), the
+// reference for halve on every input, non-finite ones included.
+func divInterp(x0, x1, x2, x3 complex128, mu float64) complex128 {
+	m := complex(mu, 0)
+	c0 := x1
+	c1 := x2 - divReal(x0, 3) - divReal(x1, 2) - divReal(x3, 6)
+	c2 := divReal(x0+x2, 2) - x1
+	c3 := divReal(x3-x0, 6) + divReal(x1-x2, 2)
+	return ((c3*m+c2)*m+c1)*m + c0
+}
+
+func TestFarrowHalveMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	specials := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1.8p-1070,
+		0x1.fffp-1023, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64}
+	draw := func() float64 {
+		if rng.Intn(3) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return math.Ldexp(rng.NormFloat64(), rng.Intn(2100)-1075) // subnormal to overflowing
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	var f Farrow
+	for n := 0; n < 200000; n++ {
+		x0, x1, x2, x3 := complex(draw(), draw()), complex(draw(), draw()), complex(draw(), draw()), complex(draw(), draw())
+		mu := []float64{0, math.Copysign(0, -1), rng.Float64()}[rng.Intn(3)]
+		got, want := f.Interp(x0, x1, x2, x3, mu), divInterp(x0, x1, x2, x3, mu)
+		if !same(real(got), real(want)) || !same(imag(got), imag(want)) {
+			t.Fatalf("Interp(%v, %v, %v, %v, %v) = %v, divided %v", x0, x1, x2, x3, mu, got, want)
+		}
+		if h, d := halve(x1), divReal(x1, 2); !same(real(h), real(d)) || !same(imag(h), imag(d)) {
+			t.Fatalf("halve(%v) = %v, divReal %v", x1, h, d)
+		}
+	}
+}
+
 func TestFarrowInterpAtMatchesReferenceBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var f Farrow

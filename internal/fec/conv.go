@@ -114,9 +114,10 @@ func (c *ConvCode) freeDistance() int {
 // caller resolving a codec by design name (per decoded burst on the
 // payload hot path) gets the same tables, interleavers and warm pool.
 var (
-	umtsConvHalf  = NewConvCode("conv-r1/2-k9", 9, 0o561, 0o753)
-	umtsConvThird = NewConvCode("conv-r1/3-k9", 9, 0o557, 0o663, 0o711)
-	umtsTurbo     = NewTurbo(6)
+	umtsConvHalf      = NewConvCode("conv-r1/2-k9", 9, 0o561, 0o753)
+	umtsConvThird     = NewConvCode("conv-r1/3-k9", 9, 0o557, 0o663, 0o711)
+	umtsTurbo         = NewTurbo(6)
+	umtsConvTwoThirds = NewPunctured("conv-r2/3-k9p", umtsConvHalf, Rate23FromHalf)
 )
 
 // UMTSConvHalf returns the UMTS K=9 rate-1/2 code.
@@ -145,11 +146,8 @@ func (c *ConvCode) Encode(info []byte) []byte {
 	return c.AppendEncode(make([]byte, 0, c.EncodedLen(len(info))), info)
 }
 
-// AppendEncode appends the zero-terminated encoding of info to dst and
-// returns the extended slice — the allocation-free fast path for callers
-// that own a scratch buffer (the payload transmitter and traffic engine
-// encode every burst through it). Runs entirely off the precomputed
-// trellis tables: one table lookup per input bit, no per-bit parity work.
+// AppendEncode implements Codec off the precomputed trellis tables: one
+// table lookup per input bit, no per-bit parity work.
 func (c *ConvCode) AppendEncode(dst []byte, info []byte) []byte {
 	n := len(c.gens)
 	state := 0
@@ -173,7 +171,7 @@ func (c *ConvCode) AppendEncode(dst []byte, info []byte) []byte {
 	return dst
 }
 
-// CheckDecodeLen implements DecodeLenChecker: a whole number of trellis
+// CheckDecodeLen implements Codec: a whole number of trellis
 // steps, at least the K-1 of the tail.
 func (c *ConvCode) CheckDecodeLen(n int) error {
 	if n%len(c.gens) != 0 {
@@ -190,19 +188,24 @@ func (c *ConvCode) CheckDecodeLen(n int) error {
 // length CheckDecodeLen rejects. A codeword whose repaired hard decisions
 // are certified maximum-likelihood skips the full trellis search (see
 // candidate and certified); the output is the same either way.
-func (c *ConvCode) Decode(llr []float64) []byte {
+func (c *ConvCode) Decode(llr []float64) []byte { return c.AppendDecode(nil, llr) }
+
+// AppendDecode implements Codec: Decode appended to dst.
+func (c *ConvCode) AppendDecode(dst []byte, llr []float64) []byte {
 	if err := c.CheckDecodeLen(len(llr)); err != nil {
 		panic(err)
 	}
 	vb := c.getViterbiBuf(len(llr) / len(c.gens))
 	qmax := quantMaxFor(len(llr))
 	quantizeLLR(vb.q, llr, qmax)
-	out := make([]byte, len(llr)/len(c.gens)-(c.k-1))
+	base, k := len(dst), len(llr)/len(c.gens)-(c.k-1)
+	dst = slices.Grow(dst, k)[:base+k]
+	out := dst[base:]
 	if w := candidate(c, vb, qmax, vb.path); w == 0 || w > 0 && certified(c, vb, vb.path) {
 		copy(out, vb.path)
 	} else {
 		viterbi(c, vb, vb.q, qmax, 0, 0, out)
 	}
 	c.vbPool.Put(vb)
-	return out
+	return dst
 }

@@ -1,11 +1,12 @@
 package fec
 
+import "hash/crc32"
+
 // CRC generators. The paper uses CRCs in two distinct places: inside the
 // transmission chain (frame integrity) and as the auto-test of a freshly
 // loaded FPGA configuration, whose value is reported to the NCC over
 // telemetry (§3.1, §3.2). Both the CCITT 16-bit and the IEEE 32-bit
-// polynomials are provided, implemented table-free so the same routine can
-// be "synthesized" onto the simulated FPGA netlist engine.
+// polynomials are provided.
 
 // CRC16CCITT computes the CRC-16/CCITT-FALSE checksum (poly 0x1021,
 // init 0xFFFF, no reflection, no final xor) over data.
@@ -25,22 +26,8 @@ func CRC16CCITT(data []byte) uint16 {
 }
 
 // CRC32IEEE computes the CRC-32 (poly 0xEDB88320 reflected, init ^0,
-// final ^0) checksum over data; bit-serial implementation compatible with
-// hash/crc32's IEEE table.
-func CRC32IEEE(data []byte) uint32 {
-	crc := ^uint32(0)
-	for _, b := range data {
-		crc ^= uint32(b)
-		for i := 0; i < 8; i++ {
-			if crc&1 != 0 {
-				crc = crc>>1 ^ 0xEDB88320
-			} else {
-				crc >>= 1
-			}
-		}
-	}
-	return ^crc
-}
+// final ^0) checksum over data, hash/crc32's IEEE checksum.
+func CRC32IEEE(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
 // AppendCRC16 returns data with its big-endian CRC-16/CCITT appended.
 func AppendCRC16(data []byte) []byte {

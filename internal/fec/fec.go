@@ -24,50 +24,27 @@ type Codec interface {
 	Rate() float64
 	// Encode maps information bits to coded bits.
 	Encode(info []byte) []byte
+	// AppendEncode appends Encode(info)'s bits to dst and returns the
+	// extended slice.
+	AppendEncode(dst, info []byte) []byte
 	// Decode maps received soft values (one LLR per coded bit, positive
 	// meaning bit 0) back to information bits.
 	Decode(llr []float64) []byte
+	// AppendDecode appends Decode(llr)'s bits to dst and returns the
+	// extended slice, allocation-free when dst has room.
+	AppendDecode(dst []byte, llr []float64) []byte
 	// EncodedLen returns the number of coded bits produced for k info bits.
 	EncodedLen(k int) int
-}
-
-// AppendEncoder is implemented by codecs that can encode into a
-// caller-owned buffer without allocating (see ConvCode.AppendEncode).
-type AppendEncoder interface {
-	// AppendEncode appends the encoding of info to dst and returns the
-	// extended slice.
-	AppendEncode(dst, info []byte) []byte
-}
-
-// AppendEncode encodes info with c into dst, using the codec's
-// allocation-free fast path when it has one and falling back to
-// Encode+append otherwise. Hot paths that own an encode scratch buffer
-// call this instead of Encode.
-func AppendEncode(c Codec, dst, info []byte) []byte {
-	if ae, ok := c.(AppendEncoder); ok {
-		return ae.AppendEncode(dst, info)
-	}
-	return append(dst, c.Encode(info)...)
-}
-
-// DecodeLenChecker is implemented by codecs whose Decode accepts only some
-// input lengths and panics on the rest.
-type DecodeLenChecker interface {
 	// CheckDecodeLen returns nil if Decode accepts n soft values, else an
-	// error naming the constraint n breaks.
+	// error naming the constraint n breaks (Decode panics on it): callers
+	// decoding received data check first, so a burst of the wrong length
+	// is an error of that burst.
 	CheckDecodeLen(n int) error
 }
 
-// CheckDecodeLen reports whether c.Decode accepts n soft values. Callers
-// decoding received data check first, so a burst of the wrong length is an
-// error of that burst and not a panic inside the decoder; a codec without
-// length constraints accepts every n.
-func CheckDecodeLen(c Codec, n int) error {
-	if lc, ok := c.(DecodeLenChecker); ok {
-		return lc.CheckDecodeLen(n)
-	}
-	return nil
-}
+// AppendEncode is c.AppendEncode(dst, info), for callers of the
+// function form.
+func AppendEncode(c Codec, dst, info []byte) []byte { return c.AppendEncode(dst, info) }
 
 // Uncoded is the pass-through scheme ("some transmissions can accept a
 // non-coded mode", §2.3).
@@ -84,19 +61,28 @@ func (Uncoded) Encode(info []byte) []byte {
 	return slices.Clone(info)
 }
 
+// AppendEncode implements Codec.
+func (Uncoded) AppendEncode(dst, info []byte) []byte { return append(dst, info...) }
+
 // Decode implements Codec: hard decision on each LLR.
-func (Uncoded) Decode(llr []float64) []byte {
-	out := make([]byte, len(llr))
-	for i, l := range llr {
+func (u Uncoded) Decode(llr []float64) []byte { return u.AppendDecode(nil, llr) }
+
+// AppendDecode implements Codec.
+func (Uncoded) AppendDecode(dst []byte, llr []float64) []byte {
+	for _, l := range llr {
+		dst = append(dst, 0)
 		if l < 0 {
-			out[i] = 1
+			dst[len(dst)-1] = 1
 		}
 	}
-	return out
+	return dst
 }
 
 // EncodedLen implements Codec.
 func (Uncoded) EncodedLen(k int) int { return k }
+
+// CheckDecodeLen implements Codec: every length decodes.
+func (Uncoded) CheckDecodeLen(int) error { return nil }
 
 // HardLLR converts hard bits to saturated LLRs (for loopback tests).
 func HardLLR(bits []byte) []float64 {

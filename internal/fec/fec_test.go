@@ -1,6 +1,7 @@
 package fec
 
 import (
+	"bytes"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -295,8 +296,9 @@ func TestTurboIterationsImprove(t *testing.T) {
 }
 
 func TestCodecInterfaceCompliance(t *testing.T) {
-	codecs := []Codec{Uncoded{}, UMTSConvHalf(), UMTSConvThird(), NewTurbo(4)}
+	codecs := []Codec{Uncoded{}, UMTSConvHalf(), UMTSConvThird(), UMTSConvTwoThirds(), NewTurbo(4)}
 	rng := rand.New(rand.NewSource(11))
+	stale := bytes.Repeat([]byte{7}, 512)
 	for _, c := range codecs {
 		info := randBits(rng, 64)
 		enc := c.Encode(info)
@@ -309,6 +311,13 @@ func TestCodecInterfaceCompliance(t *testing.T) {
 		dec := c.Decode(HardLLR(enc))
 		if CountBitErrors(info, dec) != 0 {
 			t.Fatalf("%s noiseless round trip", c.Name())
+		}
+		// AppendDecode writes every bit it appends: a reused buffer's
+		// stale bytes beyond the prefix never show.
+		llr := noisyLLR(rng, enc, 1, c.Rate())
+		got := c.AppendDecode(stale[:3], llr)
+		if want := c.Decode(llr); !bytes.Equal(got[:3], []byte{7, 7, 7}) || !bytes.Equal(got[3:], want) {
+			t.Fatalf("%s: AppendDecode into a used buffer differs from Decode", c.Name())
 		}
 	}
 }

@@ -101,9 +101,7 @@ func NewPunctured(name string, mother *ConvCode, pattern PuncturePattern) *Punct
 }
 
 // UMTSConvTwoThirds returns the K=9 rate-2/3 punctured code.
-func UMTSConvTwoThirds() *PuncturedCode {
-	return NewPunctured("conv-r2/3-k9p", UMTSConvHalf(), Rate23FromHalf)
-}
+func UMTSConvTwoThirds() *PuncturedCode { return umtsConvTwoThirds }
 
 // Name implements Codec.
 func (c *PuncturedCode) Name() string { return c.name }
@@ -128,7 +126,10 @@ func (c *PuncturedCode) Encode(info []byte) []byte {
 	return Puncture(c.mother.Encode(info), c.pattern)
 }
 
-// CheckDecodeLen implements DecodeLenChecker: the reconstructed
+// AppendEncode implements Codec.
+func (c *PuncturedCode) AppendEncode(dst, info []byte) []byte { return append(dst, c.Encode(info)...) }
+
+// CheckDecodeLen implements Codec: the reconstructed
 // mother-code length must cover the mother code's tail.
 func (c *PuncturedCode) CheckDecodeLen(n int) error {
 	return c.mother.CheckDecodeLen(c.motherLenFor(n))
@@ -137,9 +138,12 @@ func (c *PuncturedCode) CheckDecodeLen(n int) error {
 // Decode implements Codec. The caller must pass exactly EncodedLen(k)
 // soft values for some k; the mother-code length is reconstructed from
 // the pattern.
-func (c *PuncturedCode) Decode(llr []float64) []byte {
+func (c *PuncturedCode) Decode(llr []float64) []byte { return c.AppendDecode(nil, llr) }
+
+// AppendDecode implements Codec: Decode appended to dst.
+func (c *PuncturedCode) AppendDecode(dst []byte, llr []float64) []byte {
 	n := c.motherLenFor(len(llr))
-	return c.mother.Decode(Depuncture(llr, c.pattern, n))
+	return c.mother.AppendDecode(dst, Depuncture(llr, c.pattern, n))
 }
 
 // motherLenFor inverts EncodedLen: the unpunctured length whose kept

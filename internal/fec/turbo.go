@@ -111,7 +111,7 @@ func (t *TurboCode) AppendEncode(dst, info []byte) []byte {
 	return dst
 }
 
-// CheckDecodeLen implements DecodeLenChecker: 3k data values plus the 12
+// CheckDecodeLen implements Codec: 3k data values plus the 12
 // of the two terminations.
 func (t *TurboCode) CheckDecodeLen(n int) error {
 	if n < 12 || (n-12)%3 != 0 {
@@ -141,15 +141,21 @@ func (t *TurboCode) getBuf(n int) *turboBuf {
 // on a length CheckDecodeLen rejects. If the signs already form a codeword
 // (see isCodeword), each SISO's best path is that codeword and every
 // extrinsic agrees with it, so its info bits are returned untouched.
-func (t *TurboCode) Decode(llr []float64) []byte {
+func (t *TurboCode) Decode(llr []float64) []byte { return t.AppendDecode(nil, llr) }
+
+// AppendDecode implements Codec: Decode appended to dst.
+func (t *TurboCode) AppendDecode(dst []byte, llr []float64) []byte {
 	if err := t.CheckDecodeLen(len(llr)); err != nil {
 		panic(err)
 	}
 	n := (len(llr) - 12) / 3
 	tb := t.getBuf(n)
 	defer t.bufPool.Put(tb)
-	out := make([]byte, n)
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
+	out := dst[base:]
 	for i := range out {
+		out[i] = 0
 		if llr[3*i] < 0 {
 			out[i] = 1
 		}
@@ -157,7 +163,7 @@ func (t *TurboCode) Decode(llr []float64) []byte {
 	if !t.isCodeword(tb, llr, out) {
 		t.iterate(tb, llr, out)
 	}
-	return out
+	return dst
 }
 
 // iterate runs the iterative decode of llr and writes its decisions to out.

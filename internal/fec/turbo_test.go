@@ -326,7 +326,11 @@ func TestTurboAllocs(t *testing.T) {
 		}
 		noisy := noisyLLR(rng, dst, 2, tc.Rate())
 		hard := HardLLR(dst)
+		out := make([]byte, 0, k)
 		for name, llr := range map[string][]float64{"noisy": noisy, "hard": hard} {
+			if a := testing.AllocsPerRun(20, func() { out = tc.AppendDecode(out[:0], llr) }); a != 0 {
+				t.Fatalf("k=%d, %s: AppendDecode allocates %v times, want 0", k, name, a)
+			}
 			if a := testing.AllocsPerRun(20, func() { tc.Decode(llr) }); a != 1 {
 				t.Fatalf("k=%d, %s: Decode allocates %v times, want 1 (its output)", k, name, a)
 			}

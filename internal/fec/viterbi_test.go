@@ -217,7 +217,7 @@ func TestCheckDecodeLen(t *testing.T) {
 		{UMTSConvTwoThirds(), 12, true}, {UMTSConvTwoThirds(), 11, false},
 		{Uncoded{}, 0, true}, {Uncoded{}, 5, true},
 	} {
-		if err := CheckDecodeLen(tc.c, tc.n); (err == nil) != tc.fits {
+		if err := tc.c.CheckDecodeLen(tc.n); (err == nil) != tc.fits {
 			t.Errorf("%s, %d soft values: fits = %v, err = %v", tc.c.Name(), tc.n, tc.fits, err)
 		}
 	}
@@ -235,6 +235,22 @@ func fuzzCodes() []*ConvCode {
 // path as likely as the float64 reference's within the quantisation
 // tolerance. raw is read as little-endian float64s and trimmed to a whole
 // number of trellis steps (padded with erasures up to the tail).
+func TestConvAppendDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	rng := rand.New(rand.NewSource(37))
+	for _, c := range []*ConvCode{UMTSConvHalf(), UMTSConvThird()} {
+		enc := c.Encode(randBits(rng, 192))
+		out := make([]byte, 0, 192)
+		for name, llr := range map[string][]float64{"noisy": noisyLLR(rng, enc, 2, c.Rate()), "hard": HardLLR(enc)} {
+			if a := testing.AllocsPerRun(20, func() { out = c.AppendDecode(out[:0], llr) }); a != 0 {
+				t.Fatalf("%s, %s: AppendDecode allocates %v times, want 0", c.Name(), name, a)
+			}
+		}
+	}
+}
+
 func FuzzConvDecode(f *testing.F) {
 	// The seed corpus proper is testdata/fuzz/FuzzConvDecode: Gaussian,
 	// NaN/±Inf-salted, all-Inf, all-zero, extreme-magnitude and

@@ -39,7 +39,8 @@ func (s *SlotScheduler) Allocated() int {
 }
 
 // Request allocates n cells to the terminal, returning the assignments
-// or an error when the frame is full.
+// or an error when the frame is full. The returned slice is the tail of
+// the terminal's holdings, valid until its next Request or Release.
 func (s *SlotScheduler) Request(terminal string, n int) ([]SlotAssignment, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("modem: request of %d cells", n)
@@ -47,25 +48,26 @@ func (s *SlotScheduler) Request(terminal string, n int) ([]SlotAssignment, error
 	if s.Capacity()-s.Allocated() < n {
 		return nil, fmt.Errorf("modem: frame full (%d/%d allocated)", s.Allocated(), s.Capacity())
 	}
-	var out []SlotAssignment
-	for c := 0; c < s.cfg.Carriers && len(out) < n; c++ {
-		for sl := 0; sl < s.cfg.Slots && len(out) < n; sl++ {
+	held := s.held[terminal]
+	base := len(held)
+	for c := 0; c < s.cfg.Carriers && len(held)-base < n; c++ {
+		for sl := 0; sl < s.cfg.Slots && len(held)-base < n; sl++ {
 			if s.owner[c][sl] == "" {
 				s.owner[c][sl] = terminal
-				out = append(out, SlotAssignment{Carrier: c, Slot: sl})
+				held = append(held, SlotAssignment{Carrier: c, Slot: sl})
 			}
 		}
 	}
-	s.held[terminal] = append(s.held[terminal], out...)
-	return out, nil
+	s.held[terminal] = held
+	return held[base:len(held):len(held)], nil
 }
 
-// Release frees every cell held by the terminal.
+// Release frees every cell the terminal holds, keeping their capacity.
 func (s *SlotScheduler) Release(terminal string) int {
 	cells := s.held[terminal]
 	for _, a := range cells {
 		s.owner[a.Carrier][a.Slot] = ""
 	}
-	delete(s.held, terminal)
+	s.held[terminal] = cells[:0]
 	return len(cells)
 }

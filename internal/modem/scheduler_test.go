@@ -42,6 +42,27 @@ func TestSchedulerAllocateRelease(t *testing.T) {
 	}
 }
 
+// A frame's grants reuse each terminal's holdings: a warm Release and
+// Request allocate nothing.
+func TestSchedulerRegrantAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	s := NewSlotScheduler(FrameConfig{Carriers: 2, Slots: 3, SlotSymbols: 100, GuardSymbols: 8})
+	regrant := func() {
+		for _, term := range []string{"a", "b"} {
+			s.Release(term)
+			if cells, err := s.Request(term, 3); err != nil || len(cells) != 3 {
+				t.Fatalf("%s: %v %v", term, cells, err)
+			}
+		}
+	}
+	regrant()
+	if a := testing.AllocsPerRun(20, regrant); a != 0 {
+		t.Fatalf("warm regrant allocates %v times, want 0", a)
+	}
+}
+
 func TestSchedulerInvalidRequest(t *testing.T) {
 	s := NewSlotScheduler(DefaultFrameConfig())
 	if _, err := s.Request("t", 0); err == nil {

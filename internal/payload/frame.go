@@ -1,6 +1,8 @@
 package payload
 
 import (
+	"slices"
+
 	"repro/internal/modem"
 	"repro/internal/pipeline"
 	"repro/internal/switchfab"
@@ -22,8 +24,7 @@ type BurstReceipt struct {
 	// acquisition behaviour under channel impairments.
 	Sync SyncInfo
 	// Bits holds the decoded info bits of a routed burst, nil when the
-	// cell failed. The slice is shared with the packet queued in the
-	// switching fabric — callers may read it but must not mutate it.
+	// cell failed.
 	Bits []byte
 	Err  error
 }
@@ -43,67 +44,66 @@ type RouteMeta struct {
 }
 
 // ReceiveFrameAndRouteQoS runs the full regenerative receive path over
-// the assigned cells of an MF-TDMA frame. The composer must have been
-// built at the payload's TDMA oversampling (4 samples/symbol);
-// unassigned cells are not touched. Every cell is demodulated and
-// decoded concurrently on the pipeline worker pool — several bursts on
-// the same carrier are fine, since each worker draws its own
-// demodulator instance, and every cell writes only its own receipt.
-// Routing happens after the barrier, strictly in assignment order: the
-// fabric is safe under concurrent routers, but queue contents must be
-// schedule-independent, so the call is bit-identical to a sequential
-// loop. Each decoded burst enters the fabric as a typed packet carrying
-// its traffic class, terminal token and ingress frame, trimmed to
-// metas[i].InfoBits info bits and routed un-packed (the downlink
-// scheduler hands the very same bit slice to the transmit grid).
-// Failed cells (burst not found, service down mid-reconfiguration,
-// short codeword, beam outside the fabric) carry their error in the
-// receipt and route nothing; a packet tail-dropped by a full class
-// queue is counted by the fabric, not reflected in the receipt (the
-// burst itself was received fine).
+// the assigned cells of an MF-TDMA frame, composed at the payload's 4
+// samples/symbol (unassigned cells are not touched). The cells are
+// demodulated and decoded concurrently on the pipeline worker pool, each
+// writing only its own receipt and decode buffer, then routed after the
+// barrier in assignment order, so the call is bit-identical to a
+// sequential loop. Each decoded burst enters the fabric, which copies
+// it, as a typed packet (class, terminal token, ingress frame) trimmed
+// to metas[i].InfoBits info bits. A failed cell (burst not found,
+// service down, short codeword, beam outside the fabric) carries its
+// error in its receipt and routes nothing; a tail drop by a full class
+// queue is counted by the fabric, not in the receipt.
+//
+// The receipts and their Bits are the payload's own buffers, valid until
+// the next call; calls on one payload must not overlap.
 func (p *Payload) ReceiveFrameAndRouteQoS(fc *modem.FrameComposer, assignments []modem.SlotAssignment, metas []RouteMeta) []BurstReceipt {
 	if len(metas) != len(assignments) {
 		panic("payload: one route meta per assignment required")
 	}
-	out := make([]BurstReceipt, len(assignments))
-	pipeline.ForEach(len(assignments), func(i int) {
-		a := assignments[i]
-		r := &out[i]
-		r.Assignment = a
-		soft, dem, info, err := p.demodulateCarrier(a.Carrier, fc.SlotWaveform(a))
-		r.Sync = info
-		if err == nil {
-			r.Found = true
-			r.Bits, err = p.decodeBurst(soft)
-		}
-		r.Err = err
-		p.release(dem)
-	})
-	for i := range out {
-		if out[i].Bits == nil {
+	n := len(assignments)
+	p.receipts = slices.Grow(p.receipts[:0], n)[:n]
+	p.decoded = append(p.decoded, make([][]byte, max(n-len(p.decoded), 0))...)
+	p.curFC, p.curAsgs = fc, assignments
+	pipeline.ForEach(n, p.receive)
+	p.curFC, p.curAsgs = nil, nil
+	for i := range p.receipts {
+		r, m := &p.receipts[i], metas[i]
+		if r.Bits == nil {
 			continue
 		}
+		err := p.checkBeam(m.Beam)
 		if !p.cs.FunctionHealthy(FuncSwitch) {
-			out[i].Bits = nil
-			out[i].Err = ErrServiceDown
+			err = ErrServiceDown
+		}
+		if err != nil {
+			r.Bits, r.Err = nil, err
 			continue
 		}
-		m := metas[i]
-		if err := p.checkBeam(m.Beam); err != nil {
-			out[i].Bits = nil
-			out[i].Err = err
-			continue
-		}
-		bits := out[i].Bits
+		bits := r.Bits
 		if m.InfoBits > 0 && m.InfoBits < len(bits) {
 			bits = bits[:m.InfoBits]
 		}
-		p.sw.RoutePacket(m.Beam, switchfab.Packet{
-			Bits:    bits,
-			Class:   m.Class,
-			Term:    m.Term,
-			Ingress: m.Ingress,
-		})
+		p.sw.RoutePacket(m.Beam, switchfab.Packet{Bits: bits, Class: m.Class, Term: m.Term, Ingress: m.Ingress})
 	}
-	return out
+	return p.receipts
+}
+
+// receiveCell demodulates and decodes cell i into receipt and buffer i.
+func (p *Payload) receiveCell(i int) {
+	a := p.curAsgs[i]
+	r := &p.receipts[i]
+	*r = BurstReceipt{Assignment: a}
+	soft, dem, info, err := p.demodulateCarrier(a.Carrier, p.curFC.SlotWaveform(a))
+	r.Sync = info
+	if err == nil {
+		r.Found = true
+		var bits []byte
+		if bits, err = p.decode(p.decoded[i][:0], soft); err == nil {
+			p.decoded[i], r.Bits = bits, bits
+		}
+	}
+	r.Err = err
+	p.release(dem)
 }

@@ -124,9 +124,10 @@ func TestReceiveFrameAndRouteQoSServiceDown(t *testing.T) {
 	}
 }
 
-// The fabric must survive concurrent frame routers and drainers (FIFO
+// The fabric must survive frame routing concurrent with drainers (FIFO
 // schedules of a beam's whole queue) under the race detector with exact
-// packet accounting.
+// packet accounting. Receive calls on one payload take turns: its
+// receipts are its own buffers.
 func TestConcurrentFrameRoutingAndDrain(t *testing.T) {
 	const infoLen = 180
 	pl, codec := newTDMAPayload(t, 3, "conv-r1/2-k9", infoLen)
@@ -134,6 +135,7 @@ func TestConcurrentFrameRoutingAndDrain(t *testing.T) {
 
 	const routers, frames = 4, 6
 	var wg sync.WaitGroup
+	var receive sync.Mutex
 	drained := make([]int, routers)
 	for w := 0; w < routers; w++ {
 		w := w
@@ -141,11 +143,18 @@ func TestConcurrentFrameRoutingAndDrain(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for f := 0; f < frames; f++ {
-				for _, r := range receiveCarriers(pl, w%3, rx) {
-					if r.Err != nil {
-						t.Error(r.Err)
-						return
+				if err := func() error {
+					receive.Lock()
+					defer receive.Unlock()
+					for _, r := range receiveCarriers(pl, w%3, rx) {
+						if r.Err != nil {
+							return r.Err
+						}
 					}
+					return nil
+				}(); err != nil {
+					t.Error(err)
+					return
 				}
 				drained[w] += len(drain(pl, (w+f)%3))
 			}

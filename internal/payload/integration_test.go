@@ -76,7 +76,7 @@ func TestFig2WidebandRegenerativeLoop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("carrier %d: %v", c, err)
 		}
-		dec, err := pl.Decode(soft[:codec.EncodedLen(infoLen)])
+		dec, err := pl.decode(nil, soft[:codec.EncodedLen(infoLen)])
 		if err != nil {
 			t.Fatalf("carrier %d decode: %v", c, err)
 		}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cdma"
 	"repro/internal/dsp"
@@ -89,18 +88,14 @@ type Payload struct {
 	// (0 = decode the whole burst payload); see SetBurstCodedBits.
 	codedBits int
 
-	// codecCache memoizes Codec() by loaded design name, so per-burst
-	// decode paths don't rebuild codec state (the turbo constructor in
-	// particular allocates interleavers). Invalidation is by name
-	// comparison: a reconfiguration loads a design with a different name,
-	// which misses the cache and replaces the entry.
-	codecCache atomic.Pointer[codecEntry]
-}
-
-// codecEntry pairs a DECOD design name with its codec implementation.
-type codecEntry struct {
-	name  string
-	codec fec.Codec
+	// ReceiveFrameAndRouteQoS's receipts and decode buffers, one per cell,
+	// reused by its next call; receive is its worker body (receiveCell),
+	// built once so a call allocates no closure, with curFC and curAsgs.
+	receipts []BurstReceipt
+	decoded  [][]byte
+	receive  func(int)
+	curFC    *modem.FrameComposer
+	curAsgs  []modem.SlotAssignment
 }
 
 // New boots a payload.
@@ -122,6 +117,7 @@ func New(cfg Config) (*Payload, error) {
 		return modem.NewBurstDemodulatorSync(p.burstFormat, 0.35, 4, 10, modem.TimingOerderMeyr, p.syncCfg)
 	}
 	p.cdmaDemods.New = func() any { return cdma.NewDemodulator(p.cfg.CDMA) }
+	p.receive = p.receiveCell
 	return p, nil
 }
 
@@ -138,9 +134,7 @@ func (p *Payload) SetSyncConfig(sc modem.SyncConfig) {
 		return
 	}
 	p.syncCfg = sc
-	p.tdmaDemods = sync.Pool{New: func() any {
-		return modem.NewBurstDemodulatorSync(p.burstFormat, 0.35, 4, 10, modem.TimingOerderMeyr, p.syncCfg)
-	}}
+	p.tdmaDemods = sync.Pool{New: p.tdmaDemods.New} // New reads p.syncCfg
 }
 
 // SyncConfig returns the active TDMA burst synchronization configuration.
@@ -183,7 +177,7 @@ func (p *Payload) BurstFormat() modem.BurstFormat { return p.burstFormat }
 // Mode derives the active waveform from the design loaded on the DEMOD
 // devices.
 func (p *Payload) Mode() WaveformMode {
-	devs := p.cs.DevicesFor(FuncDemod)
+	devs := p.cs.placement[FuncDemod]
 	if len(devs) == 0 {
 		return ModeNone
 	}
@@ -231,25 +225,24 @@ func synthesizeDesign(name string, rows, cols int) *fpga.Bitstream {
 // DemodBitstreams returns, per DEMOD device, the bitstream implementing
 // the given waveform — what the NCC uploads for the migration.
 func (p *Payload) DemodBitstreams(mode WaveformMode) map[string]*fpga.Bitstream {
-	name := DesignCDMADemod
 	if mode == ModeTDMA {
-		name = DesignTDMADemod
+		return p.bitstreams(FuncDemod, DesignTDMADemod)
 	}
-	out := make(map[string]*fpga.Bitstream)
-	for _, dn := range p.cs.DevicesFor(FuncDemod) {
-		d := p.cs.devices[dn]
-		out[dn] = synthesizeDesign(name, d.Rows(), d.Cols())
-	}
-	return out
+	return p.bitstreams(FuncDemod, DesignCDMADemod)
 }
 
 // DecodBitstreams returns, per DECOD device, the bitstream implementing
 // the given codec (fec.Codec Name()).
 func (p *Payload) DecodBitstreams(codecName string) map[string]*fpga.Bitstream {
+	return p.bitstreams(FuncDecod, codecName)
+}
+
+// bitstreams returns design name's bitstream for each device hosting f.
+func (p *Payload) bitstreams(f Function, name string) map[string]*fpga.Bitstream {
 	out := make(map[string]*fpga.Bitstream)
-	for _, dn := range p.cs.DevicesFor(FuncDecod) {
+	for _, dn := range p.cs.placement[f] {
 		d := p.cs.devices[dn]
-		out[dn] = synthesizeDesign(codecName, d.Rows(), d.Cols())
+		out[dn] = synthesizeDesign(name, d.Rows(), d.Cols())
 	}
 	return out
 }
@@ -313,25 +306,25 @@ func CodecForDesign(name string) (fec.Codec, error) {
 // Codec returns the decoder implementation matching the DECOD devices'
 // loaded design.
 func (p *Payload) Codec() (fec.Codec, error) {
-	devs := p.cs.DevicesFor(FuncDecod)
+	devs := p.cs.placement[FuncDecod]
 	if len(devs) == 0 {
 		return nil, errors.New("payload: no decoder device")
 	}
 	name := p.cs.devices[devs[0]].LoadedDesign()
-	if e := p.codecCache.Load(); e != nil && e.name == name {
-		return e.codec, nil
-	}
 	codec, err := CodecForDesign(name)
 	if err != nil {
 		return nil, fmt.Errorf("payload: no codec loaded (design %q)", name)
 	}
-	p.codecCache.Store(&codecEntry{name: name, codec: codec})
 	return codec, nil
 }
 
 // ErrServiceDown is returned when a required function's devices are off
 // or configuration-corrupted.
 var ErrServiceDown = errors.New("payload: service down")
+
+// errBurstNotFound is a lost TDMA burst's error: one value, so that a
+// loss allocates nothing.
+var errBurstNotFound = errors.New("payload: TDMA burst not found")
 
 // DemodulateCarrier runs the active demodulator on one carrier's
 // baseband block, returning soft bits. It fails if the DEMOD (or DEMUX)
@@ -375,7 +368,7 @@ func (p *Payload) demodulateCarrier(carrier int, rx dsp.Vec) ([]float64, *modem.
 		info := SyncInfo{Scanned: true, UWMetric: res.UWMetric, FreqEst: res.FreqEst, Timing: res.Timing, Phase: res.Phase}
 		if !res.Found {
 			p.tdmaDemods.Put(dem)
-			return nil, nil, info, errors.New("payload: TDMA burst not found")
+			return nil, nil, info, errBurstNotFound
 		}
 		return res.Soft, dem, info, nil
 	default:
@@ -390,10 +383,18 @@ func (p *Payload) release(dem *modem.BurstDemodulator) {
 	}
 }
 
-// Decode runs the active decoder over soft bits and returns info bits.
-// A soft-bit count the active codec cannot decode is an error, not a
-// panic: the count comes from received data.
-func (p *Payload) Decode(soft []float64) ([]byte, error) {
+// decode is the DECOD stage: it trims a burst's soft bits to the
+// configured codeword length (SetBurstCodedBits), runs the active
+// decoder over them and appends the info bits to dst. A burst that came
+// up short, or a soft-bit count the codec cannot decode, is an error,
+// not a panic: the count comes from received data.
+func (p *Payload) decode(dst []byte, soft []float64) ([]byte, error) {
+	if p.codedBits > 0 {
+		if len(soft) < p.codedBits {
+			return nil, fmt.Errorf("payload: burst carries %d soft bits, codeword needs %d", len(soft), p.codedBits)
+		}
+		soft = soft[:p.codedBits]
+	}
 	if !p.cs.FunctionHealthy(FuncDecod) {
 		return nil, ErrServiceDown
 	}
@@ -401,30 +402,14 @@ func (p *Payload) Decode(soft []float64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := fec.CheckDecodeLen(codec, len(soft)); err != nil {
+	if err := codec.CheckDecodeLen(len(soft)); err != nil {
 		return nil, fmt.Errorf("payload: %w", err)
 	}
-	return codec.Decode(soft), nil
+	return codec.AppendDecode(dst, soft), nil
 }
 
-// decodeBurst trims a burst's soft bits to the configured codeword
-// length and decodes them — the DECOD stage of the frame pipeline. A
-// burst that came up short cannot carry the codeword and is rejected
-// rather than fed truncated to the decoder.
-func (p *Payload) decodeBurst(soft []float64) ([]byte, error) {
-	if p.codedBits > 0 {
-		if len(soft) < p.codedBits {
-			return nil, fmt.Errorf("payload: burst carries %d soft bits, codeword needs %d", len(soft), p.codedBits)
-		}
-		soft = soft[:p.codedBits]
-	}
-	return p.Decode(soft)
-}
-
-// checkBeam rejects a destination beam outside the switching fabric:
-// the fabric serves exactly one shard per carrier beam, so a misroute
-// would silently discard the packet (the old map-based switch accepted
-// any integer — callers now get the error instead).
+// checkBeam rejects a destination beam outside the switching fabric,
+// which serves exactly one shard per carrier beam.
 func (p *Payload) checkBeam(beam int) error {
 	if beam < 0 || beam >= p.sw.NumBeams() {
 		return fmt.Errorf("payload: beam %d outside the %d-beam switching fabric", beam, p.sw.NumBeams())

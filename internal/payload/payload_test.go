@@ -248,7 +248,7 @@ func TestPayloadCDMAEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Decode(soft)
+	got, err := p.decode(nil, soft)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestPayloadTDMAEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Decode(soft)
+	got, err := p.decode(nil, soft)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestPayloadDecoderSwapChangesBehaviour(t *testing.T) {
 	llr := fec.HardLLR(cc.Encode(info))
 
 	p.SetCodec("conv-r1/2-k9")
-	dec1, err := p.Decode(llr)
+	dec1, err := p.decode(nil, llr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestPayloadDecoderSwapChangesBehaviour(t *testing.T) {
 	}
 
 	p.SetCodec("uncoded")
-	dec2, err := p.Decode(llr)
+	dec2, err := p.decode(nil, llr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,11 +407,11 @@ func TestPayloadDecodeRejectsUndecodableLength(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range tc.bad {
-			if bits, err := p.Decode(make([]float64, n)); err == nil {
+			if bits, err := p.decode(nil, make([]float64, n)); err == nil {
 				t.Errorf("%s: %d soft bits decoded to %d bits, want an error", tc.codec, n, len(bits))
 			}
 		}
-		if _, err := p.Decode(make([]float64, tc.good)); err != nil {
+		if _, err := p.decode(nil, make([]float64, tc.good)); err != nil {
 			t.Errorf("%s: %d soft bits: %v", tc.codec, tc.good, err)
 		}
 	}
@@ -419,8 +419,8 @@ func TestPayloadDecodeRejectsUndecodableLength(t *testing.T) {
 	// length the codec cannot take must fail there the same way.
 	p.SetCodec("turbo-r1/3")
 	p.SetBurstCodedBits(100)
-	if _, err := p.decodeBurst(make([]float64, 128)); err == nil {
-		t.Error("decodeBurst: 100-bit turbo codeword must be an error")
+	if _, err := p.decode(nil, make([]float64, 128)); err == nil {
+		t.Error("decode: 100-bit turbo codeword must be an error")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/dsp"
@@ -97,6 +98,11 @@ func makeTDMABursts(pl *Payload, codec fec.Codec, infoLen int, seed int64) ([]ds
 // carrier c — through the frame receive path, every cell routed to
 // beam with all its decoded bits.
 func receiveCarriers(pl *Payload, beam int, rx []dsp.Vec) []BurstReceipt {
+	return pl.ReceiveFrameAndRouteQoS(carrierFrame(beam, rx))
+}
+
+// carrierFrame composes receiveCarriers's frame.
+func carrierFrame(beam int, rx []dsp.Vec) (*modem.FrameComposer, []modem.SlotAssignment, []RouteMeta) {
 	n := 0
 	for _, v := range rx {
 		n = max(n, len(v))
@@ -109,12 +115,43 @@ func receiveCarriers(pl *Payload, beam int, rx []dsp.Vec) []BurstReceipt {
 		metas[c] = RouteMeta{Beam: beam}
 		fc.PlaceBurst(asgs[c], v)
 	}
-	return pl.ReceiveFrameAndRouteQoS(fc, asgs, metas)
+	return fc, asgs, metas
+}
+
+// A warm frame receive allocates nothing: the receipts, the decode
+// buffers, the worker body and the fabric's slots are the payload's own.
+func TestReceiveFrameAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	atProcs(t, 1)
+	for _, tc := range []struct {
+		codec   string
+		infoLen int
+	}{{"conv-r1/2-k9", 180}, {"turbo-r1/3", 120}} {
+		pl, codec := newTDMAPayload(t, 4, tc.codec, tc.infoLen)
+		rx, infos := makeTDMABursts(pl, codec, tc.infoLen, 11)
+		fc, asgs, metas := carrierFrame(1, rx)
+		frame := func() {
+			for c, r := range pl.ReceiveFrameAndRouteQoS(fc, asgs, metas) {
+				if r.Err != nil || fec.CountBitErrors(infos[c], r.Bits[:tc.infoLen]) != 0 {
+					t.Fatalf("%s carrier %d: %v", tc.codec, c, r.Err)
+				}
+			}
+			pl.Switch().Schedule(switchfab.FIFO{}, 1, len(asgs), func(switchfab.Packet) bool { return true })
+		}
+		for i := 0; i < 3; i++ {
+			frame() // warm the pools, the buffers and the fabric's storage
+		}
+		if a := testing.AllocsPerRun(20, frame); a != 0 {
+			t.Fatalf("%s: warm frame receive allocates %v times, want 0", tc.codec, a)
+		}
+	}
 }
 
 // TestReceiveFrameMatchesSequential is the equivalence test of the one
 // receive path: the concurrent frame receive must be bit-identical to
-// the sequential single-burst DemodulateCarrier/Decode loop — same
+// the sequential single-burst DemodulateCarrier/decode loop — same
 // decoded bits, same packets on the switch in the same order — at every
 // worker-pool width (GOMAXPROCS sizes the pool).
 func TestReceiveFrameMatchesSequential(t *testing.T) {
@@ -129,7 +166,7 @@ func TestReceiveFrameMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("carrier %d: %v", c, err)
 		}
-		b, err := plSeq.Decode(soft[:need])
+		b, err := plSeq.decode(nil, soft[:need])
 		if err != nil {
 			t.Fatalf("carrier %d decode: %v", c, err)
 		}
@@ -173,7 +210,10 @@ func TestReceiveFrameRepeatable(t *testing.T) {
 	const infoLen = 180
 	pl, codec := newTDMAPayload(t, 6, "conv-r1/2-k9", infoLen)
 	rx, _ := makeTDMABursts(pl, codec, infoLen, 7)
-	first := receiveCarriers(pl, 0, rx)
+	first := slices.Clone(receiveCarriers(pl, 0, rx)) // the receipts live until the next call
+	for i := range first {
+		first[i].Bits = slices.Clone(first[i].Bits)
+	}
 	for run := 0; run < 5; run++ {
 		for c, r := range receiveCarriers(pl, 0, rx) {
 			if first[c].Err != nil || r.Err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/dsp"
-	"repro/internal/fec"
 	"repro/internal/frontend"
 	"repro/internal/modem"
 	"repro/internal/pipeline"
@@ -92,7 +91,7 @@ func (t *Transmitter) encodeBurstInto(dst []byte, info []byte) ([]byte, error) {
 		return nil, err
 	}
 	budget := t.pl.BurstFormat().PayloadBits()
-	dst = fec.AppendEncode(codec, dst[:0], info)
+	dst = codec.AppendEncode(dst[:0], info)
 	if len(dst) > budget {
 		return nil, errors.New("payload: coded burst exceeds the slot payload")
 	}

@@ -8,8 +8,11 @@
 // traffic class, an opaque terminal token and an ingress frame stamp —
 // and the downlink side pops them through a pluggable Scheduler
 // (FIFO, strict priority with a best-effort floor, deficit round
-// robin) directly into the transmit grid, so there is no per-frame
-// drain-copy layer between the switch and the transmitter.
+// robin) to the caller's emit hook.
+//
+// The rings are the switch's buffer memory: RoutePacket copies a
+// packet's Bits, and a popped packet's Bits stay valid until the next
+// RoutePacket to that queue.
 //
 // Ownership rule (see DESIGN.md): RoutePacket, Schedule and every
 // probe are safe from any goroutine at any time. Adopt and
@@ -24,9 +27,9 @@ import "sync"
 // class the downlink scheduler keys on, an opaque terminal token the
 // driver uses to attribute delivery stats (comparable types only if a
 // scheduler is to key on it), and the frame the packet entered the
-// payload, for latency accounting. The fabric owns Bits from RoutePacket
-// until the packet is popped; callers must not retain or mutate the
-// slice after routing.
+// payload, for latency accounting. RoutePacket copies Bits; a popped
+// packet's Bits belong to its queue slot and stay valid until the next
+// RoutePacket to that queue (copy them to keep them longer).
 type Packet struct {
 	Bits    []byte
 	Class   Class
@@ -38,19 +41,27 @@ type Packet struct {
 	seq uint64
 }
 
-// ring is a growable circular queue of packets. Bounded queues are
+// ring is a growable circular queue of packets that keeps the Bits
+// storage of popped packets for later pushes. Bounded queues are
 // preallocated to their bound at Adopt, so steady-state push/pop never
-// allocates.
+// allocates once the queue has held its peak.
 type ring struct {
 	buf  []Packet
 	head int
 	n    int
+	free [][]byte // popped packets' Bits storage, the last popped on top
 }
 
+// push copies p, Bits included, into the next free slot.
 func (r *ring) push(p Packet) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
+	var st []byte
+	if k := len(r.free); k > 0 {
+		st, r.free = r.free[k-1], r.free[:k-1]
+	}
+	p.Bits = append(st[:0], p.Bits...)
 	r.buf[(r.head+r.n)%len(r.buf)] = p
 	r.n++
 }
@@ -68,7 +79,8 @@ func (r *ring) pop() (Packet, bool) {
 		return Packet{}, false
 	}
 	p := r.buf[r.head]
-	r.buf[r.head] = Packet{} // release the payload to the GC
+	r.buf[r.head] = Packet{} // release the token to the GC
+	r.free = append(r.free, p.Bits)
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 	return p, true

@@ -1,7 +1,9 @@
 package switchfab
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,6 +70,24 @@ func TestFabricRoutingAndDrain(t *testing.T) {
 	}
 	if route(f, 99, pkt(1)) {
 		t.Fatal("route to a beam outside the fabric accepted")
+	}
+}
+
+// RoutePacket copies the bits: the caller may reuse its slice at once,
+// and the queued packet pops with the bits it was routed with.
+func TestRouteCopiesBits(t *testing.T) {
+	f := New(1, 4)
+	buf := []byte{1, 0, 1, 1}
+	for i := 0; i < 3; i++ {
+		f.RoutePacket(0, Packet{Bits: buf})
+		buf[i] ^= 1
+	}
+	want := [][]byte{{1, 0, 1, 1}, {0, 0, 1, 1}, {0, 1, 1, 1}}
+	if got := drain(f, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("popped %v, want %v", got, want)
+	}
+	if !bytes.Equal(buf, []byte{0, 1, 0, 1}) {
+		t.Fatalf("fabric wrote the caller's slice: %v", buf)
 	}
 }
 

@@ -102,8 +102,8 @@ func InfoBitsFor(c fec.Codec, budget int) int {
 // framePrep is the per-frame plan handed from beginFrame through
 // ingest, fill and egress: the frame index, the codec in force, the
 // burst's coded-bit budget and the info-bit count that fits it, all
-// resolved once in the frame prologue. It travels by value to the egress
-// goroutine, so egress never re-reads engine fields the next frame's
+// resolved once in the frame prologue. Egress reads its own copy
+// (Engine.out), so it never re-reads engine fields the next frame's
 // prologue may rewrite.
 type framePrep struct {
 	f      int
@@ -178,7 +178,9 @@ type Engine struct {
 	// the ground verify read: grid[beam][slot] holds a burst's info bits,
 	// nil in an idle or aggregate cell. Picked by parity, so the fill of
 	// frame N+1 never rewrites what frame N's egress reads (DESIGN §12).
-	grids [2][][][]byte
+	// A busy cell's bits are copied into cells, storage kept across
+	// frames: the fabric rewrites a popped packet's own bits.
+	grids, cells [2][][][]byte
 	// fill, beam and slot are emitPacket's context while the downlink
 	// scheduler runs (the frame being filled, the next free cell); emit
 	// is emitPacket bound once, so a fill allocates no closure.
@@ -196,14 +198,17 @@ type Engine struct {
 	// per-stage clock reads at all (clock).
 	stages *StageTimers
 
-	// Cross-frame overlap (DESIGN §12). done carries the outcome of the
-	// frame's egress goroutine (one slot, so the goroutine never waits on
-	// the join); inflight marks a dispatched egress not yet joined; err
-	// is the sticky failure of an egress, returned by every later
-	// Step/Drain.
-	done     chan egressOutcome
-	inflight bool
-	err      error
+	// Cross-frame overlap (DESIGN §12). out is the in-flight egress's
+	// frame, written by the control thread only before it starts
+	// egressBody (egress bound once: a start allocates no closure); done
+	// carries the outcome (one slot, so egress never waits on the join);
+	// inflight marks a dispatched egress not yet joined; err is the
+	// sticky failure of an egress, returned by every later Step/Drain.
+	out        framePrep
+	egressBody func()
+	done       chan egressOutcome
+	inflight   bool
+	err        error
 }
 
 // New builds an engine around a booted TDMA payload. The terminal list
@@ -257,7 +262,7 @@ func NewPopulations(pl *payload.Payload, cfg Config, terminals []Terminal, pops 
 		uplink: newUplinkSynth(cfg, pl.BurstFormat()),
 		done:   make(chan egressOutcome, 1),
 	}
-	e.emit = e.emitPacket
+	e.emit, e.egressBody = e.emitPacket, e.egress
 	// The engine is the fabric's exclusive driver for the run: adopting
 	// it clears any previous driver's queues and counters and installs
 	// the per-(beam, class) bound (see the switchfab ownership rule).
@@ -272,9 +277,9 @@ func NewPopulations(pl *payload.Payload, cfg Config, terminals []Terminal, pops 
 	}
 	e.resolveSyncConfig()
 	for gi := range e.grids {
-		e.grids[gi] = make([][][]byte, cfg.Frame.Carriers)
+		e.grids[gi], e.cells[gi] = make([][][]byte, cfg.Frame.Carriers), make([][][]byte, cfg.Frame.Carriers)
 		for c := range e.grids[gi] {
-			e.grids[gi][c] = make([][]byte, cfg.Frame.Slots)
+			e.grids[gi][c], e.cells[gi][c] = make([][]byte, cfg.Frame.Slots), make([][]byte, cfg.Frame.Slots)
 		}
 	}
 	if cfg.Verify {
@@ -463,12 +468,8 @@ func (e *Engine) Step() error {
 	if e.err != nil {
 		return e.err
 	}
-	e.inflight = true
-	go func() {
-		start := time.Now()
-		d, err := e.egress(&pf)
-		e.done <- egressOutcome{d: d, dur: time.Since(start), err: err}
-	}()
+	e.inflight, e.out = true, pf
+	go e.egressBody()
 	return nil
 }
 
@@ -619,28 +620,29 @@ func (e *Engine) fillFrame(pf *framePrep) {
 	e.lap(StageSchedule, t)
 }
 
-// egress is the frame's second half-stage — wideband transmit of the
-// filled grid and the optional ground verify. It reads only the
-// framePrep, its grid, the transmitter's own buffers and the ground
-// receiver, and writes nothing the control thread shares, so it runs on
-// its own goroutine while the control thread ingests the next frame;
-// the verify outcome comes back as a delta for the caller to fold
-// rather than racing the shared report.
-func (e *Engine) egress(pf *framePrep) (egressDelta, error) {
+// egress is the frame's second half-stage and the egress goroutine's
+// body — wideband transmit of frame e.out's grid and the optional ground
+// verify. It reads only e.out, its grid, the transmitter's own buffers
+// and the ground receiver, and writes nothing the control thread shares,
+// so it runs while the control thread ingests the next frame; the verify
+// outcome goes to join as a delta rather than racing the shared report.
+func (e *Engine) egress() {
+	start, pf := time.Now(), &e.out
 	t := e.clock()
 	grid := e.grids[pf.f&1]
 	wide, err := e.tx.TransmitFrameGrid(e.cfg.Frame, grid)
-	if err != nil {
-		return egressDelta{}, fmt.Errorf("traffic: frame %d downlink: %w", pf.f, err)
-	}
-	t = e.lap(StageTransmit, t)
 	var d egressDelta
-	if e.ground != nil {
-		d = e.ground.verify(wide, pf.codec, grid)
-		e.lap(StageVerify, t)
+	if err != nil {
+		err = fmt.Errorf("traffic: frame %d downlink: %w", pf.f, err)
+	} else {
+		t = e.lap(StageTransmit, t)
+		if e.ground != nil {
+			d = e.ground.verify(wide, pf.codec, grid)
+			e.lap(StageVerify, t)
+		}
+		dsp.PutVec(wide)
 	}
-	dsp.PutVec(wide)
-	return d, nil
+	e.done <- egressOutcome{d: d, dur: time.Since(start), err: err}
 }
 
 // emitPacket is the downlink scheduler's emit hook: it places a
@@ -662,7 +664,9 @@ func (e *Engine) emitPacket(p switchfab.Packet) bool {
 	if ps, ok := p.Term.(*popState); ok {
 		ps.dlv.add(bits, lat)
 	} else {
-		e.grids[pf.f&1][e.beam][e.slot] = p.Bits
+		g := pf.f & 1
+		cell := append(e.cells[g][e.beam][e.slot][:0], p.Bits...)
+		e.cells[g][e.beam][e.slot], e.grids[g][e.beam][e.slot] = cell, cell
 		if ts, ok := p.Term.(*termState); ok {
 			ts.stat.DeliveredBits += bits
 		}

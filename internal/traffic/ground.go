@@ -46,6 +46,7 @@ type groundReceiver struct {
 	chunks []verifyRun   // base: a slice of its run's
 	bursts []sentBurst   // the grid's busy cells, in carrier order, slots ascending
 	outs   []egressDelta // one sent burst's verdict each
+	decs   [][]byte      // one sent burst's decoded bits each, storage kept
 
 	// downconvert and check are the two fan-out bodies (downconvertChunk,
 	// checkBurst), held as values so tests can wrap them.
@@ -95,6 +96,7 @@ func (g *groundReceiver) verify(wide dsp.Vec, codec fec.Codec, grid [][][]byte) 
 		}
 	}
 	g.outs = slices.Grow(g.outs[:0], len(g.bursts))[:len(g.bursts)]
+	g.decs = append(g.decs, make([][]byte, max(len(g.bursts)-len(g.decs), 0))...)
 	g.chunks = g.chunks[:0]
 	for i := range g.runs {
 		r := &g.runs[i]
@@ -152,6 +154,6 @@ func (g *groundReceiver) checkBurst(i int) {
 			llr[j] = -10
 		}
 	}
-	dec := g.codec.Decode(llr)
-	g.outs[i] = egressDelta{bitErrs: fec.CountBitErrors(bits, dec[:len(bits)])}
+	g.decs[i] = g.codec.AppendDecode(g.decs[i][:0], llr)
+	g.outs[i] = egressDelta{bitErrs: fec.CountBitErrors(bits, g.decs[i][:len(bits)])}
 }
